@@ -52,7 +52,6 @@ from .multiset import (
 )
 from .qcond import (
     ConditionReport,
-    FrameAssignment,
     MaximizationResult,
     condition_multisetting_CN,
     condition_two_qubit,

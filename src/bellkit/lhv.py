@@ -72,6 +72,8 @@ class CorrelationTable:
         vals = np.asarray(self.values, dtype=np.float64)
         if vals.shape != self.layout.shape:
             raise ValueError(f"values shape {vals.shape} != layout {self.layout.shape}")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("correlation values must be finite")
         if np.max(np.abs(vals)) > 1.0 + 1e-9:
             raise ValueError("correlation values must lie in [-1, 1] within 1e-9")
         vals = vals.copy()

@@ -22,12 +22,15 @@ maximize_bell_value runs see-saw ascent on an arbitrary inequality: each
 per-party, per-setting vector update is the normalized contraction of the
 coefficient tensor with all other current vectors, which is the exact
 optimum for that vector and never decreases the objective.
+
+All three optimizers share one multi-start routine that carries a block of
+restarts on a leading batch axis, so every update is one batched numpy call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable
 
 import numpy as np
 
@@ -36,36 +39,25 @@ from .qstate import CorrelationTensor
 
 VIOLATION_MARGIN = 1e-9
 
-_CANONICAL_PLANES = (
-    np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
-    np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
-    np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
-)
+#: Restarts whose value is within this of the best count as reaching it.
+_AT_BEST = 1e-9
 
+#: A block of restarts holds about this many tensor entries (3^N per restart
+#: for the conditions), which bounds memory for any restart count and N.
+_BLOCK_ENTRIES = 1 << 15
 
-@dataclass(frozen=True)
-class FrameAssignment:
-    """Orthonormal 2x3 frame rows for each party, one list entry per party."""
-
-    frames: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        frozen = []
-        for f in self.frames:
-            arr = np.asarray(f, dtype=np.float64)
-            if arr.shape != (2, 3):
-                raise ValueError("each frame is a 2x3 array of axis rows")
-            if np.max(np.abs(arr @ arr.T - np.eye(2))) > 1e-8:
-                raise ValueError("frame rows must be orthonormal")
-            arr = arr.copy()
-            arr.flags.writeable = False
-            frozen.append(arr)
-        object.__setattr__(self, "frames", tuple(frozen))
+#: The xy, xz and yz planes, the first restarts' starting frames.
+_CANONICAL_PLANES = np.eye(3)[[[0, 1], [0, 2], [1, 2]]]
 
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Outcome of one condition evaluation."""
+    """Outcome of one condition evaluation.
+
+    Each restart's final value and whether it converged before max_sweeps; a
+    closed form counts as one converged restart.  restarts_at_best counts the
+    restarts within 1e-9 of the reported value.
+    """
 
     kind: str
     value: float
@@ -73,6 +65,9 @@ class ConditionReport:
     frames: Any
     certified: str
     seed: int | None
+    restart_values: tuple[float, ...] = field(repr=False)
+    converged: tuple[bool, ...] = field(repr=False)
+    restarts_at_best: int = field(init=False)
 
     def __post_init__(self):
         if self.kind not in (
@@ -87,6 +82,10 @@ class ConditionReport:
             raise ValueError("condition values are nonnegative")
         if self.violated != (self.value > 1 + VIOLATION_MARGIN):
             raise ValueError("violated flag inconsistent with value")
+        if len(self.converged) != len(self.restart_values):
+            raise ValueError("one converged flag per restart value")
+        at_best = np.abs(np.asarray(self.restart_values) - self.value) <= _AT_BEST
+        object.__setattr__(self, "restarts_at_best", int(np.sum(at_best)))
 
     def to_json_dict(self) -> dict:
         return {
@@ -118,47 +117,104 @@ def condition_two_qubit(tensor: CorrelationTensor) -> ConditionReport:
         frames=_frames_json(frames),
         certified="exact",
         seed=None,
+        restart_values=(value,),
+        converged=(True,),
     )
 
 
-def _random_plane(rng: np.random.Generator) -> np.ndarray:
-    q, _ = np.linalg.qr(rng.normal(size=(3, 2)))
-    return q.T.copy()
+def _lower_bound_report(kind: str, value: float, frames: list, seed: int,
+                        values: np.ndarray, converged: np.ndarray) -> ConditionReport:
+    return ConditionReport(
+        kind=kind,
+        value=value,
+        violated=value > 1 + VIOLATION_MARGIN,
+        frames=frames,
+        certified="lower_bound",
+        seed=seed,
+        restart_values=tuple(values.tolist()),
+        converged=tuple(converged.tolist()),
+    )
 
 
-def _contract_axis(grid: np.ndarray, axis: int, rows: np.ndarray) -> np.ndarray:
-    """Replace one tensor axis by contraction with a stack of row vectors."""
-    out = np.tensordot(rows, grid, axes=([rows.ndim - 1], [axis]))
-    return np.moveaxis(out, 0, axis)
+def _multistart(draw: Callable, evaluate: Callable, sweep: Callable, restarts: int,
+                entries: int, max_sweeps: int, tol: float):
+    """Run `restarts` ascents, a block of them at a time on a leading batch axis.
+
+    draw(first, k) gives the start states of restarts first..first+k-1 (a
+    tuple of arrays, batch axis first), evaluate(state) their objective values
+    and sweep(state) the states and values after one full sweep.  Each restart
+    stops on its own, once its value rises by at most `tol` or after
+    `max_sweeps` sweeps, so its path never depends on the other restarts.
+    Blocks hold about _BLOCK_ENTRIES / entries restarts.  Returns each
+    restart's final value and converged flag, and the winner (the first
+    restart with the strict maximum): its index, state and value history.
+    """
+    if restarts < 1:
+        raise ValueError("need at least one restart")
+    block = max(1, _BLOCK_ENTRIES // entries)
+    values, converged, best_value = [], [], -np.inf
+    for first in range(0, restarts, block):
+        state = draw(first, min(block, restarts - first))
+        value = evaluate(state)
+        done = np.zeros(len(value), dtype=bool)
+        sweeps = np.zeros(len(value), dtype=np.int64)
+        history = [value.copy()]
+        active = np.arange(len(value))
+        for _ in range(max_sweeps):
+            sub, new = sweep(tuple(x[active] for x in state))
+            for x, y in zip(state, sub):
+                x[active] = y
+            stop = new - value[active] <= tol
+            value[active] = new
+            sweeps[active] += 1
+            done[active[stop]] = True
+            history.append(value.copy())
+            active = active[~stop]
+            if not active.size:
+                break
+        values.append(value)
+        converged.append(done)
+        k = int(np.argmax(value))
+        if value[k] > best_value:
+            best, best_value = first + k, value[k]
+            best_state = tuple(x[k] for x in state)
+            best_history = [float(h[k]) for h in history[:sweeps[k] + 1]]
+    return np.concatenate(values), np.concatenate(converged), best, best_state, best_history
 
 
-def _plane_objective(corr: np.ndarray, planes: list[np.ndarray]) -> float:
-    grid = corr
-    for j, plane in enumerate(planes):
-        grid = _contract_axis(grid, j, plane)
-    return float(np.sum(grid**2))
+def _random_planes(rng: np.random.Generator, count: int, per_start: int) -> np.ndarray:
+    """count x per_start orthonormal 2x3 planes, drawn one plane at a time."""
+    q, _ = np.linalg.qr(rng.normal(size=(count, per_start, 3, 2)))
+    return np.swapaxes(q, -1, -2)
 
 
-def _two_setting_sweeps(corr: np.ndarray, planes: list[np.ndarray],
-                        max_sweeps: int, tol: float) -> tuple[float, list[np.ndarray], bool]:
-    n = corr.ndim
-    value = _plane_objective(corr, planes)
-    for _ in range(max_sweeps):
-        previous = value
-        for j in range(n):
-            # contract every other party into its plane; axis j stays 3-dim
-            grid = corr
-            for l in range(n):
-                if l != j:
-                    grid = _contract_axis(grid, l, planes[l])
-            u = np.moveaxis(grid, j, -1).reshape(-1, 3)
-            g = u.T @ u
-            eigvals, eigvecs = np.linalg.eigh(g)
-            planes[j] = eigvecs[:, [2, 1]].T.copy()
-            value = float(eigvals[-1] + eigvals[-2])
-        if value - previous <= tol:
-            return value, planes, True
-    return value, planes, False
+def _contract_last(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Contract the last party axis of x, (k, T, F, 3^l), with rows (k, T or 1, m, 3).
+
+    Rows may differ per term.  The row index becomes the new leading digit of
+    the term index, so the result has shape (k, mT, F, 3^(l-1)).
+    """
+    _, t, f, d = x.shape
+    y = x.reshape(x.shape[0], t, -1, 3) @ np.swapaxes(rows, 2, 3)
+    return np.moveaxis(y, 3, 1).reshape(len(y), -1, f, d // 3)
+
+
+def _free_axis(x: np.ndarray) -> np.ndarray:
+    """Move the last party axis of x, (k, T, 1, 3^l), into the free slot F=3."""
+    return np.moveaxis(x.reshape(x.shape[0], x.shape[1], -1, 3), 3, 2)
+
+
+def _contract(corr: np.ndarray, rows, free: int | None = None) -> np.ndarray:
+    """Contract each party's axis of corr with its batch of rows, (k, m_j, 3).
+
+    The last party goes first.  Returns shape (k, m_1 * ... * m_N, 1) with
+    party 1 most significant; with `free` set, that party is left out and its
+    axis is the last one, of size 3.
+    """
+    x = corr.reshape(1, 1, 1, -1)
+    for j in reversed(range(len(rows))):
+        x = _free_axis(x) if j == free else _contract_last(x, rows[j][:, None])
+    return x.reshape(len(x), x.shape[1], -1)
 
 
 def condition_two_setting_N(tensor: CorrelationTensor, restarts: int = 50,
@@ -168,135 +224,119 @@ def condition_two_setting_N(tensor: CorrelationTensor, restarts: int = 50,
     n = tensor.n_qubits
     if n < 2:
         raise ValueError("need at least 2 parties")
-    if restarts < 1:
-        raise ValueError("need at least one restart")
     corr = tensor.correlation_part()
     rng = np.random.default_rng(seed)
-    best_value = -np.inf
-    best_planes: list[np.ndarray] | None = None
-    for start in range(restarts):
-        if start < len(_CANONICAL_PLANES):
-            planes = [_CANONICAL_PLANES[start].copy() for _ in range(n)]
-        else:
-            planes = [_random_plane(rng) for _ in range(n)]
-        value, planes, _ = _two_setting_sweeps(corr, planes, max_sweeps, tol)
-        if value > best_value:
-            best_value = value
-            best_planes = planes
+
+    def draw(first, k):
+        # canonical planes for every party first, then random planes
+        starts = np.arange(first, first + k)
+        planes = np.repeat(_CANONICAL_PLANES[np.minimum(starts, 2), None], n, axis=1)
+        random = starts >= len(_CANONICAL_PLANES)
+        planes[random] = _random_planes(rng, int(np.sum(random)), n)
+        return tuple(planes[:, j] for j in range(n))
+
+    def objective(planes):
+        return np.sum(_contract(corr, planes)[..., 0] ** 2, axis=1)
+
+    def sweep(planes):
+        for j in range(n):
+            u = _contract(corr, planes, free=j)
+            eigvals, eigvecs = np.linalg.eigh(np.swapaxes(u, 1, 2) @ u)
+            planes[j][...] = np.swapaxes(eigvecs[..., [2, 1]], 1, 2)
+        return planes, eigvals[:, -1] + eigvals[:, -2]
+
+    values, converged, _, best, _ = _multistart(draw, objective, sweep, restarts, corr.size,
+                                                max_sweeps, tol)
     # report the value the frames actually attain
-    best_value = _plane_objective(corr, best_planes)
-    return ConditionReport(
-        kind="two_setting_sufficient_N",
-        value=best_value,
-        violated=best_value > 1 + VIOLATION_MARGIN,
-        frames=_frames_json(best_planes),
-        certified="lower_bound",
-        seed=seed,
-    )
-
-
-def _top_two_sum(m: np.ndarray) -> float:
-    s = np.linalg.svd(m, compute_uv=False)
-    return float(s[0] ** 2 + s[1] ** 2)
+    value = float(objective([p[None] for p in best])[0])
+    return _lower_bound_report("two_setting_sufficient_N", value, _frames_json(list(best)),
+                               seed, values, converged)
 
 
 def _orthonormal_pair_ascent(g1: np.ndarray, g2: np.ndarray, a: np.ndarray,
                              b: np.ndarray, iters: int = 30) -> tuple[np.ndarray, np.ndarray]:
-    """Maximize a.g1.a + b.g2.b over orthonormal pairs, never decreasing it."""
+    """Maximize a.g1.a + b.g2.b over orthonormal pairs, never decreasing it.
+
+    All arguments share leading batch axes; each row stops on its own once its
+    objective rises by at most 1e-14.
+    """
+
+    def quad(g: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return np.einsum("...i,...ij,...j->...", v, g, v)
 
     def best_perp(g: np.ndarray, fixed: np.ndarray, current: np.ndarray) -> np.ndarray:
         # 2x2 eigenproblem in the plane orthogonal to `fixed`
-        seed_axis = np.eye(3)[np.argmin(np.abs(fixed))]
-        q1 = seed_axis - (seed_axis @ fixed) * fixed
-        q1 /= np.linalg.norm(q1)
-        q2 = np.cross(fixed, q1)
-        basis = np.stack([q1, q2])
-        small = basis @ g @ basis.T
-        eigvals, eigvecs = np.linalg.eigh(small)
-        candidate = eigvecs[:, -1] @ basis
-        if candidate @ g @ candidate >= current @ g @ current:
-            return candidate
-        return current
+        seed_axis = np.eye(3)[np.argmin(np.abs(fixed), axis=-1)]
+        q1 = seed_axis - np.sum(seed_axis * fixed, axis=-1, keepdims=True) * fixed
+        q1 /= np.linalg.norm(q1, axis=-1, keepdims=True)
+        q2 = fixed[..., [1, 2, 0]] * q1[..., [2, 0, 1]] - fixed[..., [2, 0, 1]] * q1[..., [1, 2, 0]]
+        basis = np.stack([q1, q2], axis=-2)
+        _, eigvecs = np.linalg.eigh(basis @ g @ np.swapaxes(basis, -1, -2))
+        candidate = np.einsum("...i,...ij->...j", eigvecs[..., -1], basis)
+        accept = quad(g, candidate) >= quad(g, current)
+        return np.where(accept[..., None], candidate, current)
 
-    obj = a @ g1 @ a + b @ g2 @ b
+    a, b = a.copy(), b.copy()
+    obj = quad(g1, a) + quad(g2, b)
+    active = np.ones(obj.shape, dtype=bool)
     for _ in range(iters):
-        a = best_perp(g1, b, a)
-        b = best_perp(g2, a, b)
-        new_obj = a @ g1 @ a + b @ g2 @ b
-        if new_obj - obj <= 1e-14:
+        ga, gb = g1[active], g2[active]
+        a[active] = best_perp(ga, b[active], a[active])
+        b[active] = best_perp(gb, a[active], b[active])
+        new_obj = quad(ga, a[active]) + quad(gb, b[active])
+        rising = new_obj - obj[active] > 1e-14
+        obj[active] = new_obj
+        active[active] = rising
+        if not active.any():
             break
-        obj = new_obj
     return a, b
 
 
-class _TrailingFrames:
-    """One orthonormal plane per (party, branch) node of the recursion tree.
+# C_N: party j in 3..N holds one plane per branch (the indices of parties
+# j+1..N), a batch (k, 2^(N-j), 2, 3) in lexicographic branch order.  Terms,
+# the index tuples of parties 3..N, use that order too: branch = t % 2^(N-j).
 
-    Party j in 3..N holds 2^(N-j) planes, keyed by the index tuple of the
-    parties behind it; terms are tuples over parties 3..N with entries 0/1.
+
+def _cn_suffixes(corr: np.ndarray, planes) -> list[np.ndarray]:
+    """Entry i is corr contracted on parties i+3..N: shape (k, 2^(N-i-2), 1, 3^(i+2))."""
+    out = [corr.reshape(1, 1, 1, -1)]
+    for p in reversed(planes):
+        out.append(_contract_last(out[-1], p))
+    return out[::-1]
+
+
+def _cn_objective(corr: np.ndarray, planes) -> np.ndarray:
+    slices = _cn_suffixes(corr, planes)[0].reshape(len(planes[0]), -1, 3, 3)
+    s = np.linalg.svd(slices, compute_uv=False)
+    return np.sum(s[..., 0] ** 2 + s[..., 1] ** 2, axis=1)
+
+
+def _cn_sweep(corr: np.ndarray, planes):
+    """Update each party's planes in turn, j = 3..N, all branches at once.
+
+    Different branches of party j touch disjoint terms, so this equals
+    updating its planes one branch after another.
     """
-
-    def __init__(self, n_parties: int, init):
-        self.n = n_parties
-        self.planes = {}
-        for j in range(3, n_parties + 1):
-            for branch in np.ndindex(*(2,) * (n_parties - j)):
-                self.planes[(j, tuple(branch))] = init(j, tuple(branch))
-
-    def axis(self, j: int, term: tuple[int, ...]) -> np.ndarray:
-        branch = term[j - 2:]
-        return self.planes[(j, branch)][term[j - 3]]
-
-    def plane_nodes(self):
-        return sorted(self.planes.keys())
-
-
-def _cn_slice(corr: np.ndarray, frames: _TrailingFrames, term: tuple[int, ...]) -> np.ndarray:
-    grid = corr
-    for j in range(frames.n, 2, -1):
-        grid = np.tensordot(grid, frames.axis(j, term), axes=([j - 1], [0]))
-    return grid
-
-
-def _cn_value(corr: np.ndarray, frames: _TrailingFrames) -> float:
-    n = frames.n
-    total = 0.0
-    for term in np.ndindex(*(2,) * (n - 2)):
-        total += _top_two_sum(_cn_slice(corr, frames, term))
-    return total
-
-
-def _cn_sweeps(corr: np.ndarray, frames: _TrailingFrames, max_sweeps: int,
-               tol: float) -> float:
-    n = frames.n
-    value = _cn_value(corr, frames)
-    for _ in range(max_sweeps):
-        previous = value
-        for (j, branch) in frames.plane_nodes():
-            g = [np.zeros((3, 3)), np.zeros((3, 3))]
-            free = j - 3  # position of party j inside the term tuple
-            for term in np.ndindex(*(2,) * (n - 2)):
-                if term[j - 2:] != branch:
-                    continue
-                m = _cn_slice(corr, frames, term)
-                u, s, vt = np.linalg.svd(m)
-                # gradient vectors for party j with the top singular frames fixed
-                grid = corr
-                for l in range(n, 2, -1):
-                    if l != j:
-                        grid = np.tensordot(grid, frames.axis(l, term), axes=([l - 1], [0]))
-                # grid axes now (party1, party2, party j)
-                for k in range(2):
-                    for m2 in range(2):
-                        vec = np.einsum("i,j,ijq->q", u[:, k], vt[m2], grid)
-                        g[term[free]] += np.outer(vec, vec)
-            plane = frames.planes[(j, branch)]
-            a, b = _orthonormal_pair_ascent(g[0], g[1], plane[0].copy(), plane[1].copy())
-            frames.planes[(j, branch)] = np.stack([a, b])
-        value = _cn_value(corr, frames)
-        if value - previous <= tol:
-            break
-    return value
+    k = len(planes[0])
+    suffix = _cn_suffixes(corr, planes)
+    for i, own in enumerate(planes):
+        branches = own.shape[1]
+        # party j = i + 3 keeps its axis free; each term picks its lower-party planes
+        x = _free_axis(suffix[i + 1])
+        x = np.broadcast_to(x[:, None], (k, 2) + x.shape[1:]).reshape(k, 2 * branches, 3, -1)
+        for p in reversed(planes[:i]):
+            x = _contract_last(x, p)
+        grid = x.reshape(k, -1, 2, branches, 3, 9)  # (free terms, t_j, branch, q, ab)
+        m = np.einsum("rhsbqx,rbsq->rhsbx", grid, own).reshape(k, -1, 3, 3)
+        u, _, vt = np.linalg.svd(m)
+        # gradient vectors for party j with the top singular frames fixed
+        vec = np.einsum("rtak,rtqab,rtmb->rtkmq", u[..., :2],
+                        grid.reshape(k, -1, 3, 3, 3), vt[..., :2, :])
+        g = np.einsum("rtkmq,rtkmp->rtqp", vec, vec)
+        g = g.reshape(k, -1, 2, branches, 3, 3).sum(axis=1)
+        a, b = _orthonormal_pair_ascent(g[:, 0], g[:, 1], own[:, :, 0], own[:, :, 1])
+        own[:, :, 0], own[:, :, 1] = a, b
+    return planes, _cn_objective(corr, planes)
 
 
 def condition_multisetting_CN(tensor: CorrelationTensor, restarts: int = 50,
@@ -306,59 +346,42 @@ def condition_multisetting_CN(tensor: CorrelationTensor, restarts: int = 50,
     n = tensor.n_qubits
     if n < 2:
         raise ValueError("need at least 2 parties")
-    corr = tensor.correlation_part()
-
+    if restarts < 1:
+        raise ValueError("need at least one restart")
     if n == 2:
-        u, s, vt = np.linalg.svd(corr)
-        value = float(s[0] ** 2 + s[1] ** 2)
-        term = {"term": [], "frames": _frames_json([u[:, :2].T.copy(), vt[:2].copy()])}
-        return ConditionReport(
-            kind="multisetting_CN",
-            value=value,
-            violated=value > 1 + VIOLATION_MARGIN,
-            frames=[term],
-            certified="exact",
-            seed=seed,
-        )
+        report = condition_two_qubit(tensor)
+        return replace(report, kind="multisetting_CN", seed=seed,
+                       frames=[{"term": [], "frames": report.frames}])
 
+    corr = tensor.correlation_part()
     rng = np.random.default_rng(seed)
-    best_value = -np.inf
-    best_frames: _TrailingFrames | None = None
-    for start in range(restarts):
-        if start < len(_CANONICAL_PLANES):
-            init = lambda j, branch: _CANONICAL_PLANES[start].copy()
-        elif start < 2 * len(_CANONICAL_PLANES):
-            # alternate canonical planes along the branch depth
-            init = lambda j, branch: _CANONICAL_PLANES[
-                (start + j + sum(branch)) % len(_CANONICAL_PLANES)
-            ].copy()
-        else:
-            init = lambda j, branch: _random_plane(rng)
-        frames = _TrailingFrames(n, init)
-        value = _cn_sweeps(corr, frames, max_sweeps, tol)
-        if value > best_value:
-            best_value = value
-            best_frames = frames
-    best_value = _cn_value(corr, best_frames)
+    branches = [2 ** (n - j) for j in range(3, n + 1)]
+    shift = np.array([j + sum(branch) for j in range(3, n + 1)
+                      for branch in np.ndindex(*(2,) * (n - j))])
+    cycle = len(_CANONICAL_PLANES)
 
-    report_terms = []
-    for term in np.ndindex(*(2,) * (n - 2)):
-        m = _cn_slice(corr, best_frames, term)
-        u, s, vt = np.linalg.svd(m)
-        per_party = [u[:, :2].T.copy(), vt[:2].copy()]
-        per_party += [best_frames.planes[(j, tuple(term[j - 2:]))] for j in range(3, n + 1)]
-        report_terms.append({
-            "term": [t + 1 for t in term],
-            "frames": _frames_json(per_party),
-        })
-    return ConditionReport(
-        kind="multisetting_CN",
-        value=best_value,
-        violated=best_value > 1 + VIOLATION_MARGIN,
-        frames=report_terms,
-        certified="lower_bound",
-        seed=seed,
-    )
+    def draw(first, k):
+        # one canonical plane everywhere, then canonical planes alternating
+        # along the branch depth, then random planes, node by node
+        starts = np.arange(first, first + k)[:, None]
+        planes = _CANONICAL_PLANES[np.where(starts < cycle, starts, (starts + shift) % cycle)]
+        random = starts[:, 0] >= 2 * cycle
+        planes[random] = _random_planes(rng, int(np.sum(random)), len(shift))
+        return tuple(np.split(planes, np.cumsum(branches)[:-1], axis=1))
+
+    values, converged, _, best, _ = _multistart(
+        draw, lambda planes: _cn_objective(corr, planes), lambda planes: _cn_sweep(corr, planes),
+        restarts, corr.size, max_sweeps, tol)
+    best = [p[None] for p in best]
+    value = float(_cn_objective(corr, best)[0])
+
+    u, _, vt = np.linalg.svd(_cn_suffixes(corr, best)[0].reshape(-1, 3, 3))
+    report_terms = [{
+        "term": [i + 1 for i in term],
+        "frames": _frames_json([u[t, :, :2].T, vt[t, :2]]
+                               + [best[j - 3][0, t % 2 ** (n - j)] for j in range(3, n + 1)]),
+    } for t, term in enumerate(np.ndindex(*(2,) * (n - 2)))]
+    return _lower_bound_report("multisetting_CN", value, report_terms, seed, values, converged)
 
 
 @dataclass(frozen=True)
@@ -382,45 +405,6 @@ class MaximizationResult:
         }
 
 
-def _seesaw_value(coeff: np.ndarray, corr: np.ndarray, settings: list[np.ndarray]) -> float:
-    grid = corr
-    for j, rows in enumerate(settings):
-        grid = _contract_axis(grid, j, rows)
-    return float(np.sum(coeff * grid))
-
-
-def _seesaw_run(coeff: np.ndarray, corr: np.ndarray, settings: list[np.ndarray],
-                max_sweeps: int, tol: float) -> tuple[float, bool, int, list[float]]:
-    n = corr.ndim
-    other_axes = [[l for l in range(n) if l != j] for j in range(n)]
-    degenerate = 0
-    value = _seesaw_value(coeff, corr, settings)
-    history = [value]
-    converged = False
-    for _ in range(max_sweeps):
-        previous = value
-        for j in range(n):
-            grid = corr
-            for l in range(n):
-                if l != j:
-                    grid = _contract_axis(grid, l, settings[l])
-            env = np.tensordot(coeff, grid, axes=(other_axes[j], other_axes[j]))
-            norms = np.linalg.norm(env, axis=1)
-            rows = settings[j].copy()
-            for k in range(rows.shape[0]):
-                if norms[k] > 1e-14:
-                    rows[k] = env[k] / norms[k]
-                else:
-                    degenerate += 1  # keep the previous vector
-            settings[j] = rows
-        value = _seesaw_value(coeff, corr, settings)
-        history.append(value)
-        if value - previous <= tol:
-            converged = True
-            break
-    return value, converged, degenerate, history
-
-
 def maximize_bell_value(ineq: BellInequality, tensor: CorrelationTensor,
                         restarts: int = 50, seed: int = 0, max_sweeps: int = 500,
                         tol: float = 1e-10) -> MaximizationResult:
@@ -431,28 +415,40 @@ def maximize_bell_value(ineq: BellInequality, tensor: CorrelationTensor,
     """
     if ineq.layout.n_parties != tensor.n_qubits:
         raise ValueError("inequality and tensor party counts differ")
-    if restarts < 1:
-        raise ValueError("need at least one restart")
     coeff = ineq.coefficients.astype(np.float64)
     corr = tensor.correlation_part()
+    counts = ineq.layout.settings_per_party
     rng = np.random.default_rng(seed)
-    best: MaximizationResult | None = None
-    for _ in range(restarts):
-        settings = []
-        for m in ineq.layout.settings_per_party:
-            vecs = rng.normal(size=(m, 3))
-            vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
-            settings.append(vecs)
-        value, converged, degenerate, history = _seesaw_run(
-            coeff, corr, settings, max_sweeps, tol
-        )
-        if best is None or value > best.value:
-            best = MaximizationResult(
-                value=value,
-                settings=tuple(s.copy() for s in settings),
-                converged=converged,
-                degenerate_updates=degenerate,
-                seed=seed,
-                history=tuple(history),
-            )
-    return best
+
+    def draw(first, k):
+        # one random unit vector per setting, restart by restart
+        settings = rng.normal(size=(k, sum(counts), 3))
+        settings /= np.linalg.norm(settings, axis=2, keepdims=True)
+        return (*np.split(settings, np.cumsum(counts)[:-1], axis=1), np.zeros(k, dtype=np.int64))
+
+    def evaluate(state):
+        return _contract(corr, state[:-1])[..., 0] @ coeff.reshape(-1)
+
+    def sweep(state):
+        *settings, degenerate = state
+        for j, rows in enumerate(settings):
+            env = np.moveaxis(coeff, j, -1).reshape(-1, counts[j]).T @ _contract(
+                corr, settings, free=j)
+            norms = np.linalg.norm(env, axis=2)
+            update = norms > 1e-14  # otherwise keep the previous vector
+            rows[...] = np.where(update[..., None],
+                                 env / np.where(update, norms, 1.0)[..., None], rows)
+            degenerate += np.sum(~update, axis=1)
+        return state, evaluate(state)
+
+    size = int(np.prod(np.maximum(counts, 3)))
+    _, converged, best, state, history = _multistart(
+        draw, evaluate, sweep, restarts, size, max_sweeps, tol)
+    return MaximizationResult(
+        value=float(evaluate(tuple(x[None] for x in state))[0]),
+        settings=tuple(s.copy() for s in state[:-1]),
+        converged=bool(converged[best]),
+        degenerate_updates=int(state[-1]),
+        seed=seed,
+        history=tuple(history),
+    )

@@ -57,6 +57,8 @@ class PureState:
             raise ValueError(
                 f"expected {2**self.n_qubits} amplitudes, got shape {amps.shape}"
             )
+        if not np.all(np.isfinite(amps)):
+            raise ValueError("amplitudes must be finite")
         norm = np.linalg.norm(amps)
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"state vector norm {norm!r} is not 1 within 1e-12")
@@ -89,6 +91,8 @@ class DensityMatrix:
         mat = np.asarray(self.matrix, dtype=np.complex128)
         if mat.shape != (dim, dim):
             raise ValueError(f"expected shape {(dim, dim)}, got {mat.shape}")
+        if not np.all(np.isfinite(mat)):
+            raise ValueError("matrix entries must be finite")
         if np.max(np.abs(mat - mat.conj().T)) > 1e-12:
             raise ValueError("matrix is not Hermitian within 1e-12")
         tr = np.trace(mat).real
@@ -156,6 +160,8 @@ class CorrelationTensor:
         comp = np.asarray(self.components, dtype=np.float64)
         if comp.shape != (4,) * self.n_qubits:
             raise ValueError(f"expected shape {(4,) * self.n_qubits}, got {comp.shape}")
+        if not np.all(np.isfinite(comp)):
+            raise ValueError("components must be finite")
         if abs(comp[(0,) * self.n_qubits] - 1.0) > 1e-12:
             raise ValueError("identity component must be 1 within 1e-12")
         if np.max(np.abs(comp)) > 1.0 + 1e-9:

@@ -48,6 +48,14 @@ def test_tensor_from_state_file_stdin():
     assert comp[1, 1] == pytest.approx(np.sin(0.6), abs=1e-12)
 
 
+def test_tensor_rejects_non_finite_state_file():
+    code, out, err = run_cli("tensor", "--state-file", "-",
+                             stdin='{"n_qubits":1,"amplitudes":[[NaN,0],[0,0]]}')
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
 def test_tensor_malformed_spec():
     code, _, err = run_cli("tensor", "--state", "ghz:N=oops,alpha=0.1")
     assert code == 2
@@ -115,6 +123,15 @@ def test_lhv_bad_inputs():
     assert code == 2
     code, _, _ = run_cli("lhv", "--table", "/nonexistent/path.json")
     assert code == 2
+
+
+def test_lhv_rejects_non_finite_table():
+    for token in ("NaN", "Infinity", "-Infinity"):
+        code, out, err = run_cli("lhv", "--table", "-",
+                                 stdin='{"layout":[2,2],"values":[[%s,0],[0,0]]}' % token)
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +222,15 @@ def test_condition_kind_size_mismatch():
     assert code == 2
 
 
+@pytest.mark.parametrize("kind", ["two_setting_sufficient_N", "multisetting_CN"])
+def test_condition_rejects_zero_restarts(kind):
+    code, out, err = run_cli("condition", "--kind", kind, "--state", "ghz:N=3,alpha=0.3",
+                             "--restarts", "0")
+    assert code == 2
+    assert out == ""
+    assert "restart" in err
+
+
 def test_scan_csv_shape_and_determinism():
     args = ("scan", "--family", "ghz", "--n", "2,3", "--alpha-steps", "4",
             "--restarts", "6")
@@ -243,6 +269,15 @@ def test_maximize_no_violation_exit_zero():
                            "--state", "noise:v=0.1(singlet)", "--restarts", "5", stdin=gen)
     assert code == 0
     assert json.loads(out)["value"] <= 4.0
+
+
+def test_maximize_rejects_zero_restarts():
+    gen = run_cli("generate", "--layout", "2,2")[1]
+    code, out, err = run_cli("maximize", "--inequality", "-", "--state", "singlet",
+                             "--restarts", "0", stdin=gen)
+    assert code == 2
+    assert out == ""
+    assert "restart" in err
 
 
 def test_maximize_layout_tensor_mismatch():

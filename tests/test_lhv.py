@@ -176,6 +176,12 @@ def test_construct_model_rejects_violation():
         bk.construct_lhv_model(chsh_optimal_table())
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_table_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError, match="finite"):
+        bk.CorrelationTable(bk.ExperimentLayout((2, 2)), np.array([[bad, 0.0], [0.0, 0.0]]))
+
+
 def test_evaluate_model_examples():
     layout = bk.ExperimentLayout((2, 2))
     all_plus = bk.LhvModel(layout, {(0, 0): 1.0})

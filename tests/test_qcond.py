@@ -193,6 +193,81 @@ def test_cn_report_frames_json_shape():
         assert entry["term"][0] in (1, 2)
 
 
+def cn_value_from_frames(tensor: bk.CorrelationTensor, terms) -> float:
+    """Recompute C_N from a report's per-term frames, one term at a time."""
+    corr = tensor.correlation_part()
+    n = corr.ndim
+    total = 0.0
+    for entry in terms:
+        planes = [np.array(f) for f in entry["frames"]]
+        m = corr
+        for j in range(n, 2, -1):  # party j uses row term[j-3] of its plane
+            m = np.tensordot(m, planes[j - 1][entry["term"][j - 3] - 1], axes=([j - 1], [0]))
+        total += float(np.sum((planes[0] @ m @ planes[1].T) ** 2))
+    return total
+
+
+def test_cn_memory_stays_bounded_at_n8():
+    tensor = ghz_tensor(8, 0.3)
+    report = bk.condition_multisetting_CN(tensor, restarts=2, seed=0)
+    assert len(report.frames) == 2 ** 6
+    assert cn_value_from_frames(tensor, report.frames) == pytest.approx(report.value, abs=1e-9)
+    assert report.value >= 2 ** 6 * np.sin(0.6) ** 2 + np.cos(0.6) ** 2 - 1e-9
+
+
+# ---------------------------------------------------------------------------
+# restarts: one batched multi-start loop, each restart on its own path
+
+
+OPTIMIZERS = [bk.condition_two_setting_N, bk.condition_multisetting_CN]
+
+
+@pytest.mark.parametrize("optimize", OPTIMIZERS)
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_more_restarts_never_lower_the_value(optimize, n):
+    tensor = ghz_tensor(n, 0.25)
+    reports = [optimize(tensor, restarts=r, seed=3) for r in (1, 7, 50)]
+    values = [r.value for r in reports]
+    assert values[0] <= values[1] <= values[2]
+    # the first r restarts of a longer run are the run with r restarts
+    for short in reports[:2]:
+        head = reports[2].restart_values[:len(short.restart_values)]
+        assert np.allclose(head, short.restart_values, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("optimize", OPTIMIZERS)
+def test_restart_values_never_decrease_per_sweep(optimize):
+    tensor = tensor_of(random_pure(np.random.default_rng(23), 4))
+    runs = [np.array(optimize(tensor, restarts=12, seed=1, max_sweeps=s).restart_values)
+            for s in range(8)]
+    assert np.all(np.diff(np.stack(runs), axis=0) >= -1e-12)
+    assert not any(optimize(tensor, restarts=12, seed=1, max_sweeps=0).converged)
+    assert all(optimize(tensor, restarts=12, seed=1).converged)
+
+
+def test_restarts_at_best_on_every_report():
+    tensor = ghz_tensor(3, 0.3)
+    reports = [bk.condition_two_qubit(ghz_tensor(2, 0.3)),
+               bk.condition_multisetting_CN(ghz_tensor(2, 0.3))]
+    for restarts in (1, 2, 50):
+        reports += [optimize(tensor, restarts=restarts, seed=0) for optimize in OPTIMIZERS]
+    for report in reports:
+        assert report.restarts_at_best >= 1
+        values = np.array(report.restart_values)
+        assert report.restarts_at_best == np.sum(np.abs(values - report.value) <= 1e-9)
+        assert len(report.converged) == len(report.restart_values)
+    # GHZ N=3 at alpha=0.3: the two-setting sweeps split between 1.275 and 1.0
+    two = bk.condition_two_setting_N(tensor, restarts=50, seed=0)
+    assert 1 <= two.restarts_at_best < 50
+
+
+def test_conditions_reject_zero_restarts():
+    for optimize in OPTIMIZERS:
+        for restarts in (0, -3):
+            with pytest.raises(ValueError):
+                optimize(ghz_tensor(3, 0.3), restarts=restarts)
+
+
 # ---------------------------------------------------------------------------
 # frame invariance
 

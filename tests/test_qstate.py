@@ -170,6 +170,19 @@ def test_state_validation():
         bk.LocalFrame(bk.SettingVector.unit(1, 0, 0), bk.SettingVector.unit(1, 1, 0))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entries_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        bk.PureState(1, np.array([bad, 0.0], dtype=complex))
+    with pytest.raises(ValueError, match="finite"):
+        bk.DensityMatrix(1, np.array([[1.0, bad], [bad, 0.0]], dtype=complex))
+    comp = np.zeros((4, 4))
+    comp[0, 0] = 1.0
+    comp[1, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        bk.CorrelationTensor(2, comp)
+
+
 def test_tensor_qubit_cap():
     rng = np.random.default_rng(2)
     rho = bk.density_from_pure(random_pure(rng, 3))
