@@ -27,7 +27,7 @@ from .lhv import (
     polytope_membership,
     sign_inequality,
 )
-from .multiset import build_recursive, check_tightness, tree_8842, tree_88444, tree_chain
+from .multiset import build_recursive, check_tightness, layout_tree
 from .qcond import (
     condition_multisetting_CN,
     condition_two_qubit,
@@ -193,26 +193,10 @@ def cmd_lhv(args) -> int:
     return EXIT_VIOLATION
 
 
-def _default_bitstring(arity: int) -> str:
-    return "0" * (2**arity - 1) + "1"
-
-
 def _generate_inequality(layout: tuple[int, ...], bitstrings: list[str] | None) -> BellInequality:
-    n = len(layout)
-    if n >= 1 and all(m == 2 for m in layout):
-        arities = [n]
-    elif n >= 3 and layout == (4,) * (n - 1) + (2,):
-        arities = [2, n - 1, n - 1]
-    elif layout == (8, 8, 4, 2):
-        arities = [2] * 7
-    elif layout == (8, 8, 4, 4, 4):
-        arities = [2] * 9
-    else:
-        raise CliError(
-            f"unsupported layout {layout}; supported: 2x...x2, 4x...x4x2, 8x8x4x2, 8x8x4x4x4"
-        )
+    arities, tree = layout_tree(layout)
     if bitstrings is None:
-        bitstrings = [_default_bitstring(a) for a in arities]
+        bitstrings = ["0" * (2**a - 1) + "1" for a in arities]
     if len(bitstrings) != len(arities):
         raise CliError(f"layout {layout} needs {len(arities)} sign bitstrings, got {len(bitstrings)}")
     signs = []
@@ -224,13 +208,7 @@ def _generate_inequality(layout: tuple[int, ...], bitstrings: list[str] | None) 
         if sign.arity != arity:
             raise CliError(f"sign bitstring {text!r} has arity {sign.arity}, expected {arity}")
         signs.append(sign)
-    if len(arities) == 1:
-        return sign_inequality(signs[0])
-    if layout == (8, 8, 4, 2):
-        return build_recursive(tree_8842(signs))
-    if layout == (8, 8, 4, 4, 4):
-        return build_recursive(tree_88444(signs))
-    return build_recursive(tree_chain(n, signs[0], signs[1], signs[2]))
+    return build_recursive(tree(signs))
 
 
 def cmd_generate(args) -> int:

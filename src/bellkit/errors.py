@@ -14,4 +14,4 @@ class InequalityViolated(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """Raised when an operation would exceed a configured size cap."""
+    """Raised when an operation would exceed a configured size or iteration cap."""

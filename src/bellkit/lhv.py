@@ -22,6 +22,7 @@ bit k holding the outcome sign for setting k+1 (bit 0 means +1).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -32,6 +33,10 @@ from .simplex import solve_feasibility
 
 #: Vertex enumeration refuses layouts with more strategies than this.
 MAX_STRATEGIES = 2**20
+
+#: How far past the local bound both oracles still call a table local: the
+#: closed form's slack on 2^N and the LP's feasibility tolerance.
+LOCAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -181,14 +186,17 @@ class DeterministicStrategy:
         return 1 - 2 * ((self.codes[party - 1] >> (setting - 1)) & 1)
 
     def outcome_vector(self, party: int) -> np.ndarray:
-        m = self.layout.settings_per_party[party - 1]
-        code = self.codes[party - 1]
-        return np.array([1 - 2 * ((code >> k) & 1) for k in range(m)], dtype=np.int64)
+        return _outcomes(self.codes[party - 1], self.layout.settings_per_party[party - 1])
 
     def table(self) -> CorrelationTable:
         """The deterministic correlation table: products of outcomes."""
         grid = _outer_products([self.outcome_vector(j + 1) for j in range(self.layout.n_parties)])
         return CorrelationTable(self.layout, grid.astype(float))
+
+
+def _outcomes(codes, m: int) -> np.ndarray:
+    """+-1 outcomes of m settings for each code, on a new last axis (int64)."""
+    return 1 - 2 * ((np.asarray(codes, dtype=np.int64)[..., None] >> np.arange(m)) & 1)
 
 
 def _outer_products(vectors: list[np.ndarray]) -> np.ndarray:
@@ -233,7 +241,7 @@ class LhvModel:
         entries: dict[tuple[int, ...], float] = {}
         if self.tail_weight > 0.0:
             share = self.tail_weight / self.layout.strategy_count()
-            for codes in _all_strategy_codes(self.layout):
+            for codes in itertools.product(*(range(1 << m) for m in self.layout.shape)):
                 entries[codes] = share
         for codes, w in self.weights.items():
             entries[codes] = entries.get(codes, 0.0) + w
@@ -250,17 +258,6 @@ class LhvModel:
             codes = tuple(int(c) for c in record["strategy"])
             weights[codes] = weights.get(codes, 0.0) + float(record["weight"])
         return cls(layout, weights)
-
-
-def _all_strategy_codes(layout: ExperimentLayout) -> Iterator[tuple[int, ...]]:
-    def rec(prefix: tuple[int, ...], rest: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if not rest:
-            yield prefix
-            return
-        for code in range(1 << rest[0]):
-            yield from rec(prefix + (code,), rest[1:])
-
-    yield from rec((), layout.settings_per_party)
 
 
 @dataclass(frozen=True)
@@ -380,16 +377,16 @@ def construct_lhv_model(table: CorrelationTable) -> LhvModel:
     strategy reproduce sign(f(s)) * s_1^(k_1-1)...s_N^(k_N-1) so the weighted
     sum inverts the transform exactly.  The probability deficit is spread as
     a uniform tail over all strategies, which leaves every correlation
-    function untouched.
+    function untouched.  Tables up to LOCAL_TOL past the bound count as
+    local, as in polytope_membership; their weights are renormalized.
     """
-    _require_two_setting(table)
+    f = transformed_table(table)
     n = table.layout.n_parties
-    lhs = general_bell_lhs(table)
-    if lhs > 2**n + 1e-12:
+    lhs = float(np.sum(np.abs(f)))
+    if lhs > 2**n + LOCAL_TOL:
         raise InequalityViolated(
             f"general two-setting expression {lhs!r} exceeds {2**n}", lhs
         )
-    f = transformed_table(table)
     weights: dict[tuple[int, ...], float] = {}
     for idx in np.ndindex(*f.shape):
         p = float(abs(f[idx])) / 2**n
@@ -401,58 +398,42 @@ def construct_lhv_model(table: CorrelationTable) -> LhvModel:
         first = (0 if sigma > 0 else 1) | ((0 if sigma * s[0] > 0 else 1) << 1)
         codes = (first,) + tuple((0 if s_j > 0 else 1) << 1 for s_j in s[1:])
         weights[codes] = weights.get(codes, 0.0) + p
-    deficit = 1.0 - sum(weights.values())
-    return LhvModel(table.layout, weights, tail_weight=max(deficit, 0.0))
+    total = sum(weights.values())
+    if total > 1.0:
+        weights = {codes: w / total for codes, w in weights.items()}
+    return LhvModel(table.layout, weights, tail_weight=max(1.0 - total, 0.0))
 
 
 def evaluate_model(model: LhvModel) -> CorrelationTable:
     """Correlation table predicted by a mixture of deterministic strategies."""
     values = np.zeros(model.layout.shape)
-    for strategy, w in model.strategies():
-        vectors = [strategy.outcome_vector(j + 1).astype(float)
-                   for j in range(model.layout.n_parties)]
+    for codes, w in model.weights.items():
+        vectors = [_outcomes(c, m).astype(float) for c, m in zip(codes, model.layout.shape)]
         values += w * _outer_products(vectors)
     return CorrelationTable(model.layout, values)
-
-
-def _canonical_vertex_codes(layout: ExperimentLayout) -> list[tuple[int, ...]]:
-    """One strategy per distinct vertex tensor.
-
-    Flipping all outcomes of an even number of parties leaves every product
-    unchanged, so representatives fix the first-setting outcome of parties
-    2..N to +1 (even codes) while party 1 ranges over everything.
-    """
-    ranges = [range(1 << layout.settings_per_party[0])]
-    for m in layout.settings_per_party[1:]:
-        ranges.append(range(0, 1 << m, 2))
-
-    def rec(prefix: tuple[int, ...], rest: list[range]) -> Iterator[tuple[int, ...]]:
-        if not rest:
-            yield prefix
-            return
-        for code in rest[0]:
-            yield from rec(prefix + (code,), rest[1:])
-
-    return list(rec((), ranges))
 
 
 def enumerate_vertices(layout: ExperimentLayout) -> tuple[list[tuple[int, ...]], np.ndarray]:
     """Distinct vertex tensors of the correlation polytope.
 
     Returns representative strategy codes and an integer matrix with one
-    flattened product tensor per row.
+    flattened product tensor per row, in lexicographic code order.  Flipping
+    all outcomes of an even number of parties leaves every product unchanged,
+    so representatives fix the first-setting outcome of parties 2..N to +1
+    (even codes) while party 1 ranges over everything.
     """
     if layout.strategy_count() > MAX_STRATEGIES:
         raise ResourceLimitError(
             f"layout has {layout.strategy_count()} strategies, cap is {MAX_STRATEGIES}"
         )
-    codes = _canonical_vertex_codes(layout)
-    rows = np.empty((len(codes), int(np.prod(layout.shape))), dtype=np.int64)
-    for i, c in enumerate(codes):
-        strat = DeterministicStrategy(layout, c)
-        vectors = [strat.outcome_vector(j + 1) for j in range(layout.n_parties)]
-        rows[i] = _outer_products(vectors).ravel()
-    return codes, rows
+    first, *rest = layout.shape
+    ranges = [range(1 << first)] + [range(0, 1 << m, 2) for m in rest]
+    rows = _outcomes(ranges[0], first)
+    for codes, m in zip(ranges[1:], rest):
+        party = _outcomes(codes, m)
+        rows = (rows[:, None, :, None] * party[None, :, None, :]).reshape(
+            rows.shape[0] * len(codes), rows.shape[1] * m)
+    return list(itertools.product(*ranges)), rows
 
 
 @dataclass(frozen=True)
@@ -463,7 +444,7 @@ class PolytopeResult:
     lp_iterations: int = field(default=0, compare=False)
 
 
-def polytope_membership(table: CorrelationTable, tol: float = 1e-9) -> PolytopeResult:
+def polytope_membership(table: CorrelationTable, tol: float = LOCAL_TOL) -> PolytopeResult:
     """Decide whether a table is a mixture of deterministic strategies.
 
     Feasibility of V lambda = values, lambda >= 0, sum lambda = 1 over the

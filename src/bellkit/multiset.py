@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from typing import Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -190,15 +190,8 @@ def build_recursive(tree: ConstructionTree) -> BellInequality:
 
 
 def tree_442(top: SignFunction, left: SignFunction, right: SignFunction) -> Node:
-    """Three-party tree on a 4 x 4 x 2 layout, bound 16."""
-    return Node(
-        top,
-        (
-            Leaf((1, 2), ((1, 2), (1, 2)), left),
-            Leaf((1, 2), ((3, 4), (3, 4)), right),
-        ),
-        (Observable(3, 1), Observable(3, 2)),
-    )
+    """Three-party tree on a 4 x 4 x 2 layout, bound 16: tree_chain(3, ...)."""
+    return tree_chain(3, top, left, right)
 
 
 def build_442(top: SignFunction, left: SignFunction, right: SignFunction) -> BellInequality:
@@ -214,16 +207,24 @@ def tree_chain(n_parties: int, top: SignFunction,
     """
     if n_parties < 3:
         raise ValueError("chain trees need at least 3 parties")
-    inner = tuple(range(1, n_parties))
     if left.arity != n_parties - 1 or right.arity != n_parties - 1:
         raise ValueError("leaf sign functions must have arity N-1")
+    return _chain_block(n_parties, (top, left, right), 0)
+
+
+def _chain_block(n_parties: int, signs: Sequence[SignFunction], half: int) -> Node:
+    """The chain tree on settings 4*half+1..4*half+4 of parties 1..N-1 and
+    2*half+1, 2*half+2 of party N; ``signs`` is its (top, left, right)."""
+    top, left, right = signs
+    inner = tuple(range(1, n_parties))
+    a, b = 4 * half, 2 * half
     return Node(
         top,
         (
-            Leaf(inner, tuple(((1, 2),) * (n_parties - 1)), left),
-            Leaf(inner, tuple(((3, 4),) * (n_parties - 1)), right),
+            Leaf(inner, ((a + 1, a + 2),) * (n_parties - 1), left),
+            Leaf(inner, ((a + 3, a + 4),) * (n_parties - 1), right),
         ),
-        (Observable(n_parties, 1), Observable(n_parties, 2)),
+        (Observable(n_parties, b + 1), Observable(n_parties, b + 2)),
     )
 
 
@@ -236,24 +237,8 @@ def tree_8842(signs: list[SignFunction]) -> Node:
     """
     if len(signs) != 7:
         raise ValueError("need 7 sign functions")
-    top, l_top, l_left, l_right, r_top, r_left, r_right = signs
-    left = Node(
-        l_top,
-        (
-            Leaf((1, 2), ((1, 2), (1, 2)), l_left),
-            Leaf((1, 2), ((3, 4), (3, 4)), l_right),
-        ),
-        (Observable(3, 1), Observable(3, 2)),
-    )
-    right = Node(
-        r_top,
-        (
-            Leaf((1, 2), ((5, 6), (5, 6)), r_left),
-            Leaf((1, 2), ((7, 8), (7, 8)), r_right),
-        ),
-        (Observable(3, 3), Observable(3, 4)),
-    )
-    return Node(top, (left, right), (Observable(4, 1), Observable(4, 2)))
+    halves = (_chain_block(3, signs[1:4], 0), _chain_block(3, signs[4:7], 1))
+    return Node(signs[0], halves, (Observable(4, 1), Observable(4, 2)))
 
 
 def tree_88444(signs: list[SignFunction]) -> Node:
@@ -265,33 +250,44 @@ def tree_88444(signs: list[SignFunction]) -> Node:
     """
     if len(signs) != 9:
         raise ValueError("need 9 sign functions")
-    top = signs[0]
-    l_top, l_left, l_right = signs[1:4]
-    r_top, r_left, r_right = signs[4:7]
-    tail_first, tail_second = signs[7:9]
-    left = Node(
-        l_top,
-        (
-            Leaf((1, 2), ((1, 2), (1, 2)), l_left),
-            Leaf((1, 2), ((3, 4), (3, 4)), l_right),
-        ),
-        (Observable(3, 1), Observable(3, 2)),
-    )
-    right = Node(
-        r_top,
-        (
-            Leaf((1, 2), ((5, 6), (5, 6)), r_left),
-            Leaf((1, 2), ((7, 8), (7, 8)), r_right),
-        ),
-        (Observable(3, 3), Observable(3, 4)),
-    )
     return Node(
-        top,
-        (left, right),
+        signs[0],
+        tree_8842(signs[:7]).first,
         (
-            Leaf((4, 5), ((1, 2), (1, 2)), tail_first),
-            Leaf((4, 5), ((3, 4), (3, 4)), tail_second),
+            Leaf((4, 5), ((1, 2), (1, 2)), signs[7]),
+            Leaf((4, 5), ((3, 4), (3, 4)), signs[8]),
         ),
+    )
+
+
+def _two_setting_tree(signs: list[SignFunction]) -> Leaf:
+    """The two-setting family member of one arity-N sign function: one leaf."""
+    (sign,) = signs
+    return Leaf(tuple(range(1, sign.arity + 1)), ((1, 2),) * sign.arity, sign)
+
+
+def layout_tree(layout: tuple[int, ...]) -> tuple[tuple[int, ...], Callable]:
+    """The registry of generated layouts: sign-function arities and tree builder.
+
+    The builder takes one sign function per arity, in order, and returns the
+    construction tree.  Supported, for N parties:
+
+      2x...x2    (N >= 1)  arities (N,)             one leaf, pairs (1, 2)
+      4x...x4x2  (N >= 3)  arities (2, N-1, N-1)    tree_chain
+      8x8x4x2              arities (2,) * 7         tree_8842
+      8x8x4x4x4            arities (2,) * 9         tree_88444
+    """
+    n = len(layout)
+    if n >= 1 and layout == (2,) * n:
+        return (n,), _two_setting_tree
+    if n >= 3 and layout == (4,) * (n - 1) + (2,):
+        return (2, n - 1, n - 1), lambda signs: tree_chain(n, *signs)
+    if layout == (8, 8, 4, 2):
+        return (2,) * 7, tree_8842
+    if layout == (8, 8, 4, 4, 4):
+        return (2,) * 9, tree_88444
+    raise ValueError(
+        f"unsupported layout {layout}; supported: 2x...x2, 4x...x4x2, 8x8x4x2, 8x8x4x4x4"
     )
 
 

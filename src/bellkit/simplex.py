@@ -7,7 +7,8 @@ the final cost row yields a Farkas certificate y with
 
     y . A_j <= 0 for every column j   and   y . b > 0,
 
-which callers turn into separating hyperplanes.
+which callers turn into separating hyperplanes.  Running past the iteration
+cap (default 200 + 50 (m + n)) raises ResourceLimitError.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import ResourceLimitError
 
 
 @dataclass
@@ -77,7 +80,7 @@ def solve_feasibility(a: np.ndarray, b: np.ndarray, tol: float = 1e-9,
         basis[leave] = enter
         iterations += 1
     else:
-        raise RuntimeError(f"simplex exceeded {max_iter} iterations")
+        raise ResourceLimitError(f"simplex exceeded {max_iter} iterations")
 
     objective = float(sum(tab[i, -1] for i in range(m) if basis[i] >= n))
     if objective > tol:

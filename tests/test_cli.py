@@ -1,7 +1,12 @@
 """End-to-end command-line behavior: schemas, exit codes, reproducibility."""
+import functools
+import hashlib
+import importlib.util
+import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -307,3 +312,78 @@ def test_byte_stable_outputs():
         second = run_cli(*args)
         assert first == second
         assert first[0] in (0, 3)
+
+
+# full sha256 of stdout for commands whose bytes are pinned; the (3,3,3)
+# table goes through the LP oracle
+PINNED_TABLE = json.dumps({"layout": [3, 3, 3], "values": [[[0.3] * 3] * 3] * 3})
+PINNED_OUTPUTS = [
+    (("generate", "--layout", "2"), None,
+     "a7e2c7a94d2373b3128c3cc7e987fb9734fe87fd615f4bd5c34ca3b3a6c8a37a"),
+    (("generate", "--layout", "2,2,2"), None,
+     "89add5422196a83f871d2969a1df663f25983fa9ce8754c5fc2bd33cedcbc931"),
+    (("generate", "--layout", "2,2,2,2,2"), None,
+     "6a2cb52cb125cfa8f002d1033f8faf9a738302a7d6536e677e04a33b4799f63b"),
+    (("generate", "--layout", "4,4,2", "--check-tight"), None,
+     "20833c7fc55b3527fbe1ee6277a920b70bc3b4855866c5b45bde46b424b9df4a"),
+    (("generate", "--layout", "4,4,4,2", "--check-tight"), None,
+     "999d5c7dd931807889b2ad63baa5cce1060cb8382ee8824a6637135e6be755da"),
+    (("generate", "--layout", "8,8,4,2"), None,
+     "49dfe7fed8c20caf7c97723495f63c35a68149e4b093f2c102c2a54da4fc140e"),
+    (("generate", "--layout", "8,8,4,4,4"), None,
+     "7af991115163911c5f93aac04e0403de0783e732169dea3bdbc4fae45fceb9a0"),
+    (("lhv", "--table", "-"), PINNED_TABLE,
+     "b707fea00f820ae44c73b1a32d170fd4c991dfa56be795b2ec88c81fb79ac322"),
+]
+
+
+@pytest.mark.parametrize("args, stdin, digest", PINNED_OUTPUTS,
+                         ids=[" ".join(case[0]) for case in PINNED_OUTPUTS])
+def test_pinned_output_bytes(args, stdin, digest):
+    code, out, _ = run_cli(*args, stdin=stdin)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_lhv_boundary_table_gets_model():
+    # the left-hand side 4 * (1 + 4e-13) is inside the shared tolerance
+    table = {"layout": [2, 2], "values": (np.array([[.5, .5], [.5, -.5]]) * (1 + 4e-13)).tolist()}
+    code, out, _ = run_cli("lhv", "--table", "-", stdin=json.dumps(table))
+    assert code == 0
+    assert sum(e["weight"] for e in json.loads(out)) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_lhv_simplex_iteration_cap_exits_4(monkeypatch, capsys):
+    from bellkit import cli, lhv
+
+    monkeypatch.setattr(lhv, "solve_feasibility",
+                        functools.partial(lhv.solve_feasibility, max_iter=1))
+    monkeypatch.setattr("sys.stdin", io.StringIO(PINNED_TABLE))
+    assert cli.main(["lhv", "--table", "-"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "resource cap: simplex exceeded 1 iterations\n"
+
+
+def test_benchmark_tracer_records_hooked_names(capsys):
+    """bench/tracing.py wraps names in bellkit's namespaces; they must exist and be used."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    from bellkit import cli
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["generate", "--layout", "2,2,2"]) == 0
+        assert cli.main(["generate", "--layout", "4,4,2", "--check-tight"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    names = {span[0] for span in tracer.spans}
+    assert {"cli.main", "multiset.build_recursive", "multiset.check_tightness",
+            "lhv.enumerate_vertices"} <= names
+    assert sum(span[0] == "multiset.build_recursive" for span in tracer.spans) == 2
+    assert tracer.counts["vertices"] == 256
+    assert not hasattr(cli.main, "__wrapped__")  # uninstall put the originals back

@@ -325,3 +325,51 @@ def test_vertex_values_bounded_by_family_bound():
         ineq = bk.sign_inequality(sign)
         values = rows @ ineq.coefficients.ravel()
         assert np.max(np.abs(values)) <= ineq.bound
+
+
+@pytest.mark.parametrize("shape", [(1, 3), (2, 2, 2), (3, 3, 3, 3), (4, 4, 4, 2)])
+def test_vertex_enumeration_matches_product_oracle(shape):
+    """Codes and rows equal a direct itertools.product / multiply.outer build.
+
+    The row order is part of the contract: simplex pivots and the exact rank
+    of saturating rows both follow it.
+    """
+    ranges = [range(1 << shape[0])] + [range(0, 1 << m, 2) for m in shape[1:]]
+    want_codes = list(itertools.product(*ranges))
+    want_rows = []
+    for codes in want_codes:
+        grid = np.ones((), dtype=np.int64)
+        for code, m in zip(codes, shape):
+            grid = np.multiply.outer(grid, [1 - 2 * ((code >> k) & 1) for k in range(m)])
+        want_rows.append(grid.ravel())
+    codes, rows = bk.enumerate_vertices(bk.ExperimentLayout(shape))
+    assert codes == want_codes
+    assert all(type(c) is int for code in codes for c in code)
+    assert rows.dtype == np.int64
+    assert np.array_equal(rows, np.array(want_rows, dtype=np.int64))
+
+
+@pytest.mark.parametrize("eps, inside", [
+    (4e-13, True), (2e-10, True), (1e-9, False), (1e-8, False), (1e-6, False),
+])
+def test_oracles_agree_at_the_bound(eps, inside):
+    """The closed form and the LP share one tolerance past 2^N."""
+    table = table_2x2(0.5, 0.5, 0.5, -0.5)
+    table = bk.CorrelationTable(table.layout, table.values * (1 + eps))
+    assert bk.polytope_membership(table).inside == inside
+    if not inside:
+        with pytest.raises(bk.InequalityViolated):
+            bk.construct_lhv_model(table)
+        return
+    model = bk.construct_lhv_model(table)
+    assert sum(model.weights.values()) + model.tail_weight == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(bk.evaluate_model(model).values, table.values, rtol=0, atol=1e-9)
+
+
+def test_simplex_iteration_cap_is_a_resource_limit():
+    from bellkit.simplex import solve_feasibility
+
+    a, b = np.eye(2), np.ones(2)
+    assert solve_feasibility(a, b).iterations == 2
+    with pytest.raises(bk.ResourceLimitError, match="exceeded 1 iterations"):
+        solve_feasibility(a, b, max_iter=1)

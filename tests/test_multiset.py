@@ -28,19 +28,16 @@ def expanded_442(top, left, right) -> np.ndarray:
 
 
 def all_strategy_values(ineq: bk.BellInequality) -> np.ndarray:
-    """Expression value on every deterministic strategy, exactly in integers."""
-    layout = ineq.layout.settings_per_party
-    outs = []
-    for m in layout:
+    """Expression value on every deterministic strategy, exactly in integers.
+
+    Contracts each party's setting axis with its (codes x settings) matrix of
+    +-1 outcomes in turn; the result has one axis per party's code.
+    """
+    total = np.asarray(ineq.coefficients, dtype=np.int64)
+    for m in ineq.layout.settings_per_party:
         codes = np.arange(1 << m)[:, None]
-        outs.append((1 - 2 * ((codes >> np.arange(m)[None, :]) & 1)).astype(np.int64))
-    grids = np.meshgrid(*[np.arange(1 << m) for m in layout], indexing="ij")
-    total = np.zeros(grids[0].shape, dtype=np.int64)
-    for pos in np.argwhere(ineq.coefficients != 0):
-        prod = np.full(grids[0].shape, np.int64(ineq.coefficients[tuple(pos)]))
-        for j, k in enumerate(pos):
-            prod = prod * outs[j][grids[j], k]
-        total += prod
+        outs = (1 - 2 * ((codes >> np.arange(m)[None, :]) & 1)).astype(np.int64)
+        total = np.tensordot(total, outs, axes=([0], [1]))
     return total.ravel()
 
 
