@@ -61,7 +61,6 @@ from .qcond import (
 from .qstate import (
     CorrelationTensor,
     DensityMatrix,
-    LocalFrame,
     PureState,
     SettingVector,
     correlation_tensor,

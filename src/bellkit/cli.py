@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import re
@@ -41,6 +42,7 @@ from .qstate import (
     correlation_tensor,
     density_from_pure,
 )
+from .tolerance import BOUND_TOL
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -263,29 +265,30 @@ def cmd_scan(args) -> int:
         raise CliError("N list is empty")
     if args.alpha_steps < 2:
         raise CliError("the alpha grid needs at least 2 points")
-    if not 0.0 <= args.alpha_min <= args.alpha_max <= np.pi / 4 + 1e-12:
+    if args.alpha_min > args.alpha_max:
         raise CliError("alpha range must satisfy 0 <= min <= max <= pi/4")
     kinds = args.kinds.split(",")
     for kind in kinds:
         if kind not in CONDITION_KINDS:
             raise CliError(f"unknown condition kind {kind!r}; choose from {', '.join(CONDITION_KINDS)}")
     alphas = np.linspace(args.alpha_min, args.alpha_max, args.alpha_steps)
+    # every grid point is checked up front, by the rule --state ghz: applies
+    families = [GhzFamily(n, float(alpha)) for n in n_list for alpha in alphas]
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["family", "N", "alpha", "kind", "value", "violated"])
-    for n in n_list:
-        for alpha in alphas:
-            tensor = ghz_tensor_analytic(GhzFamily(n, float(alpha)))
-            for kind in kinds:
-                report = _run_condition(kind, tensor, args.restarts, args.seed)
-                writer.writerow([
-                    args.family,
-                    n,
-                    repr(float(alpha)),
-                    kind,
-                    repr(report.value),
-                    "true" if report.violated else "false",
-                ])
+    for family in families:
+        tensor = ghz_tensor_analytic(family)
+        for kind in kinds:
+            report = _run_condition(kind, tensor, args.restarts, args.seed)
+            writer.writerow([
+                args.family,
+                family.n_qubits,
+                repr(family.alpha),
+                kind,
+                repr(report.value),
+                "true" if report.violated else "false",
+            ])
     _emit(buffer.getvalue(), args.out)
     return EXIT_OK
 
@@ -301,7 +304,7 @@ def cmd_maximize(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     _emit(_dump_json(result.to_json_dict()), args.out)
-    if result.value > float(ineq.bound) + 1e-9:
+    if result.value > float(ineq.bound) + BOUND_TOL:
         print(f"violation: value {result.value!r} exceeds bound {ineq.bound!r}", file=sys.stderr)
         return EXIT_VIOLATION
     return EXIT_OK
@@ -321,7 +324,9 @@ def _add_rng(parser: argparse.ArgumentParser) -> None:
                         help="random restarts for the sweeps (default 50)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; every caller shares it."""
     parser = argparse.ArgumentParser(
         prog="bellkit",
         description="Correlation Bell inequalities: generation, LHV models, violation checks.",
@@ -382,8 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qstate import CorrelationTensor, DensityMatrix, PureState
+from .tolerance import ALPHA_SLACK
 
 
 @dataclass(frozen=True)
@@ -28,8 +29,7 @@ class GhzFamily:
     def __post_init__(self):
         if self.n_qubits < 2:
             raise ValueError("the family needs at least 2 qubits")
-        # decimal approximations of pi/4 (0.7854 and friends) must pass
-        if not -1e-4 <= self.alpha <= math.pi / 4 + 1e-4:
+        if not -ALPHA_SLACK <= self.alpha <= math.pi / 4 + ALPHA_SLACK:
             raise ValueError("alpha must lie in [0, pi/4]")
 
 

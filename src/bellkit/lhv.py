@@ -30,13 +30,10 @@ import numpy as np
 
 from .errors import InequalityViolated, ResourceLimitError
 from .simplex import solve_feasibility
+from .tolerance import BOUND_TOL, EXACT_TOL
 
 #: Vertex enumeration refuses layouts with more strategies than this.
 MAX_STRATEGIES = 2**20
-
-#: How far past the local bound both oracles still call a table local: the
-#: closed form's slack on 2^N and the LP's feasibility tolerance.
-LOCAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -79,7 +76,7 @@ class CorrelationTable:
             raise ValueError(f"values shape {vals.shape} != layout {self.layout.shape}")
         if not np.all(np.isfinite(vals)):
             raise ValueError("correlation values must be finite")
-        if np.max(np.abs(vals)) > 1.0 + 1e-9:
+        if np.max(np.abs(vals)) > 1.0 + BOUND_TOL:
             raise ValueError("correlation values must lie in [-1, 1] within 1e-9")
         vals = vals.copy()
         vals.flags.writeable = False
@@ -221,15 +218,15 @@ class LhvModel:
     tail_weight: float = 0.0
 
     def __post_init__(self):
-        if self.tail_weight < -1e-12:
+        if self.tail_weight < -EXACT_TOL:
             raise ValueError("tail weight must be nonnegative")
         total = self.tail_weight
         for codes, w in self.weights.items():
             DeterministicStrategy(self.layout, codes)  # validates ranges
-            if w < -1e-12:
+            if w < -EXACT_TOL:
                 raise ValueError(f"negative weight {w!r} for strategy {codes}")
             total += w
-        if abs(total - 1.0) > 1e-12:
+        if abs(total - 1.0) > EXACT_TOL:
             raise ValueError(f"total weight {total!r} is not 1 within 1e-12")
 
     def strategies(self) -> Iterator[tuple[DeterministicStrategy, float]]:
@@ -377,13 +374,13 @@ def construct_lhv_model(table: CorrelationTable) -> LhvModel:
     strategy reproduce sign(f(s)) * s_1^(k_1-1)...s_N^(k_N-1) so the weighted
     sum inverts the transform exactly.  The probability deficit is spread as
     a uniform tail over all strategies, which leaves every correlation
-    function untouched.  Tables up to LOCAL_TOL past the bound count as
+    function untouched.  Tables up to BOUND_TOL past the bound count as
     local, as in polytope_membership; their weights are renormalized.
     """
     f = transformed_table(table)
     n = table.layout.n_parties
     lhs = float(np.sum(np.abs(f)))
-    if lhs > 2**n + LOCAL_TOL:
+    if lhs > 2**n + BOUND_TOL:
         raise InequalityViolated(
             f"general two-setting expression {lhs!r} exceeds {2**n}", lhs
         )
@@ -444,7 +441,7 @@ class PolytopeResult:
     lp_iterations: int = field(default=0, compare=False)
 
 
-def polytope_membership(table: CorrelationTable, tol: float = LOCAL_TOL) -> PolytopeResult:
+def polytope_membership(table: CorrelationTable, tol: float = BOUND_TOL) -> PolytopeResult:
     """Decide whether a table is a mixture of deterministic strategies.
 
     Feasibility of V lambda = values, lambda >= 0, sum lambda = 1 over the
@@ -464,7 +461,7 @@ def polytope_membership(table: CorrelationTable, tol: float = LOCAL_TOL) -> Poly
     result = solve_feasibility(a, b, tol=tol)
     if result.feasible:
         lam = result.x
-        weights = {codes[i]: float(w) for i, w in enumerate(lam) if w > 1e-12}
+        weights = {codes[i]: float(w) for i, w in enumerate(lam) if w > EXACT_TOL}
         total = sum(weights.values())
         weights = {c: w / total for c, w in weights.items()}
         model = LhvModel(layout, weights)

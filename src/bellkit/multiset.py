@@ -28,7 +28,6 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .errors import ResourceLimitError
 from .lhv import (
     BellInequality,
     ExperimentLayout,

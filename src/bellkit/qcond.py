@@ -36,11 +36,7 @@ import numpy as np
 
 from .lhv import BellInequality
 from .qstate import CorrelationTensor
-
-VIOLATION_MARGIN = 1e-9
-
-#: Restarts whose value is within this of the best count as reaching it.
-_AT_BEST = 1e-9
+from .tolerance import BOUND_TOL, SWEEP_TOL, ZERO_TOL
 
 #: A block of restarts holds about this many tensor entries (3^N per restart
 #: for the conditions), which bounds memory for any restart count and N.
@@ -55,13 +51,14 @@ class ConditionReport:
     """Outcome of one condition evaluation.
 
     Each restart's final value and whether it converged before max_sweeps; a
-    closed form counts as one converged restart.  restarts_at_best counts the
-    restarts within 1e-9 of the reported value.
+    closed form counts as one converged restart.  violated means the value
+    exceeds 1 by more than BOUND_TOL; restarts_at_best counts the restarts
+    within BOUND_TOL of the reported value.
     """
 
     kind: str
     value: float
-    violated: bool
+    violated: bool = field(init=False)
     frames: Any
     certified: str
     seed: int | None
@@ -80,11 +77,10 @@ class ConditionReport:
             raise ValueError("certified must be 'exact' or 'lower_bound'")
         if self.value < 0:
             raise ValueError("condition values are nonnegative")
-        if self.violated != (self.value > 1 + VIOLATION_MARGIN):
-            raise ValueError("violated flag inconsistent with value")
         if len(self.converged) != len(self.restart_values):
             raise ValueError("one converged flag per restart value")
-        at_best = np.abs(np.asarray(self.restart_values) - self.value) <= _AT_BEST
+        object.__setattr__(self, "violated", self.value > 1 + BOUND_TOL)
+        at_best = np.abs(np.asarray(self.restart_values) - self.value) <= BOUND_TOL
         object.__setattr__(self, "restarts_at_best", int(np.sum(at_best)))
 
     def to_json_dict(self) -> dict:
@@ -113,7 +109,6 @@ def condition_two_qubit(tensor: CorrelationTensor) -> ConditionReport:
     return ConditionReport(
         kind="two_setting_NS_2qubit",
         value=value,
-        violated=value > 1 + VIOLATION_MARGIN,
         frames=_frames_json(frames),
         certified="exact",
         seed=None,
@@ -127,7 +122,6 @@ def _lower_bound_report(kind: str, value: float, frames: list, seed: int,
     return ConditionReport(
         kind=kind,
         value=value,
-        violated=value > 1 + VIOLATION_MARGIN,
         frames=frames,
         certified="lower_bound",
         seed=seed,
@@ -137,13 +131,13 @@ def _lower_bound_report(kind: str, value: float, frames: list, seed: int,
 
 
 def _multistart(draw: Callable, evaluate: Callable, sweep: Callable, restarts: int,
-                entries: int, max_sweeps: int, tol: float):
+                entries: int, max_sweeps: int):
     """Run `restarts` ascents, a block of them at a time on a leading batch axis.
 
     draw(first, k) gives the start states of restarts first..first+k-1 (a
     tuple of arrays, batch axis first), evaluate(state) their objective values
     and sweep(state) the states and values after one full sweep.  Each restart
-    stops on its own, once its value rises by at most `tol` or after
+    stops on its own, once its value rises by at most SWEEP_TOL or after
     `max_sweeps` sweeps, so its path never depends on the other restarts.
     Blocks hold about _BLOCK_ENTRIES / entries restarts.  Returns each
     restart's final value and converged flag, and the winner (the first
@@ -164,7 +158,7 @@ def _multistart(draw: Callable, evaluate: Callable, sweep: Callable, restarts: i
             sub, new = sweep(tuple(x[active] for x in state))
             for x, y in zip(state, sub):
                 x[active] = y
-            stop = new - value[active] <= tol
+            stop = new - value[active] <= SWEEP_TOL
             value[active] = new
             sweeps[active] += 1
             done[active[stop]] = True
@@ -218,8 +212,7 @@ def _contract(corr: np.ndarray, rows, free: int | None = None) -> np.ndarray:
 
 
 def condition_two_setting_N(tensor: CorrelationTensor, restarts: int = 50,
-                            seed: int = 0, max_sweeps: int = 500,
-                            tol: float = 1e-10) -> ConditionReport:
+                            seed: int = 0, max_sweeps: int = 500) -> ConditionReport:
     """Maximize the in-plane squared correlation sum over per-party planes."""
     n = tensor.n_qubits
     if n < 2:
@@ -246,7 +239,7 @@ def condition_two_setting_N(tensor: CorrelationTensor, restarts: int = 50,
         return planes, eigvals[:, -1] + eigvals[:, -2]
 
     values, converged, _, best, _ = _multistart(draw, objective, sweep, restarts, corr.size,
-                                                max_sweeps, tol)
+                                                max_sweeps)
     # report the value the frames actually attain
     value = float(objective([p[None] for p in best])[0])
     return _lower_bound_report("two_setting_sufficient_N", value, _frames_json(list(best)),
@@ -258,7 +251,7 @@ def _orthonormal_pair_ascent(g1: np.ndarray, g2: np.ndarray, a: np.ndarray,
     """Maximize a.g1.a + b.g2.b over orthonormal pairs, never decreasing it.
 
     All arguments share leading batch axes; each row stops on its own once its
-    objective rises by at most 1e-14.
+    objective rises by at most ZERO_TOL.
     """
 
     def quad(g: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -284,7 +277,7 @@ def _orthonormal_pair_ascent(g1: np.ndarray, g2: np.ndarray, a: np.ndarray,
         a[active] = best_perp(ga, b[active], a[active])
         b[active] = best_perp(gb, a[active], b[active])
         new_obj = quad(ga, a[active]) + quad(gb, b[active])
-        rising = new_obj - obj[active] > 1e-14
+        rising = new_obj - obj[active] > ZERO_TOL
         obj[active] = new_obj
         active[active] = rising
         if not active.any():
@@ -340,8 +333,7 @@ def _cn_sweep(corr: np.ndarray, planes):
 
 
 def condition_multisetting_CN(tensor: CorrelationTensor, restarts: int = 50,
-                              seed: int = 0, max_sweeps: int = 500,
-                              tol: float = 1e-10) -> ConditionReport:
+                              seed: int = 0, max_sweeps: int = 500) -> ConditionReport:
     """Recursive multisetting condition with branch-dependent trailing planes."""
     n = tensor.n_qubits
     if n < 2:
@@ -371,7 +363,7 @@ def condition_multisetting_CN(tensor: CorrelationTensor, restarts: int = 50,
 
     values, converged, _, best, _ = _multistart(
         draw, lambda planes: _cn_objective(corr, planes), lambda planes: _cn_sweep(corr, planes),
-        restarts, corr.size, max_sweeps, tol)
+        restarts, corr.size, max_sweeps)
     best = [p[None] for p in best]
     value = float(_cn_objective(corr, best)[0])
 
@@ -406,8 +398,8 @@ class MaximizationResult:
 
 
 def maximize_bell_value(ineq: BellInequality, tensor: CorrelationTensor,
-                        restarts: int = 50, seed: int = 0, max_sweeps: int = 500,
-                        tol: float = 1e-10) -> MaximizationResult:
+                        restarts: int = 50, seed: int = 0,
+                        max_sweeps: int = 500) -> MaximizationResult:
     """See-saw ascent of sum_k c[k] E(k) over unit measurement directions.
 
     Returns the best run: a certified lower bound on the quantum maximum of
@@ -435,7 +427,7 @@ def maximize_bell_value(ineq: BellInequality, tensor: CorrelationTensor,
             env = np.moveaxis(coeff, j, -1).reshape(-1, counts[j]).T @ _contract(
                 corr, settings, free=j)
             norms = np.linalg.norm(env, axis=2)
-            update = norms > 1e-14  # otherwise keep the previous vector
+            update = norms > ZERO_TOL  # otherwise keep the previous vector
             rows[...] = np.where(update[..., None],
                                  env / np.where(update, norms, 1.0)[..., None], rows)
             degenerate += np.sum(~update, axis=1)
@@ -443,7 +435,7 @@ def maximize_bell_value(ineq: BellInequality, tensor: CorrelationTensor,
 
     size = int(np.prod(np.maximum(counts, 3)))
     _, converged, best, state, history = _multistart(
-        draw, evaluate, sweep, restarts, size, max_sweeps, tol)
+        draw, evaluate, sweep, restarts, size, max_sweeps)
     return MaximizationResult(
         value=float(evaluate(tuple(x[None] for x in state))[0]),
         settings=tuple(s.copy() for s in state[:-1]),

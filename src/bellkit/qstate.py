@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceLimitError
+from .tolerance import BOUND_TOL, EXACT_TOL, PSD_TOL, ZERO_TOL
 
 PAULI = np.array(
     [
@@ -60,7 +61,7 @@ class PureState:
         if not np.all(np.isfinite(amps)):
             raise ValueError("amplitudes must be finite")
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > 1e-12:
+        if abs(norm - 1.0) > EXACT_TOL:
             raise ValueError(f"state vector norm {norm!r} is not 1 within 1e-12")
         object.__setattr__(self, "amplitudes", _frozen(amps))
 
@@ -93,12 +94,12 @@ class DensityMatrix:
             raise ValueError(f"expected shape {(dim, dim)}, got {mat.shape}")
         if not np.all(np.isfinite(mat)):
             raise ValueError("matrix entries must be finite")
-        if np.max(np.abs(mat - mat.conj().T)) > 1e-12:
+        if np.max(np.abs(mat - mat.conj().T)) > EXACT_TOL:
             raise ValueError("matrix is not Hermitian within 1e-12")
         tr = np.trace(mat).real
-        if abs(tr - 1.0) > 1e-12:
+        if abs(tr - 1.0) > EXACT_TOL:
             raise ValueError(f"trace {tr!r} is not 1 within 1e-12")
-        if np.min(np.linalg.eigvalsh(mat)) < -1e-10:
+        if np.min(np.linalg.eigvalsh(mat)) < -PSD_TOL:
             raise ValueError("matrix has an eigenvalue below -1e-10")
         object.__setattr__(self, "matrix", _frozen(mat))
 
@@ -113,7 +114,7 @@ class SettingVector:
         vec = np.asarray(self.components, dtype=np.float64)
         if vec.shape != (3,):
             raise ValueError("a setting vector has exactly 3 components")
-        if abs(np.linalg.norm(vec) - 1.0) > 1e-12:
+        if abs(np.linalg.norm(vec) - 1.0) > EXACT_TOL:
             raise ValueError("setting vector is not unit length within 1e-12")
         object.__setattr__(self, "components", _frozen(vec))
 
@@ -122,25 +123,9 @@ class SettingVector:
         """Build from an unnormalized direction (must be nonzero)."""
         vec = np.array([x, y, z], dtype=np.float64)
         norm = np.linalg.norm(vec)
-        if norm < 1e-14:
+        if norm < ZERO_TOL:
             raise ValueError("cannot normalize the zero vector")
         return cls(vec / norm)
-
-
-@dataclass(frozen=True)
-class LocalFrame:
-    """Ordered pair of orthonormal axes spanning one observer's plane."""
-
-    axis1: SettingVector
-    axis2: SettingVector
-
-    def __post_init__(self):
-        dot = float(self.axis1.components @ self.axis2.components)
-        if abs(dot) > 1e-10:
-            raise ValueError(f"frame axes are not orthogonal (dot={dot!r})")
-
-    def as_matrix(self) -> np.ndarray:
-        return np.stack([self.axis1.components, self.axis2.components])
 
 
 @dataclass(frozen=True)
@@ -162,9 +147,9 @@ class CorrelationTensor:
             raise ValueError(f"expected shape {(4,) * self.n_qubits}, got {comp.shape}")
         if not np.all(np.isfinite(comp)):
             raise ValueError("components must be finite")
-        if abs(comp[(0,) * self.n_qubits] - 1.0) > 1e-12:
+        if abs(comp[(0,) * self.n_qubits] - 1.0) > EXACT_TOL:
             raise ValueError("identity component must be 1 within 1e-12")
-        if np.max(np.abs(comp)) > 1.0 + 1e-9:
+        if np.max(np.abs(comp)) > 1.0 + BOUND_TOL:
             raise ValueError("components must lie in [-1, 1] within 1e-9")
         object.__setattr__(self, "components", _frozen(comp))
 
@@ -227,6 +212,6 @@ def quantum_correlation(tensor: CorrelationTensor, settings: list[SettingVector]
         ext = np.concatenate(([0.0], vec.components))
         value = np.tensordot(ext, value, axes=([0], [0]))
     value = float(value)
-    if abs(value) > 1.0 + 1e-9:
+    if abs(value) > 1.0 + BOUND_TOL:
         raise ValueError(f"correlation value {value!r} outside [-1, 1]")
     return value

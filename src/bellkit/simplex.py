@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceLimitError
+from .tolerance import BOUND_TOL, TIE_TOL
 
 
 @dataclass
@@ -30,7 +31,7 @@ class FeasibilityResult:
     iterations: int
 
 
-def solve_feasibility(a: np.ndarray, b: np.ndarray, tol: float = 1e-9,
+def solve_feasibility(a: np.ndarray, b: np.ndarray, tol: float = BOUND_TOL,
                       max_iter: int | None = None) -> FeasibilityResult:
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -56,10 +57,12 @@ def solve_feasibility(a: np.ndarray, b: np.ndarray, tol: float = 1e-9,
     cost -= tab.sum(axis=0)
 
     iterations = 0
-    while iterations < max_iter:
+    while True:
         negative = cost[:-1] < -tol
         if not negative.any():
             break
+        if iterations >= max_iter:
+            raise ResourceLimitError(f"simplex exceeded {max_iter} iterations")
         enter = int(np.argmax(negative))  # first True: Bland's entering rule
         col = tab[:, enter]
         positive = col > tol
@@ -68,7 +71,7 @@ def solve_feasibility(a: np.ndarray, b: np.ndarray, tol: float = 1e-9,
         ratios = np.full(m, np.inf)
         ratios[positive] = tab[positive, -1] / col[positive]
         best = ratios.min()
-        ties = np.flatnonzero(ratios <= best + 1e-15)
+        ties = np.flatnonzero(ratios <= best + TIE_TOL)
         leave = int(ties[np.argmin(basis[ties])])  # Bland's leaving rule
 
         pivot = tab[leave, enter]
@@ -79,8 +82,6 @@ def solve_feasibility(a: np.ndarray, b: np.ndarray, tol: float = 1e-9,
         cost -= cost[enter] * tab[leave]
         basis[leave] = enter
         iterations += 1
-    else:
-        raise ResourceLimitError(f"simplex exceeded {max_iter} iterations")
 
     objective = float(sum(tab[i, -1] for i in range(m) if basis[i] >= n))
     if objective > tol:

@@ -1,0 +1,22 @@
+"""Every numerical tolerance in bellkit, named once; messages quote some as text."""
+
+#: Slack at a verdict threshold (2^N, a condition value of 1, a bound) and on [-1, 1].
+BOUND_TOL = 1e-9
+
+#: Identities exact up to rounding: unit norm and trace, Hermiticity, weights summing to 1.
+EXACT_TOL = 1e-12
+
+#: Lowest eigenvalue a density matrix may have.
+PSD_TOL = 1e-10
+
+#: A restart of the plane sweeps or the see-saw stops once a sweep gains at most this.
+SWEEP_TOL = 1e-10
+
+#: Norms and objective rises this small count as zero.
+ZERO_TOL = 1e-14
+
+#: Simplex ratios this close to the minimum tie for Bland's leaving rule.
+TIE_TOL = 1e-15
+
+#: How far alpha may stray outside [0, pi/4], so that 0.7854 passes.
+ALPHA_SLACK = 1e-4

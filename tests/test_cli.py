@@ -258,6 +258,16 @@ def test_scan_input_errors():
     assert run_cli("scan", "--family", "ghz", "--n", "3", "--alpha-max", "2.0")[0] == 2
 
 
+def test_scan_alpha_range_is_the_ghz_spec_rule():
+    # 0.7854 is accepted by --state ghz:, so scan takes it as an endpoint too
+    args = ("scan", "--family", "ghz", "--n", "3", "--alpha-steps", "2", "--restarts", "2")
+    code, out, _ = run_cli(*args, "--alpha-min", "0.7", "--alpha-max", "0.7854")
+    assert code == 0
+    assert len(out.strip().split("\n")) == 1 + 2 * 2
+    assert run_cli(*args, "--alpha-min", "-0.1")[0] == 2
+    assert run_cli(*args, "--alpha-min", "0.5", "--alpha-max", "0.4")[0] == 2
+
+
 def test_maximize_chsh_singlet():
     gen = run_cli("generate", "--layout", "2,2")[1]
     code, out, err = run_cli("maximize", "--inequality", "-", "--state", "singlet",
@@ -363,6 +373,17 @@ def test_lhv_simplex_iteration_cap_exits_4(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "resource cap: simplex exceeded 1 iterations\n"
+
+
+def test_parser_built_once_keeps_no_state_between_calls(capsys):
+    from bellkit import cli
+
+    assert cli.build_parser() is cli.build_parser()
+    assert cli.main(["generate", "--layout", "4,4,2", "--sign-fn", "0110",
+                     "--sign-fn", "0001", "--sign-fn", "0111"]) == 0
+    capsys.readouterr()
+    assert cli.main(["generate", "--layout", "4,4,2"]) == 0
+    assert capsys.readouterr().out == run_cli("generate", "--layout", "4,4,2")[1]
 
 
 def test_benchmark_tracer_records_hooked_names(capsys):

@@ -4,10 +4,11 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import bellkit as bk
+from bellkit.tolerance import BOUND_TOL
 
 SQ2 = np.sqrt(2)
 
@@ -366,10 +367,45 @@ def test_oracles_agree_at_the_bound(eps, inside):
     assert np.allclose(bk.evaluate_model(model).values, table.values, rtol=0, atol=1e-9)
 
 
+# the band in units of 2^N: either side of it, offsets hypothesis should try
+BAND_PROBES = [sign * k * BOUND_TOL for sign in (-1, 1) for k in (1.01, 1.5, 10.0, 1e3)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(2, 4),
+    st.lists(st.floats(-1, 1, allow_nan=False), min_size=16, max_size=16),
+    st.one_of(st.floats(-0.5, 0.5), st.sampled_from(BAND_PROBES)),
+)
+def test_oracles_agree_off_the_tolerance_band(n, raw, excess):
+    """Closed form and LP agree unless |sum_s |f(s)| - 2^N| <= 2^N BOUND_TOL.
+
+    The LP allows BOUND_TOL of residual on a table entry, and a Walsh
+    coefficient of up to 2^N turns that into 2^N BOUND_TOL on the left-hand
+    side: E(1,...,1) = 1 + 0.9 BOUND_TOL at N=4 is outside by the closed form
+    and inside by the LP.
+    """
+    layout = bk.ExperimentLayout((2,) * n)
+    values = np.array(raw[:2**n]).reshape(layout.shape)
+    lhs = bk.general_bell_lhs(bk.CorrelationTable(layout, values))
+    assume(lhs > 0)
+    values = values * (2**n * (1 + excess) / lhs)
+    assume(np.max(np.abs(values)) <= 1)
+    table = bk.CorrelationTable(layout, values)
+    assume(abs(bk.general_bell_lhs(table) - 2**n) > 2**n * BOUND_TOL)
+    try:
+        bk.construct_lhv_model(table)
+        local = True
+    except bk.InequalityViolated:
+        local = False
+    assert bk.polytope_membership(table).inside == local
+
+
 def test_simplex_iteration_cap_is_a_resource_limit():
     from bellkit.simplex import solve_feasibility
 
     a, b = np.eye(2), np.ones(2)
     assert solve_feasibility(a, b).iterations == 2
+    assert solve_feasibility(a, b, max_iter=2).feasible
     with pytest.raises(bk.ResourceLimitError, match="exceeded 1 iterations"):
         solve_feasibility(a, b, max_iter=1)

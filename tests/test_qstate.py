@@ -166,8 +166,6 @@ def test_state_validation():
         bk.DensityMatrix(1, np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex))
     with pytest.raises(ValueError):
         bk.SettingVector(np.array([1.0, 1.0, 0.0]))
-    with pytest.raises(ValueError):
-        bk.LocalFrame(bk.SettingVector.unit(1, 0, 0), bk.SettingVector.unit(1, 1, 0))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
