@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import io
 import json
@@ -213,6 +212,10 @@ def _generate_inequality(layout: tuple[int, ...], bitstrings: list[str] | None) 
     return build_recursive(tree(signs))
 
 
+#: The TightnessReport fields --check-tight prints; exact_fallback is not one.
+_TIGHTNESS_KEYS = ("is_tight", "vertex_count", "saturating_count", "affine_rank", "dimension")
+
+
 def cmd_generate(args) -> int:
     try:
         layout = tuple(int(part) for part in args.layout.split(","))
@@ -228,7 +231,8 @@ def cmd_generate(args) -> int:
     ineq = _generate_inequality(layout, bitstrings)
     if args.check_tight:
         report = check_tightness(ineq)
-        payload = {"inequality": ineq.to_json_dict(), "tightness": dataclasses.asdict(report)}
+        tightness = {key: getattr(report, key) for key in _TIGHTNESS_KEYS}
+        payload = {"inequality": ineq.to_json_dict(), "tightness": tightness}
     else:
         payload = ineq.to_json_dict()
     _emit(_dump_json(payload), args.out)

@@ -15,8 +15,10 @@ pairs of a Node must involve disjoint party sets.  Averaging the identity
 over hidden variables turns each tree into a Bell inequality whose integer
 coefficient tensor is computed here by direct expansion.  Tightness is
 decided by enumerating the distinct polytope vertices, counting those that
-saturate the bound, and measuring their exact linear rank by fraction-free
-elimination over the integers.
+saturate the bound, and measuring their exact linear rank: full rank is
+certified by elimination modulo a prime on a random integer sketch of the
+saturating rows, and only a matrix that certificate does not settle goes to
+fraction-free elimination over the integers.
 """
 
 from __future__ import annotations
@@ -297,6 +299,9 @@ class TightnessReport:
     saturating_count: int
     affine_rank: int
     dimension: int
+    #: True when the rank came from the exact integer elimination, False when
+    #: the modular certificate proved full rank.
+    exact_fallback: bool
 
 
 def check_tightness(ineq: BellInequality) -> TightnessReport:
@@ -305,7 +310,11 @@ def check_tightness(ineq: BellInequality) -> TightnessReport:
     Sweeps the distinct polytope vertices, counts exact saturations of the
     upper bound, and computes the exact linear rank of the saturating vertex
     tensors; the inequality is tight precisely when that rank equals the
-    dimension of the correlation space.
+    dimension of the correlation space.  Full rank is certified modulo a
+    prime on a random sketch of the saturating rows; when the certificate
+    fails (every non-tight inequality, or an unlucky prime) the rank comes
+    from fraction-free elimination over the integers, so it is exact either
+    way.
     """
     if not ineq.is_integral() or not isinstance(ineq.bound, int):
         raise ValueError("tightness checks need exact integer coefficients")
@@ -316,14 +325,100 @@ def check_tightness(ineq: BellInequality) -> TightnessReport:
         raise ValueError("bound is not valid on the vertex set")
     saturating = vertices[values == ineq.bound]
     dim = vertices.shape[1]
-    rank = _integer_rank(saturating, stop_at=dim)
+    rank, exact_fallback = _column_rank(saturating)
     return TightnessReport(
         is_tight=rank == dim,
         vertex_count=vertices.shape[0],
         saturating_count=saturating.shape[0],
         affine_rank=rank,
         dimension=dim,
+        exact_fallback=exact_fallback,
     )
+
+
+def _column_rank(matrix: np.ndarray) -> tuple[int, bool]:
+    """Exact rank of an integer matrix, capped at its column count, and
+    whether the exact integer elimination had to run."""
+    dim = matrix.shape[1]
+    if _full_rank_mod_p(matrix):
+        return dim, False
+    return _integer_rank(matrix, stop_at=dim), True
+
+
+#: Largest prime below 2^25: a product of two residues stays below 2^50, so
+#: elimination in float64 is exact.
+_PRIME = 33_554_393
+#: Sketch entries are drawn from [0, 2^_SKETCH_BITS) by a fixed-seed generator.
+_SKETCH_BITS = 20
+_SKETCH_SEED = 0
+
+
+def _full_rank_mod_p(matrix: np.ndarray) -> bool:
+    """True when ``matrix`` provably has full column rank over the rationals.
+
+    Compresses the rows into a square sketch X = R @ matrix, with R a
+    fixed-seed integer matrix, accumulated one block of ``dim`` rows at a time
+    so the extra memory is O(dim^2); then eliminates X modulo _PRIME.  Full
+    rank of X mod p proves full rank of ``matrix``, because
+    rank_p(R M) <= rank_p(M) <= rank_Q(M).  False proves nothing.  Every
+    float64 sum formed is an integer below rows * max|entry| * 2^20; when that
+    is not below 2^53 the sums could round, and the answer is False.
+    """
+    rows, dim = matrix.shape
+    if rows < dim:
+        return False
+    largest = max(int(matrix.max()), -int(matrix.min()))  # no |matrix| copy
+    if (rows * largest) << _SKETCH_BITS >= 1 << 53:
+        return False
+    rng = np.random.default_rng(_SKETCH_SEED)
+    x = np.zeros((dim, dim))
+    for start in range(0, rows, dim):
+        block = matrix[start:start + dim].astype(np.float64)
+        sketch = rng.integers(0, 1 << _SKETCH_BITS, size=(dim, block.shape[0]))
+        x += sketch.astype(np.float64) @ block
+    return _nonsingular_mod_p(np.mod(x, _PRIME))
+
+
+def _nonsingular_mod_p(x: np.ndarray) -> bool:
+    """Whether a square float64 matrix of residues mod _PRIME is invertible.
+
+    Gaussian elimination in place.  Each product of two residues is below
+    2^50 and each difference formed below 2^51, so float64 holds every
+    intermediate exactly.
+    """
+    dim = x.shape[0]
+    scratch = np.empty(dim * dim)
+    for col in range(dim):
+        nonzero = np.flatnonzero(x[col:, col])
+        if nonzero.size == 0:
+            return False
+        pivot = col + nonzero[0]
+        if pivot != col:
+            x[[col, pivot], col:] = x[[pivot, col], col:]
+        row = x[col, col + 1:]
+        row *= pow(int(x[col, col]), -1, _PRIME)
+        _reduce_mod_p(row, scratch[:row.size])
+        below = x[col + 1:, col + 1:]
+        product = scratch[:below.size].reshape(below.shape)
+        np.multiply.outer(x[col + 1:, col], row, out=product)
+        below -= product
+        _reduce_mod_p(below, product)
+    return True
+
+
+def _reduce_mod_p(y: np.ndarray, scratch: np.ndarray) -> None:
+    """Reduce integer-valued float64 entries below 2^51 in magnitude to
+    residues in [0, _PRIME), in place; ``scratch`` has y's shape.
+
+    y - p * floor(y / p) is exact: the quotient is below 2^27 in magnitude,
+    so rounding moves it by at most 2^-27, less than its distance (at least
+    1/p > 2^-25) from any integer it is not equal to.  np.mod gives the same values but goes through
+    the slower fmod.
+    """
+    np.divide(y, _PRIME, out=scratch)
+    np.floor(scratch, out=scratch)
+    scratch *= _PRIME
+    y -= scratch
 
 
 def _integer_rank(matrix: np.ndarray, stop_at: int | None = None) -> int:
@@ -333,7 +428,8 @@ def _integer_rank(matrix: np.ndarray, stop_at: int | None = None) -> int:
     multiply-subtract steps (never division, except by a row's gcd), so there
     is no overflow and no floating-point rank ambiguity.  Stops early once
     ``stop_at`` independent rows are found; the cost otherwise grows with the
-    full row count.
+    full row count.  check_tightness runs it only when the modular
+    certificate of _full_rank_mod_p does not settle the rank.
     """
     pivots: dict[int, list[int]] = {}
     for raw in matrix:

@@ -174,15 +174,16 @@ def density_from_pure(state: PureState) -> DensityMatrix:
     return DensityMatrix(state.n_qubits, np.outer(psi, psi.conj()))
 
 
-def correlation_tensor(rho: DensityMatrix, max_qubits: int = MAX_QUBITS) -> CorrelationTensor:
+def correlation_tensor(rho: DensityMatrix) -> CorrelationTensor:
     """Compute all 4**N Pauli expectation values of a density matrix.
 
     Contracts one qubit at a time against the Pauli stack, so the cost is
-    O(N 4**N) rather than one trace per component.
+    O(N 4**N) rather than one trace per component.  States above MAX_QUBITS
+    are refused before that work starts.
     """
     n = rho.n_qubits
-    if n > max_qubits:
-        raise ResourceLimitError(f"dense tensors are capped at {max_qubits} qubits")
+    if n > MAX_QUBITS:
+        raise ResourceLimitError(f"dense tensors are capped at {MAX_QUBITS} qubits")
     # X starts as rho with row/column indices split per qubit; after step t the
     # leading axis enumerates Pauli labels for qubits 1..t.
     x = rho.matrix.reshape((1, 2**n, 2**n))

@@ -1,0 +1,60 @@
+"""tools/bench_record.py: medians, quartiles and pair wins from benchmark run files."""
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_record.py"
+SPEC = importlib.util.spec_from_file_location("bench_record", PATH)
+bench_record = importlib.util.module_from_spec(SPEC)
+SPEC.loader.exec_module(bench_record)
+
+
+def write_run(directory: Path, side: str, seed: int, jobs_per_s: float, rss: float,
+              traced: bool = False) -> str:
+    metrics = {"jobs_per_s": {"value": jobs_per_s, "unit": "1/s"},
+               "job_p50_ms": {"value": 1000 / jobs_per_s, "unit": "ms"},
+               "job_p90_ms": {"value": 2000 / jobs_per_s, "unit": "ms"},
+               "setup_s": {"value": 0.25, "unit": "s"},
+               "peak_rss_mb": {"value": rss, "unit": "MB"}}
+    info = {"workload": "facet_census", "seed": seed}
+    if traced:
+        info["layer_shares"] = {}
+    path = directory / f"{side}-{seed}.json"
+    path.write_text(json.dumps({"result": {"correct": True, "attempted": 200, "failed": 0,
+                                           "metrics": metrics}, "info": info}))
+    return str(path)
+
+
+def test_record_summarises_each_side_and_counts_pair_wins(tmp_path):
+    parent = [write_run(tmp_path, "parent", s, v, 44.5) for s, v in ((1, 10), (2, 12), (3, 14))]
+    change = [write_run(tmp_path, "change", s, v, r)
+              for s, v, r in ((1, 100, 44.0), (2, 11, 44.0), (3, 140, 45.0), (4, 150, 44.0))]
+    out = tmp_path / "BENCH.json"
+    assert bench_record.main(["--parent", *parent, "--change", *change, "--out", str(out)]) == 0
+    entry = json.loads(out.read_text())["workloads"]["facet_census"]
+    assert entry["correct"]
+    assert entry["attempted"] == {"parent": 600, "change": 800}
+    assert entry["seeds"] == {"parent": [1, 2, 3], "change": [1, 2, 3, 4]}
+    rate = entry["metrics"]["jobs_per_s"]
+    assert rate["parent"]["median"] == 12
+    assert (rate["parent"]["q1"], rate["parent"]["q3"]) == (11, 13)
+    assert rate["change"]["median"] == 120
+    assert (rate["pairs"], rate["change_won"]) == (3, 2)
+    # lower is better for memory: seeds 1 and 2 won, seed 3 lost
+    assert entry["metrics"]["peak_rss_mb"]["change_won"] == 2
+    assert entry["metrics"]["job_p50_ms"]["change_won"] == 2
+
+
+def test_record_refuses_traced_and_repeated_runs(tmp_path, capsys):
+    parent = [write_run(tmp_path, "parent", s, 10, 44.5) for s in (1, 2)]
+    traced = write_run(tmp_path, "change", 1, 100, 44.5, traced=True)
+    plain = write_run(tmp_path, "change", 2, 100, 44.5)
+    out = str(tmp_path / "BENCH.json")
+    assert bench_record.main(["--parent", *parent, "--change", traced, plain, "--out", out]) == 2
+    assert "traced run" in capsys.readouterr().err
+    assert bench_record.main(["--parent", *parent, "--change", plain, plain, "--out", out]) == 2
+    assert "given twice" in capsys.readouterr().err
+    with pytest.raises(FileNotFoundError):
+        Path(out).read_text()

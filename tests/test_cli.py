@@ -338,6 +338,8 @@ PINNED_OUTPUTS = [
      "20833c7fc55b3527fbe1ee6277a920b70bc3b4855866c5b45bde46b424b9df4a"),
     (("generate", "--layout", "4,4,4,2", "--check-tight"), None,
      "999d5c7dd931807889b2ad63baa5cce1060cb8382ee8824a6637135e6be755da"),
+    (("generate", "--layout", "4,4,4,4,2", "--check-tight"), None,
+     "e297f8c6bbae4abcc4f1e777532ce90e94bb9acc3260ea3eee62ce2b5e34cb68"),
     (("generate", "--layout", "8,8,4,2"), None,
      "49dfe7fed8c20caf7c97723495f63c35a68149e4b093f2c102c2a54da4fc140e"),
     (("generate", "--layout", "8,8,4,4,4"), None,

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import bellkit as bk
+from bellkit import multiset as ms
 
 CHSH = bk.SignFunction.chsh()
 
@@ -129,6 +130,7 @@ def test_tightness_442_numbers():
     assert report.affine_rank == 32
     assert report.dimension == 32
     assert report.is_tight
+    assert not report.exact_fallback
 
 
 def test_tightness_chsh():
@@ -162,6 +164,76 @@ def test_tightness_resource_cap():
     ineq = bk.build_recursive(bk.tree_8842([CHSH] * 7))
     with pytest.raises(bk.ResourceLimitError):
         bk.check_tightness(ineq)
+
+
+def test_tightness_non_facet_takes_exact_fallback():
+    # E(1,1) + E(1,2) <= 2 is valid but saturated only by the two vertices
+    # with b1 = b2 = a1, which span 2 of the 4 dimensions
+    layout = bk.ExperimentLayout((2, 2))
+    ineq = bk.BellInequality(layout, np.array([[1, 1], [0, 0]]), 2)
+    report = bk.check_tightness(ineq)
+    assert report.saturating_count == 2
+    assert report.affine_rank == 2
+    assert report.dimension == 4
+    assert not report.is_tight
+    assert report.exact_fallback
+
+
+def test_rank_singular_mod_p_falls_back_to_full_rank():
+    matrix = np.diag([1] * 7 + [ms._PRIME]).astype(np.int64)
+    assert not ms._full_rank_mod_p(matrix)
+    assert ms._column_rank(matrix) == (8, True)
+
+
+def test_modular_elimination_pivots_and_detects_singularity():
+    assert ms._nonsingular_mod_p(np.eye(4)[[2, 0, 3, 1]])
+    assert not ms._nonsingular_mod_p(np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 1.0], [2.0, 4.0, 5.0]]))
+
+
+def test_rank_sketch_refuses_sums_past_float64():
+    # rows * max|entry| * 2^20 reaches 2^53 at 2 rows of 2^32: exact path only
+    assert ms._full_rank_mod_p(np.eye(2, dtype=np.int64) << 31)
+    assert not ms._full_rank_mod_p(np.eye(2, dtype=np.int64) << 32)
+    assert ms._column_rank(np.eye(2, dtype=np.int64) << 40) == (2, True)
+
+
+def random_sign(rng, arity):
+    return bk.SignFunction(arity, tuple(rng.integers(0, 2, size=2**arity)))
+
+
+@pytest.mark.parametrize("layout, draws", [((4, 4, 2), 12), ((4, 4, 4, 2), 3)])
+def test_rank_paths_agree_on_random_chain_members(layout, draws):
+    rng = np.random.default_rng(17)
+    arities, build = ms.layout_tree(layout)
+    _, vertices = bk.enumerate_vertices(bk.ExperimentLayout(layout))
+    for _ in range(draws):
+        ineq = bk.build_recursive(build([random_sign(rng, a) for a in arities]))
+        saturating = vertices[vertices @ ineq.coefficients.ravel() == ineq.bound]
+        dim = vertices.shape[1]
+        rank, fallback = ms._column_rank(saturating)
+        assert rank == ms._integer_rank(saturating, stop_at=dim)
+        assert fallback == (rank < dim)
+
+
+def test_rank_paths_agree_on_planted_deficiency():
+    rng = np.random.default_rng(23)
+    for _ in range(40):
+        dim = int(rng.integers(1, 24))
+        rows = int(rng.integers(1, 3 * dim + 5))
+        rank = int(rng.integers(1, dim + 1))
+        matrix = rng.integers(-3, 4, size=(rows, rank)) @ rng.integers(-3, 4, size=(rank, dim))
+        expected = ms._integer_rank(matrix, stop_at=dim)
+        assert ms._column_rank(matrix) == (expected, expected < dim)
+
+
+def test_reduce_mod_p_is_exact_near_its_range():
+    p = ms._PRIME
+    top = (1 << 51) // p
+    ints = [0, 1, -1, p, -p, p - 1, 1 - p, p * p - 1, -(p * p - 1), (1 << 50) - 1,
+            1 - (1 << 50), top * p, top * p - 1, -top * p, 1 - top * p]
+    got = np.array(ints, dtype=np.float64)
+    ms._reduce_mod_p(got, np.empty_like(got))
+    assert got.tolist() == [float(v % p) for v in ints]
 
 
 def test_tightness_rejects_float_coefficients():

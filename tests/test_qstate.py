@@ -181,11 +181,12 @@ def test_non_finite_entries_rejected(bad):
         bk.CorrelationTensor(2, comp)
 
 
-def test_tensor_qubit_cap():
+def test_tensor_qubit_cap(monkeypatch):
     rng = np.random.default_rng(2)
     rho = bk.density_from_pure(random_pure(rng, 3))
-    with pytest.raises(bk.ResourceLimitError):
-        bk.correlation_tensor(rho, max_qubits=2)
+    monkeypatch.setattr("bellkit.qstate.MAX_QUBITS", 2)
+    with pytest.raises(bk.ResourceLimitError, match="capped at 2 qubits"):
+        bk.correlation_tensor(rho)
 
 
 def test_state_json_round_trip():

@@ -1,0 +1,97 @@
+"""Summarise benchmark runs of a parent and a changed commit into one BENCH file.
+
+Each input is a `bench/out/<workload>-seed<n>-trace0.json` file written by
+`python3 bench/run.py ... --trace 0`, given after `--parent` or `--change`
+according to the commit it measured.  The output holds, per workload and per
+end-to-end metric of BENCHMARK.json, each side's run values, median and
+quartiles, and how many same-seed pairs the change won:
+
+    python3 tools/bench_record.py --out BENCH_N.json \\
+        --parent ../parent/bench/out/facet_census-seed1-trace0.json ... \\
+        --change bench/out/facet_census-seed1-trace0.json ...
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_runs(paths: list[str]) -> dict[str, dict[int, dict]]:
+    """{workload: {seed: run}}; a workload and seed given twice is an error."""
+    runs: dict[str, dict[int, dict]] = {}
+    for path in paths:
+        data = json.loads(Path(path).read_text())
+        info = data["info"]
+        if "layer_shares" in info:
+            raise ValueError(f"{path}: a traced run; end-to-end metrics come from --trace 0")
+        by_seed = runs.setdefault(info["workload"], {})
+        if info["seed"] in by_seed:
+            raise ValueError(f"{path}: seed {info['seed']} of {info['workload']} given twice")
+        by_seed[info["seed"]] = data["result"]
+    return runs
+
+
+def summary(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "values": values}
+
+
+def record(parent: dict[str, dict[int, dict]], change: dict[str, dict[int, dict]],
+           metrics: list[dict]) -> dict:
+    out = {}
+    for workload in sorted(set(parent) | set(change)):
+        sides = {"parent": parent.get(workload, {}), "change": change.get(workload, {})}
+        if any(len(runs) < 2 for runs in sides.values()):
+            raise ValueError(f"{workload}: need at least 2 runs of each side")
+        paired = sorted(set(sides["parent"]) & set(sides["change"]))
+        entry = {
+            "seeds": {side: sorted(runs) for side, runs in sides.items()},
+            "correct": all(r["correct"] for runs in sides.values() for r in runs.values()),
+            "attempted": {side: sum(r["attempted"] for r in runs.values())
+                          for side, runs in sides.items()},
+            "failed": {side: sum(r["failed"] for r in runs.values())
+                       for side, runs in sides.items()},
+            "metrics": {},
+        }
+        for metric in metrics:
+            name, higher = metric["name"], metric["better"] == "higher"
+            row = {"unit": metric["unit"], "better": metric["better"]}
+            for side, runs in sides.items():
+                row[side] = summary([runs[s]["metrics"][name]["value"] for s in sorted(runs)])
+            wins = 0
+            for seed in paired:
+                p = sides["parent"][seed]["metrics"][name]["value"]
+                c = sides["change"][seed]["metrics"][name]["value"]
+                wins += (c > p) if higher else (c < p)
+            row["pairs"] = len(paired)
+            row["change_won"] = wins
+            entry["metrics"][name] = row
+        out[workload] = entry
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", nargs="+", required=True, metavar="RUN")
+    parser.add_argument("--change", nargs="+", required=True, metavar="RUN")
+    parser.add_argument("--out", required=True, help="BENCH_*.json file to write")
+    args = parser.parse_args(argv)
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    try:
+        workloads = record(load_runs(args.parent), load_runs(args.change),
+                           benchmark["end_to_end"])
+    except (KeyError, ValueError) as exc:
+        print(f"bench_record: {exc}", file=sys.stderr)
+        return 2
+    payload = {"command": benchmark["command"], "workloads": workloads}
+    Path(args.out).write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
