@@ -5,6 +5,8 @@ local hidden-variable models and polytope membership for correlation data,
 and quantum violation conditions on correlation tensors.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import InequalityViolated, ResourceLimitError
 from .families import (
     GhzFamily,
@@ -17,7 +19,6 @@ from .families import (
 from .lhv import (
     BellInequality,
     CorrelationTable,
-    DeterministicStrategy,
     ExperimentLayout,
     LhvModel,
     PolytopeResult,
@@ -70,4 +71,6 @@ from .qstate import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names, not the submodules that importing them binds here
+__all__ = [name for name in dir()
+           if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

@@ -23,12 +23,14 @@ from .lhv import (
     CorrelationTable,
     SignFunction,
     construct_lhv_model,
+    evaluate_inequality,
     most_violated_sign_inequality,
     polytope_membership,
     sign_inequality,
 )
 from .multiset import build_recursive, check_tightness, layout_tree
 from .qcond import (
+    CONDITION_KINDS,
     condition_multisetting_CN,
     condition_two_qubit,
     condition_two_setting_N,
@@ -47,8 +49,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_VIOLATION = 3
 EXIT_RESOURCE = 4
-
-CONDITION_KINDS = ("two_setting_NS_2qubit", "two_setting_sufficient_N", "multisetting_CN")
 
 
 class CliError(Exception):
@@ -173,22 +173,18 @@ def cmd_lhv(args) -> int:
     table = _parse_payload(CorrelationTable.from_json_dict, data, "correlation table")
     if table.layout.is_two_setting():
         try:
-            model = construct_lhv_model(table)
-        except InequalityViolated:
-            sign, value = most_violated_sign_inequality(table)
-            certificate = sign_inequality(sign)
-            _emit(_dump_json(certificate.to_json_dict()), args.out)
-            print(f"violation: value {value!r} exceeds bound {certificate.bound!r}",
-                  file=sys.stderr)
-            return EXIT_VIOLATION
+            model, certificate = construct_lhv_model(table), None
+        except InequalityViolated as exc:
+            sign, _ = most_violated_sign_inequality(table)
+            model, certificate, value = None, sign_inequality(sign), exc.value
+    else:
+        result = polytope_membership(table)
+        model, certificate = result.model, result.certificate
+        if not result.inside:
+            value = evaluate_inequality(certificate, table)
+    if certificate is None:
         _emit(_dump_json(model.to_json_list()), args.out)
         return EXIT_OK
-    result = polytope_membership(table)
-    if result.inside:
-        _emit(_dump_json(result.model.to_json_list()), args.out)
-        return EXIT_OK
-    certificate = result.certificate
-    value = float(np.sum(certificate.coefficients * table.values))
     _emit(_dump_json(certificate.to_json_dict()), args.out)
     print(f"violation: value {value!r} exceeds bound {certificate.bound!r}", file=sys.stderr)
     return EXIT_VIOLATION

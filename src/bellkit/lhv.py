@@ -11,19 +11,22 @@ S: {-1,+1}^N -> {-1,+1}:
 and summing the modulus over all s instead gives the single equivalent
 condition general_bell_lhs(table) <= 2^N.  When that bound holds, an explicit
 LHV model can be written down whose hidden probabilities are the rescaled
-moduli of the transformed table.  For arbitrary layouts, membership in the
-polytope spanned by deterministic strategies is decided by a phase-1 simplex
-over the vertex list, returning either the convex weights or a separating
-hyperplane as a violated Bell inequality.
+moduli of the transformed table, plus two strategies with opposite
+predictions that take up the remaining probability.  For arbitrary layouts,
+membership in the polytope spanned by deterministic strategies is decided by
+a phase-1 simplex over the vertex list, returning either the convex weights
+or a separating hyperplane as a violated Bell inequality.
 
-Deterministic strategies are encoded as one unsigned integer per party with
-bit k holding the outcome sign for setting k+1 (bit 0 means +1).
+A model is a mixture {codes: weight} of deterministic strategies, each
+encoded as one unsigned integer per party with bit k holding the outcome
+sign for setting k+1 (bit 0 means +1).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Iterator
 
 import numpy as np
@@ -162,89 +165,41 @@ def enumerate_sign_functions(n_parties: int) -> Iterator[SignFunction]:
         yield SignFunction(n_parties, bits)
 
 
-@dataclass(frozen=True)
-class DeterministicStrategy:
-    """Per-party outcome assignments, one integer code per party."""
-
-    layout: ExperimentLayout
-    codes: tuple[int, ...]
-
-    def __post_init__(self):
-        codes = tuple(int(c) for c in self.codes)
-        if len(codes) != self.layout.n_parties:
-            raise ValueError("one code per party required")
-        for code, m in zip(codes, self.layout.settings_per_party):
-            if not 0 <= code < (1 << m):
-                raise ValueError(f"code {code} out of range for {m} settings")
-        object.__setattr__(self, "codes", codes)
-
-    def outcome(self, party: int, setting: int) -> int:
-        """Outcome A_party(setting) in {-1,+1}; both arguments 1-based."""
-        return 1 - 2 * ((self.codes[party - 1] >> (setting - 1)) & 1)
-
-    def outcome_vector(self, party: int) -> np.ndarray:
-        return _outcomes(self.codes[party - 1], self.layout.settings_per_party[party - 1])
-
-    def table(self) -> CorrelationTable:
-        """The deterministic correlation table: products of outcomes."""
-        grid = _outer_products([self.outcome_vector(j + 1) for j in range(self.layout.n_parties)])
-        return CorrelationTable(self.layout, grid.astype(float))
-
-
 def _outcomes(codes, m: int) -> np.ndarray:
     """+-1 outcomes of m settings for each code, on a new last axis (int64)."""
     return 1 - 2 * ((np.asarray(codes, dtype=np.int64)[..., None] >> np.arange(m)) & 1)
 
 
-def _outer_products(vectors: list[np.ndarray]) -> np.ndarray:
-    grid = vectors[0]
-    for vec in vectors[1:]:
-        grid = np.multiply.outer(grid, vec)
-    return grid
-
-
 @dataclass(frozen=True)
 class LhvModel:
-    """Mixture of deterministic strategies, plus an optional uniform tail.
+    """Mixture of deterministic strategies.
 
-    ``weights`` maps per-party code tuples to probabilities.  ``tail_weight``
-    is spread uniformly over all strategies of the layout; a uniform mixture
-    contributes nothing to any correlation function, so the tail never shows
-    up in predicted tables.
+    ``weights`` maps per-party code tuples to probabilities, which are
+    nonnegative and sum to 1.
     """
 
     layout: ExperimentLayout
     weights: dict[tuple[int, ...], float]
-    tail_weight: float = 0.0
 
     def __post_init__(self):
-        if self.tail_weight < -EXACT_TOL:
-            raise ValueError("tail weight must be nonnegative")
-        total = self.tail_weight
+        total = 0.0
         for codes, w in self.weights.items():
-            DeterministicStrategy(self.layout, codes)  # validates ranges
+            if len(codes) != self.layout.n_parties:
+                raise ValueError("one code per party required")
+            for code, m in zip(codes, self.layout.settings_per_party):
+                if not 0 <= code < (1 << m):
+                    raise ValueError(f"code {code} out of range for {m} settings")
             if w < -EXACT_TOL:
                 raise ValueError(f"negative weight {w!r} for strategy {codes}")
             total += w
         if abs(total - 1.0) > EXACT_TOL:
             raise ValueError(f"total weight {total!r} is not 1 within 1e-12")
 
-    def strategies(self) -> Iterator[tuple[DeterministicStrategy, float]]:
-        for codes, w in self.weights.items():
-            yield DeterministicStrategy(self.layout, codes), w
-
     def to_json_list(self) -> list[dict]:
-        """Serialize as strategy/weight records, materializing the tail."""
-        entries: dict[tuple[int, ...], float] = {}
-        if self.tail_weight > 0.0:
-            share = self.tail_weight / self.layout.strategy_count()
-            for codes in itertools.product(*(range(1 << m) for m in self.layout.shape)):
-                entries[codes] = share
-        for codes, w in self.weights.items():
-            entries[codes] = entries.get(codes, 0.0) + w
+        """Serialize as strategy/weight records in code order."""
         return [
             {"strategy": list(codes), "weight": w}
-            for codes, w in sorted(entries.items())
+            for codes, w in sorted(self.weights.items())
             if w > 0.0
         ]
 
@@ -372,10 +327,12 @@ def construct_lhv_model(table: CorrelationTable) -> LhvModel:
     party-1 outcomes are (sigma, sigma*s_1) and whose party-j outcomes are
     (1, s_j), where sigma is the sign of f(s); the sign choice makes the
     strategy reproduce sign(f(s)) * s_1^(k_1-1)...s_N^(k_N-1) so the weighted
-    sum inverts the transform exactly.  The probability deficit is spread as
-    a uniform tail over all strategies, which leaves every correlation
-    function untouched.  Tables up to BOUND_TOL past the bound count as
-    local, as in polytope_membership; their weights are renormalized.
+    sum inverts the transform exactly.  A positive deficit 1 - sum_s |f(s)|/2^N
+    goes half to the all-plus strategy (0, ..., 0) and half to its party-1
+    flip (3, 0, ..., 0), which predict +1 and -1 on every correlation function
+    and so cancel; a model has at most 2^N + 2 strategies.  Tables up to
+    BOUND_TOL past the bound count as local, as in polytope_membership; their
+    weights are renormalized.
     """
     f = transformed_table(table)
     n = table.layout.n_parties
@@ -398,7 +355,11 @@ def construct_lhv_model(table: CorrelationTable) -> LhvModel:
     total = sum(weights.values())
     if total > 1.0:
         weights = {codes: w / total for codes, w in weights.items()}
-    return LhvModel(table.layout, weights, tail_weight=max(1.0 - total, 0.0))
+    elif total < 1.0:
+        rest = (0,) * (n - 1)
+        for codes in ((0,) + rest, (3,) + rest):
+            weights[codes] = weights.get(codes, 0.0) + (1.0 - total) / 2
+    return LhvModel(table.layout, weights)
 
 
 def evaluate_model(model: LhvModel) -> CorrelationTable:
@@ -406,7 +367,7 @@ def evaluate_model(model: LhvModel) -> CorrelationTable:
     values = np.zeros(model.layout.shape)
     for codes, w in model.weights.items():
         vectors = [_outcomes(c, m).astype(float) for c, m in zip(codes, model.layout.shape)]
-        values += w * _outer_products(vectors)
+        values += w * reduce(np.multiply.outer, vectors)
     return CorrelationTable(model.layout, values)
 
 
@@ -441,7 +402,7 @@ class PolytopeResult:
     lp_iterations: int = field(default=0, compare=False)
 
 
-def polytope_membership(table: CorrelationTable, tol: float = BOUND_TOL) -> PolytopeResult:
+def polytope_membership(table: CorrelationTable) -> PolytopeResult:
     """Decide whether a table is a mixture of deterministic strategies.
 
     Feasibility of V lambda = values, lambda >= 0, sum lambda = 1 over the
@@ -458,7 +419,7 @@ def polytope_membership(table: CorrelationTable, tol: float = BOUND_TOL) -> Poly
     a[dim] = 1.0
     b = np.concatenate([table.values.ravel(), [1.0]])
 
-    result = solve_feasibility(a, b, tol=tol)
+    result = solve_feasibility(a, b)
     if result.feasible:
         lam = result.x
         weights = {codes[i]: float(w) for i, w in enumerate(lam) if w > EXACT_TOL}

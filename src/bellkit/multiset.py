@@ -342,7 +342,7 @@ def _column_rank(matrix: np.ndarray) -> tuple[int, bool]:
     dim = matrix.shape[1]
     if _full_rank_mod_p(matrix):
         return dim, False
-    return _integer_rank(matrix, stop_at=dim), True
+    return _integer_rank(matrix), True
 
 
 #: Largest prime below 2^25: a product of two residues stays below 2^50, so
@@ -421,15 +421,15 @@ def _reduce_mod_p(y: np.ndarray, scratch: np.ndarray) -> None:
     y -= scratch
 
 
-def _integer_rank(matrix: np.ndarray, stop_at: int | None = None) -> int:
+def _integer_rank(matrix: np.ndarray) -> int:
     """Exact rank over the rationals via fraction-free row reduction.
 
     Rows are folded into an echelon basis one at a time using Python integer
     multiply-subtract steps (never division, except by a row's gcd), so there
     is no overflow and no floating-point rank ambiguity.  Stops early once
-    ``stop_at`` independent rows are found; the cost otherwise grows with the
-    full row count.  check_tightness runs it only when the modular
-    certificate of _full_rank_mod_p does not settle the rank.
+    the rank reaches the column count, which it cannot exceed; the cost
+    otherwise grows with the full row count.  check_tightness runs it only
+    when the modular certificate of _full_rank_mod_p does not settle the rank.
     """
     pivots: dict[int, list[int]] = {}
     for raw in matrix:
@@ -446,7 +446,7 @@ def _integer_rank(matrix: np.ndarray, stop_at: int | None = None) -> int:
         if lead is None:
             continue
         pivots[lead] = row
-        if stop_at is not None and len(pivots) >= stop_at:
+        if len(pivots) == matrix.shape[1]:
             break
     return len(pivots)
 

@@ -38,6 +38,9 @@ from .lhv import BellInequality
 from .qstate import CorrelationTensor
 from .tolerance import BOUND_TOL, SWEEP_TOL, ZERO_TOL
 
+#: The condition kinds, in the order the module docstring describes them.
+CONDITION_KINDS = ("two_setting_NS_2qubit", "two_setting_sufficient_N", "multisetting_CN")
+
 #: A block of restarts holds about this many tensor entries (3^N per restart
 #: for the conditions), which bounds memory for any restart count and N.
 _BLOCK_ENTRIES = 1 << 15
@@ -67,11 +70,7 @@ class ConditionReport:
     restarts_at_best: int = field(init=False)
 
     def __post_init__(self):
-        if self.kind not in (
-            "two_setting_NS_2qubit",
-            "two_setting_sufficient_N",
-            "multisetting_CN",
-        ):
+        if self.kind not in CONDITION_KINDS:
             raise ValueError(f"unknown condition kind {self.kind!r}")
         if self.certified not in ("exact", "lower_bound"):
             raise ValueError("certified must be 'exact' or 'lower_bound'")

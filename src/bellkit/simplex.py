@@ -31,7 +31,7 @@ class FeasibilityResult:
     iterations: int
 
 
-def solve_feasibility(a: np.ndarray, b: np.ndarray, tol: float = BOUND_TOL,
+def solve_feasibility(a: np.ndarray, b: np.ndarray,
                       max_iter: int | None = None) -> FeasibilityResult:
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -58,14 +58,14 @@ def solve_feasibility(a: np.ndarray, b: np.ndarray, tol: float = BOUND_TOL,
 
     iterations = 0
     while True:
-        negative = cost[:-1] < -tol
+        negative = cost[:-1] < -BOUND_TOL
         if not negative.any():
             break
         if iterations >= max_iter:
             raise ResourceLimitError(f"simplex exceeded {max_iter} iterations")
         enter = int(np.argmax(negative))  # first True: Bland's entering rule
         col = tab[:, enter]
-        positive = col > tol
+        positive = col > BOUND_TOL
         if not positive.any():
             raise RuntimeError("phase-1 column with no positive entries")
         ratios = np.full(m, np.inf)
@@ -84,7 +84,7 @@ def solve_feasibility(a: np.ndarray, b: np.ndarray, tol: float = BOUND_TOL,
         iterations += 1
 
     objective = float(sum(tab[i, -1] for i in range(m) if basis[i] >= n))
-    if objective > tol:
+    if objective > BOUND_TOL:
         # Reduced cost of artificial i is 1 - y_i in the flipped row space.
         y = (1.0 - cost[n:-1]) * flip
         return FeasibilityResult(False, None, y, iterations)

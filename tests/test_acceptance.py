@@ -38,7 +38,7 @@ def test_criterion_01_lp_membership_matches_transform_bound():
         lhs = bk.general_bell_lhs(table)
         if abs(lhs - 2.0 ** n) <= 1e-9:
             continue
-        result = bk.polytope_membership(table, tol=1e-9)
+        result = bk.polytope_membership(table)
         assert result.inside == (lhs <= 2.0 ** n), (n, lhs)
         checked += 1
     elapsed = time.perf_counter() - start

@@ -90,9 +90,7 @@ def test_lhv_zero_table_model():
     code, out, _ = run_cli("lhv", "--table", "-", stdin=json.dumps(table))
     assert code == 0
     model = json.loads(out)
-    assert len(model) == 16
-    assert sum(e["weight"] for e in model) == pytest.approx(1.0, abs=1e-12)
-    assert all(set(e) == {"strategy", "weight"} for e in model)
+    assert model == [{"strategy": [0, 0], "weight": 0.5}, {"strategy": [3, 0], "weight": 0.5}]
 
 
 def test_lhv_chsh_violation_certificate():

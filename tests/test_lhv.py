@@ -112,13 +112,13 @@ def test_strategy_identity_every_sign_function():
     """On a deterministic strategy's own table every family member saturates."""
     for n in (1, 2, 3):
         layout = bk.ExperimentLayout((2,) * n)
-        strategies = [
-            bk.DeterministicStrategy(layout, codes)
+        tables = [
+            bk.evaluate_model(bk.LhvModel(layout, {codes: 1.0}))
             for codes in itertools.product(range(4), repeat=n)
         ]
         for sign in bk.enumerate_sign_functions(n):
-            for strat in strategies:
-                value = bk.evaluate_sign_inequality(strat.table(), sign)
+            for table in tables:
+                value = bk.evaluate_sign_inequality(table, sign)
                 assert value == pytest.approx(2.0**n, abs=1e-12)
 
 
@@ -155,18 +155,17 @@ def test_hidden_probabilities_examples():
     assert sum(probs.values()) == pytest.approx(SQ2, abs=1e-12)
 
 
-def test_construct_model_zero_table_is_uniform_tail():
+def test_construct_model_zero_table_is_two_strategies():
     model = bk.construct_lhv_model(table_2x2(0, 0, 0, 0))
-    assert model.tail_weight == pytest.approx(1.0, abs=1e-12)
-    assert not model.weights
-    entries = model.to_json_list()
-    assert len(entries) == 16
-    assert all(e["weight"] == pytest.approx(1 / 16, abs=1e-15) for e in entries)
+    assert model.weights == {(0, 0): 0.5, (3, 0): 0.5}
+    assert model.to_json_list() == [
+        {"strategy": [0, 0], "weight": 0.5},
+        {"strategy": [3, 0], "weight": 0.5},
+    ]
 
 
 def test_construct_model_anticorrelated():
     model = bk.construct_lhv_model(table_2x2(-1, -1, -1, -1))
-    assert model.tail_weight == pytest.approx(0.0, abs=1e-12)
     assert len(model.weights) == 1
     predicted = bk.evaluate_model(model)
     assert np.allclose(predicted.values, -1.0, atol=1e-12)
@@ -188,8 +187,20 @@ def test_evaluate_model_examples():
     all_plus = bk.LhvModel(layout, {(0, 0): 1.0})
     assert np.allclose(bk.evaluate_model(all_plus).values, 1.0)
 
-    uniform = bk.LhvModel(layout, {}, tail_weight=1.0)
-    assert np.allclose(bk.evaluate_model(uniform).values, 0.0, atol=1e-15)
+    opposite = bk.LhvModel(layout, {(0, 0): 0.5, (3, 0): 0.5})
+    assert np.allclose(bk.evaluate_model(opposite).values, 0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("weights, match", [
+    ({(0,): 1.0}, "one code per party"),
+    ({(4, 0): 1.0}, "code 4 out of range for 2 settings"),
+    ({(0, -1): 1.0}, "code -1 out of range"),
+    ({(0, 0): 1.5, (3, 0): -0.5}, "negative weight"),
+    ({(0, 0): 0.5}, "total weight"),
+])
+def test_model_rejects_bad_strategies_and_weights(weights, match):
+    with pytest.raises(ValueError, match=match):
+        bk.LhvModel(bk.ExperimentLayout((2, 2)), weights)
 
 
 @settings(max_examples=60, deadline=None)
@@ -208,8 +219,8 @@ def test_model_round_trip_property(n, raw):
         values = values * (2.0**n / lhs) * 0.999
         table = bk.CorrelationTable(layout, values)
     model = bk.construct_lhv_model(table)
-    explicit = sum(w for _, w in model.strategies())
-    assert explicit + model.tail_weight == pytest.approx(1.0, abs=1e-12)
+    assert sum(model.weights.values()) == pytest.approx(1.0, abs=1e-12)
+    assert len(model.to_json_list()) <= 2**n + 2
     predicted = bk.evaluate_model(model)
     assert np.allclose(predicted.values, table.values, atol=1e-10)
 
@@ -363,7 +374,7 @@ def test_oracles_agree_at_the_bound(eps, inside):
             bk.construct_lhv_model(table)
         return
     model = bk.construct_lhv_model(table)
-    assert sum(model.weights.values()) + model.tail_weight == pytest.approx(1.0, abs=1e-12)
+    assert sum(model.weights.values()) == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(bk.evaluate_model(model).values, table.values, rtol=0, atol=1e-9)
 
 

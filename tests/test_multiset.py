@@ -211,7 +211,7 @@ def test_rank_paths_agree_on_random_chain_members(layout, draws):
         saturating = vertices[vertices @ ineq.coefficients.ravel() == ineq.bound]
         dim = vertices.shape[1]
         rank, fallback = ms._column_rank(saturating)
-        assert rank == ms._integer_rank(saturating, stop_at=dim)
+        assert rank == ms._integer_rank(saturating)
         assert fallback == (rank < dim)
 
 
@@ -222,7 +222,7 @@ def test_rank_paths_agree_on_planted_deficiency():
         rows = int(rng.integers(1, 3 * dim + 5))
         rank = int(rng.integers(1, dim + 1))
         matrix = rng.integers(-3, 4, size=(rows, rank)) @ rng.integers(-3, 4, size=(rank, dim))
-        expected = ms._integer_rank(matrix, stop_at=dim)
+        expected = ms._integer_rank(matrix)
         assert ms._column_rank(matrix) == (expected, expected < dim)
 
 
@@ -343,3 +343,22 @@ def test_build_requires_contiguous_parties():
                    (bk.Observable(4, 1), bk.Observable(4, 2)))
     with pytest.raises(ValueError):
         bk.build_recursive(node)
+
+
+OBS = bk.Observable
+HALF = bk.SignFunction.from_bitstring("01")
+
+
+@pytest.mark.parametrize("tree, error, match", [
+    (bk.Leaf((1, 1), ((1, 2), (3, 4)), CHSH), ValueError, "leaf parties must be distinct"),
+    (bk.Node(CHSH, (bk.Leaf((1,), ((1, 2),), HALF), OBS(1, 3)), (OBS(2, 1), OBS(2, 2))),
+     ValueError, "equal magnitudes"),
+    (bk.Node(CHSH, (OBS(1, 1), OBS(1, 1)), (OBS(2, 1), OBS(2, 2))), ValueError, "reuse settings"),
+    (bk.Node(CHSH, (OBS(1, 1), OBS(1, 2)), (OBS(1, 3), OBS(1, 4))),
+     ValueError, "disjoint party sets"),
+    (bk.Node(CHSH, ("A1", OBS(1, 2)), (OBS(2, 1), OBS(2, 2))), TypeError, "not a construction tree"),
+], ids=["leaf-repeats-party", "unequal-magnitudes", "reused-setting", "pairs-share-party",
+        "not-a-tree"])
+def test_build_rejects_malformed_trees(tree, error, match):
+    with pytest.raises(error, match=match):
+        bk.build_recursive(tree)
