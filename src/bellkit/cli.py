@@ -1,7 +1,8 @@
 """Command-line front end: JSON in, JSON/CSV out, scriptable exit codes.
 
-Exit codes: 0 success (a model exists / nothing violated), 2 bad input,
-3 a violation was found, 4 a resource cap was hit.
+Exit codes: 0 success (a model exists / nothing violated), 2 bad input (any
+ValueError, from parsing or from the library), 3 a violation was found,
+4 a resource cap was hit.
 """
 from __future__ import annotations
 
@@ -51,10 +52,6 @@ EXIT_VIOLATION = 3
 EXIT_RESOURCE = 4
 
 
-class CliError(Exception):
-    """Unusable input; reported on stderr, exit code 2."""
-
-
 # ---------------------------------------------------------------------------
 # state specs
 
@@ -67,7 +64,7 @@ def _parse_params(text: str, spec: str) -> dict[str, str]:
     for part in text.split(","):
         key, sep, value = part.partition("=")
         if not sep or not key or not value:
-            raise CliError(f"malformed parameter {part!r} in state spec {spec!r}")
+            raise ValueError(f"malformed parameter {part!r} in state spec {spec!r}")
         params[key.strip()] = value.strip()
     return params
 
@@ -81,31 +78,27 @@ def parse_state_spec(spec: str) -> DensityMatrix:
         params = _parse_params(spec[4:], spec)
         unknown = set(params) - {"N", "n", "alpha"}
         if unknown:
-            raise CliError(f"unknown ghz parameters {sorted(unknown)} in {spec!r}")
+            raise ValueError(f"unknown ghz parameters {sorted(unknown)} in {spec!r}")
         n_text = params.get("N", params.get("n"))
         if n_text is None:
-            raise CliError(f"ghz spec needs N=<int>, got {spec!r}")
+            raise ValueError(f"ghz spec needs N=<int>, got {spec!r}")
         if "alpha" not in params:
-            raise CliError(f"ghz spec needs alpha=<float>, got {spec!r}")
+            raise ValueError(f"ghz spec needs alpha=<float>, got {spec!r}")
         try:
             family = GhzFamily(int(n_text), float(params["alpha"]))
         except ValueError as exc:
-            raise CliError(f"bad ghz spec {spec!r}: {exc}") from exc
+            raise ValueError(f"bad ghz spec {spec!r}: {exc}") from exc
         return density_from_pure(ghz_state(family))
     if spec.startswith("noise:"):
         match = _NOISE_RE.match(spec[6:])
         if match is None:
-            raise CliError(f"noise spec must look like noise:v=0.8(<state>), got {spec!r}")
+            raise ValueError(f"noise spec must look like noise:v=0.8(<state>), got {spec!r}")
         try:
             visibility = float(match.group(1))
         except ValueError as exc:
-            raise CliError(f"bad visibility in {spec!r}") from exc
-        inner = parse_state_spec(match.group(2))
-        try:
-            return mix_with_white_noise(inner, visibility)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
-    raise CliError(f"unknown state spec {spec!r} (expected singlet, ghz:..., noise:...)")
+            raise ValueError(f"bad visibility in {spec!r}") from exc
+        return mix_with_white_noise(parse_state_spec(match.group(2)), visibility)
+    raise ValueError(f"unknown state spec {spec!r} (expected singlet, ghz:..., noise:...)")
 
 
 # ---------------------------------------------------------------------------
@@ -116,18 +109,18 @@ def _read_json(path: str):
     try:
         text = sys.stdin.read() if path == "-" else Path(path).read_text()
     except OSError as exc:
-        raise CliError(f"cannot read {path!r}: {exc}") from exc
+        raise ValueError(f"cannot read {path!r}: {exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise CliError(f"invalid JSON in {path!r}: {exc}") from exc
+        raise ValueError(f"invalid JSON in {path!r}: {exc}") from exc
 
 
 def _parse_payload(loader, data, what: str):
     try:
         return loader(data)
     except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(f"not a valid {what}: {exc}") from exc
+        raise ValueError(f"not a valid {what}: {exc}") from exc
 
 
 def _dump_json(obj) -> str:
@@ -143,7 +136,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def _tensor_from_args(args) -> CorrelationTensor:
     if (args.state is None) == (args.tensor_file is None):
-        raise CliError("give exactly one of --state or --tensor-file")
+        raise ValueError("give exactly one of --state or --tensor-file")
     if args.state is not None:
         return correlation_tensor(parse_state_spec(args.state))
     data = _read_json(args.tensor_file)
@@ -156,7 +149,7 @@ def _tensor_from_args(args) -> CorrelationTensor:
 
 def cmd_tensor(args) -> int:
     if (args.state is None) == (args.state_file is None):
-        raise CliError("give exactly one of --state or --state-file")
+        raise ValueError("give exactly one of --state or --state-file")
     if args.state is not None:
         rho = parse_state_spec(args.state)
     else:
@@ -195,15 +188,16 @@ def _generate_inequality(layout: tuple[int, ...], bitstrings: list[str] | None) 
     if bitstrings is None:
         bitstrings = ["0" * (2**a - 1) + "1" for a in arities]
     if len(bitstrings) != len(arities):
-        raise CliError(f"layout {layout} needs {len(arities)} sign bitstrings, got {len(bitstrings)}")
+        raise ValueError(
+            f"layout {layout} needs {len(arities)} sign bitstrings, got {len(bitstrings)}")
     signs = []
     for text, arity in zip(bitstrings, arities):
         try:
             sign = SignFunction.from_bitstring(text)
         except ValueError as exc:
-            raise CliError(f"bad sign bitstring {text!r}: {exc}") from exc
+            raise ValueError(f"bad sign bitstring {text!r}: {exc}") from exc
         if sign.arity != arity:
-            raise CliError(f"sign bitstring {text!r} has arity {sign.arity}, expected {arity}")
+            raise ValueError(f"sign bitstring {text!r} has arity {sign.arity}, expected {arity}")
         signs.append(sign)
     return build_recursive(tree(signs))
 
@@ -216,15 +210,8 @@ def cmd_generate(args) -> int:
     try:
         layout = tuple(int(part) for part in args.layout.split(","))
     except ValueError as exc:
-        raise CliError(f"bad layout {args.layout!r}: {exc}") from exc
-    if args.sign_fn and args.signs is not None:
-        raise CliError("give either --sign-fn (repeatable) or --signs, not both")
-    bitstrings = None
-    if args.sign_fn:
-        bitstrings = list(args.sign_fn)
-    elif args.signs is not None:
-        bitstrings = args.signs.split(",")
-    ineq = _generate_inequality(layout, bitstrings)
+        raise ValueError(f"bad layout {args.layout!r}: {exc}") from exc
+    ineq = _generate_inequality(layout, args.sign_fn)
     if args.check_tight:
         report = check_tightness(ineq)
         tightness = {key: getattr(report, key) for key in _TIGHTNESS_KEYS}
@@ -237,14 +224,12 @@ def cmd_generate(args) -> int:
 
 def _run_condition(kind: str, tensor: CorrelationTensor, restarts: int, seed: int):
     if kind == "two_setting_NS_2qubit":
-        if tensor.n_qubits != 2:
-            raise CliError("two_setting_NS_2qubit applies to 2-qubit tensors only")
         return condition_two_qubit(tensor)
     if kind == "two_setting_sufficient_N":
         return condition_two_setting_N(tensor, restarts=restarts, seed=seed)
     if kind == "multisetting_CN":
         return condition_multisetting_CN(tensor, restarts=restarts, seed=seed)
-    raise CliError(f"unknown condition kind {kind!r}; choose from {', '.join(CONDITION_KINDS)}")
+    raise ValueError(f"unknown condition kind {kind!r}; choose from {', '.join(CONDITION_KINDS)}")
 
 
 def cmd_condition(args) -> int:
@@ -256,21 +241,16 @@ def cmd_condition(args) -> int:
 
 def cmd_scan(args) -> int:
     if args.family != "ghz":
-        raise CliError(f"unknown scan family {args.family!r} (only ghz is supported)")
+        raise ValueError(f"unknown scan family {args.family!r} (only ghz is supported)")
     try:
         n_list = [int(part) for part in args.n.split(",")]
     except ValueError as exc:
-        raise CliError(f"bad N list {args.n!r}: {exc}") from exc
-    if not n_list:
-        raise CliError("N list is empty")
+        raise ValueError(f"bad N list {args.n!r}: {exc}") from exc
     if args.alpha_steps < 2:
-        raise CliError("the alpha grid needs at least 2 points")
+        raise ValueError("the alpha grid needs at least 2 points")
     if args.alpha_min > args.alpha_max:
-        raise CliError("alpha range must satisfy 0 <= min <= max <= pi/4")
+        raise ValueError("alpha range must satisfy 0 <= min <= max <= pi/4")
     kinds = args.kinds.split(",")
-    for kind in kinds:
-        if kind not in CONDITION_KINDS:
-            raise CliError(f"unknown condition kind {kind!r}; choose from {', '.join(CONDITION_KINDS)}")
     alphas = np.linspace(args.alpha_min, args.alpha_max, args.alpha_steps)
     # every grid point is checked up front, by the rule --state ghz: applies
     families = [GhzFamily(n, float(alpha)) for n in n_list for alpha in alphas]
@@ -297,12 +277,7 @@ def cmd_maximize(args) -> int:
     data = _read_json(args.inequality)
     ineq = _parse_payload(BellInequality.from_json_dict, data, "Bell inequality")
     tensor = _tensor_from_args(args)
-    try:
-        result = maximize_bell_value(
-            ineq, tensor, restarts=args.restarts, seed=args.seed
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    result = maximize_bell_value(ineq, tensor, restarts=args.restarts, seed=args.seed)
     _emit(_dump_json(result.to_json_dict()), args.out)
     if result.value > float(ineq.bound) + BOUND_TOL:
         print(f"violation: value {result.value!r} exceeds bound {ineq.bound!r}", file=sys.stderr)
@@ -349,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sign-fn", action="append", metavar="BITS",
                    help="sign-function bitstring of length 2^arity; repeat once per slot "
                         "(defaults to 0...01 each)")
-    p.add_argument("--signs", help="comma-separated sign bitstrings (same as repeated --sign-fn)")
     p.add_argument("--check-tight", action="store_true", help="also run the tightness check")
     _add_out(p)
     p.set_defaults(func=cmd_generate)
@@ -390,9 +364,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except ResourceLimitError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

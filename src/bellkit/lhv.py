@@ -27,7 +27,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Iterator
+from types import MappingProxyType
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -175,13 +176,15 @@ class LhvModel:
     """Mixture of deterministic strategies.
 
     ``weights`` maps per-party code tuples to probabilities, which are
-    nonnegative and sum to 1.
+    nonnegative and sum to 1.  The model keeps a read-only copy of the
+    mapping it is given, so the checks below hold for its whole life.
     """
 
     layout: ExperimentLayout
-    weights: dict[tuple[int, ...], float]
+    weights: Mapping[tuple[int, ...], float]
 
     def __post_init__(self):
+        object.__setattr__(self, "weights", MappingProxyType(dict(self.weights)))
         total = 0.0
         for codes, w in self.weights.items():
             if len(codes) != self.layout.n_parties:
@@ -280,19 +283,21 @@ def sign_inequality(sign: SignFunction) -> BellInequality:
     return BellInequality(layout, sign.walsh_coefficients(), 2**sign.arity)
 
 
-def _require_two_setting(table: CorrelationTable) -> None:
-    if not table.layout.is_two_setting():
-        raise ValueError("operation requires exactly two settings per party")
-
-
 def transformed_table(table: CorrelationTable) -> np.ndarray:
     """f(s) = sum_k s_1^(k_1-1)...s_N^(k_N-1) E(k) over s in {-1,+1}^N.
 
     Axis j indexes s_j with 0 meaning +1.  This is the per-axis Hadamard
-    transform of the table values.
+    transform of the table values; every two-setting function relies on its
+    layout check.
     """
-    _require_two_setting(table)
+    if not table.layout.is_two_setting():
+        raise ValueError("operation requires exactly two settings per party")
     return _hadamard_transform(table.values)
+
+
+def _hidden_weights(f: np.ndarray) -> np.ndarray:
+    """2^-N |f(s)|, the weight of s in the explicit LHV model, as an array like f."""
+    return np.abs(f) / 2**f.ndim
 
 
 def general_bell_lhs(table: CorrelationTable) -> float:
@@ -302,37 +307,31 @@ def general_bell_lhs(table: CorrelationTable) -> float:
 
 def evaluate_sign_inequality(table: CorrelationTable, sign: SignFunction) -> float:
     """|sum_s S(s) f(s)| for one sign function (bound: 2^N)."""
-    _require_two_setting(table)
+    f = transformed_table(table)
     if sign.arity != table.layout.n_parties:
         raise ValueError("sign function arity must equal the number of parties")
-    return float(abs(np.sum(sign.values_grid() * transformed_table(table))))
+    return float(abs(np.sum(sign.values_grid() * f)))
 
 
 def hidden_probabilities(table: CorrelationTable) -> dict[tuple[int, ...], float]:
-    """P(s) = 2^-N |f(s)|: the hidden weights of the explicit LHV model."""
-    _require_two_setting(table)
-    n = table.layout.n_parties
-    f = transformed_table(table)
-    probs: dict[tuple[int, ...], float] = {}
-    for idx in np.ndindex(*f.shape):
-        s = tuple(1 - 2 * b for b in idx)
-        probs[s] = float(abs(f[idx])) / 2**n
-    return probs
+    """P(s) = 2^-N |f(s)| keyed by s: the weights construct_lhv_model uses."""
+    p = _hidden_weights(transformed_table(table))
+    return dict(zip(itertools.product((1, -1), repeat=p.ndim), p.ravel().tolist()))
 
 
 def construct_lhv_model(table: CorrelationTable) -> LhvModel:
     """Build an explicit LHV model for a table satisfying the 2^N bound.
 
-    Each s with positive transform modulus contributes the strategy whose
-    party-1 outcomes are (sigma, sigma*s_1) and whose party-j outcomes are
-    (1, s_j), where sigma is the sign of f(s); the sign choice makes the
-    strategy reproduce sign(f(s)) * s_1^(k_1-1)...s_N^(k_N-1) so the weighted
-    sum inverts the transform exactly.  A positive deficit 1 - sum_s |f(s)|/2^N
-    goes half to the all-plus strategy (0, ..., 0) and half to its party-1
-    flip (3, 0, ..., 0), which predict +1 and -1 on every correlation function
-    and so cancel; a model has at most 2^N + 2 strategies.  Tables up to
-    BOUND_TOL past the bound count as local, as in polytope_membership; their
-    weights are renormalized.
+    Each s with hidden weight 2^-N |f(s)| > 0 gets one strategy: with
+    neg = [f(s) < 0] and b_j = [s_j = -1], party 1 plays code
+    neg | (neg ^ b_1) << 1 and party j plays b_j << 1 (bit k set means
+    outcome -1 at setting k+1).  It predicts sign(f(s)) s_1^(k_1-1)...s_N^(k_N-1),
+    so the weighted sum inverts the transform exactly.  A positive deficit
+    1 - sum_s |f(s)|/2^N goes half to the all-plus strategy (0, ..., 0) and
+    half to its party-1 flip (3, 0, ..., 0), which predict +1 and -1 on every
+    correlation function and so cancel; a model has at most 2^N + 2
+    strategies.  Tables up to BOUND_TOL past the bound count as local, as in
+    polytope_membership; their weights are renormalized.
     """
     f = transformed_table(table)
     n = table.layout.n_parties
@@ -341,17 +340,11 @@ def construct_lhv_model(table: CorrelationTable) -> LhvModel:
         raise InequalityViolated(
             f"general two-setting expression {lhs!r} exceeds {2**n}", lhs
         )
-    weights: dict[tuple[int, ...], float] = {}
-    for idx in np.ndindex(*f.shape):
-        p = float(abs(f[idx])) / 2**n
-        if p == 0.0:
-            continue
-        sigma = 1 if f[idx] > 0 else -1
-        s = tuple(1 - 2 * b for b in idx)
-        # bit k set <=> outcome -1 at setting k+1
-        first = (0 if sigma > 0 else 1) | ((0 if sigma * s[0] > 0 else 1) << 1)
-        codes = (first,) + tuple((0 if s_j > 0 else 1) << 1 for s_j in s[1:])
-        weights[codes] = weights.get(codes, 0.0) + p
+    p = _hidden_weights(f)
+    used = np.nonzero(p)
+    neg = (f[used] < 0).astype(np.intp)
+    parties = [neg | ((neg ^ used[0]) << 1)] + [b << 1 for b in used[1:]]
+    weights = dict(zip(zip(*(c.tolist() for c in parties)), p[used].tolist()))
     total = sum(weights.values())
     if total > 1.0:
         weights = {codes: w / total for codes, w in weights.items()}
@@ -444,7 +437,6 @@ def most_violated_sign_inequality(table: CorrelationTable) -> tuple[SignFunction
 
     Returns the maximizer and its expression value sum_s |f(s)|.
     """
-    _require_two_setting(table)
     f = transformed_table(table)
     bits = tuple(0 if v >= 0 else 1 for v in f.ravel())
     sign = SignFunction(table.layout.n_parties, bits)

@@ -100,7 +100,7 @@ def _frames_json(frames: list[np.ndarray]) -> list:
 def condition_two_qubit(tensor: CorrelationTensor) -> ConditionReport:
     """Sum of the two largest eigenvalues of M^T M for a two-qubit tensor."""
     if tensor.n_qubits != 2:
-        raise ValueError("this condition applies to exactly 2 qubits")
+        raise ValueError("two_setting_NS_2qubit applies to 2-qubit tensors only")
     m = tensor.correlation_part()
     u, s, vt = np.linalg.svd(m)
     value = float(s[0] ** 2 + s[1] ** 2)

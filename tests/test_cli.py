@@ -322,6 +322,42 @@ def test_byte_stable_outputs():
         assert first[0] in (0, 3)
 
 
+# every exit-2 path below reports one line on stderr and nothing on stdout;
+# the argparse case prints its usage first, so only its last line is pinned
+CHSH_JSON = json.dumps({"layout": [2, 2], "coefficients": [[1, 1], [1, -1]], "bound": 2})
+KINDS = "two_setting_NS_2qubit, two_setting_sufficient_N, multisetting_CN"
+EXIT_2_LINES = [
+    (("scan", "--family", "ghz", "--n", "3", "--kinds", "bogus"), None,
+     f"error: unknown condition kind 'bogus'; choose from {KINDS}"),
+    (("condition", "--kind", "two_setting_NS_2qubit", "--state", "ghz:N=3,alpha=0.1"), None,
+     "error: two_setting_NS_2qubit applies to 2-qubit tensors only"),
+    (("tensor", "--state", "noise:v=2(singlet)"), None,
+     "error: visibility must lie in [0, 1]"),
+    (("maximize", "--inequality", "-", "--state", "ghz:N=3,alpha=0.3"), CHSH_JSON,
+     "error: inequality and tensor party counts differ"),
+    (("generate", "--layout", "2,2", "--sign-fn", "01"), None,
+     "error: sign bitstring '01' has arity 1, expected 2"),
+    (("lhv", "--table", "-"), "{not json",
+     "error: invalid JSON in '-': Expecting property name enclosed in double quotes: "
+     "line 1 column 2 (char 1)"),
+    (("generate", "--layout", "2,2", "--signs", "0001"), None,
+     "bellkit: error: unrecognized arguments: --signs 0001"),
+]
+
+
+@pytest.mark.parametrize("args, stdin, line", EXIT_2_LINES,
+                         ids=[" ".join(case[0]) for case in EXIT_2_LINES])
+def test_exit_2_stderr_line(args, stdin, line):
+    code, out, err = run_cli(*args, stdin=stdin)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    if line.startswith("error: "):
+        assert err == line + "\n"
+    else:
+        assert err.splitlines()[-1] == line
+
+
 # full sha256 of stdout for commands whose bytes are pinned; the (3,3,3)
 # table goes through the LP oracle
 PINNED_TABLE = json.dumps({"layout": [3, 3, 3], "values": [[[0.3] * 3] * 3] * 3})

@@ -203,6 +203,16 @@ def test_model_rejects_bad_strategies_and_weights(weights, match):
         bk.LhvModel(bk.ExperimentLayout((2, 2)), weights)
 
 
+def test_model_weights_are_a_read_only_copy():
+    weights = {(0, 0): 1.0}
+    model = bk.LhvModel(bk.ExperimentLayout((2, 2)), weights)
+    with pytest.raises(TypeError):
+        model.weights[(9, 9)] = 5.0
+    weights[(9, 9)] = 5.0
+    assert model.weights == {(0, 0): 1.0}
+    assert model.to_json_list() == [{"strategy": [0, 0], "weight": 1.0}]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(2, 3),
