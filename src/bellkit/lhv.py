@@ -389,20 +389,33 @@ def enumerate_vertices(layout: ExperimentLayout) -> tuple[list[tuple[int, ...]],
 
 @dataclass(frozen=True)
 class PolytopeResult:
+    """The LP verdict: a model or a certificate, and the work behind it.
+
+    ``residual`` is max |V lambda - values| of an inside model; the pivot
+    counts are the simplex's total, its degenerate pivots (a step of at most
+    BOUND_TOL) and those whose entering column Bland's rule chose.
+    """
+
     inside: bool
     model: LhvModel | None
     certificate: BellInequality | None
     lp_iterations: int = field(default=0, compare=False)
+    lp_degenerate: int = field(default=0, compare=False)
+    lp_bland: int = field(default=0, compare=False)
+    residual: float | None = field(default=None, compare=False)
 
 
 def polytope_membership(table: CorrelationTable) -> PolytopeResult:
     """Decide whether a table is a mixture of deterministic strategies.
 
     Feasibility of V lambda = values, lambda >= 0, sum lambda = 1 over the
-    distinct vertex tensors.  Inside: the weights become an LhvModel.
-    Outside: the Farkas vector of the phase-1 simplex gives a hyperplane
-    separating the table from every vertex; its sweep-tightened form is
-    returned as a violated BellInequality.
+    distinct vertex tensors.  Inside: weights above EXACT_TOL are rescaled to
+    sum to 1 and become an LhvModel, after a check that they are nonnegative,
+    sum to 1 within EXACT_TOL and reproduce the table within BOUND_TOL (plus
+    EXACT_TOL of rounding, since the LP's own slack is BOUND_TOL); a failed
+    check raises RuntimeError.  Outside: the Farkas vector of the phase-1
+    simplex gives a hyperplane separating the table from every vertex; its
+    sweep-tightened form is returned as a violated BellInequality.
     """
     layout = table.layout
     codes, vertices = enumerate_vertices(layout)
@@ -413,13 +426,22 @@ def polytope_membership(table: CorrelationTable) -> PolytopeResult:
     b = np.concatenate([table.values.ravel(), [1.0]])
 
     result = solve_feasibility(a, b)
+    work = {"lp_iterations": result.iterations, "lp_degenerate": result.degenerate,
+            "lp_bland": result.bland}
     if result.feasible:
-        lam = result.x
-        weights = {codes[i]: float(w) for i, w in enumerate(lam) if w > EXACT_TOL}
-        total = sum(weights.values())
-        weights = {c: w / total for c, w in weights.items()}
-        model = LhvModel(layout, weights)
-        return PolytopeResult(True, model, None, result.iterations)
+        lam = np.where(result.x > EXACT_TOL, result.x, 0.0)
+        lam /= lam.sum()
+        residual = float(np.max(np.abs(lam @ vertices - table.values.ravel())))
+        if np.any(result.x < 0):
+            raise RuntimeError("LP model check failed: a weight is negative")
+        if not abs(lam.sum() - 1.0) <= EXACT_TOL:
+            raise RuntimeError("LP model check failed: weights do not sum to 1 within 1e-12")
+        if not residual <= BOUND_TOL + EXACT_TOL:
+            raise RuntimeError(
+                f"LP model check failed: residual {residual!r} exceeds 1e-9 + 1e-12")
+        used = np.flatnonzero(lam)
+        model = LhvModel(layout, {codes[i]: float(lam[i]) for i in used})
+        return PolytopeResult(True, model, None, residual=residual, **work)
 
     y = result.farkas
     coeff = y[:dim]
@@ -429,7 +451,7 @@ def polytope_membership(table: CorrelationTable) -> PolytopeResult:
     coeff = coeff / scale
     bound = float(np.max(vertices @ coeff))
     certificate = BellInequality(layout, coeff.reshape(layout.shape), bound)
-    return PolytopeResult(False, None, certificate, result.iterations)
+    return PolytopeResult(False, None, certificate, **work)
 
 
 def most_violated_sign_inequality(table: CorrelationTable) -> tuple[SignFunction, float]:

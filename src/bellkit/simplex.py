@@ -1,9 +1,20 @@
 """Dense phase-1 simplex for equality-form feasibility problems.
 
 Solves: does there exist x >= 0 with A x = b?  Artificial variables give the
-starting basis; Bland's rule (smallest index enters, smallest-index basic
-variable leaves) guarantees termination without cycling.  On infeasibility
-the final cost row yields a Farkas certificate y with
+starting basis, and the phase-1 objective is their sum.
+
+Pricing: the entering column is the one with the most negative reduced cost
+(Dantzig's rule).  A pivot whose step, the entering variable's new value, is
+at most BOUND_TOL is degenerate.  After more than n + m degenerate pivots in a
+row, one per variable column of the tableau, the entering column is instead
+the smallest index with a negative reduced cost (Bland's rule), until the next
+non-degenerate pivot.  The leaving row is always the smallest basic index
+among the ratio ties (within TIE_TOL).  This terminates: each non-degenerate
+pivot strictly lowers the phase-1 objective, so no basis repeats across one,
+and within a degenerate run Bland's rule cannot cycle (Bland, Math. Oper.
+Res. 2, 103, 1977).
+
+On infeasibility the final cost row yields a Farkas certificate y with
 
     y . A_j <= 0 for every column j   and   y . b > 0,
 
@@ -28,7 +39,15 @@ class FeasibilityResult:
     x: np.ndarray | None
     # infeasible: Farkas vector for the original row space
     farkas: np.ndarray | None
+    # pivots in all, those with a step of at most BOUND_TOL, those priced by Bland's rule
     iterations: int
+    degenerate: int
+    bland: int
+
+
+def _bland_after(columns: int) -> int:
+    """Degenerate pivots in a row after which Bland's rule picks the entering column."""
+    return columns + 1
 
 
 def solve_feasibility(a: np.ndarray, b: np.ndarray,
@@ -56,14 +75,21 @@ def solve_feasibility(a: np.ndarray, b: np.ndarray,
     cost[n:-1] = 1.0
     cost -= tab.sum(axis=0)
 
-    iterations = 0
+    bland_after = _bland_after(n + m)
+    iterations = degenerate = bland = run = 0
     while True:
-        negative = cost[:-1] < -BOUND_TOL
-        if not negative.any():
-            break
+        if run >= bland_after:
+            negative = cost[:-1] < -BOUND_TOL
+            if not negative.any():
+                break
+            enter = int(np.argmax(negative))  # first True: Bland's entering rule
+            bland += 1
+        else:
+            enter = int(np.argmin(cost[:-1]))  # Dantzig's entering rule
+            if cost[enter] >= -BOUND_TOL:
+                break
         if iterations >= max_iter:
             raise ResourceLimitError(f"simplex exceeded {max_iter} iterations")
-        enter = int(np.argmax(negative))  # first True: Bland's entering rule
         col = tab[:, enter]
         positive = col > BOUND_TOL
         if not positive.any():
@@ -73,6 +99,11 @@ def solve_feasibility(a: np.ndarray, b: np.ndarray,
         best = ratios.min()
         ties = np.flatnonzero(ratios <= best + TIE_TOL)
         leave = int(ties[np.argmin(basis[ties])])  # Bland's leaving rule
+        if best <= BOUND_TOL:
+            degenerate += 1
+            run += 1
+        else:
+            run = 0
 
         pivot = tab[leave, enter]
         tab[leave] /= pivot
@@ -87,11 +118,11 @@ def solve_feasibility(a: np.ndarray, b: np.ndarray,
     if objective > BOUND_TOL:
         # Reduced cost of artificial i is 1 - y_i in the flipped row space.
         y = (1.0 - cost[n:-1]) * flip
-        return FeasibilityResult(False, None, y, iterations)
+        return FeasibilityResult(False, None, y, iterations, degenerate, bland)
 
     x = np.zeros(n)
     for i in range(m):
         if basis[i] < n:
             x[basis[i]] = tab[i, -1]
     np.clip(x, 0.0, None, out=x)
-    return FeasibilityResult(True, x, None, iterations)
+    return FeasibilityResult(True, x, None, iterations, degenerate, bland)

@@ -1,6 +1,7 @@
 """Every numerical tolerance in bellkit, named once; messages quote some as text."""
 
-#: Slack at a verdict threshold (2^N, a condition value of 1, a bound) and on [-1, 1].
+#: Slack at a verdict threshold (2^N, a condition value of 1, a bound) and on [-1, 1];
+#: a simplex pivot whose step is at most this is degenerate.
 BOUND_TOL = 1e-9
 
 #: Identities exact up to rounding: unit norm and trace, Hermiticity, weights summing to 1.
@@ -15,7 +16,7 @@ SWEEP_TOL = 1e-10
 #: Norms and objective rises this small count as zero.
 ZERO_TOL = 1e-14
 
-#: Simplex ratios this close to the minimum tie for Bland's leaving rule.
+#: Simplex ratios this close to the minimum tie for Bland's leaving rule (smallest basic index).
 TIE_TOL = 1e-15
 
 #: How far alpha may stray outside [0, pi/4], so that 0.7854 passes.

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import bellkit as bk
+from bellkit.tolerance import BOUND_TOL
 
 
 def run_cli(*args, stdin=None):
@@ -379,7 +380,7 @@ PINNED_OUTPUTS = [
     (("generate", "--layout", "8,8,4,4,4"), None,
      "7af991115163911c5f93aac04e0403de0783e732169dea3bdbc4fae45fceb9a0"),
     (("lhv", "--table", "-"), PINNED_TABLE,
-     "b707fea00f820ae44c73b1a32d170fd4c991dfa56be795b2ec88c81fb79ac322"),
+     "596de9235d3e483e5796fd75dfa1fab37f1c200a42c4adc06ac09bc6b0aae726"),
 ]
 
 
@@ -389,6 +390,32 @@ def test_pinned_output_bytes(args, stdin, digest):
     code, out, _ = run_cli(*args, stdin=stdin)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def lp_model_from_stdout(table_json: str, out: str) -> tuple[bk.CorrelationTable, bk.LhvModel]:
+    table = bk.CorrelationTable.from_json_dict(json.loads(table_json))
+    return table, bk.LhvModel.from_json_list(table.layout, json.loads(out))
+
+
+def test_pinned_lhv_output_reproduces_its_table():
+    code, out, _ = run_cli("lhv", "--table", "-", stdin=PINNED_TABLE)
+    assert code == 0
+    table, model = lp_model_from_stdout(PINNED_TABLE, out)
+    # an LP model has at most one record per basic column: dim + 1
+    assert len(model.weights) <= table.values.size + 1
+    assert np.allclose(bk.evaluate_model(model).values, table.values, rtol=0, atol=BOUND_TOL)
+
+
+def test_lhv_finds_model_deep_inside_3333_polytope():
+    """0.8 times a mixture of 8 vertices; Bland's entering rule gave up here (exit 4)."""
+    rng = np.random.default_rng(0)
+    _, rows = bk.enumerate_vertices(bk.ExperimentLayout((3, 3, 3, 3)))
+    x = 0.8 * rng.dirichlet(np.ones(8)) @ rows[rng.choice(len(rows), 8, replace=False)]
+    text = json.dumps({"layout": [3, 3, 3, 3], "values": x.reshape(3, 3, 3, 3).tolist()})
+    code, out, err = run_cli("lhv", "--table", "-", stdin=text)
+    assert (code, err) == (0, "")
+    table, model = lp_model_from_stdout(text, out)
+    assert np.allclose(bk.evaluate_model(model).values, table.values, rtol=0, atol=BOUND_TOL)
 
 
 def test_lhv_boundary_table_gets_model():

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import bellkit as bk
-from bellkit.tolerance import BOUND_TOL
+from bellkit.tolerance import BOUND_TOL, EXACT_TOL
 
 SQ2 = np.sqrt(2)
 
@@ -430,3 +430,112 @@ def test_simplex_iteration_cap_is_a_resource_limit():
     assert solve_feasibility(a, b, max_iter=2).feasible
     with pytest.raises(bk.ResourceLimitError, match="exceeded 1 iterations"):
         solve_feasibility(a, b, max_iter=1)
+
+
+def found_recipe_table(seed: int) -> bk.CorrelationTable:
+    """0.8 times a Dirichlet mixture of 8 distinct (3,3,3,3) vertices."""
+    layout = bk.ExperimentLayout((3, 3, 3, 3))
+    rng = np.random.default_rng(seed)
+    rows = vertex_matrix(layout)
+    x = 0.8 * rng.dirichlet(np.ones(8)) @ rows[rng.choice(len(rows), 8, replace=False)]
+    return bk.CorrelationTable(layout, x.reshape(layout.shape))
+
+
+def test_dantzig_pricing_finds_inside_models_quickly():
+    """Bland's entering rule hit the 29900-pivot cap on 5 of these 12 tables."""
+    for seed in range(12):
+        result = bk.polytope_membership(found_recipe_table(seed))
+        assert result.inside
+        assert result.lp_iterations <= 600
+        assert result.lp_bland == 0
+        assert result.residual <= BOUND_TOL
+
+
+def test_band_table_model_passes_the_residual_check():
+    """The LP's slack is BOUND_TOL, so a model may miss by BOUND_TOL plus rounding.
+
+    This (2,2) table's left-hand side exceeds 4 by 2.0e-9, inside the
+    tolerance band, and its LP model misses one entry by 1e-9 + 3e-17.
+    """
+    values = [[0.6815192920979465, 0.29672472756821927],
+              [-0.4570897413682428, 0.5646662399655915]]
+    result = bk.polytope_membership(bk.CorrelationTable(bk.ExperimentLayout((2, 2)), values))
+    assert result.inside
+    assert BOUND_TOL < result.residual <= BOUND_TOL + EXACT_TOL
+
+
+def test_model_checks_reject_a_faulty_solution(monkeypatch):
+    from bellkit import lhv
+    from bellkit.simplex import solve_feasibility
+
+    table = found_recipe_table(0)
+    assert bk.polytope_membership(table).inside
+
+    def solving_to(perturb):
+        def fake(a, b, **kwargs):
+            result = solve_feasibility(a, b, **kwargs)
+            result.x = perturb(result.x.copy())
+            return result
+        return fake
+
+    def shift_mass(x):
+        i, j = np.flatnonzero(x)[:2]
+        x[i], x[j] = x[i] + x[j], 0.0
+        return x
+
+    def negate_unused(x):
+        x[np.flatnonzero(x == 0)[0]] = -0.01
+        return x
+
+    cases = [(shift_mass, "residual"), (negate_unused, "negative"),
+             (np.zeros_like, "sum to 1")]
+    for perturb, check in cases:
+        monkeypatch.setattr(lhv, "solve_feasibility", solving_to(perturb))
+        with np.errstate(invalid="ignore"), pytest.raises(RuntimeError, match=check):
+            bk.polytope_membership(table)
+
+
+def fallback_tables() -> list[bk.CorrelationTable]:
+    """An inside and an outside table for (3,3) and (3,3,3).
+
+    Outside: all +1 but one -1, a cube corner that no product of outcomes gives.
+    """
+    rng = np.random.default_rng(3)
+    tables = []
+    for shape in ((3, 3), (3, 3, 3)):
+        layout = bk.ExperimentLayout(shape)
+        rows = vertex_matrix(layout)
+        x = 0.9 * rng.dirichlet(np.ones(6)) @ rows[rng.choice(len(rows), 6, replace=False)]
+        corner = np.ones(shape)
+        corner[(0,) * len(shape)] = -1.0
+        tables += [bk.CorrelationTable(layout, x.reshape(shape)),
+                   bk.CorrelationTable(layout, corner)]
+    return tables
+
+
+def test_bland_fallback_from_the_first_pivot_gives_the_same_verdicts(monkeypatch):
+    from bellkit import simplex
+
+    default = [bk.polytope_membership(t) for t in fallback_tables()]
+    assert [r.inside for r in default] == [True, False, True, False]
+    assert all(r.lp_bland == 0 for r in default)
+    monkeypatch.setattr(simplex, "_bland_after", lambda columns: 0)
+    for table, before in zip(fallback_tables(), default):
+        result = bk.polytope_membership(table)
+        assert result.inside == before.inside
+        assert result.lp_bland == result.lp_iterations > 0
+        if result.inside:
+            assert result.residual <= BOUND_TOL
+            assert np.allclose(bk.evaluate_model(result.model).values, table.values,
+                               rtol=0, atol=BOUND_TOL)
+        else:
+            cert = result.certificate
+            rows = vertex_matrix(table.layout)
+            assert np.max(rows @ cert.coefficients.ravel()) <= cert.bound
+            assert bk.evaluate_inequality(cert, table) > cert.bound + 1e-6
+    # a short limit: Bland's rule takes over on degenerate runs only, and
+    # Dantzig's rule resumes after each non-degenerate pivot
+    monkeypatch.setattr(simplex, "_bland_after", lambda columns: 2)
+    result = bk.polytope_membership(found_recipe_table(2))
+    assert result.inside and result.residual <= BOUND_TOL
+    assert 0 < result.lp_bland < result.lp_degenerate < result.lp_iterations
