@@ -359,6 +359,13 @@ def test_exit_2_stderr_line(args, stdin, line):
         assert err.splitlines()[-1] == line
 
 
+def seeded_state_json(seed: int, n: int) -> str:
+    """A random complex n-qubit pure state as `--state-file` JSON."""
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    return json.dumps(bk.PureState(n, amps / np.linalg.norm(amps)).to_json_dict())
+
+
 # full sha256 of stdout for commands whose bytes are pinned; the (3,3,3)
 # table goes through the LP oracle
 PINNED_TABLE = json.dumps({"layout": [3, 3, 3], "values": [[[0.3] * 3] * 3] * 3})
@@ -381,6 +388,12 @@ PINNED_OUTPUTS = [
      "7af991115163911c5f93aac04e0403de0783e732169dea3bdbc4fae45fceb9a0"),
     (("lhv", "--table", "-"), PINNED_TABLE,
      "596de9235d3e483e5796fd75dfa1fab37f1c200a42c4adc06ac09bc6b0aae726"),
+    (("tensor", "--state", "ghz:N=5,alpha=0.3"), None,
+     "5a5ab5ae3a6f8037fc698d6fedab0727b6fbcd592bf7f57c69e345260593733d"),
+    (("tensor", "--state", "noise:v=0.8(ghz:N=4,alpha=0.6)"), None,
+     "fddc4bc74ff89f66ba1daa41bfa6c54c71472011ac61ea4040d0d671af160455"),
+    (("tensor", "--state-file", "-"), seeded_state_json(3, 3),
+     "9230c778a82412ed0d28b19bd4091d61b7648c66b7b5301bb8d55b852e7608f7"),
 ]
 
 
