@@ -127,6 +127,33 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _dump_tensor_json(tensor: CorrelationTensor) -> str:
+    """`_dump_json(tensor.to_json_dict())`, built in one join.
+
+    json.dumps writes indented output token by token in Python; here the
+    leaves are float reprs (what json writes for finite floats), and the
+    text between leaves i and i + 1 depends only on how many nested lists
+    close there: the number of trailing base-4 zeros of i + 1.
+    """
+    n = tensor.n_qubits
+    # seps[t]: close t lists, then a comma, then open t lists
+    seps = [
+        "".join(f"\n{' ' * 2 * d}]" for d in range(n, n - t, -1)) + ","
+        + "".join(f"\n{' ' * 2 * d}[" for d in range(n - t + 1, n + 1))
+        + f"\n{' ' * 2 * (n + 1)}"
+        for t in range(n)
+    ]
+    after = np.arange(1, 4**n)
+    closed = np.bitwise_count((after & -after) - 1) // 2
+    parts = [""] * (2 * 4**n - 1)
+    parts[::2] = map(float.__repr__, tensor.components.ravel().tolist())
+    parts[1::2] = np.array(seps, dtype=object)[closed].tolist()
+    head = "".join(f"[\n{' ' * 2 * (d + 1)}" for d in range(1, n + 1))
+    tail = "".join(f"\n{' ' * 2 * d}]" for d in range(n, 0, -1))
+    return (f'{{\n  "full_components": {head}{"".join(parts)}{tail},\n'
+            f'  "n_qubits": {n}\n}}\n')
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -157,7 +184,7 @@ def cmd_tensor(args) -> int:
         state = _parse_payload(PureState.from_json_dict, data, "pure state")
         rho = density_from_pure(state)
     tensor = correlation_tensor(rho)
-    _emit(_dump_json(tensor.to_json_dict()), args.out)
+    _emit(_dump_tensor_json(tensor), args.out)
     return EXIT_OK
 
 

@@ -310,6 +310,35 @@ def test_out_flag_writes_file(tmp_path):
     assert data["n_qubits"] == 2
 
 
+def test_tensor_out_file_matches_stdout(tmp_path):
+    target = tmp_path / "tensor.json"
+    args = ("tensor", "--state", "noise:v=0.6(ghz:N=3,alpha=0.4)")
+    code, out, _ = run_cli(*args)
+    assert code == 0
+    assert run_cli(*args, "--out", str(target)) == (0, "", "")
+    assert target.read_text() == out
+
+
+#: entries whose reprs are easy to get wrong: signed zero, the smallest
+#: subnormal, an exponent form and a non-terminating binary fraction
+AWKWARD_FLOATS = [-0.0, 5e-324, 1e-17, 0.1, -1.0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_tensor_writer_matches_json_dumps(n):
+    from bellkit.cli import _dump_json, _dump_tensor_json
+
+    rng = np.random.default_rng(n)
+    comp = np.empty(4**n)
+    comp[0] = 1.0
+    comp[1:] = np.resize(AWKWARD_FLOATS + list(rng.uniform(-1, 1, 3)), comp.size - 1)
+    rng.shuffle(comp[1:])
+    tensor = bk.CorrelationTensor(n, comp.reshape((4,) * n))
+    # compared line by line: pytest renders a diff of two long strings slowly
+    got = _dump_tensor_json(tensor).split("\n")
+    assert got == _dump_json(tensor.to_json_dict()).split("\n")
+
+
 def test_byte_stable_outputs():
     for args in (
         ("tensor", "--state", "ghz:N=3,alpha=0.2"),

@@ -410,8 +410,11 @@ def test_oracles_agree_off_the_tolerance_band(n, raw, excess):
     values = np.array(raw[:2**n]).reshape(layout.shape)
     lhs = bk.general_bell_lhs(bk.CorrelationTable(layout, values))
     assume(lhs > 0)
-    values = values * (2**n * (1 + excess) / lhs)
-    assume(np.max(np.abs(values)) <= 1)
+    # reject before scaling: a tiny lhs makes the scale inf, and inf * 0 is NaN;
+    # rounding is monotone, so max|values| * scale is the max of the scaled table
+    scale = 2**n * (1 + excess) / lhs
+    assume(np.isfinite(scale) and np.max(np.abs(values)) * scale <= 1)
+    values = values * scale
     table = bk.CorrelationTable(layout, values)
     assume(abs(bk.general_bell_lhs(table) - 2**n) > 2**n * BOUND_TOL)
     try:

@@ -36,6 +36,14 @@ def random_pure(rng, n) -> bk.PureState:
     return bk.PureState(n, amps / np.linalg.norm(amps))
 
 
+def random_mixed(rng, n, rank) -> bk.DensityMatrix:
+    """Complex mixture of `rank` random pure states."""
+    vecs = rng.normal(size=(rank, 2**n)) + 1j * rng.normal(size=(rank, 2**n))
+    mat = vecs.T @ vecs.conj()
+    mat = (mat + mat.conj().T) / 2
+    return bk.DensityMatrix(n, mat / np.trace(mat).real)
+
+
 def test_singlet_tensor_is_minus_identity():
     tensor = bk.correlation_tensor(bk.density_from_pure(bk.singlet()))
     corr = tensor.correlation_part()
@@ -71,6 +79,23 @@ def test_tensor_matches_trace_oracle(n):
         rho = bk.density_from_pure(random_pure(rng, n))
         tensor = bk.correlation_tensor(rho)
         assert np.allclose(tensor.components, oracle_tensor(rho), atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_mixed_tensor_matches_trace_oracle(n, rank):
+    rho = random_mixed(np.random.default_rng(10 * n + rank), n, rank)
+    assert np.allclose(bk.correlation_tensor(rho).components, oracle_tensor(rho),
+                       rtol=0, atol=1e-12)
+
+
+def test_product_state_tensor_is_outer_product_at_n8():
+    """Every qubit axis at a size the trace oracle cannot reach."""
+    rng = np.random.default_rng(8)
+    singles = [random_mixed(rng, 1, 2) for _ in range(8)]
+    rho = bk.DensityMatrix(8, kron_chain([s.matrix for s in singles]))
+    expected = reduce(np.multiply.outer, [bk.correlation_tensor(s).components for s in singles])
+    assert np.allclose(bk.correlation_tensor(rho).components, expected, rtol=0, atol=1e-12)
 
 
 def test_density_from_pure_examples():
