@@ -320,7 +320,7 @@ def test_tensor_out_file_matches_stdout(tmp_path):
 
 
 #: entries whose reprs are easy to get wrong: signed zero, the smallest
-#: subnormal, an exponent form and a non-terminating binary fraction
+#: subnormal, an exponent form, a non-terminating binary fraction, the bound -1
 AWKWARD_FLOATS = [-0.0, 5e-324, 1e-17, 0.1, -1.0]
 
 
