@@ -18,7 +18,14 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InequalityViolated, ResourceLimitError
-from .families import GhzFamily, ghz_state, ghz_tensor_analytic, mix_with_white_noise, singlet
+# mix_with_white_noise is unused here, but bench/tracing.py wraps it in this namespace
+from .families import (  # noqa: F401
+    GhzFamily,
+    ghz_state,
+    ghz_tensor_analytic,
+    mix_with_white_noise,
+    singlet,
+)
 from .lhv import (
     BellInequality,
     CorrelationTable,
@@ -37,13 +44,7 @@ from .qcond import (
     condition_two_setting_N,
     maximize_bell_value,
 )
-from .qstate import (
-    CorrelationTensor,
-    DensityMatrix,
-    PureState,
-    correlation_tensor,
-    density_from_pure,
-)
+from .qstate import CorrelationTensor, PureState, correlation_tensor
 from .tolerance import BOUND_TOL
 
 EXIT_OK = 0
@@ -69,11 +70,16 @@ def _parse_params(text: str, spec: str) -> dict[str, str]:
     return params
 
 
-def parse_state_spec(spec: str) -> DensityMatrix:
-    """Parse "singlet", "ghz:N=3,alpha=0.3" or "noise:v=0.8(<inner spec>)"."""
+def parse_state_spec(spec: str) -> tuple[PureState, tuple[float, ...]]:
+    """Parse "singlet", "ghz:N=3,alpha=0.3" or "noise:v=0.8(<inner spec>)".
+
+    Returns the pure state inside every noise: wrapper and the wrappers'
+    visibilities, innermost first, as correlation_tensor takes them; it
+    checks their range.  No density matrix is built.
+    """
     spec = spec.strip()
     if spec == "singlet":
-        return density_from_pure(singlet())
+        return singlet(), ()
     if spec.startswith("ghz:"):
         params = _parse_params(spec[4:], spec)
         unknown = set(params) - {"N", "n", "alpha"}
@@ -88,7 +94,7 @@ def parse_state_spec(spec: str) -> DensityMatrix:
             family = GhzFamily(int(n_text), float(params["alpha"]))
         except ValueError as exc:
             raise ValueError(f"bad ghz spec {spec!r}: {exc}") from exc
-        return density_from_pure(ghz_state(family))
+        return ghz_state(family), ()
     if spec.startswith("noise:"):
         match = _NOISE_RE.match(spec[6:])
         if match is None:
@@ -97,7 +103,8 @@ def parse_state_spec(spec: str) -> DensityMatrix:
             visibility = float(match.group(1))
         except ValueError as exc:
             raise ValueError(f"bad visibility in {spec!r}") from exc
-        return mix_with_white_noise(parse_state_spec(match.group(2)), visibility)
+        state, visibilities = parse_state_spec(match.group(2))
+        return state, visibilities + (visibility,)
     raise ValueError(f"unknown state spec {spec!r} (expected singlet, ghz:..., noise:...)")
 
 
@@ -165,7 +172,8 @@ def _tensor_from_args(args) -> CorrelationTensor:
     if (args.state is None) == (args.tensor_file is None):
         raise ValueError("give exactly one of --state or --tensor-file")
     if args.state is not None:
-        return correlation_tensor(parse_state_spec(args.state))
+        state, visibilities = parse_state_spec(args.state)
+        return correlation_tensor(state, visibilities=visibilities)
     data = _read_json(args.tensor_file)
     return _parse_payload(CorrelationTensor.from_json_dict, data, "correlation tensor")
 
@@ -178,12 +186,12 @@ def cmd_tensor(args) -> int:
     if (args.state is None) == (args.state_file is None):
         raise ValueError("give exactly one of --state or --state-file")
     if args.state is not None:
-        rho = parse_state_spec(args.state)
+        state, visibilities = parse_state_spec(args.state)
     else:
         data = _read_json(args.state_file)
         state = _parse_payload(PureState.from_json_dict, data, "pure state")
-        rho = density_from_pure(state)
-    tensor = correlation_tensor(rho)
+        visibilities = ()
+    tensor = correlation_tensor(state, visibilities=visibilities)
     _emit(_dump_tensor_json(tensor), args.out)
     return EXIT_OK
 

@@ -15,7 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import CorrelationTensor, DensityMatrix, PureState
+from .qstate import (
+    CorrelationTensor,
+    DensityMatrix,
+    PureState,
+    check_qubit_cap,
+    check_visibility,
+)
 from .tolerance import ALPHA_SLACK
 
 
@@ -31,6 +37,8 @@ class GhzFamily:
             raise ValueError("the family needs at least 2 qubits")
         if not -ALPHA_SLACK <= self.alpha <= math.pi / 4 + ALPHA_SLACK:
             raise ValueError("alpha must lie in [0, pi/4]")
+        # ghz_state and ghz_tensor_analytic allocate 2**N and 4**N entries
+        check_qubit_cap(self.n_qubits)
 
 
 def singlet() -> PureState:
@@ -83,8 +91,7 @@ def scarani_gisin_threshold(n_qubits: int) -> float:
 
 def mix_with_white_noise(rho: DensityMatrix, visibility: float) -> DensityMatrix:
     """v * rho + (1 - v) * identity / 2^N; scales every correlation by v."""
-    if not 0.0 <= visibility <= 1.0:
-        raise ValueError("visibility must lie in [0, 1]")
+    check_visibility(visibility)
     dim = 2**rho.n_qubits
     mixed = visibility * rho.matrix + (1 - visibility) * np.eye(dim) / dim
     return DensityMatrix(rho.n_qubits, mixed)

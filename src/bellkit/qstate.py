@@ -12,8 +12,14 @@ part with one direction per qubit.
 
 `correlation_tensor` gets all 4**N components in O(N 4**N) steps without
 forming any Pauli string: per qubit, sigma_k flips the bit (x, y) and/or
-signs it (y, z), so one gather of rho along flip masks and one fast
-Walsh-Hadamard transform over phase masks give every T at once.
+signs it (y, z), so one table g[f, z] = rho[z, z XOR f] over flip masks f and
+one fast Walsh-Hadamard transform over phase masks give every T at once.  A
+`PureState` goes straight to that table, g[f, z] = psi(z) psi*(z XOR f), and
+white noise is applied to g, so no 2**N x 2**N matrix is built and nothing
+is diagonalized: `PureState` checks its norm, the kernel checks each
+visibility, and `CorrelationTensor` checks the identity component and the
+[-1, 1] range.  Only a `DensityMatrix` runs `eigvalsh`, for callers who hand
+in a matrix.
 
 All value types are immutable after construction (arrays are copied in and
 marked read-only), so instances are safe to share across threads.
@@ -21,6 +27,7 @@ marked read-only), so instances are safe to share across threads.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +37,18 @@ from .tolerance import BOUND_TOL, EXACT_TOL, PSD_TOL, ZERO_TOL
 
 #: Dense 4**N tensors get expensive fast; refuse larger systems by default.
 MAX_QUBITS = 10
+
+
+def check_qubit_cap(n_qubits: int) -> None:
+    """Refuse more than MAX_QUBITS qubits, before anything of size 2**N is built."""
+    if n_qubits > MAX_QUBITS:
+        raise ResourceLimitError(f"dense tensors are capped at {MAX_QUBITS} qubits")
+
+
+def check_visibility(visibility: float) -> None:
+    """The weight v of a state in v * state + (1 - v) * white noise lies in [0, 1]."""
+    if not 0.0 <= visibility <= 1.0:
+        raise ValueError("visibility must lie in [0, 1]")
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -48,6 +67,7 @@ class PureState:
     def __post_init__(self):
         if self.n_qubits < 1:
             raise ValueError("n_qubits must be >= 1")
+        check_qubit_cap(self.n_qubits)
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
         if amps.shape != (2**self.n_qubits,):
             raise ValueError(
@@ -133,10 +153,7 @@ class CorrelationTensor:
     def __post_init__(self):
         if self.n_qubits < 1:
             raise ValueError("n_qubits must be >= 1")
-        if self.n_qubits > MAX_QUBITS:
-            raise ResourceLimitError(
-                f"dense tensors are capped at {MAX_QUBITS} qubits"
-            )
+        check_qubit_cap(self.n_qubits)
         comp = np.asarray(self.components, dtype=np.float64)
         if comp.shape != (4,) * self.n_qubits:
             raise ValueError(f"expected shape {(4,) * self.n_qubits}, got {comp.shape}")
@@ -176,8 +193,14 @@ _I_POWERS = np.array([1, 1j, -1, -1j])
 _FP_INDEX_OF_K = np.array([0, 2, 3, 1])
 
 
-def correlation_tensor(rho: DensityMatrix) -> CorrelationTensor:
-    """Compute all 4**N Pauli expectation values of a density matrix.
+def correlation_tensor(state: PureState | DensityMatrix, *,
+                       visibilities: Sequence[float] = ()) -> CorrelationTensor:
+    """Compute all 4**N Pauli expectation values of a state, optionally noisy.
+
+    Each visibility v in `visibilities`, innermost first, mixes the state
+    with white noise as mix_with_white_noise does: v * rho + (1 - v) I / 2**N.
+    The levels are applied one at a time, not multiplied together, so the
+    result has the same bytes as mixing the density matrix level by level.
 
     Per qubit, the label k is a flip bit f and a phase bit p: (0, 0) -> 0
     (identity), (1, 0) -> 1 (x), (1, 1) -> 2 (y), (0, 1) -> 3 (z).  The Pauli
@@ -186,24 +209,42 @@ def correlation_tensor(rho: DensityMatrix) -> CorrelationTensor:
 
         T = Re( i^#y  sum_z (-1)^(p.z) rho[z, z XOR f] ).
 
-    One gather builds g[f, z] = rho[z, z XOR f], and a fast Walsh-Hadamard
-    transform over the N bit axes of z sums it for every phase mask at once:
-    N butterfly passes over 4**N entries, so the cost is O(N 4**N).  States
-    above MAX_QUBITS are refused before that work starts.
+    The table g[f, z] = rho[z, z XOR f] is one gather from a DensityMatrix,
+    or the product psi(z) psi*(z XOR f) of a PureState's amplitudes.  Noise
+    scales g by v and adds (1 - v) / 2**N to its f = 0 row, the diagonal.  A
+    fast Walsh-Hadamard transform over the N bit axes of z then sums g for
+    every phase mask at once: N butterfly passes over 4**N entries, so the
+    cost is O(N 4**N).  States above MAX_QUBITS and visibilities outside
+    [0, 1] are refused before that work starts.
     """
-    n = rho.n_qubits
-    if n > MAX_QUBITS:
-        raise ResourceLimitError(f"dense tensors are capped at {MAX_QUBITS} qubits")
+    n = state.n_qubits
+    check_qubit_cap(n)
+    for visibility in visibilities:
+        check_visibility(visibility)
     masks = np.arange(2**n)
-    # h[f, z] = rho[z, z XOR f]; qubit 1 is the most significant bit of f and z
-    h = rho.matrix[masks, masks[:, None] ^ masks]
+    # g[f, z] = rho[z, z XOR f]; qubit 1 is the most significant bit of f and z
+    flipped = masks[:, None] ^ masks
+    if isinstance(state, PureState):
+        psi = state.amplitudes
+        g = psi * psi.conj()[flipped]
+    else:
+        g = state.matrix[masks, flipped]
+    for visibility in visibilities:
+        g = visibility * g
+        g[0] += (1 - visibility) / 2**n
+    return _pauli_transform(n, g)
+
+
+def _pauli_transform(n: int, g: np.ndarray) -> CorrelationTensor:
+    """The tensor T from g[f, z] = rho[z, z XOR f] (correlation_tensor's kernel)."""
     for q in range(n):
         # butterfly on the bit of z that belongs to qubit q + 1
-        h = h.reshape((-1, 2, 2 ** (n - q - 1)))
-        h = np.stack((h[:, 0] + h[:, 1], h[:, 0] - h[:, 1]), axis=1)
-    # now h[f, p]; multiply by i**#y, with #y = popcount(f AND p)
+        g = g.reshape((-1, 2, 2 ** (n - q - 1)))
+        g = np.stack((g[:, 0] + g[:, 1], g[:, 0] - g[:, 1]), axis=1)
+    # now g[f, p]; multiply by i**#y, with #y = popcount(f AND p)
+    masks = np.arange(2**n)
     phase = _I_POWERS[np.bitwise_count(masks[:, None] & masks) % 4]
-    values = (h.reshape((2**n, 2**n)) * phase).real
+    values = (g.reshape((2**n, 2**n)) * phase).real
     # interleave the bits to (f1, p1, ..., fN, pN), then relabel (f, p) as k
     interleave = [axis for q in range(n) for axis in (q, n + q)]
     values = values.reshape((2,) * (2 * n)).transpose(interleave).reshape((4,) * n)

@@ -388,6 +388,44 @@ def test_exit_2_stderr_line(args, stdin, line):
         assert err.splitlines()[-1] == line
 
 
+def state_json(n: int, amplitudes) -> str:
+    return json.dumps({"n_qubits": n, "amplitudes": [[a.real, a.imag] for a in amplitudes]})
+
+
+#: inputs naming more qubits than MAX_QUBITS (10); each is refused before
+#: anything of size 2**N is allocated
+OVER_CAP = [
+    (("tensor", "--state", "ghz:N=16,alpha=0.3"), None),
+    (("tensor", "--state", "ghz:N=11,alpha=0.3"), None),
+    (("tensor", "--state", "noise:v=0.7(ghz:N=11,alpha=0.3)"), None),
+    (("condition", "--kind", "multisetting_CN", "--state", "ghz:N=16,alpha=0.3"), None),
+    (("maximize", "--inequality", "-", "--state", "ghz:N=40,alpha=0.1"), CHSH_JSON),
+    (("scan", "--family", "ghz", "--n", "3,16"), None),
+    (("tensor", "--state-file", "-"), state_json(11, np.eye(2**11)[0])),
+    (("tensor", "--state-file", "-"), state_json(10**10, [1.0])),
+]
+
+
+@pytest.mark.parametrize("args, stdin", OVER_CAP,
+                         ids=[" ".join(case[0]) for case in OVER_CAP])
+def test_qubit_cap_exits_4(args, stdin):
+    code, out, err = run_cli(*args, stdin=stdin)
+    assert (code, out) == (4, "")
+    assert err == "resource cap: dense tensors are capped at 10 qubits\n"
+
+
+def test_tensor_state_file_norm_edge_exits_2():
+    """Norm 1 + 8e-13 passes PureState; the identity component, the norm squared, does not."""
+    rng = np.random.default_rng(4)
+    amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+    amps *= (1 + 8e-13) / np.linalg.norm(amps)
+    stdin = state_json(3, amps)
+    assert bk.PureState.from_json_dict(json.loads(stdin)).n_qubits == 3
+    code, out, err = run_cli("tensor", "--state-file", "-", stdin=stdin)
+    assert (code, out) == (2, "")
+    assert err == "error: identity component must be 1 within 1e-12\n"
+
+
 def seeded_state_json(seed: int, n: int) -> str:
     """A random complex n-qubit pure state as `--state-file` JSON."""
     rng = np.random.default_rng(seed)
@@ -423,6 +461,10 @@ PINNED_OUTPUTS = [
      "fddc4bc74ff89f66ba1daa41bfa6c54c71472011ac61ea4040d0d671af160455"),
     (("tensor", "--state-file", "-"), seeded_state_json(3, 3),
      "9230c778a82412ed0d28b19bd4091d61b7648c66b7b5301bb8d55b852e7608f7"),
+    # nested noise is applied level by level, innermost first: reversing the
+    # levels or multiplying them together changes these bytes
+    (("tensor", "--state", "noise:v=0.9(noise:v=0.3(noise:v=0.7(singlet)))"), None,
+     "a0688b66b71f51bae6ae106ac544abecd914f7ef33d542025c2b3ee8469e312e"),
 ]
 
 

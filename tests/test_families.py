@@ -29,6 +29,10 @@ def test_ghz_family_validation():
         bk.GhzFamily(3, -0.5)
     # a decimal approximation of pi/4 from the command line must be accepted
     bk.GhzFamily(2, 0.7854)
+    # refused before ghz_state or ghz_tensor_analytic allocates 2**N or 4**N entries
+    bk.GhzFamily(10, 0.3)
+    with pytest.raises(bk.ResourceLimitError, match="capped at 10 qubits"):
+        bk.GhzFamily(16, 0.3)
 
 
 def test_singlet_perfect_anticorrelation_any_axis():

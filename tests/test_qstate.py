@@ -208,10 +208,39 @@ def test_non_finite_entries_rejected(bad):
 
 def test_tensor_qubit_cap(monkeypatch):
     rng = np.random.default_rng(2)
-    rho = bk.density_from_pure(random_pure(rng, 3))
+    state = random_pure(rng, 3)
+    rho = bk.density_from_pure(state)
     monkeypatch.setattr("bellkit.qstate.MAX_QUBITS", 2)
     with pytest.raises(bk.ResourceLimitError, match="capped at 2 qubits"):
         bk.correlation_tensor(rho)
+    with pytest.raises(bk.ResourceLimitError, match="capped at 2 qubits"):
+        bk.correlation_tensor(state)
+    # the cap comes before the 2**N amplitude count is worked out
+    with pytest.raises(bk.ResourceLimitError, match="capped at 2 qubits"):
+        bk.PureState(3, state.amplitudes)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@settings(max_examples=8, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.lists(st.floats(0, 1), max_size=2))
+def test_pure_state_path_gives_the_density_path_bytes(n, seed, visibilities):
+    """Amplitudes straight to the tensor, against |psi><psi| mixed level by level."""
+    from bellkit.cli import _dump_tensor_json
+
+    state = random_pure(np.random.default_rng(seed), n)
+    rho = bk.density_from_pure(state)
+    for visibility in visibilities:
+        rho = bk.mix_with_white_noise(rho, visibility)
+    # compared line by line: pytest renders a diff of two long strings slowly
+    got = _dump_tensor_json(bk.correlation_tensor(state, visibilities=visibilities))
+    assert got.split("\n") == _dump_tensor_json(bk.correlation_tensor(rho)).split("\n")
+
+
+@pytest.mark.parametrize("bad", [-0.1, 1.5, np.nan])
+def test_tensor_rejects_visibility_out_of_range(bad):
+    for state in (bk.singlet(), bk.density_from_pure(bk.singlet())):
+        with pytest.raises(ValueError, match=r"visibility must lie in \[0, 1\]"):
+            bk.correlation_tensor(state, visibilities=(0.5, bad))
 
 
 def test_state_json_round_trip():
