@@ -33,6 +33,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .errors import InequalityViolated, ResourceLimitError
+from .qstate import walsh_hadamard
 from .simplex import solve_feasibility
 from .tolerance import BOUND_TOL, EXACT_TOL
 
@@ -143,17 +144,7 @@ class SignFunction:
 
     def walsh_coefficients(self) -> np.ndarray:
         """c[k] = sum_s S(s) s_1^k_1 ... s_n^k_n over k in {0,1}^arity (integers)."""
-        return _hadamard_transform(self.values_grid())
-
-
-def _hadamard_transform(grid: np.ndarray) -> np.ndarray:
-    """Apply [[1, 1], [1, -1]] along every axis of a (2,)*n array."""
-    h = np.array([[1, 1], [1, -1]], dtype=grid.dtype)
-    out = grid
-    for axis in range(grid.ndim):
-        out = np.tensordot(h, out, axes=([1], [axis]))
-        out = np.moveaxis(out, 0, axis)
-    return out
+        return walsh_hadamard(self.values_grid(), self.arity)
 
 
 def enumerate_sign_functions(n_parties: int) -> Iterator[SignFunction]:
@@ -292,7 +283,7 @@ def transformed_table(table: CorrelationTable) -> np.ndarray:
     """
     if not table.layout.is_two_setting():
         raise ValueError("operation requires exactly two settings per party")
-    return _hadamard_transform(table.values)
+    return walsh_hadamard(table.values, table.values.ndim)
 
 
 def _hidden_weights(f: np.ndarray) -> np.ndarray:
@@ -392,8 +383,8 @@ class PolytopeResult:
     """The LP verdict: a model or a certificate, and the work behind it.
 
     ``residual`` is max |V lambda - values| of an inside model; the pivot
-    counts are the simplex's total, its degenerate pivots (a step of at most
-    BOUND_TOL) and those whose entering column Bland's rule chose.
+    counts are the simplex's total and its degenerate pivots (a step of at
+    most BOUND_TOL).
     """
 
     inside: bool
@@ -401,7 +392,6 @@ class PolytopeResult:
     certificate: BellInequality | None
     lp_iterations: int = field(default=0, compare=False)
     lp_degenerate: int = field(default=0, compare=False)
-    lp_bland: int = field(default=0, compare=False)
     residual: float | None = field(default=None, compare=False)
 
 
@@ -426,8 +416,7 @@ def polytope_membership(table: CorrelationTable) -> PolytopeResult:
     b = np.concatenate([table.values.ravel(), [1.0]])
 
     result = solve_feasibility(a, b)
-    work = {"lp_iterations": result.iterations, "lp_degenerate": result.degenerate,
-            "lp_bland": result.bland}
+    work = {"lp_iterations": result.iterations, "lp_degenerate": result.degenerate}
     if result.feasible:
         lam = np.where(result.x > EXACT_TOL, result.x, 0.0)
         lam /= lam.sum()

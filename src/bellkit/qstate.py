@@ -235,12 +235,23 @@ def correlation_tensor(state: PureState | DensityMatrix, *,
     return _pauli_transform(n, g)
 
 
+def walsh_hadamard(values: np.ndarray, n: int) -> np.ndarray:
+    """Apply [[1, 1], [1, -1]] along each of n bits, keeping shape and dtype.
+
+    In C order, values falls into blocks of 2**n entries, each indexed by n
+    bits with the most significant first: the axes of a (2,)*n grid, or the
+    qubits of z in g[f, z].  Each pass is one butterfly on one bit.
+    """
+    out = values
+    for q in range(n):
+        out = out.reshape((-1, 2, 2 ** (n - q - 1)))
+        out = np.stack((out[:, 0] + out[:, 1], out[:, 0] - out[:, 1]), axis=1)
+    return out.reshape(values.shape)
+
+
 def _pauli_transform(n: int, g: np.ndarray) -> CorrelationTensor:
     """The tensor T from g[f, z] = rho[z, z XOR f] (correlation_tensor's kernel)."""
-    for q in range(n):
-        # butterfly on the bit of z that belongs to qubit q + 1
-        g = g.reshape((-1, 2, 2 ** (n - q - 1)))
-        g = np.stack((g[:, 0] + g[:, 1], g[:, 0] - g[:, 1]), axis=1)
+    g = walsh_hadamard(g, n)  # one butterfly per bit of z, qubit 1 first
     # now g[f, p]; multiply by i**#y, with #y = popcount(f AND p)
     masks = np.arange(2**n)
     phase = _I_POWERS[np.bitwise_count(masks[:, None] & masks) % 4]

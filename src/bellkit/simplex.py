@@ -4,15 +4,18 @@ Solves: does there exist x >= 0 with A x = b?  Artificial variables give the
 starting basis, and the phase-1 objective is their sum.
 
 Pricing: the entering column is the one with the most negative reduced cost
-(Dantzig's rule).  A pivot whose step, the entering variable's new value, is
-at most BOUND_TOL is degenerate.  After more than n + m degenerate pivots in a
-row, one per variable column of the tableau, the entering column is instead
-the smallest index with a negative reduced cost (Bland's rule), until the next
-non-degenerate pivot.  The leaving row is always the smallest basic index
-among the ratio ties (within TIE_TOL).  This terminates: each non-degenerate
-pivot strictly lowers the phase-1 objective, so no basis repeats across one,
-and within a degenerate run Bland's rule cannot cycle (Bland, Math. Oper.
-Res. 2, 103, 1977).
+(Dantzig's rule).  The leaving row is chosen among the ratio ties, the rows
+whose ratio is within EXACT_TOL of the minimum, by the lexicographic rule of
+Dantzig, Orden & Wolfe (Pacific J. Math. 5, 183, 1955): the row whose
+artificial block of the tableau, which is B^-1, divided by its pivot-column
+entry is lexicographically smallest.  The rows of (b, B^-1) start
+lexicographically positive (b >= 0 after the row flips, B^-1 = I), and this
+rule keeps them so.  Each pivot adds a positive multiple of the new pivot row
+to the cost row, so the cost row's (right-hand side, artificial block) rises
+strictly in lexicographic order: in exact arithmetic no basis repeats, and
+the simplex cannot cycle.  In floating point the argument is not exact, and
+the iteration cap is the backstop.  A pivot whose step, the entering variable's
+new value, is at most BOUND_TOL is counted as degenerate.
 
 On infeasibility the final cost row yields a Farkas certificate y with
 
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceLimitError
-from .tolerance import BOUND_TOL, TIE_TOL
+from .tolerance import BOUND_TOL, EXACT_TOL
 
 
 @dataclass
@@ -39,15 +42,9 @@ class FeasibilityResult:
     x: np.ndarray | None
     # infeasible: Farkas vector for the original row space
     farkas: np.ndarray | None
-    # pivots in all, those with a step of at most BOUND_TOL, those priced by Bland's rule
+    # pivots in all, and those with a step of at most BOUND_TOL
     iterations: int
     degenerate: int
-    bland: int
-
-
-def _bland_after(columns: int) -> int:
-    """Degenerate pivots in a row after which Bland's rule picks the entering column."""
-    return columns + 1
 
 
 def solve_feasibility(a: np.ndarray, b: np.ndarray,
@@ -75,19 +72,11 @@ def solve_feasibility(a: np.ndarray, b: np.ndarray,
     cost[n:-1] = 1.0
     cost -= tab.sum(axis=0)
 
-    bland_after = _bland_after(n + m)
-    iterations = degenerate = bland = run = 0
+    iterations = degenerate = 0
     while True:
-        if run >= bland_after:
-            negative = cost[:-1] < -BOUND_TOL
-            if not negative.any():
-                break
-            enter = int(np.argmax(negative))  # first True: Bland's entering rule
-            bland += 1
-        else:
-            enter = int(np.argmin(cost[:-1]))  # Dantzig's entering rule
-            if cost[enter] >= -BOUND_TOL:
-                break
+        enter = int(np.argmin(cost[:-1]))  # Dantzig's entering rule
+        if cost[enter] >= -BOUND_TOL:
+            break
         if iterations >= max_iter:
             raise ResourceLimitError(f"simplex exceeded {max_iter} iterations")
         col = tab[:, enter]
@@ -97,13 +86,16 @@ def solve_feasibility(a: np.ndarray, b: np.ndarray,
         ratios = np.full(m, np.inf)
         ratios[positive] = tab[positive, -1] / col[positive]
         best = ratios.min()
-        ties = np.flatnonzero(ratios <= best + TIE_TOL)
-        leave = int(ties[np.argmin(basis[ties])])  # Bland's leaving rule
+        ties = np.flatnonzero(ratios <= best + EXACT_TOL)
+        # lexicographic leaving rule: smallest row of B^-1 over the pivot entry
+        for j in range(n, n + m):
+            if len(ties) == 1:
+                break
+            scaled = tab[ties, j] / col[ties]
+            ties = ties[scaled == scaled.min()]
+        leave = int(ties[0])
         if best <= BOUND_TOL:
             degenerate += 1
-            run += 1
-        else:
-            run = 0
 
         pivot = tab[leave, enter]
         tab[leave] /= pivot
@@ -118,11 +110,11 @@ def solve_feasibility(a: np.ndarray, b: np.ndarray,
     if objective > BOUND_TOL:
         # Reduced cost of artificial i is 1 - y_i in the flipped row space.
         y = (1.0 - cost[n:-1]) * flip
-        return FeasibilityResult(False, None, y, iterations, degenerate, bland)
+        return FeasibilityResult(False, None, y, iterations, degenerate)
 
     x = np.zeros(n)
     for i in range(m):
         if basis[i] < n:
             x[basis[i]] = tab[i, -1]
     np.clip(x, 0.0, None, out=x)
-    return FeasibilityResult(True, x, None, iterations, degenerate, bland)
+    return FeasibilityResult(True, x, None, iterations, degenerate)

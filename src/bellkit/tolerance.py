@@ -4,7 +4,8 @@
 #: a simplex pivot whose step is at most this is degenerate.
 BOUND_TOL = 1e-9
 
-#: Identities exact up to rounding: unit norm and trace, Hermiticity, weights summing to 1.
+#: Identities exact up to rounding: unit norm and trace, Hermiticity, weights summing to 1;
+#: simplex ratios this close to the minimum tie for the lexicographic leaving rule.
 EXACT_TOL = 1e-12
 
 #: Lowest eigenvalue a density matrix may have.
@@ -15,9 +16,6 @@ SWEEP_TOL = 1e-10
 
 #: Norms and objective rises this small count as zero.
 ZERO_TOL = 1e-14
-
-#: Simplex ratios this close to the minimum tie for Bland's leaving rule (smallest basic index).
-TIE_TOL = 1e-15
 
 #: How far alpha may stray outside [0, pi/4], so that 0.7854 passes.
 ALPHA_SLACK = 1e-4

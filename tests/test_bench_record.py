@@ -18,7 +18,8 @@ def write_run(directory: Path, side: str, seed: int, jobs_per_s: float, rss: flo
                "job_p90_ms": {"value": 2000 / jobs_per_s, "unit": "ms"},
                "setup_s": {"value": 0.25, "unit": "s"},
                "peak_rss_mb": {"value": rss, "unit": "MB"}}
-    info = {"workload": "facet_census", "seed": seed}
+    info = {"workload": "facet_census", "seed": seed, "raw_wall_jobs_per_s": jobs_per_s / 2,
+            "raw_setup_s": 0.3, "host_slowdown": 1 + seed / 10}
     if traced:
         info["layer_shares"] = {}
     path = directory / f"{side}-{seed}.json"
@@ -45,6 +46,28 @@ def test_record_summarises_each_side_and_counts_pair_wins(tmp_path):
     # lower is better for memory: seeds 1 and 2 won, seed 3 lost
     assert entry["metrics"]["peak_rss_mb"]["change_won"] == 2
     assert entry["metrics"]["job_p50_ms"]["change_won"] == 2
+    # unscaled run facts are summarised apart from the metrics, with no pair wins
+    assert set(entry["metrics"]) == {"jobs_per_s", "job_p50_ms", "job_p90_ms", "setup_s",
+                                     "peak_rss_mb"}
+    diagnostics = entry["diagnostics"]
+    assert set(diagnostics) == {"raw_wall_jobs_per_s", "raw_setup_s", "host_slowdown"}
+    raw = diagnostics["raw_wall_jobs_per_s"]
+    assert (raw["parent"]["median"], raw["parent"]["q1"], raw["parent"]["q3"]) == (6, 5.5, 6.5)
+    assert raw["change"]["values"] == [50, 5.5, 70, 75]
+    assert diagnostics["raw_setup_s"]["parent"]["median"] == 0.3
+    assert diagnostics["host_slowdown"]["change"]["median"] == pytest.approx(1.25)
+    assert "change_won" not in raw
+
+
+def test_record_refuses_runs_without_the_run_facts(tmp_path, capsys):
+    parent = [write_run(tmp_path, "parent", s, 10, 44.5) for s in (1, 2)]
+    change = [write_run(tmp_path, "change", s, 10, 44.5) for s in (1, 2)]
+    data = json.loads(Path(change[0]).read_text())
+    del data["info"]["host_slowdown"]
+    Path(change[0]).write_text(json.dumps(data))
+    out = str(tmp_path / "BENCH.json")
+    assert bench_record.main(["--parent", *parent, "--change", *change, "--out", out]) == 2
+    assert "host_slowdown" in capsys.readouterr().err
 
 
 def test_record_refuses_traced_and_repeated_runs(tmp_path, capsys):

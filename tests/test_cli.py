@@ -454,7 +454,7 @@ PINNED_OUTPUTS = [
     (("generate", "--layout", "8,8,4,4,4"), None,
      "7af991115163911c5f93aac04e0403de0783e732169dea3bdbc4fae45fceb9a0"),
     (("lhv", "--table", "-"), PINNED_TABLE,
-     "596de9235d3e483e5796fd75dfa1fab37f1c200a42c4adc06ac09bc6b0aae726"),
+     "de4f7f36ca0e2f4901f8a7db805f4af49469f501711e7d880ccf2a0e96425616"),
     (("tensor", "--state", "ghz:N=5,alpha=0.3"), None,
      "5a5ab5ae3a6f8037fc698d6fedab0727b6fbcd592bf7f57c69e345260593733d"),
     (("tensor", "--state", "noise:v=0.8(ghz:N=4,alpha=0.6)"), None,

@@ -14,7 +14,6 @@ POLICY = {
     "PSD_TOL": 1e-10,
     "SWEEP_TOL": 1e-10,
     "ZERO_TOL": 1e-14,
-    "TIE_TOL": 1e-15,
     "ALPHA_SLACK": 1e-4,
 }
 

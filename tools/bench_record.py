@@ -4,7 +4,10 @@ Each input is a `bench/out/<workload>-seed<n>-trace0.json` file written by
 `python3 bench/run.py ... --trace 0`, given after `--parent` or `--change`
 according to the commit it measured.  The output holds, per workload and per
 end-to-end metric of BENCHMARK.json, each side's run values, median and
-quartiles, and how many same-seed pairs the change won:
+quartiles, and how many same-seed pairs the change won.  Under a separate
+`diagnostics` key it holds the same summary of the unscaled run facts in
+`info`: the wall-clock rate, the set-up time and the host slowdown that the
+scaled metrics are divided by:
 
     python3 tools/bench_record.py --out BENCH_N.json \\
         --parent ../parent/bench/out/facet_census-seed1-trace0.json ... \\
@@ -20,9 +23,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
+#: run facts from `info`, summarised like the metrics but never counted as one
+DIAGNOSTICS = ("raw_wall_jobs_per_s", "raw_setup_s", "host_slowdown")
+
 
 def load_runs(paths: list[str]) -> dict[str, dict[int, dict]]:
-    """{workload: {seed: run}}; a workload and seed given twice is an error."""
+    """{workload: {seed: run file}}; a workload and seed given twice is an error."""
     runs: dict[str, dict[int, dict]] = {}
     for path in paths:
         data = json.loads(Path(path).read_text())
@@ -32,7 +38,7 @@ def load_runs(paths: list[str]) -> dict[str, dict[int, dict]]:
         by_seed = runs.setdefault(info["workload"], {})
         if info["seed"] in by_seed:
             raise ValueError(f"{path}: seed {info['seed']} of {info['workload']} given twice")
-        by_seed[info["seed"]] = data["result"]
+        by_seed[info["seed"]] = data
     return runs
 
 
@@ -51,22 +57,28 @@ def record(parent: dict[str, dict[int, dict]], change: dict[str, dict[int, dict]
         paired = sorted(set(sides["parent"]) & set(sides["change"]))
         entry = {
             "seeds": {side: sorted(runs) for side, runs in sides.items()},
-            "correct": all(r["correct"] for runs in sides.values() for r in runs.values()),
-            "attempted": {side: sum(r["attempted"] for r in runs.values())
+            "correct": all(r["result"]["correct"]
+                           for runs in sides.values() for r in runs.values()),
+            "attempted": {side: sum(r["result"]["attempted"] for r in runs.values())
                           for side, runs in sides.items()},
-            "failed": {side: sum(r["failed"] for r in runs.values())
+            "failed": {side: sum(r["result"]["failed"] for r in runs.values())
                        for side, runs in sides.items()},
             "metrics": {},
+            "diagnostics": {
+                name: {side: summary([runs[s]["info"][name] for s in sorted(runs)])
+                       for side, runs in sides.items()}
+                for name in DIAGNOSTICS},
         }
         for metric in metrics:
             name, higher = metric["name"], metric["better"] == "higher"
             row = {"unit": metric["unit"], "better": metric["better"]}
             for side, runs in sides.items():
-                row[side] = summary([runs[s]["metrics"][name]["value"] for s in sorted(runs)])
+                row[side] = summary([runs[s]["result"]["metrics"][name]["value"]
+                                     for s in sorted(runs)])
             wins = 0
             for seed in paired:
-                p = sides["parent"][seed]["metrics"][name]["value"]
-                c = sides["change"][seed]["metrics"][name]["value"]
+                p = sides["parent"][seed]["result"]["metrics"][name]["value"]
+                c = sides["change"][seed]["result"]["metrics"][name]["value"]
                 wins += (c > p) if higher else (c < p)
             row["pairs"] = len(paired)
             row["change_won"] = wins
