@@ -42,11 +42,9 @@ from .multiset import (
     Node,
     Observable,
     TightnessReport,
-    build_442,
     build_recursive,
     check_tightness,
     reduce_settings,
-    tree_442,
     tree_8842,
     tree_88444,
     tree_chain,

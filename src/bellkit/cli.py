@@ -78,8 +78,20 @@ def parse_state_spec(spec: str) -> tuple[PureState, tuple[float, ...]]:
     checks their range.  No density matrix is built.
     """
     spec = spec.strip()
+    visibilities: list[float] = []
+    # unwrapped in a loop, not by recursion, so any nesting depth parses
+    while spec.startswith("noise:"):
+        match = _NOISE_RE.match(spec[6:])
+        if match is None:
+            raise ValueError(f"noise spec must look like noise:v=0.8(<state>), got {spec!r}")
+        try:
+            visibilities.append(float(match.group(1)))
+        except ValueError as exc:
+            raise ValueError(f"bad visibility in {spec!r}") from exc
+        spec = match.group(2).strip()
+    visibilities.reverse()
     if spec == "singlet":
-        return singlet(), ()
+        return singlet(), tuple(visibilities)
     if spec.startswith("ghz:"):
         params = _parse_params(spec[4:], spec)
         unknown = set(params) - {"N", "n", "alpha"}
@@ -94,17 +106,7 @@ def parse_state_spec(spec: str) -> tuple[PureState, tuple[float, ...]]:
             family = GhzFamily(int(n_text), float(params["alpha"]))
         except ValueError as exc:
             raise ValueError(f"bad ghz spec {spec!r}: {exc}") from exc
-        return ghz_state(family), ()
-    if spec.startswith("noise:"):
-        match = _NOISE_RE.match(spec[6:])
-        if match is None:
-            raise ValueError(f"noise spec must look like noise:v=0.8(<state>), got {spec!r}")
-        try:
-            visibility = float(match.group(1))
-        except ValueError as exc:
-            raise ValueError(f"bad visibility in {spec!r}") from exc
-        state, visibilities = parse_state_spec(match.group(2))
-        return state, visibilities + (visibility,)
+        return ghz_state(family), tuple(visibilities)
     raise ValueError(f"unknown state spec {spec!r} (expected singlet, ghz:..., noise:...)")
 
 
@@ -119,7 +121,7 @@ def _read_json(path: str):
         raise ValueError(f"cannot read {path!r}: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nesting too deep
         raise ValueError(f"invalid JSON in {path!r}: {exc}") from exc
 
 

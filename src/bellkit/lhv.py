@@ -25,6 +25,7 @@ sign for setting k+1 (bit 0 means +1).
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass, field
 from functools import reduce
 from types import MappingProxyType
@@ -226,10 +227,12 @@ class BellInequality:
             coeff = coeff.astype(np.int64)
         if coeff.shape != self.layout.shape:
             raise ValueError(f"coefficients shape {coeff.shape} != layout {self.layout.shape}")
+        if not np.all(np.isfinite(coeff)):
+            raise ValueError("coefficients must be finite")
         if not np.any(coeff):
             raise ValueError("coefficients must not all vanish")
-        if not self.bound > 0:
-            raise ValueError("bound must be positive")
+        if not 0 < self.bound <= sys.float_info.max:  # compared exactly, even to a huge int
+            raise ValueError("bound must be positive and finite")
         coeff = coeff.copy()
         coeff.flags.writeable = False
         object.__setattr__(self, "coefficients", coeff)
@@ -252,7 +255,7 @@ class BellInequality:
     def from_json_dict(cls, data: dict) -> "BellInequality":
         layout = ExperimentLayout(tuple(int(m) for m in data["layout"]))
         coeff = np.array(data["coefficients"])
-        if coeff.dtype.kind == "f" and np.all(coeff == np.round(coeff)):
+        if coeff.dtype.kind == "f" and np.all(np.isfinite(coeff) & (coeff == np.round(coeff))):
             coeff = coeff.astype(np.int64)
         return cls(layout, coeff, data["bound"])
 

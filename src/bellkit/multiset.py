@@ -12,8 +12,13 @@ every deterministic outcome assignment, evaluates to exactly +-c:
 
 Node pairs must cover the same parties with disjoint settings, and the two
 pairs of a Node must involve disjoint party sets.  Averaging the identity
-over hidden variables turns each tree into a Bell inequality whose integer
-coefficient tensor is computed here by direct expansion.  Tightness is
+over hidden variables turns each tree into a Bell inequality.  Its int64
+coefficient tensor comes from one recursion over the tree, in which every
+block is a dense tensor over the whole layout, with a size-1 axis for each
+party outside the block: an Observable is one-hot, a Leaf is its sign
+function's Walsh coefficients scattered onto its setting pairs, and a Node
+is X1 (w00 Y1 + w01 Y2) + X2 (w10 Y1 + w11 Y2), with w its sign function's
+Walsh coefficients, formed by broadcasting.  Tightness is
 decided by enumerating the distinct polytope vertices, counting those that
 saturate the bound, and measuring their exact linear rank: full rank is
 certified by elimination modulo a prime on a random integer sketch of the
@@ -30,12 +35,18 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
+from .errors import ResourceLimitError
 from .lhv import (
     BellInequality,
     ExperimentLayout,
     SignFunction,
     enumerate_vertices,
 )
+from .qstate import MAX_QUBITS
+
+#: layout_tree refuses layouts with more coefficient entries than this: the
+#: entry count of the largest tensor the qubit cap allows.
+MAX_LAYOUT_ENTRIES = 4**MAX_QUBITS
 
 
 @dataclass(frozen=True)
@@ -86,73 +97,64 @@ class Node:
 ConstructionTree = Union[Observable, Leaf, Node]
 
 
-@dataclass(frozen=True)
-class _Block:
-    """Expansion state: per-party coefficient maps and the guaranteed value."""
-
-    # {party: {setting: ...}} nested coefficient dict keyed by full assignments
-    coeffs: dict[tuple[tuple[int, int], ...], int]
-    parties: frozenset[int]
-    magnitude: int
+#: What _expand returns for a block: its coefficient tensor, parties and magnitude.
+_Expansion = tuple[np.ndarray, frozenset[int], int]
 
 
-def _expand(tree: ConstructionTree) -> _Block:
+def _spread(block: np.ndarray, parties: Sequence[int], shape: tuple[int, ...]) -> np.ndarray:
+    """A block whose axes belong to ``parties``, in that order, laid onto the
+    layout ``shape``: axes in party order, size 1 for every other party."""
+    dims = [1] * len(shape)
+    for party in parties:
+        dims[party - 1] = shape[party - 1]
+    return block.transpose(np.argsort(parties)).reshape(dims)
+
+
+def _expand(tree: ConstructionTree, shape: tuple[int, ...]) -> _Expansion:
+    """The coefficient tensor of a block over the layout ``shape`` (size 1 on
+    the axes of parties outside the block), its party set and its magnitude."""
     if isinstance(tree, Observable):
-        key = ((tree.party, tree.setting),)
-        return _Block({key: 1}, frozenset([tree.party]), 1)
+        one_hot = np.eye(shape[tree.party - 1], dtype=np.int64)[tree.setting - 1]
+        return _spread(one_hot, (tree.party,), shape), frozenset([tree.party]), 1
 
     if isinstance(tree, Leaf):
         if len(set(tree.parties)) != len(tree.parties):
             raise ValueError("leaf parties must be distinct")
-        walsh = tree.sign.walsh_coefficients()
-        coeffs: dict[tuple[tuple[int, int], ...], int] = {}
-        for idx in np.ndindex(*walsh.shape):
-            w = int(walsh[idx])
-            if w == 0:
-                continue
-            key = tuple(
-                sorted(
-                    (party, pair[bit])
-                    for party, pair, bit in zip(tree.parties, tree.setting_pairs, idx)
-                )
-            )
-            coeffs[key] = coeffs.get(key, 0) + w
-        return _Block(coeffs, frozenset(tree.parties), 2 ** len(tree.parties))
+        block = np.zeros([shape[p - 1] for p in tree.parties], dtype=np.int64)
+        pairs = (np.subtract(pair, 1) for pair in tree.setting_pairs)
+        block[np.ix_(*pairs)] = tree.sign.walsh_coefficients()
+        return (_spread(block, tree.parties, shape), frozenset(tree.parties),
+                2 ** len(tree.parties))
 
-    if isinstance(tree, Node):
-        x1, x2 = (_expand(b) for b in tree.first)
-        y1, y2 = (_expand(b) for b in tree.second)
-        _check_pair(x1, x2)
-        _check_pair(y1, y2)
-        if x1.parties & y1.parties:
-            raise ValueError("node pairs must involve disjoint party sets")
-        walsh = tree.sign.walsh_coefficients()
-        w00, w01 = int(walsh[0, 0]), int(walsh[0, 1])
-        w10, w11 = int(walsh[1, 0]), int(walsh[1, 1])
-        coeffs: dict[tuple[tuple[int, int], ...], int] = {}
-        for w, xb, yb in ((w00, x1, y1), (w01, x1, y2), (w10, x2, y1), (w11, x2, y2)):
-            if w == 0:
-                continue
-            for kx, cx in xb.coeffs.items():
-                for ky, cy in yb.coeffs.items():
-                    key = tuple(sorted(kx + ky))
-                    coeffs[key] = coeffs.get(key, 0) + w * cx * cy
-        coeffs = {k: c for k, c in coeffs.items() if c != 0}
-        return _Block(coeffs, x1.parties | y1.parties, 4 * x1.magnitude * y1.magnitude)
-
-    raise TypeError(f"not a construction tree: {tree!r}")
+    xs = [_expand(branch, shape) for branch in tree.first]
+    ys = [_expand(branch, shape) for branch in tree.second]
+    _check_pair(*xs)
+    _check_pair(*ys)
+    (x1, x_parties, x_magnitude), (x2, _, _) = xs
+    (y1, y_parties, y_magnitude), (y2, _, _) = ys
+    if x_parties & y_parties:
+        raise ValueError("node pairs must involve disjoint party sets")
+    magnitude = 4 * x_magnitude * y_magnitude
+    # |coefficient| <= magnitude, and each sum formed below stays within twice it
+    if magnitude >= 1 << 62:
+        raise ResourceLimitError(f"tree magnitude {magnitude} is past exact int64 coefficients")
+    (w00, w01), (w10, w11) = tree.sign.walsh_coefficients()
+    coeff = x1 * (w00 * y1 + w01 * y2) + x2 * (w10 * y1 + w11 * y2)
+    return coeff, x_parties | y_parties, magnitude
 
 
-def _check_pair(b1: _Block, b2: _Block) -> None:
-    if b1.parties != b2.parties:
+def _check_pair(first: _Expansion, second: _Expansion) -> None:
+    (c1, parties, m1), (c2, parties2, m2) = first, second
+    if parties != parties2:
         raise ValueError("paired blocks must cover the same parties")
-    if b1.magnitude != b2.magnitude:
+    if m1 != m2:
         raise ValueError("paired blocks must have equal magnitudes")
-    for party in b1.parties:
-        used1 = {s for key in b1.coeffs for p, s in key if p == party}
-        used2 = {s for key in b2.coeffs for p, s in key if p == party}
-        if used1 & used2:
-            raise ValueError(f"paired blocks reuse settings {used1 & used2} of party {party}")
+    for party in sorted(parties):
+        others = tuple(axis for axis in range(c1.ndim) if axis != party - 1)
+        shared = c1.any(axis=others) & c2.any(axis=others)
+        if shared.any():
+            settings = set((np.flatnonzero(shared) + 1).tolist())
+            raise ValueError(f"paired blocks reuse settings {settings} of party {party}")
 
 
 def _declared_settings(tree: ConstructionTree, out: dict[int, int]) -> None:
@@ -164,6 +166,8 @@ def _declared_settings(tree: ConstructionTree, out: dict[int, int]) -> None:
     elif isinstance(tree, Node):
         for branch in (*tree.first, *tree.second):
             _declared_settings(branch, out)
+    else:
+        raise TypeError(f"not a construction tree: {tree!r}")
 
 
 def build_recursive(tree: ConstructionTree) -> BellInequality:
@@ -173,31 +177,14 @@ def build_recursive(tree: ConstructionTree) -> BellInequality:
     may zero out whole slices but do not shrink the layout); the bound is the
     guaranteed deterministic value of the tree.
     """
-    block = _expand(tree)
-    parties = sorted(block.parties)
-    if parties != list(range(1, len(parties) + 1)):
-        raise ValueError(f"tree parties {parties} must be exactly 1..N")
-    n = len(parties)
     declared: dict[int, int] = {}
     _declared_settings(tree, declared)
+    parties = sorted(declared)
+    if parties != list(range(1, len(parties) + 1)):
+        raise ValueError(f"tree parties {parties} must be exactly 1..N")
     layout = ExperimentLayout(tuple(declared[p] for p in parties))
-    coeff = np.zeros(layout.shape, dtype=np.int64)
-    for key, c in block.coeffs.items():
-        idx = [0] * n
-        for party, setting in key:
-            idx[party - 1] = setting - 1
-        coeff[tuple(idx)] = c
-    return BellInequality(layout, coeff, block.magnitude)
-
-
-def tree_442(top: SignFunction, left: SignFunction, right: SignFunction) -> Node:
-    """Three-party tree on a 4 x 4 x 2 layout, bound 16: tree_chain(3, ...)."""
-    return tree_chain(3, top, left, right)
-
-
-def build_442(top: SignFunction, left: SignFunction, right: SignFunction) -> BellInequality:
-    """The 4 x 4 x 2 family member for one sign-function triple."""
-    return build_recursive(tree_442(top, left, right))
+    coeff, _, magnitude = _expand(tree, layout.shape)
+    return BellInequality(layout, coeff, magnitude)
 
 
 def tree_chain(n_parties: int, top: SignFunction,
@@ -277,7 +264,14 @@ def layout_tree(layout: tuple[int, ...]) -> tuple[tuple[int, ...], Callable]:
       4x...x4x2  (N >= 3)  arities (2, N-1, N-1)    tree_chain
       8x8x4x2              arities (2,) * 7         tree_8842
       8x8x4x4x4            arities (2,) * 9         tree_88444
+
+    Layouts with more than MAX_LAYOUT_ENTRIES coefficients (2x...x2 past
+    N = 20, 4x...x4x2 past N = 10) raise ResourceLimitError.
     """
+    entries = math.prod(layout)
+    if entries > MAX_LAYOUT_ENTRIES:
+        raise ResourceLimitError(
+            f"layouts are capped at {MAX_LAYOUT_ENTRIES} coefficient entries, got {entries}")
     n = len(layout)
     if n >= 1 and layout == (2,) * n:
         return (n,), _two_setting_tree
@@ -462,7 +456,7 @@ def reduce_settings(ineq: BellInequality, mapping: list[dict[int, int]]) -> Bell
     layout = ineq.layout
     if len(mapping) != layout.n_parties:
         raise ValueError("one setting map per party required")
-    new_m = []
+    new_m, targets = [], []
     for j, (m_old, perm) in enumerate(zip(layout.settings_per_party, mapping)):
         if sorted(perm.keys()) != list(range(1, m_old + 1)):
             raise ValueError(f"party {j + 1} map must cover settings 1..{m_old}")
@@ -470,9 +464,9 @@ def reduce_settings(ineq: BellInequality, mapping: list[dict[int, int]]) -> Bell
         if min(perm.values()) < 1 or set(perm.values()) != set(range(1, top + 1)):
             raise ValueError(f"party {j + 1} map is not onto 1..{top}")
         new_m.append(top)
+        targets.append([perm[k] - 1 for k in range(1, m_old + 1)])
     new_layout = ExperimentLayout(tuple(new_m))
     coeff = np.zeros(new_layout.shape, dtype=ineq.coefficients.dtype)
-    for idx in np.ndindex(*layout.shape):
-        target = tuple(mapping[j][k + 1] - 1 for j, k in enumerate(idx))
-        coeff[target] += ineq.coefficients[idx]
+    # unbuffered, in C order over the old entries: floats sum as a loop would
+    np.add.at(coeff, np.ix_(*targets), ineq.coefficients)
     return BellInequality(new_layout, coeff, ineq.bound)

@@ -89,9 +89,10 @@ def test_criterion_03_strategy_values_saturate_exactly():
         inequalities.append(bk.sign_inequality(random_sign(rng, 3)))
     for _ in range(10):
         inequalities.append(bk.sign_inequality(random_sign(rng, 4)))
-    inequalities.append(bk.build_442(chsh, chsh, chsh))
+    inequalities.append(bk.build_recursive(bk.tree_chain(3, chsh, chsh, chsh)))
     for _ in range(10):
-        inequalities.append(bk.build_442(*(random_sign(rng, 2) for _ in range(3))))
+        inequalities.append(bk.build_recursive(
+            bk.tree_chain(3, *(random_sign(rng, 2) for _ in range(3)))))
     inequalities.append(bk.build_recursive(
         bk.tree_chain(4, chsh, random_sign(rng, 3), random_sign(rng, 3))))
     for _ in range(5):
@@ -111,7 +112,7 @@ def test_criterion_03_strategy_values_saturate_exactly():
 def test_criterion_04_default_442_vertex_census_and_tightness():
     chsh = bk.SignFunction.chsh()
     start = time.perf_counter()
-    report = bk.check_tightness(bk.build_442(chsh, chsh, chsh))
+    report = bk.check_tightness(bk.build_recursive(bk.tree_chain(3, chsh, chsh, chsh)))
     elapsed = time.perf_counter() - start
     assert report.vertex_count == 256
     assert report.saturating_count == 128

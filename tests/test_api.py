@@ -25,7 +25,6 @@ PUBLIC_API = [
     "SettingVector",
     "SignFunction",
     "TightnessReport",
-    "build_442",
     "build_recursive",
     "check_tightness",
     "condition_multisetting_CN",
@@ -53,7 +52,6 @@ PUBLIC_API = [
     "sign_inequality",
     "singlet",
     "transformed_table",
-    "tree_442",
     "tree_8842",
     "tree_88444",
     "tree_chain",

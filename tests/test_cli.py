@@ -372,6 +372,16 @@ EXIT_2_LINES = [
      "line 1 column 2 (char 1)"),
     (("generate", "--layout", "2,2", "--signs", "0001"), None,
      "bellkit: error: unrecognized arguments: --signs 0001"),
+    # non-finite inequalities; the states differ only to keep the test ids unique
+    (("maximize", "--inequality", "-", "--state", "singlet"),
+     CHSH_JSON.replace("[1, 1]", "[NaN, 1]"),
+     "error: not a valid Bell inequality: coefficients must be finite"),
+    (("maximize", "--inequality", "-", "--state", "noise:v=0.5(singlet)"),
+     CHSH_JSON.replace("[1, 1]", "[Infinity, 1]"),
+     "error: not a valid Bell inequality: coefficients must be finite"),
+    (("maximize", "--inequality", "-", "--state", "ghz:N=2,alpha=0.3"),
+     CHSH_JSON.replace('"bound": 2', '"bound": Infinity'),
+     "error: not a valid Bell inequality: bound must be positive and finite"),
 ]
 
 
@@ -386,6 +396,20 @@ def test_exit_2_stderr_line(args, stdin, line):
         assert err == line + "\n"
     else:
         assert err.splitlines()[-1] == line
+
+
+def test_deeply_nested_json_exits_2():
+    code, out, err = run_cli("lhv", "--table", "-", stdin="[" * 5000)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: invalid JSON in '-': ")
+    assert err.count("\n") == 1
+
+
+def test_deeply_nested_noise_spec_parses():
+    spec = "singlet"
+    for _ in range(1200):
+        spec = f"noise:v=1({spec})"
+    assert run_cli("tensor", "--state", spec) == run_cli("tensor", "--state", "singlet")
 
 
 def state_json(n: int, amplitudes) -> str:
@@ -412,6 +436,20 @@ def test_qubit_cap_exits_4(args, stdin):
     code, out, err = run_cli(*args, stdin=stdin)
     assert (code, out) == (4, "")
     assert err == "resource cap: dense tensors are capped at 10 qubits\n"
+
+
+#: generate layouts past MAX_LAYOUT_ENTRIES (4^10 = 2^20 coefficients); each is
+#: refused before a default sign bitstring or a coefficient tensor is built
+OVER_LAYOUT_CAP = [(4,) * 15 + (2,), (2,) * 30, (4,) * 10 + (2,), (2,) * 21]
+
+
+@pytest.mark.parametrize("layout", OVER_LAYOUT_CAP,
+                         ids=["4,...,4,2 N=16", "2,...,2 N=30", "4,...,4,2 N=11", "2,...,2 N=21"])
+def test_layout_cap_exits_4(layout):
+    code, out, err = run_cli("generate", "--layout", ",".join(map(str, layout)))
+    assert (code, out) == (4, "")
+    assert err == ("resource cap: layouts are capped at 1048576 coefficient entries, "
+                   f"got {int(np.prod(layout))}\n")
 
 
 def test_tensor_state_file_norm_edge_exits_2():

@@ -340,6 +340,19 @@ def test_inequality_json_round_trip():
     assert back.bound == ineq.bound
 
 
+@pytest.mark.parametrize("coefficients, bound", [
+    ([[float("nan"), 1], [1, -1]], 2),
+    ([[float("inf"), 1], [1, -1]], 2),
+    ([[1, 1], [1, -1]], float("inf")),
+    ([[1, 1], [1, -1]], 10**400),
+], ids=["nan-coefficient", "infinite-coefficient", "infinite-bound", "bound-past-float"])
+def test_inequality_rejects_non_finite_values(coefficients, bound):
+    # whole-valued floats become int64 only when finite: inf is never cast to -2^63
+    data = {"layout": [2, 2], "coefficients": coefficients, "bound": bound}
+    with pytest.raises(ValueError, match="finite"):
+        bk.BellInequality.from_json_dict(data)
+
+
 def test_vertex_values_bounded_by_family_bound():
     layout = bk.ExperimentLayout((2, 2))
     rows = vertex_matrix(layout)

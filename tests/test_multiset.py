@@ -43,7 +43,7 @@ def all_strategy_values(ineq: bk.BellInequality) -> np.ndarray:
 
 
 def test_442_matches_independent_expansion_all_chsh():
-    ineq = bk.build_442(CHSH, CHSH, CHSH)
+    ineq = bk.build_recursive(bk.tree_chain(3, CHSH, CHSH, CHSH))
     assert ineq.layout.settings_per_party == (4, 4, 2)
     assert ineq.bound == 16
     assert np.array_equal(ineq.coefficients, expanded_442(CHSH, CHSH, CHSH))
@@ -59,13 +59,13 @@ def test_442_matches_independent_expansion_random_triples():
     signs = list(bk.enumerate_sign_functions(2))
     for _ in range(20):
         top, left, right = (signs[rng.integers(16)] for _ in range(3))
-        ineq = bk.build_442(top, left, right)
+        ineq = bk.build_recursive(bk.tree_chain(3, top, left, right))
         assert np.array_equal(ineq.coefficients, expanded_442(top, left, right))
         assert ineq.bound == 16
 
 
 def test_442_identity_every_strategy():
-    values = all_strategy_values(bk.build_442(CHSH, CHSH, CHSH))
+    values = all_strategy_values(bk.build_recursive(bk.tree_chain(3, CHSH, CHSH, CHSH)))
     assert set(values.tolist()) == {-16, 16}
 
 
@@ -73,17 +73,20 @@ def test_442_identity_random_triples():
     rng = np.random.default_rng(23)
     signs = list(bk.enumerate_sign_functions(2))
     for _ in range(5):
-        ineq = bk.build_442(*(signs[rng.integers(16)] for _ in range(3)))
+        ineq = bk.build_recursive(
+            bk.tree_chain(3, *(signs[rng.integers(16)] for _ in range(3))))
         assert set(all_strategy_values(ineq).tolist()) <= {-16, 16}
 
 
 def test_tree_consistency_with_builder():
-    tree = bk.tree_442(CHSH, CHSH, CHSH)
-    assert np.array_equal(bk.build_recursive(tree).coefficients,
-                          bk.build_442(CHSH, CHSH, CHSH).coefficients)
-    chain = bk.tree_chain(3, CHSH, CHSH, CHSH)
-    assert np.array_equal(bk.build_recursive(chain).coefficients,
-                          bk.build_442(CHSH, CHSH, CHSH).coefficients)
+    """The registry's 4x4x2 builder is tree_chain(3, ...), slot for slot."""
+    arities, build = ms.layout_tree((4, 4, 2))
+    assert arities == (2, 2, 2)
+    signs = list(bk.enumerate_sign_functions(2))
+    top, left, right = signs[6], signs[1], signs[7]
+    assert build([top, left, right]) == bk.tree_chain(3, top, left, right)
+    assert np.array_equal(bk.build_recursive(build([top, left, right])).coefficients,
+                          expanded_442(top, left, right))
 
 
 def test_8842_bound_and_identity():
@@ -111,6 +114,82 @@ def test_88444_bound_and_identity_sampled():
     assert set(total.tolist()) == {-256, 256}
 
 
+def sampled_strategy_values(ineq: bk.BellInequality, rng, samples: int = 4096) -> np.ndarray:
+    """Expression value on random deterministic strategies, exactly in integers.
+
+    Contracts the coefficient tensor party by party with each sample's +-1
+    outcome vector; the result has one entry per sample.
+    """
+    total = np.asarray(ineq.coefficients, dtype=np.int64)
+    for j, m in enumerate(ineq.layout.settings_per_party):
+        codes = rng.integers(0, 1 << m, size=samples)[:, None]
+        outs = (1 - 2 * ((codes >> np.arange(m)[None, :]) & 1)).astype(np.int64)
+        total = np.einsum("sk,k...->s...", outs, total) if j == 0 else \
+            np.einsum("sk,sk...->s...", outs, total)
+    return total
+
+
+REGISTRY_LAYOUTS = [(2, 2), (2, 2, 2), (2, 2, 2, 2), (4, 4, 2), (4, 4, 4, 2), (4, 4, 4, 4, 2),
+                    (8, 8, 4, 2), (8, 8, 4, 4, 4)]
+
+
+@pytest.mark.parametrize("layout", REGISTRY_LAYOUTS,
+                         ids=[",".join(map(str, layout)) for layout in REGISTRY_LAYOUTS])
+def test_registry_trees_take_plus_minus_bound_for_random_signs(layout):
+    """Every strategy gives +-bound: all of them up to 2^16 strategies, else a sample."""
+    rng = np.random.default_rng(sum(layout))
+    arities, build = ms.layout_tree(layout)
+    for _ in range(4):
+        ineq = bk.build_recursive(build([random_sign(rng, a) for a in arities]))
+        assert ineq.layout.settings_per_party == layout
+        if ineq.layout.strategy_count() <= 1 << 16:
+            values = all_strategy_values(ineq)
+        else:
+            values = sampled_strategy_values(ineq, rng)
+        assert set(values.tolist()) <= {-ineq.bound, ineq.bound}
+
+
+def test_leaf_party_order_permutes_the_sign_arguments():
+    """Leaf(parties, pairs, S) in any party order is the sorted leaf of S with
+    its arguments permuted to match."""
+    rng = np.random.default_rng(29)
+    for _ in range(10):
+        order = rng.permutation(3)
+        pairs = [(1, 2), (3, 2), (2, 4)]
+        sign = random_sign(rng, 3)
+        shuffled = bk.Leaf(tuple(int(j) + 1 for j in order),
+                           tuple(pairs[j] for j in order), sign)
+        grid = sign.values_grid().transpose(np.argsort(order))
+        sorted_sign = bk.SignFunction(3, tuple((grid.ravel() < 0).astype(int)))
+        want = bk.build_recursive(bk.Leaf((1, 2, 3), tuple(pairs), sorted_sign))
+        assert np.array_equal(bk.build_recursive(shuffled).coefficients, want.coefficients)
+
+
+def degenerate_block(parties: tuple[int, ...], setting: int) -> bk.ConstructionTree:
+    """A block that uses only ``setting`` (1 or 2) of each party.
+
+    Constant sign functions keep one term of every leaf and node, so the
+    block is 2^|P| 4^(|P|-1) times one product of observables.
+    """
+    if len(parties) == 1:
+        return bk.Leaf(parties, ((setting, 3 - setting),), bk.SignFunction(1, (0, 0)))
+    half = len(parties) // 2
+    first, second = parties[:half], parties[half:]
+    return bk.Node(bk.SignFunction(2, (0, 0, 0, 0)),
+                   (degenerate_block(first, setting), degenerate_block(first, 3 - setting)),
+                   (degenerate_block(second, setting), degenerate_block(second, 3 - setting)))
+
+
+def test_build_refuses_magnitudes_past_int64():
+    ineq = bk.build_recursive(degenerate_block((1, 2, 3, 4, 5), 1))
+    assert ineq.bound == 2**5 * 4**4
+    assert np.count_nonzero(ineq.coefficients) == 1
+    assert ineq.coefficients[(0,) * 5] == ineq.bound
+    # at 22 parties the magnitude is 2^22 4^21 = 2^64: int64 coefficients would wrap
+    with pytest.raises(bk.ResourceLimitError, match="magnitude"):
+        bk.build_recursive(degenerate_block(tuple(range(1, 23)), 1))
+
+
 def test_chain_four_party_identity():
     arity3 = bk.SignFunction.from_bitstring("00010111")
     ineq = bk.build_recursive(bk.tree_chain(4, CHSH, arity3, arity3))
@@ -124,7 +203,7 @@ def test_chain_four_party_identity():
 
 
 def test_tightness_442_numbers():
-    report = bk.check_tightness(bk.build_442(CHSH, CHSH, CHSH))
+    report = bk.check_tightness(bk.build_recursive(bk.tree_chain(3, CHSH, CHSH, CHSH)))
     assert report.vertex_count == 256
     assert report.saturating_count == 128
     assert report.affine_rank == 32
@@ -248,7 +327,7 @@ def test_tightness_rejects_float_coefficients():
 
 
 def test_reduce_settings_identity_map():
-    ineq = bk.build_442(CHSH, CHSH, CHSH)
+    ineq = bk.build_recursive(bk.tree_chain(3, CHSH, CHSH, CHSH))
     mapping = [{1: 1, 2: 2, 3: 3, 4: 4}, {1: 1, 2: 2, 3: 3, 4: 4}, {1: 1, 2: 2}]
     reduced = bk.reduce_settings(ineq, mapping)
     assert np.array_equal(reduced.coefficients, ineq.coefficients)
@@ -256,12 +335,32 @@ def test_reduce_settings_identity_map():
 
 
 def test_reduce_settings_merge_all():
-    ineq = bk.build_442(CHSH, CHSH, CHSH)
+    ineq = bk.build_recursive(bk.tree_chain(3, CHSH, CHSH, CHSH))
     mapping = [{k: 1 for k in range(1, 5)}, {k: 1 for k in range(1, 5)}, {1: 1, 2: 1}]
     reduced = bk.reduce_settings(ineq, mapping)
     assert reduced.layout.settings_per_party == (1, 1, 1)
     assert reduced.coefficients.reshape(()) == ineq.coefficients.sum()
     assert reduced.bound == ineq.bound
+
+
+def test_reduce_settings_float_sums_match_a_loop_bit_for_bit():
+    """Merged float coefficients are summed in the C order of the old entries."""
+    rng = np.random.default_rng(5)
+    layout = bk.ExperimentLayout((4, 3, 5))
+    for _ in range(10):
+        coeff = rng.normal(size=layout.shape) * 10.0 ** rng.integers(-12, 12, size=layout.shape)
+        coeff[rng.random(layout.shape) < 0.2] = -0.0
+        ineq = bk.BellInequality(layout, coeff, 1.0)
+        mapping = []
+        for m in layout.shape:
+            top = int(rng.integers(1, m + 1))
+            targets = np.concatenate([np.arange(1, top + 1), rng.integers(1, top + 1, m - top)])
+            mapping.append({k + 1: int(t) for k, t in enumerate(rng.permutation(targets))})
+        reduced = bk.reduce_settings(ineq, mapping)
+        want = np.zeros(reduced.layout.shape)
+        for idx in np.ndindex(*layout.shape):
+            want[tuple(mapping[j][k + 1] - 1 for j, k in enumerate(idx))] += coeff[idx]
+        assert reduced.coefficients.tobytes() == want.tobytes()
 
 
 def test_factorable_top_reduces_to_two_setting_member():
@@ -272,7 +371,7 @@ def test_factorable_top_reduces_to_two_setting_member():
     function ignores the third party.
     """
     s_factor = bk.SignFunction(2, (0, 0, 1, 1))  # S(s1, s2) = s1
-    ineq = bk.build_442(s_factor, CHSH, CHSH)
+    ineq = bk.build_recursive(bk.tree_chain(3, s_factor, CHSH, CHSH))
     mapping = [{1: 1, 2: 2, 3: 1, 4: 2}, {1: 1, 2: 2, 3: 1, 4: 2}, {1: 1, 2: 2}]
     reduced = bk.reduce_settings(ineq, mapping)
     assert reduced.layout.settings_per_party == (2, 2, 2)
@@ -296,17 +395,18 @@ def test_sign_flip_closure():
     signs = list(bk.enumerate_sign_functions(2))
     family = {}
     for triple in itertools.product(range(16), repeat=3):
-        member = bk.build_442(signs[triple[0]], signs[triple[1]], signs[triple[2]])
+        member = bk.build_recursive(bk.tree_chain(3, *(signs[t] for t in triple)))
         family[member.coefficients.tobytes()] = triple
 
-    base = bk.build_442(CHSH, CHSH, CHSH)
+    base = bk.build_recursive(bk.tree_chain(3, CHSH, CHSH, CHSH))
     for party, setting in ((1, 1), (2, 3), (3, 1), (3, 2)):
         flipped = flip_slice(base, party, setting)
         assert flipped.tobytes() in family
 
     rng = np.random.default_rng(8)
     for _ in range(5):
-        member = bk.build_442(*(signs[rng.integers(16)] for _ in range(3)))
+        member = bk.build_recursive(
+            bk.tree_chain(3, *(signs[rng.integers(16)] for _ in range(3))))
         party = int(rng.integers(1, 4))
         setting = int(rng.integers(1, 5 if party < 3 else 3))
         flipped = flip_slice(member, party, setting)
