@@ -13,17 +13,16 @@ every deterministic outcome assignment, evaluates to exactly +-c:
 Node pairs must cover the same parties with disjoint settings, and the two
 pairs of a Node must involve disjoint party sets.  Averaging the identity
 over hidden variables turns each tree into a Bell inequality.  Its int64
-coefficient tensor comes from one recursion over the tree, in which every
-block is a dense tensor over the whole layout, with a size-1 axis for each
-party outside the block: an Observable is one-hot, a Leaf is its sign
-function's Walsh coefficients scattered onto its setting pairs, and a Node
-is X1 (w00 Y1 + w01 Y2) + X2 (w10 Y1 + w11 Y2), with w its sign function's
-Walsh coefficients, formed by broadcasting.  Tightness is
-decided by enumerating the distinct polytope vertices, counting those that
-saturate the bound, and measuring their exact linear rank: full rank is
-certified by elimination modulo a prime on a random integer sketch of the
-saturating rows, and only a matrix that certificate does not settle goes to
-fraction-free elimination over the integers.
+coefficients come from one recursion in which every block is a dense tensor
+over the whole layout, size 1 on the axes of parties outside the block: an
+Observable is one-hot, a Leaf scatters the Walsh coefficients w of its sign
+function onto its setting pairs, and a Node is, by broadcasting,
+X1 (w00 Y1 + w01 Y2) + X2 (w10 Y1 + w11 Y2).  Tightness is decided by
+enumerating the distinct polytope vertices, counting those that saturate the
+bound, and measuring their exact linear rank: full rank is certified by
+elimination modulo a prime on a random integer sketch of the saturating rows,
+and only a matrix that certificate does not settle goes to fraction-free
+elimination over the integers.
 """
 
 from __future__ import annotations
@@ -107,22 +106,24 @@ def _spread(block: np.ndarray, parties: Sequence[int], shape: tuple[int, ...]) -
     dims = [1] * len(shape)
     for party in parties:
         dims[party - 1] = shape[party - 1]
-    return block.transpose(np.argsort(parties)).reshape(dims)
+    party_order = sorted(range(len(parties)), key=parties.__getitem__)
+    return block.transpose(party_order).reshape(dims)
 
 
 def _expand(tree: ConstructionTree, shape: tuple[int, ...]) -> _Expansion:
     """The coefficient tensor of a block over the layout ``shape`` (size 1 on
     the axes of parties outside the block), its party set and its magnitude."""
     if isinstance(tree, Observable):
-        one_hot = np.eye(shape[tree.party - 1], dtype=np.int64)[tree.setting - 1]
+        one_hot = np.zeros(shape[tree.party - 1], dtype=np.int64)
+        one_hot[tree.setting - 1] = 1
         return _spread(one_hot, (tree.party,), shape), frozenset([tree.party]), 1
 
     if isinstance(tree, Leaf):
         if len(set(tree.parties)) != len(tree.parties):
             raise ValueError("leaf parties must be distinct")
         block = np.zeros([shape[p - 1] for p in tree.parties], dtype=np.int64)
-        pairs = (np.subtract(pair, 1) for pair in tree.setting_pairs)
-        block[np.ix_(*pairs)] = tree.sign.walsh_coefficients()
+        block[np.ix_(*([a - 1, b - 1] for a, b in tree.setting_pairs))] = \
+            tree.sign.walsh_coefficients()
         return (_spread(block, tree.parties, shape), frozenset(tree.parties),
                 2 ** len(tree.parties))
 
@@ -149,11 +150,11 @@ def _check_pair(first: _Expansion, second: _Expansion) -> None:
         raise ValueError("paired blocks must cover the same parties")
     if m1 != m2:
         raise ValueError("paired blocks must have equal magnitudes")
+    used1, used2 = np.nonzero(c1), np.nonzero(c2)  # per axis, the settings of nonzero entries
     for party in sorted(parties):
-        others = tuple(axis for axis in range(c1.ndim) if axis != party - 1)
-        shared = c1.any(axis=others) & c2.any(axis=others)
-        if shared.any():
-            settings = set((np.flatnonzero(shared) + 1).tolist())
+        shared = set(used1[party - 1].tolist()) & set(used2[party - 1].tolist())
+        if shared:
+            settings = {s + 1 for s in shared}
             raise ValueError(f"paired blocks reuse settings {settings} of party {party}")
 
 

@@ -120,12 +120,12 @@ def sampled_strategy_values(ineq: bk.BellInequality, rng, samples: int = 4096) -
     Contracts the coefficient tensor party by party with each sample's +-1
     outcome vector; the result has one entry per sample.
     """
-    total = np.asarray(ineq.coefficients, dtype=np.int64)
-    for j, m in enumerate(ineq.layout.settings_per_party):
+    coeff = np.asarray(ineq.coefficients, dtype=np.int64)
+    total = np.broadcast_to(coeff, (samples, *coeff.shape))
+    for m in ineq.layout.settings_per_party:
         codes = rng.integers(0, 1 << m, size=samples)[:, None]
         outs = (1 - 2 * ((codes >> np.arange(m)[None, :]) & 1)).astype(np.int64)
-        total = np.einsum("sk,k...->s...", outs, total) if j == 0 else \
-            np.einsum("sk,sk...->s...", outs, total)
+        total = np.einsum("sk,sk...->s...", outs, total)
     return total
 
 
