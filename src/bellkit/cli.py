@@ -52,6 +52,10 @@ EXIT_INPUT = 2
 EXIT_VIOLATION = 3
 EXIT_RESOURCE = 4
 
+#: scan refuses grids of more points (N values times alpha steps), each one a
+#: GhzFamily built up front and a row of the CSV
+MAX_SCAN_POINTS = 1 << 20
+
 
 # ---------------------------------------------------------------------------
 # state specs
@@ -287,6 +291,9 @@ def cmd_scan(args) -> int:
         raise ValueError("the alpha grid needs at least 2 points")
     if args.alpha_min > args.alpha_max:
         raise ValueError("alpha range must satisfy 0 <= min <= max <= pi/4")
+    points = len(n_list) * args.alpha_steps
+    if points > MAX_SCAN_POINTS:
+        raise ResourceLimitError(f"scan grids are capped at {MAX_SCAN_POINTS} points, got {points}")
     kinds = args.kinds.split(",")
     alphas = np.linspace(args.alpha_min, args.alpha_max, args.alpha_steps)
     # every grid point is checked up front, by the rule --state ghz: applies

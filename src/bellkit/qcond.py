@@ -16,7 +16,10 @@ Three condition values are computed, each compared against 1:
   family.  Parties 1 and 2 get independent planes per trailing index tuple
   (closed form: two largest eigenvalues of M_t M_t^T); each trailing party
   gets one plane per branch of the indices behind it.  Exact for N=2,
-  otherwise an optimizer lower bound.
+  otherwise an optimizer lower bound.  A sweep updates the trailing
+  parties in turn; each plane is an orthonormal pair ascent whose step, the
+  best unit vector orthogonal to the other one, is the top eigenvector of a
+  2x2 matrix in closed form.  Only the pairs still rising stay in the loop.
 
 maximize_bell_value runs see-saw ascent on an arbitrary inequality: each
 per-party, per-setting vector update is the normalized contraction of the
@@ -175,6 +178,13 @@ def _multistart(draw: Callable, evaluate: Callable, sweep: Callable, restarts: i
     return np.concatenate(values), np.concatenate(converged), best, best_state, best_history
 
 
+def _seeded_rng(seed: int) -> np.random.Generator:
+    """The restarts' generator, refusing a negative seed with a message that names it."""
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def _random_planes(rng: np.random.Generator, count: int, per_start: int) -> np.ndarray:
     """count x per_start orthonormal 2x3 planes, drawn one plane at a time."""
     q, _ = np.linalg.qr(rng.normal(size=(count, per_start, 3, 2)))
@@ -217,7 +227,7 @@ def condition_two_setting_N(tensor: CorrelationTensor, restarts: int = 50,
     if n < 2:
         raise ValueError("need at least 2 parties")
     corr = tensor.correlation_part()
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
 
     def draw(first, k):
         # canonical planes for every party first, then random planes
@@ -245,43 +255,84 @@ def condition_two_setting_N(tensor: CorrelationTensor, restarts: int = 50,
                                seed, values, converged)
 
 
+#: The unit axes e_i, and _CROSS[i] @ f = f x e_i.
+_EYE3 = np.eye(3)
+_CROSS = np.array([[[0, 0, 0], [0, 0, 1], [0, -1, 0]],
+                   [[0, 0, -1], [0, 0, 0], [1, 0, 0]],
+                   [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]], dtype=np.float64)
+
+
+def _quad(g: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """v.g.v for each row of g, (R, 3, 3), and v, (R, 3)."""
+    return (v[:, None] @ g @ v[:, :, None])[:, 0, 0]
+
+
+def _best_perp(g: np.ndarray, fixed: np.ndarray, current: np.ndarray,
+               value: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The unit vector orthogonal to `fixed` with the largest v.g.v, and that value.
+
+    Rows, (R, 3, 3) and (R, 3), are independent.  The plane orthogonal to the
+    unit vector f is spanned by q1 = f x e_i / s and q2 = (e_i - f_i f) / s,
+    s = sqrt(1 - f_i^2), with i the axis of the smallest |f_i|, so that
+    f_i^2 <= 1/3.  The top eigenvector of the 2x2 compression h of g to that
+    plane lies at the angle theta = atan2(2 h12, h11 - h22) / 2 from q1, and
+    its eigenvalue is (h11 + h22 + hypot(h11 - h22, 2 h12)) / 2; h is formed
+    from the unscaled pair and divided by s^2.  On an exact tie (h12 = 0,
+    h11 = h22), which the canonical starting planes give, theta = 0 picks
+    q1: the top eigenvector eigh returns for h written in the basis (q2, q1),
+    so those restarts follow the path of an eigh step.  A row keeps
+    `current`, whose value is `value`, unless the candidate is at least as
+    good.
+    """
+    axis = np.abs(fixed).argmin(axis=1)
+    f_i = fixed[np.arange(len(axis)), axis]
+    basis = np.empty(fixed.shape[:1] + (2, 3))
+    np.matmul(_CROSS[axis], fixed[:, :, None], out=basis[:, 0, :, None])
+    np.subtract(_EYE3[axis], f_i[:, None] * fixed, out=basis[:, 1])
+    gb = basis @ g
+    h11, h22 = (gb * basis).sum(axis=2).T
+    x, y = h11 - h22, 2 * (gb[:, 0] * basis[:, 1]).sum(axis=1)
+    s2 = 1 - f_i * f_i
+    theta = 0.5 * np.arctan2(y, x)
+    scale = 1 / np.sqrt(s2)
+    candidate = ((np.cos(theta) * scale)[:, None] * basis[:, 0]
+                 + (np.sin(theta) * scale)[:, None] * basis[:, 1])
+    top = 0.5 * (h11 + h22 + np.hypot(x, y)) / s2
+    return np.where((top >= value)[:, None], candidate, current), np.maximum(top, value)
+
+
 def _orthonormal_pair_ascent(g1: np.ndarray, g2: np.ndarray, a: np.ndarray,
                              b: np.ndarray, iters: int = 30) -> tuple[np.ndarray, np.ndarray]:
     """Maximize a.g1.a + b.g2.b over orthonormal pairs, never decreasing it.
 
-    All arguments share leading batch axes; each row stops on its own once its
-    objective rises by at most ZERO_TOL.
+    All arguments share leading batch axes, flattened here to rows.  An
+    iteration replaces a by the best unit vector orthogonal to b, then b by
+    the best one orthogonal to the new a (_best_perp, in closed form).  Each
+    row stops on its own once its objective rises by at most ZERO_TOL, or
+    after `iters` iterations.  The loop carries only the rows still rising,
+    with each vector's quadratic value, and writes a row's pair back once,
+    when it stops; no row's arithmetic depends on the others.
     """
-
-    def quad(g: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return np.einsum("...i,...ij,...j->...", v, g, v)
-
-    def best_perp(g: np.ndarray, fixed: np.ndarray, current: np.ndarray) -> np.ndarray:
-        # 2x2 eigenproblem in the plane orthogonal to `fixed`
-        seed_axis = np.eye(3)[np.argmin(np.abs(fixed), axis=-1)]
-        q1 = seed_axis - np.sum(seed_axis * fixed, axis=-1, keepdims=True) * fixed
-        q1 /= np.linalg.norm(q1, axis=-1, keepdims=True)
-        q2 = fixed[..., [1, 2, 0]] * q1[..., [2, 0, 1]] - fixed[..., [2, 0, 1]] * q1[..., [1, 2, 0]]
-        basis = np.stack([q1, q2], axis=-2)
-        _, eigvecs = np.linalg.eigh(basis @ g @ np.swapaxes(basis, -1, -2))
-        candidate = np.einsum("...i,...ij->...j", eigvecs[..., -1], basis)
-        accept = quad(g, candidate) >= quad(g, current)
-        return np.where(accept[..., None], candidate, current)
-
-    a, b = a.copy(), b.copy()
-    obj = quad(g1, a) + quad(g2, b)
-    active = np.ones(obj.shape, dtype=bool)
+    shape = a.shape
+    g1, g2 = g1.reshape(-1, 3, 3), g2.reshape(-1, 3, 3)
+    a, b = a.reshape(-1, 3), b.reshape(-1, 3)
+    out_a, out_b = np.empty_like(a), np.empty_like(b)
+    rows = np.arange(len(a))
+    value_a, value_b = _quad(g1, a), _quad(g2, b)
     for _ in range(iters):
-        ga, gb = g1[active], g2[active]
-        a[active] = best_perp(ga, b[active], a[active])
-        b[active] = best_perp(gb, a[active], b[active])
-        new_obj = quad(ga, a[active]) + quad(gb, b[active])
-        rising = new_obj - obj[active] > ZERO_TOL
-        obj[active] = new_obj
-        active[active] = rising
-        if not active.any():
-            break
-    return a, b
+        before = value_a + value_b
+        a, value_a = _best_perp(g1, b, a, value_a)
+        b, value_b = _best_perp(g2, a, b, value_b)
+        rising = value_a + value_b - before > ZERO_TOL
+        if not rising.all():
+            stopped = ~rising
+            out_a[rows[stopped]], out_b[rows[stopped]] = a[stopped], b[stopped]
+            rows, g1, g2, a, b, value_a, value_b = (
+                x[rising] for x in (rows, g1, g2, a, b, value_a, value_b))
+            if not rows.size:
+                break
+    out_a[rows], out_b[rows] = a, b
+    return out_a.reshape(shape), out_b.reshape(shape)
 
 
 # C_N: party j in 3..N holds one plane per branch (the indices of parties
@@ -319,12 +370,14 @@ def _cn_sweep(corr: np.ndarray, planes):
         for p in reversed(planes[:i]):
             x = _contract_last(x, p)
         grid = x.reshape(k, -1, 2, branches, 3, 9)  # (free terms, t_j, branch, q, ab)
-        m = np.einsum("rhsbqx,rbsq->rhsbx", grid, own).reshape(k, -1, 3, 3)
+        m = (np.swapaxes(own, 1, 2)[:, None, :, :, None] @ grid).reshape(k, -1, 3, 3)
         u, _, vt = np.linalg.svd(m)
-        # gradient vectors for party j with the top singular frames fixed
-        vec = np.einsum("rtak,rtqab,rtmb->rtkmq", u[..., :2],
-                        grid.reshape(k, -1, 3, 3, 3), vt[..., :2, :])
-        g = np.einsum("rtkmq,rtkmp->rtqp", vec, vec)
+        # gradient vectors for party j with the top singular frames fixed:
+        # U^T M_q V per term t and axis q, then their Gram matrix over q
+        vec = (np.swapaxes(u[..., :2], 2, 3)[:, :, None] @ grid.reshape(k, -1, 3, 3, 3)
+               @ np.swapaxes(vt[:, :, None, :2], 3, 4))
+        vec = vec.reshape(k, -1, 3, 4)
+        g = vec @ np.swapaxes(vec, 2, 3)
         g = g.reshape(k, -1, 2, branches, 3, 3).sum(axis=1)
         a, b = _orthonormal_pair_ascent(g[:, 0], g[:, 1], own[:, :, 0], own[:, :, 1])
         own[:, :, 0], own[:, :, 1] = a, b
@@ -339,13 +392,13 @@ def condition_multisetting_CN(tensor: CorrelationTensor, restarts: int = 50,
         raise ValueError("need at least 2 parties")
     if restarts < 1:
         raise ValueError("need at least one restart")
+    rng = _seeded_rng(seed)  # checks the seed of the N=2 closed form too
     if n == 2:
         report = condition_two_qubit(tensor)
         return replace(report, kind="multisetting_CN", seed=seed,
                        frames=[{"term": [], "frames": report.frames}])
 
     corr = tensor.correlation_part()
-    rng = np.random.default_rng(seed)
     branches = [2 ** (n - j) for j in range(3, n + 1)]
     shift = np.array([j + sum(branch) for j in range(3, n + 1)
                       for branch in np.ndindex(*(2,) * (n - j))])
@@ -409,7 +462,7 @@ def maximize_bell_value(ineq: BellInequality, tensor: CorrelationTensor,
     coeff = ineq.coefficients.astype(np.float64)
     corr = tensor.correlation_part()
     counts = ineq.layout.settings_per_party
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
 
     def draw(first, k):
         # one random unit vector per setting, restart by restart

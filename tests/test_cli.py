@@ -4,6 +4,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -382,6 +383,17 @@ EXIT_2_LINES = [
     (("maximize", "--inequality", "-", "--state", "ghz:N=2,alpha=0.3"),
      CHSH_JSON.replace('"bound": 2', '"bound": Infinity'),
      "error: not a valid Bell inequality: bound must be positive and finite"),
+    # a negative seed, also where no generator would be drawn from (the N=2 closed form)
+    (("condition", "--kind", "multisetting_CN", "--state", "ghz:N=2,alpha=0.3", "--seed", "-1"),
+     None, "error: seed must be a non-negative integer, got -1"),
+    (("condition", "--kind", "multisetting_CN", "--state", "ghz:N=3,alpha=0.3", "--seed", "-1"),
+     None, "error: seed must be a non-negative integer, got -1"),
+    (("condition", "--kind", "two_setting_sufficient_N", "--state", "ghz:N=3,alpha=0.3",
+      "--seed", "-2"), None, "error: seed must be a non-negative integer, got -2"),
+    (("scan", "--family", "ghz", "--n", "2,3", "--alpha-steps", "2", "--seed", "-1"), None,
+     "error: seed must be a non-negative integer, got -1"),
+    (("maximize", "--inequality", "-", "--state", "singlet", "--seed", "-1"), CHSH_JSON,
+     "error: seed must be a non-negative integer, got -1"),
 ]
 
 
@@ -450,6 +462,41 @@ def test_layout_cap_exits_4(layout):
     assert (code, out) == (4, "")
     assert err == ("resource cap: layouts are capped at 1048576 coefficient entries, "
                    f"got {int(np.prod(layout))}\n")
+
+
+def test_scan_grid_cap_exits_4():
+    """2e9 alpha steps are refused before numpy allocates the 15 GB grid.
+
+    The run gets a 2 GiB address space, so that a missing cap fails with a
+    MemoryError instead of taking the machine's memory.
+    """
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "bellkit.cli", "scan", "--family", "ghz", "--n", "3",
+         "--alpha-steps", "2000000000"],
+        capture_output=True, text=True, preexec_fn=limit, timeout=60)
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr == "resource cap: scan grids are capped at 1048576 points, got 2000000000\n"
+
+
+@pytest.mark.parametrize("n_list, steps, code", [
+    ("3", 4, 0), ("3", 5, 4), ("2,3", 2, 0), ("2,3", 3, 4), ("2,3,4", 2, 4)])
+def test_scan_grid_cap_counts_n_times_steps(monkeypatch, capsys, n_list, steps, code):
+    from bellkit import cli
+
+    assert cli.MAX_SCAN_POINTS == 2**20
+    monkeypatch.setattr(cli, "MAX_SCAN_POINTS", 4)
+    assert cli.main(["scan", "--family", "ghz", "--n", n_list, "--alpha-steps", str(steps),
+                     "--restarts", "1"]) == code
+    captured = capsys.readouterr()
+    if code == 4:
+        points = len(n_list.split(",")) * steps
+        assert (captured.out, captured.err) == (
+            "", f"resource cap: scan grids are capped at 4 points, got {points}\n")
+    else:
+        assert len(captured.out.splitlines()) == 1 + 2 * 4
 
 
 def test_tensor_state_file_norm_edge_exits_2():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import bellkit as bk
+from bellkit.tolerance import BOUND_TOL
 
 SQ2 = np.sqrt(2)
 
@@ -213,6 +214,139 @@ def test_cn_memory_stays_bounded_at_n8():
     assert len(report.frames) == 2 ** 6
     assert cn_value_from_frames(tensor, report.frames) == pytest.approx(report.value, abs=1e-9)
     assert report.value >= 2 ** 6 * np.sin(0.6) ** 2 + np.cos(0.6) ** 2 - 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the orthonormal pair ascent inside the C_N sweeps
+
+
+def random_psd(rng, rows) -> np.ndarray:
+    m = rng.normal(size=(rows, 3, 3))
+    return m @ np.swapaxes(m, 1, 2)
+
+
+def random_pairs(rng, rows) -> tuple[np.ndarray, np.ndarray]:
+    q, _ = np.linalg.qr(rng.normal(size=(rows, 3, 2)))
+    return q[..., 0].copy(), q[..., 1].copy()
+
+
+def quad(g, v) -> np.ndarray:
+    return np.einsum("ri,rij,rj->r", v, g, v)
+
+
+def top_perp_eigenvalue(g, fixed) -> np.ndarray:
+    """eigh's top eigenvalue of g compressed to the plane orthogonal to each row of fixed."""
+    q, _ = np.linalg.qr(fixed[:, :, None], mode="complete")
+    plane = q[:, :, 1:]
+    return np.linalg.eigvalsh(np.swapaxes(plane, 1, 2) @ g @ plane)[:, -1]
+
+
+def pair_cases():
+    """(g1, g2, a, b): random positive semidefinite rows and two degenerate sets.
+
+    In the degenerate sets every compression has h12 = 0 and h11 = h22: g = I,
+    and diag(1, 2, 2) with b along x, where a's plane is the yz plane.
+    """
+    rng = np.random.default_rng(2024)
+    cases = [(random_psd(rng, 200), random_psd(rng, 200), *random_pairs(rng, 200))]
+    eye = np.broadcast_to(np.eye(3), (4, 3, 3)).copy()
+    cases.append((eye, eye, *random_pairs(rng, 4)))
+    diag = np.broadcast_to(np.diag([1.0, 2.0, 2.0]), (2, 3, 3)).copy()
+    cases.append((diag, diag, np.array([[0.0, 1, 0], [0, 0.6, 0.8]]),
+                  np.array([[1.0, 0, 0], [1, 0, 0]])))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(3), ids=["random", "identity", "equal-diagonal"])
+def test_pair_ascent_keeps_orthonormal_pairs_and_never_descends(case):
+    from bellkit.qcond import _orthonormal_pair_ascent
+
+    g1, g2, a0, b0 = pair_cases()[case]
+    start = quad(g1, a0) + quad(g2, b0)
+    previous = start
+    for iters in (1, 2, 5, 30):
+        a, b = _orthonormal_pair_ascent(g1, g2, a0, b0, iters=iters)
+        assert np.allclose(np.linalg.norm(a, axis=1), 1, rtol=0, atol=1e-12)
+        assert np.allclose(np.linalg.norm(b, axis=1), 1, rtol=0, atol=1e-12)
+        assert np.all(np.abs(np.sum(a * b, axis=1)) <= 1e-12)
+        value = quad(g1, a) + quad(g2, b)
+        assert np.all(value >= start - 1e-12 * np.maximum(1, start))
+        # a longer run continues the shorter one's path
+        assert np.all(value >= previous - 1e-12 * np.maximum(1, previous))
+        previous = value
+
+
+@pytest.mark.parametrize("case", range(3), ids=["random", "identity", "equal-diagonal"])
+def test_pair_ascent_step_reaches_the_top_eigenvalue(case):
+    """One iteration sets a to the best vector orthogonal to b, then b to the best orthogonal to a."""
+    from bellkit.qcond import _orthonormal_pair_ascent
+
+    g1, g2, a0, b0 = pair_cases()[case]
+    a, b = _orthonormal_pair_ascent(g1, g2, a0, b0, iters=1)
+    for g, v, fixed in ((g1, a, b0), (g2, b, a)):
+        top = top_perp_eigenvalue(g, fixed)
+        assert np.allclose(quad(g, v), top, rtol=0, atol=1e-12 * max(1.0, np.max(top)))
+
+
+def test_best_perp_keeps_the_current_vector_unless_the_candidate_is_as_good():
+    from bellkit.qcond import _best_perp
+
+    g, _, current, fixed = pair_cases()[0]
+    top = top_perp_eigenvalue(g, fixed)
+    # a row whose current value is above the plane's top keeps its vector and value
+    claimed = np.where(np.arange(len(top)) % 2 == 0, top + 1, quad(g, current))
+    vector, value = _best_perp(g, fixed, current, claimed)
+    keep = slice(0, None, 2)
+    assert np.array_equal(vector[keep], current[keep]) and np.array_equal(value[keep], top[keep] + 1)
+    move = slice(1, None, 2)
+    assert np.allclose(value[move], top[move], rtol=0, atol=1e-12 * np.max(top))
+    assert np.allclose(quad(g, vector)[move], top[move], rtol=0, atol=1e-12 * np.max(top))
+
+
+def test_pair_ascent_rows_do_not_depend_on_the_batch():
+    """A row alone gives the bits it gets among 200, as the restarts' promise needs."""
+    from bellkit.qcond import _orthonormal_pair_ascent
+
+    g1, g2, a0, b0 = pair_cases()[0]
+    a, b = _orthonormal_pair_ascent(g1, g2, a0, b0)
+    # the caller's layout: leading (restart, branch) axes
+    a2, b2 = _orthonormal_pair_ascent(g1.reshape(50, 4, 3, 3), g2.reshape(50, 4, 3, 3),
+                                      a0.reshape(50, 4, 3), b0.reshape(50, 4, 3))
+    assert np.array_equal(a2.reshape(200, 3), a) and np.array_equal(b2.reshape(200, 3), b)
+    for r in (0, 1, 37, 123, 199):
+        ar, br = _orthonormal_pair_ascent(g1[r:r + 1], g2[r:r + 1], a0[r:r + 1], b0[r:r + 1])
+        assert np.array_equal(ar[0], a[r]) and np.array_equal(br[0], b[r])
+    # rows that stop early leave the batch; the inputs are not written to
+    assert np.array_equal(pair_cases()[0][2], a0)
+
+
+#: the scan grid, GHZ N=3..5 at alpha = (k + 7/8) pi / 12 with 50 restarts and
+#: seed 10 N + k, as the pair ascent with an eigh step computed it: per point,
+#: (N, k), then C_N's and the two-setting condition's (value, violated,
+#: restarts_at_best).  The restarts within BOUND_TOL of the best sit within
+#: 1e-13 of it, the others at least 0.2 below.
+SCAN_GRID = [
+    (3, 0, (1.1956192854956398, True, 31), (1.0, False, 35)),
+    (3, 1, (2.765366864730181, True, 50), (2.7653668647301806, True, 39)),
+    (3, 2, (3.9828897227476228, True, 50), (3.9828897227476205, True, 48)),
+    (4, 0, (1.782477141982561, True, 34), (1.5649542839651172, True, 24)),
+    (4, 1, (5.530733729460364, True, 42), (5.530733729460358, True, 37)),
+    (4, 2, (7.965779445495246, True, 48), (7.965779445495241, True, 43)),
+    (5, 0, (3.1299085679302356, True, 17), (3.1299085679302343, True, 39)),
+    (5, 1, (11.061467458920724, True, 50), (11.061467458920715, True, 46)),
+    (5, 2, (15.931558890990493, True, 50), (15.931558890990482, True, 48)),
+]
+
+
+@pytest.mark.parametrize("n, k, cn, two", SCAN_GRID,
+                         ids=[f"N={row[0]} k={row[1]}" for row in SCAN_GRID])
+def test_scan_grid_results_hold(n, k, cn, two):
+    tensor = ghz_tensor(n, (k + 7 / 8) * np.pi / 12)
+    for optimize, (value, violated, at_best) in ((bk.condition_multisetting_CN, cn),
+                                                 (bk.condition_two_setting_N, two)):
+        report = optimize(tensor, restarts=50, seed=10 * n + k)
+        assert abs(report.value - value) <= BOUND_TOL
+        assert (report.violated, report.restarts_at_best) == (violated, at_best)
 
 
 # ---------------------------------------------------------------------------
