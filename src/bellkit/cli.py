@@ -140,38 +140,69 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+#: float.__repr__ (what json.dumps writes for a finite float) as a ufunc, so
+#: the reprs are written straight into an object array
+_FLOAT_REPR = np.frompyfunc(float.__repr__, 1, 1)
+
+
 def _dump_tensor_json(tensor: CorrelationTensor) -> str:
     """`_dump_json(tensor.to_json_dict())`, built in one join.
 
     json.dumps writes indented output token by token in Python; here the
     leaves are float reprs (what json writes for finite floats), and the
-    text between leaves i and i + 1 depends only on how many nested lists
-    close there: the number of trailing base-4 zeros of i + 1.
+    text after leaf i depends only on t, how many nested lists close there:
+    the number of trailing base-4 zeros of i + 1.  A +0.0 leaf and the text
+    after it are one shared part, "0.0" + seps[t], so only nonzero leaves
+    are formatted, and GHZ tensors are almost all zeros.  Every other leaf
+    is two parts, its repr and seps[t].  -0.0 is not +0.0 (its sign bit is
+    set), so it keeps its repr "-0.0".
     """
     n = tensor.n_qubits
-    # seps[t]: close t lists, then a comma, then open t lists
+    values = tensor.components.ravel()
+    # seps[t]: close t lists, then a comma, then open t lists; after the
+    # last leaf, seps[n] closes all n lists and the object
     seps = [
         "".join(f"\n{' ' * 2 * d}]" for d in range(n, n - t, -1)) + ","
         + "".join(f"\n{' ' * 2 * d}[" for d in range(n - t + 1, n + 1))
         + f"\n{' ' * 2 * (n + 1)}"
         for t in range(n)
     ]
-    after = np.arange(1, 4**n)
-    closed = np.bitwise_count((after & -after) - 1) // 2
-    parts = [""] * (2 * 4**n - 1)
-    parts[::2] = map(float.__repr__, tensor.components.ravel().tolist())
-    parts[1::2] = np.array(seps, dtype=object)[closed].tolist()
-    head = "".join(f"[\n{' ' * 2 * (d + 1)}" for d in range(1, n + 1))
-    tail = "".join(f"\n{' ' * 2 * d}]" for d in range(n, 0, -1))
-    return (f'{{\n  "full_components": {head}{"".join(parts)}{tail},\n'
-            f'  "n_qubits": {n}\n}}\n')
+    seps.append("".join(f"\n{' ' * 2 * d}]" for d in range(n, 0, -1))
+                + f',\n  "n_qubits": {n}\n}}\n')
+    nonzero = values.view(np.uint64) != 0
+    # every distinct part: seps[t], "0.0" + seps[t], then the reprs
+    shared = 2 * len(seps)
+    source = np.empty(shared + np.count_nonzero(nonzero), dtype=object)
+    source[:shared] = seps + ["0.0" + sep for sep in seps]
+    _FLOAT_REPR(values[nonzero], out=source[shared:])
+    # ends[i]: the part that ends leaf i, seps[t] or "0.0" + seps[t]; t
+    # counts the k with 4**k dividing i + 1
+    ends = np.where(nonzero, 0, len(seps))
+    for k in range(1, n + 1):
+        ends[4**k - 1::4**k] += 1
+    # leaf i starts at part i + (nonzero leaves before i); a nonzero leaf
+    # starts with its repr
+    at = np.flatnonzero(nonzero)
+    at += np.arange(at.size)
+    index = np.empty(4**n + at.size, dtype=np.intp)
+    index[at] = np.arange(shared, source.size)
+    is_end = np.ones(index.size, dtype=bool)
+    is_end[at] = False
+    index[is_end] = ends
+    parts = source[index].tolist()
+    parts.insert(0, '{\n  "full_components": '
+                 + "".join(f"[\n{' ' * 2 * (d + 1)}" for d in range(1, n + 1)))
+    return "".join(parts)
 
 
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {out!r}: {exc}") from exc
 
 
 def _tensor_from_args(args) -> CorrelationTensor:
@@ -264,6 +295,11 @@ def cmd_generate(args) -> int:
 
 
 def _run_condition(kind: str, tensor: CorrelationTensor, restarts: int, seed: int):
+    # checked for every kind, also the closed form that draws no restarts
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    if restarts < 1:
+        raise ValueError("need at least one restart")
     if kind == "two_setting_NS_2qubit":
         return condition_two_qubit(tensor)
     if kind == "two_setting_sufficient_N":

@@ -334,10 +334,27 @@ def test_tensor_writer_matches_json_dumps(n):
     comp[0] = 1.0
     comp[1:] = np.resize(AWKWARD_FLOATS + list(rng.uniform(-1, 1, 3)), comp.size - 1)
     rng.shuffle(comp[1:])
-    tensor = bk.CorrelationTensor(n, comp.reshape((4,) * n))
-    # compared line by line: pytest renders a diff of two long strings slowly
-    got = _dump_tensor_json(tensor).split("\n")
-    assert got == _dump_json(tensor.to_json_dict()).split("\n")
+    dense = [comp]
+    # sparse tensors, where +0.0 entries are written from shared text: the
+    # entries +0.0 must not absorb sit first in a row, last in a row and
+    # last of all (n = 1 has one row, led by the identity)
+    sparse = []
+    for value in (-0.0, 5e-324, 1e-17):
+        comp = np.zeros(4**n)
+        comp[0] = 1.0
+        comp[[i for i in (4, 3, 4**n - 1) if i < 4**n]] = value
+        sparse.append(comp)
+    identity_only = np.zeros(4**n)
+    identity_only[0] = 1.0
+    sparse.append(identity_only)
+    if n >= 2:
+        ghz = bk.correlation_tensor(bk.ghz_state(bk.GhzFamily(n, 0.3)))
+        sparse.append(ghz.components)
+    for comp in dense + sparse:
+        tensor = bk.CorrelationTensor(n, comp.reshape((4,) * n))
+        # compared line by line: pytest renders a diff of two long strings slowly
+        got = _dump_tensor_json(tensor).split("\n")
+        assert got == _dump_json(tensor.to_json_dict()).split("\n")
 
 
 def test_byte_stable_outputs():
@@ -394,6 +411,19 @@ EXIT_2_LINES = [
      "error: seed must be a non-negative integer, got -1"),
     (("maximize", "--inequality", "-", "--state", "singlet", "--seed", "-1"), CHSH_JSON,
      "error: seed must be a non-negative integer, got -1"),
+    # --seed and --restarts are checked for every kind, also the one that takes neither
+    (("condition", "--kind", "two_setting_NS_2qubit", "--state", "singlet", "--seed", "-1"),
+     None, "error: seed must be a non-negative integer, got -1"),
+    (("condition", "--kind", "two_setting_NS_2qubit", "--state", "singlet", "--restarts", "0"),
+     None, "error: need at least one restart"),
+    (("scan", "--family", "ghz", "--n", "2", "--kinds", "two_setting_NS_2qubit", "--seed", "-1"),
+     None, "error: seed must be a non-negative integer, got -1"),
+    # an --out that cannot be written: a missing directory, and a directory
+    (("tensor", "--state", "ghz:N=3,alpha=0.3", "--out", "/nonexistent/dir/x"), None,
+     "error: cannot write '/nonexistent/dir/x': "
+     "[Errno 2] No such file or directory: '/nonexistent/dir/x'"),
+    (("tensor", "--state", "ghz:N=3,alpha=0.3", "--out", "."), None,
+     "error: cannot write '.': [Errno 21] Is a directory: '.'"),
 ]
 
 
@@ -550,6 +580,11 @@ PINNED_OUTPUTS = [
     # levels or multiplying them together changes these bytes
     (("tensor", "--state", "noise:v=0.9(noise:v=0.3(noise:v=0.7(singlet)))"), None,
      "a0688b66b71f51bae6ae106ac544abecd914f7ef33d542025c2b3ee8469e312e"),
+    # GHZ tensors, almost all zeros, pure and noisy
+    (("tensor", "--state", "ghz:N=7,alpha=0.3"), None,
+     "18598312d84d1c736aeab1c92c7e7cdb09fd411a84a5565313fc4c82006ff1b5"),
+    (("tensor", "--state", "noise:v=0.6(ghz:N=8,alpha=0.5)"), None,
+     "61baf5c0733bb560dcd9f55ed6fab7282e7bbbe00c4ab994c7c849ba3d4e8935"),
 ]
 
 
