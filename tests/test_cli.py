@@ -334,23 +334,21 @@ def test_tensor_writer_matches_json_dumps(n):
     comp[0] = 1.0
     comp[1:] = np.resize(AWKWARD_FLOATS + list(rng.uniform(-1, 1, 3)), comp.size - 1)
     rng.shuffle(comp[1:])
-    dense = [comp]
-    # sparse tensors, where +0.0 entries are written from shared text: the
-    # entries +0.0 must not absorb sit first in a row, last in a row and
-    # last of all (n = 1 has one row, led by the identity)
-    sparse = []
+    cases = [comp]
+    # sparse tensors, whose +0.0 entries are shared parts: the values next
+    # to them sit first in a row, last in a row and last of all (n = 1 has
+    # one row, led by the identity)
     for value in (-0.0, 5e-324, 1e-17):
         comp = np.zeros(4**n)
         comp[0] = 1.0
         comp[[i for i in (4, 3, 4**n - 1) if i < 4**n]] = value
-        sparse.append(comp)
+        cases.append(comp)
     identity_only = np.zeros(4**n)
     identity_only[0] = 1.0
-    sparse.append(identity_only)
+    cases.append(identity_only)
     if n >= 2:
-        ghz = bk.correlation_tensor(bk.ghz_state(bk.GhzFamily(n, 0.3)))
-        sparse.append(ghz.components)
-    for comp in dense + sparse:
+        cases.append(bk.correlation_tensor(bk.ghz_state(bk.GhzFamily(n, 0.3))).components)
+    for comp in cases:
         tensor = bk.CorrelationTensor(n, comp.reshape((4,) * n))
         # compared line by line: pytest renders a diff of two long strings slowly
         got = _dump_tensor_json(tensor).split("\n")
