@@ -325,7 +325,9 @@ def construct_lhv_model(table: CorrelationTable) -> LhvModel:
     half to its party-1 flip (3, 0, ..., 0), which predict +1 and -1 on every
     correlation function and so cancel; a model has at most 2^N + 2
     strategies.  Tables up to BOUND_TOL past the bound count as local, as in
-    polytope_membership; their weights are renormalized.
+    polytope_membership; their weights are renormalized.  As there, the
+    model is checked to reproduce the table within BOUND_TOL + EXACT_TOL,
+    and a failed check raises RuntimeError.
     """
     f = transformed_table(table)
     n = table.layout.n_parties
@@ -346,7 +348,29 @@ def construct_lhv_model(table: CorrelationTable) -> LhvModel:
         rest = (0,) * (n - 1)
         for codes in ((0,) + rest, (3,) + rest):
             weights[codes] = weights.get(codes, 0.0) + (1.0 - total) / 2
-    return LhvModel(table.layout, weights)
+    model = LhvModel(table.layout, weights)
+    residual = float(np.max(np.abs(_two_setting_prediction(model) - table.values)))
+    if not residual <= BOUND_TOL + EXACT_TOL:
+        raise RuntimeError(
+            f"closed-form model check failed: residual {residual!r} exceeds 1e-9 + 1e-12")
+    return model
+
+
+def _two_setting_prediction(model: LhvModel) -> np.ndarray:
+    """The table a two-setting model predicts, from one Walsh-Hadamard transform.
+
+    Party j of a strategy plays a_j at setting 1 and a_j t_j at setting 2, so
+    the strategy predicts prod_j a_j t_j^(k_j-1).  Summed over strategies with
+    their weights, that is the transform of the grid holding the weighted
+    prod_j a_j at each hidden sign pattern t (axis j indexes t_j, 0 meaning +1).
+    """
+    n = model.layout.n_parties
+    codes = np.array(list(model.weights), dtype=np.int64).reshape(-1, n)
+    weights = np.fromiter(model.weights.values(), float, len(model.weights))
+    signs = 1 - 2 * (np.bitwise_xor.reduce(codes, axis=1) & 1)  # prod_j a_j
+    cells = ((codes ^ codes >> 1) & 1) @ (1 << np.arange(n)[::-1])
+    grid = np.bincount(cells, weights=signs * weights, minlength=2**n)
+    return walsh_hadamard(grid.reshape((2,) * n), n)
 
 
 def evaluate_model(model: LhvModel) -> CorrelationTable:

@@ -12,14 +12,14 @@ part with one direction per qubit.
 
 `correlation_tensor` gets all 4**N components in O(N 4**N) steps without
 forming any Pauli string: per qubit, sigma_k flips the bit (x, y) and/or
-signs it (y, z), so one table g[f, z] = rho[z, z XOR f] over flip masks f and
-one fast Walsh-Hadamard transform over phase masks give every T at once.  A
-`PureState` goes straight to that table, g[f, z] = psi(z) psi*(z XOR f), and
-white noise is applied to g, so no 2**N x 2**N matrix is built and nothing
-is diagonalized: `PureState` checks its norm, the kernel checks each
-visibility, and `CorrelationTensor` checks the identity component and the
-[-1, 1] range.  Only a `DensityMatrix` runs `eigvalsh`, for callers who hand
-in a matrix.
+signs it (y, z), so one table g[z, f] = rho[z, z XOR f] over flip masks f,
+one in-place fast Walsh-Hadamard transform over z and one cached gather give
+every T at once.  A `PureState` goes straight to that table,
+g[z, f] = psi(z) psi*(z XOR f), and white noise is applied to g, so no
+2**N x 2**N matrix is built and nothing is diagonalized: `PureState` checks
+its norm, the kernel checks each visibility, and `CorrelationTensor` checks
+the identity component and the [-1, 1] range.  Only a `DensityMatrix` runs
+`eigvalsh`, for callers who hand in a matrix.
 
 All value types are immutable after construction (arrays are copied in and
 marked read-only), so instances are safe to share across threads.
@@ -27,6 +27,7 @@ marked read-only), so instances are safe to share across threads.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -186,13 +187,6 @@ def density_from_pure(state: PureState) -> DensityMatrix:
     return DensityMatrix(state.n_qubits, np.outer(psi, psi.conj()))
 
 
-#: i**m for m = 0..3: the phase a Pauli string carries per y factor.
-_I_POWERS = np.array([1, 1j, -1, -1j])
-#: Per qubit, the Pauli label k read from index 2f + p of the flip bit f and
-#: phase bit p: I = (0, 0), x = (1, 0), y = (1, 1), z = (0, 1).
-_FP_INDEX_OF_K = np.array([0, 2, 3, 1])
-
-
 def correlation_tensor(state: PureState | DensityMatrix, *,
                        visibilities: Sequence[float] = ()) -> CorrelationTensor:
     """Compute all 4**N Pauli expectation values of a state, optionally noisy.
@@ -209,58 +203,91 @@ def correlation_tensor(state: PureState | DensityMatrix, *,
 
         T = Re( i^#y  sum_z (-1)^(p.z) rho[z, z XOR f] ).
 
-    The table g[f, z] = rho[z, z XOR f] is one gather from a DensityMatrix,
-    or the product psi(z) psi*(z XOR f) of a PureState's amplitudes.  Noise
-    scales g by v and adds (1 - v) / 2**N to its f = 0 row, the diagonal.  A
-    fast Walsh-Hadamard transform over the N bit axes of z then sums g for
-    every phase mask at once: N butterfly passes over 4**N entries, so the
-    cost is O(N 4**N).  States above MAX_QUBITS and visibilities outside
-    [0, 1] are refused before that work starts.
+    The z-major table g[z, f] = rho[z, z XOR f] is one gather from a
+    DensityMatrix, or the product psi(z) psi*(z XOR f) of a PureState's
+    amplitudes.  Noise scales g by v in place and adds (1 - v) / 2**N to its
+    f = 0 column, the diagonal.  A fast Walsh-Hadamard transform over z then
+    sums g for every phase mask at once, in place: N butterfly passes over
+    4**N entries, each on contiguous rows of at least 2**N, so the cost is
+    O(N 4**N).  T is +Re, -Im, -Re or +Im of the result h[p, f] as #y mod 4
+    is 0, 1, 2 or 3, so one gather and one masked negation, cached per N,
+    relabel h to k with no complex multiply.  States above MAX_QUBITS and
+    visibilities outside [0, 1] are refused before that work starts.
     """
     n = state.n_qubits
     check_qubit_cap(n)
     for visibility in visibilities:
         check_visibility(visibility)
     masks = np.arange(2**n)
-    # g[f, z] = rho[z, z XOR f]; qubit 1 is the most significant bit of f and z
+    # g[z, f] = rho[z, z XOR f]; qubit 1 is the most significant bit of z and f
     flipped = masks[:, None] ^ masks
     if isinstance(state, PureState):
         psi = state.amplitudes
-        g = psi * psi.conj()[flipped]
+        g = psi.conj()[flipped]
+        np.multiply(psi[:, None], g, out=g)  # psi first: the swapped product rounds otherwise
     else:
-        g = state.matrix[masks, flipped]
+        g = state.matrix[masks[:, None], flipped]
+    del flipped  # int64, half of g's bytes: freed before the transform and relabel
     for visibility in visibilities:
-        g = visibility * g
-        g[0] += (1 - visibility) / 2**n
-    return _pauli_transform(n, g)
+        g *= visibility
+        g[:, 0] += (1 - visibility) / 2**n
+    _butterflies(g, n)  # now g[p, f]
+    offsets, negate = _relabel(n)
+    values = g.view(np.float64).take(offsets)
+    np.negative(values, out=values, where=negate)
+    values += 0.0  # turns the -0.0 that negation leaves on zero entries into 0.0
+    return CorrelationTensor(n, values)
 
 
 def walsh_hadamard(values: np.ndarray, n: int) -> np.ndarray:
     """Apply [[1, 1], [1, -1]] along each of n bits, keeping shape and dtype.
 
-    In C order, values falls into blocks of 2**n entries, each indexed by n
-    bits with the most significant first: the axes of a (2,)*n grid, or the
-    qubits of z in g[f, z].  Each pass is one butterfly on one bit.
+    values holds 2**n entries, indexed in C order by n bits with the most
+    significant first: the axes of a (2,)*n grid.  The input is not changed;
+    the butterflies run in place on a C-order copy.
     """
-    out = values
+    out = np.array(values, order="C")
+    _butterflies(out, n)
+    return out
+
+
+def _butterflies(a: np.ndarray, n: int) -> None:
+    """Walsh-Hadamard transform, in place, over the leading n bits of C-contiguous a.
+
+    One pass per bit, most significant first, (top, bottom) -> (top + bottom,
+    top - bottom) through one half-size scratch buffer.
+    """
+    scratch = np.empty(a.size // 2, a.dtype)
     for q in range(n):
-        out = out.reshape((-1, 2, 2 ** (n - q - 1)))
-        out = np.stack((out[:, 0] + out[:, 1], out[:, 0] - out[:, 1]), axis=1)
-    return out.reshape(values.shape)
+        pairs = a.reshape((2**q, 2, -1))
+        top, bottom = pairs[:, 0], pairs[:, 1]
+        diff = scratch.reshape(top.shape)
+        np.subtract(top, bottom, out=diff)
+        top += bottom
+        bottom[...] = diff
 
 
-def _pauli_transform(n: int, g: np.ndarray) -> CorrelationTensor:
-    """The tensor T from g[f, z] = rho[z, z XOR f] (correlation_tensor's kernel)."""
-    g = walsh_hadamard(g, n)  # one butterfly per bit of z, qubit 1 first
-    # now g[f, p]; multiply by i**#y, with #y = popcount(f AND p)
-    masks = np.arange(2**n)
-    phase = _I_POWERS[np.bitwise_count(masks[:, None] & masks) % 4]
-    values = (g.reshape((2**n, 2**n)) * phase).real
-    # interleave the bits to (f1, p1, ..., fN, pN), then relabel (f, p) as k
-    interleave = [axis for q in range(n) for axis in (q, n + q)]
-    values = values.reshape((2,) * (2 * n)).transpose(interleave).reshape((4,) * n)
-    # + 0.0 turns the -0.0 that the phase factors leave on zero entries into 0.0
-    return CorrelationTensor(n, values[np.ix_(*(_FP_INDEX_OF_K,) * n)] + 0.0)
+@functools.cache
+def _relabel(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per label k, the float64 offset of T[k] in h[p, f] and whether to negate it.
+
+    Qubit by qubit, k's flip and phase bits place it at complex index
+    p * 2**n + f, float64 offset twice that, and each y adds 1 to #y; #y mod 4
+    then picks +Re, -Im, -Re or +Im.  Offset and #y share one int32, #y in
+    the low 4 bits (#y <= MAX_QUBITS < 16), so one outer sum per qubit builds
+    both and no 4**N int64 array is made.
+    """
+    f_bit, p_bit = np.array([0, 1, 1, 0]), np.array([0, 0, 1, 1])  # k = I, x, y, z
+    packed = np.zeros((), np.int32)
+    for q in range(n):
+        index = (f_bit + (p_bit << n)) << (n - 1 - q)
+        packed = np.add.outer(packed, ((2 * index) << 4 | f_bit & p_bit).astype(np.int32))
+    y_count = packed & 15
+    negate = ((y_count + 1) & 2).astype(bool)
+    offsets = packed >> 4
+    offsets += y_count & 1
+    offsets.flags.writeable = negate.flags.writeable = False
+    return offsets, negate
 
 
 def quantum_correlation(tensor: CorrelationTensor, settings: list[SettingVector]) -> float:

@@ -583,6 +583,12 @@ PINNED_OUTPUTS = [
      "18598312d84d1c736aeab1c92c7e7cdb09fd411a84a5565313fc4c82006ff1b5"),
     (("tensor", "--state", "noise:v=0.6(ghz:N=8,alpha=0.5)"), None,
      "61baf5c0733bb560dcd9f55ed6fab7282e7bbbe00c4ab994c7c849ba3d4e8935"),
+    # nine qubits, past the range the hypothesis byte checks draw from
+    (("tensor", "--state", "noise:v=0.7(ghz:N=9,alpha=0.3)"), None,
+     "cd2afc45acb1258114a204340d0018db3d4f1ce44efba12410b0ef4d3f14b39e"),
+    # "=" keeps this test's id apart from the 3-qubit state-file pin's
+    (("tensor", "--state-file=-"), seeded_state_json(9, 9),
+     "d22e631435bc4f7ce6d58c731fb28da1b762bc8f4827b7f3de7406ff73d65652"),
 ]
 
 

@@ -513,6 +513,27 @@ def test_model_checks_reject_a_faulty_solution(monkeypatch):
             bk.polytope_membership(table)
 
 
+def test_closed_form_model_check_rejects_a_wrong_weight(monkeypatch):
+    """The closed-form model is checked against its table, as LP models are."""
+    from bellkit import lhv
+
+    table = bk.CorrelationTable(bk.ExperimentLayout((2, 2, 2)),
+                                0.3 * ghz_mermin_table().values)
+    model = bk.construct_lhv_model(table)
+    assert np.allclose(lhv._two_setting_prediction(model), bk.evaluate_model(model).values,
+                       rtol=0, atol=1e-15)
+    hidden_weights = lhv._hidden_weights
+
+    def halve_the_largest(f):
+        p = hidden_weights(f)
+        p.flat[np.argmax(p)] /= 2
+        return p
+
+    monkeypatch.setattr(lhv, "_hidden_weights", halve_the_largest)
+    with pytest.raises(RuntimeError, match="closed-form model check failed: residual"):
+        bk.construct_lhv_model(table)
+
+
 def test_lexicographic_rule_solves_restricted_masters():
     """Vertex subsets of (3,3,3,3) tables, as a column-generation master sees them.
 

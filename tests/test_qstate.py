@@ -1,5 +1,6 @@
 """States, tensors, and quantum correlations against a direct kron/trace oracle."""
 import json
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bellkit as bk
+from bellkit import qstate
 
 SIGMA = [
     np.eye(2, dtype=complex),
@@ -258,3 +260,74 @@ def test_tensor_json_round_trip():
     assert set(data) == {"n_qubits", "full_components"}
     back = bk.CorrelationTensor.from_json_dict(data)
     assert np.allclose(back.components, tensor.components, atol=1e-15)
+
+
+def stacked_walsh_hadamard(values: np.ndarray, n: int) -> np.ndarray:
+    """The earlier butterfly: one stacked new array per pass, on the trailing bits."""
+    out = values
+    for q in range(n):
+        out = out.reshape((-1, 2, 2 ** (n - q - 1)))
+        out = np.stack((out[:, 0] + out[:, 1], out[:, 0] - out[:, 1]), axis=1)
+    return out.reshape(values.shape)
+
+
+def transpose_gather_tensor(state, visibilities=()) -> np.ndarray:
+    """The earlier kernel: f-major g, a complex phase grid, a 2N-axis transpose, np.ix_."""
+    n = state.n_qubits
+    masks = np.arange(2**n)
+    flipped = masks[:, None] ^ masks
+    if isinstance(state, bk.PureState):
+        g = state.amplitudes * state.amplitudes.conj()[flipped]
+    else:
+        g = state.matrix[masks, flipped]
+    for visibility in visibilities:
+        g = visibility * g
+        g[0] += (1 - visibility) / 2**n
+    g = stacked_walsh_hadamard(g, n)
+    phase = np.array([1, 1j, -1, -1j])[np.bitwise_count(masks[:, None] & masks) % 4]
+    values = (g * phase).real
+    interleave = [axis for q in range(n) for axis in (q, n + q)]
+    values = values.reshape((2,) * (2 * n)).transpose(interleave).reshape((4,) * n)
+    return values[np.ix_(*(np.array([0, 2, 3, 1]),) * n)] + 0.0
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float64, np.complex128])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_walsh_hadamard_matches_the_stacked_butterfly(n, dtype):
+    rng = np.random.default_rng(n)
+    grid = rng.integers(-9, 10, size=(2,) * n).astype(dtype)
+    if dtype is not np.int64:
+        grid = grid + rng.normal(size=grid.shape)
+    if dtype is np.complex128:
+        grid = grid + 1j * rng.normal(size=grid.shape)
+    wide = np.repeat(grid.reshape(-1), 3)
+    for values in (grid, grid.T, wide[::3].reshape((2,) * n)):
+        before = values.copy()
+        got, want = qstate.walsh_hadamard(values, n), stacked_walsh_hadamard(values, n)
+        assert (got.shape, got.dtype) == (want.shape, want.dtype) == (values.shape, dtype)
+        assert got.tobytes() == want.tobytes()
+        assert values.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_kernel_bytes_past_the_hypothesis_range(n):
+    """Pure GHZ, nested noise and a random dense state at 9 and 10 qubits."""
+    ghz = bk.ghz_state(bk.GhzFamily(n, 0.3))
+    dense = random_pure(np.random.default_rng(n), n)
+    for state, visibilities in ((ghz, ()), (ghz, (0.7, 0.3, 0.9)), (dense, (0.55,))):
+        got = bk.correlation_tensor(state, visibilities=visibilities).components
+        assert got.tobytes() == transpose_gather_tensor(state, visibilities).tobytes()
+
+
+@pytest.mark.parametrize("n", [8, 10])
+def test_kernel_peak_memory(n):
+    """At most three complex 4**N tables at once, the per-N relabel cache included."""
+    state = random_pure(np.random.default_rng(n), n)
+    qstate._relabel.cache_clear()
+    tracemalloc.start()
+    try:
+        bk.correlation_tensor(state, visibilities=(0.7,))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 16 * 4**n
