@@ -17,9 +17,15 @@ Three condition values are computed, each compared against 1:
   (closed form: two largest eigenvalues of M_t M_t^T); each trailing party
   gets one plane per branch of the indices behind it.  Exact for N=2,
   otherwise an optimizer lower bound.  A sweep updates the trailing
-  parties in turn; each plane is an orthonormal pair ascent whose step, the
-  best unit vector orthogonal to the other one, is the top eigenvector of a
-  2x2 matrix in closed form.  Only the pairs still rising stay in the loop.
+  parties in turn; each plane is an orthonormal pair ascent.  An iteration
+  has three closed-form steps, the rotations about the pair's three axes:
+  the best unit vector orthogonal to b for a, then the best one orthogonal
+  to a for b (each the top eigenvector of a 2x2 matrix), then the best turn
+  of the pair in its own plane; a pair still rising after four iterations
+  also takes a safeguarded Newton step per iteration.  Only the pairs still
+  rising stay in the loop, and a pair that stops before the iteration cap
+  is stationary for all three rotations.  The SVD that ends a sweep gives
+  its value and the first party's frames in the next sweep.
 
 maximize_bell_value runs see-saw ascent on an arbitrary inequality: each
 per-party, per-setting vector update is the normalized contraction of the
@@ -37,12 +43,16 @@ from typing import Any, Callable
 
 import numpy as np
 
+from .errors import ResourceLimitError
 from .lhv import BellInequality
 from .qstate import CorrelationTensor
 from .tolerance import BOUND_TOL, SWEEP_TOL, ZERO_TOL
 
 #: The condition kinds, in the order the module docstring describes them.
 CONDITION_KINDS = ("two_setting_NS_2qubit", "two_setting_sufficient_N", "multisetting_CN")
+
+#: The most restarts one optimizer run takes, as many as the points of a scan grid.
+MAX_RESTARTS = 1 << 20
 
 #: A block of restarts holds about this many tensor entries (3^N per restart
 #: for the conditions), which bounds memory for any restart count and N.
@@ -57,7 +67,9 @@ class ConditionReport:
     """Outcome of one condition evaluation.
 
     Each restart's final value and whether it converged before max_sweeps; a
-    closed form counts as one converged restart.  violated means the value
+    closed form counts as one converged restart.  On generic (non-GHZ) states
+    some multisetting_CN restarts may still be rising at max_sweeps, so their
+    converged flags are False.  violated means the value
     exceeds 1 by more than BOUND_TOL; restarts_at_best counts the restarts
     within BOUND_TOL of the reported value.
     """
@@ -141,12 +153,15 @@ def _multistart(draw: Callable, evaluate: Callable, sweep: Callable, restarts: i
     and sweep(state) the states and values after one full sweep.  Each restart
     stops on its own, once its value rises by at most SWEEP_TOL or after
     `max_sweeps` sweeps, so its path never depends on the other restarts.
-    Blocks hold about _BLOCK_ENTRIES / entries restarts.  Returns each
+    Blocks hold about _BLOCK_ENTRIES / entries restarts; more than
+    MAX_RESTARTS restarts are refused before any runs.  Returns each
     restart's final value and converged flag, and the winner (the first
     restart with the strict maximum): its index, state and value history.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
+    if restarts > MAX_RESTARTS:
+        raise ResourceLimitError(f"restarts are capped at {MAX_RESTARTS}, got {restarts}")
     block = max(1, _BLOCK_ENTRIES // entries)
     values, converged, best_value = [], [], -np.inf
     for first in range(0, restarts, block):
@@ -220,6 +235,18 @@ def _contract(corr: np.ndarray, rows, free: int | None = None) -> np.ndarray:
     return x.reshape(len(x), x.shape[1], -1)
 
 
+def _suffixes(corr: np.ndarray, rows) -> list[np.ndarray]:
+    """Entry i is corr contracted with rows[i:], each (k, T or 1, m, 3), the last first.
+
+    Entry i keeps the leading parties' axes, 3^(N - len(rows) + i) entries
+    per term; entry len(rows) is corr itself.
+    """
+    out = [corr.reshape(1, 1, 1, -1)]
+    for r in reversed(rows):
+        out.append(_contract_last(out[-1], r))
+    return out[::-1]
+
+
 def condition_two_setting_N(tensor: CorrelationTensor, restarts: int = 50,
                             seed: int = 0, max_sweeps: int = 500) -> ConditionReport:
     """Maximize the in-plane squared correlation sum over per-party planes."""
@@ -241,8 +268,13 @@ def condition_two_setting_N(tensor: CorrelationTensor, restarts: int = 50,
         return np.sum(_contract(corr, planes)[..., 0] ** 2, axis=1)
 
     def sweep(planes):
+        # parties behind j still hold the planes this sweep started from
+        suffix = _suffixes(corr, [p[:, None] for p in planes[1:]])
         for j in range(n):
-            u = _contract(corr, planes, free=j)
+            x = _free_axis(suffix[j])
+            for p in reversed(planes[:j]):
+                x = _contract_last(x, p[:, None])
+            u = x.reshape(len(x), x.shape[1], -1)
             eigvals, eigvecs = np.linalg.eigh(np.swapaxes(u, 1, 2) @ u)
             planes[j][...] = np.swapaxes(eigvecs[..., [2, 1]], 1, 2)
         return planes, eigvals[:, -1] + eigvals[:, -2]
@@ -301,17 +333,111 @@ def _best_perp(g: np.ndarray, fixed: np.ndarray, current: np.ndarray,
     return np.where((top >= value)[:, None], candidate, current), np.maximum(top, value)
 
 
+def _turn(g1: np.ndarray, g2: np.ndarray, a: np.ndarray, b: np.ndarray, value_a: np.ndarray,
+          value_b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Turn each orthonormal pair in its own plane by the angle that maximizes a.g1.a + b.g2.b.
+
+    Rows are independent; value_a and value_b are a.g1.a and b.g2.b.  The turn
+    a' = cos(phi) a + sin(phi) b, b' = cos(phi) b - sin(phi) a gives
+    F(phi) = A + X cos(2 phi) + Y sin(2 phi) with
+    X = (a.g1.a - b.g1.b + b.g2.b - a.g2.a) / 2 and Y = a.g1.b - a.g2.b, so the
+    best angle is 2 phi = atan2(Y, X) and the rise is hypot(X, Y) - X >= 0.  A
+    row turns only where that rise is positive.  Returns the new pairs and
+    their two quadratic values.
+    """
+    g1b, g2a = (g1 @ b[:, :, None])[..., 0], (g2 @ a[:, :, None])[..., 0]
+    b1b, a1b = (g1b * b).sum(axis=1), (g1b * a).sum(axis=1)
+    a2a, a2b = (g2a * a).sum(axis=1), (g2a * b).sum(axis=1)
+    x, y = 0.5 * (value_a - b1b + value_b - a2a), a1b - a2b
+    turn = np.hypot(x, y) > x
+    phi = np.where(turn, 0.5 * np.arctan2(y, x), 0.0)
+    c, s = np.cos(phi), np.sin(phi)
+    cc, ss, cs2 = c * c, s * s, 2 * c * s
+    new_a = c[:, None] * a + s[:, None] * b
+    new_b = c[:, None] * b - s[:, None] * a
+    return (new_a, new_b, np.where(turn, cc * value_a + cs2 * a1b + ss * b1b, value_a),
+            np.where(turn, cc * value_b - cs2 * a2b + ss * a2a, value_b))
+
+
+#: The cyclic successors and predecessors of the axes 0, 1, 2.
+_NEXT, _LAST = [1, 2, 0], [2, 0, 1]
+
+
+def _cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x x y along the last axis, of length 3."""
+    return x[..., _NEXT] * y[..., _LAST] - x[..., _LAST] * y[..., _NEXT]
+
+
+def _newton(g1: np.ndarray, g2: np.ndarray, a: np.ndarray, b: np.ndarray, value_a: np.ndarray,
+            value_b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One safeguarded Newton step for a.g1.a + b.g2.b on the rotations of each pair.
+
+    Rows are independent.  In the frame (a, b, c = a x b), with P_i the
+    compression of g_i, the pair turned by exp(w) about the frame's axes has
+    the gradient 2 (P2_bc, -P1_ac, P1_ab - P2_ab) at w = 0, and the Hessian
+    diag 2 (P2_cc - P2_bb, P1_cc - P1_aa, P1_bb - P1_aa + P2_aa - P2_bb) with
+    off-diagonal P1_ab + P2_ab, P1_ac - 2 P2_ac and P2_bc - 2 P1_bc
+    (exp(t w) is a geodesic, so this is the Riemannian Hessian).  Where it is
+    negative definite, w = -H^-1 grad; otherwise, where the block of the two
+    tilts (about a and b) is, the step leaves the turn about c out, which
+    covers g1 = g2, where that turn changes nothing.  A row takes the step
+    only if it raises the objective.
+    """
+    frame = np.stack((a, b, _cross(a, b)), axis=1)
+    p1 = frame @ g1 @ np.swapaxes(frame, 1, 2)
+    p2 = frame @ g2 @ np.swapaxes(frame, 1, 2)
+    grad = 2 * np.stack((p2[:, 1, 2], -p1[:, 0, 2], p1[:, 0, 1] - p2[:, 0, 1]), axis=1)
+    h = np.empty_like(p1)
+    h[:, 0, 0] = 2 * (p2[:, 2, 2] - p2[:, 1, 1])
+    h[:, 1, 1] = 2 * (p1[:, 2, 2] - p1[:, 0, 0])
+    h[:, 2, 2] = 2 * (p1[:, 1, 1] - p1[:, 0, 0] + p2[:, 0, 0] - p2[:, 1, 1])
+    h[:, 0, 1] = h[:, 1, 0] = p1[:, 0, 1] + p2[:, 0, 1]
+    h[:, 0, 2] = h[:, 2, 0] = p1[:, 0, 2] - 2 * p2[:, 0, 2]
+    h[:, 1, 2] = h[:, 2, 1] = p2[:, 1, 2] - 2 * p1[:, 1, 2]
+    tilts = (h[:, 0, 0] < 0) & (h[:, 0, 0] * h[:, 1, 1] > h[:, 0, 1] ** 2)
+    full = tilts & (np.sum(h[:, 2] * _cross(h[:, 0], h[:, 1]), axis=1) < 0)
+    # without the full step: the tilts alone, or no step (h = -I, grad = 0)
+    h[~full, 2, :2] = h[~full, :2, 2] = 0
+    h[~full, 2, 2] = -1
+    grad[~full, 2] = 0
+    h[~tilts], grad[~tilts] = -_EYE3, 0
+    adjugate = _cross(h[:, _NEXT], h[:, _LAST])  # h is symmetric
+    w = -(adjugate @ grad[:, :, None])[..., 0] / np.sum(h[:, 0] * adjugate[:, 0], axis=1)[:, None]
+    # exp(w) e1 and exp(w) e2 by Rodrigues' formula: the new a and b in the frame
+    angle = np.sqrt(np.sum(w * w, axis=1))
+    axis = w / np.where(angle > 0, angle, 1)[:, None]
+    cos, sin = np.cos(angle)[:, None], np.sin(angle)[:, None]
+    q1, q2 = (cos * e + sin * _cross(axis, e) + (1 - cos) * axis[:, i, None] * axis
+              for i, e in enumerate(_EYE3[:2]))
+    new_a = (q1[:, None] @ p1 @ q1[:, :, None])[:, 0, 0]
+    new_b = (q2[:, None] @ p2 @ q2[:, :, None])[:, 0, 0]
+    step = new_a + new_b > value_a + value_b
+    return (np.where(step[:, None], (q1[:, None] @ frame)[:, 0], a),
+            np.where(step[:, None], (q2[:, None] @ frame)[:, 0], b),
+            np.where(step, new_a, value_a), np.where(step, new_b, value_b))
+
+
+#: Iterations of the closed-form steps alone, before a pair still rising also
+#: takes a Newton step per iteration: most pairs stop sooner, and those steps
+#: converge only linearly.
+_CLOSED_FORM_ITERS = 4
+
+
 def _orthonormal_pair_ascent(g1: np.ndarray, g2: np.ndarray, a: np.ndarray,
                              b: np.ndarray, iters: int = 30) -> tuple[np.ndarray, np.ndarray]:
     """Maximize a.g1.a + b.g2.b over orthonormal pairs, never decreasing it.
 
     All arguments share leading batch axes, flattened here to rows.  An
     iteration replaces a by the best unit vector orthogonal to b, then b by
-    the best one orthogonal to the new a (_best_perp, in closed form).  Each
-    row stops on its own once its objective rises by at most ZERO_TOL, or
-    after `iters` iterations.  The loop carries only the rows still rising,
-    with each vector's quadratic value, and writes a row's pair back once,
-    when it stops; no row's arithmetic depends on the others.
+    the best one orthogonal to the new a (_best_perp, in closed form), then
+    turns the pair in its own plane (_turn).  These are the rotations about
+    b, about a and about a x b, so a row that stops is stationary for all
+    three.  From iteration _CLOSED_FORM_ITERS + 1 on, an iteration ends with
+    a Newton step (_newton) too.  Each row stops on its own once an iteration
+    raises its objective by at most ZERO_TOL, or after `iters` iterations.
+    The loop carries only the rows still rising, with each vector's quadratic
+    value, and writes a row's pair back once, when it stops; no row's
+    arithmetic depends on the others.
     """
     shape = a.shape
     g1, g2 = g1.reshape(-1, 3, 3), g2.reshape(-1, 3, 3)
@@ -319,10 +445,13 @@ def _orthonormal_pair_ascent(g1: np.ndarray, g2: np.ndarray, a: np.ndarray,
     out_a, out_b = np.empty_like(a), np.empty_like(b)
     rows = np.arange(len(a))
     value_a, value_b = _quad(g1, a), _quad(g2, b)
-    for _ in range(iters):
+    for done in range(iters):
         before = value_a + value_b
         a, value_a = _best_perp(g1, b, a, value_a)
         b, value_b = _best_perp(g2, a, b, value_b)
+        a, b, value_a, value_b = _turn(g1, g2, a, b, value_a, value_b)
+        if done >= _CLOSED_FORM_ITERS:
+            a, b, value_a, value_b = _newton(g1, g2, a, b, value_a, value_b)
         rising = value_a + value_b - before > ZERO_TOL
         if not rising.all():
             stopped = ~rising
@@ -340,48 +469,62 @@ def _orthonormal_pair_ascent(g1: np.ndarray, g2: np.ndarray, a: np.ndarray,
 # the index tuples of parties 3..N, use that order too: branch = t % 2^(N-j).
 
 
-def _cn_suffixes(corr: np.ndarray, planes) -> list[np.ndarray]:
-    """Entry i is corr contracted on parties i+3..N: shape (k, 2^(N-i-2), 1, 3^(i+2))."""
-    out = [corr.reshape(1, 1, 1, -1)]
-    for p in reversed(planes):
-        out.append(_contract_last(out[-1], p))
-    return out[::-1]
+def _cn_frames(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each restart's C_N value from its term matrices m, (k, 2^(N-2), 3, 3), and each
+    term's top-2 singular frames u, (k, 2^(N-2), 3, 2), and vt, (k, 2^(N-2), 2, 3)."""
+    u, s, vt = np.linalg.svd(m)
+    return np.sum(s[..., 0] ** 2 + s[..., 1] ** 2, axis=1), u[..., :2], vt[..., :2, :]
 
 
-def _cn_objective(corr: np.ndarray, planes) -> np.ndarray:
-    slices = _cn_suffixes(corr, planes)[0].reshape(len(planes[0]), -1, 3, 3)
-    s = np.linalg.svd(slices, compute_uv=False)
-    return np.sum(s[..., 0] ** 2 + s[..., 1] ** 2, axis=1)
+def _cn_terms(own: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """The term matrices, (k, 2^(N-2), 3, 3), of party j's planes on its grid."""
+    m = np.swapaxes(own, 1, 2)[:, None, :, :, None] @ grid
+    return m.reshape(len(m), -1, 3, 3)
 
 
-def _cn_sweep(corr: np.ndarray, planes):
+def _cn_evaluate(corr: np.ndarray, state) -> np.ndarray:
+    """C_N values of a state (planes..., u, vt); writes the terms' frames into u and vt."""
+    *planes, u, vt = state
+    m = _suffixes(corr, planes)[0].reshape(len(u), -1, 3, 3)
+    value, u[...], vt[...] = _cn_frames(m)
+    return value
+
+
+def _cn_sweep(corr: np.ndarray, state):
     """Update each party's planes in turn, j = 3..N, all branches at once.
 
-    Different branches of party j touch disjoint terms, so this equals
-    updating its planes one branch after another.
+    The state is (planes..., u, vt), with the terms' top-2 singular frames
+    at the current planes.  Different branches of party j touch disjoint
+    terms, so this equals updating its planes one branch after another.
+    Every party's term matrices list the terms in one order (t_3 ... t_N,
+    t_3 most significant), so the frames that end one sweep, from the last
+    party's grid and its updated planes, are the first party's frames in
+    the next; that one SVD also gives the sweep's value.
     """
-    k = len(planes[0])
-    suffix = _cn_suffixes(corr, planes)
+    *planes, u, vt = state
+    k = len(u)
+    suffix = _suffixes(corr, planes[1:])
     for i, own in enumerate(planes):
         branches = own.shape[1]
         # party j = i + 3 keeps its axis free; each term picks its lower-party planes
-        x = _free_axis(suffix[i + 1])
+        x = _free_axis(suffix[i])
         x = np.broadcast_to(x[:, None], (k, 2) + x.shape[1:]).reshape(k, 2 * branches, 3, -1)
         for p in reversed(planes[:i]):
             x = _contract_last(x, p)
         grid = x.reshape(k, -1, 2, branches, 3, 9)  # (free terms, t_j, branch, q, ab)
-        m = (np.swapaxes(own, 1, 2)[:, None, :, :, None] @ grid).reshape(k, -1, 3, 3)
-        u, _, vt = np.linalg.svd(m)
+        if i:
+            _, u, vt = _cn_frames(_cn_terms(own, grid))
         # gradient vectors for party j with the top singular frames fixed:
         # U^T M_q V per term t and axis q, then their Gram matrix over q
-        vec = (np.swapaxes(u[..., :2], 2, 3)[:, :, None] @ grid.reshape(k, -1, 3, 3, 3)
-               @ np.swapaxes(vt[:, :, None, :2], 3, 4))
+        vec = (np.swapaxes(u, 2, 3)[:, :, None] @ grid.reshape(k, -1, 3, 3, 3)
+               @ np.swapaxes(vt[:, :, None], 3, 4))
         vec = vec.reshape(k, -1, 3, 4)
         g = vec @ np.swapaxes(vec, 2, 3)
         g = g.reshape(k, -1, 2, branches, 3, 3).sum(axis=1)
         a, b = _orthonormal_pair_ascent(g[:, 0], g[:, 1], own[:, :, 0], own[:, :, 1])
         own[:, :, 0], own[:, :, 1] = a, b
-    return planes, _cn_objective(corr, planes)
+    value, u, vt = _cn_frames(_cn_terms(own, grid))
+    return (*planes, u, vt), value
 
 
 def condition_multisetting_CN(tensor: CorrelationTensor, restarts: int = 50,
@@ -403,26 +546,29 @@ def condition_multisetting_CN(tensor: CorrelationTensor, restarts: int = 50,
     shift = np.array([j + sum(branch) for j in range(3, n + 1)
                       for branch in np.ndindex(*(2,) * (n - j))])
     cycle = len(_CANONICAL_PLANES)
+    terms = 2 ** (n - 2)
 
     def draw(first, k):
         # one canonical plane everywhere, then canonical planes alternating
-        # along the branch depth, then random planes, node by node
+        # along the branch depth, then random planes, node by node; the
+        # frames are filled by the first evaluation
         starts = np.arange(first, first + k)[:, None]
         planes = _CANONICAL_PLANES[np.where(starts < cycle, starts, (starts + shift) % cycle)]
         random = starts[:, 0] >= 2 * cycle
         planes[random] = _random_planes(rng, int(np.sum(random)), len(shift))
-        return tuple(np.split(planes, np.cumsum(branches)[:-1], axis=1))
+        return (*np.split(planes, np.cumsum(branches)[:-1], axis=1),
+                np.empty((k, terms, 3, 2)), np.empty((k, terms, 2, 3)))
 
     values, converged, _, best, _ = _multistart(
-        draw, lambda planes: _cn_objective(corr, planes), lambda planes: _cn_sweep(corr, planes),
+        draw, lambda state: _cn_evaluate(corr, state), lambda state: _cn_sweep(corr, state),
         restarts, corr.size, max_sweeps)
-    best = [p[None] for p in best]
-    value = float(_cn_objective(corr, best)[0])
-
-    u, _, vt = np.linalg.svd(_cn_suffixes(corr, best)[0].reshape(-1, 3, 3))
+    best = [x[None] for x in best]
+    # report the value the frames actually attain
+    value = float(_cn_evaluate(corr, best)[0])
+    *best, u, vt = best
     report_terms = [{
         "term": [i + 1 for i in term],
-        "frames": _frames_json([u[t, :, :2].T, vt[t, :2]]
+        "frames": _frames_json([u[0, t].T, vt[0, t]]
                                + [best[j - 3][0, t % 2 ** (n - j)] for j in range(3, n + 1)]),
     } for t, term in enumerate(np.ndindex(*(2,) * (n - 2)))]
     return _lower_bound_report("multisetting_CN", value, report_terms, seed, values, converged)

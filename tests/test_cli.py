@@ -527,6 +527,45 @@ def test_scan_grid_cap_counts_n_times_steps(monkeypatch, capsys, n_list, steps, 
         assert len(captured.out.splitlines()) == 1 + 2 * 4
 
 
+#: one command per restart loop; without the cap each runs until it is killed
+OVER_RESTART_CAP = [
+    (("condition", "--kind", "multisetting_CN", "--state", "ghz:N=3,alpha=0.3"), None),
+    (("scan", "--family", "ghz", "--n", "3", "--alpha-steps", "2"), None),
+    (("maximize", "--inequality", "-", "--state", "singlet"), CHSH_JSON),
+]
+
+
+@pytest.mark.parametrize("args, stdin", OVER_RESTART_CAP,
+                         ids=[case[0][0] for case in OVER_RESTART_CAP])
+def test_restart_cap_exits_4(args, stdin):
+    proc = subprocess.run(
+        [sys.executable, "-m", "bellkit.cli", *args, "--restarts", "99999999999999999999"],
+        capture_output=True, text=True, input=stdin, timeout=60)
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr == ("resource cap: restarts are capped at 1048576, "
+                           "got 99999999999999999999\n")
+
+
+@pytest.mark.parametrize("restarts, code", [(4, 3), (5, 4)])
+def test_restart_cap_is_checked_before_any_restart_runs(monkeypatch, capsys, restarts, code):
+    from bellkit import cli, qcond
+
+    assert qcond.MAX_RESTARTS == 2**20
+    monkeypatch.setattr(qcond, "MAX_RESTARTS", 4)
+    drawn, draw = [], qcond._random_planes
+    monkeypatch.setattr(qcond, "_random_planes", lambda *args: drawn.append(args) or draw(*args))
+    assert cli.main(["condition", "--kind", "two_setting_sufficient_N",
+                     "--state", "ghz:N=3,alpha=0.3", "--restarts", str(restarts)]) == code
+    captured = capsys.readouterr()
+    if code == 4:
+        assert (captured.out, captured.err) == (
+            "", f"resource cap: restarts are capped at 4, got {restarts}\n")
+    else:
+        assert json.loads(captured.out)["violated"]
+    # the refused run draws no start planes
+    assert bool(drawn) == (code == 3)
+
+
 def test_tensor_state_file_norm_edge_exits_2():
     """Norm 1 + 8e-13 passes PureState; the identity component, the norm squared, does not."""
     rng = np.random.default_rng(4)
