@@ -136,63 +136,77 @@ def _parse_payload(loader, data, what: str):
         raise ValueError(f"not a valid {what}: {exc}") from exc
 
 
+#: int.__repr__ and float.__repr__ (what json.dumps writes for an int and a
+#: finite float) as ufuncs, so the reprs are written straight into an object array
+_REPRS = {"i": np.frompyfunc(int.__repr__, 1, 1), "f": np.frompyfunc(float.__repr__, 1, 1)}
+
+
 def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """`json.dumps(obj, indent=2, sort_keys=True) + "\\n"`, with ndarrays written as lists.
 
-
-#: float.__repr__ (what json.dumps writes for a finite float) as a ufunc, so
-#: the reprs are written straight into an object array
-_FLOAT_REPR = np.frompyfunc(float.__repr__, 1, 1)
-
-
-def _dump_tensor_json(tensor: CorrelationTensor) -> str:
-    """`_dump_json(tensor.to_json_dict())`, built in one join.
-
-    json.dumps writes indented output token by token in Python; here the
-    leaves are float reprs (what json writes for finite floats), and the
-    text after leaf i depends only on t, how many nested lists close there:
-    the number of trailing base-4 zeros of i + 1.  A +0.0 leaf and the text
-    after it are one shared part, "0.0" + seps[t], so only nonzero leaves
-    are formatted, and GHZ tensors are almost all zeros.  Every other leaf
-    is two parts, its repr and seps[t].  -0.0 is not +0.0 (its sign bit is
-    set), so it keeps its repr "-0.0".
+    json.dumps writes the skeleton, with the stub "\\0" for each ndarray (int64
+    or float64, at least 1-D, non-empty) in the order the text holds them.
+    Each array's text takes the skeleton before it, and the last one also the
+    rest, so a lone array's join makes the whole output: the outer join
+    returns that string without copying it.
     """
-    n = tensor.n_qubits
-    values = tensor.components.ravel()
+    arrays: list[np.ndarray] = []
+
+    def stub(array: np.ndarray) -> str:
+        arrays.append(array)
+        return "\0"
+
+    text = json.dumps(obj, indent=2, sort_keys=True, default=stub) + "\n"
+    if not arrays:
+        return text
+    *heads, tail = text.split('"\\u0000"')
+    return "".join(map(_array_text, heads, arrays, [""] * (len(heads) - 1) + [tail]))
+
+
+def _array_text(head: str, array: np.ndarray, tail: str) -> str:
+    """head + array + tail, as json.dumps(indent=2) writes the array after head, in one join.
+
+    The text after leaf i depends only on t, how many lists close there: how
+    many trailing-axis products (s[-1], s[-1] s[-2], ...) of the shape s
+    divide i + 1.  A zero leaf (0, or +0.0 by bit pattern, so -0.0 keeps its
+    repr) and the text after it are one shared part; every other leaf is its
+    repr and seps[t].  GHZ tensors and generated inequalities are mostly zeros.
+    """
+    line = head[head.rfind("\n") + 1:]
+    # rows[j]: a new line at the indent of nesting level j; leaves sit at level n
+    n = array.ndim
+    rows = ["\n" + " " * (len(line) - len(line.lstrip(" ")) + 2 * j) for j in range(n + 1)]
     # seps[t]: close t lists, then a comma, then open t lists; after the
-    # last leaf, seps[n] closes all n lists and the object
-    seps = [
-        "".join(f"\n{' ' * 2 * d}]" for d in range(n, n - t, -1)) + ","
-        + "".join(f"\n{' ' * 2 * d}[" for d in range(n - t + 1, n + 1))
-        + f"\n{' ' * 2 * (n + 1)}"
-        for t in range(n)
-    ]
-    seps.append("".join(f"\n{' ' * 2 * d}]" for d in range(n, 0, -1))
-                + f',\n  "n_qubits": {n}\n}}\n')
+    # last leaf, seps[n] closes all n lists and adds the tail
+    seps = ["".join(rows[j] + "]" for j in range(n - 1, n - 1 - t, -1)) + ","
+            + "".join(rows[j] + "[" for j in range(n - t, n)) + rows[n] for t in range(n)]
+    seps.append("".join(rows[j] + "]" for j in range(n - 1, -1, -1)) + tail)
+    values = array.ravel()
     nonzero = values.view(np.uint64) != 0
-    # every distinct part: seps[t], "0.0" + seps[t], then the reprs
-    shared = 2 * len(seps)
+    # every distinct part: the head and the opening brackets, seps[t],
+    # zero + seps[t], then the reprs
+    shared = 1 + 2 * len(seps)
     source = np.empty(shared + np.count_nonzero(nonzero), dtype=object)
-    source[:shared] = seps + ["0.0" + sep for sep in seps]
-    _FLOAT_REPR(values[nonzero], out=source[shared:])
-    # ends[i]: the part that ends leaf i, seps[t] or "0.0" + seps[t]; t
-    # counts the k with 4**k dividing i + 1
-    ends = np.where(nonzero, 0, len(seps))
-    for k in range(1, n + 1):
-        ends[4**k - 1::4**k] += 1
-    # leaf i starts at part i + (nonzero leaves before i); a nonzero leaf
-    # starts with its repr
+    zero = repr(values.dtype.type(0).item())
+    source[:shared] = ([head + "[" + "".join(row + "[" for row in rows[1:n]) + rows[n]]
+                       + seps + [zero + sep for sep in seps])
+    _REPRS[values.dtype.kind](values[nonzero], out=source[shared:])
+    # ends[i]: the part that ends leaf i, seps[t] or zero + seps[t]
+    ends = np.where(nonzero, 1, 1 + len(seps))
+    size = 1
+    for length in reversed(array.shape):
+        size *= length
+        ends[size - 1::size] += 1
+    # part 0 is the head; leaf i starts at part 1 + i + (nonzero leaves
+    # before i), and a nonzero leaf starts with its repr
     at = np.flatnonzero(nonzero)
-    at += np.arange(at.size)
-    index = np.empty(4**n + at.size, dtype=np.intp)
+    at += np.arange(1, at.size + 1)
+    index = np.zeros(1 + values.size + at.size, dtype=np.intp)
     index[at] = np.arange(shared, source.size)
     is_end = np.ones(index.size, dtype=bool)
-    is_end[at] = False
+    is_end[0] = is_end[at] = False
     index[is_end] = ends
-    parts = source[index].tolist()
-    parts.insert(0, '{\n  "full_components": '
-                 + "".join(f"[\n{' ' * 2 * (d + 1)}" for d in range(1, n + 1)))
-    return "".join(parts)
+    return "".join(source[index].tolist())
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -229,7 +243,9 @@ def cmd_tensor(args) -> int:
         state = _parse_payload(PureState.from_json_dict, data, "pure state")
         visibilities = ()
     tensor = correlation_tensor(state, visibilities=visibilities)
-    _emit(_dump_tensor_json(tensor), args.out)
+    # tensor.to_json_dict(), but the components stay an array for _dump_json
+    _emit(_dump_json({"n_qubits": tensor.n_qubits, "full_components": tensor.components}),
+          args.out)
     return EXIT_OK
 
 
@@ -284,12 +300,13 @@ def cmd_generate(args) -> int:
     except ValueError as exc:
         raise ValueError(f"bad layout {args.layout!r}: {exc}") from exc
     ineq = _generate_inequality(layout, args.sign_fn)
+    # ineq.to_json_dict(), but the coefficients stay an array for _dump_json
+    payload = {"layout": list(ineq.layout.settings_per_party),
+               "coefficients": ineq.coefficients, "bound": ineq.bound}
     if args.check_tight:
         report = check_tightness(ineq)
         tightness = {key: getattr(report, key) for key in _TIGHTNESS_KEYS}
-        payload = {"inequality": ineq.to_json_dict(), "tightness": tightness}
-    else:
-        payload = ineq.to_json_dict()
+        payload = {"inequality": payload, "tightness": tightness}
     _emit(_dump_json(payload), args.out)
     return EXIT_OK
 

@@ -320,39 +320,64 @@ def test_tensor_out_file_matches_stdout(tmp_path):
     assert target.read_text() == out
 
 
+def test_generate_out_file_matches_stdout(tmp_path):
+    target = tmp_path / "inequality.json"
+    args = ("generate", "--layout", "4,4,2", "--check-tight")
+    code, out, _ = run_cli(*args)
+    assert code == 0
+    assert run_cli(*args, "--out", str(target)) == (0, "", "")
+    assert target.read_text() == out
+
+
 #: entries whose reprs are easy to get wrong: signed zero, the smallest
 #: subnormal, an exponent form, a non-terminating binary fraction, the bound -1
 AWKWARD_FLOATS = [-0.0, 5e-324, 1e-17, 0.1, -1.0]
+#: the int64 extremes json must write in full, and a small negative
+AWKWARD_INTS = [2**63 - 1, -(2**63 - 1), -64]
+ARRAY_SHAPES = [(2,), (2, 2, 2), (4, 4, 2), (8, 8, 4, 2), (8, 8, 4, 4, 4), (2, 1, 3)] + [
+    (4,) * n for n in range(1, 7)]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-def test_tensor_writer_matches_json_dumps(n):
-    from bellkit.cli import _dump_json, _dump_tensor_json
+def arrays_to_lists(obj):
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {key: arrays_to_lists(value) for key, value in obj.items()}
+    return obj
 
-    rng = np.random.default_rng(n)
-    comp = np.empty(4**n)
-    comp[0] = 1.0
-    comp[1:] = np.resize(AWKWARD_FLOATS + list(rng.uniform(-1, 1, 3)), comp.size - 1)
-    rng.shuffle(comp[1:])
-    cases = [comp]
-    # sparse tensors, whose +0.0 entries are shared parts: the values next
-    # to them sit first in a row, last in a row and last of all (n = 1 has
-    # one row, led by the identity)
-    for value in (-0.0, 5e-324, 1e-17):
-        comp = np.zeros(4**n)
-        comp[0] = 1.0
-        comp[[i for i in (4, 3, 4**n - 1) if i < 4**n]] = value
-        cases.append(comp)
-    identity_only = np.zeros(4**n)
-    identity_only[0] = 1.0
-    cases.append(identity_only)
-    if n >= 2:
-        cases.append(bk.correlation_tensor(bk.ghz_state(bk.GhzFamily(n, 0.3))).components)
-    for comp in cases:
-        tensor = bk.CorrelationTensor(n, comp.reshape((4,) * n))
-        # compared line by line: pytest renders a diff of two long strings slowly
-        got = _dump_tensor_json(tensor).split("\n")
-        assert got == _dump_json(tensor.to_json_dict()).split("\n")
+
+@pytest.mark.parametrize("shape", ARRAY_SHAPES, ids=["x".join(map(str, s)) for s in ARRAY_SHAPES])
+def test_array_writer_matches_json_dumps(shape):
+    from bellkit.cli import _dump_json
+
+    rng = np.random.default_rng(len(shape) * 100 + shape[0])
+    row, size = shape[-1], int(np.prod(shape))
+    # first of all, first in a later row, last in a row, last of all
+    spots = sorted({0, row, row - 1, size - 1} - {size})
+    for awkward, zeros in ((AWKWARD_FLOATS, (0.0, -0.0)), (AWKWARD_INTS, (0,))):
+        dtype = np.array(awkward).dtype
+        dense = np.resize(np.array(awkward + [1, 2, 3], dtype=dtype), size)
+        rng.shuffle(dense)
+        cases = [dense]
+        # the zero leaves, whose parts are shared, in the spots among nonzero
+        # leaves, and the awkward values in the spots among zeros
+        for zero in zeros:
+            case = np.resize(np.array(awkward[1:] + [3], dtype=dtype), size)
+            case[spots] = zero
+            cases.append(case)
+        for value in awkward:
+            case = np.zeros(size, dtype=dtype)
+            case[spots] = value
+            cases.append(case)
+        for case in cases:
+            array = case.reshape(shape)
+            inequality = {"bound": 4, "coefficients": array, "layout": list(shape)}
+            for payload in (array, inequality,
+                            {"inequality": inequality, "tightness": {"is_tight": True}}):
+                # compared line by line: pytest renders a diff of two long strings slowly
+                got = _dump_json(payload).split("\n")
+                want = json.dumps(arrays_to_lists(payload), indent=2, sort_keys=True) + "\n"
+                assert got == want.split("\n")
 
 
 def test_byte_stable_outputs():
@@ -605,6 +630,19 @@ PINNED_OUTPUTS = [
      "49dfe7fed8c20caf7c97723495f63c35a68149e4b093f2c102c2a54da4fc140e"),
     (("generate", "--layout", "8,8,4,4,4"), None,
      "7af991115163911c5f93aac04e0403de0783e732169dea3bdbc4fae45fceb9a0"),
+    # chosen sign functions: coefficients -64...64, a tight 4,4,4,2 facet
+    # printed under "inequality", and a random-sign 8,8,4,2
+    (("generate", "--layout", "8,8,4,4,4", "--sign-fn", "0110", "--sign-fn", "0111",
+      "--sign-fn", "0001", "--sign-fn", "0110", "--sign-fn", "1000", "--sign-fn", "0110",
+      "--sign-fn", "0010", "--sign-fn", "0110", "--sign-fn", "0100"), None,
+     "75b9d9403f994723155531c19c01456ae79c8501aeae6dbdf5f5e5a777e72acc"),
+    (("generate", "--layout", "4,4,4,2", "--check-tight", "--sign-fn", "0110",
+      "--sign-fn", "01101001", "--sign-fn", "00010111"), None,
+     "b0e755d5af3c8f9b38acf648c16d800769bffeb85902b5f780c50f90fd3e597d"),
+    (("generate", "--layout", "8,8,4,2", "--sign-fn", "1001", "--sign-fn", "1000",
+      "--sign-fn", "1111", "--sign-fn", "1111", "--sign-fn", "1000", "--sign-fn", "1011",
+      "--sign-fn", "1111"), None,
+     "6a58ff330fd129a903c41b8ed7add6b3c29c27ffd3487bbbc36250775136a2a6"),
     (("lhv", "--table", "-"), PINNED_TABLE,
      "de4f7f36ca0e2f4901f8a7db805f4af49469f501711e7d880ccf2a0e96425616"),
     (("tensor", "--state", "ghz:N=5,alpha=0.3"), None,
@@ -637,6 +675,16 @@ def test_pinned_output_bytes(args, stdin, digest):
     code, out, _ = run_cli(*args, stdin=stdin)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_pinned_lhv_certificate_bytes():
+    """A table outside the 3,3 polytope: the LP's separating hyperplane, float
+    coefficients with a 0.0 among them, printed from lists by json.dumps."""
+    table = '{"layout":[3,3],"values":[[1,1,1],[1,-1,0.5],[1,0.5,-1]]}'
+    code, out, err = run_cli("lhv", "--table", "-", stdin=table)
+    assert (code, err) == (3, "violation: value 7.5 exceeds bound 4.0\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "8d8069eec01eb373684d0d889d8bf3ca9dbe2c73dc75473a7c7a166268851346")
 
 
 def lp_model_from_stdout(table_json: str, out: str) -> tuple[bk.CorrelationTable, bk.LhvModel]:
