@@ -141,22 +141,26 @@ def _parse_payload(loader, data, what: str):
 _REPRS = {"i": np.frompyfunc(int.__repr__, 1, 1), "f": np.frompyfunc(float.__repr__, 1, 1)}
 
 
+def _stub_arrays(obj, arrays: list):
+    """obj with each ndarray (obj itself or a nested dict's value) replaced by "\\0", listed
+    in arrays in the order json.dumps(sort_keys=True) writes them: keys sorted."""
+    if isinstance(obj, np.ndarray):
+        arrays.append(obj)
+        return "\0"
+    if isinstance(obj, dict):
+        return {key: _stub_arrays(obj[key], arrays) for key in sorted(obj)}
+    return obj
+
+
 def _dump_json(obj) -> str:
     """`json.dumps(obj, indent=2, sort_keys=True) + "\\n"`, with ndarrays written as lists.
 
-    json.dumps writes the skeleton, with the stub "\\0" for each ndarray (int64
-    or float64, at least 1-D, non-empty) in the order the text holds them.
-    Each array's text takes the skeleton before it, and the last one also the
-    rest, so a lone array's join makes the whole output: the outer join
-    returns that string without copying it.
+    json.dumps writes the skeleton, with a stub for each ndarray (int64 or float64,
+    at least 1-D, non-empty).  Each array's text takes the skeleton before it,
+    the last one also the rest, so a lone array's join makes the whole output.
     """
     arrays: list[np.ndarray] = []
-
-    def stub(array: np.ndarray) -> str:
-        arrays.append(array)
-        return "\0"
-
-    text = json.dumps(obj, indent=2, sort_keys=True, default=stub) + "\n"
+    text = json.dumps(_stub_arrays(obj, arrays), indent=2, sort_keys=True) + "\n"
     if not arrays:
         return text
     *heads, tail = text.split('"\\u0000"')
@@ -183,8 +187,7 @@ def _array_text(head: str, array: np.ndarray, tail: str) -> str:
     seps.append("".join(rows[j] + "]" for j in range(n - 1, -1, -1)) + tail)
     values = array.ravel()
     nonzero = values.view(np.uint64) != 0
-    # every distinct part: the head and the opening brackets, seps[t],
-    # zero + seps[t], then the reprs
+    # every distinct part: head and opening brackets, seps[t], zero + seps[t], reprs
     shared = 1 + 2 * len(seps)
     source = np.empty(shared + np.count_nonzero(nonzero), dtype=object)
     zero = repr(values.dtype.type(0).item())
