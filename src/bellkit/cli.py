@@ -200,11 +200,11 @@ def _array_text(head: str, array: np.ndarray, tail: str) -> str:
     for length in reversed(array.shape):
         size *= length
         ends[size - 1::size] += 1
-    # part 0 is the head; leaf i starts at part 1 + i + (nonzero leaves
-    # before i), and a nonzero leaf starts with its repr
+    # part 0 is the head; leaf i starts at part 1 + i + (nonzero leaves before i)
     at = np.flatnonzero(nonzero)
     at += np.arange(1, at.size + 1)
-    index = np.zeros(1 + values.size + at.size, dtype=np.intp)
+    index = np.empty(1 + values.size + at.size, dtype=np.intp)
+    index[0] = 0
     index[at] = np.arange(shared, source.size)
     is_end = np.ones(index.size, dtype=bool)
     is_end[0] = is_end[at] = False
