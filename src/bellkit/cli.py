@@ -174,7 +174,7 @@ def _array_text(head: str, array: np.ndarray, tail: str) -> str:
     many trailing-axis products (s[-1], s[-1] s[-2], ...) of the shape s
     divide i + 1.  A zero leaf (0, or +0.0 by bit pattern, so -0.0 keeps its
     repr) and the text after it are one shared part; every other leaf is its
-    repr and seps[t].  GHZ tensors and generated inequalities are mostly zeros.
+    repr, formatted once per distinct value, and seps[t].
     """
     line = head[head.rfind("\n") + 1:]
     # rows[j]: a new line at the indent of nesting level j; leaves sit at level n
@@ -182,30 +182,30 @@ def _array_text(head: str, array: np.ndarray, tail: str) -> str:
     rows = ["\n" + " " * (len(line) - len(line.lstrip(" ")) + 2 * j) for j in range(n + 1)]
     # seps[t]: close t lists, then a comma, then open t lists; after the
     # last leaf, seps[n] closes all n lists and adds the tail
-    seps = ["".join(rows[j] + "]" for j in range(n - 1, n - 1 - t, -1)) + ","
-            + "".join(rows[j] + "[" for j in range(n - t, n)) + rows[n] for t in range(n)]
-    seps.append("".join(rows[j] + "]" for j in range(n - 1, -1, -1)) + tail)
+    closes = [row + "]" for row in rows[n - 1::-1]]
+    opens = [row + "[" for row in rows[:n]]
+    seps = ["".join(closes[:t]) + "," + "".join(opens[n - t:]) + rows[n] for t in range(n)]
+    seps.append("".join(closes) + tail)
     values = array.ravel()
     nonzero = values.view(np.uint64) != 0
-    # every distinct part: head and opening brackets, seps[t], zero + seps[t], reprs
+    # every distinct part: head and opening brackets, seps[t], zero + seps[t], then the
+    # reprs of the distinct nonzero leaves (with no +0.0, np.unique keeps -0.0 apart)
     shared = 1 + 2 * len(seps)
-    source = np.empty(shared + np.count_nonzero(nonzero), dtype=object)
+    distinct, which = np.unique(values[nonzero], return_inverse=True)
+    source = np.empty(shared + distinct.size, dtype=object)
     zero = repr(values.dtype.type(0).item())
-    source[:shared] = ([head + "[" + "".join(row + "[" for row in rows[1:n]) + rows[n]]
-                       + seps + [zero + sep for sep in seps])
-    _REPRS[values.dtype.kind](values[nonzero], out=source[shared:])
+    source[:shared] = [head + "[" + "".join(opens[1:]) + rows[n]] + seps + [zero + sep for sep in seps]
+    _REPRS[values.dtype.kind](distinct, out=source[shared:])
     # ends[i]: the part that ends leaf i, seps[t] or zero + seps[t]
     ends = np.where(nonzero, 1, 1 + len(seps))
-    size = 1
-    for length in reversed(array.shape):
-        size *= length
+    for size in np.cumprod(array.shape[::-1]):
         ends[size - 1::size] += 1
     # part 0 is the head; leaf i starts at part 1 + i + (nonzero leaves before i)
     at = np.flatnonzero(nonzero)
     at += np.arange(1, at.size + 1)
     index = np.empty(1 + values.size + at.size, dtype=np.intp)
     index[0] = 0
-    index[at] = np.arange(shared, source.size)
+    index[at] = shared + which
     is_end = np.ones(index.size, dtype=bool)
     is_end[0] = is_end[at] = False
     index[is_end] = ends
