@@ -194,7 +194,8 @@ def _array_text(head: str, array: np.ndarray, tail: str) -> str:
     distinct, which = np.unique(values[nonzero], return_inverse=True)
     source = np.empty(shared + distinct.size, dtype=object)
     zero = repr(values.dtype.type(0).item())
-    source[:shared] = [head + "[" + "".join(opens[1:]) + rows[n]] + seps + [zero + sep for sep in seps]
+    source[:shared] = ([head + "[" + "".join(opens[1:]) + rows[n]] + seps
+                       + [zero + sep for sep in seps])
     _REPRS[values.dtype.kind](distinct, out=source[shared:])
     # ends[i]: the part that ends leaf i, seps[t] or zero + seps[t]
     ends = np.where(nonzero, 1, 1 + len(seps))
@@ -247,8 +248,7 @@ def cmd_tensor(args) -> int:
         visibilities = ()
     tensor = correlation_tensor(state, visibilities=visibilities)
     # tensor.to_json_dict(), but the components stay an array for _dump_json
-    _emit(_dump_json({"n_qubits": tensor.n_qubits, "full_components": tensor.components}),
-          args.out)
+    _emit(_dump_json({"n_qubits": tensor.n_qubits, "full_components": tensor.components}), args.out)
     return EXIT_OK
 
 

@@ -358,7 +358,8 @@ def test_array_writer_matches_json_dumps(shape):
         dtype = np.array(awkward).dtype
         dense = np.resize(np.array(awkward + [1, 2, 3], dtype=dtype), size)
         rng.shuffle(dense)
-        cases = [dense]
+        # and values drawn at random: all distinct as floats, repeated as ints
+        cases = [dense, (rng.standard_normal(size) * 1e3).astype(dtype)]
         # the zero leaves, whose parts are shared, in the spots among nonzero
         # leaves, and the awkward values in the spots among zeros
         for zero in zeros:
