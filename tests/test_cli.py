@@ -611,6 +611,10 @@ def seeded_state_json(seed: int, n: int) -> str:
     return json.dumps(bk.PureState(n, amps / np.linalg.norm(amps)).to_json_dict())
 
 
+#: A fixed pseudo-random arity-10 sign function: 1024 bits from sha256.
+SIGN_2_10 = "".join(f"{int(hashlib.sha256(f'bellkit 2^10 sign {k}'.encode()).hexdigest(), 16):0256b}"
+                    for k in range(4))
+
 # full sha256 of stdout for commands whose bytes are pinned; the (3,3,3)
 # table goes through the LP oracle
 PINNED_TABLE = json.dumps({"layout": [3, 3, 3], "values": [[[0.3] * 3] * 3] * 3})
@@ -644,6 +648,9 @@ PINNED_OUTPUTS = [
       "--sign-fn", "1111", "--sign-fn", "1111", "--sign-fn", "1000", "--sign-fn", "1011",
       "--sign-fn", "1111"), None,
      "6a58ff330fd129a903c41b8ed7add6b3c29c27ffd3487bbbc36250775136a2a6"),
+    # a 1024-dimensional facet: 1024 saturating rows of 2048 vertices
+    (("generate", "--layout", "2,2,2,2,2,2,2,2,2,2", "--check-tight", "--sign-fn", SIGN_2_10),
+     None, "2ba046fff9b49e0b919da1b2f57ba82220edbca1841bca05221bed70b96c9605"),
     (("lhv", "--table", "-"), PINNED_TABLE,
      "de4f7f36ca0e2f4901f8a7db805f4af49469f501711e7d880ccf2a0e96425616"),
     (("tensor", "--state", "ghz:N=5,alpha=0.3"), None,
@@ -671,7 +678,8 @@ PINNED_OUTPUTS = [
 
 
 @pytest.mark.parametrize("args, stdin, digest", PINNED_OUTPUTS,
-                         ids=[" ".join(case[0]) for case in PINNED_OUTPUTS])
+                         ids=[" ".join(arg if len(arg) <= 64 else arg[:16] + "..."
+                                       for arg in case[0]) for case in PINNED_OUTPUTS])
 def test_pinned_output_bytes(args, stdin, digest):
     code, out, _ = run_cli(*args, stdin=stdin)
     assert code == 0
