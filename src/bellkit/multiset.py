@@ -19,16 +19,17 @@ Observable is one-hot, a Leaf scatters the Walsh coefficients w of its sign
 function onto its setting pairs, and a Node is, by broadcasting,
 X1 (w00 Y1 + w01 Y2) + X2 (w10 Y1 + w11 Y2).  Tightness is decided by
 enumerating the distinct polytope vertices, counting those that saturate the
-bound, and measuring their exact linear rank: full rank is certified by
-elimination modulo a prime on a random integer sketch of the saturating rows,
-and only a matrix that certificate does not settle goes to fraction-free
-elimination over the integers.
+bound, and measuring their exact linear rank: full rank is certified by an
+approximate inverse of the saturating rows' Gram matrix whose integer residual
+float64 holds exactly, and only a matrix that certificate does not settle goes
+to fraction-free elimination over the integers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import reduce
 from typing import Callable, Sequence, Union
 
@@ -295,7 +296,7 @@ class TightnessReport:
     affine_rank: int
     dimension: int
     #: True when the rank came from the exact integer elimination, False when
-    #: the modular certificate proved full rank.
+    #: the Gram-inverse certificate proved full rank.
     exact_fallback: bool
 
 
@@ -305,16 +306,21 @@ def check_tightness(ineq: BellInequality) -> TightnessReport:
     Sweeps the distinct polytope vertices, counts exact saturations of the
     upper bound, and computes the exact linear rank of the saturating vertex
     tensors; the inequality is tight precisely when that rank equals the
-    dimension of the correlation space.  Full rank is certified modulo a
-    prime on a random sketch of the saturating rows; when the certificate
-    fails (every non-tight inequality, or an unlucky prime) the rank comes
-    from fraction-free elimination over the integers, so it is exact either
-    way.
+    dimension of the correlation space.  Full rank is certified by an
+    approximate inverse of the saturating rows' Gram matrix; when the
+    certificate fails (every non-tight inequality, or a Gram matrix too large
+    or too ill-conditioned for float64) the rank comes from fraction-free
+    elimination over the integers, so it is exact either way.  Coefficients
+    whose magnitudes sum to 2^63 or more raise ResourceLimitError, since a
+    vertex value could then wrap in int64.
     """
     if not ineq.is_integral() or not isinstance(ineq.bound, int):
         raise ValueError("tightness checks need exact integer coefficients")
     _, vertices = enumerate_vertices(ineq.layout)
     flat = ineq.coefficients.ravel()
+    # every vertex value and partial sum is at most sum |c| in magnitude
+    if sum(map(abs, flat.tolist())) >= 1 << 63:
+        raise ResourceLimitError("coefficient magnitudes sum past exact int64 vertex values")
     values = vertices @ flat
     if np.max(np.abs(values)) > ineq.bound:
         raise ValueError("bound is not valid on the vertex set")
@@ -335,85 +341,58 @@ def _column_rank(matrix: np.ndarray) -> tuple[int, bool]:
     """Exact rank of an integer matrix, capped at its column count, and
     whether the exact integer elimination had to run."""
     dim = matrix.shape[1]
-    if _full_rank_mod_p(matrix):
+    if _certified_full_rank(matrix):
         return dim, False
     return _integer_rank(matrix), True
 
 
-#: Largest prime below 2^25: a product of two residues stays below 2^50, so
-#: elimination in float64 is exact.
-_PRIME = 33_554_393
-#: Sketch entries are drawn from [0, 2^_SKETCH_BITS) by a fixed-seed generator.
-_SKETCH_BITS = 20
-_SKETCH_SEED = 0
-
-
-def _full_rank_mod_p(matrix: np.ndarray) -> bool:
+def _certified_full_rank(matrix: np.ndarray) -> bool:
     """True when ``matrix`` provably has full column rank over the rationals.
 
-    Compresses the rows into a square sketch X = R @ matrix, with R a
-    fixed-seed integer matrix, accumulated one block of ``dim`` rows at a time
-    so the extra memory is O(dim^2); then eliminates X modulo _PRIME.  Full
-    rank of X mod p proves full rank of ``matrix``, because
-    rank_p(R M) <= rank_p(M) <= rank_Q(M).  False proves nothing.  Every
-    float64 sum formed is an integer below rows * max|entry| * 2^20; when that
-    is not below 2^53 the sums could round, and the answer is False.
+    Forms the Gram matrix G = M^T M in float64, one block of ``dim`` rows at
+    a time so the extra memory is O(dim^2).  Every sum formed is an integer
+    below rows * max|M|^2; when that is not below 2^53 the sums could round,
+    and the answer is False.  Then, with Z a floating-point inverse of G and
+    W = rint(2^s Z), the integer residual E = W G - 2^s I is formed exactly,
+    and max_i sum_j |E_ij| < 2^s means ||I - 2^-s W G|| < 1 in the infinity
+    norm, so W G, G and M^T M are nonsingular: the approximate-inverse
+    argument (Rump, Acta Numerica 19, 2010).  How close Z is to the inverse
+    decides only whether this certifies; False proves nothing.
     """
     rows, dim = matrix.shape
     if rows < dim:
         return False
     largest = max(int(matrix.max()), -int(matrix.min()))  # no |matrix| copy
-    if (rows * largest) << _SKETCH_BITS >= 1 << 53:
+    if rows * largest * largest >= 1 << 53:
         return False
-    rng = np.random.default_rng(_SKETCH_SEED)
-    x = np.zeros((dim, dim))
+    gram = np.zeros((dim, dim))
     for start in range(0, rows, dim):
         block = matrix[start:start + dim].astype(np.float64)
-        sketch = rng.integers(0, 1 << _SKETCH_BITS, size=(dim, block.shape[0]))
-        x += sketch.astype(np.float64) @ block
-    return _nonsingular_mod_p(np.mod(x, _PRIME))
-
-
-def _nonsingular_mod_p(x: np.ndarray) -> bool:
-    """Whether a square float64 matrix of residues mod _PRIME is invertible.
-
-    Gaussian elimination in place.  Each product of two residues is below
-    2^50 and each difference formed below 2^51, so float64 holds every
-    intermediate exactly.
-    """
-    dim = x.shape[0]
-    scratch = np.empty(dim * dim)
-    for col in range(dim):
-        nonzero = np.flatnonzero(x[col:, col])
-        if nonzero.size == 0:
-            return False
-        pivot = col + nonzero[0]
-        if pivot != col:
-            x[[col, pivot], col:] = x[[pivot, col], col:]
-        row = x[col, col + 1:]
-        row *= pow(int(x[col, col]), -1, _PRIME)
-        _reduce_mod_p(row, scratch[:row.size])
-        below = x[col + 1:, col + 1:]
-        product = scratch[:below.size].reshape(below.shape)
-        np.multiply.outer(x[col + 1:, col], row, out=product)
-        below -= product
-        _reduce_mod_p(below, product)
-    return True
-
-
-def _reduce_mod_p(y: np.ndarray, scratch: np.ndarray) -> None:
-    """Reduce integer-valued float64 entries below 2^51 in magnitude to
-    residues in [0, _PRIME), in place; ``scratch`` has y's shape.
-
-    y - p * floor(y / p) is exact: the quotient is below 2^27 in magnitude,
-    so rounding moves it by at most 2^-27, less than its distance (at least
-    1/p > 2^-25) from any integer it is not equal to.  np.mod gives the same values but goes through
-    the slower fmod.
-    """
-    np.divide(y, _PRIME, out=scratch)
-    np.floor(scratch, out=scratch)
-    scratch *= _PRIME
-    y -= scratch
+        gram += block.T @ block
+    try:
+        weights = np.linalg.inv(gram)
+    except np.linalg.LinAlgError:
+        return False
+    z_max = float(np.max(np.abs(weights)))
+    if not math.isfinite(z_max):
+        return False
+    # |G_kj| <= max_k G_kk, as G is positive semidefinite, and
+    # |W_ik| <= 2^s max|Z| + 1/2.  So every partial sum of W G, of E and of a
+    # row sum of |E| is an integer of at most
+    # dim (dim max|G| (2^s max|Z| + 1/2) + 2^s), which stays below 2^53, and
+    # so exact, for every 2^s below ``room``; s is the largest such.
+    g_max = int(np.max(np.diagonal(gram)))
+    room = Fraction((1 << 54) - dim * dim * g_max, 2 * dim) / (dim * g_max * Fraction(z_max) + 1)
+    below = math.ceil(room) - 1
+    if below < 1:
+        return False
+    scale = below.bit_length() - 1
+    np.ldexp(weights, scale, out=weights)
+    np.rint(weights, out=weights)
+    residual = weights @ gram
+    residual.flat[::dim + 1] -= 1 << scale
+    np.abs(residual, out=residual)
+    return float(np.max(residual.sum(axis=1))) < 1 << scale
 
 
 def _integer_rank(matrix: np.ndarray) -> int:
@@ -424,7 +403,7 @@ def _integer_rank(matrix: np.ndarray) -> int:
     is no overflow and no floating-point rank ambiguity.  Stops early once
     the rank reaches the column count, which it cannot exceed; the cost
     otherwise grows with the full row count.  check_tightness runs it only
-    when the modular certificate of _full_rank_mod_p does not settle the rank.
+    when the certificate of _certified_full_rank does not settle the rank.
     """
     pivots: dict[int, list[int]] = {}
     for raw in matrix:

@@ -1,11 +1,14 @@
 """Recursive inequality generation: expansion oracle, identities, tightness."""
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 import bellkit as bk
+from bellkit import cli
 from bellkit import multiset as ms
+from bellkit.lhv import MAX_STRATEGIES
 
 CHSH = bk.SignFunction.chsh()
 
@@ -258,22 +261,87 @@ def test_tightness_non_facet_takes_exact_fallback():
     assert report.exact_fallback
 
 
-def test_rank_singular_mod_p_falls_back_to_full_rank():
-    matrix = np.diag([1] * 7 + [ms._PRIME]).astype(np.int64)
-    assert not ms._full_rank_mod_p(matrix)
-    assert ms._column_rank(matrix) == (8, True)
+CHECK_TIGHT_LAYOUTS = [(2,) * n for n in range(1, 11)] + [(4,) * (n - 1) + (2,) for n in (3, 4, 5)]
 
 
-def test_modular_elimination_pivots_and_detects_singularity():
-    assert ms._nonsingular_mod_p(np.eye(4)[[2, 0, 3, 1]])
-    assert not ms._nonsingular_mod_p(np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 1.0], [2.0, 4.0, 5.0]]))
+@pytest.mark.parametrize("layout", CHECK_TIGHT_LAYOUTS, ids=lambda t: ",".join(map(str, t)))
+def test_default_members_are_certified_without_the_exact_fallback(layout):
+    # stdout leaves exact_fallback out, so a slide back to the integer path
+    # would show only here
+    assert bk.ExperimentLayout(layout).strategy_count() <= MAX_STRATEGIES
+    report = bk.check_tightness(cli._generate_inequality(layout, None))
+    assert report.is_tight
+    assert report.exact_fallback is False
 
 
-def test_rank_sketch_refuses_sums_past_float64():
-    # rows * max|entry| * 2^20 reaches 2^53 at 2 rows of 2^32: exact path only
-    assert ms._full_rank_mod_p(np.eye(2, dtype=np.int64) << 31)
-    assert not ms._full_rank_mod_p(np.eye(2, dtype=np.int64) << 32)
-    assert ms._column_rank(np.eye(2, dtype=np.int64) << 40) == (2, True)
+def test_check_tightness_refuses_vertex_values_past_int64():
+    layout = bk.ExperimentLayout((2, 2))
+    chsh = np.array([[1, 1], [1, -1]], dtype=np.int64)
+    report = bk.check_tightness(bk.BellInequality(layout, chsh << 60, 1 << 61))
+    assert (report.is_tight, report.saturating_count) == (True, 4)
+    # a facet whose vertex values reach 2^63, and an invalid bound whose
+    # violating values would wrap to small ones
+    for coeff, bound in [(chsh << 62, 1 << 63), (np.ones((2, 2), dtype=np.int64) * (3 << 61), 1)]:
+        with pytest.raises(bk.ResourceLimitError, match="past exact int64"):
+            bk.check_tightness(bk.BellInequality(layout, coeff, bound))
+
+
+def test_certificate_refuses_gram_sums_past_float64():
+    # rows * max|M|^2 reaches 2^53 at 8 rows and an entry of 2^25
+    column = np.zeros((8, 1), dtype=np.int64)
+    column[0] = (1 << 25) - 1
+    assert ms._certified_full_rank(column)
+    assert ms._column_rank(column) == (1, False)
+    column[0] = 1 << 25
+    assert not ms._certified_full_rank(column)
+    assert ms._column_rank(column) == (1, True)
+
+
+def test_certificate_needs_as_many_rows_as_columns():
+    wide = np.eye(3, 4, dtype=np.int64)
+    assert not ms._certified_full_rank(wide)
+    assert ms._column_rank(wide) == (3, True)
+
+
+@pytest.mark.parametrize("matrix", [
+    np.diag([1] * 7 + [2**25]).astype(np.int64),
+    np.eye(2, dtype=np.int64) << 40,
+], ids=["diag-2^25", "eye-2^40"])
+def test_large_entries_take_the_exact_path(matrix):
+    assert ms._column_rank(matrix) == (matrix.shape[1], True)
+
+
+def pascal(n: int) -> np.ndarray:
+    """The symmetric Pascal matrix: determinant 1, condition growing like 16^n."""
+    return np.array([[math.comb(i + j, i) for j in range(n)] for i in range(n)], dtype=np.int64)
+
+
+@pytest.mark.parametrize("matrix", [
+    pascal(6),
+    np.array([[2**14, 2**14 + 1], [2**14 - 1, 2**14]], dtype=np.int64),
+], ids=["pascal-6", "unimodular-2^14"])
+def test_ill_conditioned_full_rank_falls_back_to_its_exact_rank(matrix):
+    assert round(np.linalg.det(matrix.astype(np.float64))) == 1
+    assert not ms._certified_full_rank(matrix)
+    assert ms._column_rank(matrix) == (matrix.shape[1], True)
+
+
+def test_certificate_never_holds_for_a_rank_deficient_matrix(monkeypatch):
+    # LAPACK's inverse of a singular Gram matrix is refused before the
+    # residual is formed; the pseudo-inverse, the nearest thing to an inverse
+    # there is, gets as far as the residual check, which must refuse it
+    inverses = [np.linalg.inv, np.linalg.pinv]
+    rng = np.random.default_rng(29)
+    for draw in range(400):
+        dim = int(rng.integers(2, 40))
+        rank = int(rng.choice([dim - 1, int(rng.integers(1, dim))]))
+        rows = int(rng.integers(dim, 4 * dim + 5))
+        spread = int(rng.choice([1, 3, 100, 10_000]))
+        # a product through rank < dim columns: rank-deficient by construction
+        matrix = (rng.integers(-spread, spread + 1, size=(rows, rank))
+                  @ rng.integers(-3, 4, size=(rank, dim)))
+        monkeypatch.setattr(np.linalg, "inv", inverses[draw % 2])
+        assert not ms._certified_full_rank(matrix)
 
 
 def random_sign(rng, arity):
@@ -303,16 +371,6 @@ def test_rank_paths_agree_on_planted_deficiency():
         matrix = rng.integers(-3, 4, size=(rows, rank)) @ rng.integers(-3, 4, size=(rank, dim))
         expected = ms._integer_rank(matrix)
         assert ms._column_rank(matrix) == (expected, expected < dim)
-
-
-def test_reduce_mod_p_is_exact_near_its_range():
-    p = ms._PRIME
-    top = (1 << 51) // p
-    ints = [0, 1, -1, p, -p, p - 1, 1 - p, p * p - 1, -(p * p - 1), (1 << 50) - 1,
-            1 - (1 << 50), top * p, top * p - 1, -top * p, 1 - top * p]
-    got = np.array(ints, dtype=np.float64)
-    ms._reduce_mod_p(got, np.empty_like(got))
-    assert got.tolist() == [float(v % p) for v in ints]
 
 
 def test_tightness_rejects_float_coefficients():
