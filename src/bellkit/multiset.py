@@ -20,16 +20,15 @@ function onto its setting pairs, and a Node is, by broadcasting,
 X1 (w00 Y1 + w01 Y2) + X2 (w10 Y1 + w11 Y2).  Tightness is decided by
 enumerating the distinct polytope vertices, counting those that saturate the
 bound, and measuring their exact linear rank: full rank is certified by an
-approximate inverse of the saturating rows' Gram matrix whose integer residual
-float64 holds exactly, and only a matrix that certificate does not settle goes
-to fraction-free elimination over the integers.
+approximate inverse of the saturating rows' Gram matrix, through an integer
+residual that float64 holds exactly, and only a matrix that certificate does
+not settle goes to fraction-free elimination over the integers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from typing import Callable, Sequence, Union
 
@@ -355,7 +354,7 @@ def _certified_full_rank(matrix: np.ndarray) -> bool:
     and the answer is False.  Then, with Z a floating-point inverse of G and
     W = rint(2^s Z), the integer residual E = W G - 2^s I is formed exactly,
     and max_i sum_j |E_ij| < 2^s means ||I - 2^-s W G|| < 1 in the infinity
-    norm, so W G, G and M^T M are nonsingular: the approximate-inverse
+    norm, so W G and hence G are nonsingular: the approximate-inverse
     argument (Rump, Acta Numerica 19, 2010).  How close Z is to the inverse
     decides only whether this certifies; False proves nothing.
     """
@@ -379,14 +378,15 @@ def _certified_full_rank(matrix: np.ndarray) -> bool:
     # |G_kj| <= max_k G_kk, as G is positive semidefinite, and
     # |W_ik| <= 2^s max|Z| + 1/2.  So every partial sum of W G, of E and of a
     # row sum of |E| is an integer of at most
-    # dim (dim max|G| (2^s max|Z| + 1/2) + 2^s), which stays below 2^53, and
-    # so exact, for every 2^s below ``room``; s is the largest such.
+    # dim (dim max|G| (2^s max|Z| + 1/2) + 2^s), which is below 2^53, and so
+    # exact, when 2^s step < limit (max|Z| = z_num / z_den exactly).
     g_max = int(np.max(np.diagonal(gram)))
-    room = Fraction((1 << 54) - dim * dim * g_max, 2 * dim) / (dim * g_max * Fraction(z_max) + 1)
-    below = math.ceil(room) - 1
-    if below < 1:
+    z_num, z_den = z_max.as_integer_ratio()
+    limit = z_den * ((1 << 54) - dim * dim * g_max)
+    step = 2 * dim * (dim * g_max * z_num + z_den)
+    if limit <= step:
         return False
-    scale = below.bit_length() - 1
+    scale = ((limit - 1) // step).bit_length() - 1  # the largest such s
     np.ldexp(weights, scale, out=weights)
     np.rint(weights, out=weights)
     residual = weights @ gram
