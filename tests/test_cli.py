@@ -612,8 +612,9 @@ def seeded_state_json(seed: int, n: int) -> str:
 
 
 #: A fixed pseudo-random arity-10 sign function: 1024 bits from sha256.
-SIGN_2_10 = "".join(f"{int(hashlib.sha256(f'bellkit 2^10 sign {k}'.encode()).hexdigest(), 16):0256b}"
-                    for k in range(4))
+SIGN_2_10 = "".join(
+    f"{int(hashlib.sha256(f'bellkit 2^10 sign {k}'.encode()).hexdigest(), 16):0256b}"
+    for k in range(4))
 
 # full sha256 of stdout for commands whose bytes are pinned; the (3,3,3)
 # table goes through the LP oracle
