@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import bellkit as bk
+from bellkit.multiset import layout_tree
 from bellkit.tolerance import BOUND_TOL
 
 
@@ -616,74 +617,99 @@ SIGN_2_10 = "".join(
     f"{int(hashlib.sha256(f'bellkit 2^10 sign {k}'.encode()).hexdigest(), 16):0256b}"
     for k in range(4))
 
-# full sha256 of stdout for commands whose bytes are pinned; the (3,3,3)
-# table goes through the LP oracle
+def generated_json(layout: tuple[int, ...]) -> str:
+    """The inequality `generate --layout` prints with its default sign functions."""
+    arities, tree = layout_tree(layout)
+    signs = [bk.SignFunction.from_bitstring("0" * (2**a - 1) + "1") for a in arities]
+    return json.dumps(bk.build_recursive(tree(signs)).to_json_dict())
+
+
+# full sha256 of stdout, with the exit code, for commands whose bytes are
+# pinned; the (3,3,3) table goes through the LP oracle
 PINNED_TABLE = json.dumps({"layout": [3, 3, 3], "values": [[[0.3] * 3] * 3] * 3})
 PINNED_OUTPUTS = [
     (("generate", "--layout", "2"), None,
-     "a7e2c7a94d2373b3128c3cc7e987fb9734fe87fd615f4bd5c34ca3b3a6c8a37a"),
+     0, "a7e2c7a94d2373b3128c3cc7e987fb9734fe87fd615f4bd5c34ca3b3a6c8a37a"),
     (("generate", "--layout", "2,2,2"), None,
-     "89add5422196a83f871d2969a1df663f25983fa9ce8754c5fc2bd33cedcbc931"),
+     0, "89add5422196a83f871d2969a1df663f25983fa9ce8754c5fc2bd33cedcbc931"),
     (("generate", "--layout", "2,2,2,2,2"), None,
-     "6a2cb52cb125cfa8f002d1033f8faf9a738302a7d6536e677e04a33b4799f63b"),
+     0, "6a2cb52cb125cfa8f002d1033f8faf9a738302a7d6536e677e04a33b4799f63b"),
     (("generate", "--layout", "4,4,2", "--check-tight"), None,
-     "20833c7fc55b3527fbe1ee6277a920b70bc3b4855866c5b45bde46b424b9df4a"),
+     0, "20833c7fc55b3527fbe1ee6277a920b70bc3b4855866c5b45bde46b424b9df4a"),
     (("generate", "--layout", "4,4,4,2", "--check-tight"), None,
-     "999d5c7dd931807889b2ad63baa5cce1060cb8382ee8824a6637135e6be755da"),
+     0, "999d5c7dd931807889b2ad63baa5cce1060cb8382ee8824a6637135e6be755da"),
     (("generate", "--layout", "4,4,4,4,2", "--check-tight"), None,
-     "e297f8c6bbae4abcc4f1e777532ce90e94bb9acc3260ea3eee62ce2b5e34cb68"),
+     0, "e297f8c6bbae4abcc4f1e777532ce90e94bb9acc3260ea3eee62ce2b5e34cb68"),
     (("generate", "--layout", "8,8,4,2"), None,
-     "49dfe7fed8c20caf7c97723495f63c35a68149e4b093f2c102c2a54da4fc140e"),
+     0, "49dfe7fed8c20caf7c97723495f63c35a68149e4b093f2c102c2a54da4fc140e"),
     (("generate", "--layout", "8,8,4,4,4"), None,
-     "7af991115163911c5f93aac04e0403de0783e732169dea3bdbc4fae45fceb9a0"),
+     0, "7af991115163911c5f93aac04e0403de0783e732169dea3bdbc4fae45fceb9a0"),
     # chosen sign functions: coefficients -64...64, a tight 4,4,4,2 facet
     # printed under "inequality", and a random-sign 8,8,4,2
     (("generate", "--layout", "8,8,4,4,4", "--sign-fn", "0110", "--sign-fn", "0111",
       "--sign-fn", "0001", "--sign-fn", "0110", "--sign-fn", "1000", "--sign-fn", "0110",
       "--sign-fn", "0010", "--sign-fn", "0110", "--sign-fn", "0100"), None,
-     "75b9d9403f994723155531c19c01456ae79c8501aeae6dbdf5f5e5a777e72acc"),
+     0, "75b9d9403f994723155531c19c01456ae79c8501aeae6dbdf5f5e5a777e72acc"),
     (("generate", "--layout", "4,4,4,2", "--check-tight", "--sign-fn", "0110",
       "--sign-fn", "01101001", "--sign-fn", "00010111"), None,
-     "b0e755d5af3c8f9b38acf648c16d800769bffeb85902b5f780c50f90fd3e597d"),
+     0, "b0e755d5af3c8f9b38acf648c16d800769bffeb85902b5f780c50f90fd3e597d"),
     (("generate", "--layout", "8,8,4,2", "--sign-fn", "1001", "--sign-fn", "1000",
       "--sign-fn", "1111", "--sign-fn", "1111", "--sign-fn", "1000", "--sign-fn", "1011",
       "--sign-fn", "1111"), None,
-     "6a58ff330fd129a903c41b8ed7add6b3c29c27ffd3487bbbc36250775136a2a6"),
+     0, "6a58ff330fd129a903c41b8ed7add6b3c29c27ffd3487bbbc36250775136a2a6"),
     # a 1024-dimensional facet: 1024 saturating rows of 2048 vertices
     (("generate", "--layout", "2,2,2,2,2,2,2,2,2,2", "--check-tight", "--sign-fn", SIGN_2_10),
-     None, "2ba046fff9b49e0b919da1b2f57ba82220edbca1841bca05221bed70b96c9605"),
+     None, 0, "2ba046fff9b49e0b919da1b2f57ba82220edbca1841bca05221bed70b96c9605"),
     (("lhv", "--table", "-"), PINNED_TABLE,
-     "de4f7f36ca0e2f4901f8a7db805f4af49469f501711e7d880ccf2a0e96425616"),
+     0, "de4f7f36ca0e2f4901f8a7db805f4af49469f501711e7d880ccf2a0e96425616"),
     (("tensor", "--state", "ghz:N=5,alpha=0.3"), None,
-     "5a5ab5ae3a6f8037fc698d6fedab0727b6fbcd592bf7f57c69e345260593733d"),
+     0, "5a5ab5ae3a6f8037fc698d6fedab0727b6fbcd592bf7f57c69e345260593733d"),
     (("tensor", "--state", "noise:v=0.8(ghz:N=4,alpha=0.6)"), None,
-     "fddc4bc74ff89f66ba1daa41bfa6c54c71472011ac61ea4040d0d671af160455"),
+     0, "fddc4bc74ff89f66ba1daa41bfa6c54c71472011ac61ea4040d0d671af160455"),
     (("tensor", "--state-file", "-"), seeded_state_json(3, 3),
-     "9230c778a82412ed0d28b19bd4091d61b7648c66b7b5301bb8d55b852e7608f7"),
+     0, "9230c778a82412ed0d28b19bd4091d61b7648c66b7b5301bb8d55b852e7608f7"),
     # nested noise is applied level by level, innermost first: reversing the
     # levels or multiplying them together changes these bytes
     (("tensor", "--state", "noise:v=0.9(noise:v=0.3(noise:v=0.7(singlet)))"), None,
-     "a0688b66b71f51bae6ae106ac544abecd914f7ef33d542025c2b3ee8469e312e"),
+     0, "a0688b66b71f51bae6ae106ac544abecd914f7ef33d542025c2b3ee8469e312e"),
     # GHZ tensors, almost all zeros, pure and noisy
     (("tensor", "--state", "ghz:N=7,alpha=0.3"), None,
-     "18598312d84d1c736aeab1c92c7e7cdb09fd411a84a5565313fc4c82006ff1b5"),
+     0, "18598312d84d1c736aeab1c92c7e7cdb09fd411a84a5565313fc4c82006ff1b5"),
     (("tensor", "--state", "noise:v=0.6(ghz:N=8,alpha=0.5)"), None,
-     "61baf5c0733bb560dcd9f55ed6fab7282e7bbbe00c4ab994c7c849ba3d4e8935"),
+     0, "61baf5c0733bb560dcd9f55ed6fab7282e7bbbe00c4ab994c7c849ba3d4e8935"),
     # nine qubits, past the range the hypothesis byte checks draw from
     (("tensor", "--state", "noise:v=0.7(ghz:N=9,alpha=0.3)"), None,
-     "cd2afc45acb1258114a204340d0018db3d4f1ce44efba12410b0ef4d3f14b39e"),
+     0, "cd2afc45acb1258114a204340d0018db3d4f1ce44efba12410b0ef4d3f14b39e"),
     # "=" keeps this test's id apart from the 3-qubit state-file pin's
     (("tensor", "--state-file=-"), seeded_state_json(9, 9),
-     "d22e631435bc4f7ce6d58c731fb28da1b762bc8f4827b7f3de7406ff73d65652"),
+     0, "d22e631435bc4f7ce6d58c731fb28da1b762bc8f4827b7f3de7406ff73d65652"),
+    # both optimizers on a pure and a noisy GHZ state, then see-saw ascent on
+    # a 4,4,2 and a 2,2,2 member: the values, frames and settings they print
+    (("condition", "--kind", "two_setting_sufficient_N", "--state", "ghz:N=4,alpha=0.3"), None,
+     3, "ba05aa893db300c0d37c66efab11ecd2f39e50fb6880d93f045c010308fcb9cb"),
+    (("condition", "--kind", "multisetting_CN", "--state", "ghz:N=4,alpha=0.3"), None,
+     3, "40750e20fdf7c7cb9b233ef72330c6fa605527fd100433be59710b72b6073176"),
+    (("condition", "--kind", "two_setting_sufficient_N",
+      "--state", "noise:v=0.8(ghz:N=4,alpha=0.6)"), None,
+     3, "6e89f33b044e58f48b9e02ac5a6775643967e6a3de2521da480b4bad3186d9b3"),
+    (("condition", "--kind", "multisetting_CN", "--state", "noise:v=0.8(ghz:N=4,alpha=0.6)"),
+     None, 3, "d92daff410139bde0302110f737f368c9c50b0e8836ff2bd8bfadc5dabfb345e"),
+    (("maximize", "--inequality", "-", "--state", "ghz:N=3,alpha=0.3"),
+     generated_json((4, 4, 2)),
+     3, "18633662391c4c4ba2692d00844895e75f7008dec6eebf3b6b6a90bdc7457566"),
+    # "=" keeps this test's id apart from the 4,4,2 pin's
+    (("maximize", "--inequality=-", "--state", "ghz:N=3,alpha=0.3"),
+     generated_json((2, 2, 2)),
+     0, "c90a58134ed423fbf642f0d0fe06cf49727eb93a9297e74bfd0e1a8def838efc"),
 ]
 
 
-@pytest.mark.parametrize("args, stdin, digest", PINNED_OUTPUTS,
+@pytest.mark.parametrize("args, stdin, code, digest", PINNED_OUTPUTS,
                          ids=[" ".join(arg if len(arg) <= 64 else arg[:16] + "..."
                                        for arg in case[0]) for case in PINNED_OUTPUTS])
-def test_pinned_output_bytes(args, stdin, digest):
-    code, out, _ = run_cli(*args, stdin=stdin)
-    assert code == 0
+def test_pinned_output_bytes(args, stdin, code, digest):
+    exit_code, out, _ = run_cli(*args, stdin=stdin)
+    assert exit_code == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
@@ -767,12 +793,18 @@ def test_benchmark_tracer_records_hooked_names(capsys):
     try:
         assert cli.main(["generate", "--layout", "2,2,2"]) == 0
         assert cli.main(["generate", "--layout", "4,4,2", "--check-tight"]) == 0
+        for kind in ("two_setting_sufficient_N", "multisetting_CN"):
+            assert cli.main(["condition", "--kind", kind, "--state", "ghz:N=3,alpha=0.3",
+                             "--restarts", "7"]) == 3
     finally:
         tracer.uninstall()
     capsys.readouterr()
     names = {span[0] for span in tracer.spans}
     assert {"cli.main", "multiset.build_recursive", "multiset.check_tightness",
-            "lhv.enumerate_vertices"} <= names
+            "lhv.enumerate_vertices", "qcond.condition_two_setting_N",
+            "qcond.condition_multisetting_CN"} <= names
     assert sum(span[0] == "multiset.build_recursive" for span in tracer.spans) == 2
     assert tracer.counts["vertices"] == 256
+    # the per-restart metric divides the qcond spans by this count
+    assert tracer.counts["restarts"] == 14
     assert not hasattr(cli.main, "__wrapped__")  # uninstall put the originals back
