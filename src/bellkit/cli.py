@@ -22,7 +22,6 @@ from .errors import InequalityViolated, ResourceLimitError
 from .families import (  # noqa: F401
     GhzFamily,
     ghz_state,
-    ghz_tensor_analytic,
     mix_with_white_noise,
     singlet,
 )
@@ -39,6 +38,7 @@ from .lhv import (
 from .multiset import build_recursive, check_tightness, layout_tree
 from .qcond import (
     CONDITION_KINDS,
+    check_restarts,
     condition_multisetting_CN,
     condition_two_qubit,
     condition_two_setting_N,
@@ -316,10 +316,7 @@ def cmd_generate(args) -> int:
 
 def _run_condition(kind: str, tensor: CorrelationTensor, restarts: int, seed: int):
     # checked for every kind, also the closed form that draws no restarts
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    if restarts < 1:
-        raise ValueError("need at least one restart")
+    check_restarts(restarts, seed)
     if kind == "two_setting_NS_2qubit":
         return condition_two_qubit(tensor)
     if kind == "two_setting_sufficient_N":
@@ -358,7 +355,8 @@ def cmd_scan(args) -> int:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["family", "N", "alpha", "kind", "value", "violated"])
     for family in families:
-        tensor = ghz_tensor_analytic(family)
+        # the kernel path of --state ghz:, so each row prints condition's bytes
+        tensor = correlation_tensor(ghz_state(family))
         for kind in kinds:
             report = _run_condition(kind, tensor, args.restarts, args.seed)
             writer.writerow([

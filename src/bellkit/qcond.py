@@ -32,8 +32,10 @@ per-party, per-setting vector update is the normalized contraction of the
 coefficient tensor with all other current vectors, which is the exact
 optimum for that vector and never decreases the objective.
 
-All three optimizers share one multi-start routine that carries a block of
-restarts on a leading batch axis, so every update is one batched numpy call.
+All three optimizers check their arguments with check_restarts and share one
+multi-start driver, _multistart, that carries a block of restarts on a leading
+batch axis, so every update is one batched numpy call, and re-evaluates the
+winner.  The two-setting and see-saw sweeps share one contraction, _environments.
 """
 
 from __future__ import annotations
@@ -54,6 +56,9 @@ CONDITION_KINDS = ("two_setting_NS_2qubit", "two_setting_sufficient_N", "multise
 #: The most restarts one optimizer run takes, as many as the points of a scan grid.
 MAX_RESTARTS = 1 << 20
 
+#: The most sweeps one restart takes; a restart still rising then is unconverged.
+MAX_SWEEPS = 500
+
 #: A block of restarts holds about this many tensor entries (3^N per restart
 #: for the conditions), which bounds memory for any restart count and N.
 _BLOCK_ENTRIES = 1 << 15
@@ -66,12 +71,12 @@ _CANONICAL_PLANES = np.eye(3)[[[0, 1], [0, 2], [1, 2]]]
 class ConditionReport:
     """Outcome of one condition evaluation.
 
-    Each restart's final value and whether it converged before max_sweeps; a
-    closed form counts as one converged restart.  On generic (non-GHZ) states
-    some multisetting_CN restarts may still be rising at max_sweeps, so their
-    converged flags are False.  violated means the value
-    exceeds 1 by more than BOUND_TOL; restarts_at_best counts the restarts
-    within BOUND_TOL of the reported value.
+    Each restart's final value and whether it converged within MAX_SWEEPS
+    sweeps; a closed form counts as one converged restart.  On generic
+    (non-GHZ) states some multisetting_CN restarts may still be rising after
+    MAX_SWEEPS sweeps, so their converged flags are False.  violated means
+    the value exceeds 1 by more than BOUND_TOL; restarts_at_best counts the
+    restarts within BOUND_TOL of the reported value.
     """
 
     kind: str
@@ -131,6 +136,16 @@ def condition_two_qubit(tensor: CorrelationTensor) -> ConditionReport:
     )
 
 
+def check_restarts(restarts: int, seed: int) -> None:
+    """Refuse a negative seed, fewer than one restart or more than MAX_RESTARTS."""
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    if restarts < 1:
+        raise ValueError("need at least one restart")
+    if restarts > MAX_RESTARTS:
+        raise ResourceLimitError(f"restarts are capped at {MAX_RESTARTS}, got {restarts}")
+
+
 def _lower_bound_report(kind: str, value: float, frames: list, seed: int,
                         values: np.ndarray, converged: np.ndarray) -> ConditionReport:
     return ConditionReport(
@@ -145,33 +160,32 @@ def _lower_bound_report(kind: str, value: float, frames: list, seed: int,
 
 
 def _multistart(draw: Callable, evaluate: Callable, sweep: Callable, restarts: int,
-                entries: int, max_sweeps: int):
+                seed: int, entries: int):
     """Run `restarts` ascents, a block of them at a time on a leading batch axis.
 
-    draw(first, k) gives the start states of restarts first..first+k-1 (a
-    tuple of arrays, batch axis first), evaluate(state) their objective values
-    and sweep(state) the states and values after one full sweep.  Each restart
-    stops on its own, once its value rises by at most SWEEP_TOL or after
-    `max_sweeps` sweeps, so its path never depends on the other restarts.
-    Blocks hold about _BLOCK_ENTRIES / entries restarts; more than
-    MAX_RESTARTS restarts are refused before any runs.  Returns each
-    restart's final value and converged flag, and the winner (the first
-    restart with the strict maximum): its index, state and value history.
+    The caller has passed restarts and seed through check_restarts.
+    draw(rng, first, k) gives the start states of restarts first..first+k-1
+    (a tuple of arrays, batch axis first) from the generator seeded with
+    `seed`, evaluate(state) their objective values and sweep(state) the
+    states and values after one full sweep.  Each restart stops on its own,
+    once its value rises by at most SWEEP_TOL or after MAX_SWEEPS sweeps, so
+    its path never depends on the other restarts.  Blocks hold about
+    _BLOCK_ENTRIES / entries restarts.  Returns each restart's final value
+    and converged flag, and the winner (the first restart with the strict
+    maximum): its index, state, value and value history.  The value is
+    evaluate() of that state, the value its frames actually attain.
     """
-    if restarts < 1:
-        raise ValueError("need at least one restart")
-    if restarts > MAX_RESTARTS:
-        raise ResourceLimitError(f"restarts are capped at {MAX_RESTARTS}, got {restarts}")
+    rng = np.random.default_rng(seed)
     block = max(1, _BLOCK_ENTRIES // entries)
     values, converged, best_value = [], [], -np.inf
     for first in range(0, restarts, block):
-        state = draw(first, min(block, restarts - first))
+        state = draw(rng, first, min(block, restarts - first))
         value = evaluate(state)
         done = np.zeros(len(value), dtype=bool)
         sweeps = np.zeros(len(value), dtype=np.int64)
         history = [value.copy()]
         active = np.arange(len(value))
-        for _ in range(max_sweeps):
+        for _ in range(MAX_SWEEPS):
             sub, new = sweep(tuple(x[active] for x in state))
             for x, y in zip(state, sub):
                 x[active] = y
@@ -190,14 +204,10 @@ def _multistart(draw: Callable, evaluate: Callable, sweep: Callable, restarts: i
             best, best_value = first + k, value[k]
             best_state = tuple(x[k] for x in state)
             best_history = [float(h[k]) for h in history[:sweeps[k] + 1]]
-    return np.concatenate(values), np.concatenate(converged), best, best_state, best_history
-
-
-def _seeded_rng(seed: int) -> np.random.Generator:
-    """The restarts' generator, refusing a negative seed with a message that names it."""
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    return np.random.default_rng(seed)
+    # evaluate writes the C_N frames into these views, so they reach best_state
+    value = float(evaluate(tuple(x[None] for x in best_state))[0])
+    return (np.concatenate(values), np.concatenate(converged), best, best_state, value,
+            best_history)
 
 
 def _random_planes(rng: np.random.Generator, count: int, per_start: int) -> np.ndarray:
@@ -222,19 +232,6 @@ def _free_axis(x: np.ndarray) -> np.ndarray:
     return np.moveaxis(x.reshape(x.shape[0], x.shape[1], -1, 3), 3, 2)
 
 
-def _contract(corr: np.ndarray, rows, free: int | None = None) -> np.ndarray:
-    """Contract each party's axis of corr with its batch of rows, (k, m_j, 3).
-
-    The last party goes first.  Returns shape (k, m_1 * ... * m_N, 1) with
-    party 1 most significant; with `free` set, that party is left out and its
-    axis is the last one, of size 3.
-    """
-    x = corr.reshape(1, 1, 1, -1)
-    for j in reversed(range(len(rows))):
-        x = _free_axis(x) if j == free else _contract_last(x, rows[j][:, None])
-    return x.reshape(len(x), x.shape[1], -1)
-
-
 def _suffixes(corr: np.ndarray, rows) -> list[np.ndarray]:
     """Entry i is corr contracted with rows[i:], each (k, T or 1, m, 3), the last first.
 
@@ -247,16 +244,32 @@ def _suffixes(corr: np.ndarray, rows) -> list[np.ndarray]:
     return out[::-1]
 
 
+def _environments(corr: np.ndarray, rows):
+    """Yield corr contracted with all rows, (k, m_i, 3), but party j's, for j = 1..N in turn.
+
+    Each has shape (k, T, 3), party 1 most significant in T.  Parties behind
+    j take the rows of the first step (one suffix pass), parties before j
+    their rows as they are when j is reached, so a caller that updates
+    rows[j] in place before the next step runs a party-by-party sweep.
+    """
+    suffix = _suffixes(corr, [r[:, None] for r in rows[1:]])
+    for j in range(len(rows)):
+        x = _free_axis(suffix[j])
+        for r in reversed(rows[:j]):
+            x = _contract_last(x, r[:, None])
+        yield x.reshape(len(x), x.shape[1], -1)
+
+
 def condition_two_setting_N(tensor: CorrelationTensor, restarts: int = 50,
-                            seed: int = 0, max_sweeps: int = 500) -> ConditionReport:
+                            seed: int = 0) -> ConditionReport:
     """Maximize the in-plane squared correlation sum over per-party planes."""
     n = tensor.n_qubits
     if n < 2:
         raise ValueError("need at least 2 parties")
+    check_restarts(restarts, seed)
     corr = tensor.correlation_part()
-    rng = _seeded_rng(seed)
 
-    def draw(first, k):
+    def draw(rng, first, k):
         # canonical planes for every party first, then random planes
         starts = np.arange(first, first + k)
         planes = np.repeat(_CANONICAL_PLANES[np.minimum(starts, 2), None], n, axis=1)
@@ -265,24 +278,17 @@ def condition_two_setting_N(tensor: CorrelationTensor, restarts: int = 50,
         return tuple(planes[:, j] for j in range(n))
 
     def objective(planes):
-        return np.sum(_contract(corr, planes)[..., 0] ** 2, axis=1)
+        x = _suffixes(corr, [p[:, None] for p in planes])[0]
+        return np.sum(x[..., 0, 0] ** 2, axis=1)
 
     def sweep(planes):
-        # parties behind j still hold the planes this sweep started from
-        suffix = _suffixes(corr, [p[:, None] for p in planes[1:]])
-        for j in range(n):
-            x = _free_axis(suffix[j])
-            for p in reversed(planes[:j]):
-                x = _contract_last(x, p[:, None])
-            u = x.reshape(len(x), x.shape[1], -1)
+        for plane, u in zip(planes, _environments(corr, planes)):
             eigvals, eigvecs = np.linalg.eigh(np.swapaxes(u, 1, 2) @ u)
-            planes[j][...] = np.swapaxes(eigvecs[..., [2, 1]], 1, 2)
+            plane[...] = np.swapaxes(eigvecs[..., [2, 1]], 1, 2)
         return planes, eigvals[:, -1] + eigvals[:, -2]
 
-    values, converged, _, best, _ = _multistart(draw, objective, sweep, restarts, corr.size,
-                                                max_sweeps)
-    # report the value the frames actually attain
-    value = float(objective([p[None] for p in best])[0])
+    values, converged, _, best, value, _ = _multistart(draw, objective, sweep, restarts, seed,
+                                                       corr.size)
     return _lower_bound_report("two_setting_sufficient_N", value, _frames_json(list(best)),
                                seed, values, converged)
 
@@ -528,14 +534,12 @@ def _cn_sweep(corr: np.ndarray, state):
 
 
 def condition_multisetting_CN(tensor: CorrelationTensor, restarts: int = 50,
-                              seed: int = 0, max_sweeps: int = 500) -> ConditionReport:
+                              seed: int = 0) -> ConditionReport:
     """Recursive multisetting condition with branch-dependent trailing planes."""
     n = tensor.n_qubits
     if n < 2:
         raise ValueError("need at least 2 parties")
-    if restarts < 1:
-        raise ValueError("need at least one restart")
-    rng = _seeded_rng(seed)  # checks the seed of the N=2 closed form too
+    check_restarts(restarts, seed)  # the N=2 closed form's arguments too
     if n == 2:
         report = condition_two_qubit(tensor)
         return replace(report, kind="multisetting_CN", seed=seed,
@@ -548,7 +552,7 @@ def condition_multisetting_CN(tensor: CorrelationTensor, restarts: int = 50,
     cycle = len(_CANONICAL_PLANES)
     terms = 2 ** (n - 2)
 
-    def draw(first, k):
+    def draw(rng, first, k):
         # one canonical plane everywhere, then canonical planes alternating
         # along the branch depth, then random planes, node by node; the
         # frames are filled by the first evaluation
@@ -559,17 +563,14 @@ def condition_multisetting_CN(tensor: CorrelationTensor, restarts: int = 50,
         return (*np.split(planes, np.cumsum(branches)[:-1], axis=1),
                 np.empty((k, terms, 3, 2)), np.empty((k, terms, 2, 3)))
 
-    values, converged, _, best, _ = _multistart(
+    values, converged, _, best, value, _ = _multistart(
         draw, lambda state: _cn_evaluate(corr, state), lambda state: _cn_sweep(corr, state),
-        restarts, corr.size, max_sweeps)
-    best = [x[None] for x in best]
-    # report the value the frames actually attain
-    value = float(_cn_evaluate(corr, best)[0])
+        restarts, seed, corr.size)
     *best, u, vt = best
     report_terms = [{
         "term": [i + 1 for i in term],
-        "frames": _frames_json([u[0, t].T, vt[0, t]]
-                               + [best[j - 3][0, t % 2 ** (n - j)] for j in range(3, n + 1)]),
+        "frames": _frames_json([u[t].T, vt[t]]
+                               + [best[j - 3][t % 2 ** (n - j)] for j in range(3, n + 1)]),
     } for t, term in enumerate(np.ndindex(*(2,) * (n - 2)))]
     return _lower_bound_report("multisetting_CN", value, report_terms, seed, values, converged)
 
@@ -596,8 +597,7 @@ class MaximizationResult:
 
 
 def maximize_bell_value(ineq: BellInequality, tensor: CorrelationTensor,
-                        restarts: int = 50, seed: int = 0,
-                        max_sweeps: int = 500) -> MaximizationResult:
+                        restarts: int = 50, seed: int = 0) -> MaximizationResult:
     """See-saw ascent of sum_k c[k] E(k) over unit measurement directions.
 
     Returns the best run: a certified lower bound on the quantum maximum of
@@ -605,25 +605,27 @@ def maximize_bell_value(ineq: BellInequality, tensor: CorrelationTensor,
     """
     if ineq.layout.n_parties != tensor.n_qubits:
         raise ValueError("inequality and tensor party counts differ")
+    check_restarts(restarts, seed)
     coeff = ineq.coefficients.astype(np.float64)
     corr = tensor.correlation_part()
     counts = ineq.layout.settings_per_party
-    rng = _seeded_rng(seed)
+    # party j's coefficients as a (m_j, product of the other m) matrix
+    unfolded = [np.moveaxis(coeff, j, -1).reshape(-1, m).T for j, m in enumerate(counts)]
 
-    def draw(first, k):
+    def draw(rng, first, k):
         # one random unit vector per setting, restart by restart
         settings = rng.normal(size=(k, sum(counts), 3))
         settings /= np.linalg.norm(settings, axis=2, keepdims=True)
         return (*np.split(settings, np.cumsum(counts)[:-1], axis=1), np.zeros(k, dtype=np.int64))
 
     def evaluate(state):
-        return _contract(corr, state[:-1])[..., 0] @ coeff.reshape(-1)
+        x = _suffixes(corr, [r[:, None] for r in state[:-1]])[0]
+        return x[..., 0, 0] @ coeff.reshape(-1)
 
     def sweep(state):
         *settings, degenerate = state
-        for j, rows in enumerate(settings):
-            env = np.moveaxis(coeff, j, -1).reshape(-1, counts[j]).T @ _contract(
-                corr, settings, free=j)
+        for rows, c, x in zip(settings, unfolded, _environments(corr, settings)):
+            env = c @ x
             norms = np.linalg.norm(env, axis=2)
             update = norms > ZERO_TOL  # otherwise keep the previous vector
             rows[...] = np.where(update[..., None],
@@ -632,10 +634,10 @@ def maximize_bell_value(ineq: BellInequality, tensor: CorrelationTensor,
         return state, evaluate(state)
 
     size = int(np.prod(np.maximum(counts, 3)))
-    _, converged, best, state, history = _multistart(
-        draw, evaluate, sweep, restarts, size, max_sweeps)
+    _, converged, best, state, value, history = _multistart(
+        draw, evaluate, sweep, restarts, seed, size)
     return MaximizationResult(
-        value=float(evaluate(tuple(x[None] for x in state))[0]),
+        value=value,
         settings=tuple(s.copy() for s in state[:-1]),
         converged=bool(converged[best]),
         degenerate_updates=int(state[-1]),

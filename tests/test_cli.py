@@ -252,6 +252,24 @@ def test_scan_csv_shape_and_determinism():
     assert again == out
 
 
+def test_scan_rows_are_the_condition_values(capsys):
+    """scan builds each point's tensor as condition --state ghz: does, so the bytes agree."""
+    from bellkit import cli
+
+    args = ["--restarts", "5", "--seed", "2"]
+    assert cli.main(["scan", "--family", "ghz", "--n", "3,4,5", "--alpha-steps", "5",
+                     "--alpha-min", "0.1", "--alpha-max", "0.78", *args]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) == 30
+    for _, n, alpha, kind, value, violated in rows:
+        code = cli.main(["condition", "--kind", kind, "--state", f"ghz:N={n},alpha={alpha}",
+                         *args])
+        out = capsys.readouterr().out
+        assert f'\n  "value": {value},\n' in out
+        assert f'\n  "violated": {violated}\n' in out
+        assert code == (3 if violated == "true" else 0)
+
+
 def test_scan_input_errors():
     assert run_cli("scan", "--family", "ghz", "--n", "3", "--alpha-steps", "1")[0] == 2
     assert run_cli("scan", "--family", "ghz", "--n", "")[0] == 2
@@ -554,16 +572,21 @@ def test_scan_grid_cap_counts_n_times_steps(monkeypatch, capsys, n_list, steps, 
         assert len(captured.out.splitlines()) == 1 + 2 * 4
 
 
-#: one command per restart loop; without the cap each runs until it is killed
-OVER_RESTART_CAP = [
-    (("condition", "--kind", "multisetting_CN", "--state", "ghz:N=3,alpha=0.3"), None),
-    (("scan", "--family", "ghz", "--n", "3", "--alpha-steps", "2"), None),
-    (("maximize", "--inequality", "-", "--state", "singlet"), CHSH_JSON),
-]
+#: one command per restart loop, where without the cap each runs until it is
+#: killed, and the two closed forms, which run no restarts but take the cap too
+OVER_RESTART_CAP = {
+    "condition": (("condition", "--kind", "multisetting_CN", "--state", "ghz:N=3,alpha=0.3"),
+                  None),
+    "scan": (("scan", "--family", "ghz", "--n", "3", "--alpha-steps", "2"), None),
+    "maximize": (("maximize", "--inequality", "-", "--state", "singlet"), CHSH_JSON),
+    "condition two_setting_NS_2qubit": (
+        ("condition", "--kind", "two_setting_NS_2qubit", "--state", "singlet"), None),
+    "condition multisetting_CN N=2": (
+        ("condition", "--kind", "multisetting_CN", "--state", "singlet"), None),
+}
 
 
-@pytest.mark.parametrize("args, stdin", OVER_RESTART_CAP,
-                         ids=[case[0][0] for case in OVER_RESTART_CAP])
+@pytest.mark.parametrize("args, stdin", OVER_RESTART_CAP.values(), ids=OVER_RESTART_CAP.keys())
 def test_restart_cap_exits_4(args, stdin):
     proc = subprocess.run(
         [sys.executable, "-m", "bellkit.cli", *args, "--restarts", "99999999999999999999"],

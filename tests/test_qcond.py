@@ -445,12 +445,18 @@ def test_more_restarts_never_lower_the_value(optimize, n):
 
 
 @pytest.mark.parametrize("optimize", OPTIMIZERS)
-def test_restart_values_never_decrease_per_sweep(optimize):
+def test_restart_values_never_decrease_per_sweep(optimize, monkeypatch):
+    from bellkit import qcond
+
     tensor = tensor_of(random_pure(np.random.default_rng(23), 4))
-    runs = [np.array(optimize(tensor, restarts=12, seed=1, max_sweeps=s).restart_values)
-            for s in range(8)]
+    runs = []
+    for sweeps in range(8):
+        monkeypatch.setattr(qcond, "MAX_SWEEPS", sweeps)
+        runs.append(np.array(optimize(tensor, restarts=12, seed=1).restart_values))
     assert np.all(np.diff(np.stack(runs), axis=0) >= -1e-12)
-    assert not any(optimize(tensor, restarts=12, seed=1, max_sweeps=0).converged)
+    monkeypatch.setattr(qcond, "MAX_SWEEPS", 0)
+    assert not any(optimize(tensor, restarts=12, seed=1).converged)
+    monkeypatch.undo()
     assert all(optimize(tensor, restarts=12, seed=1).converged)
 
 
@@ -591,7 +597,7 @@ def test_condition_violation_yields_family_violation(make_tensor, n):
     best = None
     for sign in bk.enumerate_sign_functions(n):
         ineq = bk.sign_inequality(sign)
-        result = bk.maximize_bell_value(ineq, tensor, restarts=3, seed=0, max_sweeps=200)
+        result = bk.maximize_bell_value(ineq, tensor, restarts=3, seed=0)
         if best is None or result.value - float(ineq.bound) > best[0]:
             best = (result.value - float(ineq.bound), result)
     excess, result = best
