@@ -640,6 +640,7 @@ SIGN_2_10 = "".join(
     f"{int(hashlib.sha256(f'bellkit 2^10 sign {k}'.encode()).hexdigest(), 16):0256b}"
     for k in range(4))
 
+
 def generated_json(layout: tuple[int, ...]) -> str:
     """The inequality `generate --layout` prints with its default sign functions."""
     arities, tree = layout_tree(layout)
