@@ -747,6 +747,46 @@ def test_pinned_lhv_certificate_bytes():
         "8d8069eec01eb373684d0d889d8bf3ca9dbe2c73dc75473a7c7a166268851346")
 
 
+def seeded_table_json(layout: tuple[int, ...], seed: int, scale: float | None) -> str:
+    """A table from default_rng(seed): scale times a Dirichlet mixture of
+    2*dim distinct vertices, or, with no scale, a point uniform in the cube."""
+    rng = np.random.default_rng(seed)
+    _, rows = bk.enumerate_vertices(bk.ExperimentLayout(layout))
+    if scale is None:
+        x = rng.uniform(-1.0, 1.0, rows.shape[1])
+    else:
+        k = min(2 * rows.shape[1], rows.shape[0])
+        x = scale * rng.dirichlet(np.ones(k)) @ rows[rng.choice(len(rows), k, replace=False)]
+    return json.dumps({"layout": list(layout), "values": x.reshape(layout).tolist()})
+
+
+# lhv stdout on seeded tables: (layout, seed, scale) as seeded_table_json takes
+# them, the exit code, the sha256 of stdout and the whole of stderr
+PINNED_LHV_TABLES = {
+    "2,2,2,2 closed-form model": (((2, 2, 2, 2), 1, 0.9), 0,
+                                  "bfcfb45b3d791a0086288c602240ec83b96330a91f15511f840f6f863c1ca66b",
+                                  ""),
+    "4,4,2 LP model": (((4, 4, 2), 2, 0.9), 0,
+                       "8674dfa4d278e67e17cea4e530492a3e33624b7ec2abd002d09c1ede7a57b582", ""),
+    "4,4,2 certificate": (((4, 4, 2), 3, None), 3,
+                          "45911fe62095139eebd8690d595c20d79c028a16f860ebe5d0b32343e376b4c0",
+                          "violation: value 13.77085870362339 exceeds bound 8.000000000000007\n"),
+    "3,3,3,3 LP model": (((3, 3, 3, 3), 4, 0.9), 0,
+                         "6faa5b60fd275e28ee39ef120f3525e574a44f1856470aae9236b09a3b92f61a", ""),
+    "3,3,3,3 certificate": (((3, 3, 3, 3), 5, None), 3,
+                            "3aafd9f5ae167c7bf77253b7e12e9b0d7a8ea50acfa5251d919d0e83c6bbede7",
+                            "violation: value 38.58094158279698 exceeds bound 14.40000000000004\n"),
+}
+
+
+@pytest.mark.parametrize("table, code, digest, err", PINNED_LHV_TABLES.values(),
+                         ids=PINNED_LHV_TABLES.keys())
+def test_pinned_lhv_table_bytes(table, code, digest, err):
+    result = run_cli("lhv", "--table", "-", stdin=seeded_table_json(*table))
+    assert (result[0], hashlib.sha256(result[1].encode()).hexdigest(), result[2]) == (
+        code, digest, err)
+
+
 def lp_model_from_stdout(table_json: str, out: str) -> tuple[bk.CorrelationTable, bk.LhvModel]:
     table = bk.CorrelationTable.from_json_dict(json.loads(table_json))
     return table, bk.LhvModel.from_json_list(table.layout, json.loads(out))

@@ -559,6 +559,59 @@ def test_lexicographic_rule_solves_restricted_masters():
         assert np.max(np.abs(a @ result.x - b)) <= BOUND_TOL
 
 
+def seeded_table(layout: tuple[int, ...], seed: int, scale: float | None) -> bk.CorrelationTable:
+    """scale times a Dirichlet mixture of 2*dim distinct vertices, or, with no
+    scale, a point uniform in the cube; drawn from default_rng(seed)."""
+    layout = bk.ExperimentLayout(layout)
+    rng = np.random.default_rng(seed)
+    rows = vertex_matrix(layout)
+    if scale is None:
+        x = rng.uniform(-1.0, 1.0, rows.shape[1])
+    else:
+        k = min(2 * rows.shape[1], rows.shape[0])
+        x = scale * rng.dirichlet(np.ones(k)) @ rows[rng.choice(len(rows), k, replace=False)]
+    return bk.CorrelationTable(layout, x.reshape(layout.shape))
+
+
+def membership_lp(table: bk.CorrelationTable) -> tuple[np.ndarray, np.ndarray]:
+    """The A and b that polytope_membership hands the simplex."""
+    rows = vertex_matrix(table.layout)
+    return (np.vstack([rows.T, np.ones(len(rows))]),
+            np.append(table.values.ravel(), 1.0))
+
+
+#: (A, b), feasible, pivots and degenerate pivots; the counts were taken
+#: before the pivot moved to an in-place update and must not change with it
+SIMPLEX_WORK = {
+    "3,3,3,3 FOUND seed 0": (lambda: membership_lp(found_recipe_table(0)), True, 171, 24),
+    "3,3,3,3 FOUND seed 2": (lambda: membership_lp(found_recipe_table(2)), True, 189, 135),
+    "3,3,3,3 FOUND seed 6": (lambda: membership_lp(found_recipe_table(6)), True, 138, 9),
+    "4,4,2 inside": (lambda: membership_lp(seeded_table((4, 4, 2), 2, 0.9)), True, 49, 0),
+    "4,4,2 outside": (lambda: membership_lp(seeded_table((4, 4, 2), 3, None)), False, 50, 0),
+    # the first pivot's two rows tie at ratio 1, and the lexicographic rule
+    # picks between them; the second pivot is degenerate
+    "tied ratios": (lambda: (np.array([[1.0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 1, 1]]),
+                             np.ones(3)), True, 3, 1),
+}
+
+
+@pytest.mark.parametrize("lp, feasible, iterations, degenerate", SIMPLEX_WORK.values(),
+                         ids=SIMPLEX_WORK.keys())
+def test_simplex_work_counts_are_pinned(lp, feasible, iterations, degenerate):
+    from bellkit.simplex import solve_feasibility
+
+    a, b = lp()
+    result = solve_feasibility(a, b)
+    assert (result.feasible, result.iterations, result.degenerate) == (
+        feasible, iterations, degenerate)
+    if feasible:
+        assert np.all(result.x >= 0)
+        assert np.max(np.abs(a @ result.x - b)) <= BOUND_TOL
+    else:
+        assert np.max(result.farkas @ a) <= BOUND_TOL
+        assert result.farkas @ b > 0
+
+
 def small_lp_tables() -> list[bk.CorrelationTable]:
     """An inside and an outside table for (3,3) and (3,3,3).
 
