@@ -28,6 +28,7 @@ from .families import (  # noqa: F401
 from .lhv import (
     BellInequality,
     CorrelationTable,
+    LhvModel,
     SignFunction,
     construct_lhv_model,
     evaluate_inequality,
@@ -213,6 +214,19 @@ def _array_text(head: str, array: np.ndarray, tail: str) -> str:
     return "".join(source[index].tolist())
 
 
+def _model_text(model: LhvModel) -> str:
+    """`_dump_json(model.to_json_list())` in one join: the int codes and float
+    weight of each record written by int.__repr__ and float.__repr__, as
+    json.dumps writes them.  A model has at least one record."""
+    parts = []
+    for record in model.to_json_list():
+        parts += ('  {\n    "strategy": [\n      ',
+                  ",\n      ".join(map(int.__repr__, record["strategy"])),
+                  '\n    ],\n    "weight": ', float.__repr__(record["weight"]), "\n  },\n")
+    parts[-1] = "\n  }\n]\n"
+    return "[\n" + "".join(parts)
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -267,7 +281,7 @@ def cmd_lhv(args) -> int:
         if not result.inside:
             value = evaluate_inequality(certificate, table)
     if certificate is None:
-        _emit(_dump_json(model.to_json_list()), args.out)
+        _emit(_model_text(model), args.out)
         return EXIT_OK
     _emit(_dump_json(certificate.to_json_dict()), args.out)
     print(f"violation: value {value!r} exceeds bound {certificate.bound!r}", file=sys.stderr)

@@ -351,12 +351,19 @@ def _certified_full_rank(matrix: np.ndarray) -> bool:
     Forms the Gram matrix G = M^T M in float64, one block of ``dim`` rows at
     a time so the extra memory is O(dim^2).  Every sum formed is an integer
     below rows * max|M|^2; when that is not below 2^53 the sums could round,
-    and the answer is False.  Then, with Z a floating-point inverse of G and
-    W = rint(2^s Z), the integer residual E = W G - 2^s I is formed exactly,
-    and max_i sum_j |E_ij| < 2^s means ||I - 2^-s W G|| < 1 in the infinity
-    norm, so W G and hence G are nonsingular: the approximate-inverse
-    argument (Rump, Acta Numerica 19, 2010).  How close Z is to the inverse
-    decides only whether this certifies; False proves nothing.
+    and the answer is False.  G is then balanced to G' = F G F, with F =
+    diag(2^f_k) and f_k >= 0 chosen so that every nonzero diagonal entry of
+    G' lies in [2^(e-2), 2^e), where 2^(e-1) <= max_k G_kk < 2^e.  Scaling
+    by powers of two is exact, so G' is an integer matrix whose entries, as
+    G' is positive semidefinite, are below 2^e <= 2^53, and G' is
+    nonsingular exactly when G is.  Columns of equal norm (the +-1 vertex rows of
+    check_tightness) take f = 0.  Then, with Z a floating-point inverse of
+    G' and W = rint(2^s Z), the integer residual E = W G' - 2^s I is formed
+    exactly, and max_i sum_j |E_ij| < 2^s means ||I - 2^-s W G'|| < 1 in the
+    infinity norm, so W G' and hence G are nonsingular: the
+    approximate-inverse argument (Rump, Acta Numerica 19, 2010).  How close
+    Z is to the inverse decides only whether this certifies; False proves
+    nothing.
     """
     rows, dim = matrix.shape
     if rows < dim:
@@ -368,6 +375,10 @@ def _certified_full_rank(matrix: np.ndarray) -> bool:
     for start in range(0, rows, dim):
         block = matrix[start:start + dim].astype(np.float64)
         gram += block.T @ block
+    _, exponents = np.frexp(np.diagonal(gram))
+    shifts = (exponents.max() - exponents) // 2
+    if shifts.any():
+        np.ldexp(gram, shifts[:, None] + shifts, out=gram)
     try:
         weights = np.linalg.inv(gram)
     except np.linalg.LinAlgError:
@@ -375,10 +386,10 @@ def _certified_full_rank(matrix: np.ndarray) -> bool:
     z_max = float(np.max(np.abs(weights)))
     if not math.isfinite(z_max):
         return False
-    # |G_kj| <= max_k G_kk, as G is positive semidefinite, and
-    # |W_ik| <= 2^s max|Z| + 1/2.  So every partial sum of W G, of E and of a
+    # |G'_kj| <= max_k G'_kk, as G' is positive semidefinite, and
+    # |W_ik| <= 2^s max|Z| + 1/2.  So every partial sum of W G', of E and of a
     # row sum of |E| is an integer of at most
-    # dim (dim max|G| (2^s max|Z| + 1/2) + 2^s), which is below 2^53, and so
+    # dim (dim max|G'| (2^s max|Z| + 1/2) + 2^s), which is below 2^53, and so
     # exact, when 2^s step < limit (max|Z| = z_num / z_den exactly).
     g_max = int(np.max(np.diagonal(gram)))
     z_num, z_den = z_max.as_integer_ratio()

@@ -17,6 +17,12 @@ the simplex cannot cycle.  In floating point the argument is not exact, and
 the iteration cap is the backstop.  A pivot whose step, the entering variable's
 new value, is at most BOUND_TOL is counted as degenerate.
 
+The cost row is the tableau's last row, so each pivot is one in-place rank-1
+update of the whole tableau: every entry t becomes t - f r, with r the scaled
+pivot row and f the entering column's entry (0 on the pivot row).  The
+product goes into a scratch array allocated once per solve, as do the ratio
+test's work vectors, so no pivot allocates anything of the tableau's size.
+
 On infeasibility the final cost row yields a Farkas certificate y with
 
     y . A_j <= 0 for every column j   and   y . b > 0,
@@ -60,49 +66,57 @@ def solve_feasibility(a: np.ndarray, b: np.ndarray,
     # Flip rows so the right-hand side is nonnegative; remember the signs to
     # map the dual certificate back to the original rows.
     flip = np.where(b < 0, -1.0, 1.0)
-    tab = np.empty((m, n + m + 1))
-    tab[:, :n] = a * flip[:, None]
-    tab[:, n:-1] = np.eye(m)
-    tab[:, -1] = b * flip
+    # rows 0..m-1 are the constraints, row m is the phase-1 cost row
+    tab = np.empty((m + 1, n + m + 1))
+    body, cost = tab[:m], tab[m]
+    body[:, :n] = a * flip[:, None]
+    body[:, n:-1] = np.eye(m)
+    body[:, -1] = b * flip
 
     basis = np.arange(n, n + m)
     # Phase-1 cost row: minimize the sum of artificials.  Reduced costs start
     # as c_j - sum of rows for each column.
-    cost = np.zeros(n + m + 1)
+    cost[:] = 0.0
     cost[n:-1] = 1.0
-    cost -= tab.sum(axis=0)
+    cost -= body.sum(axis=0)
 
+    # work arrays, allocated once per solve: no pivot allocates a tableau
+    scratch = np.empty_like(tab)
+    factors = np.empty(m + 1)
+    ratios = np.empty(m)
+    positive = np.empty(m, dtype=bool)
+    rhs = body[:, -1]
     iterations = degenerate = 0
     while True:
-        enter = int(np.argmin(cost[:-1]))  # Dantzig's entering rule
+        enter = int(cost[:-1].argmin())  # Dantzig's entering rule
         if cost[enter] >= -BOUND_TOL:
             break
         if iterations >= max_iter:
             raise ResourceLimitError(f"simplex exceeded {max_iter} iterations")
-        col = tab[:, enter]
-        positive = col > BOUND_TOL
+        col = body[:, enter]
+        np.greater(col, BOUND_TOL, out=positive)
         if not positive.any():
             raise RuntimeError("phase-1 column with no positive entries")
-        ratios = np.full(m, np.inf)
-        ratios[positive] = tab[positive, -1] / col[positive]
+        ratios.fill(np.inf)
+        np.divide(rhs, col, out=ratios, where=positive)
         best = ratios.min()
-        ties = np.flatnonzero(ratios <= best + EXACT_TOL)
+        ties = (ratios <= best + EXACT_TOL).nonzero()[0]
         # lexicographic leaving rule: smallest row of B^-1 over the pivot entry
         for j in range(n, n + m):
             if len(ties) == 1:
                 break
-            scaled = tab[ties, j] / col[ties]
+            scaled = body[ties, j] / col[ties]
             ties = ties[scaled == scaled.min()]
         leave = int(ties[0])
         if best <= BOUND_TOL:
             degenerate += 1
 
-        pivot = tab[leave, enter]
-        tab[leave] /= pivot
-        factors = tab[:, enter].copy()
+        row = tab[leave]
+        row /= row[enter]
+        factors[:] = tab[:, enter]
         factors[leave] = 0.0
-        tab -= np.outer(factors, tab[leave])
-        cost -= cost[enter] * tab[leave]
+        np.multiply(factors[:, None], row, out=scratch)
+        tab -= scratch
         basis[leave] = enter
         iterations += 1
 

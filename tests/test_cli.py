@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bellkit as bk
 from bellkit.multiset import layout_tree
@@ -763,19 +765,23 @@ def seeded_table_json(layout: tuple[int, ...], seed: int, scale: float | None) -
 # lhv stdout on seeded tables: (layout, seed, scale) as seeded_table_json takes
 # them, the exit code, the sha256 of stdout and the whole of stderr
 PINNED_LHV_TABLES = {
-    "2,2,2,2 closed-form model": (((2, 2, 2, 2), 1, 0.9), 0,
-                                  "bfcfb45b3d791a0086288c602240ec83b96330a91f15511f840f6f863c1ca66b",
-                                  ""),
-    "4,4,2 LP model": (((4, 4, 2), 2, 0.9), 0,
-                       "8674dfa4d278e67e17cea4e530492a3e33624b7ec2abd002d09c1ede7a57b582", ""),
-    "4,4,2 certificate": (((4, 4, 2), 3, None), 3,
-                          "45911fe62095139eebd8690d595c20d79c028a16f860ebe5d0b32343e376b4c0",
-                          "violation: value 13.77085870362339 exceeds bound 8.000000000000007\n"),
-    "3,3,3,3 LP model": (((3, 3, 3, 3), 4, 0.9), 0,
-                         "6faa5b60fd275e28ee39ef120f3525e574a44f1856470aae9236b09a3b92f61a", ""),
-    "3,3,3,3 certificate": (((3, 3, 3, 3), 5, None), 3,
-                            "3aafd9f5ae167c7bf77253b7e12e9b0d7a8ea50acfa5251d919d0e83c6bbede7",
-                            "violation: value 38.58094158279698 exceeds bound 14.40000000000004\n"),
+    "2,2,2,2 closed-form model": (
+        ((2, 2, 2, 2), 1, 0.9), 0,
+        "bfcfb45b3d791a0086288c602240ec83b96330a91f15511f840f6f863c1ca66b", ""),
+    "4,4,2 LP model": (
+        ((4, 4, 2), 2, 0.9), 0,
+        "8674dfa4d278e67e17cea4e530492a3e33624b7ec2abd002d09c1ede7a57b582", ""),
+    "4,4,2 certificate": (
+        ((4, 4, 2), 3, None), 3,
+        "45911fe62095139eebd8690d595c20d79c028a16f860ebe5d0b32343e376b4c0",
+        "violation: value 13.77085870362339 exceeds bound 8.000000000000007\n"),
+    "3,3,3,3 LP model": (
+        ((3, 3, 3, 3), 4, 0.9), 0,
+        "6faa5b60fd275e28ee39ef120f3525e574a44f1856470aae9236b09a3b92f61a", ""),
+    "3,3,3,3 certificate": (
+        ((3, 3, 3, 3), 5, None), 3,
+        "3aafd9f5ae167c7bf77253b7e12e9b0d7a8ea50acfa5251d919d0e83c6bbede7",
+        "violation: value 38.58094158279698 exceeds bound 14.40000000000004\n"),
 }
 
 
@@ -785,6 +791,55 @@ def test_pinned_lhv_table_bytes(table, code, digest, err):
     result = run_cli("lhv", "--table", "-", stdin=seeded_table_json(*table))
     assert (result[0], hashlib.sha256(result[1].encode()).hexdigest(), result[2]) == (
         code, digest, err)
+
+
+#: weights of at most 1e-14 each: zeros of both signs, a negative one that
+#: LhvModel still accepts, subnormals, the smallest normal and tiny ones
+DUST = st.sampled_from([0.0, -0.0, -1e-14, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300,
+                        1e-17]) | st.floats(1e-300, 1e-14)
+
+
+@st.composite
+def lhv_models(draw) -> bk.LhvModel:
+    """1-10 parties of 1-12 settings; records whose weights sum to 1, each
+    1e-3 to 1 before the sum is scaled to 1 (a lone record weighs 1.0),
+    plus up to 20 dust records."""
+    layout = draw(st.lists(st.integers(1, 12), min_size=1, max_size=10))
+    codes = st.tuples(*(st.integers(0, (1 << m) - 1) for m in layout))
+    mass = draw(st.dictionaries(codes, st.floats(1e-3, 1.0), min_size=1, max_size=40))
+    total = sum(mass.values())
+    weights = {key: w / total for key, w in mass.items()}
+    for key, w in draw(st.dictionaries(codes, DUST, max_size=20)).items():
+        weights.setdefault(key, w)
+    return bk.LhvModel(bk.ExperimentLayout(tuple(layout)), weights)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lhv_models())
+def test_model_writer_matches_json_dumps(model):
+    from bellkit import cli
+
+    assert cli._model_text(model) == json.dumps(model.to_json_list(), indent=2,
+                                                sort_keys=True) + "\n"
+
+
+def test_lhv_certificate_keeps_signed_zeros(monkeypatch, capsys):
+    """A float certificate with 0.0 and -0.0 among its coefficients prints
+    what json.dumps prints for its to_json_dict()."""
+    from bellkit import cli
+
+    layout = bk.ExperimentLayout((3, 3))
+    coefficients = np.array([[0.0, -0.0, 0.5], [-0.25, 0.0, -0.0], [1.0, -1.0, 5e-324]])
+    certificate = bk.BellInequality(layout, coefficients, 2.0)
+    monkeypatch.setattr(cli, "polytope_membership",
+                        lambda table: bk.PolytopeResult(False, None, certificate))
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"layout": [3, 3],
+                                                             "values": [[0.0] * 3] * 3})))
+    assert cli.main(["lhv", "--table", "-"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == json.dumps(certificate.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    assert captured.out.count("-0.0") == 2
+    assert captured.err == "violation: value 0.0 exceeds bound 2.0\n"
 
 
 def lp_model_from_stdout(table_json: str, out: str) -> tuple[bk.CorrelationTable, bk.LhvModel]:

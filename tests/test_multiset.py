@@ -317,9 +317,19 @@ def pascal(n: int) -> np.ndarray:
 
 
 @pytest.mark.parametrize("matrix", [
+    np.diag([1] * 7 + [2**23]).astype(np.int64),
     pascal(6),
+], ids=["diag-2^23", "pascal-6"])
+def test_full_rank_with_unequal_column_norms_is_certified(matrix):
+    # the Gram matrix's diagonal spans 2^46 and 2^14: balanced by powers of
+    # two, neither needs the exact path
+    assert ms._column_rank(matrix) == (matrix.shape[1], False)
+
+
+@pytest.mark.parametrize("matrix", [
+    pascal(7),
     np.array([[2**14, 2**14 + 1], [2**14 - 1, 2**14]], dtype=np.int64),
-], ids=["pascal-6", "unimodular-2^14"])
+], ids=["pascal-7", "unimodular-2^14"])
 def test_ill_conditioned_full_rank_falls_back_to_its_exact_rank(matrix):
     assert round(np.linalg.det(matrix.astype(np.float64))) == 1
     assert not ms._certified_full_rank(matrix)
