@@ -321,8 +321,8 @@ def pascal(n: int) -> np.ndarray:
     pascal(6),
 ], ids=["diag-2^23", "pascal-6"])
 def test_full_rank_with_unequal_column_norms_is_certified(matrix):
-    # the Gram matrix's diagonal spans 2^46 and 2^14: balanced by powers of
-    # two, neither needs the exact path
+    # their Gram diagonals span factors of 2^46 and about 2^14; balanced by
+    # powers of two, neither needs the exact path
     assert ms._column_rank(matrix) == (matrix.shape[1], False)
 
 
