@@ -683,6 +683,11 @@ PINNED_OUTPUTS = [
       "--sign-fn", "1111", "--sign-fn", "1111", "--sign-fn", "1000", "--sign-fn", "1011",
       "--sign-fn", "1111"), None,
      0, "6a58ff330fd129a903c41b8ed7add6b3c29c27ffd3487bbbc36250775136a2a6"),
+    # two-setting members with chosen sign functions, checked for tightness
+    (("generate", "--layout", "2,2,2", "--check-tight", "--sign-fn", "01101011"), None,
+     0, "c2e60fcb0237b7a754a09a6a13f87c43a69a96d7f3f11ca293c8cbb13f4d7c9c"),
+    (("generate", "--layout", "2,2,2,2", "--check-tight", "--sign-fn", "0010110101110001"),
+     None, 0, "40460d2953c2e00cd30b009f0944abd791b08b1a78c8bd95e6fb7b46b3cf8386"),
     # a 1024-dimensional facet: 1024 saturating rows of 2048 vertices
     (("generate", "--layout", "2,2,2,2,2,2,2,2,2,2", "--check-tight", "--sign-fn", SIGN_2_10),
      None, 0, "2ba046fff9b49e0b919da1b2f57ba82220edbca1841bca05221bed70b96c9605"),
