@@ -25,6 +25,7 @@ sign for setting k+1 (bit 0 means +1).
 from __future__ import annotations
 
 import itertools
+import math
 import sys
 from dataclasses import dataclass, field
 from functools import reduce
@@ -168,7 +169,7 @@ class LhvModel:
     """Mixture of deterministic strategies.
 
     ``weights`` maps per-party code tuples to probabilities, which are
-    nonnegative and sum to 1.  The model keeps a read-only copy of the
+    finite, nonnegative and sum to 1.  The model keeps a read-only copy of the
     mapping it is given, so the checks below hold for its whole life.
     """
 
@@ -184,6 +185,8 @@ class LhvModel:
             for code, m in zip(codes, self.layout.settings_per_party):
                 if not 0 <= code < (1 << m):
                     raise ValueError(f"code {code} out of range for {m} settings")
+            if not math.isfinite(w):
+                raise ValueError(f"non-finite weight {w!r} for strategy {codes}")
             if w < -EXACT_TOL:
                 raise ValueError(f"negative weight {w!r} for strategy {codes}")
             total += w
@@ -382,14 +385,14 @@ def evaluate_model(model: LhvModel) -> CorrelationTable:
     return CorrelationTable(model.layout, values)
 
 
-def enumerate_vertices(layout: ExperimentLayout) -> tuple[list[tuple[int, ...]], np.ndarray]:
-    """Distinct vertex tensors of the correlation polytope.
+def _vertex_factors(layout: ExperimentLayout) -> tuple[list[range], list[np.ndarray]]:
+    """Each party's representative codes and their (codes x settings) +-1 outcomes.
 
-    Returns representative strategy codes and an integer matrix with one
-    flattened product tensor per row, in lexicographic code order.  Flipping
-    all outcomes of an even number of parties leaves every product unchanged,
-    so representatives fix the first-setting outcome of parties 2..N to +1
-    (even codes) while party 1 ranges over everything.
+    Flipping all outcomes of an even number of parties leaves every product
+    unchanged, so representatives fix the first-setting outcome of parties
+    2..N to +1 (even codes) while party 1 ranges over everything.  Each
+    distinct vertex is the Kronecker product of one outcome row per party.
+    Layouts with more than MAX_STRATEGIES strategies raise ResourceLimitError.
     """
     if layout.strategy_count() > MAX_STRATEGIES:
         raise ResourceLimitError(
@@ -397,12 +400,26 @@ def enumerate_vertices(layout: ExperimentLayout) -> tuple[list[tuple[int, ...]],
         )
     first, *rest = layout.shape
     ranges = [range(1 << first)] + [range(0, 1 << m, 2) for m in rest]
-    rows = _outcomes(ranges[0], first)
-    for codes, m in zip(ranges[1:], rest):
-        party = _outcomes(codes, m)
-        rows = (rows[:, None, :, None] * party[None, :, None, :]).reshape(
-            rows.shape[0] * len(codes), rows.shape[1] * m)
-    return list(itertools.product(*ranges)), rows
+    return ranges, [_outcomes(codes, m) for codes, m in zip(ranges, layout.shape)]
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two matrices as one broadcast product, without np.kron's
+    per-call overhead, which the small layouts of the LP path would feel."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+
+def enumerate_vertices(layout: ExperimentLayout) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """Distinct vertex tensors of the correlation polytope.
+
+    Returns representative strategy codes and an integer matrix with one
+    flattened product tensor per row, in lexicographic code order: the
+    Kronecker product of the per-party outcome matrices of _vertex_factors,
+    whose representative rule and strategy cap it shares.
+    """
+    ranges, factors = _vertex_factors(layout)
+    return list(itertools.product(*ranges)), reduce(_kron, factors)
 
 
 @dataclass(frozen=True)

@@ -17,12 +17,17 @@ coefficients come from one recursion in which every block is a dense tensor
 over the whole layout, size 1 on the axes of parties outside the block: an
 Observable is one-hot, a Leaf scatters the Walsh coefficients w of its sign
 function onto its setting pairs, and a Node is, by broadcasting,
-X1 (w00 Y1 + w01 Y2) + X2 (w10 Y1 + w11 Y2).  Tightness is decided by
-enumerating the distinct polytope vertices, counting those that saturate the
-bound, and measuring their exact linear rank: full rank is certified by an
-approximate inverse of the saturating rows' Gram matrix, through an integer
-residual that float64 holds exactly, and only a matrix that certificate does
-not settle goes to fraction-free elimination over the integers.
+X1 (w00 Y1 + w01 Y2) + X2 (w10 Y1 + w11 Y2).  Tightness is decided from
+each party's +-1 outcome matrix, never from the vertex matrix: the vertex
+values are the coefficient tensor contracted party by party with those
+matrices, in int64, and the Gram matrix of the saturating vertices is the
+0/1 saturation mask contracted with the per-party outer products of outcome
+rows, in float64.  Both are exact, since every partial sum is bounded by
+sum |c| below 2^63 and by the vertex count below 2^53 respectively.  Full
+rank is certified by an approximate inverse of that Gram matrix, through an
+integer residual that float64 holds exactly, and only an inequality that
+certificate does not settle goes to fraction-free elimination of its
+saturating vertex rows over the integers.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from .lhv import (
     BellInequality,
     ExperimentLayout,
     SignFunction,
+    _vertex_factors,
     enumerate_vertices,
 )
 from .qstate import MAX_QUBITS
@@ -302,38 +308,82 @@ class TightnessReport:
 def check_tightness(ineq: BellInequality) -> TightnessReport:
     """Decide whether an integer inequality supports a facet.
 
-    Sweeps the distinct polytope vertices, counts exact saturations of the
-    upper bound, and computes the exact linear rank of the saturating vertex
-    tensors; the inequality is tight precisely when that rank equals the
-    dimension of the correlation space.  Full rank is certified by an
-    approximate inverse of the saturating rows' Gram matrix; when the
-    certificate fails (every non-tight inequality, or a Gram matrix too large
-    or too ill-conditioned for float64) the rank comes from fraction-free
-    elimination over the integers, so it is exact either way.  Coefficients
-    whose magnitudes sum to 2^63 or more raise ResourceLimitError, since a
-    vertex value could then wrap in int64.
+    Evaluates the inequality on every distinct polytope vertex, counts exact
+    saturations of the upper bound, and finds the exact linear rank of the
+    saturating vertex tensors; the inequality is tight precisely when that
+    rank equals the dimension of the correlation space.  No vertex matrix is
+    formed on the way to a facet.  A vertex is the Kronecker product of one
+    +-1 outcome row O_j[i_j] per party (lhv._vertex_factors), so:
+
+      values  c . v = c contracted over each party's settings with O_j, in
+              int64: every partial sum is a signed sum of coefficients,
+              at most sum |c| in magnitude;
+      Gram    G = sum over saturating v of v v^T = the 0/1 saturation mask
+              contracted over each party's codes with
+              Q_j[i, (k, l)] = O_j[i, k] O_j[i, l], then regrouped from
+              (k_1, l_1, ..., k_N, l_N) to (k..., l...), in float64: every
+              partial sum is a signed count of at most MAX_STRATEGIES
+              vertices, an integer well below 2^53.
+
+    Full rank is certified from G by _certified_nonsingular; when the
+    certificate fails (every non-tight inequality, or a Gram matrix too
+    ill-conditioned for float64) the vertices are enumerated and the rank
+    of the saturating rows comes from fraction-free elimination over the
+    integers, so it is exact either way.  Coefficients whose magnitudes sum
+    to 2^63 or more raise ResourceLimitError, since a vertex value could
+    then wrap in int64.
     """
     if not ineq.is_integral() or not isinstance(ineq.bound, int):
         raise ValueError("tightness checks need exact integer coefficients")
-    _, vertices = enumerate_vertices(ineq.layout)
-    flat = ineq.coefficients.ravel()
-    # every vertex value and partial sum is at most sum |c| in magnitude
-    if sum(map(abs, flat.tolist())) >= 1 << 63:
+    _, factors = _vertex_factors(ineq.layout)
+    coeff = ineq.coefficients
+    if sum(map(abs, coeff.ravel().tolist())) >= 1 << 63:
         raise ResourceLimitError("coefficient magnitudes sum past exact int64 vertex values")
-    values = vertices @ flat
+    values = _contract(coeff, [o.T for o in factors])
     if np.max(np.abs(values)) > ineq.bound:
         raise ValueError("bound is not valid on the vertex set")
-    saturating = vertices[values == ineq.bound]
-    dim = vertices.shape[1]
-    rank, exact_fallback = _column_rank(saturating)
+    mask = values == ineq.bound
+    saturating = int(np.count_nonzero(mask))
+    dim = coeff.size
+    if saturating >= dim and _certified_nonsingular(_saturating_gram(mask, factors)):
+        rank, exact_fallback = dim, False
+    else:
+        _, vertices = enumerate_vertices(ineq.layout)
+        rank, exact_fallback = _integer_rank(vertices[mask.ravel()]), True
     return TightnessReport(
         is_tight=rank == dim,
-        vertex_count=vertices.shape[0],
-        saturating_count=saturating.shape[0],
+        vertex_count=values.size,
+        saturating_count=saturating,
         affine_rank=rank,
         dimension=dim,
         exact_fallback=exact_fallback,
     )
+
+
+def _contract(tensor: np.ndarray, matrices: Sequence[np.ndarray]) -> np.ndarray:
+    """``tensor`` with its axis j mapped through ``matrices[j]``, whose rows
+    index that axis, for every j: one 2-D matmul per axis.
+
+    Each step contracts the leading axis and appends the new one last, so
+    after the last step the axes are back in order; the result comes as a
+    matrix whose C-order entries are those of the mapped tensor.
+    """
+    for matrix in matrices:
+        tensor = tensor.reshape(matrix.shape[0], -1).T @ matrix
+    return tensor
+
+
+def _saturating_gram(mask: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
+    """G = sum over the vertices flagged in ``mask`` of v v^T, in float64, by
+    contracting the mask with each party's outer products of outcome rows."""
+    outers = [(o[:, :, None] * o[:, None, :]).reshape(len(o), -1).astype(np.float64)
+              for o in factors]
+    settings = [o.shape[1] for o in factors]
+    n = len(settings)
+    gram = _contract(mask.astype(np.float64), outers)
+    gram = gram.reshape([m for m in settings for _ in "kl"])
+    dim = math.prod(settings)
+    return gram.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)]).reshape(dim, dim)
 
 
 def _column_rank(matrix: np.ndarray) -> tuple[int, bool]:
@@ -351,19 +401,8 @@ def _certified_full_rank(matrix: np.ndarray) -> bool:
     Forms the Gram matrix G = M^T M in float64, one block of ``dim`` rows at
     a time so the extra memory is O(dim^2).  Every sum formed is an integer
     below rows * max|M|^2; when that is not below 2^53 the sums could round,
-    and the answer is False.  G is then balanced to G' = F G F, with F =
-    diag(2^f_k) and f_k >= 0 chosen so that every nonzero diagonal entry of
-    G' lies in [2^(e-2), 2^e), where 2^(e-1) <= max_k G_kk < 2^e.  Scaling
-    by powers of two is exact, so G' is an integer matrix whose entries, as
-    G' is positive semidefinite, are below 2^e <= 2^53, and G' is
-    nonsingular exactly when G is.  Columns of equal norm (the +-1 vertex rows of
-    check_tightness) take f = 0.  Then, with Z a floating-point inverse of
-    G' and W = rint(2^s Z), the integer residual E = W G' - 2^s I is formed
-    exactly, and max_i sum_j |E_ij| < 2^s means ||I - 2^-s W G'|| < 1 in the
-    infinity norm, so W G' and hence G are nonsingular: the
-    approximate-inverse argument (Rump, Acta Numerica 19, 2010).  How close
-    Z is to the inverse decides only whether this certifies; False proves
-    nothing.
+    and the answer is False.  Otherwise M has full column rank exactly when
+    G is nonsingular, which _certified_nonsingular decides.
     """
     rows, dim = matrix.shape
     if rows < dim:
@@ -375,6 +414,28 @@ def _certified_full_rank(matrix: np.ndarray) -> bool:
     for start in range(0, rows, dim):
         block = matrix[start:start + dim].astype(np.float64)
         gram += block.T @ block
+    return _certified_nonsingular(gram)
+
+
+def _certified_nonsingular(gram: np.ndarray) -> bool:
+    """True when the Gram matrix ``gram`` is provably nonsingular.
+
+    ``gram`` must hold, exactly in float64, an integer positive semidefinite
+    matrix whose diagonal is below 2^53; it is overwritten.  G is balanced
+    to G' = F G F, with F = diag(2^f_k) and f_k >= 0 chosen so that every
+    nonzero diagonal entry of G' lies in [2^(e-2), 2^e), where
+    2^(e-1) <= max_k G_kk < 2^e.  Scaling by powers of two is exact, so G'
+    is an integer matrix whose entries, as G' is positive semidefinite, are
+    below 2^e <= 2^53, and G' is nonsingular exactly when G is.  Columns of
+    equal norm (the +-1 vertex rows of check_tightness) take f = 0.  Then,
+    with Z a floating-point inverse of G' and W = rint(2^s Z), the integer
+    residual E = W G' - 2^s I is formed exactly, and
+    max_i sum_j |E_ij| < 2^s means ||I - 2^-s W G'|| < 1 in the infinity
+    norm, so W G' and hence G are nonsingular: the approximate-inverse
+    argument (Rump, Acta Numerica 19, 2010).  How close Z is to the inverse
+    decides only whether this certifies; False proves nothing.
+    """
+    dim = gram.shape[0]
     _, exponents = np.frexp(np.diagonal(gram))
     shifts = (exponents.max() - exponents) // 2
     if shifts.any():
@@ -414,7 +475,7 @@ def _integer_rank(matrix: np.ndarray) -> int:
     is no overflow and no floating-point rank ambiguity.  Stops early once
     the rank reaches the column count, which it cannot exceed; the cost
     otherwise grows with the full row count.  check_tightness runs it only
-    when the certificate of _certified_full_rank does not settle the rank.
+    when the certificate of _certified_nonsingular does not settle the rank.
     """
     pivots: dict[int, list[int]] = {}
     for raw in matrix:

@@ -904,8 +904,12 @@ def test_parser_built_once_keeps_no_state_between_calls(capsys):
     assert capsys.readouterr().out == run_cli("generate", "--layout", "4,4,2")[1]
 
 
-def test_benchmark_tracer_records_hooked_names(capsys):
-    """bench/tracing.py wraps names in bellkit's namespaces; they must exist and be used."""
+def test_benchmark_tracer_records_hooked_names(capsys, monkeypatch):
+    """bench/tracing.py wraps names in bellkit's namespaces; they must exist and be used.
+
+    A facet check enumerates no vertices, so the vertex count comes from the
+    lhv call: the 3,3 table's polytope has 8 x 4 distinct vertices.
+    """
     path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("bench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
@@ -917,6 +921,9 @@ def test_benchmark_tracer_records_hooked_names(capsys):
     try:
         assert cli.main(["generate", "--layout", "2,2,2"]) == 0
         assert cli.main(["generate", "--layout", "4,4,2", "--check-tight"]) == 0
+        monkeypatch.setattr("sys.stdin", io.StringIO(
+            '{"layout":[3,3],"values":[[1,1,1],[1,-1,0.5],[1,0.5,-1]]}'))
+        assert cli.main(["lhv", "--table", "-"]) == 3
         for kind in ("two_setting_sufficient_N", "multisetting_CN"):
             assert cli.main(["condition", "--kind", kind, "--state", "ghz:N=3,alpha=0.3",
                              "--restarts", "7"]) == 3
@@ -928,7 +935,7 @@ def test_benchmark_tracer_records_hooked_names(capsys):
             "lhv.enumerate_vertices", "qcond.condition_two_setting_N",
             "qcond.condition_multisetting_CN"} <= names
     assert sum(span[0] == "multiset.build_recursive" for span in tracer.spans) == 2
-    assert tracer.counts["vertices"] == 256
+    assert tracer.counts["vertices"] == 32
     # the per-restart metric divides the qcond spans by this count
     assert tracer.counts["restarts"] == 14
     assert not hasattr(cli.main, "__wrapped__")  # uninstall put the originals back

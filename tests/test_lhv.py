@@ -203,6 +203,20 @@ def test_model_rejects_bad_strategies_and_weights(weights, match):
         bk.LhvModel(bk.ExperimentLayout((2, 2)), weights)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")],
+                         ids=["nan", "+inf", "-inf"])
+def test_model_rejects_non_finite_weights(bad):
+    # NaN passes both the sign and the total check, and to_json_list drops it
+    layout = bk.ExperimentLayout((2, 2))
+    with pytest.raises(ValueError, match="non-finite weight"):
+        bk.LhvModel(layout, {(0, 0): bad})
+    with pytest.raises(ValueError, match="non-finite weight"):
+        bk.LhvModel(layout, {(0, 0): 1.0, (3, 0): bad})
+    records = [{"strategy": [0, 0], "weight": 1.0}, {"strategy": [3, 0], "weight": bad}]
+    with pytest.raises(ValueError, match="non-finite weight"):
+        bk.LhvModel.from_json_list(layout, records)
+
+
 def test_model_weights_are_a_read_only_copy():
     weights = {(0, 0): 1.0}
     model = bk.LhvModel(bk.ExperimentLayout((2, 2)), weights)

@@ -1,6 +1,7 @@
 """Recursive inequality generation: expansion oracle, identities, tightness."""
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -358,6 +359,30 @@ def random_sign(rng, arity):
     return bk.SignFunction(arity, tuple(rng.integers(0, 2, size=2**arity)))
 
 
+def vertex_matrix_report(ineq: bk.BellInequality) -> ms.TightnessReport:
+    """check_tightness from the vertex matrix: its saturating rows and their
+    _column_rank, with the same bound check."""
+    _, vertices = bk.enumerate_vertices(ineq.layout)
+    values = vertices @ ineq.coefficients.ravel()
+    if np.max(np.abs(values)) > ineq.bound:
+        raise ValueError("bound is not valid on the vertex set")
+    saturating = vertices[values == ineq.bound]
+    rank, exact_fallback = ms._column_rank(saturating)
+    return ms.TightnessReport(rank == vertices.shape[1], vertices.shape[0], saturating.shape[0],
+                              rank, vertices.shape[1], exact_fallback)
+
+
+def assert_same_report(ineq: bk.BellInequality) -> ms.TightnessReport | None:
+    try:
+        want = vertex_matrix_report(ineq)
+    except ValueError as error:
+        with pytest.raises(ValueError, match=str(error)):
+            bk.check_tightness(ineq)
+        return None
+    assert bk.check_tightness(ineq) == want
+    return want
+
+
 @pytest.mark.parametrize("layout, draws", [((4, 4, 2), 12), ((4, 4, 4, 2), 3)])
 def test_rank_paths_agree_on_random_chain_members(layout, draws):
     rng = np.random.default_rng(17)
@@ -370,6 +395,7 @@ def test_rank_paths_agree_on_random_chain_members(layout, draws):
         rank, fallback = ms._column_rank(saturating)
         assert rank == ms._integer_rank(saturating)
         assert fallback == (rank < dim)
+        assert bk.check_tightness(ineq) == vertex_matrix_report(ineq)
 
 
 def test_rank_paths_agree_on_planted_deficiency():
@@ -388,6 +414,60 @@ def test_tightness_rejects_float_coefficients():
     ineq = bk.BellInequality(layout, np.array([[0.5, 0.5], [0.5, -0.5]]), 1.0)
     with pytest.raises(ValueError):
         bk.check_tightness(ineq)
+
+
+RANDOM_INEQUALITY_LAYOUTS = [(2, 2), (2, 2, 2), (3, 3), (3, 3, 3), (2, 3, 4)]
+
+
+@pytest.mark.parametrize("layout", RANDOM_INEQUALITY_LAYOUTS,
+                         ids=lambda t: ",".join(map(str, t)))
+def test_contracted_tightness_matches_the_vertex_matrix_on_random_inequalities(layout):
+    # bounds at the vertex maximum (facets and non-facets), above it (nothing
+    # saturates) and below it (invalid)
+    rng = np.random.default_rng(sum(layout) + len(layout))
+    layout = bk.ExperimentLayout(layout)
+    _, vertices = bk.enumerate_vertices(layout)
+    seen = {"facet": 0, "fallback": 0, "invalid": 0}
+    for draw in range(60):
+        spread = int(rng.choice([1, 2, 10]))
+        coeff = rng.integers(-spread, spread + 1, size=layout.shape)
+        coeff.flat[rng.integers(coeff.size)] = spread  # not all zero
+        top = int(np.max(np.abs(vertices @ coeff.ravel())))
+        bound = max(1, top + int(rng.choice([0, 0, 1, -1])))
+        report = assert_same_report(bk.BellInequality(layout, coeff, bound))
+        if report is None:
+            seen["invalid"] += 1
+        else:
+            seen["fallback" if report.exact_fallback else "facet"] += 1
+    assert seen["fallback"] and seen["invalid"]
+
+
+@pytest.mark.parametrize("layout", [(2, 2), (3, 3, 3), (2, 3, 4), (4, 4, 2)],
+                         ids=lambda t: ",".join(map(str, t)))
+def test_contracted_gram_equals_that_of_the_saturating_rows(layout):
+    rng = np.random.default_rng(len(layout))
+    layout = bk.ExperimentLayout(layout)
+    _, factors = ms._vertex_factors(layout)
+    _, vertices = bk.enumerate_vertices(layout)
+    for density in (0.0, 0.1, 0.5, 1.0):
+        mask = rng.random(vertices.shape[0]) < density
+        gram = ms._saturating_gram(mask.reshape([len(o) for o in factors]), factors)
+        rows = vertices[mask]
+        assert gram.dtype == np.float64
+        assert np.array_equal(gram, rows.T @ rows)
+
+
+def test_default_4_4_4_4_2_check_needs_no_vertex_matrix():
+    # the 16384 x 512 int64 vertex matrix alone is 64 MiB
+    ineq = cli._generate_inequality((4, 4, 4, 4, 2), None)
+    tracemalloc.start()
+    try:
+        report = bk.check_tightness(ineq)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (report.is_tight, report.exact_fallback) == (True, False)
+    assert peak < 16 * 2**20
 
 
 # ---------------------------------------------------------------------------
