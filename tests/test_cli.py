@@ -708,6 +708,11 @@ PINNED_OUTPUTS = [
      0, "18598312d84d1c736aeab1c92c7e7cdb09fd411a84a5565313fc4c82006ff1b5"),
     (("tensor", "--state", "noise:v=0.6(ghz:N=8,alpha=0.5)"), None,
      0, "61baf5c0733bb560dcd9f55ed6fab7282e7bbbe00c4ab994c7c849ba3d4e8935"),
+    # one amplitude, so one live flip column; a nonzero diagonal under noise
+    (("tensor", "--state", "ghz:N=6,alpha=0.0"), None,
+     0, "a2a77be6bfd2c4883dd9681fc4990669ee8f0255a82b1a0afe40335c3c53db82"),
+    (("tensor", "--state", "noise:v=0.4(ghz:N=5,alpha=0.7853981633974483)"), None,
+     0, "6310fa32f4065e40478c2a0840d9bdcb6ebb72883b0188f9b03ad8fc4709c347"),
     # nine qubits, past the range the hypothesis byte checks draw from
     (("tensor", "--state", "noise:v=0.7(ghz:N=9,alpha=0.3)"), None,
      0, "cd2afc45acb1258114a204340d0018db3d4f1ce44efba12410b0ef4d3f14b39e"),
@@ -720,6 +725,9 @@ PINNED_OUTPUTS = [
      3, "ba05aa893db300c0d37c66efab11ecd2f39e50fb6880d93f045c010308fcb9cb"),
     (("condition", "--kind", "multisetting_CN", "--state", "ghz:N=4,alpha=0.3"), None,
      3, "40750e20fdf7c7cb9b233ef72330c6fa605527fd100433be59710b72b6073176"),
+    # the largest N the benchmark's ghz_scan runs
+    (("condition", "--kind", "multisetting_CN", "--state", "ghz:N=5,alpha=0.5"), None,
+     3, "4818a52b2990757d912f6d93140e681a7388b312e3f8cf4bf35f50e6082ec585"),
     (("condition", "--kind", "two_setting_sufficient_N",
       "--state", "noise:v=0.8(ghz:N=4,alpha=0.6)"), None,
      3, "6e89f33b044e58f48b9e02ac5a6775643967e6a3de2521da480b4bad3186d9b3"),
@@ -742,6 +750,33 @@ def test_pinned_output_bytes(args, stdin, code, digest):
     exit_code, out, _ = run_cli(*args, stdin=stdin)
     assert exit_code == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def sparse_state_json(n: int, entries: dict[int, complex]) -> str:
+    """An n-qubit pure state with the given amplitudes and zeros elsewhere."""
+    amps = np.zeros(2**n, complex)
+    for z, amplitude in entries.items():
+        amps[z] = amplitude
+    return state_json(n, amps)
+
+
+# tensor stdout on pure states whose amplitudes fill few of the 2**N flip
+# columns psi(z) psi*(z XOR f): the sha256 of stdout, exit code 0
+PINNED_STATE_FILES = {
+    "6-qubit W state with complex phases": (
+        sparse_state_json(6, {1 << q: np.exp(2j * np.pi * q / 6) / np.sqrt(6) for q in range(6)}),
+        "8c175acf66af0d532e7c36805807e0d140f6bcd47b99e3e69afa8fe33bf42f2b"),
+    "7-qubit state on 3 basis vectors": (
+        sparse_state_json(7, {0b0000011: 0.6, 0b1010100: 0.64j, 0b1111111: -0.48}),
+        "59c62e36666e1b0489778eabc9eac886c538c21bb2c7559c5db09a2a6bb75f06"),
+}
+
+
+@pytest.mark.parametrize("stdin, digest", PINNED_STATE_FILES.values(),
+                         ids=PINNED_STATE_FILES.keys())
+def test_pinned_state_file_bytes(stdin, digest):
+    code, out, _ = run_cli("tensor", "--state-file", "-", stdin=stdin)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
 
 
 def test_pinned_lhv_certificate_bytes():
