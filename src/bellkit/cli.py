@@ -71,7 +71,10 @@ def _parse_params(text: str, spec: str) -> dict[str, str]:
         key, sep, value = part.partition("=")
         if not sep or not key or not value:
             raise ValueError(f"malformed parameter {part!r} in state spec {spec!r}")
-        params[key.strip()] = value.strip()
+        key = key.strip()
+        if key in params:
+            raise ValueError(f"parameter {key!r} given twice in state spec {spec!r}")
+        params[key] = value.strip()
     return params
 
 
@@ -102,6 +105,8 @@ def parse_state_spec(spec: str) -> tuple[PureState, tuple[float, ...]]:
         unknown = set(params) - {"N", "n", "alpha"}
         if unknown:
             raise ValueError(f"unknown ghz parameters {sorted(unknown)} in {spec!r}")
+        if {"N", "n"} <= set(params):
+            raise ValueError(f"ghz spec takes one of 'N' and 'n', got both in {spec!r}")
         n_text = params.get("N", params.get("n"))
         if n_text is None:
             raise ValueError(f"ghz spec needs N=<int>, got {spec!r}")

@@ -16,10 +16,14 @@ signs it (y, z), so one table g[z, f] = rho[z, z XOR f] over flip masks f,
 one in-place fast Walsh-Hadamard transform over z and one cached gather give
 every T at once.  A `PureState` goes straight to that table,
 g[z, f] = psi(z) psi*(z XOR f), and white noise is applied to g, so no
-2**N x 2**N matrix is built and nothing is diagonalized: `PureState` checks
-its norm, the kernel checks each visibility, and `CorrelationTensor` checks
-the identity component and the [-1, 1] range.  Only a `DensityMatrix` runs
-`eigvalsh`, for callers who hand in a matrix.
+2**N x 2**N matrix is built and nothing is diagonalized.  Of a pure state
+with a small support S (|S|**2 < 2**N, as for GHZ or W states) only the live
+flip columns f = z XOR z' (z, z' in S) are tabulated and transformed, and
+their labels are written into a zeroed tensor: every other column is a sum
+of products with an exact-zero factor, so its labels are exactly 0.
+`PureState` checks its norm, the kernel checks each visibility, and
+`CorrelationTensor` checks the identity component and the [-1, 1] range.
+Only a `DensityMatrix` runs `eigvalsh`, for callers who hand in a matrix.
 
 All value types are immutable after construction (arrays are copied in and
 marked read-only), so instances are safe to share across threads.
@@ -213,14 +217,27 @@ def correlation_tensor(state: PureState | DensityMatrix, *,
     is 0, 1, 2 or 3, so one gather and one masked negation, cached per N,
     relabel h to k with no complex multiply.  States above MAX_QUBITS and
     visibilities outside [0, 1] are refused before that work starts.
+
+    A column f of a PureState's g can be nonzero only if f = z XOR z' for two
+    nonzero amplitudes; in any other column every product has an exact-zero
+    factor, so its h and its labels are zeros, +0.0 once the final += 0.0 has
+    run.  When the support S of psi has |S|**2 < 2**N, only those live
+    columns are tabulated, noised and transformed: a GHZ state has 2 of 2**N,
+    so the work falls to O(N 2**N) plus one zeroed 4**N output.  Each pass of
+    the transform works column by column, so the live columns come out with
+    the bits the full table gives them, and the relabel writes their
+    labels, picked from the bits of p and f, straight into the zeroed output
+    without the cached 4**N gather.  A DensityMatrix, or a pure state with a
+    wider support, keeps every column and the cached gather.
     """
     n = state.n_qubits
     check_qubit_cap(n)
     for visibility in visibilities:
         check_visibility(visibility)
     masks = np.arange(2**n)
+    live = _live_flips(state)
     # g[z, f] = rho[z, z XOR f]; qubit 1 is the most significant bit of z and f
-    flipped = masks[:, None] ^ masks
+    flipped = masks[:, None] ^ (masks if live is None else live)
     if isinstance(state, PureState):
         psi = state.amplitudes
         g = psi.conj()[flipped]
@@ -230,13 +247,38 @@ def correlation_tensor(state: PureState | DensityMatrix, *,
     del flipped  # int64, half of g's bytes: freed before the transform and relabel
     for visibility in visibilities:
         g *= visibility
-        g[:, 0] += (1 - visibility) / 2**n
+        g[:, 0] += (1 - visibility) / 2**n  # f = 0 is also the first live column
     _butterflies(g, n)  # now g[p, f]
-    offsets, negate = _relabel(n)
+    if live is None:
+        offsets, negate = _relabel(n)
+    else:
+        offsets, negate, labels = _live_relabel(n, live)
     values = g.view(np.float64).take(offsets)
     np.negative(values, out=values, where=negate)
     values += 0.0  # turns the -0.0 that negation leaves on zero entries into 0.0
+    if live is not None:  # every other label comes from an all-zero column: +0.0
+        values, live_values = np.zeros((4,) * n), values
+        np.put(values, labels, live_values)
     return CorrelationTensor(n, values)
+
+
+def _live_flips(state: PureState | DensityMatrix) -> np.ndarray | None:
+    """The flip masks f that can give a nonzero column of g, sorted; None for all of them.
+
+    psi(z) psi*(z XOR f) is nonzero only if z and z XOR f are both in the
+    support S of psi, so f is one of {z XOR z' : z, z' in S}, a set that
+    holds f = 0 and at most |S|**2 masks.  That set is returned for a
+    PureState with |S|**2 < 2**n; a DensityMatrix, or a wider support,
+    keeps every column.
+    """
+    if not isinstance(state, PureState):
+        return None
+    support = np.flatnonzero(state.amplitudes)
+    if support.size**2 >= 2**state.n_qubits:
+        return None
+    live = np.zeros(2**state.n_qubits, bool)  # a mask, not np.unique, which imports numpy.ma
+    live[support[:, None] ^ support] = True
+    return np.flatnonzero(live)
 
 
 def walsh_hadamard(values: np.ndarray, n: int) -> np.ndarray:
@@ -288,6 +330,24 @@ def _relabel(n: int) -> tuple[np.ndarray, np.ndarray]:
     offsets += y_count & 1
     offsets.flags.writeable = negate.flags.writeable = False
     return offsets, negate
+
+
+def _live_relabel(n: int, live: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_relabel's offsets and negations for the live columns h[p, j] = h[p, live[j]],
+    and the flat label k of each, all of shape (2**n, len(live)).
+
+    Qubit by qubit the phase and flip bits (p, f) give k = 2 p + (f XOR p),
+    so k is 2 spread(p) + spread(p XOR f), where spread moves bit q to bit 2q.
+    """
+    masks = np.arange(2**n)
+    spread = np.zeros(2**n, np.int64)
+    for q in range(n):
+        spread |= (masks >> q & 1) << 2 * q
+    p, f = masks[:, None], live
+    y_count = np.bitwise_count(p & f)
+    offsets = 2 * (p * live.size + np.arange(live.size)) + (y_count & 1)
+    negate = ((y_count + 1) & 2).astype(bool)
+    return offsets, negate, 2 * spread[p] + spread[p ^ f]
 
 
 def quantum_correlation(tensor: CorrelationTensor, settings: list[SettingVector]) -> float:

@@ -12,14 +12,19 @@ SPEC.loader.exec_module(bench_record)
 
 
 def write_run(directory: Path, side: str, seed: int, jobs_per_s: float, rss: float,
-              traced: bool = False) -> str:
+              traced: bool = False, class_ms: tuple[float, float] = (1.0, 5.0)) -> str:
     metrics = {"jobs_per_s": {"value": jobs_per_s, "unit": "1/s"},
                "job_p50_ms": {"value": 1000 / jobs_per_s, "unit": "ms"},
                "job_p90_ms": {"value": 2000 / jobs_per_s, "unit": "ms"},
                "setup_s": {"value": 0.25, "unit": "s"},
                "peak_rss_mb": {"value": rss, "unit": "MB"}}
     info = {"workload": "facet_census", "seed": seed, "raw_wall_jobs_per_s": jobs_per_s / 2,
-            "raw_setup_s": 0.3, "host_slowdown": 1 + seed / 10}
+            "raw_setup_s": 0.3, "host_slowdown": 1 + seed / 10,
+            "cost_classes": {"2x2x2": {"jobs": 50, "min_ms": 0.5, "median_ms": class_ms[0],
+                                       "max_ms": 9.0},
+                             "4x4x2": {"jobs": 10, "min_ms": 2.0, "median_ms": class_ms[1],
+                                       "max_ms": 9.0},
+                             "p50_between": ["2x2x2"], "p90_between": ["2x2x2", "4x4x2"]}}
     if traced:
         info["layer_shares"] = {}
     path = directory / f"{side}-{seed}.json"
@@ -81,3 +86,35 @@ def test_record_refuses_traced_and_repeated_runs(tmp_path, capsys):
     assert "given twice" in capsys.readouterr().err
     with pytest.raises(FileNotFoundError):
         Path(out).read_text()
+
+
+def test_record_takes_each_sides_median_of_every_class_median(tmp_path):
+    parent = [write_run(tmp_path, "parent", s, 10, 44.5, class_ms=ms)
+              for s, ms in ((1, (1.0, 6.0)), (2, (3.0, 4.0)), (3, (2.0, 5.0)))]
+    change = [write_run(tmp_path, "change", s, 12, 44.5, class_ms=ms)
+              for s, ms in ((1, (0.5, 2.0)), (2, (0.7, 3.0)))]
+    out = tmp_path / "BENCH.json"
+    assert bench_record.main(["--parent", *parent, "--change", *change, "--out", str(out)]) == 0
+    classes = json.loads(out.read_text())["workloads"]["facet_census"]["cost_classes"]
+    assert classes == {"2x2x2": {"parent": 2.0, "change": 0.6},
+                       "4x4x2": {"parent": 5.0, "change": 2.5}}
+
+
+@pytest.mark.parametrize("parent_rss, change_rss, flag", [
+    # quartile spread 66-71 is wider than 0.1 * 66 and the sides overlap
+    ((66.0, 65.9, 76.0, 66.1, 75.8), (67.0, 66.0, 66.2, 75.9, 66.1), True),
+    # the same wide parent spread, but every change run reads below every parent run
+    ((66.0, 65.9, 76.0, 66.1, 75.8), (65.0, 64.8, 65.1, 64.9, 65.2), False),
+    # a parent spread inside the bound resolves the metric whatever the change reads
+    ((66.0, 66.1, 66.2, 65.9, 66.0), (70.0, 60.0, 66.0, 80.0, 66.1), False),
+])
+def test_record_flags_a_metric_the_parent_spread_cannot_resolve(tmp_path, parent_rss,
+                                                                change_rss, flag):
+    parent = [write_run(tmp_path, "parent", s, 10 + s, r) for s, r in enumerate(parent_rss)]
+    change = [write_run(tmp_path, "change", s, 20 + s, r) for s, r in enumerate(change_rss)]
+    out = tmp_path / "BENCH.json"
+    assert bench_record.main(["--parent", *parent, "--change", *change, "--out", str(out)]) == 0
+    metrics = json.loads(out.read_text())["workloads"]["facet_census"]["metrics"]
+    assert metrics["peak_rss_mb"]["unresolved"] is flag
+    # jobs_per_s: a parent spread of 2 on a median of 12, inside its 0.25 bound
+    assert metrics["jobs_per_s"]["unresolved"] is False

@@ -78,6 +78,24 @@ def test_tensor_malformed_spec():
     assert code == 2
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("ghz:N=3,alpha=0.3,alpha=0.4",
+     "parameter 'alpha' given twice in state spec 'ghz:N=3,alpha=0.3,alpha=0.4'"),
+    ("noise:v=0.5(ghz:N=3,N=4,alpha=0.3)",
+     "parameter 'N' given twice in state spec 'ghz:N=3,N=4,alpha=0.3'"),
+    ("ghz:N=3,n=4,alpha=0.4", "ghz spec takes one of 'N' and 'n', got both in "
+     "'ghz:N=3,n=4,alpha=0.4'"),
+], ids=["alpha twice", "N twice under noise", "N and n"])
+@pytest.mark.parametrize("command", [["tensor"], ["condition", "--kind", "multisetting_CN"]],
+                         ids=["tensor", "condition"])
+def test_state_spec_refuses_a_key_given_twice(capsys, command, spec, message):
+    """A repeated key, or N next to n, is an input error, not a silent last-one-wins."""
+    from bellkit import cli
+
+    assert cli.main([*command, "--state", spec]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_tensor_noise_spec_round_trip():
     code, out, _ = run_cli("tensor", "--state", "noise:v=0.5(ghz:N=2,alpha=0.7854)")
     assert code == 0

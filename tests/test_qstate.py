@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import bellkit as bk
 from bellkit import qstate
+from bellkit.tolerance import EXACT_TOL
 
 SIGMA = [
     np.eye(2, dtype=complex),
@@ -35,6 +36,22 @@ def oracle_tensor(rho: bk.DensityMatrix) -> np.ndarray:
 
 def random_pure(rng, n) -> bk.PureState:
     amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    return bk.PureState(n, amps / np.linalg.norm(amps))
+
+
+def random_sparse(rng, n, size) -> bk.PureState:
+    """Random complex amplitudes on `size` distinct basis vectors, zeros elsewhere."""
+    amps = np.zeros(2**n, complex)
+    support = rng.choice(2**n, size, replace=False)
+    amps[support] = rng.normal(size=size) + 1j * rng.normal(size=size)
+    return bk.PureState(n, amps / np.linalg.norm(amps))
+
+
+def dicke(n, weight) -> bk.PureState:
+    """Equal-weight superposition of the n-bit strings of a given weight, with
+    phases e^(i z) so that no amplitude is real."""
+    z = np.arange(2**n)
+    amps = np.where(np.bitwise_count(z) == weight, np.exp(1j * z), 0)
     return bk.PureState(n, amps / np.linalg.norm(amps))
 
 
@@ -224,10 +241,14 @@ def test_tensor_qubit_cap(monkeypatch):
 
 @pytest.mark.parametrize("n", range(1, 9))
 @settings(max_examples=8, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.lists(st.floats(0, 1), max_size=2))
-def test_pure_state_path_gives_the_density_path_bytes(n, seed, visibilities):
-    """Amplitudes straight to the tensor, against |psi><psi| mixed level by level."""
-    state = random_pure(np.random.default_rng(seed), n)
+@given(st.integers(0, 2**32 - 1), st.lists(st.floats(0, 1), max_size=2), st.floats(0, 1))
+def test_pure_state_path_gives_the_density_path_bytes(n, seed, visibilities, sparsity):
+    """Amplitudes straight to the tensor, against |psi><psi| mixed level by level.
+
+    The support grows log-uniformly from 1 amplitude to all 2**n, so small
+    supports take the live-column branch and the rest every column."""
+    support = max(1, round(2 ** (n * sparsity)))
+    state = random_sparse(np.random.default_rng(seed), n, support)
     rho = bk.density_from_pure(state)
     for visibility in visibilities:
         rho = bk.mix_with_white_noise(rho, visibility)
@@ -308,23 +329,72 @@ def test_walsh_hadamard_matches_the_stacked_butterfly(n, dtype):
 
 @pytest.mark.parametrize("n", [9, 10])
 def test_kernel_bytes_past_the_hypothesis_range(n):
-    """Pure GHZ, nested noise and a random dense state at 9 and 10 qubits."""
+    """Pure GHZ, nested noise, W and Dicke states and a random dense state at 9
+    and 10 qubits: GHZ and W take the live-column branch, the n(n-1)/2-amplitude
+    Dicke state, whose support squared passes 2**n, every column."""
     ghz = bk.ghz_state(bk.GhzFamily(n, 0.3))
     dense = random_pure(np.random.default_rng(n), n)
-    for state, visibilities in ((ghz, ()), (ghz, (0.7, 0.3, 0.9)), (dense, (0.55,))):
+    cases = ((ghz, ()), (ghz, (0.7, 0.3, 0.9)), (dicke(n, 1), ()), (dicke(n, 1), (0.4,)),
+             (dicke(n, 2), (0.8,)), (dense, (0.55,)))
+    assert [qstate._live_flips(state) is None for state, _ in cases] == [
+        False, False, False, False, True, True]
+    for state, visibilities in cases:
         got = bk.correlation_tensor(state, visibilities=visibilities).components
         assert got.tobytes() == transpose_gather_tensor(state, visibilities).tobytes()
 
 
-@pytest.mark.parametrize("n", [8, 10])
-def test_kernel_peak_memory(n):
-    """At most three complex 4**N tables at once, the per-N relabel cache included."""
-    state = random_pure(np.random.default_rng(n), n)
-    qstate._relabel.cache_clear()
+def traced_peak(state, visibilities) -> int:
     tracemalloc.start()
     try:
-        bk.correlation_tensor(state, visibilities=(0.7,))
-        _, peak = tracemalloc.get_traced_memory()
+        bk.correlation_tensor(state, visibilities=visibilities)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * 16 * 4**n
+
+
+@pytest.mark.parametrize("n", [8, 10])
+def test_kernel_peak_memory(n):
+    """At most three complex 4**N tables at once, the per-N relabel cache
+    included; a GHZ state, on live columns, at most 2.25 float 4**N tables:
+    the zeroed output and the copy CorrelationTensor keeps."""
+    state = random_pure(np.random.default_rng(n), n)
+    qstate._relabel.cache_clear()
+    assert traced_peak(state, (0.7,)) <= 3 * 16 * 4**n
+    qstate._relabel.cache_clear()
+    assert traced_peak(bk.ghz_state(bk.GhzFamily(n, 0.3)), (0.7,)) <= 2.25 * 8 * 4**n
+    assert qstate._relabel.cache_info().currsize == 0
+
+
+def haar_unitary(rng) -> np.ndarray:
+    """A Haar-random 2x2 unitary: QR of a complex Gaussian, phases fixed by R's diagonal."""
+    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def local_frame(u: np.ndarray) -> np.ndarray:
+    """Q = 1 + R on one party's (I, x, y, z) axis: U^dag sigma_a U = sum_b Q[a, b] sigma_b."""
+    return np.array([[np.trace(a @ u @ b @ u.conj().T).real / 2 for b in SIGMA] for a in SIGMA])
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_local_unitaries_rotate_the_ghz_tensor(n):
+    """(U_1 x ... x U_N)|GHZ> has the GHZ tensor with axis j mapped by Q_j, and
+    noise:v scales every component but the identity's by v.  GHZ takes the
+    live-column branch and the rotated state every column, so the two kernel
+    paths check each other at sizes no trace oracle reaches."""
+    rng = np.random.default_rng(900 + n)
+    ghz = bk.ghz_state(bk.GhzFamily(n, 0.3))
+    unitaries = [haar_unitary(rng) for _ in range(n)]
+    rotated = bk.PureState(n, kron_chain(unitaries) @ ghz.amplitudes)
+    assert qstate._live_flips(ghz) is not None and qstate._live_flips(rotated) is None
+    ghz_tensor = want = bk.correlation_tensor(ghz).components
+    for j, u in enumerate(unitaries):
+        want = np.moveaxis(np.tensordot(local_frame(u), want, axes=([1], [j])), 0, j)
+    got = bk.correlation_tensor(rotated).components
+    assert np.max(np.abs(got - want)) <= EXACT_TOL
+    identity = (0,) * n
+    for state, pure in ((ghz, ghz_tensor), (rotated, got)):
+        noisy = bk.correlation_tensor(state, visibilities=(0.6,)).components
+        scaled = 0.6 * pure
+        scaled[identity] = 1.0
+        assert np.max(np.abs(noisy - scaled)) <= EXACT_TOL

@@ -4,10 +4,14 @@ Each input is a `bench/out/<workload>-seed<n>-trace0.json` file written by
 `python3 bench/run.py ... --trace 0`, given after `--parent` or `--change`
 according to the commit it measured.  The output holds, per workload and per
 end-to-end metric of BENCHMARK.json, each side's run values, median and
-quartiles, and how many same-seed pairs the change won.  Under a separate
+quartiles, and how many same-seed pairs the change won.  A metric is marked
+`unresolved` when the parent's quartile spread is wider than the metric's
+bound times its median, so that a move inside the bound cannot be told from
+noise, unless every change run beats every parent run.  Under a separate
 `diagnostics` key it holds the same summary of the unscaled run facts in
 `info`: the wall-clock rate, the set-up time and the host slowdown that the
-scaled metrics are divided by:
+scaled metrics are divided by; under `cost_classes`, each side's median over
+its runs of every cost class's `median_ms`:
 
     python3 tools/bench_record.py --out BENCH_N.json \\
         --parent ../parent/bench/out/facet_census-seed1-trace0.json ... \\
@@ -47,6 +51,27 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "values": values}
 
 
+def class_medians(runs: dict[int, dict]) -> dict[str, float]:
+    """{cost class: median over the runs of its median_ms}; p50_between and the like skipped."""
+    by_class: dict[str, list[float]] = {}
+    for run in runs.values():
+        for label, stats in run["info"]["cost_classes"].items():
+            if isinstance(stats, dict):
+                by_class.setdefault(label, []).append(stats["median_ms"])
+    return {label: statistics.median(ms) for label, ms in sorted(by_class.items())}
+
+
+def unresolved(row: dict, bound: float, higher: bool) -> bool:
+    """The parent's q3 - q1 exceeds bound * median, and not every change run
+    reads better than every parent run."""
+    parent, change = row["parent"], row["change"]
+    if parent["q3"] - parent["q1"] <= bound * parent["median"]:
+        return False
+    if higher:
+        return min(change["values"]) <= max(parent["values"])
+    return max(change["values"]) >= min(parent["values"])
+
+
 def record(parent: dict[str, dict[int, dict]], change: dict[str, dict[int, dict]],
            metrics: list[dict]) -> dict:
     out = {}
@@ -55,6 +80,7 @@ def record(parent: dict[str, dict[int, dict]], change: dict[str, dict[int, dict]
         if any(len(runs) < 2 for runs in sides.values()):
             raise ValueError(f"{workload}: need at least 2 runs of each side")
         paired = sorted(set(sides["parent"]) & set(sides["change"]))
+        medians = {side: class_medians(runs) for side, runs in sides.items()}
         entry = {
             "seeds": {side: sorted(runs) for side, runs in sides.items()},
             "correct": all(r["result"]["correct"]
@@ -68,6 +94,8 @@ def record(parent: dict[str, dict[int, dict]], change: dict[str, dict[int, dict]
                 name: {side: summary([runs[s]["info"][name] for s in sorted(runs)])
                        for side, runs in sides.items()}
                 for name in DIAGNOSTICS},
+            "cost_classes": {label: {side: medians[side].get(label) for side in sides}
+                             for label in sorted(set(medians["parent"]) | set(medians["change"]))},
         }
         for metric in metrics:
             name, higher = metric["name"], metric["better"] == "higher"
@@ -82,6 +110,7 @@ def record(parent: dict[str, dict[int, dict]], change: dict[str, dict[int, dict]
                 wins += (c > p) if higher else (c < p)
             row["pairs"] = len(paired)
             row["change_won"] = wins
+            row["unresolved"] = unresolved(row, metric["bound"], higher)
             entry["metrics"][name] = row
         out[workload] = entry
     return out
