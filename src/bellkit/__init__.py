@@ -44,7 +44,6 @@ from .multiset import (
     TightnessReport,
     build_recursive,
     check_tightness,
-    reduce_settings,
     tree_8842,
     tree_88444,
     tree_chain,

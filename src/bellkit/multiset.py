@@ -24,10 +24,13 @@ matrices, in int64, and the Gram matrix of the saturating vertices is the
 0/1 saturation mask contracted with the per-party outer products of outcome
 rows, in float64.  Both are exact, since every partial sum is bounded by
 sum |c| below 2^63 and by the vertex count below 2^53 respectively.  Full
-rank is certified by an approximate inverse of that Gram matrix, through an
-integer residual that float64 holds exactly, and only an inequality that
-certificate does not settle goes to fraction-free elimination of its
-saturating vertex rows over the integers.
+rank is certified from that Gram matrix in two exact stages: strict
+diagonal dominance, which settles every generated facet measured so far,
+since their Gram matrices came out diagonal, and otherwise an approximate
+inverse, through an integer residual that float64 holds exactly.  Only an
+inequality neither stage settles goes to fraction-free elimination over the
+integers, of its saturating vertex rows alone, built from the per-party
+outcome rows at the saturation mask's indices.
 """
 
 from __future__ import annotations
@@ -45,8 +48,9 @@ from .lhv import (
     ExperimentLayout,
     SignFunction,
     _vertex_factors,
-    enumerate_vertices,
 )
+# enumerate_vertices is unused here, but bench/tracing.py wraps it in this namespace
+from .lhv import enumerate_vertices  # noqa: F401
 from .qstate import MAX_QUBITS
 
 #: layout_tree refuses layouts with more coefficient entries than this: the
@@ -301,7 +305,8 @@ class TightnessReport:
     affine_rank: int
     dimension: int
     #: True when the rank came from the exact integer elimination, False when
-    #: the Gram-inverse certificate proved full rank.
+    #: the Gram certificate (diagonal dominance or approximate inverse)
+    #: proved full rank.
     exact_fallback: bool
 
 
@@ -311,8 +316,8 @@ def check_tightness(ineq: BellInequality) -> TightnessReport:
     Evaluates the inequality on every distinct polytope vertex, counts exact
     saturations of the upper bound, and finds the exact linear rank of the
     saturating vertex tensors; the inequality is tight precisely when that
-    rank equals the dimension of the correlation space.  No vertex matrix is
-    formed on the way to a facet.  A vertex is the Kronecker product of one
+    rank equals the dimension of the correlation space.  The vertex matrix is
+    never formed.  A vertex is the Kronecker product of one
     +-1 outcome row O_j[i_j] per party (lhv._vertex_factors), so:
 
       values  c . v = c contracted over each party's settings with O_j, in
@@ -325,11 +330,14 @@ def check_tightness(ineq: BellInequality) -> TightnessReport:
               partial sum is a signed count of at most MAX_STRATEGIES
               vertices, an integer well below 2^53.
 
-    Full rank is certified from G by _certified_nonsingular; when the
-    certificate fails (every non-tight inequality, or a Gram matrix too
-    ill-conditioned for float64) the vertices are enumerated and the rank
-    of the saturating rows comes from fraction-free elimination over the
-    integers, so it is exact either way.  Coefficients whose magnitudes sum
+    Full rank is certified from G by _certified_nonsingular: exact strict
+    diagonal dominance first (the generated facets measured so far all have
+    a diagonal G), then an approximate inverse.  When neither settles it
+    (every non-tight inequality, or a Gram matrix too ill-conditioned for
+    float64) only the saturating vertex rows are built, each the row-wise
+    Kronecker product of the outcome rows at its mask index, and their rank
+    comes from fraction-free elimination over the integers, so it is exact
+    either way.  Coefficients whose magnitudes sum
     to 2^63 or more raise ResourceLimitError, since a vertex value could
     then wrap in int64.
     """
@@ -348,8 +356,8 @@ def check_tightness(ineq: BellInequality) -> TightnessReport:
     if saturating >= dim and _certified_nonsingular(_saturating_gram(mask, factors)):
         rank, exact_fallback = dim, False
     else:
-        _, vertices = enumerate_vertices(ineq.layout)
-        rank, exact_fallback = _integer_rank(vertices[mask.ravel()]), True
+        rows = _saturating_rows(mask.reshape([len(o) for o in factors]), factors)
+        rank, exact_fallback = _integer_rank(rows), True
     return TightnessReport(
         is_tight=rank == dim,
         vertex_count=values.size,
@@ -384,6 +392,17 @@ def _saturating_gram(mask: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndar
     gram = gram.reshape([m for m in settings for _ in "kl"])
     dim = math.prod(settings)
     return gram.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)]).reshape(dim, dim)
+
+
+def _saturating_rows(mask: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
+    """The vertex rows flagged in ``mask``, in C order of the mask: each is
+    the row-wise Kronecker product of one outcome row per party, picked by
+    the mask's indices, so no other vertex row is formed."""
+    rows, *rest = [o[index] for o, index in zip(factors, np.nonzero(mask))]
+    for picked in rest:
+        width = rows.shape[1] * picked.shape[1]  # explicit: there may be no rows
+        rows = (rows[:, :, None] * picked[:, None, :]).reshape(len(rows), width)
+    return rows
 
 
 def _column_rank(matrix: np.ndarray) -> tuple[int, bool]:
@@ -421,7 +440,19 @@ def _certified_nonsingular(gram: np.ndarray) -> bool:
     """True when the Gram matrix ``gram`` is provably nonsingular.
 
     ``gram`` must hold, exactly in float64, an integer positive semidefinite
-    matrix whose diagonal is below 2^53; it is overwritten.  G is balanced
+    matrix whose diagonal is below 2^53; it may be overwritten.  Two stages
+    decide, the first with no inverse at all.
+
+    First, G is nonsingular when it is strictly diagonally dominant,
+    2 G_kk > sum_j |G_kj| for every row k (Levy-Desplanques; Horn & Johnson,
+    Matrix Analysis, Thm 6.1.10).  As G is positive semidefinite,
+    |G_kj| <= max_k G_kk, so every partial sum of a row of |G| is an integer
+    of at most dim max_k G_kk; the test runs only while that is below 2^53,
+    where float64 sums it exactly.  The Gram matrices of the facets that
+    build_recursive makes have, as measured, been exactly diagonal, so this
+    stage settles them.
+
+    Otherwise, and whenever that test fails, G is balanced
     to G' = F G F, with F = diag(2^f_k) and f_k >= 0 chosen so that every
     nonzero diagonal entry of G' lies in [2^(e-2), 2^e), where
     2^(e-1) <= max_k G_kk < 2^e.  Scaling by powers of two is exact, so G'
@@ -436,7 +467,11 @@ def _certified_nonsingular(gram: np.ndarray) -> bool:
     decides only whether this certifies; False proves nothing.
     """
     dim = gram.shape[0]
-    _, exponents = np.frexp(np.diagonal(gram))
+    diagonal = np.diagonal(gram)
+    if dim * int(diagonal.max()) < 1 << 53 and \
+            np.all(2 * diagonal > np.abs(gram).sum(axis=1)):
+        return True
+    _, exponents = np.frexp(diagonal)
     shifts = (exponents.max() - exponents) // 2
     if shifts.any():
         np.ldexp(gram, shifts[:, None] + shifts, out=gram)
@@ -495,30 +530,3 @@ def _integer_rank(matrix: np.ndarray) -> int:
         if len(pivots) == matrix.shape[1]:
             break
     return len(pivots)
-
-
-def reduce_settings(ineq: BellInequality, mapping: list[dict[int, int]]) -> BellInequality:
-    """Identify settings of an inequality, summing merged coefficients.
-
-    ``mapping`` has one dict per party sending old 1-based setting indices to
-    new ones; each party's map must cover all its old settings and hit every
-    new index up to its maximum.  The bound is unchanged: identified settings
-    only restrict the strategies the original identity already covers.
-    """
-    layout = ineq.layout
-    if len(mapping) != layout.n_parties:
-        raise ValueError("one setting map per party required")
-    new_m, targets = [], []
-    for j, (m_old, perm) in enumerate(zip(layout.settings_per_party, mapping)):
-        if sorted(perm.keys()) != list(range(1, m_old + 1)):
-            raise ValueError(f"party {j + 1} map must cover settings 1..{m_old}")
-        top = max(perm.values())
-        if min(perm.values()) < 1 or set(perm.values()) != set(range(1, top + 1)):
-            raise ValueError(f"party {j + 1} map is not onto 1..{top}")
-        new_m.append(top)
-        targets.append([perm[k] - 1 for k in range(1, m_old + 1)])
-    new_layout = ExperimentLayout(tuple(new_m))
-    coeff = np.zeros(new_layout.shape, dtype=ineq.coefficients.dtype)
-    # unbuffered, in C order over the old entries: floats sum as a loop would
-    np.add.at(coeff, np.ix_(*targets), ineq.coefficients)
-    return BellInequality(new_layout, coeff, ineq.bound)

@@ -47,7 +47,6 @@ PUBLIC_API = [
     "most_violated_sign_inequality",
     "polytope_membership",
     "quantum_correlation",
-    "reduce_settings",
     "scarani_gisin_threshold",
     "sign_inequality",
     "singlet",

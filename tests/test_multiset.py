@@ -470,64 +470,78 @@ def test_default_4_4_4_4_2_check_needs_no_vertex_matrix():
     assert peak < 16 * 2**20
 
 
+def test_default_4_4_4_4_2_fallback_needs_no_vertex_matrix():
+    # bound + 1: nothing saturates, so the exact path runs on no rows at all
+    facet = cli._generate_inequality((4, 4, 4, 4, 2), None)
+    ineq = bk.BellInequality(facet.layout, facet.coefficients, facet.bound + 1)
+    tracemalloc.start()
+    try:
+        report = bk.check_tightness(ineq)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    fields = (report.is_tight, report.saturating_count, report.affine_rank, report.exact_fallback)
+    assert fields == (False, 0, 0, True)
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("layout", [(2, 2, 2), (3, 3, 3), (2, 3, 4)],
+                         ids=lambda t: ",".join(map(str, t)))
+def test_saturating_rows_from_the_factors_equal_the_vertex_rows(layout):
+    rng = np.random.default_rng(sum(layout))
+    layout = bk.ExperimentLayout(layout)
+    _, factors = ms._vertex_factors(layout)
+    _, vertices = bk.enumerate_vertices(layout)
+    for density in (0.0, 0.1, 0.5, 1.0):
+        mask = rng.random(vertices.shape[0]) < density
+        rows = ms._saturating_rows(mask.reshape([len(o) for o in factors]), factors)
+        assert rows.dtype == vertices.dtype
+        assert np.array_equal(rows, vertices[mask])
+        assert rows.shape == (np.count_nonzero(mask), vertices.shape[1])
+
+
+class InverseCalled(Exception):
+    pass
+
+
+def refuse_inverse(monkeypatch):
+    def inv(matrix):
+        raise InverseCalled
+    monkeypatch.setattr(np.linalg, "inv", inv)
+
+
+@pytest.mark.parametrize("layout", [(2,) * n for n in range(2, 7)] + [(4, 4, 2), (4, 4, 4, 2)],
+                         ids=lambda t: ",".join(map(str, t)))
+def test_generated_facets_are_certified_without_an_inverse(layout, monkeypatch):
+    rng = np.random.default_rng(len(layout) + sum(layout))
+    arities, build = ms.layout_tree(layout)
+    members = [build([random_sign(rng, a) for a in arities]) for _ in range(6)]
+    refuse_inverse(monkeypatch)
+    for tree in members:
+        report = bk.check_tightness(bk.build_recursive(tree))
+        assert (report.is_tight, report.exact_fallback) == (True, False)
+
+
+def test_weakly_dominant_singular_gram_is_refused():
+    # rows [[1, 1]]: G = [[1, 1], [1, 1]] has 2 G_kk equal to its row sums
+    gram = np.array([[1.0, 1.0], [1.0, 1.0]])
+    assert not ms._certified_nonsingular(gram)
+    assert not ms._certified_full_rank(np.array([[1, 1], [1, 1]]))
+    assert ms._column_rank(np.array([[1, 1], [2, 2], [-1, -1]])) == (1, True)
+
+
+def test_dominance_stage_needs_exact_row_sums(monkeypatch):
+    # dim * max G_kk must stay below 2^53 for the row sums of |G| to be exact
+    refuse_inverse(monkeypatch)
+    assert ms._certified_nonsingular(np.diag([1.0, 2.0**52 - 1]))
+    assert ms._certified_nonsingular(np.diag([1.0] * 3 + [2.0**51 - 1]))
+    for diagonal in ([1.0, 2.0**52], [1.0] * 3 + [2.0**51]):
+        with pytest.raises(InverseCalled):
+            ms._certified_nonsingular(np.diag(diagonal))
+
+
 # ---------------------------------------------------------------------------
-# setting reduction and family closure
-
-
-def test_reduce_settings_identity_map():
-    ineq = bk.build_recursive(bk.tree_chain(3, CHSH, CHSH, CHSH))
-    mapping = [{1: 1, 2: 2, 3: 3, 4: 4}, {1: 1, 2: 2, 3: 3, 4: 4}, {1: 1, 2: 2}]
-    reduced = bk.reduce_settings(ineq, mapping)
-    assert np.array_equal(reduced.coefficients, ineq.coefficients)
-    assert reduced.bound == ineq.bound
-
-
-def test_reduce_settings_merge_all():
-    ineq = bk.build_recursive(bk.tree_chain(3, CHSH, CHSH, CHSH))
-    mapping = [{k: 1 for k in range(1, 5)}, {k: 1 for k in range(1, 5)}, {1: 1, 2: 1}]
-    reduced = bk.reduce_settings(ineq, mapping)
-    assert reduced.layout.settings_per_party == (1, 1, 1)
-    assert reduced.coefficients.reshape(()) == ineq.coefficients.sum()
-    assert reduced.bound == ineq.bound
-
-
-def test_reduce_settings_float_sums_match_a_loop_bit_for_bit():
-    """Merged float coefficients are summed in the C order of the old entries."""
-    rng = np.random.default_rng(5)
-    layout = bk.ExperimentLayout((4, 3, 5))
-    for _ in range(10):
-        coeff = rng.normal(size=layout.shape) * 10.0 ** rng.integers(-12, 12, size=layout.shape)
-        coeff[rng.random(layout.shape) < 0.2] = -0.0
-        ineq = bk.BellInequality(layout, coeff, 1.0)
-        mapping = []
-        for m in layout.shape:
-            top = int(rng.integers(1, m + 1))
-            targets = np.concatenate([np.arange(1, top + 1), rng.integers(1, top + 1, m - top)])
-            mapping.append({k + 1: int(t) for k, t in enumerate(rng.permutation(targets))})
-        reduced = bk.reduce_settings(ineq, mapping)
-        want = np.zeros(reduced.layout.shape)
-        for idx in np.ndindex(*layout.shape):
-            want[tuple(mapping[j][k + 1] - 1 for j, k in enumerate(idx))] += coeff[idx]
-        assert reduced.coefficients.tobytes() == want.tobytes()
-
-
-def test_factorable_top_reduces_to_two_setting_member():
-    """A factorable top function makes the settings redundant.
-
-    With S(s1, s2) = s1 only the second block survives; merging settings 3,4
-    onto 1,2 must reproduce (twice) the two-setting family member whose sign
-    function ignores the third party.
-    """
-    s_factor = bk.SignFunction(2, (0, 0, 1, 1))  # S(s1, s2) = s1
-    ineq = bk.build_recursive(bk.tree_chain(3, s_factor, CHSH, CHSH))
-    mapping = [{1: 1, 2: 2, 3: 1, 4: 2}, {1: 1, 2: 2, 3: 1, 4: 2}, {1: 1, 2: 2}]
-    reduced = bk.reduce_settings(ineq, mapping)
-    assert reduced.layout.settings_per_party == (2, 2, 2)
-
-    ignores_third = bk.SignFunction(3, (0, 0, 0, 0, 0, 0, 1, 1))  # CHSH(s1, s2)
-    member = bk.sign_inequality(ignores_third)
-    assert np.array_equal(reduced.coefficients, 2 * member.coefficients)
-    assert reduced.bound == 2 * member.bound
+# family closure
 
 
 def flip_slice(ineq: bk.BellInequality, party: int, setting: int) -> np.ndarray:
