@@ -28,13 +28,10 @@ from .lhv import (
     enumerate_vertices,
     evaluate_inequality,
     evaluate_model,
-    evaluate_sign_inequality,
     general_bell_lhs,
-    hidden_probabilities,
     most_violated_sign_inequality,
     polytope_membership,
     sign_inequality,
-    transformed_table,
 )
 from .multiset import (
     ConstructionTree,
@@ -60,10 +57,8 @@ from .qstate import (
     CorrelationTensor,
     DensityMatrix,
     PureState,
-    SettingVector,
     correlation_tensor,
     density_from_pure,
-    quantum_correlation,
 )
 
 __version__ = "0.1.0"

@@ -1,8 +1,10 @@
 """Command-line front end: JSON in, JSON/CSV out, scriptable exit codes.
 
 Exit codes: 0 success (a model exists / nothing violated), 2 bad input (any
-ValueError, from parsing or from the library), 3 a violation was found,
-4 a resource cap was hit.
+ValueError, from parsing or from the library), 3 a violated inequality was
+found (`lhv`, `maximize`) or a condition holds (`condition`: its value
+exceeds 1, which decides a violation only for two qubits), 4 a resource cap
+was hit.
 """
 from __future__ import annotations
 

@@ -146,7 +146,7 @@ class SignFunction:
 
     def walsh_coefficients(self) -> np.ndarray:
         """c[k] = sum_s S(s) s_1^k_1 ... s_n^k_n over k in {0,1}^arity (integers)."""
-        return walsh_hadamard(self.values_grid(), self.arity)
+        return walsh_hadamard(self.values_grid())
 
 
 def enumerate_sign_functions(n_parties: int) -> Iterator[SignFunction]:
@@ -289,7 +289,7 @@ def transformed_table(table: CorrelationTable) -> np.ndarray:
     """
     if not table.layout.is_two_setting():
         raise ValueError("operation requires exactly two settings per party")
-    return walsh_hadamard(table.values, table.values.ndim)
+    return walsh_hadamard(table.values)
 
 
 def _hidden_weights(f: np.ndarray) -> np.ndarray:
@@ -300,20 +300,6 @@ def _hidden_weights(f: np.ndarray) -> np.ndarray:
 def general_bell_lhs(table: CorrelationTable) -> float:
     """sum_s |f(s)|, to be compared with the local-realistic bound 2^N."""
     return float(np.sum(np.abs(transformed_table(table))))
-
-
-def evaluate_sign_inequality(table: CorrelationTable, sign: SignFunction) -> float:
-    """|sum_s S(s) f(s)| for one sign function (bound: 2^N)."""
-    f = transformed_table(table)
-    if sign.arity != table.layout.n_parties:
-        raise ValueError("sign function arity must equal the number of parties")
-    return float(abs(np.sum(sign.values_grid() * f)))
-
-
-def hidden_probabilities(table: CorrelationTable) -> dict[tuple[int, ...], float]:
-    """P(s) = 2^-N |f(s)| keyed by s: the weights construct_lhv_model uses."""
-    p = _hidden_weights(transformed_table(table))
-    return dict(zip(itertools.product((1, -1), repeat=p.ndim), p.ravel().tolist()))
 
 
 def construct_lhv_model(table: CorrelationTable) -> LhvModel:
@@ -373,7 +359,7 @@ def _two_setting_prediction(model: LhvModel) -> np.ndarray:
     signs = 1 - 2 * (np.bitwise_xor.reduce(codes, axis=1) & 1)  # prod_j a_j
     cells = ((codes ^ codes >> 1) & 1) @ (1 << np.arange(n)[::-1])
     grid = np.bincount(cells, weights=signs * weights, minlength=2**n)
-    return walsh_hadamard(grid.reshape((2,) * n), n)
+    return walsh_hadamard(grid.reshape((2,) * n))
 
 
 def evaluate_model(model: LhvModel) -> CorrelationTable:

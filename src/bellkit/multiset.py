@@ -24,13 +24,11 @@ matrices, in int64, and the Gram matrix of the saturating vertices is the
 0/1 saturation mask contracted with the per-party outer products of outcome
 rows, in float64.  Both are exact, since every partial sum is bounded by
 sum |c| below 2^63 and by the vertex count below 2^53 respectively.  Full
-rank is certified from that Gram matrix in two exact stages: strict
-diagonal dominance, which settles every generated facet measured so far,
-since their Gram matrices came out diagonal, and otherwise an approximate
-inverse, through an integer residual that float64 holds exactly.  Only an
-inequality neither stage settles goes to fraction-free elimination over the
-integers, of its saturating vertex rows alone, built from the per-party
-outcome rows at the saturation mask's indices.
+rank is certified from that Gram matrix by exact strict diagonal dominance,
+which settled every facet measured so far.  Any other inequality goes to
+fraction-free elimination over the integers, of its saturating vertex rows
+alone, built from the per-party outcome rows at the saturation mask's
+indices.
 """
 
 from __future__ import annotations
@@ -305,8 +303,7 @@ class TightnessReport:
     affine_rank: int
     dimension: int
     #: True when the rank came from the exact integer elimination, False when
-    #: the Gram certificate (diagonal dominance or approximate inverse)
-    #: proved full rank.
+    #: the diagonal dominance of the Gram matrix proved full rank.
     exact_fallback: bool
 
 
@@ -330,16 +327,14 @@ def check_tightness(ineq: BellInequality) -> TightnessReport:
               partial sum is a signed count of at most MAX_STRATEGIES
               vertices, an integer well below 2^53.
 
-    Full rank is certified from G by _certified_nonsingular: exact strict
-    diagonal dominance first (the generated facets measured so far all have
-    a diagonal G), then an approximate inverse.  When neither settles it
-    (every non-tight inequality, or a Gram matrix too ill-conditioned for
-    float64) only the saturating vertex rows are built, each the row-wise
+    Full rank is certified from G by _certified_nonsingular, exact strict
+    diagonal dominance, which settled every facet measured so far.  When it
+    does not (every non-tight inequality, and any facet whose G is not
+    dominant) only the saturating vertex rows are built, each the row-wise
     Kronecker product of the outcome rows at its mask index, and their rank
     comes from fraction-free elimination over the integers, so it is exact
-    either way.  Coefficients whose magnitudes sum
-    to 2^63 or more raise ResourceLimitError, since a vertex value could
-    then wrap in int64.
+    either way.  Coefficients whose magnitudes sum to 2^63 or more raise
+    ResourceLimitError, since a vertex value could then wrap in int64.
     """
     if not ineq.is_integral() or not isinstance(ineq.bound, int):
         raise ValueError("tightness checks need exact integer coefficients")
@@ -405,101 +400,24 @@ def _saturating_rows(mask: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndar
     return rows
 
 
-def _column_rank(matrix: np.ndarray) -> tuple[int, bool]:
-    """Exact rank of an integer matrix, capped at its column count, and
-    whether the exact integer elimination had to run."""
-    dim = matrix.shape[1]
-    if _certified_full_rank(matrix):
-        return dim, False
-    return _integer_rank(matrix), True
-
-
-def _certified_full_rank(matrix: np.ndarray) -> bool:
-    """True when ``matrix`` provably has full column rank over the rationals.
-
-    Forms the Gram matrix G = M^T M in float64, one block of ``dim`` rows at
-    a time so the extra memory is O(dim^2).  Every sum formed is an integer
-    below rows * max|M|^2; when that is not below 2^53 the sums could round,
-    and the answer is False.  Otherwise M has full column rank exactly when
-    G is nonsingular, which _certified_nonsingular decides.
-    """
-    rows, dim = matrix.shape
-    if rows < dim:
-        return False
-    largest = max(int(matrix.max()), -int(matrix.min()))  # no |matrix| copy
-    if rows * largest * largest >= 1 << 53:
-        return False
-    gram = np.zeros((dim, dim))
-    for start in range(0, rows, dim):
-        block = matrix[start:start + dim].astype(np.float64)
-        gram += block.T @ block
-    return _certified_nonsingular(gram)
-
-
 def _certified_nonsingular(gram: np.ndarray) -> bool:
-    """True when the Gram matrix ``gram`` is provably nonsingular.
+    """True when the Gram matrix ``gram`` is strictly diagonally dominant,
+    which proves it nonsingular; False proves nothing.
 
     ``gram`` must hold, exactly in float64, an integer positive semidefinite
-    matrix whose diagonal is below 2^53; it may be overwritten.  Two stages
-    decide, the first with no inverse at all.
-
-    First, G is nonsingular when it is strictly diagonally dominant,
+    matrix whose diagonal is below 2^53.  G is nonsingular when
     2 G_kk > sum_j |G_kj| for every row k (Levy-Desplanques; Horn & Johnson,
     Matrix Analysis, Thm 6.1.10).  As G is positive semidefinite,
     |G_kj| <= max_k G_kk, so every partial sum of a row of |G| is an integer
     of at most dim max_k G_kk; the test runs only while that is below 2^53,
-    where float64 sums it exactly.  The Gram matrices of the facets that
-    build_recursive makes have, as measured, been exactly diagonal, so this
-    stage settles them.
-
-    Otherwise, and whenever that test fails, G is balanced
-    to G' = F G F, with F = diag(2^f_k) and f_k >= 0 chosen so that every
-    nonzero diagonal entry of G' lies in [2^(e-2), 2^e), where
-    2^(e-1) <= max_k G_kk < 2^e.  Scaling by powers of two is exact, so G'
-    is an integer matrix whose entries, as G' is positive semidefinite, are
-    below 2^e <= 2^53, and G' is nonsingular exactly when G is.  Columns of
-    equal norm (the +-1 vertex rows of check_tightness) take f = 0.  Then,
-    with Z a floating-point inverse of G' and W = rint(2^s Z), the integer
-    residual E = W G' - 2^s I is formed exactly, and
-    max_i sum_j |E_ij| < 2^s means ||I - 2^-s W G'|| < 1 in the infinity
-    norm, so W G' and hence G are nonsingular: the approximate-inverse
-    argument (Rump, Acta Numerica 19, 2010).  How close Z is to the inverse
-    decides only whether this certifies; False proves nothing.
+    where float64 sums it exactly.  The Gram matrix of every facet measured
+    so far, generated or rounded from an LP certificate, was exactly
+    diagonal; that is measured, not proven.
     """
     dim = gram.shape[0]
     diagonal = np.diagonal(gram)
-    if dim * int(diagonal.max()) < 1 << 53 and \
-            np.all(2 * diagonal > np.abs(gram).sum(axis=1)):
-        return True
-    _, exponents = np.frexp(diagonal)
-    shifts = (exponents.max() - exponents) // 2
-    if shifts.any():
-        np.ldexp(gram, shifts[:, None] + shifts, out=gram)
-    try:
-        weights = np.linalg.inv(gram)
-    except np.linalg.LinAlgError:
-        return False
-    z_max = float(np.max(np.abs(weights)))
-    if not math.isfinite(z_max):
-        return False
-    # |G'_kj| <= max_k G'_kk, as G' is positive semidefinite, and
-    # |W_ik| <= 2^s max|Z| + 1/2.  So every partial sum of W G', of E and of a
-    # row sum of |E| is an integer of at most
-    # dim (dim max|G'| (2^s max|Z| + 1/2) + 2^s), which is below 2^53, and so
-    # exact, when 2^s step < limit (max|Z| = z_num / z_den exactly).
-    g_max = int(np.max(np.diagonal(gram)))
-    z_num, z_den = z_max.as_integer_ratio()
-    limit = z_den * ((1 << 54) - dim * dim * g_max)
-    step = 2 * dim * (dim * g_max * z_num + z_den)
-    if limit <= step:
-        return False
-    scale = ((limit - 1) // step).bit_length() - 1  # the largest such s
-    np.ldexp(weights, scale, out=weights)
-    np.rint(weights, out=weights)
-    residual = weights @ gram
-    residual.flat[::dim + 1] -= 1 << scale
-    np.abs(residual, out=residual)
-    return float(np.max(residual.sum(axis=1))) < 1 << scale
+    return dim * int(diagonal.max()) < 1 << 53 and \
+        bool(np.all(2 * diagonal > np.abs(gram).sum(axis=1)))
 
 
 def _integer_rank(matrix: np.ndarray) -> int:
@@ -510,7 +428,7 @@ def _integer_rank(matrix: np.ndarray) -> int:
     is no overflow and no floating-point rank ambiguity.  Stops early once
     the rank reaches the column count, which it cannot exceed; the cost
     otherwise grows with the full row count.  check_tightness runs it only
-    when the certificate of _certified_nonsingular does not settle the rank.
+    when _certified_nonsingular does not settle the rank.
     """
     pivots: dict[int, list[int]] = {}
     for raw in matrix:

@@ -75,8 +75,10 @@ class ConditionReport:
     sweeps; a closed form counts as one converged restart.  On generic
     (non-GHZ) states some multisetting_CN restarts may still be rising after
     MAX_SWEEPS sweeps, so their converged flags are False.  violated means
-    the value exceeds 1 by more than BOUND_TOL; restarts_at_best counts the
-    restarts within BOUND_TOL of the reported value.
+    the value exceeds 1 by more than BOUND_TOL: for two qubits that decides
+    a violation, for N >= 3 it shows only that the condition, which every
+    violation needs, holds.  restarts_at_best counts the restarts within
+    BOUND_TOL of the reported value.
     """
 
     kind: str

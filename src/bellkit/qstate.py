@@ -1,4 +1,4 @@
-"""Multiqubit states, correlation tensors, and measurement geometry.
+"""Multiqubit states and their correlation tensors.
 
 Correlation data for N qubits is held as the dense tensor
 
@@ -6,9 +6,9 @@ Correlation data for N qubits is held as the dense tensor
 
 with sigma_0 the identity and sigma_1, sigma_2, sigma_3 the Pauli x, y, z
 matrices.  The k=0 slots carry marginal information; the correlation part
-proper is the restriction to k in {1, 2, 3}.  Spin measurement directions
-are unit 3-vectors; E(a_1, ..., a_N) is the contraction of the correlation
-part with one direction per qubit.
+proper is the restriction to k in {1, 2, 3}: contracted with one unit
+3-vector per qubit, a spin measurement direction, it gives the correlation
+function E(a_1, ..., a_N).
 
 `correlation_tensor` gets all 4**N components in O(N 4**N) steps without
 forming any Pauli string: per qubit, sigma_k flips the bit (x, y) and/or
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceLimitError
-from .tolerance import BOUND_TOL, EXACT_TOL, PSD_TOL, ZERO_TOL
+from .tolerance import BOUND_TOL, EXACT_TOL, PSD_TOL
 
 #: Dense 4**N tensors get expensive fast; refuse larger systems by default.
 MAX_QUBITS = 10
@@ -122,30 +122,6 @@ class DensityMatrix:
         if np.min(np.linalg.eigvalsh(mat)) < -PSD_TOL:
             raise ValueError("matrix has an eigenvalue below -1e-10")
         object.__setattr__(self, "matrix", _frozen(mat))
-
-
-@dataclass(frozen=True)
-class SettingVector:
-    """Unit vector in R^3: a spin measurement direction."""
-
-    components: np.ndarray
-
-    def __post_init__(self):
-        vec = np.asarray(self.components, dtype=np.float64)
-        if vec.shape != (3,):
-            raise ValueError("a setting vector has exactly 3 components")
-        if abs(np.linalg.norm(vec) - 1.0) > EXACT_TOL:
-            raise ValueError("setting vector is not unit length within 1e-12")
-        object.__setattr__(self, "components", _frozen(vec))
-
-    @classmethod
-    def unit(cls, x: float, y: float, z: float) -> "SettingVector":
-        """Build from an unnormalized direction (must be nonzero)."""
-        vec = np.array([x, y, z], dtype=np.float64)
-        norm = np.linalg.norm(vec)
-        if norm < ZERO_TOL:
-            raise ValueError("cannot normalize the zero vector")
-        return cls(vec / norm)
 
 
 @dataclass(frozen=True)
@@ -281,15 +257,15 @@ def _live_flips(state: PureState | DensityMatrix) -> np.ndarray | None:
     return np.flatnonzero(live)
 
 
-def walsh_hadamard(values: np.ndarray, n: int) -> np.ndarray:
-    """Apply [[1, 1], [1, -1]] along each of n bits, keeping shape and dtype.
+def walsh_hadamard(values: np.ndarray) -> np.ndarray:
+    """Apply [[1, 1], [1, -1]] along each axis of a (2,)*n grid, keeping
+    shape and dtype.
 
-    values holds 2**n entries, indexed in C order by n bits with the most
-    significant first: the axes of a (2,)*n grid.  The input is not changed;
-    the butterflies run in place on a C-order copy.
+    Axis j is bit j of the C-order index, the most significant first.  The
+    input is not changed; the butterflies run in place on a C-order copy.
     """
     out = np.array(values, order="C")
-    _butterflies(out, n)
+    _butterflies(out, out.ndim)
     return out
 
 
@@ -348,24 +324,3 @@ def _live_relabel(n: int, live: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     offsets = 2 * (p * live.size + np.arange(live.size)) + (y_count & 1)
     negate = ((y_count + 1) & 2).astype(bool)
     return offsets, negate, 2 * spread[p] + spread[p ^ f]
-
-
-def quantum_correlation(tensor: CorrelationTensor, settings: list[SettingVector]) -> float:
-    """E(a_1, ..., a_N): correlation part contracted with one direction per qubit.
-
-    Directions must be unit vectors; the result of a physical tensor lies in
-    [-1, 1] and is checked to that range within 1e-9.
-    """
-    n = tensor.n_qubits
-    if len(settings) != n:
-        raise ValueError(f"expected {n} setting vectors, got {len(settings)}")
-    # Contracting the full tensor with (0, a) per qubit kills every k=0 slot,
-    # which is exactly the correlation-part contraction.
-    value = tensor.components
-    for vec in settings:
-        ext = np.concatenate(([0.0], vec.components))
-        value = np.tensordot(ext, value, axes=([0], [0]))
-    value = float(value)
-    if abs(value) > 1.0 + BOUND_TOL:
-        raise ValueError(f"correlation value {value!r} outside [-1, 1]")
-    return value

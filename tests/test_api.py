@@ -22,7 +22,6 @@ PUBLIC_API = [
     "PolytopeResult",
     "PureState",
     "ResourceLimitError",
-    "SettingVector",
     "SignFunction",
     "TightnessReport",
     "build_recursive",
@@ -37,20 +36,16 @@ PUBLIC_API = [
     "enumerate_vertices",
     "evaluate_inequality",
     "evaluate_model",
-    "evaluate_sign_inequality",
     "general_bell_lhs",
     "ghz_state",
     "ghz_tensor_analytic",
-    "hidden_probabilities",
     "maximize_bell_value",
     "mix_with_white_noise",
     "most_violated_sign_inequality",
     "polytope_membership",
-    "quantum_correlation",
     "scarani_gisin_threshold",
     "sign_inequality",
     "singlet",
-    "transformed_table",
     "tree_8842",
     "tree_88444",
     "tree_chain",

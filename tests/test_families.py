@@ -41,8 +41,7 @@ def test_singlet_perfect_anticorrelation_any_axis():
     for _ in range(5):
         v = rng.normal(size=3)
         v /= np.linalg.norm(v)
-        axis = bk.SettingVector(v)
-        assert bk.quantum_correlation(tensor, [axis, axis]) == pytest.approx(-1.0, abs=1e-12)
+        assert v @ tensor.correlation_part() @ v == pytest.approx(-1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])

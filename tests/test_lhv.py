@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import bellkit as bk
+from bellkit import lhv
 from bellkit.tolerance import BOUND_TOL, EXACT_TOL
 
 SQ2 = np.sqrt(2)
@@ -31,13 +32,13 @@ def ghz_mermin_table() -> bk.CorrelationTable:
     T_xyy=T_yxy=T_yyx=-1; single-y and all-y components vanish.
     """
     tensor = bk.ghz_tensor_analytic(bk.GhzFamily(3, np.pi / 4))
-    axes = {1: bk.SettingVector.unit(0, 1, 0), 2: bk.SettingVector.unit(1, 0, 0)}
-    layout = bk.ExperimentLayout((2, 2, 2))
-    values = np.empty(layout.shape)
-    for idx in np.ndindex(*layout.shape):
-        settings_list = [axes[k + 1] for k in idx]
-        values[idx] = bk.quantum_correlation(tensor, settings_list)
-    return bk.CorrelationTable(layout, values)
+    values = tensor.components[np.ix_(*[[2, 1]] * 3)]  # the y and x components
+    return bk.CorrelationTable(bk.ExperimentLayout((2, 2, 2)), values)
+
+
+def sign_value(table: bk.CorrelationTable, sign: bk.SignFunction) -> float:
+    """|sum_s S(s) f(s)|: the family member of S evaluated on the table."""
+    return abs(bk.evaluate_inequality(bk.sign_inequality(sign), table))
 
 
 # ---------------------------------------------------------------------------
@@ -79,12 +80,12 @@ def test_general_lhs_examples():
 
 def test_sign_inequality_examples():
     chsh = bk.SignFunction.chsh()
-    assert bk.evaluate_sign_inequality(chsh_optimal_table(), chsh) == pytest.approx(
+    assert sign_value(chsh_optimal_table(), chsh) == pytest.approx(
         4 * SQ2, abs=1e-12
     )
     # constant S: the value collapses to 2^N |E(1,...,1)|
     const = bk.SignFunction(2, (0, 0, 0, 0))
-    assert bk.evaluate_sign_inequality(table_2x2(0.25, 0.9, -0.3, 0.1), const) == pytest.approx(
+    assert sign_value(table_2x2(0.25, 0.9, -0.3, 0.1), const) == pytest.approx(
         4 * 0.25, abs=1e-12
     )
 
@@ -92,7 +93,7 @@ def test_sign_inequality_examples():
 def test_mermin_sign_function_on_ghz():
     table = ghz_mermin_table()
     mermin = bk.SignFunction.from_bitstring("00010111")
-    assert bk.evaluate_sign_inequality(table, mermin) == pytest.approx(16.0, abs=1e-9)
+    assert sign_value(table, mermin) == pytest.approx(16.0, abs=1e-9)
     # the family bound is 2^3 = 8: violation by a factor of 2
     assert bk.general_bell_lhs(table) == pytest.approx(16.0, abs=1e-9)
 
@@ -118,7 +119,7 @@ def test_strategy_identity_every_sign_function():
         ]
         for sign in bk.enumerate_sign_functions(n):
             for table in tables:
-                value = bk.evaluate_sign_inequality(table, sign)
+                value = sign_value(table, sign)
                 assert value == pytest.approx(2.0**n, abs=1e-12)
 
 
@@ -129,30 +130,33 @@ def test_general_lhs_equals_family_maximum():
         for _ in range(10):
             table = bk.CorrelationTable(layout, rng.uniform(-1, 1, size=layout.shape))
             best = max(
-                bk.evaluate_sign_inequality(table, s) for s in bk.enumerate_sign_functions(n)
+                sign_value(table, s) for s in bk.enumerate_sign_functions(n)
             )
             assert best == pytest.approx(bk.general_bell_lhs(table), abs=1e-12)
             sign, value = bk.most_violated_sign_inequality(table)
             assert value == pytest.approx(best, abs=1e-12)
-            assert bk.evaluate_sign_inequality(table, sign) == pytest.approx(best, abs=1e-12)
+            assert sign_value(table, sign) == pytest.approx(best, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
 # hidden probabilities and model reconstruction
 
 
+def hidden_probabilities(table: bk.CorrelationTable) -> np.ndarray:
+    """P(s) = 2^-N |f(s)|, axis j indexing s_j (0 is +1): the model's weights."""
+    return lhv._hidden_weights(lhv.transformed_table(table))
+
+
 def test_hidden_probabilities_examples():
-    probs = bk.hidden_probabilities(table_2x2(1, 1, 1, 1))
-    assert probs[(1, 1)] == pytest.approx(1.0, abs=1e-12)
-    assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
+    probs = hidden_probabilities(table_2x2(1, 1, 1, 1))
+    assert probs[0, 0] == pytest.approx(1.0, abs=1e-12)
+    assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
-    probs = bk.hidden_probabilities(table_2x2(0, 0, 0, 0))
-    assert all(p == 0.0 for p in probs.values())
+    assert np.all(hidden_probabilities(table_2x2(0, 0, 0, 0)) == 0.0)
 
-    probs = bk.hidden_probabilities(chsh_optimal_table())
-    for p in probs.values():
-        assert p == pytest.approx(SQ2 / 4, abs=1e-12)
-    assert sum(probs.values()) == pytest.approx(SQ2, abs=1e-12)
+    probs = hidden_probabilities(chsh_optimal_table())
+    assert np.allclose(probs, SQ2 / 4, rtol=0, atol=1e-12)
+    assert probs.sum() == pytest.approx(SQ2, abs=1e-12)
 
 
 def test_construct_model_zero_table_is_two_strategies():
@@ -497,7 +501,6 @@ def test_band_table_model_passes_the_residual_check():
 
 
 def test_model_checks_reject_a_faulty_solution(monkeypatch):
-    from bellkit import lhv
     from bellkit.simplex import solve_feasibility
 
     table = found_recipe_table(0)
@@ -529,8 +532,6 @@ def test_model_checks_reject_a_faulty_solution(monkeypatch):
 
 def test_closed_form_model_check_rejects_a_wrong_weight(monkeypatch):
     """The closed-form model is checked against its table, as LP models are."""
-    from bellkit import lhv
-
     table = bk.CorrelationTable(bk.ExperimentLayout((2, 2, 2)),
                                 0.3 * ghz_mermin_table().values)
     model = bk.construct_lhv_model(table)

@@ -576,12 +576,11 @@ def test_maximization_result_json():
 
 
 def quantum_table(tensor: bk.CorrelationTensor, settings) -> bk.CorrelationTable:
-    layout = bk.ExperimentLayout(tuple(len(s) for s in settings))
-    values = np.empty(layout.shape)
-    for idx in np.ndindex(*layout.shape):
-        vecs = [bk.SettingVector(settings[j][k]) for j, k in enumerate(idx)]
-        values[idx] = bk.quantum_correlation(tensor, vecs)
-    return bk.CorrelationTable(layout, values)
+    """E(k): the correlation part contracted with setting k_j's direction of each party j."""
+    values = tensor.correlation_part()
+    for directions in settings:  # contracts the leading axis, appends the settings axis
+        values = np.tensordot(values, np.asarray(directions), axes=([0], [1]))
+    return bk.CorrelationTable(bk.ExperimentLayout(tuple(len(s) for s in settings)), values)
 
 
 @pytest.mark.parametrize("make_tensor,n", [
