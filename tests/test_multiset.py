@@ -516,7 +516,8 @@ def test_generated_facets_are_certified_without_an_inverse(layout):
     rng = np.random.default_rng(len(layout) + sum(layout))
     arities, build = ms.layout_tree(layout)
     for _ in range(6):
-        report = bk.check_tightness(bk.build_recursive(build([random_sign(rng, a) for a in arities])))
+        tree = build([random_sign(rng, a) for a in arities])
+        report = bk.check_tightness(bk.build_recursive(tree))
         assert (report.is_tight, report.exact_fallback) == (True, False)
 
 
@@ -524,7 +525,8 @@ def integer_certificate(certificate: bk.BellInequality) -> bk.BellInequality:
     """An LP certificate rounded to small integers: each coefficient to the
     nearest fraction with denominator at most 12, all scaled by their common
     denominator, with the bound recomputed exactly over the vertices."""
-    fractions = [Fraction(c).limit_denominator(12) for c in certificate.coefficients.ravel().tolist()]
+    fractions = [Fraction(c).limit_denominator(12)
+                 for c in certificate.coefficients.ravel().tolist()]
     scale = math.lcm(*(f.denominator for f in fractions))
     coeff = np.array([int(f * scale) for f in fractions]).reshape(certificate.layout.shape)
     _, vertices = bk.enumerate_vertices(certificate.layout)
@@ -539,7 +541,8 @@ def test_facets_from_lp_certificates_are_certified_by_dominance(layout):
     layout = bk.ExperimentLayout(layout)
     facets = 0
     for _ in range(40):
-        result = bk.polytope_membership(bk.CorrelationTable(layout, rng.uniform(-1, 1, layout.shape)))
+        table = bk.CorrelationTable(layout, rng.uniform(-1, 1, layout.shape))
+        result = bk.polytope_membership(table)
         if result.inside:
             continue
         report = bk.check_tightness(integer_certificate(result.certificate))
