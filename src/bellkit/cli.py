@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import limits
 from .errors import InequalityViolated, ResourceLimitError
 # mix_with_white_noise is unused here, but bench/tracing.py wraps it in this namespace
 from .families import (  # noqa: F401
@@ -54,10 +55,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_VIOLATION = 3
 EXIT_RESOURCE = 4
-
-#: scan refuses grids of more points (N values times alpha steps), each one a
-#: GhzFamily built up front and a row of the CSV
-MAX_SCAN_POINTS = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +137,7 @@ def _read_json(path: str):
 def _parse_payload(loader, data, what: str):
     try:
         return loader(data)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # the last: ints past float64
         raise ValueError(f"not a valid {what}: {exc}") from exc
 
 
@@ -366,8 +363,8 @@ def cmd_scan(args) -> int:
     if args.alpha_min > args.alpha_max:
         raise ValueError("alpha range must satisfy 0 <= min <= max <= pi/4")
     points = len(n_list) * args.alpha_steps
-    if points > MAX_SCAN_POINTS:
-        raise ResourceLimitError(f"scan grids are capped at {MAX_SCAN_POINTS} points, got {points}")
+    if points > limits.MAX_COUNT:
+        raise ResourceLimitError(f"scan grids are capped at {limits.MAX_COUNT} points, got {points}")
     kinds = args.kinds.split(",")
     alphas = np.linspace(args.alpha_min, args.alpha_max, args.alpha_steps)
     # every grid point is checked up front, by the rule --state ghz: applies

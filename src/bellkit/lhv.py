@@ -34,13 +34,11 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
+from . import limits
 from .errors import InequalityViolated, ResourceLimitError
-from .qstate import walsh_hadamard
+from .qstate import json_int, walsh_hadamard
 from .simplex import solve_feasibility
 from .tolerance import BOUND_TOL, EXACT_TOL
-
-#: Vertex enumeration refuses layouts with more strategies than this.
-MAX_STRATEGIES = 2**20
 
 
 @dataclass(frozen=True)
@@ -97,7 +95,7 @@ class CorrelationTable:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CorrelationTable":
-        layout = ExperimentLayout(tuple(int(m) for m in data["layout"]))
+        layout = ExperimentLayout(tuple(json_int(m, "a layout entry") for m in data["layout"]))
         return cls(layout, np.array(data["values"], dtype=float))
 
 
@@ -150,9 +148,10 @@ class SignFunction:
 
 
 def enumerate_sign_functions(n_parties: int) -> Iterator[SignFunction]:
-    """All 2^(2^N) sign functions of arity N, in numeric bit order (N <= 4)."""
-    if n_parties > 4:
-        raise ResourceLimitError("sign-function enumeration is capped at arity 4")
+    """All 2^(2^N) sign functions of arity N in numeric bit order, refused past limits.MAX_COUNT."""
+    cap = (limits.MAX_COUNT.bit_length() - 1).bit_length() - 1
+    if n_parties > cap:
+        raise ResourceLimitError(f"sign-function enumeration is capped at arity {cap}")
     width = 2**n_parties
     for code in range(2**width):
         bits = tuple((code >> (width - 1 - p)) & 1 for p in range(width))
@@ -256,7 +255,7 @@ class BellInequality:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BellInequality":
-        layout = ExperimentLayout(tuple(int(m) for m in data["layout"]))
+        layout = ExperimentLayout(tuple(json_int(m, "a layout entry") for m in data["layout"]))
         coeff = np.array(data["coefficients"])
         if coeff.dtype.kind == "f" and np.all(np.isfinite(coeff) & (coeff == np.round(coeff))):
             coeff = coeff.astype(np.int64)
@@ -378,12 +377,11 @@ def _vertex_factors(layout: ExperimentLayout) -> tuple[list[range], list[np.ndar
     unchanged, so representatives fix the first-setting outcome of parties
     2..N to +1 (even codes) while party 1 ranges over everything.  Each
     distinct vertex is the Kronecker product of one outcome row per party.
-    Layouts with more than MAX_STRATEGIES strategies raise ResourceLimitError.
+    Layouts with more than limits.MAX_COUNT strategies raise ResourceLimitError.
     """
-    if layout.strategy_count() > MAX_STRATEGIES:
+    if layout.strategy_count() > limits.MAX_COUNT:
         raise ResourceLimitError(
-            f"layout has {layout.strategy_count()} strategies, cap is {MAX_STRATEGIES}"
-        )
+            f"layout has {layout.strategy_count()} strategies, cap is {limits.MAX_COUNT}")
     first, *rest = layout.shape
     ranges = [range(1 << first)] + [range(0, 1 << m, 2) for m in rest]
     return ranges, [_outcomes(codes, m) for codes, m in zip(ranges, layout.shape)]

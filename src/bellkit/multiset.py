@@ -40,6 +40,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
+from . import limits
 from .errors import ResourceLimitError
 from .lhv import (
     BellInequality,
@@ -49,11 +50,6 @@ from .lhv import (
 )
 # enumerate_vertices is unused here, but bench/tracing.py wraps it in this namespace
 from .lhv import enumerate_vertices  # noqa: F401
-from .qstate import MAX_QUBITS
-
-#: layout_tree refuses layouts with more coefficient entries than this: the
-#: entry count of the largest tensor the qubit cap allows.
-MAX_LAYOUT_ENTRIES = 4**MAX_QUBITS
 
 
 @dataclass(frozen=True)
@@ -274,13 +270,13 @@ def layout_tree(layout: tuple[int, ...]) -> tuple[tuple[int, ...], Callable]:
       8x8x4x2              arities (2,) * 7         tree_8842
       8x8x4x4x4            arities (2,) * 9         tree_88444
 
-    Layouts with more than MAX_LAYOUT_ENTRIES coefficients (2x...x2 past
+    Layouts with more than limits.MAX_COUNT coefficients (2x...x2 past
     N = 20, 4x...x4x2 past N = 10) raise ResourceLimitError.
     """
     entries = math.prod(layout)
-    if entries > MAX_LAYOUT_ENTRIES:
+    if entries > limits.MAX_COUNT:
         raise ResourceLimitError(
-            f"layouts are capped at {MAX_LAYOUT_ENTRIES} coefficient entries, got {entries}")
+            f"layouts are capped at {limits.MAX_COUNT} coefficient entries, got {entries}")
     n = len(layout)
     if n >= 1 and layout == (2,) * n:
         return (n,), _two_setting_tree
@@ -324,7 +320,7 @@ def check_tightness(ineq: BellInequality) -> TightnessReport:
               contracted over each party's codes with
               Q_j[i, (k, l)] = O_j[i, k] O_j[i, l], then regrouped from
               (k_1, l_1, ..., k_N, l_N) to (k..., l...), in float64: every
-              partial sum is a signed count of at most MAX_STRATEGIES
+              partial sum is a signed count of at most limits.MAX_COUNT
               vertices, an integer well below 2^53.
 
     Full rank is certified from G by _certified_nonsingular, exact strict

@@ -45,6 +45,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from . import limits
 from .errors import ResourceLimitError
 from .lhv import BellInequality
 from .qstate import CorrelationTensor
@@ -52,12 +53,6 @@ from .tolerance import BOUND_TOL, SWEEP_TOL, ZERO_TOL
 
 #: The condition kinds, in the order the module docstring describes them.
 CONDITION_KINDS = ("two_setting_NS_2qubit", "two_setting_sufficient_N", "multisetting_CN")
-
-#: The most restarts one optimizer run takes, as many as the points of a scan grid.
-MAX_RESTARTS = 1 << 20
-
-#: The most sweeps one restart takes; a restart still rising then is unconverged.
-MAX_SWEEPS = 500
 
 #: A block of restarts holds about this many tensor entries (3^N per restart
 #: for the conditions), which bounds memory for any restart count and N.
@@ -71,14 +66,14 @@ _CANONICAL_PLANES = np.eye(3)[[[0, 1], [0, 2], [1, 2]]]
 class ConditionReport:
     """Outcome of one condition evaluation.
 
-    Each restart's final value and whether it converged within MAX_SWEEPS
-    sweeps; a closed form counts as one converged restart.  On generic
-    (non-GHZ) states some multisetting_CN restarts may still be rising after
-    MAX_SWEEPS sweeps, so their converged flags are False.  violated means
-    the value exceeds 1 by more than BOUND_TOL: for two qubits that decides
-    a violation, for N >= 3 it shows only that the condition, which every
-    violation needs, holds.  restarts_at_best counts the restarts within
-    BOUND_TOL of the reported value.
+    Each restart's final value and whether it converged within
+    limits.MAX_SWEEPS sweeps; a closed form counts as one converged restart.
+    On generic (non-GHZ) states some multisetting_CN restarts may still be
+    rising after that many sweeps, so their converged flags are False.
+    violated means the value exceeds 1 by more than BOUND_TOL: for two
+    qubits that decides a violation, for N >= 3 it shows only that the
+    condition, which every violation needs, holds.  restarts_at_best counts
+    the restarts within BOUND_TOL of the reported value.
     """
 
     kind: str
@@ -139,13 +134,13 @@ def condition_two_qubit(tensor: CorrelationTensor) -> ConditionReport:
 
 
 def check_restarts(restarts: int, seed: int) -> None:
-    """Refuse a negative seed, fewer than one restart or more than MAX_RESTARTS."""
+    """Refuse a negative seed, fewer than one restart or more than limits.MAX_COUNT."""
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     if restarts < 1:
         raise ValueError("need at least one restart")
-    if restarts > MAX_RESTARTS:
-        raise ResourceLimitError(f"restarts are capped at {MAX_RESTARTS}, got {restarts}")
+    if restarts > limits.MAX_COUNT:
+        raise ResourceLimitError(f"restarts are capped at {limits.MAX_COUNT}, got {restarts}")
 
 
 def _lower_bound_report(kind: str, value: float, frames: list, seed: int,
@@ -170,8 +165,8 @@ def _multistart(draw: Callable, evaluate: Callable, sweep: Callable, restarts: i
     (a tuple of arrays, batch axis first) from the generator seeded with
     `seed`, evaluate(state) their objective values and sweep(state) the
     states and values after one full sweep.  Each restart stops on its own,
-    once its value rises by at most SWEEP_TOL or after MAX_SWEEPS sweeps, so
-    its path never depends on the other restarts.  Blocks hold about
+    once its value rises by at most SWEEP_TOL or after limits.MAX_SWEEPS
+    sweeps, so its path never depends on the other restarts.  Blocks hold about
     _BLOCK_ENTRIES / entries restarts.  Returns each restart's final value
     and converged flag, and the winner (the first restart with the strict
     maximum): its index, state, value and value history.  The value is
@@ -187,7 +182,7 @@ def _multistart(draw: Callable, evaluate: Callable, sweep: Callable, restarts: i
         sweeps = np.zeros(len(value), dtype=np.int64)
         history = [value.copy()]
         active = np.arange(len(value))
-        for _ in range(MAX_SWEEPS):
+        for _ in range(limits.MAX_SWEEPS):
             sub, new = sweep(tuple(x[active] for x in state))
             for x, y in zip(state, sub):
                 x[active] = y
@@ -432,7 +427,7 @@ _CLOSED_FORM_ITERS = 4
 
 
 def _orthonormal_pair_ascent(g1: np.ndarray, g2: np.ndarray, a: np.ndarray,
-                             b: np.ndarray, iters: int = 30) -> tuple[np.ndarray, np.ndarray]:
+                             b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Maximize a.g1.a + b.g2.b over orthonormal pairs, never decreasing it.
 
     All arguments share leading batch axes, flattened here to rows.  An
@@ -442,10 +437,10 @@ def _orthonormal_pair_ascent(g1: np.ndarray, g2: np.ndarray, a: np.ndarray,
     b, about a and about a x b, so a row that stops is stationary for all
     three.  From iteration _CLOSED_FORM_ITERS + 1 on, an iteration ends with
     a Newton step (_newton) too.  Each row stops on its own once an iteration
-    raises its objective by at most ZERO_TOL, or after `iters` iterations.
-    The loop carries only the rows still rising, with each vector's quadratic
-    value, and writes a row's pair back once, when it stops; no row's
-    arithmetic depends on the others.
+    raises its objective by at most ZERO_TOL, or after limits.MAX_PAIR_ITERS
+    iterations.  The loop carries only the rows still rising, with each
+    vector's quadratic value, and writes a row's pair back once, when it
+    stops; no row's arithmetic depends on the others.
     """
     shape = a.shape
     g1, g2 = g1.reshape(-1, 3, 3), g2.reshape(-1, 3, 3)
@@ -453,7 +448,7 @@ def _orthonormal_pair_ascent(g1: np.ndarray, g2: np.ndarray, a: np.ndarray,
     out_a, out_b = np.empty_like(a), np.empty_like(b)
     rows = np.arange(len(a))
     value_a, value_b = _quad(g1, a), _quad(g2, b)
-    for done in range(iters):
+    for done in range(limits.MAX_PAIR_ITERS):
         before = value_a + value_b
         a, value_a = _best_perp(g1, b, a, value_a)
         b, value_b = _best_perp(g2, a, b, value_b)

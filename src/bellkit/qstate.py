@@ -37,17 +37,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import limits
 from .errors import ResourceLimitError
 from .tolerance import BOUND_TOL, EXACT_TOL, PSD_TOL
 
-#: Dense 4**N tensors get expensive fast; refuse larger systems by default.
-MAX_QUBITS = 10
-
 
 def check_qubit_cap(n_qubits: int) -> None:
-    """Refuse more than MAX_QUBITS qubits, before anything of size 2**N is built."""
-    if n_qubits > MAX_QUBITS:
-        raise ResourceLimitError(f"dense tensors are capped at {MAX_QUBITS} qubits")
+    """Refuse N qubits if 4**N > limits.MAX_COUNT, before anything of size 2**N is built."""
+    cap = (limits.MAX_COUNT.bit_length() - 1) // 2
+    if n_qubits > cap:
+        raise ResourceLimitError(f"dense tensors are capped at {cap} qubits")
+
+
+def json_int(value, what: str) -> int:
+    """An integer field of JSON input: an int or a whole-valued float such as 2.0, not a bool."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def check_visibility(visibility: float) -> None:
@@ -93,7 +101,7 @@ class PureState:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PureState":
-        n = int(data["n_qubits"])
+        n = json_int(data["n_qubits"], "n_qubits")
         amps = np.array([complex(re, im) for re, im in data["amplitudes"]])
         return cls(n, amps)
 
@@ -158,7 +166,8 @@ class CorrelationTensor:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CorrelationTensor":
-        return cls(int(data["n_qubits"]), np.array(data["full_components"], dtype=float))
+        n = json_int(data["n_qubits"], "n_qubits")
+        return cls(n, np.array(data["full_components"], dtype=float))
 
 
 def density_from_pure(state: PureState) -> DensityMatrix:
@@ -191,7 +200,7 @@ def correlation_tensor(state: PureState | DensityMatrix, *,
     4**N entries, each on contiguous rows of at least 2**N, so the cost is
     O(N 4**N).  T is +Re, -Im, -Re or +Im of the result h[p, f] as #y mod 4
     is 0, 1, 2 or 3, so one gather and one masked negation, cached per N,
-    relabel h to k with no complex multiply.  States above MAX_QUBITS and
+    relabel h to k with no complex multiply.  States past the qubit cap and
     visibilities outside [0, 1] are refused before that work starts.
 
     A column f of a PureState's g can be nonzero only if f = z XOR z' for two
@@ -292,8 +301,8 @@ def _relabel(n: int) -> tuple[np.ndarray, np.ndarray]:
     Qubit by qubit, k's flip and phase bits place it at complex index
     p * 2**n + f, float64 offset twice that, and each y adds 1 to #y; #y mod 4
     then picks +Re, -Im, -Re or +Im.  Offset and #y share one int32, #y in
-    the low 4 bits (#y <= MAX_QUBITS < 16), so one outer sum per qubit builds
-    both and no 4**N int64 array is made.
+    the low 4 bits (#y <= N, at most 10 at the default qubit cap), so one
+    outer sum per qubit builds both and no 4**N int64 array is made.
     """
     f_bit, p_bit = np.array([0, 1, 1, 0]), np.array([0, 0, 1, 1])  # k = I, x, y, z
     packed = np.zeros((), np.int32)

@@ -28,7 +28,7 @@ On infeasibility the final cost row yields a Farkas certificate y with
     y . A_j <= 0 for every column j   and   y . b > 0,
 
 which callers turn into separating hyperplanes.  Running past the iteration
-cap (default 200 + 50 (m + n)) raises ResourceLimitError.
+cap, limits.max_pivots(m, n) = 200 + 50 (m + n), raises ResourceLimitError.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import limits
 from .errors import ResourceLimitError
 from .tolerance import BOUND_TOL, EXACT_TOL
 
@@ -53,15 +54,13 @@ class FeasibilityResult:
     degenerate: int
 
 
-def solve_feasibility(a: np.ndarray, b: np.ndarray,
-                      max_iter: int | None = None) -> FeasibilityResult:
+def solve_feasibility(a: np.ndarray, b: np.ndarray) -> FeasibilityResult:
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     m, n = a.shape
     if b.shape != (m,):
         raise ValueError("b must have one entry per row of A")
-    if max_iter is None:
-        max_iter = 200 + 50 * (m + n)
+    budget = limits.max_pivots(m, n)
 
     # Flip rows so the right-hand side is nonnegative; remember the signs to
     # map the dual certificate back to the original rows.
@@ -91,8 +90,8 @@ def solve_feasibility(a: np.ndarray, b: np.ndarray,
         enter = int(cost[:-1].argmin())  # Dantzig's entering rule
         if cost[enter] >= -BOUND_TOL:
             break
-        if iterations >= max_iter:
-            raise ResourceLimitError(f"simplex exceeded {max_iter} iterations")
+        if iterations >= budget:
+            raise ResourceLimitError(f"simplex exceeded {budget} iterations")
         col = body[:, enter]
         np.greater(col, BOUND_TOL, out=positive)
         if not positive.any():

@@ -1,5 +1,4 @@
 """End-to-end command-line behavior: schemas, exit codes, reproducibility."""
-import functools
 import hashlib
 import importlib.util
 import io
@@ -436,6 +435,7 @@ def test_byte_stable_outputs():
 # every exit-2 path below reports one line on stderr and nothing on stdout;
 # the argparse case prints its usage first, so only its last line is pinned
 CHSH_JSON = json.dumps({"layout": [2, 2], "coefficients": [[1, 1], [1, -1]], "bound": 2})
+TABLE_22 = json.dumps({"layout": [2, 2], "values": [[0.1, 0.1], [0.1, 0.1]]})
 KINDS = "two_setting_NS_2qubit, two_setting_sufficient_N, multisetting_CN"
 EXIT_2_LINES = [
     (("scan", "--family", "ghz", "--n", "3", "--kinds", "bogus"), None,
@@ -487,6 +487,38 @@ EXIT_2_LINES = [
      "[Errno 2] No such file or directory: '/nonexistent/dir/x'"),
     (("tensor", "--state", "ghz:N=3,alpha=0.3", "--out", "."), None,
      "error: cannot write '.': [Errno 21] Is a directory: '.'"),
+    # integer fields that are not integers; the --out paths, never written, and
+    # the states differ only to keep the test ids unique
+    *[(("lhv", "--table", "-", "--out", f"/nonexistent/layout-{label}"),
+       TABLE_22.replace('"layout": [2, 2]', f'"layout": {layout}'),
+       f"error: not a valid correlation table: a layout entry must be an integer, got {got}")
+      for label, layout, got in [
+          ("inf", "[Infinity, 2]", "inf"), ("1e400", "[1e400, 2]", "inf"),
+          ("2.5", "[2.5, 2]", "2.5"), ("true", "[true, 2]", "True"),
+          ("str", '["2", 2]', "'2'"), ("str22", '"22"', "'2'")]],
+    *[(("maximize", "--inequality", "-", "--state", state),
+       CHSH_JSON.replace('"layout": [2, 2]', f'"layout": {layout}'),
+       f"error: not a valid Bell inequality: a layout entry must be an integer, got {got}")
+      for state, layout, got in [("ghz:N=2,alpha=0.1", "[Infinity, 2]", "inf"),
+                                 ("ghz:N=2,alpha=0.2", "[2, 2.5]", "2.5")]],
+    *[(("tensor", "--state-file", "-", "--out", f"/nonexistent/n-{label}"),
+       '{"n_qubits": %s, "amplitudes": [[1, 0], [0, 0]]}' % n,
+       f"error: not a valid pure state: n_qubits must be an integer, got {got}")
+      for label, n, got in [("inf", "Infinity", "inf"), ("1e400", "1e400", "inf"),
+                            ("2.7", "2.7", "2.7"), ("str", '"1"', "'1'"), ("true", "true", "True")]],
+    (("condition", "--kind", "two_setting_NS_2qubit", "--tensor-file", "-"),
+     '{"n_qubits": Infinity, "full_components": [1, 0, 0, 0]}',
+     "error: not a valid correlation tensor: n_qubits must be an integer, got inf"),
+    (("condition", "--kind", "multisetting_CN", "--tensor-file", "-"),
+     '{"n_qubits": 1.5, "full_components": [1, 0, 0, 0]}',
+     "error: not a valid correlation tensor: n_qubits must be an integer, got 1.5"),
+    # integers past float64 where floats are read
+    (("lhv", "--table", "-", "--out", "/nonexistent/value-1e400"),
+     TABLE_22.replace("0.1", "1" + "0" * 400, 1),
+     "error: not a valid correlation table: int too large to convert to float"),
+    (("tensor", "--state-file", "-", "--out", "/nonexistent/amplitude-1e400"),
+     '{"n_qubits": 1, "amplitudes": [[1%s, 0], [0, 0]]}' % ("0" * 400),
+     "error: not a valid pure state: int too large to convert to float"),
 ]
 
 
@@ -501,6 +533,25 @@ def test_exit_2_stderr_line(args, stdin, line):
         assert err == line + "\n"
     else:
         assert err.splitlines()[-1] == line
+
+
+@pytest.mark.parametrize("args, whole, integer", [
+    (("lhv", "--table", "-"), TABLE_22.replace("[2, 2]", "[2.0, 2.0]"), TABLE_22),
+    (("maximize", "--inequality", "-", "--state", "singlet"),
+     CHSH_JSON.replace('"layout": [2, 2]', '"layout": [2.0, 2]'), CHSH_JSON),
+    (("tensor", "--state-file", "-"), '{"n_qubits": 1.0, "amplitudes": [[1, 0], [0, 0]]}',
+     '{"n_qubits": 1, "amplitudes": [[1, 0], [0, 0]]}'),
+], ids=["lhv", "maximize", "tensor"])
+def test_whole_valued_integer_fields_are_read_as_integers(monkeypatch, capsys, args, whole,
+                                                           integer):
+    from bellkit import cli
+
+    outputs = []
+    for text in (whole, integer):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        outputs.append((cli.main(list(args)), *capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] in (0, 3) and outputs[0][1]
 
 
 def test_deeply_nested_json_exits_2():
@@ -521,8 +572,8 @@ def state_json(n: int, amplitudes) -> str:
     return json.dumps({"n_qubits": n, "amplitudes": [[a.real, a.imag] for a in amplitudes]})
 
 
-#: inputs naming more qubits than MAX_QUBITS (10); each is refused before
-#: anything of size 2**N is allocated
+#: inputs naming more qubits than the cap (10: 4^10 is limits.MAX_COUNT); each
+#: is refused before anything of size 2**N is allocated
 OVER_CAP = [
     (("tensor", "--state", "ghz:N=16,alpha=0.3"), None),
     (("tensor", "--state", "ghz:N=11,alpha=0.3"), None),
@@ -543,8 +594,8 @@ def test_qubit_cap_exits_4(args, stdin):
     assert err == "resource cap: dense tensors are capped at 10 qubits\n"
 
 
-#: generate layouts past MAX_LAYOUT_ENTRIES (4^10 = 2^20 coefficients); each is
-#: refused before a default sign bitstring or a coefficient tensor is built
+#: generate layouts past limits.MAX_COUNT (2^20) coefficients; each is refused
+#: before a default sign bitstring or a coefficient tensor is built
 OVER_LAYOUT_CAP = [(4,) * 15 + (2,), (2,) * 30, (4,) * 10 + (2,), (2,) * 21]
 
 
@@ -577,19 +628,23 @@ def test_scan_grid_cap_exits_4():
 @pytest.mark.parametrize("n_list, steps, code", [
     ("3", 4, 0), ("3", 5, 4), ("2,3", 2, 0), ("2,3", 3, 4), ("2,3,4", 2, 4)])
 def test_scan_grid_cap_counts_n_times_steps(monkeypatch, capsys, n_list, steps, code):
-    from bellkit import cli
+    """A grid of up to 4 points per 16 passes.  The count cap is lowered to 64,
+    the least that still admits 3 qubits, and each N is listed 16 times."""
+    from bellkit import cli, limits
 
-    assert cli.MAX_SCAN_POINTS == 2**20
-    monkeypatch.setattr(cli, "MAX_SCAN_POINTS", 4)
-    assert cli.main(["scan", "--family", "ghz", "--n", n_list, "--alpha-steps", str(steps),
+    assert limits.MAX_COUNT == 2**20
+    monkeypatch.setattr(limits, "MAX_COUNT", 64)
+    repeated = ",".join([n_list] * 16)
+    assert cli.main(["scan", "--family", "ghz", "--n", repeated, "--alpha-steps", str(steps),
                      "--restarts", "1"]) == code
     captured = capsys.readouterr()
+    points = 16 * len(n_list.split(",")) * steps
     if code == 4:
-        points = len(n_list.split(",")) * steps
         assert (captured.out, captured.err) == (
-            "", f"resource cap: scan grids are capped at 4 points, got {points}\n")
+            "", f"resource cap: scan grids are capped at 64 points, got {points}\n")
     else:
-        assert len(captured.out.splitlines()) == 1 + 2 * 4
+        assert points == 64
+        assert len(captured.out.splitlines()) == 1 + 2 * 64
 
 
 #: one command per restart loop, where without the cap each runs until it is
@@ -618,18 +673,20 @@ def test_restart_cap_exits_4(args, stdin):
 
 @pytest.mark.parametrize("restarts, code", [(4, 3), (5, 4)])
 def test_restart_cap_is_checked_before_any_restart_runs(monkeypatch, capsys, restarts, code):
-    from bellkit import cli, qcond
+    """Up to 4 restarts per 16 run.  The count cap is lowered to 64, the least
+    that still admits 3 qubits, and the restart count is 16 times the parameter."""
+    from bellkit import cli, limits, qcond
 
-    assert qcond.MAX_RESTARTS == 2**20
-    monkeypatch.setattr(qcond, "MAX_RESTARTS", 4)
+    assert limits.MAX_COUNT == 2**20
+    monkeypatch.setattr(limits, "MAX_COUNT", 64)
     drawn, draw = [], qcond._random_planes
     monkeypatch.setattr(qcond, "_random_planes", lambda *args: drawn.append(args) or draw(*args))
     assert cli.main(["condition", "--kind", "two_setting_sufficient_N",
-                     "--state", "ghz:N=3,alpha=0.3", "--restarts", str(restarts)]) == code
+                     "--state", "ghz:N=3,alpha=0.3", "--restarts", str(16 * restarts)]) == code
     captured = capsys.readouterr()
     if code == 4:
         assert (captured.out, captured.err) == (
-            "", f"resource cap: restarts are capped at 4, got {restarts}\n")
+            "", f"resource cap: restarts are capped at 64, got {16 * restarts}\n")
     else:
         assert json.loads(captured.out)["violated"]
     # the refused run draws no start planes
@@ -935,10 +992,9 @@ def test_lhv_boundary_table_gets_model():
 
 
 def test_lhv_simplex_iteration_cap_exits_4(monkeypatch, capsys):
-    from bellkit import cli, lhv
+    from bellkit import cli, limits
 
-    monkeypatch.setattr(lhv, "solve_feasibility",
-                        functools.partial(lhv.solve_feasibility, max_iter=1))
+    monkeypatch.setattr(limits, "max_pivots", lambda rows, columns: 1)
     monkeypatch.setattr("sys.stdin", io.StringIO(PINNED_TABLE))
     assert cli.main(["lhv", "--table", "-"]) == 4
     captured = capsys.readouterr()

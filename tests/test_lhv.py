@@ -459,14 +459,17 @@ def test_oracles_agree_off_the_tolerance_band(n, raw, excess):
     assert bk.polytope_membership(table).inside == local
 
 
-def test_simplex_iteration_cap_is_a_resource_limit():
+def test_simplex_iteration_cap_is_a_resource_limit(monkeypatch):
+    from bellkit import limits
     from bellkit.simplex import solve_feasibility
 
     a, b = np.eye(2), np.ones(2)
     assert solve_feasibility(a, b).iterations == 2
-    assert solve_feasibility(a, b, max_iter=2).feasible
+    monkeypatch.setattr(limits, "max_pivots", lambda rows, columns: 2)
+    assert solve_feasibility(a, b).feasible
+    monkeypatch.setattr(limits, "max_pivots", lambda rows, columns: 1)
     with pytest.raises(bk.ResourceLimitError, match="exceeded 1 iterations"):
-        solve_feasibility(a, b, max_iter=1)
+        solve_feasibility(a, b)
 
 
 def found_recipe_table(seed: int) -> bk.CorrelationTable:

@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 
 import bellkit as bk
-from bellkit import cli
+from bellkit import cli, limits
 from bellkit import multiset as ms
-from bellkit.lhv import MAX_STRATEGIES
 
 CHSH = bk.SignFunction.chsh()
 
@@ -270,7 +269,7 @@ CHECK_TIGHT_LAYOUTS = [(2,) * n for n in range(1, 11)] + [(4,) * (n - 1) + (2,) 
 def test_default_members_are_certified_without_the_exact_fallback(layout):
     # stdout leaves exact_fallback out, so a slide back to the integer path
     # would show only here
-    assert bk.ExperimentLayout(layout).strategy_count() <= MAX_STRATEGIES
+    assert bk.ExperimentLayout(layout).strategy_count() <= limits.MAX_COUNT
     report = bk.check_tightness(cli._generate_inequality(layout, None))
     assert report.is_tight
     assert report.exact_fallback is False

@@ -1,4 +1,5 @@
 """Violation conditions and the see-saw maximizer."""
+import itertools
 import json
 
 import numpy as np
@@ -258,14 +259,16 @@ def pair_cases():
 
 
 @pytest.mark.parametrize("case", range(3), ids=["random", "identity", "equal-diagonal"])
-def test_pair_ascent_keeps_orthonormal_pairs_and_never_descends(case):
+def test_pair_ascent_keeps_orthonormal_pairs_and_never_descends(case, monkeypatch):
+    from bellkit import limits
     from bellkit.qcond import _orthonormal_pair_ascent
 
     g1, g2, a0, b0 = pair_cases()[case]
     start = quad(g1, a0) + quad(g2, b0)
     previous = start
     for iters in (1, 2, 5, 30):
-        a, b = _orthonormal_pair_ascent(g1, g2, a0, b0, iters=iters)
+        monkeypatch.setattr(limits, "MAX_PAIR_ITERS", iters)
+        a, b = _orthonormal_pair_ascent(g1, g2, a0, b0)
         assert np.allclose(np.linalg.norm(a, axis=1), 1, rtol=0, atol=1e-12)
         assert np.allclose(np.linalg.norm(b, axis=1), 1, rtol=0, atol=1e-12)
         assert np.all(np.abs(np.sum(a * b, axis=1)) <= 1e-12)
@@ -341,13 +344,15 @@ def stationarity_cases():
 
 
 @pytest.mark.parametrize("case", range(3), ids=["random", "equal-spectrum", "equal"])
-def test_pair_ascent_returns_stationary_pairs(case):
+def test_pair_ascent_returns_stationary_pairs(case, monkeypatch):
     """No a-step, b-step or turn raises a returned pair, and every row stops before the cap."""
+    from bellkit import limits
     from bellkit.qcond import _orthonormal_pair_ascent
 
     g1, g2, a0, b0 = stationarity_cases()[case]
     a, b = _orthonormal_pair_ascent(g1, g2, a0, b0)
-    longer = _orthonormal_pair_ascent(g1, g2, a0, b0, iters=100)
+    monkeypatch.setattr(limits, "MAX_PAIR_ITERS", 100)
+    longer = _orthonormal_pair_ascent(g1, g2, a0, b0)
     assert np.array_equal(longer[0], a) and np.array_equal(longer[1], b)
     value = quad(g1, a) + quad(g2, b)
     tol = 1e-12 * np.maximum(1.0, value)
@@ -446,15 +451,15 @@ def test_more_restarts_never_lower_the_value(optimize, n):
 
 @pytest.mark.parametrize("optimize", OPTIMIZERS)
 def test_restart_values_never_decrease_per_sweep(optimize, monkeypatch):
-    from bellkit import qcond
+    from bellkit import limits
 
     tensor = tensor_of(random_pure(np.random.default_rng(23), 4))
     runs = []
     for sweeps in range(8):
-        monkeypatch.setattr(qcond, "MAX_SWEEPS", sweeps)
+        monkeypatch.setattr(limits, "MAX_SWEEPS", sweeps)
         runs.append(np.array(optimize(tensor, restarts=12, seed=1).restart_values))
     assert np.all(np.diff(np.stack(runs), axis=0) >= -1e-12)
-    monkeypatch.setattr(qcond, "MAX_SWEEPS", 0)
+    monkeypatch.setattr(limits, "MAX_SWEEPS", 0)
     assert not any(optimize(tensor, restarts=12, seed=1).converged)
     monkeypatch.undo()
     assert all(optimize(tensor, restarts=12, seed=1).converged)
@@ -503,6 +508,79 @@ def test_conditions_invariant_under_local_rotations():
         assert bk.condition_multisetting_CN(rot3, restarts=15, seed=0).value == pytest.approx(
             bk.condition_multisetting_CN(base3, restarts=15, seed=0).value, abs=1e-8
         )
+
+
+def haar_unitary(rng) -> np.ndarray:
+    """A Haar-random 2x2 unitary: QR of a complex Gaussian, phases fixed by R's diagonal."""
+    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def transformed(state: bk.PureState, unitaries=(), order=None) -> bk.PureState:
+    """U_1 x ... x U_N applied to a pure state, then its parties put in `order`."""
+    psi = state.amplitudes.reshape((2,) * state.n_qubits)
+    for j, u in enumerate(unitaries):
+        psi = np.moveaxis(np.tensordot(u, psi, axes=([1], [j])), 0, j)
+    if order is not None:
+        psi = np.transpose(psi, order)
+    return bk.PureState(state.n_qubits, psi.reshape(-1))
+
+
+def two_setting(tensor) -> float:
+    return bk.condition_two_setting_N(tensor, restarts=50, seed=1).value
+
+
+def cn(tensor) -> float:
+    return bk.condition_multisetting_CN(tensor, restarts=50, seed=1).value
+
+
+# Exact relations on seeded random pure states, checked to BOUND_TOL: the
+# conditions are maxima over local planes, so no oracle is needed.  C_N costs
+# about 0.15 s per call at N = 3 and 0.6 s at N = 4, so it runs mostly at N = 3.
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_conditions_invariant_under_local_unitaries(n):
+    rng = np.random.default_rng(5)
+    state = random_pure(rng, n)
+    states = [state] + [transformed(state, [haar_unitary(rng) for _ in range(n)])
+                        for _ in range(2)]
+    values = [two_setting(tensor_of(s)) for s in states]
+    assert max(values) - min(values) <= BOUND_TOL
+    if n == 3:
+        values = [cn(tensor_of(s)) for s in states]
+        assert max(values) - min(values) <= BOUND_TOL
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_two_setting_invariant_under_party_permutations(n):
+    state = random_pure(np.random.default_rng(5), n)
+    values = [two_setting(tensor_of(transformed(state, order=order)))
+              for order in itertools.permutations(range(n))]
+    assert max(values) - min(values) <= BOUND_TOL
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_cn_invariant_under_swapping_parties_1_and_2(n):
+    """M_t^T has the singular values of M_t."""
+    state = random_pure(np.random.default_rng(5), n)
+    swapped = transformed(state, order=(1, 0, *range(2, n)))
+    assert abs(cn(tensor_of(swapped)) - cn(tensor_of(state))) <= BOUND_TOL
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_noise_scales_conditions_by_v_squared_and_seesaw_by_v(n):
+    """noise:v=0.7 scales every correlation by v: the restarts take the same
+    paths, so the conditions scale by v^2 and the see-saw value by v."""
+    rng = np.random.default_rng(5)
+    state = random_pure(rng, n)
+    ineq = bk.sign_inequality(bk.SignFunction(n, tuple(rng.integers(0, 2, 2**n))))
+    pure, noisy = tensor_of(state), bk.correlation_tensor(state, visibilities=(0.7,))
+    assert abs(two_setting(noisy) - 0.49 * two_setting(pure)) <= BOUND_TOL
+    if n == 3:
+        assert abs(cn(noisy) - 0.49 * cn(pure)) <= BOUND_TOL
+    seesaw = [bk.maximize_bell_value(ineq, t, restarts=50, seed=1).value for t in (pure, noisy)]
+    assert abs(seesaw[1] - 0.7 * seesaw[0]) <= BOUND_TOL
 
 
 # ---------------------------------------------------------------------------

@@ -214,7 +214,8 @@ def test_tensor_qubit_cap(monkeypatch):
     rng = np.random.default_rng(2)
     state = random_pure(rng, 3)
     rho = bk.density_from_pure(state)
-    monkeypatch.setattr("bellkit.qstate.MAX_QUBITS", 2)
+    # 4^3 - 1 entries admit 2 qubits: the cap is log4 of the count, floored
+    monkeypatch.setattr("bellkit.limits.MAX_COUNT", 4**3 - 1)
     with pytest.raises(bk.ResourceLimitError, match="capped at 2 qubits"):
         bk.correlation_tensor(rho)
     with pytest.raises(bk.ResourceLimitError, match="capped at 2 qubits"):
