@@ -628,8 +628,8 @@ def test_scan_grid_cap_exits_4():
 @pytest.mark.parametrize("n_list, steps, code", [
     ("3", 4, 0), ("3", 5, 4), ("2,3", 2, 0), ("2,3", 3, 4), ("2,3,4", 2, 4)])
 def test_scan_grid_cap_counts_n_times_steps(monkeypatch, capsys, n_list, steps, code):
-    """A grid of up to 4 points per 16 passes.  The count cap is lowered to 64,
-    the least that still admits 3 qubits, and each N is listed 16 times."""
+    """The count cap is lowered to 64, the least that still admits 3 qubits, and
+    each N is listed 16 times, so a grid of 4 parameter points is the cap."""
     from bellkit import cli, limits
 
     assert limits.MAX_COUNT == 2**20
@@ -673,8 +673,8 @@ def test_restart_cap_exits_4(args, stdin):
 
 @pytest.mark.parametrize("restarts, code", [(4, 3), (5, 4)])
 def test_restart_cap_is_checked_before_any_restart_runs(monkeypatch, capsys, restarts, code):
-    """Up to 4 restarts per 16 run.  The count cap is lowered to 64, the least
-    that still admits 3 qubits, and the restart count is 16 times the parameter."""
+    """The count cap is lowered to 64, the least that still admits 3 qubits, and
+    16 restarts are asked for per parameter restart, so 4 is the cap."""
     from bellkit import cli, limits, qcond
 
     assert limits.MAX_COUNT == 2**20
