@@ -217,6 +217,30 @@ def test_cn_memory_stays_bounded_at_n8():
     assert report.value >= 2 ** 6 * np.sin(0.6) ** 2 + np.cos(0.6) ** 2 - 1e-9
 
 
+#: C_N on seeded generic pure states, (N, s, value): amplitudes complex normal from
+#: default_rng(1000 + 10 N + s), normalised, then 50 restarts with seed s.  The
+#: values are those of the pair ascent of up to 30 iterations per plane and sweep;
+#: a later ascent may rise above them but not fall below.
+GENERIC_CN_FLOOR = [
+    (3, 0, 2.3422380549847968),
+    (3, 1, 3.385982466398986),
+    (3, 2, 3.3535135385737056),
+    (4, 0, 3.652974259006797),
+    (4, 1, 2.785562063229405),
+    (4, 2, 3.190336286034667),
+    (4, 3, 2.3494614478444342),
+]
+
+
+@pytest.mark.parametrize("n, s, floor", GENERIC_CN_FLOOR,
+                         ids=[f"N={row[0]} s={row[1]}" for row in GENERIC_CN_FLOOR])
+def test_cn_on_generic_states_holds_its_floor(n, s, floor):
+    tensor = tensor_of(random_pure(np.random.default_rng(1000 + 10 * n + s), n))
+    report = bk.condition_multisetting_CN(tensor, restarts=50, seed=s)
+    assert report.value >= floor - BOUND_TOL
+    assert abs(cn_value_from_frames(tensor, report.frames) - report.value) <= BOUND_TOL
+
+
 # ---------------------------------------------------------------------------
 # the orthonormal pair ascent inside the C_N sweeps
 
