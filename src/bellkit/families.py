@@ -21,6 +21,7 @@ from .qstate import (
     PureState,
     check_qubit_cap,
     check_visibility,
+    json_int,
 )
 from .tolerance import ALPHA_SLACK
 
@@ -33,6 +34,7 @@ class GhzFamily:
     alpha: float
 
     def __post_init__(self):
+        object.__setattr__(self, "n_qubits", json_int(self.n_qubits, "n_qubits"))
         if self.n_qubits < 2:
             raise ValueError("the family needs at least 2 qubits")
         if not -ALPHA_SLACK <= self.alpha <= math.pi / 4 + ALPHA_SLACK:

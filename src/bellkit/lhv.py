@@ -48,7 +48,7 @@ class ExperimentLayout:
     settings_per_party: tuple[int, ...]
 
     def __post_init__(self):
-        m = tuple(int(v) for v in self.settings_per_party)
+        m = tuple(json_int(v, "a layout entry") for v in self.settings_per_party)
         if len(m) < 1 or any(v < 1 for v in m):
             raise ValueError("layout needs at least one party, each with >= 1 settings")
         object.__setattr__(self, "settings_per_party", m)
@@ -95,7 +95,7 @@ class CorrelationTable:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CorrelationTable":
-        layout = ExperimentLayout(tuple(json_int(m, "a layout entry") for m in data["layout"]))
+        layout = ExperimentLayout(tuple(data["layout"]))
         return cls(layout, np.array(data["values"], dtype=float))
 
 
@@ -204,7 +204,7 @@ class LhvModel:
     def from_json_list(cls, layout: ExperimentLayout, data: list[dict]) -> "LhvModel":
         weights: dict[tuple[int, ...], float] = {}
         for record in data:
-            codes = tuple(int(c) for c in record["strategy"])
+            codes = tuple(json_int(c, "a strategy code") for c in record["strategy"])
             weights[codes] = weights.get(codes, 0.0) + float(record["weight"])
         return cls(layout, weights)
 
@@ -255,7 +255,7 @@ class BellInequality:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BellInequality":
-        layout = ExperimentLayout(tuple(json_int(m, "a layout entry") for m in data["layout"]))
+        layout = ExperimentLayout(tuple(data["layout"]))
         coeff = np.array(data["coefficients"])
         if coeff.dtype.kind == "f" and np.all(np.isfinite(coeff) & (coeff == np.round(coeff))):
             coeff = coeff.astype(np.int64)

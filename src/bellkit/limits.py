@@ -7,9 +7,6 @@ MAX_COUNT = 1 << 20
 #: Sweeps of one optimizer restart; a restart still rising then is unconverged.
 MAX_SWEEPS = 500
 
-#: Iterations of one orthonormal pair ascent (a C_N plane) per sweep.
-MAX_PAIR_ITERS = 30
-
 
 def max_pivots(rows: int, columns: int) -> int:
     """Pivots of one phase-1 simplex on a rows x columns system."""

@@ -17,15 +17,14 @@ Three condition values are computed, each compared against 1:
   (closed form: two largest eigenvalues of M_t M_t^T); each trailing party
   gets one plane per branch of the indices behind it.  Exact for N=2,
   otherwise an optimizer lower bound.  A sweep updates the trailing
-  parties in turn; each plane is an orthonormal pair ascent.  An iteration
-  has three closed-form steps, the rotations about the pair's three axes:
-  the best unit vector orthogonal to b for a, then the best one orthogonal
-  to a for b (each the top eigenvector of a 2x2 matrix), then the best turn
-  of the pair in its own plane; a pair still rising after four iterations
-  also takes a safeguarded Newton step per iteration.  Only the pairs still
-  rising stay in the loop, and a pair that stops before the iteration cap
-  is stationary for all three rotations.  The SVD that ends a sweep gives
-  its value and the first party's frames in the next sweep.
+  parties in turn, one orthonormal pair step per plane: three closed-form
+  rotations about the pair's three axes, the best unit vector orthogonal
+  to b for a, then the best one orthogonal to a for b (each the top
+  eigenvector of a 2x2 matrix), then the best turn of the pair in its own
+  plane.  A restart stops once a sweep gains at most SWEEP_TOL, so the
+  sweep test alone decides when the pairs are stationary.  The SVD that
+  ends a sweep gives its value and the first party's frames in the next
+  sweep.
 
 maximize_bell_value runs see-saw ascent on an arbitrary inequality: each
 per-party, per-setting vector update is the normalized contraction of the
@@ -221,12 +220,12 @@ def _contract_last(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """
     _, t, f, d = x.shape
     y = x.reshape(x.shape[0], t, -1, 3) @ np.swapaxes(rows, 2, 3)
-    return np.moveaxis(y, 3, 1).reshape(len(y), -1, f, d // 3)
+    return y.transpose(0, 3, 1, 2).reshape(len(y), -1, f, d // 3)
 
 
 def _free_axis(x: np.ndarray) -> np.ndarray:
     """Move the last party axis of x, (k, T, 1, 3^l), into the free slot F=3."""
-    return np.moveaxis(x.reshape(x.shape[0], x.shape[1], -1, 3), 3, 2)
+    return x.reshape(x.shape[0], x.shape[1], -1, 3).swapaxes(2, 3)
 
 
 def _suffixes(corr: np.ndarray, rows) -> list[np.ndarray]:
@@ -362,109 +361,25 @@ def _turn(g1: np.ndarray, g2: np.ndarray, a: np.ndarray, b: np.ndarray, value_a:
             np.where(turn, cc * value_b - cs2 * a2b + ss * a2a, value_b))
 
 
-#: The cyclic successors and predecessors of the axes 0, 1, 2.
-_NEXT, _LAST = [1, 2, 0], [2, 0, 1]
+def _pair_step(g1: np.ndarray, g2: np.ndarray, a: np.ndarray,
+               b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One closed-form ascent step of a.g1.a + b.g2.b over orthonormal pairs.
 
-
-def _cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x x y along the last axis, of length 3."""
-    return x[..., _NEXT] * y[..., _LAST] - x[..., _LAST] * y[..., _NEXT]
-
-
-def _newton(g1: np.ndarray, g2: np.ndarray, a: np.ndarray, b: np.ndarray, value_a: np.ndarray,
-            value_b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One safeguarded Newton step for a.g1.a + b.g2.b on the rotations of each pair.
-
-    Rows are independent.  In the frame (a, b, c = a x b), with P_i the
-    compression of g_i, the pair turned by exp(w) about the frame's axes has
-    the gradient 2 (P2_bc, -P1_ac, P1_ab - P2_ab) at w = 0, and the Hessian
-    diag 2 (P2_cc - P2_bb, P1_cc - P1_aa, P1_bb - P1_aa + P2_aa - P2_bb) with
-    off-diagonal P1_ab + P2_ab, P1_ac - 2 P2_ac and P2_bc - 2 P1_bc
-    (exp(t w) is a geodesic, so this is the Riemannian Hessian).  Where it is
-    negative definite, w = -H^-1 grad; otherwise, where the block of the two
-    tilts (about a and b) is, the step leaves the turn about c out, which
-    covers g1 = g2, where that turn changes nothing.  A row takes the step
-    only if it raises the objective.
-    """
-    frame = np.stack((a, b, _cross(a, b)), axis=1)
-    p1 = frame @ g1 @ np.swapaxes(frame, 1, 2)
-    p2 = frame @ g2 @ np.swapaxes(frame, 1, 2)
-    grad = 2 * np.stack((p2[:, 1, 2], -p1[:, 0, 2], p1[:, 0, 1] - p2[:, 0, 1]), axis=1)
-    h = np.empty_like(p1)
-    h[:, 0, 0] = 2 * (p2[:, 2, 2] - p2[:, 1, 1])
-    h[:, 1, 1] = 2 * (p1[:, 2, 2] - p1[:, 0, 0])
-    h[:, 2, 2] = 2 * (p1[:, 1, 1] - p1[:, 0, 0] + p2[:, 0, 0] - p2[:, 1, 1])
-    h[:, 0, 1] = h[:, 1, 0] = p1[:, 0, 1] + p2[:, 0, 1]
-    h[:, 0, 2] = h[:, 2, 0] = p1[:, 0, 2] - 2 * p2[:, 0, 2]
-    h[:, 1, 2] = h[:, 2, 1] = p2[:, 1, 2] - 2 * p1[:, 1, 2]
-    tilts = (h[:, 0, 0] < 0) & (h[:, 0, 0] * h[:, 1, 1] > h[:, 0, 1] ** 2)
-    full = tilts & (np.sum(h[:, 2] * _cross(h[:, 0], h[:, 1]), axis=1) < 0)
-    # without the full step: the tilts alone, or no step (h = -I, grad = 0)
-    h[~full, 2, :2] = h[~full, :2, 2] = 0
-    h[~full, 2, 2] = -1
-    grad[~full, 2] = 0
-    h[~tilts], grad[~tilts] = -_EYE3, 0
-    adjugate = _cross(h[:, _NEXT], h[:, _LAST])  # h is symmetric
-    w = -(adjugate @ grad[:, :, None])[..., 0] / np.sum(h[:, 0] * adjugate[:, 0], axis=1)[:, None]
-    # exp(w) e1 and exp(w) e2 by Rodrigues' formula: the new a and b in the frame
-    angle = np.sqrt(np.sum(w * w, axis=1))
-    axis = w / np.where(angle > 0, angle, 1)[:, None]
-    cos, sin = np.cos(angle)[:, None], np.sin(angle)[:, None]
-    q1, q2 = (cos * e + sin * _cross(axis, e) + (1 - cos) * axis[:, i, None] * axis
-              for i, e in enumerate(_EYE3[:2]))
-    new_a = (q1[:, None] @ p1 @ q1[:, :, None])[:, 0, 0]
-    new_b = (q2[:, None] @ p2 @ q2[:, :, None])[:, 0, 0]
-    step = new_a + new_b > value_a + value_b
-    return (np.where(step[:, None], (q1[:, None] @ frame)[:, 0], a),
-            np.where(step[:, None], (q2[:, None] @ frame)[:, 0], b),
-            np.where(step, new_a, value_a), np.where(step, new_b, value_b))
-
-
-#: Iterations of the closed-form steps alone, before a pair still rising also
-#: takes a Newton step per iteration: most pairs stop sooner, and those steps
-#: converge only linearly.
-_CLOSED_FORM_ITERS = 4
-
-
-def _orthonormal_pair_ascent(g1: np.ndarray, g2: np.ndarray, a: np.ndarray,
-                             b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Maximize a.g1.a + b.g2.b over orthonormal pairs, never decreasing it.
-
-    All arguments share leading batch axes, flattened here to rows.  An
-    iteration replaces a by the best unit vector orthogonal to b, then b by
-    the best one orthogonal to the new a (_best_perp, in closed form), then
-    turns the pair in its own plane (_turn).  These are the rotations about
-    b, about a and about a x b, so a row that stops is stationary for all
-    three.  From iteration _CLOSED_FORM_ITERS + 1 on, an iteration ends with
-    a Newton step (_newton) too.  Each row stops on its own once an iteration
-    raises its objective by at most ZERO_TOL, or after limits.MAX_PAIR_ITERS
-    iterations.  The loop carries only the rows still rising, with each
-    vector's quadratic value, and writes a row's pair back once, when it
-    stops; no row's arithmetic depends on the others.
+    All arguments share leading batch axes, flattened here to rows; no row's
+    arithmetic depends on the others, and no row's value decreases.  The step
+    replaces a by the best unit vector orthogonal to b, then b by the best one
+    orthogonal to the new a (_best_perp), then turns the pair in its own plane
+    (_turn): the rotations about b, about a and about a x b.  A C_N sweep takes
+    one step per plane, so a restart that stops rising holds pairs that no
+    step raises by more than its sweep test allows.
     """
     shape = a.shape
     g1, g2 = g1.reshape(-1, 3, 3), g2.reshape(-1, 3, 3)
     a, b = a.reshape(-1, 3), b.reshape(-1, 3)
-    out_a, out_b = np.empty_like(a), np.empty_like(b)
-    rows = np.arange(len(a))
-    value_a, value_b = _quad(g1, a), _quad(g2, b)
-    for done in range(limits.MAX_PAIR_ITERS):
-        before = value_a + value_b
-        a, value_a = _best_perp(g1, b, a, value_a)
-        b, value_b = _best_perp(g2, a, b, value_b)
-        a, b, value_a, value_b = _turn(g1, g2, a, b, value_a, value_b)
-        if done >= _CLOSED_FORM_ITERS:
-            a, b, value_a, value_b = _newton(g1, g2, a, b, value_a, value_b)
-        rising = value_a + value_b - before > ZERO_TOL
-        if not rising.all():
-            stopped = ~rising
-            out_a[rows[stopped]], out_b[rows[stopped]] = a[stopped], b[stopped]
-            rows, g1, g2, a, b, value_a, value_b = (
-                x[rising] for x in (rows, g1, g2, a, b, value_a, value_b))
-            if not rows.size:
-                break
-    out_a[rows], out_b[rows] = a, b
-    return out_a.reshape(shape), out_b.reshape(shape)
+    a, value_a = _best_perp(g1, b, a, _quad(g1, a))
+    b, value_b = _best_perp(g2, a, b, _quad(g2, b))
+    a, b, _, _ = _turn(g1, g2, a, b, value_a, value_b)
+    return a.reshape(shape), b.reshape(shape)
 
 
 # C_N: party j in 3..N holds one plane per branch (the indices of parties
@@ -524,7 +439,7 @@ def _cn_sweep(corr: np.ndarray, state):
         vec = vec.reshape(k, -1, 3, 4)
         g = vec @ np.swapaxes(vec, 2, 3)
         g = g.reshape(k, -1, 2, branches, 3, 3).sum(axis=1)
-        a, b = _orthonormal_pair_ascent(g[:, 0], g[:, 1], own[:, :, 0], own[:, :, 1])
+        a, b = _pair_step(g[:, 0], g[:, 1], own[:, :, 0], own[:, :, 1])
         own[:, :, 0], own[:, :, 1] = a, b
     value, u, vt = _cn_frames(_cn_terms(own, grid))
     return (*planes, u, vt), value

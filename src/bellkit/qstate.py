@@ -50,7 +50,7 @@ def check_qubit_cap(n_qubits: int) -> None:
 
 
 def json_int(value, what: str) -> int:
-    """An integer field of JSON input: an int or a whole-valued float such as 2.0, not a bool."""
+    """An integer field: an int or a whole-valued float such as JSON's 2.0, not a bool."""
     if isinstance(value, float) and value.is_integer():
         return int(value)
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -78,6 +78,7 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "n_qubits", json_int(self.n_qubits, "n_qubits"))
         if self.n_qubits < 1:
             raise ValueError("n_qubits must be >= 1")
         check_qubit_cap(self.n_qubits)
@@ -101,9 +102,8 @@ class PureState:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PureState":
-        n = json_int(data["n_qubits"], "n_qubits")
         amps = np.array([complex(re, im) for re, im in data["amplitudes"]])
-        return cls(n, amps)
+        return cls(data["n_qubits"], amps)
 
 
 @dataclass(frozen=True)
@@ -114,6 +114,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "n_qubits", json_int(self.n_qubits, "n_qubits"))
         if self.n_qubits < 1:
             raise ValueError("n_qubits must be >= 1")
         dim = 2**self.n_qubits
@@ -140,6 +141,7 @@ class CorrelationTensor:
     components: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "n_qubits", json_int(self.n_qubits, "n_qubits"))
         if self.n_qubits < 1:
             raise ValueError("n_qubits must be >= 1")
         check_qubit_cap(self.n_qubits)
@@ -166,8 +168,7 @@ class CorrelationTensor:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CorrelationTensor":
-        n = json_int(data["n_qubits"], "n_qubits")
-        return cls(n, np.array(data["full_components"], dtype=float))
+        return cls(data["n_qubits"], np.array(data["full_components"], dtype=float))
 
 
 def density_from_pure(state: PureState) -> DensityMatrix:

@@ -14,7 +14,7 @@ PSD_TOL = 1e-10
 #: A restart of the plane sweeps or the see-saw stops once a sweep gains at most this.
 SWEEP_TOL = 1e-10
 
-#: Norms and objective rises this small count as zero.
+#: Norms this small count as zero.
 ZERO_TOL = 1e-14
 
 #: How far alpha may stray outside [0, pi/4], so that 0.7854 passes.

@@ -12,14 +12,15 @@ SPEC.loader.exec_module(bench_record)
 
 
 def write_run(directory: Path, side: str, seed: int, jobs_per_s: float, rss: float,
-              traced: bool = False, class_ms: tuple[float, float] = (1.0, 5.0)) -> str:
+              traced: bool = False, class_ms: tuple[float, float] = (1.0, 5.0),
+              raw_setup_s: float = 0.3) -> str:
     metrics = {"jobs_per_s": {"value": jobs_per_s, "unit": "1/s"},
                "job_p50_ms": {"value": 1000 / jobs_per_s, "unit": "ms"},
                "job_p90_ms": {"value": 2000 / jobs_per_s, "unit": "ms"},
                "setup_s": {"value": 0.25, "unit": "s"},
                "peak_rss_mb": {"value": rss, "unit": "MB"}}
     info = {"workload": "facet_census", "seed": seed, "raw_wall_jobs_per_s": jobs_per_s / 2,
-            "raw_setup_s": 0.3, "host_slowdown": 1 + seed / 10,
+            "raw_setup_s": raw_setup_s, "host_slowdown": 1 + seed / 10,
             "cost_classes": {"2x2x2": {"jobs": 50, "min_ms": 0.5, "median_ms": class_ms[0],
                                        "max_ms": 9.0},
                              "4x4x2": {"jobs": 10, "min_ms": 2.0, "median_ms": class_ms[1],
@@ -51,7 +52,7 @@ def test_record_summarises_each_side_and_counts_pair_wins(tmp_path):
     # lower is better for memory: seeds 1 and 2 won, seed 3 lost
     assert entry["metrics"]["peak_rss_mb"]["change_won"] == 2
     assert entry["metrics"]["job_p50_ms"]["change_won"] == 2
-    # unscaled run facts are summarised apart from the metrics, with no pair wins
+    # unscaled run facts are summarised apart from the metrics
     assert set(entry["metrics"]) == {"jobs_per_s", "job_p50_ms", "job_p90_ms", "setup_s",
                                      "peak_rss_mb"}
     diagnostics = entry["diagnostics"]
@@ -61,7 +62,21 @@ def test_record_summarises_each_side_and_counts_pair_wins(tmp_path):
     assert raw["change"]["values"] == [50, 5.5, 70, 75]
     assert diagnostics["raw_setup_s"]["parent"]["median"] == 0.3
     assert diagnostics["host_slowdown"]["change"]["median"] == pytest.approx(1.25)
-    assert "change_won" not in raw
+    assert "change_won" not in diagnostics["host_slowdown"]
+
+
+def test_record_counts_pair_wins_for_the_raw_run_facts(tmp_path):
+    """A higher wall-clock rate and a lower set-up time win a pair; the divisor counts none."""
+    parent = [write_run(tmp_path, "parent", s, 10, 44.5, raw_setup_s=0.3) for s in (1, 2, 3)]
+    change = [write_run(tmp_path, "change", s, v, 44.5, raw_setup_s=t)
+              for s, v, t in ((1, 12, 0.2), (2, 8, 0.4), (3, 14, 0.25), (4, 20, 0.1))]
+    out = tmp_path / "BENCH.json"
+    assert bench_record.main(["--parent", *parent, "--change", *change, "--out", str(out)]) == 0
+    diagnostics = json.loads(out.read_text())["workloads"]["facet_census"]["diagnostics"]
+    rate, setup = diagnostics["raw_wall_jobs_per_s"], diagnostics["raw_setup_s"]
+    assert (rate["pairs"], rate["change_won"]) == (3, 2)
+    assert (setup["pairs"], setup["change_won"]) == (3, 2)
+    assert "pairs" not in diagnostics["host_slowdown"]
 
 
 def test_record_refuses_runs_without_the_run_facts(tmp_path, capsys):

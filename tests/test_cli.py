@@ -438,92 +438,117 @@ CHSH_JSON = json.dumps({"layout": [2, 2], "coefficients": [[1, 1], [1, -1]], "bo
 TABLE_22 = json.dumps({"layout": [2, 2], "values": [[0.1, 0.1], [0.1, 0.1]]})
 KINDS = "two_setting_NS_2qubit, two_setting_sufficient_N, multisetting_CN"
 EXIT_2_LINES = [
-    (("scan", "--family", "ghz", "--n", "3", "--kinds", "bogus"), None,
-     f"error: unknown condition kind 'bogus'; choose from {KINDS}"),
-    (("condition", "--kind", "two_setting_NS_2qubit", "--state", "ghz:N=3,alpha=0.1"), None,
-     "error: two_setting_NS_2qubit applies to 2-qubit tensors only"),
-    (("tensor", "--state", "noise:v=2(singlet)"), None,
-     "error: visibility must lie in [0, 1]"),
-    (("maximize", "--inequality", "-", "--state", "ghz:N=3,alpha=0.3"), CHSH_JSON,
-     "error: inequality and tensor party counts differ"),
-    (("generate", "--layout", "2,2", "--sign-fn", "01"), None,
-     "error: sign bitstring '01' has arity 1, expected 2"),
-    (("lhv", "--table", "-"), "{not json",
-     "error: invalid JSON in '-': Expecting property name enclosed in double quotes: "
-     "line 1 column 2 (char 1)"),
-    (("generate", "--layout", "2,2", "--signs", "0001"), None,
-     "bellkit: error: unrecognized arguments: --signs 0001"),
-    # non-finite inequalities; the states differ only to keep the test ids unique
-    (("maximize", "--inequality", "-", "--state", "singlet"),
-     CHSH_JSON.replace("[1, 1]", "[NaN, 1]"),
-     "error: not a valid Bell inequality: coefficients must be finite"),
-    (("maximize", "--inequality", "-", "--state", "noise:v=0.5(singlet)"),
-     CHSH_JSON.replace("[1, 1]", "[Infinity, 1]"),
-     "error: not a valid Bell inequality: coefficients must be finite"),
-    (("maximize", "--inequality", "-", "--state", "ghz:N=2,alpha=0.3"),
-     CHSH_JSON.replace('"bound": 2', '"bound": Infinity'),
-     "error: not a valid Bell inequality: bound must be positive and finite"),
+    pytest.param(("scan", "--family", "ghz", "--n", "3", "--kinds", "bogus"), None,
+                 f"error: unknown condition kind 'bogus'; choose from {KINDS}",
+                 id="scan --family ghz --n 3 --kinds bogus"),
+    pytest.param(("condition", "--kind", "two_setting_NS_2qubit", "--state", "ghz:N=3,alpha=0.1"),
+                 None, "error: two_setting_NS_2qubit applies to 2-qubit tensors only",
+                 id="condition --kind two_setting_NS_2qubit --state ghz:N=3,alpha=0.1"),
+    pytest.param(("tensor", "--state", "noise:v=2(singlet)"), None,
+                 "error: visibility must lie in [0, 1]", id="tensor --state noise:v=2(singlet)"),
+    pytest.param(("maximize", "--inequality", "-", "--state", "ghz:N=3,alpha=0.3"), CHSH_JSON,
+                 "error: inequality and tensor party counts differ",
+                 id="maximize --inequality - --state ghz:N=3,alpha=0.3"),
+    pytest.param(("generate", "--layout", "2,2", "--sign-fn", "01"), None,
+                 "error: sign bitstring '01' has arity 1, expected 2",
+                 id="generate --layout 2,2 --sign-fn 01"),
+    pytest.param(("lhv", "--table", "-"), "{not json",
+                 "error: invalid JSON in '-': Expecting property name enclosed in double quotes: "
+                 "line 1 column 2 (char 1)", id="lhv --table -"),
+    pytest.param(("generate", "--layout", "2,2", "--signs", "0001"), None,
+                 "bellkit: error: unrecognized arguments: --signs 0001",
+                 id="generate --layout 2,2 --signs 0001"),
+    # non-finite inequalities
+    pytest.param(("maximize", "--inequality", "-", "--state", "singlet"),
+                 CHSH_JSON.replace("[1, 1]", "[NaN, 1]"),
+                 "error: not a valid Bell inequality: coefficients must be finite",
+                 id="maximize --inequality - --state singlet"),
+    pytest.param(("maximize", "--inequality", "-", "--state", "noise:v=0.5(singlet)"),
+                 CHSH_JSON.replace("[1, 1]", "[Infinity, 1]"),
+                 "error: not a valid Bell inequality: coefficients must be finite",
+                 id="maximize --inequality - --state noise:v=0.5(singlet)"),
+    pytest.param(("maximize", "--inequality", "-", "--state", "ghz:N=2,alpha=0.3"),
+                 CHSH_JSON.replace('"bound": 2', '"bound": Infinity'),
+                 "error: not a valid Bell inequality: bound must be positive and finite",
+                 id="maximize --inequality - --state ghz:N=2,alpha=0.3"),
     # a negative seed, also where no generator would be drawn from (the N=2 closed form)
-    (("condition", "--kind", "multisetting_CN", "--state", "ghz:N=2,alpha=0.3", "--seed", "-1"),
-     None, "error: seed must be a non-negative integer, got -1"),
-    (("condition", "--kind", "multisetting_CN", "--state", "ghz:N=3,alpha=0.3", "--seed", "-1"),
-     None, "error: seed must be a non-negative integer, got -1"),
-    (("condition", "--kind", "two_setting_sufficient_N", "--state", "ghz:N=3,alpha=0.3",
-      "--seed", "-2"), None, "error: seed must be a non-negative integer, got -2"),
-    (("scan", "--family", "ghz", "--n", "2,3", "--alpha-steps", "2", "--seed", "-1"), None,
-     "error: seed must be a non-negative integer, got -1"),
-    (("maximize", "--inequality", "-", "--state", "singlet", "--seed", "-1"), CHSH_JSON,
-     "error: seed must be a non-negative integer, got -1"),
+    pytest.param(("condition", "--kind", "multisetting_CN", "--state", "ghz:N=2,alpha=0.3",
+                  "--seed", "-1"), None, "error: seed must be a non-negative integer, got -1",
+                 id="condition --kind multisetting_CN --state ghz:N=2,alpha=0.3 --seed -1"),
+    pytest.param(("condition", "--kind", "multisetting_CN", "--state", "ghz:N=3,alpha=0.3",
+                  "--seed", "-1"), None, "error: seed must be a non-negative integer, got -1",
+                 id="condition --kind multisetting_CN --state ghz:N=3,alpha=0.3 --seed -1"),
+    pytest.param(("condition", "--kind", "two_setting_sufficient_N", "--state",
+                  "ghz:N=3,alpha=0.3", "--seed", "-2"), None,
+                 "error: seed must be a non-negative integer, got -2",
+                 id="condition --kind two_setting_sufficient_N --state ghz:N=3,alpha=0.3 --seed -2"),
+    pytest.param(("scan", "--family", "ghz", "--n", "2,3", "--alpha-steps", "2", "--seed", "-1"),
+                 None, "error: seed must be a non-negative integer, got -1",
+                 id="scan --family ghz --n 2,3 --alpha-steps 2 --seed -1"),
+    pytest.param(("maximize", "--inequality", "-", "--state", "singlet", "--seed", "-1"),
+                 CHSH_JSON, "error: seed must be a non-negative integer, got -1",
+                 id="maximize --inequality - --state singlet --seed -1"),
     # --seed and --restarts are checked for every kind, also the one that takes neither
-    (("condition", "--kind", "two_setting_NS_2qubit", "--state", "singlet", "--seed", "-1"),
-     None, "error: seed must be a non-negative integer, got -1"),
-    (("condition", "--kind", "two_setting_NS_2qubit", "--state", "singlet", "--restarts", "0"),
-     None, "error: need at least one restart"),
-    (("scan", "--family", "ghz", "--n", "2", "--kinds", "two_setting_NS_2qubit", "--seed", "-1"),
-     None, "error: seed must be a non-negative integer, got -1"),
+    pytest.param(("condition", "--kind", "two_setting_NS_2qubit", "--state", "singlet",
+                  "--seed", "-1"), None, "error: seed must be a non-negative integer, got -1",
+                 id="condition --kind two_setting_NS_2qubit --state singlet --seed -1"),
+    pytest.param(("condition", "--kind", "two_setting_NS_2qubit", "--state", "singlet",
+                  "--restarts", "0"), None, "error: need at least one restart",
+                 id="condition --kind two_setting_NS_2qubit --state singlet --restarts 0"),
+    pytest.param(("scan", "--family", "ghz", "--n", "2", "--kinds", "two_setting_NS_2qubit",
+                  "--seed", "-1"), None, "error: seed must be a non-negative integer, got -1",
+                 id="scan --family ghz --n 2 --kinds two_setting_NS_2qubit --seed -1"),
     # an --out that cannot be written: a missing directory, and a directory
-    (("tensor", "--state", "ghz:N=3,alpha=0.3", "--out", "/nonexistent/dir/x"), None,
-     "error: cannot write '/nonexistent/dir/x': "
-     "[Errno 2] No such file or directory: '/nonexistent/dir/x'"),
-    (("tensor", "--state", "ghz:N=3,alpha=0.3", "--out", "."), None,
-     "error: cannot write '.': [Errno 21] Is a directory: '.'"),
-    # integer fields that are not integers; the --out paths, never written, and
-    # the states differ only to keep the test ids unique
-    *[(("lhv", "--table", "-", "--out", f"/nonexistent/layout-{label}"),
-       TABLE_22.replace('"layout": [2, 2]', f'"layout": {layout}'),
-       f"error: not a valid correlation table: a layout entry must be an integer, got {got}")
+    pytest.param(("tensor", "--state", "ghz:N=3,alpha=0.3", "--out", "/nonexistent/dir/x"), None,
+                 "error: cannot write '/nonexistent/dir/x': "
+                 "[Errno 2] No such file or directory: '/nonexistent/dir/x'",
+                 id="tensor --state ghz:N=3,alpha=0.3 --out /nonexistent/dir/x"),
+    pytest.param(("tensor", "--state", "ghz:N=3,alpha=0.3", "--out", "."), None,
+                 "error: cannot write '.': [Errno 21] Is a directory: '.'",
+                 id="tensor --state ghz:N=3,alpha=0.3 --out ."),
+    # integer fields that are not integers; the --out paths are never written
+    *[pytest.param(("lhv", "--table", "-", "--out", f"/nonexistent/layout-{label}"),
+                   TABLE_22.replace('"layout": [2, 2]', f'"layout": {layout}'),
+                   "error: not a valid correlation table: "
+                   f"a layout entry must be an integer, got {got}",
+                   id=f"lhv --table - --out /nonexistent/layout-{label}")
       for label, layout, got in [
           ("inf", "[Infinity, 2]", "inf"), ("1e400", "[1e400, 2]", "inf"),
           ("2.5", "[2.5, 2]", "2.5"), ("true", "[true, 2]", "True"),
           ("str", '["2", 2]', "'2'"), ("str22", '"22"', "'2'")]],
-    *[(("maximize", "--inequality", "-", "--state", state),
-       CHSH_JSON.replace('"layout": [2, 2]', f'"layout": {layout}'),
-       f"error: not a valid Bell inequality: a layout entry must be an integer, got {got}")
+    *[pytest.param(("maximize", "--inequality", "-", "--state", state),
+                   CHSH_JSON.replace('"layout": [2, 2]', f'"layout": {layout}'),
+                   f"error: not a valid Bell inequality: a layout entry must be an integer, got {got}",
+                   id=f"maximize --inequality - --state {state}")
       for state, layout, got in [("ghz:N=2,alpha=0.1", "[Infinity, 2]", "inf"),
                                  ("ghz:N=2,alpha=0.2", "[2, 2.5]", "2.5")]],
-    *[(("tensor", "--state-file", "-", "--out", f"/nonexistent/n-{label}"),
-       '{"n_qubits": %s, "amplitudes": [[1, 0], [0, 0]]}' % n,
-       f"error: not a valid pure state: n_qubits must be an integer, got {got}")
+    *[pytest.param(("tensor", "--state-file", "-", "--out", f"/nonexistent/n-{label}"),
+                   '{"n_qubits": %s, "amplitudes": [[1, 0], [0, 0]]}' % n,
+                   f"error: not a valid pure state: n_qubits must be an integer, got {got}",
+                   id=f"tensor --state-file - --out /nonexistent/n-{label}")
       for label, n, got in [("inf", "Infinity", "inf"), ("1e400", "1e400", "inf"),
                             ("2.7", "2.7", "2.7"), ("str", '"1"', "'1'"), ("true", "true", "True")]],
-    (("condition", "--kind", "two_setting_NS_2qubit", "--tensor-file", "-"),
-     '{"n_qubits": Infinity, "full_components": [1, 0, 0, 0]}',
-     "error: not a valid correlation tensor: n_qubits must be an integer, got inf"),
-    (("condition", "--kind", "multisetting_CN", "--tensor-file", "-"),
-     '{"n_qubits": 1.5, "full_components": [1, 0, 0, 0]}',
-     "error: not a valid correlation tensor: n_qubits must be an integer, got 1.5"),
+    pytest.param(("condition", "--kind", "two_setting_NS_2qubit", "--tensor-file", "-"),
+                 '{"n_qubits": Infinity, "full_components": [1, 0, 0, 0]}',
+                 "error: not a valid correlation tensor: n_qubits must be an integer, got inf",
+                 id="condition --kind two_setting_NS_2qubit --tensor-file -"),
+    pytest.param(("condition", "--kind", "multisetting_CN", "--tensor-file", "-"),
+                 '{"n_qubits": 1.5, "full_components": [1, 0, 0, 0]}',
+                 "error: not a valid correlation tensor: n_qubits must be an integer, got 1.5",
+                 id="condition --kind multisetting_CN --tensor-file -"),
     # integers past float64 where floats are read
-    (("lhv", "--table", "-", "--out", "/nonexistent/value-1e400"),
-     TABLE_22.replace("0.1", "1" + "0" * 400, 1),
-     "error: not a valid correlation table: int too large to convert to float"),
-    (("tensor", "--state-file", "-", "--out", "/nonexistent/amplitude-1e400"),
-     '{"n_qubits": 1, "amplitudes": [[1%s, 0], [0, 0]]}' % ("0" * 400),
-     "error: not a valid pure state: int too large to convert to float"),
+    pytest.param(("lhv", "--table", "-", "--out", "/nonexistent/value-1e400"),
+                 TABLE_22.replace("0.1", "1" + "0" * 400, 1),
+                 "error: not a valid correlation table: int too large to convert to float",
+                 id="lhv --table - --out /nonexistent/value-1e400"),
+    pytest.param(("tensor", "--state-file", "-", "--out", "/nonexistent/amplitude-1e400"),
+                 '{"n_qubits": 1, "amplitudes": [[1%s, 0], [0, 0]]}' % ("0" * 400),
+                 "error: not a valid pure state: int too large to convert to float",
+                 id="tensor --state-file - --out /nonexistent/amplitude-1e400"),
 ]
 
 
-@pytest.mark.parametrize("args, stdin, line", EXIT_2_LINES,
-                         ids=[" ".join(case[0]) for case in EXIT_2_LINES])
+@pytest.mark.parametrize("args, stdin, line", EXIT_2_LINES)
 def test_exit_2_stderr_line(args, stdin, line):
     code, out, err = run_cli(*args, stdin=stdin)
     assert code == 2
@@ -799,15 +824,15 @@ PINNED_OUTPUTS = [
     (("condition", "--kind", "two_setting_sufficient_N", "--state", "ghz:N=4,alpha=0.3"), None,
      3, "ba05aa893db300c0d37c66efab11ecd2f39e50fb6880d93f045c010308fcb9cb"),
     (("condition", "--kind", "multisetting_CN", "--state", "ghz:N=4,alpha=0.3"), None,
-     3, "40750e20fdf7c7cb9b233ef72330c6fa605527fd100433be59710b72b6073176"),
+     3, "89eeb0f2b28fe202c6d8518d6ef6f3ec0012a295b7ea51599829b946189820a4"),
     # the largest N the benchmark's ghz_scan runs
     (("condition", "--kind", "multisetting_CN", "--state", "ghz:N=5,alpha=0.5"), None,
-     3, "4818a52b2990757d912f6d93140e681a7388b312e3f8cf4bf35f50e6082ec585"),
+     3, "5fc2007a0c9d22985d08bf1e06de83367090e40a2fb6bbe5e107c09c397b0a05"),
     (("condition", "--kind", "two_setting_sufficient_N",
       "--state", "noise:v=0.8(ghz:N=4,alpha=0.6)"), None,
      3, "6e89f33b044e58f48b9e02ac5a6775643967e6a3de2521da480b4bad3186d9b3"),
     (("condition", "--kind", "multisetting_CN", "--state", "noise:v=0.8(ghz:N=4,alpha=0.6)"),
-     None, 3, "d92daff410139bde0302110f737f368c9c50b0e8836ff2bd8bfadc5dabfb345e"),
+     None, 3, "581c5a563ce8960ce1bb328e21ac4d6d1684fdd5c8ea658111585fa0bb41b0cd"),
     (("maximize", "--inequality", "-", "--state", "ghz:N=3,alpha=0.3"),
      generated_json((4, 4, 2)),
      3, "18633662391c4c4ba2692d00844895e75f7008dec6eebf3b6b6a90bdc7457566"),

@@ -18,7 +18,6 @@ SRC = Path(bellkit.__file__).parent
 POLICY = {
     "MAX_COUNT": 2**20,
     "MAX_SWEEPS": 500,
-    "MAX_PAIR_ITERS": 30,
 }
 
 

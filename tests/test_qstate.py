@@ -197,6 +197,37 @@ def test_state_validation():
         bk.DensityMatrix(1, np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex))
 
 
+HALF = np.full(2, 0.5 ** 0.5)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: bk.ExperimentLayout((2.5, 2)), "a layout entry must be an integer, got 2.5"),
+    (lambda: bk.ExperimentLayout((2, True)), "a layout entry must be an integer, got True"),
+    (lambda: bk.PureState(1.5, HALF), "n_qubits must be an integer, got 1.5"),
+    (lambda: bk.PureState("1", HALF), "n_qubits must be an integer, got '1'"),
+    (lambda: bk.DensityMatrix(1.5, np.eye(2) / 2), "n_qubits must be an integer, got 1.5"),
+    (lambda: bk.CorrelationTensor(True, np.eye(4)[0]), "n_qubits must be an integer, got True"),
+    (lambda: bk.GhzFamily(3.5, 0.3), "n_qubits must be an integer, got 3.5"),
+    (lambda: bk.LhvModel.from_json_list(bk.ExperimentLayout((2, 2)),
+                                        [{"strategy": [1.7, 0], "weight": 1.0}]),
+     "a strategy code must be an integer, got 1.7"),
+    (lambda: bk.LhvModel.from_json_list(bk.ExperimentLayout((2, 2)),
+                                        [{"strategy": [True, 0], "weight": 1.0}]),
+     "a strategy code must be an integer, got True"),
+], ids=["layout-2.5", "layout-bool", "pure-1.5", "pure-str", "density-1.5", "tensor-bool",
+        "ghz-3.5", "code-1.7", "code-bool"])
+def test_constructors_refuse_non_integers(build, message):
+    """Every integer field takes an int or a whole-valued float, the rule JSON input follows."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
+def test_constructors_take_whole_valued_floats_as_ints():
+    assert bk.ExperimentLayout((2.0, np.int64(3))).settings_per_party == (2, 3)
+    assert type(bk.PureState(1.0, HALF).n_qubits) is int
+    assert type(bk.GhzFamily(np.int64(3), 0.3).n_qubits) is int
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_entries_rejected(bad):
     with pytest.raises(ValueError, match="finite"):

@@ -9,9 +9,10 @@ quartiles, and how many same-seed pairs the change won.  A metric is marked
 bound times its median, so that a move inside the bound cannot be told from
 noise, unless every change run beats every parent run.  Under a separate
 `diagnostics` key it holds the same summary of the unscaled run facts in
-`info`: the wall-clock rate, the set-up time and the host slowdown that the
-scaled metrics are divided by; under `cost_classes`, each side's median over
-its runs of every cost class's `median_ms`:
+`info`: the wall-clock rate and the set-up time, with the same-seed pairs the
+change won, and the host slowdown that the scaled metrics are divided by, with
+none; under `cost_classes`, each side's median over its runs of every cost
+class's `median_ms`:
 
     python3 tools/bench_record.py --out BENCH_N.json \\
         --parent ../parent/bench/out/facet_census-seed1-trace0.json ... \\
@@ -27,8 +28,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-#: run facts from `info`, summarised like the metrics but never counted as one
-DIAGNOSTICS = ("raw_wall_jobs_per_s", "raw_setup_s", "host_slowdown")
+#: run facts from `info`, summarised like the metrics but never counted as one:
+#: name -> the better direction, or None where no pair wins are counted
+DIAGNOSTICS = {"raw_wall_jobs_per_s": "higher", "raw_setup_s": "lower", "host_slowdown": None}
 
 
 def load_runs(paths: list[str]) -> dict[str, dict[int, dict]]:
@@ -61,6 +63,16 @@ def class_medians(runs: dict[int, dict]) -> dict[str, float]:
     return {label: statistics.median(ms) for label, ms in sorted(by_class.items())}
 
 
+def pair_wins(sides: dict[str, dict[int, dict]], value, higher: bool) -> tuple[int, int]:
+    """(same-seed pairs, pairs where the change reads better); value(run) reads one run."""
+    paired = sorted(set(sides["parent"]) & set(sides["change"]))
+    wins = 0
+    for seed in paired:
+        p, c = value(sides["parent"][seed]), value(sides["change"][seed])
+        wins += (c > p) if higher else (c < p)
+    return len(paired), wins
+
+
 def unresolved(row: dict, bound: float, higher: bool) -> bool:
     """The parent's q3 - q1 exceeds bound * median, and not every change run
     reads better than every parent run."""
@@ -79,7 +91,6 @@ def record(parent: dict[str, dict[int, dict]], change: dict[str, dict[int, dict]
         sides = {"parent": parent.get(workload, {}), "change": change.get(workload, {})}
         if any(len(runs) < 2 for runs in sides.values()):
             raise ValueError(f"{workload}: need at least 2 runs of each side")
-        paired = sorted(set(sides["parent"]) & set(sides["change"]))
         medians = {side: class_medians(runs) for side, runs in sides.items()}
         entry = {
             "seeds": {side: sorted(runs) for side, runs in sides.items()},
@@ -90,10 +101,7 @@ def record(parent: dict[str, dict[int, dict]], change: dict[str, dict[int, dict]
             "failed": {side: sum(r["result"]["failed"] for r in runs.values())
                        for side, runs in sides.items()},
             "metrics": {},
-            "diagnostics": {
-                name: {side: summary([runs[s]["info"][name] for s in sorted(runs)])
-                       for side, runs in sides.items()}
-                for name in DIAGNOSTICS},
+            "diagnostics": {},
             "cost_classes": {label: {side: medians[side].get(label) for side in sides}
                              for label in sorted(set(medians["parent"]) | set(medians["change"]))},
         }
@@ -103,15 +111,17 @@ def record(parent: dict[str, dict[int, dict]], change: dict[str, dict[int, dict]
             for side, runs in sides.items():
                 row[side] = summary([runs[s]["result"]["metrics"][name]["value"]
                                      for s in sorted(runs)])
-            wins = 0
-            for seed in paired:
-                p = sides["parent"][seed]["result"]["metrics"][name]["value"]
-                c = sides["change"][seed]["result"]["metrics"][name]["value"]
-                wins += (c > p) if higher else (c < p)
-            row["pairs"] = len(paired)
-            row["change_won"] = wins
+            row["pairs"], row["change_won"] = pair_wins(
+                sides, lambda run: run["result"]["metrics"][name]["value"], higher)
             row["unresolved"] = unresolved(row, metric["bound"], higher)
             entry["metrics"][name] = row
+        for name, better in DIAGNOSTICS.items():
+            row = {side: summary([runs[s]["info"][name] for s in sorted(runs)])
+                   for side, runs in sides.items()}
+            if better is not None:
+                row["pairs"], row["change_won"] = pair_wins(
+                    sides, lambda run: run["info"][name], better == "higher")
+            entry["diagnostics"][name] = row
         out[workload] = entry
     return out
 
