@@ -242,7 +242,7 @@ def test_cn_on_generic_states_holds_its_floor(n, s, floor):
 
 
 # ---------------------------------------------------------------------------
-# the orthonormal pair ascent inside the C_N sweeps
+# the orthonormal pair step inside the C_N sweeps
 
 
 def random_psd(rng, rows) -> np.ndarray:
