@@ -96,7 +96,16 @@ class CorrelationTable:
     @classmethod
     def from_json_dict(cls, data: dict) -> "CorrelationTable":
         layout = ExperimentLayout(tuple(data["layout"]))
+        if _holds_bool(data["values"]):
+            raise ValueError("correlation values must be numbers, not true or false")
         return cls(layout, np.array(data["values"], dtype=float))
+
+
+def _holds_bool(value) -> bool:
+    """Whether nested JSON lists hold a bool, which numpy would read as 0 or 1."""
+    if isinstance(value, list):
+        return any(map(_holds_bool, value))
+    return isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -257,7 +266,10 @@ class BellInequality:
     def from_json_dict(cls, data: dict) -> "BellInequality":
         layout = ExperimentLayout(tuple(data["layout"]))
         coeff = np.array(data["coefficients"])
-        if coeff.dtype.kind == "f" and np.all(np.isfinite(coeff) & (coeff == np.round(coeff))):
+        # whole-valued floats become integers where every one fits in int64;
+        # otherwise the casts would wrap, and the floats are kept
+        if coeff.dtype.kind == "f" and np.all((coeff == np.round(coeff))
+                                              & (np.abs(coeff) < 2.0**63)):
             coeff = coeff.astype(np.int64)
         return cls(layout, coeff, data["bound"])
 
@@ -438,12 +450,14 @@ def polytope_membership(table: CorrelationTable) -> PolytopeResult:
     layout = table.layout
     codes, vertices = enumerate_vertices(layout)
     dim = vertices.shape[1]
-    a = np.empty((dim + 1, len(codes)))
-    a[:dim] = vertices.T
-    a[dim] = 1.0
+    # A's columns, one float row per vertex and its normalization entry; the
+    # simplex reads A through the transposed view and never copies it
+    columns = np.empty((len(codes), dim + 1))
+    columns[:, :dim] = vertices
+    columns[:, dim] = 1.0
     b = np.concatenate([table.values.ravel(), [1.0]])
 
-    result = solve_feasibility(a, b)
+    result = solve_feasibility(columns.T, b)
     work = {"lp_iterations": result.iterations, "lp_degenerate": result.degenerate}
     if result.feasible:
         lam = np.where(result.x > EXACT_TOL, result.x, 0.0)

@@ -336,7 +336,7 @@ def _best_perp(g: np.ndarray, fixed: np.ndarray, current: np.ndarray,
 
 
 def _turn(g1: np.ndarray, g2: np.ndarray, a: np.ndarray, b: np.ndarray, value_a: np.ndarray,
-          value_b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+          value_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Turn each orthonormal pair in its own plane by the angle that maximizes a.g1.a + b.g2.b.
 
     Rows are independent; value_a and value_b are a.g1.a and b.g2.b.  The turn
@@ -344,8 +344,7 @@ def _turn(g1: np.ndarray, g2: np.ndarray, a: np.ndarray, b: np.ndarray, value_a:
     F(phi) = A + X cos(2 phi) + Y sin(2 phi) with
     X = (a.g1.a - b.g1.b + b.g2.b - a.g2.a) / 2 and Y = a.g1.b - a.g2.b, so the
     best angle is 2 phi = atan2(Y, X) and the rise is hypot(X, Y) - X >= 0.  A
-    row turns only where that rise is positive.  Returns the new pairs and
-    their two quadratic values.
+    row turns only where that rise is positive.  Returns the new pairs.
     """
     g1b, g2a = (g1 @ b[:, :, None])[..., 0], (g2 @ a[:, :, None])[..., 0]
     b1b, a1b = (g1b * b).sum(axis=1), (g1b * a).sum(axis=1)
@@ -353,12 +352,8 @@ def _turn(g1: np.ndarray, g2: np.ndarray, a: np.ndarray, b: np.ndarray, value_a:
     x, y = 0.5 * (value_a - b1b + value_b - a2a), a1b - a2b
     turn = np.hypot(x, y) > x
     phi = np.where(turn, 0.5 * np.arctan2(y, x), 0.0)
-    c, s = np.cos(phi), np.sin(phi)
-    cc, ss, cs2 = c * c, s * s, 2 * c * s
-    new_a = c[:, None] * a + s[:, None] * b
-    new_b = c[:, None] * b - s[:, None] * a
-    return (new_a, new_b, np.where(turn, cc * value_a + cs2 * a1b + ss * b1b, value_a),
-            np.where(turn, cc * value_b - cs2 * a2b + ss * a2a, value_b))
+    c, s = np.cos(phi)[:, None], np.sin(phi)[:, None]
+    return c * a + s * b, c * b - s * a
 
 
 def _pair_step(g1: np.ndarray, g2: np.ndarray, a: np.ndarray,
@@ -378,7 +373,7 @@ def _pair_step(g1: np.ndarray, g2: np.ndarray, a: np.ndarray,
     a, b = a.reshape(-1, 3), b.reshape(-1, 3)
     a, value_a = _best_perp(g1, b, a, _quad(g1, a))
     b, value_b = _best_perp(g2, a, b, _quad(g2, b))
-    a, b, _, _ = _turn(g1, g2, a, b, value_a, value_b)
+    a, b = _turn(g1, g2, a, b, value_a, value_b)
     return a.reshape(shape), b.reshape(shape)
 
 

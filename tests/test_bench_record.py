@@ -9,6 +9,7 @@ PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_record.py"
 SPEC = importlib.util.spec_from_file_location("bench_record", PATH)
 bench_record = importlib.util.module_from_spec(SPEC)
 SPEC.loader.exec_module(bench_record)
+LAYERS = json.loads((PATH.parents[1] / "BENCHMARK.json").read_text())["per_layer"]
 
 
 def write_run(directory: Path, side: str, seed: int, jobs_per_s: float, rss: float,
@@ -28,6 +29,9 @@ def write_run(directory: Path, side: str, seed: int, jobs_per_s: float, rss: flo
                              "p50_between": ["2x2x2"], "p90_between": ["2x2x2", "4x4x2"]}}
     if traced:
         info["layer_shares"] = {}
+        metrics = {row["name"]: {"value": 0.0, "unit": row["unit"]} for row in LAYERS}
+        metrics["simplex.pivots"]["value"] = 40.0 + seed
+        metrics["simplex.us_per_pivot"]["value"] = jobs_per_s
     path = directory / f"{side}-{seed}.json"
     path.write_text(json.dumps({"result": {"correct": True, "attempted": 200, "failed": 0,
                                            "metrics": metrics}, "info": info}))
@@ -133,3 +137,51 @@ def test_record_flags_a_metric_the_parent_spread_cannot_resolve(tmp_path, parent
     assert metrics["peak_rss_mb"]["unresolved"] is flag
     # jobs_per_s: a parent spread of 2 on a median of 12, inside its 0.25 bound
     assert metrics["jobs_per_s"]["unresolved"] is False
+
+
+def write_traced(directory: Path, side: str, seed: int, us_per_pivot: float) -> str:
+    return write_run(directory, f"{side}-traced", seed, us_per_pivot, 44.5, traced=True)
+
+
+def test_record_summarises_traced_runs_per_layer_without_pair_wins(tmp_path):
+    parent = [write_run(tmp_path, "parent", s, 10, 44.5) for s in (1, 2)]
+    change = [write_run(tmp_path, "change", s, 12, 44.5) for s in (1, 2)]
+    parent_trace = [write_traced(tmp_path, "parent", s, v) for s, v in ((1, 30), (2, 50), (3, 40))]
+    change_trace = [write_traced(tmp_path, "change", s, v) for s, v in ((1, 20), (2, 10))]
+    out = tmp_path / "BENCH.json"
+    assert bench_record.main(["--parent", *parent, "--change", *change,
+                              "--parent-trace", *parent_trace, "--change-trace", *change_trace,
+                              "--out", str(out)]) == 0
+    entry = json.loads(out.read_text())["workloads"]["facet_census"]
+    assert set(entry["metrics"]) == {"jobs_per_s", "job_p50_ms", "job_p90_ms", "setup_s",
+                                     "peak_rss_mb"}
+    per_layer = entry["per_layer"]
+    assert set(per_layer) == {row["name"] for row in LAYERS}
+    pivots, time = per_layer["simplex.pivots"], per_layer["simplex.us_per_pivot"]
+    assert (pivots["unit"], pivots["better"]) == ("count", "lower")
+    assert pivots["parent"]["values"] == [41, 42, 43]
+    assert (time["parent"]["median"], time["parent"]["q1"], time["parent"]["q3"]) == (40, 35, 45)
+    assert time["change"]["median"] == 15
+    assert "pairs" not in pivots and "change_won" not in time
+    # without traced runs there is no per_layer key
+    assert bench_record.main(["--parent", *parent, "--change", *change, "--out", str(out)]) == 0
+    assert "per_layer" not in json.loads(out.read_text())["workloads"]["facet_census"]
+
+
+def test_record_refuses_untraced_or_unmatched_traced_runs(tmp_path, capsys):
+    parent = [write_run(tmp_path, "parent", s, 10, 44.5) for s in (1, 2)]
+    change = [write_run(tmp_path, "change", s, 12, 44.5) for s in (1, 2)]
+    traced = [write_traced(tmp_path, "change", s, 20) for s in (1, 2)]
+    out = str(tmp_path / "BENCH.json")
+    common = ["--parent", *parent, "--change", *change, "--out", out]
+    assert bench_record.main([*common, "--parent-trace", *parent[:1], "--change-trace",
+                              *traced]) == 2
+    assert "untraced run" in capsys.readouterr().err
+    # traced runs of one side only, and of too few seeds
+    assert bench_record.main([*common, "--change-trace", *traced]) == 2
+    assert "need at least 2 runs of each side" in capsys.readouterr().err
+    assert bench_record.main([*common, "--parent-trace", traced[0], "--change-trace",
+                              traced[1]]) == 2
+    assert "need at least 2 runs of each side" in capsys.readouterr().err
+    with pytest.raises(FileNotFoundError):
+        Path(out).read_text()

@@ -545,6 +545,12 @@ EXIT_2_LINES = [
                  '{"n_qubits": 1, "amplitudes": [[1%s, 0], [0, 0]]}' % ("0" * 400),
                  "error: not a valid pure state: int too large to convert to float",
                  id="tensor --state-file - --out /nonexistent/amplitude-1e400"),
+    # a bool where a float is read, which numpy alone would take as 1.0
+    pytest.param(("lhv", "--table", "-", "--out", "/nonexistent/value-true"),
+                 '{"layout": [2, 2], "values": [[true, 0], [0, 0]]}',
+                 "error: not a valid correlation table: "
+                 "correlation values must be numbers, not true or false",
+                 id="lhv --table - --out /nonexistent/value-true"),
 ]
 
 
@@ -577,6 +583,19 @@ def test_whole_valued_integer_fields_are_read_as_integers(monkeypatch, capsys, a
         outputs.append((cli.main(list(args)), *capsys.readouterr()))
     assert outputs[0] == outputs[1]
     assert outputs[0][0] in (0, 3) and outputs[0][1]
+
+
+def test_whole_valued_coefficients_past_int64_are_read_as_floats(monkeypatch, capsys):
+    """1e19 is whole-valued but no int64: read as -2^63, the inequality's value
+    was 9.223372036854776e+18, with a RuntimeWarning from the cast."""
+    from bellkit import cli
+
+    text = '{"layout":[2,2],"coefficients":[[1e19,1],[1,-1]],"bound":2}'
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert cli.main(["maximize", "--inequality", "-", "--state", "ghz:N=2,alpha=0.3"]) == 3
+    out, err = capsys.readouterr()
+    assert json.loads(out)["value"] == 1e19
+    assert err == "violation: value 1e+19 exceeds bound 2.0\n"
 
 
 def test_deeply_nested_json_exits_2():
@@ -792,7 +811,7 @@ PINNED_OUTPUTS = [
     (("generate", "--layout", "2,2,2,2,2,2,2,2,2,2", "--check-tight", "--sign-fn", SIGN_2_10),
      None, 0, "2ba046fff9b49e0b919da1b2f57ba82220edbca1841bca05221bed70b96c9605"),
     (("lhv", "--table", "-"), PINNED_TABLE,
-     0, "de4f7f36ca0e2f4901f8a7db805f4af49469f501711e7d880ccf2a0e96425616"),
+     0, "5651ba63d106d2bd9bdde3ba7383d2f069ce8842f608336090ba9619d1b19e0c"),
     (("tensor", "--state", "ghz:N=5,alpha=0.3"), None,
      0, "5a5ab5ae3a6f8037fc698d6fedab0727b6fbcd592bf7f57c69e345260593733d"),
     (("tensor", "--state", "noise:v=0.8(ghz:N=4,alpha=0.6)"), None,
@@ -910,18 +929,18 @@ PINNED_LHV_TABLES = {
         "bfcfb45b3d791a0086288c602240ec83b96330a91f15511f840f6f863c1ca66b", ""),
     "4,4,2 LP model": (
         ((4, 4, 2), 2, 0.9), 0,
-        "8674dfa4d278e67e17cea4e530492a3e33624b7ec2abd002d09c1ede7a57b582", ""),
+        "d101b3aced1800ea6719ddf6b049239c20b3fc0f8b1220c9dc9aa0469d3ea0cb", ""),
     "4,4,2 certificate": (
         ((4, 4, 2), 3, None), 3,
-        "45911fe62095139eebd8690d595c20d79c028a16f860ebe5d0b32343e376b4c0",
-        "violation: value 13.77085870362339 exceeds bound 8.000000000000007\n"),
+        "bc15101be397859b7c285b37a57fa412c4c69150e90bc85d8ed9f48ce5d6706a",
+        "violation: value 13.770858703623244 exceeds bound 7.999999999999965\n"),
     "3,3,3,3 LP model": (
         ((3, 3, 3, 3), 4, 0.9), 0,
-        "6faa5b60fd275e28ee39ef120f3525e574a44f1856470aae9236b09a3b92f61a", ""),
+        "21e4f45efc830c606f19da3aa0d2ea6545cf505c07e52c87b6da2bbc2ef5850f", ""),
     "3,3,3,3 certificate": (
         ((3, 3, 3, 3), 5, None), 3,
-        "3aafd9f5ae167c7bf77253b7e12e9b0d7a8ea50acfa5251d919d0e83c6bbede7",
-        "violation: value 38.58094158279698 exceeds bound 14.40000000000004\n"),
+        "80c30a61de9144cafd6bed507eeba06e3ff835b00d3a20451f6fe3900874892b",
+        "violation: value 38.58094158279283 exceeds bound 14.399999999999375\n"),
 }
 
 

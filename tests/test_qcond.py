@@ -342,7 +342,8 @@ def test_turn_reaches_the_best_in_plane_angle(case):
     from bellkit.qcond import _turn
 
     g1, g2, a0, b0 = pair_cases()[case]
-    a, b, value_a, value_b = _turn(g1, g2, a0, b0, quad(g1, a0), quad(g2, b0))
+    a, b = _turn(g1, g2, a0, b0, quad(g1, a0), quad(g2, b0))
+    value_a, value_b = quad(g1, a), quad(g2, b)
     big_a, x, y = turn_coefficients(g1, g2, a0, b0)
     best = big_a + np.hypot(x, y)
     tol = 1e-12 * max(1.0, np.max(best))

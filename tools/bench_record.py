@@ -12,11 +12,16 @@ noise, unless every change run beats every parent run.  Under a separate
 `info`: the wall-clock rate and the set-up time, with the same-seed pairs the
 change won, and the host slowdown that the scaled metrics are divided by, with
 none; under `cost_classes`, each side's median over its runs of every cost
-class's `median_ms`:
+class's `median_ms`.  Traced runs (`--trace 1`), given after `--parent-trace`
+and `--change-trace`, add a `per_layer` key: each side's median and quartiles
+of every per-layer metric of BENCHMARK.json, with no pair wins, since those
+rows count work and split time rather than make a claim:
 
     python3 tools/bench_record.py --out BENCH_N.json \\
         --parent ../parent/bench/out/facet_census-seed1-trace0.json ... \\
-        --change bench/out/facet_census-seed1-trace0.json ...
+        --change bench/out/facet_census-seed1-trace0.json ... \\
+        --parent-trace ../parent/bench/out/facet_census-seed1-trace1.json ... \\
+        --change-trace bench/out/facet_census-seed1-trace1.json ...
 """
 from __future__ import annotations
 
@@ -33,14 +38,17 @@ ROOT = Path(__file__).resolve().parents[1]
 DIAGNOSTICS = {"raw_wall_jobs_per_s": "higher", "raw_setup_s": "lower", "host_slowdown": None}
 
 
-def load_runs(paths: list[str]) -> dict[str, dict[int, dict]]:
-    """{workload: {seed: run file}}; a workload and seed given twice is an error."""
+def load_runs(paths: list[str], traced: bool = False) -> dict[str, dict[int, dict]]:
+    """{workload: {seed: run file}}, all traced or all not; a workload and seed
+    given twice is an error."""
     runs: dict[str, dict[int, dict]] = {}
     for path in paths:
         data = json.loads(Path(path).read_text())
         info = data["info"]
-        if "layer_shares" in info:
+        if "layer_shares" in info and not traced:
             raise ValueError(f"{path}: a traced run; end-to-end metrics come from --trace 0")
+        if "layer_shares" not in info and traced:
+            raise ValueError(f"{path}: an untraced run; per-layer metrics come from --trace 1")
         by_seed = runs.setdefault(info["workload"], {})
         if info["seed"] in by_seed:
             raise ValueError(f"{path}: seed {info['seed']} of {info['workload']} given twice")
@@ -84,13 +92,20 @@ def unresolved(row: dict, bound: float, higher: bool) -> bool:
     return max(change["values"]) >= min(parent["values"])
 
 
+def both_sides(parent: dict[str, dict[int, dict]], change: dict[str, dict[int, dict]],
+               workload: str) -> dict[str, dict[int, dict]]:
+    sides = {"parent": parent.get(workload, {}), "change": change.get(workload, {})}
+    if any(len(runs) < 2 for runs in sides.values()):
+        raise ValueError(f"{workload}: need at least 2 runs of each side")
+    return sides
+
+
 def record(parent: dict[str, dict[int, dict]], change: dict[str, dict[int, dict]],
-           metrics: list[dict]) -> dict:
+           metrics: list[dict], traced: tuple[dict, dict], layers: list[dict]) -> dict:
+    """One entry per workload; traced runs, (parent, change), add its per_layer rows."""
     out = {}
     for workload in sorted(set(parent) | set(change)):
-        sides = {"parent": parent.get(workload, {}), "change": change.get(workload, {})}
-        if any(len(runs) < 2 for runs in sides.values()):
-            raise ValueError(f"{workload}: need at least 2 runs of each side")
+        sides = both_sides(parent, change, workload)
         medians = {side: class_medians(runs) for side, runs in sides.items()}
         entry = {
             "seeds": {side: sorted(runs) for side, runs in sides.items()},
@@ -123,6 +138,16 @@ def record(parent: dict[str, dict[int, dict]], change: dict[str, dict[int, dict]
                     sides, lambda run: run["info"][name], better == "higher")
             entry["diagnostics"][name] = row
         out[workload] = entry
+    for workload in sorted(set(traced[0]) | set(traced[1])):
+        if workload not in out:
+            raise ValueError(f"{workload}: traced runs but no end-to-end runs")
+        sides = both_sides(*traced, workload)
+        out[workload]["per_layer"] = {
+            metric["name"]: {"unit": metric["unit"], "better": metric["better"],
+                             **{side: summary([runs[s]["result"]["metrics"][metric["name"]]
+                                               ["value"] for s in sorted(runs)])
+                                for side, runs in sides.items()}}
+            for metric in layers}
     return out
 
 
@@ -130,12 +155,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", nargs="+", required=True, metavar="RUN")
     parser.add_argument("--change", nargs="+", required=True, metavar="RUN")
+    parser.add_argument("--parent-trace", nargs="+", default=[], metavar="RUN")
+    parser.add_argument("--change-trace", nargs="+", default=[], metavar="RUN")
     parser.add_argument("--out", required=True, help="BENCH_*.json file to write")
     args = parser.parse_args(argv)
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     try:
+        traced = (load_runs(args.parent_trace, traced=True),
+                  load_runs(args.change_trace, traced=True))
         workloads = record(load_runs(args.parent), load_runs(args.change),
-                           benchmark["end_to_end"])
+                           benchmark["end_to_end"], traced, benchmark["per_layer"])
     except (KeyError, ValueError) as exc:
         print(f"bench_record: {exc}", file=sys.stderr)
         return 2
