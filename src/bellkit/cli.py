@@ -172,6 +172,11 @@ def _dump_json(obj) -> str:
     return "".join(map(_array_text, heads, arrays, [""] * (len(heads) - 1) + [tail]))
 
 
+#: Leaves whose parts _array_text picks at a time: a 4**9 tensor's index arrays
+#: would otherwise each take 2 MB next to its 10 MB of text
+PART_LEAVES = 1 << 14
+
+
 def _array_text(head: str, array: np.ndarray, tail: str) -> str:
     """head + array + tail, as json.dumps(indent=2) writes the array after head, in one join.
 
@@ -202,20 +207,30 @@ def _array_text(head: str, array: np.ndarray, tail: str) -> str:
     source[:shared] = ([head + "[" + "".join(opens[1:]) + rows[n]] + seps
                        + [zero + sep for sep in seps])
     _REPRS[values.dtype.kind](distinct, out=source[shared:])
-    # ends[i]: the part that ends leaf i, seps[t] or zero + seps[t]
-    ends = np.where(nonzero, 1, 1 + len(seps))
-    for size in np.cumprod(array.shape[::-1]):
-        ends[size - 1::size] += 1
-    # part 0 is the head; leaf i starts at part 1 + i + (nonzero leaves before i)
-    at = np.flatnonzero(nonzero)
-    at += np.arange(1, at.size + 1)
-    index = np.empty(1 + values.size + at.size, dtype=np.intp)
-    index[0] = 0
-    index[at] = shared + which
-    is_end = np.ones(index.size, dtype=bool)
-    is_end[0] = is_end[at] = False
-    index[is_end] = ends
-    return "".join(source[index].tolist())
+    # part 0 is the head, then each leaf's parts: its repr and seps[t], or zero + seps[t].
+    # They go onto the list the join reads PART_LEAVES leaves at a time, so the
+    # index arrays stay that short however large the array is
+    parts: list[str] = []
+    sizes = np.cumprod(array.shape[::-1])
+    lead, done = 1, 0  # the head's slot, in the first block only; nonzero leaves before
+    for start in range(0, values.size, PART_LEAVES):
+        live = nonzero[start:start + PART_LEAVES]
+        # ends[j]: the part that ends leaf start + j, seps[t] or zero + seps[t]
+        ends = np.where(live, 1, 1 + len(seps))
+        for size in sizes:
+            ends[(size - 1 - start) % size::size] += 1
+        # leaf start + j begins at lead + j + (nonzero leaves of the block before it)
+        at = np.flatnonzero(live)
+        count = at.size
+        at += np.arange(lead, lead + count)
+        index = np.zeros(lead + live.size + count, dtype=np.intp)
+        index[at] = shared + which[done:done + count]
+        is_end = np.ones(index.size, dtype=bool)
+        is_end[:lead] = is_end[at] = False
+        index[is_end] = ends
+        parts += source[index].tolist()
+        lead, done = 0, done + count
+    return "".join(parts)
 
 
 def _model_text(model: LhvModel) -> str:

@@ -65,6 +65,10 @@ def check_visibility(visibility: float) -> None:
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
+    """A read-only array equal to arr: arr itself if it is read-only and owns
+    its data, so that no view can write to it; otherwise a read-only copy."""
+    if arr.base is None and not arr.flags.writeable:
+        return arr
     out = np.array(arr)
     out.flags.writeable = False
     return out
@@ -148,11 +152,13 @@ class CorrelationTensor:
         comp = np.asarray(self.components, dtype=np.float64)
         if comp.shape != (4,) * self.n_qubits:
             raise ValueError(f"expected shape {(4,) * self.n_qubits}, got {comp.shape}")
-        if not np.all(np.isfinite(comp)):
+        # NaN propagates through min and max, so both are finite only if all entries are
+        low, high = comp.min(), comp.max()
+        if not (np.isfinite(low) and np.isfinite(high)):
             raise ValueError("components must be finite")
         if abs(comp[(0,) * self.n_qubits] - 1.0) > EXACT_TOL:
             raise ValueError("identity component must be 1 within 1e-12")
-        if np.max(np.abs(comp)) > 1.0 + BOUND_TOL:
+        if max(high, -low) > 1.0 + BOUND_TOL:
             raise ValueError("components must lie in [-1, 1] within 1e-9")
         object.__setattr__(self, "components", _frozen(comp))
 
@@ -245,6 +251,7 @@ def correlation_tensor(state: PureState | DensityMatrix, *,
     if live is not None:  # every other label comes from an all-zero column: +0.0
         values, live_values = np.zeros((4,) * n), values
         np.put(values, labels, live_values)
+    values.flags.writeable = False  # no one else holds values: the tensor keeps it uncopied
     return CorrelationTensor(n, values)
 
 

@@ -6,6 +6,7 @@ import json
 import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -417,6 +418,43 @@ def test_array_writer_matches_json_dumps(shape):
                 got = _dump_json(payload).split("\n")
                 want = json.dumps(arrays_to_lists(payload), indent=2, sort_keys=True) + "\n"
                 assert got == want.split("\n")
+
+
+@pytest.mark.parametrize("part_leaves", [1, 3, 4, 7])
+def test_array_writer_blocks_match_json_dumps(monkeypatch, part_leaves):
+    """Parts picked a few leaves at a time, in blocks that end inside a row, at a
+    row's end and between nonzero leaves, make the text of one block."""
+    from bellkit import cli
+
+    monkeypatch.setattr(cli, "PART_LEAVES", part_leaves)
+    rng = np.random.default_rng(part_leaves)
+    for shape in [(2,), (4, 4, 2), (2, 1, 3), (4, 4, 4)]:
+        ints = rng.integers(-2, 3, size=shape)  # zeros among nonzero leaves
+        floats = ints / 4
+        floats[(0,) * len(shape)] = -0.0
+        for array in (ints, floats, np.zeros(shape)):
+            inequality = {"bound": 4, "coefficients": array, "layout": list(shape)}
+            for payload in (array, {"inequality": inequality, "tightness": {"is_tight": True}}):
+                want = json.dumps(arrays_to_lists(payload), indent=2, sort_keys=True) + "\n"
+                assert cli._dump_json(payload) == want
+
+
+def test_array_writer_peak_memory():
+    """Beyond its text, writing a 4**8 GHZ tensor holds the list of parts, about
+    one pointer a leaf, and index arrays of PART_LEAVES leaves: under 16 bytes a
+    leaf, where index arrays as long as the tensor took 26."""
+    from bellkit.cli import _dump_json
+
+    tensor = bk.correlation_tensor(bk.ghz_state(bk.GhzFamily(8, 0.3)), visibilities=(0.7,))
+    payload = {"n_qubits": 8, "full_components": tensor.components}
+    size = len(_dump_json(payload))
+    tracemalloc.start()
+    try:
+        _dump_json(payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= size + 16 * 4**8
 
 
 def test_byte_stable_outputs():

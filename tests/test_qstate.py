@@ -372,14 +372,32 @@ def traced_peak(state, visibilities) -> int:
 @pytest.mark.parametrize("n", [8, 10])
 def test_kernel_peak_memory(n):
     """At most three complex 4**N tables at once, the per-N relabel cache
-    included; a GHZ state, on live columns, at most 2.25 float 4**N tables:
-    the zeroed output and the copy CorrelationTensor keeps."""
+    included; a GHZ state, on live columns, at most 1.25 float 4**N tables:
+    the zeroed output, which CorrelationTensor keeps without a copy."""
     state = random_pure(np.random.default_rng(n), n)
     qstate._relabel.cache_clear()
     assert traced_peak(state, (0.7,)) <= 3 * 16 * 4**n
     qstate._relabel.cache_clear()
-    assert traced_peak(bk.ghz_state(bk.GhzFamily(n, 0.3)), (0.7,)) <= 2.25 * 8 * 4**n
+    assert traced_peak(bk.ghz_state(bk.GhzFamily(n, 0.3)), (0.7,)) <= 1.25 * 8 * 4**n
     assert qstate._relabel.cache_info().currsize == 0
+
+
+def test_tensor_keeps_only_arrays_no_one_can_write():
+    """A read-only array that owns its data is kept as it is; a writable one, or a
+    read-only view of a writable base, is copied, so the tensor never changes."""
+    comp = np.zeros((4, 4))
+    comp[0, 0] = 1.0
+    kept = bk.CorrelationTensor(2, comp).components
+    assert kept is not comp and not kept.flags.writeable
+    comp[1, 1] = 0.5
+    assert kept[1, 1] == 0.0
+    view = comp.view()
+    view.flags.writeable = False
+    assert bk.CorrelationTensor(2, view).components.base is None
+    comp.flags.writeable = False
+    assert bk.CorrelationTensor(2, comp).components is comp
+    tensor = bk.correlation_tensor(bk.ghz_state(bk.GhzFamily(3, 0.3)))
+    assert tensor.components.base is None and not tensor.components.flags.writeable
 
 
 def haar_unitary(rng) -> np.ndarray:
