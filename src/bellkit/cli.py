@@ -163,28 +163,29 @@ def _dump_json(obj) -> str:
     json.dumps writes the skeleton, with a stub for each ndarray (int64 or float64,
     at least 1-D, non-empty).  Each array's text takes the skeleton before it,
     the last one also the rest, so a lone array's join makes the whole output.
+    It is joined once _array_parts has returned and freed its index arrays.
     """
     arrays: list[np.ndarray] = []
     text = json.dumps(_stub_arrays(obj, arrays), indent=2, sort_keys=True) + "\n"
     if not arrays:
         return text
     *heads, tail = text.split('"\\u0000"')
-    return "".join(map(_array_text, heads, arrays, [""] * (len(heads) - 1) + [tail]))
+    tails = [""] * (len(heads) - 1) + [tail]
+    return "".join(map("".join, map(_array_parts, heads, arrays, tails)))
 
 
-#: Leaves whose parts _array_text picks at a time: a 4**9 tensor's index arrays
-#: would otherwise each take 2 MB next to its 10 MB of text
-PART_LEAVES = 1 << 14
+def _array_parts(head: str, array: np.ndarray, tail: str) -> list[str]:
+    """The parts of head + array + tail, as json.dumps(indent=2) writes the
+    array after head: head and the opening brackets, then each unit's text
+    and seps[t].
 
-
-def _array_text(head: str, array: np.ndarray, tail: str) -> str:
-    """head + array + tail, as json.dumps(indent=2) writes the array after head, in one join.
-
-    The text after leaf i depends only on t, how many lists close there: how
-    many trailing-axis products (s[-1], s[-1] s[-2], ...) of the shape s
-    divide i + 1.  A zero leaf (0, or +0.0 by bit pattern, so -0.0 keeps its
-    repr) and the text after it are one shared part; every other leaf is its
-    repr, formatted once per distinct value, and seps[t].
+    Units tile the leaves in order.  A unit is a nonzero leaf (0, or +0.0 by
+    bit pattern, is zero, so -0.0 keeps its repr), a zero leaf in a row with
+    a nonzero leaf, or a maximal subtree with no nonzero leaf.  Such a
+    subtree's text depends only on its span, and is built once per call, as
+    is the repr of each distinct nonzero value.  t counts the lists that
+    close after the unit's last leaf i: how many trailing-axis products
+    (s[-1], s[-1] s[-2], ...) of the shape s divide i + 1.
     """
     line = head[head.rfind("\n") + 1:]
     # rows[j]: a new line at the indent of nesting level j; leaves sit at level n
@@ -192,45 +193,59 @@ def _array_text(head: str, array: np.ndarray, tail: str) -> str:
     rows = ["\n" + " " * (len(line) - len(line.lstrip(" ")) + 2 * j) for j in range(n + 1)]
     # seps[t]: close t lists, then a comma, then open t lists; after the
     # last leaf, seps[n] closes all n lists and adds the tail
-    closes = [row + "]" for row in rows[n - 1::-1]]
-    opens = [row + "[" for row in rows[:n]]
-    seps = ["".join(closes[:t]) + "," + "".join(opens[n - t:]) + rows[n] for t in range(n)]
-    seps.append("".join(closes) + tail)
+    seps, close, reopen = [], "", ""
+    for row in rows[n - 1::-1]:
+        seps.append(close + "," + reopen + rows[n])
+        close += row + "]"
+        reopen = row + "[" + reopen
+    seps.append(close + tail)
     values = array.ravel()
     nonzero = values.view(np.uint64) != 0
-    # every distinct part: head and opening brackets, seps[t], zero + seps[t], then the
-    # reprs of the distinct nonzero leaves (with no +0.0, np.unique keeps -0.0 apart)
-    shared = 1 + 2 * len(seps)
-    distinct, which = np.unique(values[nonzero], return_inverse=True)
-    source = np.empty(shared + distinct.size, dtype=object)
-    zero = repr(values.dtype.type(0).item())
-    source[:shared] = ([head + "[" + "".join(opens[1:]) + rows[n]] + seps
-                       + [zero + sep for sep in seps])
-    _REPRS[values.dtype.kind](distinct, out=source[shared:])
-    # part 0 is the head, then each leaf's parts: its repr and seps[t], or zero + seps[t].
-    # They go onto the list the join reads PART_LEAVES leaves at a time, so the
-    # index arrays stay that short however large the array is
-    parts: list[str] = []
-    sizes = np.cumprod(array.shape[::-1])
-    lead, done = 1, 0  # the head's slot, in the first block only; nonzero leaves before
-    for start in range(0, values.size, PART_LEAVES):
-        live = nonzero[start:start + PART_LEAVES]
-        # ends[j]: the part that ends leaf start + j, seps[t] or zero + seps[t]
-        ends = np.where(live, 1, 1 + len(seps))
-        for size in sizes:
-            ends[(size - 1 - start) % size::size] += 1
-        # leaf start + j begins at lead + j + (nonzero leaves of the block before it)
-        at = np.flatnonzero(live)
-        count = at.size
-        at += np.arange(lead, lead + count)
-        index = np.zeros(lead + live.size + count, dtype=np.intp)
-        index[at] = shared + which[done:done + count]
-        is_end = np.ones(index.size, dtype=bool)
-        is_end[:lead] = is_end[at] = False
-        index[is_end] = ends
-        parts += source[index].tolist()
-        lead, done = 0, done + count
-    return "".join(parts)
+    ids = nonzero.nonzero()[0]
+    # the distinct nonzero values, sorted, and which of them each nonzero leaf
+    # holds: np.unique does the same, with a fixed cost near a small array's whole
+    order = values[ids].argsort()
+    distinct = values[ids[order]]
+    new = np.empty(distinct.size, dtype=bool)  # the first of each distinct value
+    new[:1] = True
+    np.not_equal(distinct[1:], distinct[:-1], out=new[1:])
+    which = np.empty_like(order)
+    which[order] = new.cumsum() - 1
+    distinct = distinct[new]
+    # A node over k trailing axes (of spans[k] leaves) is live if it holds a
+    # nonzero leaf, and each child of a live node begins a unit.  Leaf i > 0
+    # begins a child other than its parent's first at one level k only, and
+    # k is t of the leaf before it: starts[i] = 1 + k if that parent is live,
+    # else 0.  ids: the live nodes of the level below
+    starts = np.zeros(values.size, dtype=np.uint8)
+    spans = [1]
+    for k, size in enumerate(array.shape[::-1]):
+        live = np.zeros(values.size // (spans[-1] * size), dtype=np.uint8)
+        live[ids // size] = k + 1
+        starts.reshape(live.size, -1)[:, spans[-1]::spans[-1]] = live[:, None]
+        ids = live.nonzero()[0]
+        spans.append(spans[-1] * size)
+    starts[0] = 1  # an array with no nonzero leaf is one unit
+    at = (starts != 0).nonzero()[0]
+    # source: head and the opening brackets (the first on head's line), seps[t]
+    # at 1 + t, the text of a zero subtree of each span in use (spans that
+    # repeat share one text), then the reprs of the distinct values.  index
+    # picks the parts from it
+    index = np.zeros(2 * at.size + 1, dtype=np.intp)
+    texts = index[1::2]
+    texts[:] = np.array(spans).searchsorted(np.concatenate((at[1:], [values.size])) - at)
+    zeros = [repr(values.dtype.type(0).item())]
+    for size, sep in zip(array.shape[::-1], seps[:texts.max()]):
+        zeros.append(sep.join([zeros[-1]] * size))
+    shared = [head + reopen[len(rows[0]):] + rows[n]] + seps + zeros
+    source = np.empty(len(shared) + distinct.size, dtype=object)
+    source[:len(shared)] = shared
+    _REPRS[values.dtype.kind](distinct, out=source[len(shared):])
+    texts += 1 + len(seps)
+    texts[nonzero[at]] = len(shared) + which
+    index[2:-1:2] = starts[at[1:]]
+    index[-1] = 1 + n
+    return source[index].tolist()
 
 
 def _model_text(model: LhvModel) -> str:

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import limits
 from .errors import InequalityViolated, ResourceLimitError
-from .qstate import json_int, walsh_hadamard
+from .qstate import holds_bool, json_int, walsh_hadamard
 from .simplex import solve_feasibility
 from .tolerance import BOUND_TOL, EXACT_TOL
 
@@ -96,16 +96,9 @@ class CorrelationTable:
     @classmethod
     def from_json_dict(cls, data: dict) -> "CorrelationTable":
         layout = ExperimentLayout(tuple(data["layout"]))
-        if _holds_bool(data["values"]):
+        if holds_bool(data["values"]):
             raise ValueError("correlation values must be numbers, not true or false")
         return cls(layout, np.array(data["values"], dtype=float))
-
-
-def _holds_bool(value) -> bool:
-    """Whether nested JSON lists hold a bool, which numpy would read as 0 or 1."""
-    if isinstance(value, list):
-        return any(map(_holds_bool, value))
-    return isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -265,6 +258,8 @@ class BellInequality:
     @classmethod
     def from_json_dict(cls, data: dict) -> "BellInequality":
         layout = ExperimentLayout(tuple(data["layout"]))
+        if holds_bool(data["coefficients"]):
+            raise ValueError("coefficients must be numbers, not true or false")
         coeff = np.array(data["coefficients"])
         # whole-valued floats become integers where every one fits in int64;
         # otherwise the casts would wrap, and the floats are kept

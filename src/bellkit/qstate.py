@@ -58,6 +58,13 @@ def json_int(value, what: str) -> int:
     return int(value)
 
 
+def holds_bool(value) -> bool:
+    """Whether nested JSON lists hold a bool, which numpy would read as 0 or 1."""
+    if isinstance(value, list):
+        return any(map(holds_bool, value))
+    return isinstance(value, bool)
+
+
 def check_visibility(visibility: float) -> None:
     """The weight v of a state in v * state + (1 - v) * white noise lies in [0, 1]."""
     if not 0.0 <= visibility <= 1.0:
@@ -106,6 +113,8 @@ class PureState:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PureState":
+        if holds_bool(data["amplitudes"]):
+            raise ValueError("amplitudes must be numbers, not true or false")
         amps = np.array([complex(re, im) for re, im in data["amplitudes"]])
         return cls(data["n_qubits"], amps)
 
@@ -174,6 +183,8 @@ class CorrelationTensor:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CorrelationTensor":
+        if holds_bool(data["full_components"]):
+            raise ValueError("components must be numbers, not true or false")
         return cls(data["n_qubits"], np.array(data["full_components"], dtype=float))
 
 

@@ -420,29 +420,45 @@ def test_array_writer_matches_json_dumps(shape):
                 assert got == want.split("\n")
 
 
-@pytest.mark.parametrize("part_leaves", [1, 3, 4, 7])
-def test_array_writer_blocks_match_json_dumps(monkeypatch, part_leaves):
-    """Parts picked a few leaves at a time, in blocks that end inside a row, at a
-    row's end and between nonzero leaves, make the text of one block."""
-    from bellkit import cli
+@pytest.mark.parametrize("shape", [(2,), (2, 1, 3), (4, 4, 2), (4, 4, 4), (4,) * 5],
+                         ids=lambda shape: "x".join(map(str, shape)))
+def test_array_writer_zero_subtrees_match_json_dumps(shape):
+    """Arrays made mostly of zero subtrees: none but zeros, so the whole array
+    is one; one nonzero leaf first or last in a row, in a plane and in the
+    array; and -0.0, which keeps its repr, as the only nonzero leaf of a
+    subtree that is otherwise zero."""
+    from bellkit.cli import _dump_json
 
-    monkeypatch.setattr(cli, "PART_LEAVES", part_leaves)
-    rng = np.random.default_rng(part_leaves)
-    for shape in [(2,), (4, 4, 2), (2, 1, 3), (4, 4, 4)]:
-        ints = rng.integers(-2, 3, size=shape)  # zeros among nonzero leaves
-        floats = ints / 4
-        floats[(0,) * len(shape)] = -0.0
-        for array in (ints, floats, np.zeros(shape)):
-            inequality = {"bound": 4, "coefficients": array, "layout": list(shape)}
-            for payload in (array, {"inequality": inequality, "tightness": {"is_tight": True}}):
-                want = json.dumps(arrays_to_lists(payload), indent=2, sort_keys=True) + "\n"
-                assert cli._dump_json(payload) == want
+    middle = tuple(size // 2 for size in shape)
+    # first and last leaves of a row, a plane and the whole array
+    spots = {middle[:len(shape) - depth] + (end,) * depth
+             for depth in {1, min(2, len(shape)), len(shape)} for end in (0, -1)}
+    cases = []
+    for dtype, value in ((np.int64, -7), (np.float64, 2.5)):
+        cases.append(np.zeros(shape, dtype=dtype))
+        for spot in spots:
+            case = np.zeros(shape, dtype=dtype)
+            case[spot] = value
+            cases.append(case)
+    for spot in spots:
+        for other in (None, tuple(-1 - i for i in spot)):  # alone, or a leaf far off
+            case = np.zeros(shape)
+            if other is not None:
+                case[other] = 0.1
+            case[spot] = -0.0
+            cases.append(case)
+    for array in cases:
+        inequality = {"bound": 4, "coefficients": array, "layout": list(shape)}
+        for payload in (array, {"inequality": inequality, "tightness": {"is_tight": True}}):
+            want = json.dumps(arrays_to_lists(payload), indent=2, sort_keys=True) + "\n"
+            assert _dump_json(payload) == want
 
 
 def test_array_writer_peak_memory():
-    """Beyond its text, writing a 4**8 GHZ tensor holds the list of parts, about
-    one pointer a leaf, and index arrays of PART_LEAVES leaves: under 16 bytes a
-    leaf, where index arrays as long as the tensor took 26."""
+    """Beyond its text, writing a 4**8 GHZ tensor holds two bytes a leaf (the
+    nonzero mask and the unit starts), the texts of its zero subtrees and the
+    parts of about 1 500 units: under 5 bytes a leaf, where picking the parts
+    leaf by leaf took 13.5, and with index arrays as long as the tensor 26."""
     from bellkit.cli import _dump_json
 
     tensor = bk.correlation_tensor(bk.ghz_state(bk.GhzFamily(8, 0.3)), visibilities=(0.7,))
@@ -454,7 +470,7 @@ def test_array_writer_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= size + 16 * 4**8
+    assert peak <= size + 5 * 4**8
 
 
 def test_byte_stable_outputs():
@@ -589,6 +605,23 @@ EXIT_2_LINES = [
                  "error: not a valid correlation table: "
                  "correlation values must be numbers, not true or false",
                  id="lhv --table - --out /nonexistent/value-true"),
+    pytest.param(("maximize", "--inequality", "-", "--state", "singlet",
+                  "--out", "/nonexistent/coefficient-true"),
+                 '{"layout": [2, 2], "coefficients": [[true, 1], [1, -1]], "bound": 2}',
+                 "error: not a valid Bell inequality: "
+                 "coefficients must be numbers, not true or false",
+                 id="maximize --inequality - --out /nonexistent/coefficient-true"),
+    pytest.param(("tensor", "--state-file", "-", "--out", "/nonexistent/amplitude-true"),
+                 '{"n_qubits": 1, "amplitudes": [[true, 0], [0, 0]]}',
+                 "error: not a valid pure state: amplitudes must be numbers, not true or false",
+                 id="tensor --state-file - --out /nonexistent/amplitude-true"),
+    pytest.param(("condition", "--kind", "two_setting_NS_2qubit", "--tensor-file", "-",
+                  "--out", "/nonexistent/component-true"),
+                 '{"n_qubits": 2, "full_components": '
+                 '[[1, 0, 0, 0], [0, true, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]}',
+                 "error: not a valid correlation tensor: "
+                 "components must be numbers, not true or false",
+                 id="condition --tensor-file - --out /nonexistent/component-true"),
 ]
 
 
