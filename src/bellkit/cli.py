@@ -203,7 +203,7 @@ def _array_parts(head: str, array: np.ndarray, tail: str) -> list[str]:
     nonzero = values.view(np.uint64) != 0
     ids = nonzero.nonzero()[0]
     # the distinct nonzero values, sorted, and which of them each nonzero leaf
-    # holds: np.unique does the same, with a fixed cost near a small array's whole
+    # holds, as np.unique finds them at a fixed cost near a small array's write
     order = values[ids].argsort()
     distinct = values[ids[order]]
     new = np.empty(distinct.size, dtype=bool)  # the first of each distinct value
@@ -213,17 +213,17 @@ def _array_parts(head: str, array: np.ndarray, tail: str) -> list[str]:
     which[order] = new.cumsum() - 1
     distinct = distinct[new]
     # A node over k trailing axes (of spans[k] leaves) is live if it holds a
-    # nonzero leaf, and each child of a live node begins a unit.  Leaf i > 0
-    # begins a child other than its parent's first at one level k only, and
-    # k is t of the leaf before it: starts[i] = 1 + k if that parent is live,
-    # else 0.  ids: the live nodes of the level below
+    # nonzero leaf.  The units are the children of live nodes that are leaves
+    # or not live, so each child of a live node begins one.  Leaf i > 0 begins
+    # a child other than its parent's first at one level k only, where k is t
+    # of the leaf before: starts[i] = 1 + k if that parent is live, else 0
     starts = np.zeros(values.size, dtype=np.uint8)
     spans = [1]
     for k, size in enumerate(array.shape[::-1]):
         live = np.zeros(values.size // (spans[-1] * size), dtype=np.uint8)
         live[ids // size] = k + 1
         starts.reshape(live.size, -1)[:, spans[-1]::spans[-1]] = live[:, None]
-        ids = live.nonzero()[0]
+        ids = live.nonzero()[0]  # the live nodes, whose parents the next level marks
         spans.append(spans[-1] * size)
     starts[0] = 1  # an array with no nonzero leaf is one unit
     at = (starts != 0).nonzero()[0]
