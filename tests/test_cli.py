@@ -457,8 +457,8 @@ def test_array_writer_zero_subtrees_match_json_dumps(shape):
 def test_array_writer_peak_memory():
     """Beyond its text, writing a 4**8 GHZ tensor holds two bytes a leaf (the
     nonzero mask and the unit starts), the texts of its zero subtrees and the
-    parts of about 1 500 units: under 5 bytes a leaf, where picking the parts
-    leaf by leaf took 13.5, and with index arrays as long as the tensor 26."""
+    parts of about 1 500 units: under 5 bytes a leaf.  A writer that makes one
+    or two parts per leaf holds 13.5."""
     from bellkit.cli import _dump_json
 
     tensor = bk.correlation_tensor(bk.ghz_state(bk.GhzFamily(8, 0.3)), visibilities=(0.7,))
