@@ -123,21 +123,18 @@ def parse_state_spec(spec: str) -> tuple[PureState, tuple[float, ...]]:
 # I/O helpers
 
 
-def _read_json(path: str):
+def _read_json(path: str, loader, what: str):
     try:
         text = sys.stdin.read() if path == "-" else Path(path).read_text()
     except OSError as exc:
         raise ValueError(f"cannot read {path!r}: {exc}") from exc
     try:
-        return json.loads(text)
+        data = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nesting too deep
         raise ValueError(f"invalid JSON in {path!r}: {exc}") from exc
-
-
-def _parse_payload(loader, data, what: str):
     try:
         return loader(data)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # the last: ints past float64
+    except ValueError as exc:
         raise ValueError(f"not a valid {what}: {exc}") from exc
 
 
@@ -277,8 +274,7 @@ def _tensor_from_args(args) -> CorrelationTensor:
     if args.state is not None:
         state, visibilities = parse_state_spec(args.state)
         return correlation_tensor(state, visibilities=visibilities)
-    data = _read_json(args.tensor_file)
-    return _parse_payload(CorrelationTensor.from_json_dict, data, "correlation tensor")
+    return _read_json(args.tensor_file, CorrelationTensor.from_json_dict, "correlation tensor")
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +287,7 @@ def cmd_tensor(args) -> int:
     if args.state is not None:
         state, visibilities = parse_state_spec(args.state)
     else:
-        data = _read_json(args.state_file)
-        state = _parse_payload(PureState.from_json_dict, data, "pure state")
+        state = _read_json(args.state_file, PureState.from_json_dict, "pure state")
         visibilities = ()
     tensor = correlation_tensor(state, visibilities=visibilities)
     # tensor.to_json_dict(), but the components stay an array for _dump_json
@@ -301,8 +296,7 @@ def cmd_tensor(args) -> int:
 
 
 def cmd_lhv(args) -> int:
-    data = _read_json(args.table)
-    table = _parse_payload(CorrelationTable.from_json_dict, data, "correlation table")
+    table = _read_json(args.table, CorrelationTable.from_json_dict, "correlation table")
     if table.layout.is_two_setting():
         try:
             model, certificate = construct_lhv_model(table), None
@@ -420,8 +414,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_maximize(args) -> int:
-    data = _read_json(args.inequality)
-    ineq = _parse_payload(BellInequality.from_json_dict, data, "Bell inequality")
+    ineq = _read_json(args.inequality, BellInequality.from_json_dict, "Bell inequality")
     tensor = _tensor_from_args(args)
     result = maximize_bell_value(ineq, tensor, restarts=args.restarts, seed=args.seed)
     _emit(_dump_json(result.to_json_dict()), args.out)

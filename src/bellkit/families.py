@@ -19,9 +19,8 @@ from .qstate import (
     CorrelationTensor,
     DensityMatrix,
     PureState,
-    check_qubit_cap,
     check_visibility,
-    json_int,
+    qubit_count,
 )
 from .tolerance import ALPHA_SLACK
 
@@ -34,13 +33,12 @@ class GhzFamily:
     alpha: float
 
     def __post_init__(self):
-        object.__setattr__(self, "n_qubits", json_int(self.n_qubits, "n_qubits"))
+        # refused past the qubit cap: ghz_state and ghz_tensor_analytic allocate 2**N and 4**N
+        object.__setattr__(self, "n_qubits", qubit_count(self.n_qubits))
         if self.n_qubits < 2:
             raise ValueError("the family needs at least 2 qubits")
         if not -ALPHA_SLACK <= self.alpha <= math.pi / 4 + ALPHA_SLACK:
             raise ValueError("alpha must lie in [0, pi/4]")
-        # ghz_state and ghz_tensor_analytic allocate 2**N and 4**N entries
-        check_qubit_cap(self.n_qubits)
 
 
 def singlet() -> PureState:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass, field
 from functools import reduce
 from types import MappingProxyType
@@ -36,7 +35,7 @@ import numpy as np
 
 from . import limits
 from .errors import InequalityViolated, ResourceLimitError
-from .qstate import holds_bool, json_int, walsh_hadamard
+from .qstate import json_array, json_fields, json_int, walsh_hadamard
 from .simplex import solve_feasibility
 from .tolerance import BOUND_TOL, EXACT_TOL
 
@@ -48,7 +47,10 @@ class ExperimentLayout:
     settings_per_party: tuple[int, ...]
 
     def __post_init__(self):
-        m = tuple(json_int(v, "a layout entry") for v in self.settings_per_party)
+        m = self.settings_per_party
+        if not isinstance(m, (list, tuple)):
+            raise ValueError(f"a layout must be a list of integers, got {m!r}")
+        m = tuple(json_int(v, "a layout entry") for v in m)
         if len(m) < 1 or any(v < 1 for v in m):
             raise ValueError("layout needs at least one party, each with >= 1 settings")
         object.__setattr__(self, "settings_per_party", m)
@@ -76,15 +78,9 @@ class CorrelationTable:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.shape != self.layout.shape:
-            raise ValueError(f"values shape {vals.shape} != layout {self.layout.shape}")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("correlation values must be finite")
-        if np.max(np.abs(vals)) > 1.0 + BOUND_TOL:
+        vals = json_array(self.values, "correlation values", float, self.layout.shape)
+        if np.abs(vals).max() > 1.0 + BOUND_TOL:
             raise ValueError("correlation values must lie in [-1, 1] within 1e-9")
-        vals = vals.copy()
-        vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
     def to_json_dict(self) -> dict:
@@ -95,10 +91,8 @@ class CorrelationTable:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CorrelationTable":
-        layout = ExperimentLayout(tuple(data["layout"]))
-        if holds_bool(data["values"]):
-            raise ValueError("correlation values must be numbers, not true or false")
-        return cls(layout, np.array(data["values"], dtype=float))
+        layout, values = json_fields(data, "layout", "values")
+        return cls(ExperimentLayout(layout), values)
 
 
 @dataclass(frozen=True)
@@ -206,8 +200,10 @@ class LhvModel:
     def from_json_list(cls, layout: ExperimentLayout, data: list[dict]) -> "LhvModel":
         weights: dict[tuple[int, ...], float] = {}
         for record in data:
-            codes = tuple(json_int(c, "a strategy code") for c in record["strategy"])
-            weights[codes] = weights.get(codes, 0.0) + float(record["weight"])
+            strategy, weight = json_fields(record, "strategy", "weight")
+            codes = tuple(json_int(c, "a strategy code") for c in strategy)
+            weight = float(json_array(weight, "weight", float, ()))
+            weights[codes] = weights.get(codes, 0.0) + weight
         return cls(layout, weights)
 
 
@@ -224,26 +220,15 @@ class BellInequality:
     bound: float
 
     def __post_init__(self):
-        coeff = np.asarray(self.coefficients)
-        if coeff.dtype.kind not in "if":
-            raise ValueError("coefficients must be numeric")
-        if coeff.dtype.kind == "i":
-            coeff = coeff.astype(np.int64)
-        if coeff.shape != self.layout.shape:
-            raise ValueError(f"coefficients shape {coeff.shape} != layout {self.layout.shape}")
-        if not np.all(np.isfinite(coeff)):
-            raise ValueError("coefficients must be finite")
-        if not np.any(coeff):
+        coeff = json_array(self.coefficients, "coefficients", int, self.layout.shape)
+        if not coeff.any():
             raise ValueError("coefficients must not all vanish")
-        if not 0 < self.bound <= sys.float_info.max:  # compared exactly, even to a huge int
-            raise ValueError("bound must be positive and finite")
-        coeff = coeff.copy()
-        coeff.flags.writeable = False
+        bound = json_array(self.bound, "bound", int, ()).item()
+        if not bound > 0:
+            raise ValueError("bound must be positive")
         object.__setattr__(self, "coefficients", coeff)
-        if coeff.dtype.kind == "i" and float(self.bound).is_integer():
-            object.__setattr__(self, "bound", int(self.bound))
-        else:
-            object.__setattr__(self, "bound", float(self.bound))
+        exact = coeff.dtype.kind == "i" and float(bound).is_integer()
+        object.__setattr__(self, "bound", int(bound) if exact else float(bound))
 
     def is_integral(self) -> bool:
         return self.coefficients.dtype.kind == "i"
@@ -257,16 +242,8 @@ class BellInequality:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BellInequality":
-        layout = ExperimentLayout(tuple(data["layout"]))
-        if holds_bool(data["coefficients"]):
-            raise ValueError("coefficients must be numbers, not true or false")
-        coeff = np.array(data["coefficients"])
-        # whole-valued floats become integers where every one fits in int64;
-        # otherwise the casts would wrap, and the floats are kept
-        if coeff.dtype.kind == "f" and np.all((coeff == np.round(coeff))
-                                              & (np.abs(coeff) < 2.0**63)):
-            coeff = coeff.astype(np.int64)
-        return cls(layout, coeff, data["bound"])
+        layout, coefficients, bound = json_fields(data, "layout", "coefficients", "bound")
+        return cls(ExperimentLayout(layout), coefficients, bound)
 
 
 def evaluate_inequality(ineq: BellInequality, table: CorrelationTable) -> float:

@@ -513,7 +513,9 @@ def maximize_bell_value(ineq: BellInequality, tensor: CorrelationTensor,
     if ineq.layout.n_parties != tensor.n_qubits:
         raise ValueError("inequality and tensor party counts differ")
     check_restarts(restarts, seed)
-    coeff = ineq.coefficients.astype(np.float64)
+    # divided by a power of two, which is exact, so that no squared norm of a sweep overflows
+    scale = 2.0 ** max(0, int(np.frexp(np.abs(ineq.coefficients).max())[1]) - 500)
+    coeff = ineq.coefficients.astype(np.float64) / scale
     corr = tensor.correlation_part()
     counts = ineq.layout.settings_per_party
     # party j's coefficients as a (m_j, product of the other m) matrix
@@ -544,10 +546,10 @@ def maximize_bell_value(ineq: BellInequality, tensor: CorrelationTensor,
     _, converged, best, state, value, history = _multistart(
         draw, evaluate, sweep, restarts, seed, size)
     return MaximizationResult(
-        value=value,
+        value=value * scale,
         settings=tuple(s.copy() for s in state[:-1]),
         converged=bool(converged[best]),
         degenerate_updates=int(state[-1]),
         seed=seed,
-        history=tuple(history),
+        history=tuple(h * scale for h in history),
     )

@@ -25,13 +25,14 @@ of products with an exact-zero factor, so its labels are exactly 0.
 `CorrelationTensor` checks the identity component and the [-1, 1] range.
 Only a `DensityMatrix` runs `eigvalsh`, for callers who hand in a matrix.
 
-All value types are immutable after construction (arrays are copied in and
-marked read-only), so instances are safe to share across threads.
+All value types are immutable after construction: `json_array` reads arrays in
+read-only, copied unless no one can write to them, so instances are thread-safe.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -49,6 +50,15 @@ def check_qubit_cap(n_qubits: int) -> None:
         raise ResourceLimitError(f"dense tensors are capped at {cap} qubits")
 
 
+def qubit_count(value) -> int:
+    """An n_qubits field: read by json_int, at least 1 and within check_qubit_cap."""
+    n_qubits = json_int(value, "n_qubits")
+    if n_qubits < 1:
+        raise ValueError("n_qubits must be >= 1")
+    check_qubit_cap(n_qubits)
+    return n_qubits
+
+
 def json_int(value, what: str) -> int:
     """An integer field: an int or a whole-valued float such as JSON's 2.0, not a bool."""
     if isinstance(value, float) and value.is_integer():
@@ -58,27 +68,74 @@ def json_int(value, what: str) -> int:
     return int(value)
 
 
-def holds_bool(value) -> bool:
-    """Whether nested JSON lists hold a bool, which numpy would read as 0 or 1."""
-    if isinstance(value, list):
-        return any(map(holds_bool, value))
-    return isinstance(value, bool)
-
-
 def check_visibility(visibility: float) -> None:
     """The weight v of a state in v * state + (1 - v) * white noise lies in [0, 1]."""
     if not 0.0 <= visibility <= 1.0:
         raise ValueError("visibility must lie in [0, 1]")
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    """A read-only array equal to arr: arr itself if it is read-only and owns
-    its data, so that no view can write to it; otherwise a read-only copy."""
-    if arr.base is None and not arr.flags.writeable:
-        return arr
-    out = np.array(arr)
-    out.flags.writeable = False
-    return out
+def json_fields(data, *keys: str) -> list:
+    """The values of keys in a JSON object, in order."""
+    try:
+        return [data[key] for key in keys]
+    except (KeyError, TypeError):  # a missing key, or data is no object
+        raise ValueError(f"expected an object with fields {', '.join(map(repr, keys))}") from None
+
+
+def json_array(value, what: str, dtype, shape: tuple[int, ...]) -> np.ndarray:
+    """A field of numbers as a read-only array of the given shape, () for one number.
+
+    Nested lists, as JSON gives them, hold only Python ints and floats, nested
+    evenly; an ndarray holds numbers, not bools.  dtype is float for float64;
+    complex for complex128, whose lists hold [re, im] pairs; or int: lists are
+    int64 if every entry is whole and below 2**63 in magnitude, an ndarray if
+    its dtype is a signed integer, and float64 otherwise.  Every entry is
+    finite, and an int too large for float64 is not.  An ndarray that is
+    read-only and owns its data, so that no view can write to it, is kept uncopied.
+    """
+    if isinstance(value, (np.ndarray, np.generic)):
+        arr = np.asarray(value)
+        if arr.dtype.kind not in ("iufc" if dtype is complex else "iuf"):
+            raise ValueError(f"{what} must be numbers, not {arr.dtype} values")
+        if dtype is int:
+            dtype = np.int64 if arr.dtype.kind == "i" else np.float64
+        arr = arr.astype(dtype, copy=False)
+        if arr.base is not None or arr.flags.writeable:
+            arr = arr.copy()
+        got, want = arr.shape, shape
+    else:
+        level, kinds = [value], {type(value)}
+        while list in kinds:  # one level of nesting per pass; np.array checks the lengths
+            if len(kinds) > 1:
+                raise ValueError(f"{what} must be evenly nested lists, not ragged ones")
+            level = [leaf for sub in level for leaf in sub]
+            kinds = set(map(type, level))
+        for leaf in () if kinds <= {int, float} else level:  # the first other entry is named
+            if type(leaf) not in (int, float):
+                name = {bool: "true or false", str: "a string", type(None): "null",
+                        dict: "an object"}.get(type(leaf), f"a {type(leaf).__name__}")
+                raise ValueError(f"{what} must be {'numbers' if shape else 'a number'}, "
+                                 f"not {name}")
+        whole = dtype is int and all(-2**63 < x < 2**63 and x % 1 == 0 for x in level)
+        try:
+            arr = np.array(value, np.int64 if whole else np.float64)
+        except OverflowError:  # an int past float64, refused as an infinite float is
+            raise ValueError(f"{what} must be finite") from None
+        except ValueError:  # lists of unequal lengths at one depth
+            raise ValueError(f"{what} must be evenly nested lists, not ragged ones") from None
+        got, want = arr.shape, shape + (2,) if dtype is complex else shape
+        if got == want and dtype is complex:
+            arr = arr.view(np.complex128)  # C order: each pair's re and im are adjacent
+    if got != want:
+        raise ValueError(f"{what} must have shape {want}, got {got}")
+    arr.shape = shape  # in place, not a reshaped view
+    arr.flags.writeable = False
+    # NaN propagates through min and max, so both are finite only if all entries are
+    kind = arr.dtype.kind
+    for part in (arr.real, arr.imag) if kind == "c" else (arr,) if kind == "f" else ():
+        if not (math.isfinite(part.min()) and math.isfinite(part.max())):
+            raise ValueError(f"{what} must be finite")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -89,21 +146,13 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "n_qubits", json_int(self.n_qubits, "n_qubits"))
-        if self.n_qubits < 1:
-            raise ValueError("n_qubits must be >= 1")
-        check_qubit_cap(self.n_qubits)
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
-        if amps.shape != (2**self.n_qubits,):
-            raise ValueError(
-                f"expected {2**self.n_qubits} amplitudes, got shape {amps.shape}"
-            )
-        if not np.all(np.isfinite(amps)):
-            raise ValueError("amplitudes must be finite")
-        norm = np.linalg.norm(amps)
+        object.__setattr__(self, "n_qubits", qubit_count(self.n_qubits))
+        amps = json_array(self.amplitudes, "amplitudes", complex, (2**self.n_qubits,))
+        with np.errstate(over="ignore"):  # a huge amplitude gives an infinite norm, refused
+            norm = np.linalg.norm(amps)
         if abs(norm - 1.0) > EXACT_TOL:
             raise ValueError(f"state vector norm {norm!r} is not 1 within 1e-12")
-        object.__setattr__(self, "amplitudes", _frozen(amps))
+        object.__setattr__(self, "amplitudes", amps)
 
     def to_json_dict(self) -> dict:
         return {
@@ -113,10 +162,7 @@ class PureState:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PureState":
-        if holds_bool(data["amplitudes"]):
-            raise ValueError("amplitudes must be numbers, not true or false")
-        amps = np.array([complex(re, im) for re, im in data["amplitudes"]])
-        return cls(data["n_qubits"], amps)
+        return cls(*json_fields(data, "n_qubits", "amplitudes"))
 
 
 @dataclass(frozen=True)
@@ -127,15 +173,9 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "n_qubits", json_int(self.n_qubits, "n_qubits"))
-        if self.n_qubits < 1:
-            raise ValueError("n_qubits must be >= 1")
+        object.__setattr__(self, "n_qubits", qubit_count(self.n_qubits))
         dim = 2**self.n_qubits
-        mat = np.asarray(self.matrix, dtype=np.complex128)
-        if mat.shape != (dim, dim):
-            raise ValueError(f"expected shape {(dim, dim)}, got {mat.shape}")
-        if not np.all(np.isfinite(mat)):
-            raise ValueError("matrix entries must be finite")
+        mat = json_array(self.matrix, "matrix entries", complex, (dim, dim))
         if np.max(np.abs(mat - mat.conj().T)) > EXACT_TOL:
             raise ValueError("matrix is not Hermitian within 1e-12")
         tr = np.trace(mat).real
@@ -143,7 +183,7 @@ class DensityMatrix:
             raise ValueError(f"trace {tr!r} is not 1 within 1e-12")
         if np.min(np.linalg.eigvalsh(mat)) < -PSD_TOL:
             raise ValueError("matrix has an eigenvalue below -1e-10")
-        object.__setattr__(self, "matrix", _frozen(mat))
+        object.__setattr__(self, "matrix", mat)
 
 
 @dataclass(frozen=True)
@@ -154,22 +194,13 @@ class CorrelationTensor:
     components: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "n_qubits", json_int(self.n_qubits, "n_qubits"))
-        if self.n_qubits < 1:
-            raise ValueError("n_qubits must be >= 1")
-        check_qubit_cap(self.n_qubits)
-        comp = np.asarray(self.components, dtype=np.float64)
-        if comp.shape != (4,) * self.n_qubits:
-            raise ValueError(f"expected shape {(4,) * self.n_qubits}, got {comp.shape}")
-        # NaN propagates through min and max, so both are finite only if all entries are
-        low, high = comp.min(), comp.max()
-        if not (np.isfinite(low) and np.isfinite(high)):
-            raise ValueError("components must be finite")
+        object.__setattr__(self, "n_qubits", qubit_count(self.n_qubits))
+        comp = json_array(self.components, "components", float, (4,) * self.n_qubits)
         if abs(comp[(0,) * self.n_qubits] - 1.0) > EXACT_TOL:
             raise ValueError("identity component must be 1 within 1e-12")
-        if max(high, -low) > 1.0 + BOUND_TOL:
+        if max(comp.max(), -comp.min()) > 1.0 + BOUND_TOL:
             raise ValueError("components must lie in [-1, 1] within 1e-9")
-        object.__setattr__(self, "components", _frozen(comp))
+        object.__setattr__(self, "components", comp)
 
     def correlation_part(self) -> np.ndarray:
         """The {x,y,z}-only block, shape (3,)*n_qubits."""
@@ -183,9 +214,7 @@ class CorrelationTensor:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CorrelationTensor":
-        if holds_bool(data["full_components"]):
-            raise ValueError("components must be numbers, not true or false")
-        return cls(data["n_qubits"], np.array(data["full_components"], dtype=float))
+        return cls(*json_fields(data, "n_qubits", "full_components"))
 
 
 def density_from_pure(state: PureState) -> DensityMatrix:

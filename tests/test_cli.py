@@ -523,7 +523,7 @@ EXIT_2_LINES = [
                  id="maximize --inequality - --state noise:v=0.5(singlet)"),
     pytest.param(("maximize", "--inequality", "-", "--state", "ghz:N=2,alpha=0.3"),
                  CHSH_JSON.replace('"bound": 2', '"bound": Infinity'),
-                 "error: not a valid Bell inequality: bound must be positive and finite",
+                 "error: not a valid Bell inequality: bound must be finite",
                  id="maximize --inequality - --state ghz:N=2,alpha=0.3"),
     # a negative seed, also where no generator would be drawn from (the N=2 closed form)
     pytest.param(("condition", "--kind", "multisetting_CN", "--state", "ghz:N=2,alpha=0.3",
@@ -569,7 +569,11 @@ EXIT_2_LINES = [
       for label, layout, got in [
           ("inf", "[Infinity, 2]", "inf"), ("1e400", "[1e400, 2]", "inf"),
           ("2.5", "[2.5, 2]", "2.5"), ("true", "[true, 2]", "True"),
-          ("str", '["2", 2]', "'2'"), ("str22", '"22"', "'2'")]],
+          ("str", '["2", 2]', "'2'")]],
+    pytest.param(("lhv", "--table", "-", "--out", "/nonexistent/layout-str22"),
+                 TABLE_22.replace('"layout": [2, 2]', '"layout": "22"'),
+                 "error: not a valid correlation table: a layout must be a list of integers, "
+                 "got '22'", id="lhv --table - --out /nonexistent/layout-str22"),
     *[pytest.param(("maximize", "--inequality", "-", "--state", state),
                    CHSH_JSON.replace('"layout": [2, 2]', f'"layout": {layout}'),
                    f"error: not a valid Bell inequality: a layout entry must be an integer, got {got}",
@@ -590,14 +594,14 @@ EXIT_2_LINES = [
                  '{"n_qubits": 1.5, "full_components": [1, 0, 0, 0]}',
                  "error: not a valid correlation tensor: n_qubits must be an integer, got 1.5",
                  id="condition --kind multisetting_CN --tensor-file -"),
-    # integers past float64 where floats are read
+    # integers past float64 where floats are read: not finite, as 1e400 is not
     pytest.param(("lhv", "--table", "-", "--out", "/nonexistent/value-1e400"),
                  TABLE_22.replace("0.1", "1" + "0" * 400, 1),
-                 "error: not a valid correlation table: int too large to convert to float",
+                 "error: not a valid correlation table: correlation values must be finite",
                  id="lhv --table - --out /nonexistent/value-1e400"),
     pytest.param(("tensor", "--state-file", "-", "--out", "/nonexistent/amplitude-1e400"),
                  '{"n_qubits": 1, "amplitudes": [[1%s, 0], [0, 0]]}' % ("0" * 400),
-                 "error: not a valid pure state: int too large to convert to float",
+                 "error: not a valid pure state: amplitudes must be finite",
                  id="tensor --state-file - --out /nonexistent/amplitude-1e400"),
     # a bool where a float is read, which numpy alone would take as 1.0
     pytest.param(("lhv", "--table", "-", "--out", "/nonexistent/value-true"),
@@ -622,6 +626,45 @@ EXIT_2_LINES = [
                  "error: not a valid correlation tensor: "
                  "components must be numbers, not true or false",
                  id="condition --tensor-file - --out /nonexistent/component-true"),
+    # a string where a number is read, which numpy alone would parse
+    pytest.param(("lhv", "--table", "-", "--out", "/nonexistent/value-str"),
+                 '{"layout": [2, 2], "values": [["0.1", 0], [0, 0]]}',
+                 "error: not a valid correlation table: correlation values must be numbers, "
+                 "not a string", id="lhv --table - --out /nonexistent/value-str"),
+    pytest.param(("condition", "--kind", "multisetting_CN", "--tensor-file", "-",
+                  "--out", "/nonexistent/component-str"),
+                 '{"n_qubits": 1, "full_components": [1, 0, 0, "0"]}',
+                 "error: not a valid correlation tensor: components must be numbers, not a string",
+                 id="condition --tensor-file - --out /nonexistent/component-str"),
+    # the bound is read as the coefficients are, as one number
+    *[pytest.param(("maximize", "--inequality", "-", "--state", "singlet",
+                    "--out", f"/nonexistent/bound-{label}"),
+                   CHSH_JSON.replace('"bound": 2', f'"bound": {bound}'),
+                   f"error: not a valid Bell inequality: bound {fault}",
+                   id=f"maximize --inequality - --out /nonexistent/bound-{label}")
+      for label, bound, fault in [
+          ("true", "true", "must be a number, not true or false"),
+          ("str", '"2"', "must be a number, not a string"),
+          ("list", "[2]", "must have shape (), got (1,)")]],
+    # documents of the wrong form: each line names the fields, not a Python exception
+    pytest.param(("lhv", "--table", "-", "--out", "/nonexistent/document-list"), "[1, 2]",
+                 "error: not a valid correlation table: "
+                 "expected an object with fields 'layout', 'values'",
+                 id="lhv --table - --out /nonexistent/document-list"),
+    pytest.param(("lhv", "--table", "-", "--out", "/nonexistent/no-values"),
+                 '{"layout": [2, 2]}',
+                 "error: not a valid correlation table: "
+                 "expected an object with fields 'layout', 'values'",
+                 id="lhv --table - --out /nonexistent/no-values"),
+    pytest.param(("lhv", "--table", "-", "--out", "/nonexistent/values-ragged"),
+                 '{"layout": [2, 2], "values": [[0.1, 0], [0]]}',
+                 "error: not a valid correlation table: "
+                 "correlation values must be evenly nested lists, not ragged ones",
+                 id="lhv --table - --out /nonexistent/values-ragged"),
+    pytest.param(("tensor", "--state-file", "-", "--out", "/nonexistent/amplitude-unpaired"),
+                 '{"n_qubits": 1, "amplitudes": [1, 0]}',
+                 "error: not a valid pure state: amplitudes must have shape (2, 2), got (2,)",
+                 id="tensor --state-file - --out /nonexistent/amplitude-unpaired"),
 ]
 
 

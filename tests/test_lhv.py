@@ -216,8 +216,9 @@ def test_model_rejects_non_finite_weights(bad):
         bk.LhvModel(layout, {(0, 0): bad})
     with pytest.raises(ValueError, match="non-finite weight"):
         bk.LhvModel(layout, {(0, 0): 1.0, (3, 0): bad})
+    # a record's weight is read as every number from outside is
     records = [{"strategy": [0, 0], "weight": 1.0}, {"strategy": [3, 0], "weight": bad}]
-    with pytest.raises(ValueError, match="non-finite weight"):
+    with pytest.raises(ValueError, match="^weight must be finite$"):
         bk.LhvModel.from_json_list(layout, records)
 
 

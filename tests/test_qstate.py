@@ -214,10 +214,17 @@ HALF = np.full(2, 0.5 ** 0.5)
     (lambda: bk.LhvModel.from_json_list(bk.ExperimentLayout((2, 2)),
                                         [{"strategy": [True, 0], "weight": 1.0}]),
      "a strategy code must be an integer, got True"),
+    (lambda: bk.LhvModel.from_json_list(bk.ExperimentLayout((2, 2)),
+                                        [{"strategy": [0, 0], "weight": "1.0"}]),
+     "weight must be a number, not a string"),
+    (lambda: bk.LhvModel.from_json_list(bk.ExperimentLayout((2, 2)),
+                                        [{"strategy": [0, 0], "weight": True}]),
+     "weight must be a number, not true or false"),
 ], ids=["layout-2.5", "layout-bool", "pure-1.5", "pure-str", "density-1.5", "tensor-bool",
-        "ghz-3.5", "code-1.7", "code-bool"])
+        "ghz-3.5", "code-1.7", "code-bool", "weight-str", "weight-bool"])
 def test_constructors_refuse_non_integers(build, message):
-    """Every integer field takes an int or a whole-valued float, the rule JSON input follows."""
+    """Every integer field takes an int or a whole-valued float, the rule JSON input
+    follows, and a number field takes no string or bool."""
     with pytest.raises(ValueError, match=f"^{message}$"):
         build()
 
