@@ -93,10 +93,11 @@ def json_array(value, what: str, dtype, shape: tuple[int, ...]) -> np.ndarray:
     finite, and an int too large for float64 is not.  An ndarray that is
     read-only and owns its data, so that no view can write to it, is kept uncopied.
     """
+    numbers = "numbers" if shape else "a number"
     if isinstance(value, (np.ndarray, np.generic)):
         arr = np.asarray(value)
         if arr.dtype.kind not in ("iufc" if dtype is complex else "iuf"):
-            raise ValueError(f"{what} must be numbers, not {arr.dtype} values")
+            raise ValueError(f"{what} must be {numbers}, not {arr.dtype}")
         if dtype is int:
             dtype = np.int64 if arr.dtype.kind == "i" else np.float64
         arr = arr.astype(dtype, copy=False)
@@ -114,8 +115,7 @@ def json_array(value, what: str, dtype, shape: tuple[int, ...]) -> np.ndarray:
             if type(leaf) not in (int, float):
                 name = {bool: "true or false", str: "a string", type(None): "null",
                         dict: "an object"}.get(type(leaf), f"a {type(leaf).__name__}")
-                raise ValueError(f"{what} must be {'numbers' if shape else 'a number'}, "
-                                 f"not {name}")
+                raise ValueError(f"{what} must be {numbers}, not {name}")
         whole = dtype is int and all(-2**63 < x < 2**63 and x % 1 == 0 for x in level)
         try:
             arr = np.array(value, np.int64 if whole else np.float64)

@@ -53,8 +53,12 @@ OPS = ["replace"] * 3 + ["drop", "append", "wrap"]
 def paths(value, prefix=()):
     """Every path into nested dicts and lists, the root () first."""
     yield prefix
-    items = value.items() if isinstance(value, dict) else enumerate(value) \
-        if isinstance(value, list) else ()
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
     for key, item in items:
         yield from paths(item, prefix + (key,))
 
