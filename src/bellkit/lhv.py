@@ -78,9 +78,7 @@ class CorrelationTable:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = json_array(self.values, "correlation values", float, self.layout.shape)
-        if np.abs(vals).max() > 1.0 + BOUND_TOL:
-            raise ValueError("correlation values must lie in [-1, 1] within 1e-9")
+        vals = json_array(self.values, "correlation values", float, self.layout.shape, unit=True)
         object.__setattr__(self, "values", vals)
 
     def to_json_dict(self) -> dict:
@@ -321,11 +319,18 @@ def construct_lhv_model(table: CorrelationTable) -> LhvModel:
         for codes in ((0,) + rest, (3,) + rest):
             weights[codes] = weights.get(codes, 0.0) + (1.0 - total) / 2
     model = LhvModel(table.layout, weights)
-    residual = float(np.max(np.abs(_two_setting_prediction(model) - table.values)))
+    _check_residual("closed-form", _two_setting_prediction(model), table.values)
+    return model
+
+
+def _check_residual(oracle: str, predicted: np.ndarray, values: np.ndarray) -> float:
+    """max |predicted - values|, a model's residual against its table; past
+    BOUND_TOL + EXACT_TOL it raises RuntimeError, naming the oracle."""
+    residual = float(np.max(np.abs(predicted - values)))
     if not residual <= BOUND_TOL + EXACT_TOL:
         raise RuntimeError(
-            f"closed-form model check failed: residual {residual!r} exceeds 1e-9 + 1e-12")
-    return model
+            f"{oracle} model check failed: residual {residual!r} exceeds 1e-9 + 1e-12")
+    return residual
 
 
 def _two_setting_prediction(model: LhvModel) -> np.ndarray:
@@ -434,14 +439,11 @@ def polytope_membership(table: CorrelationTable) -> PolytopeResult:
     if result.feasible:
         lam = np.where(result.x > EXACT_TOL, result.x, 0.0)
         lam /= lam.sum()
-        residual = float(np.max(np.abs(lam @ vertices - table.values.ravel())))
         if np.any(result.x < 0):
             raise RuntimeError("LP model check failed: a weight is negative")
         if not abs(lam.sum() - 1.0) <= EXACT_TOL:
             raise RuntimeError("LP model check failed: weights do not sum to 1 within 1e-12")
-        if not residual <= BOUND_TOL + EXACT_TOL:
-            raise RuntimeError(
-                f"LP model check failed: residual {residual!r} exceeds 1e-9 + 1e-12")
+        residual = _check_residual("LP", lam @ vertices, table.values.ravel())
         used = np.flatnonzero(lam)
         model = LhvModel(layout, {codes[i]: float(lam[i]) for i in used})
         return PolytopeResult(True, model, None, residual=residual, **work)

@@ -22,7 +22,8 @@ flip columns f = z XOR z' (z, z' in S) are tabulated and transformed, and
 their labels are written into a zeroed tensor: every other column is a sum
 of products with an exact-zero factor, so its labels are exactly 0.
 `PureState` checks its norm, the kernel checks each visibility, and
-`CorrelationTensor` checks the identity component and the [-1, 1] range.
+`CorrelationTensor` checks the identity component; `json_array` checks the
+[-1, 1] range with finiteness.
 Only a `DensityMatrix` runs `eigvalsh`, for callers who hand in a matrix.
 
 All value types are immutable after construction: `json_array` reads arrays in
@@ -82,7 +83,7 @@ def json_fields(data, *keys: str) -> list:
         raise ValueError(f"expected an object with fields {', '.join(map(repr, keys))}") from None
 
 
-def json_array(value, what: str, dtype, shape: tuple[int, ...]) -> np.ndarray:
+def json_array(value, what: str, dtype, shape: tuple[int, ...], *, unit=False) -> np.ndarray:
     """A field of numbers as a read-only array of the given shape, () for one number.
 
     Nested lists, as JSON gives them, hold only Python ints and floats, nested
@@ -90,8 +91,10 @@ def json_array(value, what: str, dtype, shape: tuple[int, ...]) -> np.ndarray:
     complex for complex128, whose lists hold [re, im] pairs; or int: lists are
     int64 if every entry is whole and below 2**63 in magnitude, an ndarray if
     its dtype is a signed integer, and float64 otherwise.  Every entry is
-    finite, and an int too large for float64 is not.  An ndarray that is
-    read-only and owns its data, so that no view can write to it, is kept uncopied.
+    finite, and an int too large for float64 is not; with unit set, every
+    entry also lies in [-1, 1] within BOUND_TOL, as correlations do.  Both
+    are read from one min/max pair.  An ndarray that is read-only and owns
+    its data, so that no view can write to it, is kept uncopied.
     """
     numbers = "numbers" if shape else "a number"
     if isinstance(value, (np.ndarray, np.generic)):
@@ -133,8 +136,11 @@ def json_array(value, what: str, dtype, shape: tuple[int, ...]) -> np.ndarray:
     # NaN propagates through min and max, so both are finite only if all entries are
     kind = arr.dtype.kind
     for part in (arr.real, arr.imag) if kind == "c" else (arr,) if kind == "f" else ():
-        if not (math.isfinite(part.min()) and math.isfinite(part.max())):
+        low, high = part.min(), part.max()
+        if not (math.isfinite(low) and math.isfinite(high)):
             raise ValueError(f"{what} must be finite")
+        if unit and max(high, -low) > 1.0 + BOUND_TOL:
+            raise ValueError(f"{what} must lie in [-1, 1] within 1e-9")
     return arr
 
 
@@ -195,11 +201,9 @@ class CorrelationTensor:
 
     def __post_init__(self):
         object.__setattr__(self, "n_qubits", qubit_count(self.n_qubits))
-        comp = json_array(self.components, "components", float, (4,) * self.n_qubits)
+        comp = json_array(self.components, "components", float, (4,) * self.n_qubits, unit=True)
         if abs(comp[(0,) * self.n_qubits] - 1.0) > EXACT_TOL:
             raise ValueError("identity component must be 1 within 1e-12")
-        if max(comp.max(), -comp.min()) > 1.0 + BOUND_TOL:
-            raise ValueError("components must lie in [-1, 1] within 1e-9")
         object.__setattr__(self, "components", comp)
 
     def correlation_part(self) -> np.ndarray:
