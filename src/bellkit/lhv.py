@@ -106,11 +106,13 @@ class SignFunction:
     bits: tuple[int, ...]
 
     def __post_init__(self):
-        if self.arity < 1:
+        arity = json_int(self.arity, "arity")
+        if arity < 1:
             raise ValueError("arity must be >= 1")
-        bits = tuple(int(b) for b in self.bits)
-        if len(bits) != 2**self.arity or any(b not in (0, 1) for b in bits):
-            raise ValueError(f"need {2**self.arity} bits, each 0 or 1")
+        bits = tuple(json_int(b, "a sign bit") for b in self.bits)
+        if len(bits) != 2**arity or any(b not in (0, 1) for b in bits):
+            raise ValueError(f"need {2**arity} bits, each 0 or 1")
+        object.__setattr__(self, "arity", arity)
         object.__setattr__(self, "bits", bits)
 
     @classmethod
@@ -422,7 +424,9 @@ def polytope_membership(table: CorrelationTable) -> PolytopeResult:
     EXACT_TOL of rounding, since the LP's own slack is BOUND_TOL); a failed
     check raises RuntimeError.  Outside: the Farkas vector of the phase-1
     simplex gives a hyperplane separating the table from every vertex; its
-    sweep-tightened form is returned as a violated BellInequality.
+    sweep-tightened form is returned as a violated BellInequality, after a
+    check that the table's value exceeds the vertex maximum, its bound; a
+    failed check raises RuntimeError.
     """
     layout = table.layout
     codes, vertices = enumerate_vertices(layout)
@@ -456,6 +460,10 @@ def polytope_membership(table: CorrelationTable) -> PolytopeResult:
     coeff = coeff / scale
     bound = float(np.max(vertices @ coeff))
     certificate = BellInequality(layout, coeff.reshape(layout.shape), bound)
+    value = evaluate_inequality(certificate, table)
+    if not value > bound:
+        raise RuntimeError(
+            f"LP certificate check failed: value {value!r} does not exceed bound {bound!r}")
     return PolytopeResult(False, None, certificate, **work)
 
 

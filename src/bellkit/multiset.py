@@ -50,6 +50,7 @@ from .lhv import (
 )
 # enumerate_vertices is unused here, but bench/tracing.py wraps it in this namespace
 from .lhv import enumerate_vertices  # noqa: F401
+from .qstate import json_int
 
 
 @dataclass(frozen=True)
@@ -60,6 +61,8 @@ class Observable:
     setting: int
 
     def __post_init__(self):
+        object.__setattr__(self, "party", json_int(self.party, "a party"))
+        object.__setattr__(self, "setting", json_int(self.setting, "a setting"))
         if self.party < 1 or self.setting < 1:
             raise ValueError("party and setting indices are 1-based")
 
@@ -73,15 +76,22 @@ class Leaf:
     sign: SignFunction
 
     def __post_init__(self):
-        if len(self.parties) != len(self.setting_pairs):
+        parties = tuple(json_int(p, "a party") for p in self.parties)
+        pairs = tuple((json_int(a, "a setting"), json_int(b, "a setting"))
+                      for a, b in self.setting_pairs)
+        if len(parties) != len(pairs):
             raise ValueError("one setting pair per party required")
-        if self.sign.arity != len(self.parties):
+        if len(set(parties)) != len(parties):
+            raise ValueError("leaf parties must be distinct")
+        if self.sign.arity != len(parties):
             raise ValueError("sign function arity must match the party count")
-        for first, second in self.setting_pairs:
+        for first, second in pairs:
             if first == second:
                 raise ValueError("the two settings of a pair must differ")
             if min(first, second) < 1:
                 raise ValueError("settings are 1-based")
+        object.__setattr__(self, "parties", parties)
+        object.__setattr__(self, "setting_pairs", pairs)
 
 
 @dataclass(frozen=True)
@@ -123,8 +133,6 @@ def _expand(tree: ConstructionTree, shape: tuple[int, ...]) -> _Expansion:
         return _spread(one_hot, (tree.party,), shape), frozenset([tree.party]), 1
 
     if isinstance(tree, Leaf):
-        if len(set(tree.parties)) != len(tree.parties):
-            raise ValueError("leaf parties must be distinct")
         block = np.zeros([shape[p - 1] for p in tree.parties], dtype=np.int64)
         block[np.ix_(*([a - 1, b - 1] for a, b in tree.setting_pairs))] = \
             tree.sign.walsh_coefficients()

@@ -65,7 +65,8 @@ def json_int(value, what: str) -> int:
     if isinstance(value, float) and value.is_integer():
         return int(value)
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
+        shown = value.item() if isinstance(value, np.generic) else value  # not np.float64(2.5)
+        raise ValueError(f"{what} must be an integer, got {shown!r}")
     return int(value)
 
 
@@ -87,10 +88,12 @@ def json_array(value, what: str, dtype, shape: tuple[int, ...], *, unit=False) -
     """A field of numbers as a read-only array of the given shape, () for one number.
 
     Nested lists, as JSON gives them, hold only Python ints and floats, nested
-    evenly; an ndarray holds numbers, not bools.  dtype is float for float64;
-    complex for complex128, whose lists hold [re, im] pairs; or int: lists are
-    int64 if every entry is whole and below 2**63 in magnitude, an ndarray if
-    its dtype is a signed integer, and float64 otherwise.  Every entry is
+    evenly; lists two levels deeper than the shape get the shape message from
+    the walk over their levels, before numpy, which takes at most 64.  An
+    ndarray holds numbers, not bools.  dtype is float for float64; complex
+    for complex128, whose lists hold [re, im] pairs; or int: lists are int64
+    if every entry is whole and below 2**63 in magnitude, an ndarray if its
+    dtype is a signed integer, and float64 otherwise.  Every entry is
     finite, and an int too large for float64 is not; with unit set, every
     entry also lies in [-1, 1] within BOUND_TOL, as correlations do.  Both
     are read from one min/max pair.  An ndarray that is read-only and owns
@@ -108,10 +111,14 @@ def json_array(value, what: str, dtype, shape: tuple[int, ...], *, unit=False) -
             arr = arr.copy()
         got, want = arr.shape, shape
     else:
-        level, kinds = [value], {type(value)}
+        want = shape + (2,) if dtype is complex else shape
+        level, kinds, dims = [value], {type(value)}, []
         while list in kinds:  # one level of nesting per pass; np.array checks the lengths
             if len(kinds) > 1:
                 raise ValueError(f"{what} must be evenly nested lists, not ragged ones")
+            if len(dims) > len(want):  # past 64 levels, np.array would call it ragged
+                raise ValueError(f"{what} must have shape {want}, got ({str(dims)[1:-1]}, ...)")
+            dims.append(len(level[0]))
             level = [leaf for sub in level for leaf in sub]
             kinds = set(map(type, level))
         for leaf in () if kinds <= {int, float} else level:  # the first other entry is named
@@ -126,7 +133,7 @@ def json_array(value, what: str, dtype, shape: tuple[int, ...], *, unit=False) -
             raise ValueError(f"{what} must be finite") from None
         except ValueError:  # lists of unequal lengths at one depth
             raise ValueError(f"{what} must be evenly nested lists, not ragged ones") from None
-        got, want = arr.shape, shape + (2,) if dtype is complex else shape
+        got = arr.shape
         if got == want and dtype is complex:
             arr = arr.view(np.complex128)  # C order: each pair's re and im are adjacent
     if got != want:
@@ -155,7 +162,7 @@ class PureState:
         object.__setattr__(self, "n_qubits", qubit_count(self.n_qubits))
         amps = json_array(self.amplitudes, "amplitudes", complex, (2**self.n_qubits,))
         with np.errstate(over="ignore"):  # a huge amplitude gives an infinite norm, refused
-            norm = np.linalg.norm(amps)
+            norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > EXACT_TOL:
             raise ValueError(f"state vector norm {norm!r} is not 1 within 1e-12")
         object.__setattr__(self, "amplitudes", amps)
@@ -184,7 +191,7 @@ class DensityMatrix:
         mat = json_array(self.matrix, "matrix entries", complex, (dim, dim))
         if np.max(np.abs(mat - mat.conj().T)) > EXACT_TOL:
             raise ValueError("matrix is not Hermitian within 1e-12")
-        tr = np.trace(mat).real
+        tr = float(np.trace(mat).real)
         if abs(tr - 1.0) > EXACT_TOL:
             raise ValueError(f"trace {tr!r} is not 1 within 1e-12")
         if np.min(np.linalg.eigvalsh(mat)) < -PSD_TOL:

@@ -665,6 +665,26 @@ EXIT_2_LINES = [
                  '{"n_qubits": 1, "amplitudes": [1, 0]}',
                  "error: not a valid pure state: amplitudes must have shape (2, 2), got (2,)",
                  id="tensor --state-file - --out /nonexistent/amplitude-unpaired"),
+    # lists nested deeper than the shape, past numpy's 64 dimensions
+    pytest.param(("lhv", "--table", "-", "--out", "/nonexistent/values-deep"),
+                 '{"layout": [2, 2], "values": %s0.1%s}' % ("[" * 70, "]" * 70),
+                 "error: not a valid correlation table: "
+                 "correlation values must have shape (2, 2), got (1, 1, 1, ...)",
+                 id="lhv --table - --out /nonexistent/values-deep"),
+    # numbers in messages print as Python prints them
+    *[pytest.param(("tensor", "--state-file", "-", "--out", f"/nonexistent/norm-{label}"),
+                   '{"n_qubits": 1, "amplitudes": [[%s, 0], [0, 0]]}' % amplitude,
+                   "error: not a valid pure state: "
+                   f"state vector norm {norm} is not 1 within 1e-12",
+                   id=f"tensor --state-file - --out /nonexistent/norm-{label}")
+      for label, amplitude, norm in [("inf", "1e300", "inf"), ("1.1", "1.1", "1.1")]],
+    # the [-1, 1] range is read with finiteness, before the identity component
+    pytest.param(("condition", "--kind", "multisetting_CN", "--tensor-file", "-",
+                  "--out", "/nonexistent/identity-2"),
+                 '{"n_qubits": 1, "full_components": [2, 0, 0, 0]}',
+                 "error: not a valid correlation tensor: "
+                 "components must lie in [-1, 1] within 1e-9",
+                 id="condition --tensor-file - --out /nonexistent/identity-2"),
 ]
 
 

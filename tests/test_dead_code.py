@@ -7,11 +7,13 @@ code that only they reach is dead to every caller of bellkit.  Dunder names
 such as __version__ are skipped.
 """
 import ast
+import importlib.util
 from pathlib import Path
 
 import bellkit
 
 SRC = Path(bellkit.__file__).parent
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 
 def test_every_unexported_definition_is_used_in_the_package():
@@ -42,3 +44,26 @@ def test_every_unexported_definition_is_used_in_the_package():
                     for where, line, used in loads)
     ]
     assert unused == []
+
+
+def test_unloaded_imports_are_kept_for_the_benchmark_tracer():
+    """An import marked `noqa: F401` whose name its module never loads is kept
+    only so that bench/tracing.py's SPANS can wrap the name in that module.
+    Once SPANS stops hooking it, the import is dead, and the failure names it."""
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    hooked = {(module, attr) for _, module, attr in tracing.SPANS}
+    kept = []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                    "noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+                kept += [(f"bellkit.{path.stem}", alias.asname or alias.name)
+                         for alias in node.names if (alias.asname or alias.name) not in loaded]
+    assert [name for name in kept if name not in hooked] == []

@@ -3,9 +3,10 @@
 Each command that reads a JSON document is run in process on mutations of a
 valid one, under the suite's filterwarnings = error, so a warning is a
 failure too.  Whatever the mutation, the command exits 0, 2, 3 or 4 without
-an exception; exits 2 and 4 print nothing on stdout, and exit 2 prints one
-"error:" line.  A document its reader accepts comes back from to_json_dict
-with the numbers it went in with.
+an exception; exits 2 and 4 print nothing on stdout, exit 2 prints one
+"error:" line, and no stderr line holds numpy's repr of a number.  A
+document its reader accepts comes back from to_json_dict with the numbers
+it went in with.
 """
 import ast
 import contextlib
@@ -122,6 +123,7 @@ def test_mutated_documents_keep_the_exit_contract(command, mutations):
         assert out == ""
     if code == 2:
         assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "np." not in err, err  # a number prints as Python prints it, not as numpy's repr
     try:
         back = reader(json.loads(text)).to_json_dict()
     except (ValueError, bk.ResourceLimitError):

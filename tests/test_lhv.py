@@ -565,6 +565,25 @@ def test_closed_form_model_check_rejects_a_wrong_weight(monkeypatch):
         bk.construct_lhv_model(table)
 
 
+def test_certificate_check_rejects_a_faulty_separation(monkeypatch):
+    """An infeasible verdict is re-checked: its hyperplane must put the table
+    above every vertex.  The certificate of an outside table, handed back for
+    the zero table, gives that table 0 against a positive bound."""
+    from bellkit.simplex import solve_feasibility
+
+    _, outside, _, _ = small_lp_tables()
+    zero = bk.CorrelationTable(outside.layout, np.zeros(outside.layout.shape))
+    assert bk.polytope_membership(zero).inside
+
+    def solving_outside(a, b, **kwargs):
+        return solve_feasibility(a, np.append(outside.values.ravel(), 1.0), **kwargs)
+
+    monkeypatch.setattr(lhv, "solve_feasibility", solving_outside)
+    with pytest.raises(RuntimeError, match="^LP certificate check failed: value 0.0 does not "
+                                           "exceed bound "):
+        bk.polytope_membership(zero)
+
+
 def test_lexicographic_rule_solves_restricted_masters():
     """Vertex subsets of (3,3,3,3) tables, as a column-generation master sees them.
 

@@ -638,15 +638,19 @@ HALF = bk.SignFunction.from_bitstring("01")
 
 
 @pytest.mark.parametrize("tree, error, match", [
-    (bk.Leaf((1, 1), ((1, 2), (3, 4)), CHSH), ValueError, "leaf parties must be distinct"),
-    (bk.Node(CHSH, (bk.Leaf((1,), ((1, 2),), HALF), OBS(1, 3)), (OBS(2, 1), OBS(2, 2))),
+    (lambda: bk.Leaf((1, 1), ((1, 2), (3, 4)), CHSH), ValueError, "leaf parties must be distinct"),
+    (lambda: bk.Node(CHSH, (bk.Leaf((1,), ((1, 2),), HALF), OBS(1, 3)), (OBS(2, 1), OBS(2, 2))),
      ValueError, "equal magnitudes"),
-    (bk.Node(CHSH, (OBS(1, 1), OBS(1, 1)), (OBS(2, 1), OBS(2, 2))), ValueError, "reuse settings"),
-    (bk.Node(CHSH, (OBS(1, 1), OBS(1, 2)), (OBS(1, 3), OBS(1, 4))),
+    (lambda: bk.Node(CHSH, (OBS(1, 1), OBS(1, 1)), (OBS(2, 1), OBS(2, 2))),
+     ValueError, "reuse settings"),
+    (lambda: bk.Node(CHSH, (OBS(1, 1), OBS(1, 2)), (OBS(1, 3), OBS(1, 4))),
      ValueError, "disjoint party sets"),
-    (bk.Node(CHSH, ("A1", OBS(1, 2)), (OBS(2, 1), OBS(2, 2))), TypeError, "not a construction tree"),
+    (lambda: bk.Node(CHSH, ("A1", OBS(1, 2)), (OBS(2, 1), OBS(2, 2))),
+     TypeError, "not a construction tree"),
 ], ids=["leaf-repeats-party", "unequal-magnitudes", "reused-setting", "pairs-share-party",
         "not-a-tree"])
 def test_build_rejects_malformed_trees(tree, error, match):
+    """tree builds the tree: a Leaf refuses a repeated party when it is made,
+    the other faults show only when the tree is expanded."""
     with pytest.raises(error, match=match):
-        bk.build_recursive(tree)
+        bk.build_recursive(tree())

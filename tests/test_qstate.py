@@ -220,8 +220,27 @@ HALF = np.full(2, 0.5 ** 0.5)
     (lambda: bk.LhvModel.from_json_list(bk.ExperimentLayout((2, 2)),
                                         [{"strategy": [0, 0], "weight": True}]),
      "weight must be a number, not true or false"),
+    # numpy scalars are named by their Python value
+    (lambda: bk.ExperimentLayout((np.float64(2.5), 2)),
+     "a layout entry must be an integer, got 2.5"),
+    (lambda: bk.ExperimentLayout((np.True_, 2)), "a layout entry must be an integer, got True"),
+    # the sign functions and construction trees
+    (lambda: bk.SignFunction(2, (0.5, "1", True, 0)), "a sign bit must be an integer, got 0.5"),
+    (lambda: bk.SignFunction(2, (0, "1", True, 0)), "a sign bit must be an integer, got '1'"),
+    (lambda: bk.SignFunction(2, (0, 1, True, 0)), "a sign bit must be an integer, got True"),
+    (lambda: bk.SignFunction(2.5, (0, 1, 1, 0)), "arity must be an integer, got 2.5"),
+    (lambda: bk.Observable(1.5, 1), "a party must be an integer, got 1.5"),
+    (lambda: bk.Observable(True, 2), "a party must be an integer, got True"),
+    (lambda: bk.Observable(1, "2"), "a setting must be an integer, got '2'"),
+    (lambda: bk.Leaf((1, 2.5), ((1, 2), (1, 2)), bk.SignFunction.chsh()),
+     "a party must be an integer, got 2.5"),
+    (lambda: bk.Leaf((1, 2), ((1, 2), (1, 2.5)), bk.SignFunction.chsh()),
+     "a setting must be an integer, got 2.5"),
 ], ids=["layout-2.5", "layout-bool", "pure-1.5", "pure-str", "density-1.5", "tensor-bool",
-        "ghz-3.5", "code-1.7", "code-bool", "weight-str", "weight-bool"])
+        "ghz-3.5", "code-1.7", "code-bool", "weight-str", "weight-bool", "layout-np-2.5",
+        "layout-np-bool", "sign-bit-0.5", "sign-bit-str", "sign-bit-bool", "sign-arity-2.5",
+        "observable-party-1.5", "observable-party-bool", "observable-setting-str",
+        "leaf-party-2.5", "leaf-setting-2.5"])
 def test_constructors_refuse_non_integers(build, message):
     """Every integer field takes an int or a whole-valued float, the rule JSON input
     follows, and a number field takes no string or bool."""
@@ -233,6 +252,25 @@ def test_constructors_take_whole_valued_floats_as_ints():
     assert bk.ExperimentLayout((2.0, np.int64(3))).settings_per_party == (2, 3)
     assert type(bk.PureState(1.0, HALF).n_qubits) is int
     assert type(bk.GhzFamily(np.int64(3), 0.3).n_qubits) is int
+    sign = bk.SignFunction(2.0, (0, 0, np.int64(0), 1.0))
+    assert sign == bk.SignFunction.chsh() and type(sign.arity) is int
+    assert bk.Observable(np.int64(1), 2.0) == bk.Observable(1, 2)
+    # a whole-valued setting builds the inequality its integer builds
+    leaf = bk.Leaf((1.0, 2), ((1, 2.0), (1, 2)), sign)
+    assert {type(v) for v in (*leaf.parties, *leaf.setting_pairs[0])} == {int}
+    assert bk.build_recursive(leaf).to_json_dict() == bk.build_recursive(
+        bk.Leaf((1, 2), ((1, 2), (1, 2)), sign)).to_json_dict()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: bk.PureState(1, [[1e300, 0], [0, 0]]), "state vector norm inf is not 1 within 1e-12"),
+    (lambda: bk.PureState(1, [[1.1, 0], [0, 0]]), "state vector norm 1.1 is not 1 within 1e-12"),
+    (lambda: bk.DensityMatrix(1, np.eye(2)), "trace 2.0 is not 1 within 1e-12"),
+], ids=["norm-inf", "norm-1.1", "trace-2"])
+def test_messages_print_plain_numbers(build, message):
+    """A number in a message is printed as Python prints it, not as numpy's repr."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
