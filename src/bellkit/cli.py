@@ -143,24 +143,28 @@ def _read_json(path: str, loader, what: str):
 _REPRS = {"i": np.frompyfunc(int.__repr__, 1, 1), "f": np.frompyfunc(float.__repr__, 1, 1)}
 
 
+def _stub_arrays(obj, arrays: list):
+    """obj with each ndarray (obj itself or a nested dict's value) replaced by "\\0"
+    and appended to arrays."""
+    if isinstance(obj, np.ndarray):
+        arrays.append(obj)
+        return "\0"
+    if isinstance(obj, dict):
+        return {key: _stub_arrays(value, arrays) for key, value in obj.items()}
+    return obj
+
+
 def _dump_json(obj) -> str:
     """`json.dumps(obj, indent=2, sort_keys=True) + "\\n"`, with an ndarray written as a list.
 
     json.dumps writes the skeleton, with a stub for the one ndarray (int64 or
-    float64, at least 1-D, non-empty) that obj may hold, as itself or as a
-    nested value.  The array's text takes the skeleton before and after it,
-    so its join makes the whole output.  It is joined once _array_parts has
-    returned and freed its index arrays.
+    float64, at least 1-D, non-empty) that obj may hold.  The array's text
+    takes the skeleton before and after it, so its join makes the whole
+    output.  It is joined once _array_parts has returned and freed its index
+    arrays.
     """
     arrays: list[np.ndarray] = []
-
-    def stub(value) -> str:  # json.dumps calls it on what it cannot write itself
-        if arrays or not isinstance(value, np.ndarray):
-            raise TypeError(f"cannot write a {type(value).__name__}: one ndarray per output")
-        arrays.append(value)
-        return "\0"
-
-    text = json.dumps(obj, indent=2, sort_keys=True, default=stub) + "\n"
+    text = json.dumps(_stub_arrays(obj, arrays), indent=2, sort_keys=True) + "\n"
     if not arrays:
         return text
     head, tail = text.split('"\\u0000"')

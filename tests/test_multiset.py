@@ -637,7 +637,7 @@ OBS = bk.Observable
 HALF = bk.SignFunction.from_bitstring("01")
 
 
-@pytest.mark.parametrize("tree, error, match", [
+@pytest.mark.parametrize("build, error, match", [
     (lambda: bk.Leaf((1, 1), ((1, 2), (3, 4)), CHSH), ValueError, "leaf parties must be distinct"),
     (lambda: bk.Node(CHSH, (bk.Leaf((1,), ((1, 2),), HALF), OBS(1, 3)), (OBS(2, 1), OBS(2, 2))),
      ValueError, "equal magnitudes"),
@@ -649,8 +649,8 @@ HALF = bk.SignFunction.from_bitstring("01")
      TypeError, "not a construction tree"),
 ], ids=["leaf-repeats-party", "unequal-magnitudes", "reused-setting", "pairs-share-party",
         "not-a-tree"])
-def test_build_rejects_malformed_trees(tree, error, match):
-    """tree builds the tree: a Leaf refuses a repeated party when it is made,
+def test_build_rejects_malformed_trees(build, error, match):
+    """build makes the tree: a Leaf refuses a repeated party when it is made,
     the other faults show only when the tree is expanded."""
     with pytest.raises(error, match=match):
-        bk.build_recursive(tree())
+        bk.build_recursive(build())

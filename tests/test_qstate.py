@@ -195,6 +195,8 @@ def test_state_validation():
         bk.PureState(2, np.array([1.0, 0.0], dtype=complex))
     with pytest.raises(ValueError):
         bk.DensityMatrix(1, np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex))
+    with pytest.raises(ValueError, match=r"^trace 2\.0 is not 1 within 1e-12$"):  # no np.float64
+        bk.DensityMatrix(1, np.eye(2))
 
 
 HALF = np.full(2, 0.5 ** 0.5)
@@ -260,17 +262,6 @@ def test_constructors_take_whole_valued_floats_as_ints():
     assert {type(v) for v in (*leaf.parties, *leaf.setting_pairs[0])} == {int}
     assert bk.build_recursive(leaf).to_json_dict() == bk.build_recursive(
         bk.Leaf((1, 2), ((1, 2), (1, 2)), sign)).to_json_dict()
-
-
-@pytest.mark.parametrize("build, message", [
-    (lambda: bk.PureState(1, [[1e300, 0], [0, 0]]), "state vector norm inf is not 1 within 1e-12"),
-    (lambda: bk.PureState(1, [[1.1, 0], [0, 0]]), "state vector norm 1.1 is not 1 within 1e-12"),
-    (lambda: bk.DensityMatrix(1, np.eye(2)), "trace 2.0 is not 1 within 1e-12"),
-], ids=["norm-inf", "norm-1.1", "trace-2"])
-def test_messages_print_plain_numbers(build, message):
-    """A number in a message is printed as Python prints it, not as numpy's repr."""
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        build()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
