@@ -22,9 +22,11 @@ Three condition values are computed, each compared against 1:
   to b for a, then the best one orthogonal to a for b (each the top
   eigenvector of a 2x2 matrix), then the best turn of the pair in its own
   plane.  A restart stops once a sweep gains at most SWEEP_TOL, so the
-  sweep test alone decides when the pairs are stationary.  The SVD that
-  ends a sweep gives its value and the first party's frames in the next
-  sweep.
+  sweep test alone decides when the pairs are stationary.  A term's value
+  s1^2 + s2^2 is |M|_F^2 - |M v|^2, with v its weakest right singular
+  vector, found in closed form (_cn_weakest) rather than by an SVD; the
+  vectors that end a sweep give its value and the first party's bound in
+  the next sweep.  One SVD of the winner's terms gives the report's frames.
 
 maximize_bell_value runs see-saw ascent on an arbitrary inequality: each
 per-party, per-setting vector update is the normalized contraction of the
@@ -155,9 +157,10 @@ def _lower_bound_report(kind: str, value: float, frames: list, seed: int,
     )
 
 
-def _multistart(draw: Callable, evaluate: Callable, sweep: Callable, restarts: int,
+def _multistart(name: str, draw: Callable, evaluate: Callable, sweep: Callable, restarts: int,
                 seed: int, entries: int):
-    """Run `restarts` ascents, a block of them at a time on a leading batch axis.
+    """Run `restarts` ascents of the optimizer `name`, a block of them at a time on a
+    leading batch axis.
 
     The caller has passed restarts and seed through check_restarts.
     draw(rng, first, k) gives the start states of restarts first..first+k-1
@@ -169,7 +172,9 @@ def _multistart(draw: Callable, evaluate: Callable, sweep: Callable, restarts: i
     _BLOCK_ENTRIES / entries restarts.  Returns each restart's final value
     and converged flag, and the winner (the first restart with the strict
     maximum): its index, state, value and value history.  The value is
-    evaluate() of that state, the value its frames actually attain.
+    evaluate() of that state, the value its frames actually attain.  A
+    non-finite restart value is a fault of the optimizer, and raises
+    RuntimeError.
     """
     rng = np.random.default_rng(seed)
     block = max(1, _BLOCK_ENTRIES // entries)
@@ -193,6 +198,8 @@ def _multistart(draw: Callable, evaluate: Callable, sweep: Callable, restarts: i
             active = active[~stop]
             if not active.size:
                 break
+        if not np.isfinite(value).all():  # NaN loses every comparison, so no winner is kept
+            raise RuntimeError(f"{name} reached the restart value {value[~np.isfinite(value)][0]}")
         values.append(value)
         converged.append(done)
         k = int(np.argmax(value))
@@ -200,7 +207,6 @@ def _multistart(draw: Callable, evaluate: Callable, sweep: Callable, restarts: i
             best, best_value = first + k, value[k]
             best_state = tuple(x[k] for x in state)
             best_history = [float(h[k]) for h in history[:sweeps[k] + 1]]
-    # evaluate writes the C_N frames into these views, so they reach best_state
     value = float(evaluate(tuple(x[None] for x in best_state))[0])
     return (np.concatenate(values), np.concatenate(converged), best, best_state, value,
             best_history)
@@ -283,8 +289,8 @@ def condition_two_setting_N(tensor: CorrelationTensor, restarts: int = 50,
             plane[...] = np.swapaxes(eigvecs[..., [2, 1]], 1, 2)
         return planes, eigvals[:, -1] + eigvals[:, -2]
 
-    values, converged, _, best, value, _ = _multistart(draw, objective, sweep, restarts, seed,
-                                                       corr.size)
+    values, converged, _, best, value, _ = _multistart(
+        "two_setting_sufficient_N", draw, objective, sweep, restarts, seed, corr.size)
     return _lower_bound_report("two_setting_sufficient_N", value, _frames_json(list(best)),
                                seed, values, converged)
 
@@ -382,40 +388,84 @@ def _pair_step(g1: np.ndarray, g2: np.ndarray, a: np.ndarray,
 # the index tuples of parties 3..N, use that order too: branch = t % 2^(N-j).
 
 
-def _cn_frames(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each restart's C_N value from its term matrices m, (k, 2^(N-2), 3, 3), and each
-    term's top-2 singular frames u, (k, 2^(N-2), 3, 2), and vt, (k, 2^(N-2), 2, 3)."""
-    u, s, vt = np.linalg.svd(m)
-    return np.sum(s[..., 0] ** 2 + s[..., 1] ** 2, axis=1), u[..., :2], vt[..., :2, :]
+#: The flat indices, among a 3x3 matrix's entries, of its rows and columns taken in the
+#: order 0, 1, 2, 0, 1: rows (and columns) i + 1 and i + 2, mod 3, are slices 1:4 and 2:5.
+_WRAP = np.ravel(3 * np.array([0, 1, 2, 0, 1])[:, None] + [0, 1, 2, 0, 1])
+
+#: The smallest positive normal double, the floor of a divisor that may be 0.
+_TINY = np.finfo(float).tiny
+
+
+def _cn_weakest(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each restart's C_N value, (k,), and each term's weakest right singular vector v,
+    (3, k, T), from the term matrices m, (3, 3, k, T), entries first.
+
+    A term's value s1^2 + s2^2 is |M|_F^2 - |M v|^2.  With A = M^T M and
+    q = tr A / 3, B = (A / q - I) / p is traceless with |B|_F^2 = 6 (B = 0 for
+    M = 0), and its eigenvalues are mu = 2 cos((arccos(det B / 2) + 2 pi l) / 3),
+    l = 0, 1, 2 (Smith, Commun. ACM 4, 168 (1961); Kopp, arXiv:physics/0610206).
+    The one apart from the other two, the largest if det B >= 0 and else the
+    smallest, is accurate, and adj(B - mu I) = c w w^T with c >= 6, so its column
+    of largest diagonal gives that eigenvalue's vector w.  If w is the smallest's,
+    v = w; otherwise v is the lower eigenvector of B compressed to the plane
+    orthogonal to w, a 2x2 closed form that stays accurate where the two smallest
+    eigenvalues nearly meet.  |M v|^2 is then recomputed from v (a Rayleigh
+    step), so each value is one that the frames orthogonal to v attain.
+    """
+    a = (m[:, :, None] * m[:, None]).sum(0)
+    norm2 = a[0, 0] + a[1, 1] + a[2, 2]
+    b = a * (3 / np.maximum(norm2, _TINY)) - (norm2 > 0) * _EYE3[..., None, None]
+    b /= np.sqrt(np.maximum((b * b).sum((0, 1)), _TINY) / 6)
+    wrap = b.reshape(9, -1)[_WRAP].reshape(5, 5, *m.shape[2:])
+    adj = wrap[1:4, 1:4] * wrap[2:5, 2:5] - wrap[1:4, 2:5] * wrap[2:5, 1:4]
+    det = (b[0] * adj[0]).sum(0)
+    mu = 2 * np.copysign(np.cos(np.arccos(np.minimum(np.abs(det) / 2, 1)) / 3), det)
+    x = (adj + mu * (b + mu * _EYE3[..., None, None])).reshape(9, -1)
+    # x = adj(B - mu I): the column of its largest diagonal entry, flat
+    column = x[[0, 4, 8]].argmax(0) * norm2.size + np.arange(norm2.size)
+    w = x.reshape(3, -1)[:, column].reshape(m.shape[1:])
+    w /= np.sqrt((w * w).sum(0))
+    # a Householder reflection's first two columns span the plane orthogonal to w
+    n = w + np.copysign(_EYE3[2, :, None, None], w[2])
+    basis = _EYE3[:2, :, None, None] - (w[:2] / np.abs(n[2]))[:, None] * n
+    h = (basis[:, None] * (b[None] * basis[:, None]).sum(2)[None]).sum(2)
+    theta = 0.5 * np.arctan2(-2 * h[0, 1], h[1, 1] - h[0, 0])
+    v = np.where(mu > 0, np.cos(theta) * basis[0] + np.sin(theta) * basis[1], w)
+    return (norm2 - ((m * v).sum(1) ** 2).sum(0)).sum(-1), v
 
 
 def _cn_terms(own: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """The term matrices, (k, 2^(N-2), 3, 3), of party j's planes on its grid."""
-    m = np.swapaxes(own, 1, 2)[:, None, :, :, None] @ grid
-    return m.reshape(len(m), -1, 3, 3)
+    """The term matrices, (3, 3, k, T), of party j's planes on its grid, (3, 3, 3, k, T)."""
+    x = grid.reshape(3, 3, 3, len(own), -1, *own.shape[2:0:-1])  # (..., k, F, t_j, branch)
+    return (own.transpose(3, 0, 2, 1)[:, None, None, :, None] * x).sum(0).reshape(grid.shape[1:])
 
 
 def _cn_evaluate(corr: np.ndarray, state) -> np.ndarray:
-    """C_N values of a state (planes..., u, vt); writes the terms' frames into u and vt."""
-    *planes, u, vt = state
-    m = _suffixes(corr, planes)[0].reshape(len(u), -1, 3, 3)
-    value, u[...], vt[...] = _cn_frames(m)
+    """C_N values of a state (planes..., v); writes the terms' weakest vectors into v."""
+    *planes, v = state
+    m = _suffixes(corr, planes)[0].reshape(len(v), -1, 3, 3)
+    value, w = _cn_weakest(m.transpose(2, 3, 0, 1))
+    v[...] = w.transpose(1, 2, 0)
     return value
 
 
 def _cn_sweep(corr: np.ndarray, state):
     """Update each party's planes in turn, j = 3..N, all branches at once.
 
-    The state is (planes..., u, vt), with the terms' top-2 singular frames
-    at the current planes.  Different branches of party j touch disjoint
+    The state is (planes..., v), v, (k, T, 3), the terms' weakest right
+    singular vectors at the current planes.  With v fixed, a term's value is at
+    least |M P|_F^2, P = I - v v^T, with equality at the current planes, so
+    party j's pair step ascends the Gram matrices
+    G_qq' = <M_q, M_q'>_F - (M_q v).(M_q' v) over its axes q, summed over the
+    terms of each plane row.  Different branches of party j touch disjoint
     terms, so this equals updating its planes one branch after another.
-    Every party's term matrices list the terms in one order (t_3 ... t_N,
-    t_3 most significant), so the frames that end one sweep, from the last
-    party's grid and its updated planes, are the first party's frames in
-    the next; that one SVD also gives the sweep's value.
+    Every party's term matrices list the terms in one order (t_3 ... t_N, t_3
+    most significant), so the vectors that end one sweep, from the last
+    party's grid and its updated planes, are the first party's in the next;
+    they also give the sweep's value.
     """
-    *planes, u, vt = state
-    k = len(u)
+    *planes, v = state
+    k, v = len(v), v.transpose(2, 0, 1)
     suffix = _suffixes(corr, planes[1:])
     for i, own in enumerate(planes):
         branches = own.shape[1]
@@ -424,20 +474,18 @@ def _cn_sweep(corr: np.ndarray, state):
         x = np.broadcast_to(x[:, None], (k, 2) + x.shape[1:]).reshape(k, 2 * branches, 3, -1)
         for p in reversed(planes[:i]):
             x = _contract_last(x, p)
-        grid = x.reshape(k, -1, 2, branches, 3, 9)  # (free terms, t_j, branch, q, ab)
+        # (q, row, column, k, T): party j's axis and the term matrices' entries lead
+        grid = np.ascontiguousarray(x.reshape(k, -1, 3, 3, 3).transpose(2, 3, 4, 0, 1))
         if i:
-            _, u, vt = _cn_frames(_cn_terms(own, grid))
-        # gradient vectors for party j with the top singular frames fixed:
-        # U^T M_q V per term t and axis q, then their Gram matrix over q
-        vec = (np.swapaxes(u, 2, 3)[:, :, None] @ grid.reshape(k, -1, 3, 3, 3)
-               @ np.swapaxes(vt[:, :, None], 3, 4))
-        vec = vec.reshape(k, -1, 3, 4)
-        g = vec @ np.swapaxes(vec, 2, 3)
-        g = g.reshape(k, -1, 2, branches, 3, 3).sum(axis=1)
+            _, v = _cn_weakest(_cn_terms(own, grid))
+        z = grid - (grid * v).sum(2)[:, :, None] * v  # M_q P, then (k, t_j, branch, q, F ab)
+        z = z.reshape(3, 9, k, -1, 2, branches).transpose(2, 4, 5, 0, 3, 1).reshape(
+            k, 2, branches, 3, -1)
+        g = z @ z.swapaxes(3, 4)
         a, b = _pair_step(g[:, 0], g[:, 1], own[:, :, 0], own[:, :, 1])
         own[:, :, 0], own[:, :, 1] = a, b
-    value, u, vt = _cn_frames(_cn_terms(own, grid))
-    return (*planes, u, vt), value
+    value, v = _cn_weakest(_cn_terms(own, grid))
+    return (*planes, v.transpose(1, 2, 0)), value
 
 
 def condition_multisetting_CN(tensor: CorrelationTensor, restarts: int = 50,
@@ -462,21 +510,20 @@ def condition_multisetting_CN(tensor: CorrelationTensor, restarts: int = 50,
     def draw(rng, first, k):
         # one canonical plane everywhere, then canonical planes alternating
         # along the branch depth, then random planes, node by node; the
-        # frames are filled by the first evaluation
+        # weakest vectors are filled by the first evaluation
         starts = np.arange(first, first + k)[:, None]
         planes = _CANONICAL_PLANES[np.where(starts < cycle, starts, (starts + shift) % cycle)]
         random = starts[:, 0] >= 2 * cycle
         planes[random] = _random_planes(rng, int(np.sum(random)), len(shift))
-        return (*np.split(planes, np.cumsum(branches)[:-1], axis=1),
-                np.empty((k, terms, 3, 2)), np.empty((k, terms, 2, 3)))
+        return (*np.split(planes, np.cumsum(branches)[:-1], axis=1), np.empty((k, terms, 3)))
 
     values, converged, _, best, value, _ = _multistart(
-        draw, lambda state: _cn_evaluate(corr, state), lambda state: _cn_sweep(corr, state),
-        restarts, seed, corr.size)
-    *best, u, vt = best
+        "multisetting_CN", draw, lambda state: _cn_evaluate(corr, state),
+        lambda state: _cn_sweep(corr, state), restarts, seed, corr.size)
+    u, _, vt = np.linalg.svd(_suffixes(corr, [p[None] for p in best[:-1]])[0].reshape(-1, 3, 3))
     report_terms = [{
         "term": [i + 1 for i in term],
-        "frames": _frames_json([u[t].T, vt[t]]
+        "frames": _frames_json([u[t, :, :2].T, vt[t, :2]]
                                + [best[j - 3][t % 2 ** (n - j)] for j in range(3, n + 1)]),
     } for t, term in enumerate(np.ndindex(*(2,) * (n - 2)))]
     return _lower_bound_report("multisetting_CN", value, report_terms, seed, values, converged)
@@ -544,7 +591,7 @@ def maximize_bell_value(ineq: BellInequality, tensor: CorrelationTensor,
 
     size = int(np.prod(np.maximum(counts, 3)))
     _, converged, best, state, value, history = _multistart(
-        draw, evaluate, sweep, restarts, seed, size)
+        "maximize_bell_value", draw, evaluate, sweep, restarts, seed, size)
     return MaximizationResult(
         value=value * scale,
         settings=tuple(s.copy() for s in state[:-1]),

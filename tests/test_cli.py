@@ -977,15 +977,15 @@ PINNED_OUTPUTS = [
     (("condition", "--kind", "two_setting_sufficient_N", "--state", "ghz:N=4,alpha=0.3"), None,
      3, "ba05aa893db300c0d37c66efab11ecd2f39e50fb6880d93f045c010308fcb9cb"),
     (("condition", "--kind", "multisetting_CN", "--state", "ghz:N=4,alpha=0.3"), None,
-     3, "89eeb0f2b28fe202c6d8518d6ef6f3ec0012a295b7ea51599829b946189820a4"),
+     3, "9deaefb6cde2f8d08fe09cae2888bc812347b9a33d9d21edb4cd8ba17455e9c7"),
     # the largest N the benchmark's ghz_scan runs
     (("condition", "--kind", "multisetting_CN", "--state", "ghz:N=5,alpha=0.5"), None,
-     3, "5fc2007a0c9d22985d08bf1e06de83367090e40a2fb6bbe5e107c09c397b0a05"),
+     3, "c5f291f972f7d106cb9f9851eace65c50def4f6c96988a76eb9bc67f4493fafa"),
     (("condition", "--kind", "two_setting_sufficient_N",
       "--state", "noise:v=0.8(ghz:N=4,alpha=0.6)"), None,
      3, "6e89f33b044e58f48b9e02ac5a6775643967e6a3de2521da480b4bad3186d9b3"),
     (("condition", "--kind", "multisetting_CN", "--state", "noise:v=0.8(ghz:N=4,alpha=0.6)"),
-     None, 3, "581c5a563ce8960ce1bb328e21ac4d6d1684fdd5c8ea658111585fa0bb41b0cd"),
+     None, 3, "8ab2ae4c5dc2df052c7625fb40fb4228846aed47dfecb7ce30c866f7043b21bf"),
     (("maximize", "--inequality", "-", "--state", "ghz:N=3,alpha=0.3"),
      generated_json((4, 4, 2)),
      3, "18633662391c4c4ba2692d00844895e75f7008dec6eebf3b6b6a90bdc7457566"),
