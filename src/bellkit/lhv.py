@@ -164,7 +164,10 @@ class LhvModel:
     """Mixture of deterministic strategies.
 
     ``weights`` maps per-party code tuples to probabilities, which are
-    finite, nonnegative and sum to 1.  The model keeps a read-only copy of the
+    finite, nonnegative and sum to 1.  Unless every code is a Python int and
+    every weight a Python int or float, codes are read through json_int and
+    weights as JSON numbers (json_array), so a bool is refused and numpy
+    scalars become Python numbers.  The model keeps a read-only copy of the
     mapping it is given, so the checks below hold for its whole life.
     """
 
@@ -172,7 +175,12 @@ class LhvModel:
     weights: Mapping[tuple[int, ...], float]
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", MappingProxyType(dict(self.weights)))
+        weights = dict(self.weights)
+        if set(map(type, itertools.chain.from_iterable(weights))) - {int} or set(
+                map(type, weights.values())) - {int, float}:
+            weights = {tuple(json_int(c, "a strategy code") for c in codes):
+                       float(json_array(w, "weight", float, ())) for codes, w in weights.items()}
+        object.__setattr__(self, "weights", MappingProxyType(weights))
         total = 0.0
         for codes, w in self.weights.items():
             if len(codes) != self.layout.n_parties:

@@ -201,6 +201,10 @@ def test_evaluate_model_examples():
     ({(0, -1): 1.0}, "code -1 out of range"),
     ({(0, 0): 1.5, (3, 0): -0.5}, "negative weight"),
     ({(0, 0): 0.5}, "total weight"),
+    # numpy scalars are named by their Python value, and a weight is no bool
+    ({(np.int64(0), 0): np.float64(1.5), (3, np.int64(0)): np.float64(-0.5)},
+     r"^negative weight -0.5 for strategy \(3, 0\)$"),
+    ({(0, 0): True}, "^weight must be a number, not true or false$"),
 ])
 def test_model_rejects_bad_strategies_and_weights(weights, match):
     with pytest.raises(ValueError, match=match):
@@ -230,6 +234,10 @@ def test_model_weights_are_a_read_only_copy():
     weights[(9, 9)] = 5.0
     assert model.weights == {(0, 0): 1.0}
     assert model.to_json_list() == [{"strategy": [0, 0], "weight": 1.0}]
+    # codes and weights are kept as Python ints and floats
+    model = bk.LhvModel(bk.ExperimentLayout((2, 2)), {(np.int64(3), 0.0): np.float64(1.0)})
+    assert [(type(c), type(w)) for codes, w in model.weights.items() for c in codes] == [
+        (int, float), (int, float)]
 
 
 @settings(max_examples=60, deadline=None)

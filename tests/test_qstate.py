@@ -216,6 +216,10 @@ HALF = np.full(2, 0.5 ** 0.5)
     (lambda: bk.LhvModel.from_json_list(bk.ExperimentLayout((2, 2)),
                                         [{"strategy": [True, 0], "weight": 1.0}]),
      "a strategy code must be an integer, got True"),
+    (lambda: bk.LhvModel(bk.ExperimentLayout((2, 2)), {(1.5, 0): 1.0}),
+     "a strategy code must be an integer, got 1.5"),
+    (lambda: bk.LhvModel(bk.ExperimentLayout((2, 2)), {(True, 0): 1.0}),
+     "a strategy code must be an integer, got True"),
     (lambda: bk.LhvModel.from_json_list(bk.ExperimentLayout((2, 2)),
                                         [{"strategy": [0, 0], "weight": "1.0"}]),
      "weight must be a number, not a string"),
@@ -239,7 +243,7 @@ HALF = np.full(2, 0.5 ** 0.5)
     (lambda: bk.Leaf((1, 2), ((1, 2), (1, 2.5)), bk.SignFunction.chsh()),
      "a setting must be an integer, got 2.5"),
 ], ids=["layout-2.5", "layout-bool", "pure-1.5", "pure-str", "density-1.5", "tensor-bool",
-        "ghz-3.5", "code-1.7", "code-bool", "weight-str", "weight-bool", "layout-np-2.5",
+        "ghz-3.5", "code-1.7", "code-bool", "model-code-1.5", "model-code-bool", "weight-str", "weight-bool", "layout-np-2.5",
         "layout-np-bool", "sign-bit-0.5", "sign-bit-str", "sign-bit-bool", "sign-arity-2.5",
         "observable-party-1.5", "observable-party-bool", "observable-setting-str",
         "leaf-party-2.5", "leaf-setting-2.5"])
