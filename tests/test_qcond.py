@@ -517,11 +517,8 @@ def test_multistart_refuses_a_non_finite_value(monkeypatch):
 #: and sweep computes it: per point, (N, k), then C_N's and the two-setting
 #: condition's (value, violated, restarts_at_best).  The C_N values are those
 #: of the ascent of up to 30 iterations per plane and sweep to within 4e-15.
-#: The C_N restarts_at_best are those of the sweeps that hold each term's
-#: weakest right singular vector; the sweeps that held its top-2 singular frames
-#: reached 41, 44, 50 and 50 at (3, 0), (4, 0), (4, 1) and (4, 2), and no other
-#: count differs.  The restarts within BOUND_TOL of the best sit within 1e-13
-#: of it, the others at least 0.19 below.
+#: The restarts within BOUND_TOL of the best sit within 1e-13 of it, the
+#: others at least 0.19 below.
 SCAN_GRID = [
     (3, 0, (1.1956192854956398, True, 36), (1.0, False, 35)),
     (3, 1, (2.765366864730181, True, 50), (2.7653668647301806, True, 39)),
