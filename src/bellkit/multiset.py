@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -105,6 +105,11 @@ class Node:
     def __post_init__(self):
         if self.sign.arity != 2:
             raise ValueError("node sign functions have arity 2")
+        for name in ("first", "second"):
+            pair = getattr(self, name)
+            if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+                raise ValueError(f"a node's {name} pair must hold two blocks")
+            object.__setattr__(self, name, tuple(pair))
 
 
 ConstructionTree = Union[Observable, Leaf, Node]
@@ -210,23 +215,7 @@ def tree_chain(n_parties: int, top: SignFunction,
         raise ValueError("chain trees need at least 3 parties")
     if left.arity != n_parties - 1 or right.arity != n_parties - 1:
         raise ValueError("leaf sign functions must have arity N-1")
-    return _chain_block(n_parties, (top, left, right), 0)
-
-
-def _chain_block(n_parties: int, signs: Sequence[SignFunction], half: int) -> Node:
-    """The chain tree on settings 4*half+1..4*half+4 of parties 1..N-1 and
-    2*half+1, 2*half+2 of party N; ``signs`` is its (top, left, right)."""
-    top, left, right = signs
-    inner = tuple(range(1, n_parties))
-    a, b = 4 * half, 2 * half
-    return Node(
-        top,
-        (
-            Leaf(inner, ((a + 1, a + 2),) * (n_parties - 1), left),
-            Leaf(inner, ((a + 3, a + 4),) * (n_parties - 1), right),
-        ),
-        (Observable(n_parties, b + 1), Observable(n_parties, b + 2)),
-    )
+    return _tree(n_parties, n_parties - 1, (top, left, right))
 
 
 def tree_8842(signs: list[SignFunction]) -> Node:
@@ -236,10 +225,7 @@ def tree_8842(signs: list[SignFunction]) -> Node:
     the first three-party block (settings 1-4 / 1-2), then the triple of the
     second (settings 5-8 / 3-4).
     """
-    if len(signs) != 7:
-        raise ValueError("need 7 sign functions")
-    halves = (_chain_block(3, signs[1:4], 0), _chain_block(3, signs[4:7], 1))
-    return Node(signs[0], halves, (Observable(4, 1), Observable(4, 2)))
+    return _tree(4, 2, signs)
 
 
 def tree_88444(signs: list[SignFunction]) -> Node:
@@ -251,20 +237,33 @@ def tree_88444(signs: list[SignFunction]) -> Node:
     """
     if len(signs) != 9:
         raise ValueError("need 9 sign functions")
-    return Node(
-        signs[0],
-        tree_8842(signs[:7]).first,
-        (
-            Leaf((4, 5), ((1, 2), (1, 2)), signs[7]),
-            Leaf((4, 5), ((3, 4), (3, 4)), signs[8]),
-        ),
-    )
+    rest = iter(signs)
+    return Node(next(rest), (_block((1, 2), 3, 0, rest), _block((1, 2), 3, 1, rest)),
+                (_block((4, 5), 5, 0, rest), _block((4, 5), 5, 1, rest)))
 
 
-def _two_setting_tree(signs: list[SignFunction]) -> Leaf:
-    """The two-setting family member of one arity-N sign function: one leaf."""
-    (sign,) = signs
-    return Leaf(tuple(range(1, sign.arity + 1)), ((1, 2),) * sign.arity, sign)
+def _tree(n_parties: int, base: int, signs: Sequence[SignFunction]) -> ConstructionTree:
+    """The block on parties 1..N over leaves of parties 1..base, built from
+    2^(N-base+1) - 1 sign functions taken in preorder."""
+    count = 2 ** (n_parties - base + 1) - 1
+    if len(signs) != count:
+        raise ValueError(f"need {count} sign functions")
+    return _block(tuple(range(1, base + 1)), n_parties, 0, iter(signs))
+
+
+def _block(base: tuple[int, ...], last: int, q: int,
+           signs: Iterator[SignFunction]) -> ConstructionTree:
+    """Block q of parties 1..last: the leaf of the ``base`` parties on their
+    settings 2q+1, 2q+2 when ``last`` is the last of them; otherwise a node
+    pairing blocks 2q and 2q+1 of parties 1..last-1 with party last's
+    settings 2q+1, 2q+2.  Each sign function comes from ``signs``, the
+    node's before its two blocks'."""
+    pair = (2 * q + 1, 2 * q + 2)
+    if last == base[-1]:
+        return Leaf(base, (pair,) * len(base), next(signs))
+    return Node(next(signs),
+                (_block(base, last - 1, 2 * q, signs), _block(base, last - 1, 2 * q + 1, signs)),
+                (Observable(last, pair[0]), Observable(last, pair[1])))
 
 
 def layout_tree(layout: tuple[int, ...]) -> tuple[tuple[int, ...], Callable]:
@@ -273,13 +272,13 @@ def layout_tree(layout: tuple[int, ...]) -> tuple[tuple[int, ...], Callable]:
     The builder takes one sign function per arity, in order, and returns the
     construction tree.  Supported, for N parties:
 
-      2x...x2    (N >= 1)  arities (N,)             one leaf, pairs (1, 2)
-      4x...x4x2  (N >= 3)  arities (2, N-1, N-1)    tree_chain
-      8x8x4x2              arities (2,) * 7         tree_8842
-      8x8x4x4x4            arities (2,) * 9         tree_88444
+      2x...x2                  (1 <= N <= 20)  arities (N,)                one leaf, pairs (1, 2)
+      4x...x4x2                (3 <= N <= 10)  arities (2, N-1, N-1)       tree_chain
+      2^(N-1)x2^(N-1)x...x4x2  (4 <= N <= 6)   arities (2,) * (2^(N-1)-1)  tree_8842 at N = 4
+      8x8x4x4x4                (N = 5)         arities (2,) * 9            tree_88444
 
-    Layouts with more than limits.MAX_COUNT coefficients (2x...x2 past
-    N = 20, 4x...x4x2 past N = 10) raise ResourceLimitError.
+    The upper ends are the cap: layouts with more than limits.MAX_COUNT
+    (2^20) coefficients raise ResourceLimitError.
     """
     entries = math.prod(layout)
     if entries > limits.MAX_COUNT:
@@ -287,15 +286,16 @@ def layout_tree(layout: tuple[int, ...]) -> tuple[tuple[int, ...], Callable]:
             f"layouts are capped at {limits.MAX_COUNT} coefficient entries, got {entries}")
     n = len(layout)
     if n >= 1 and layout == (2,) * n:
-        return (n,), _two_setting_tree
+        return (n,), lambda signs: _tree(n, n, signs)
     if n >= 3 and layout == (4,) * (n - 1) + (2,):
         return (2, n - 1, n - 1), lambda signs: tree_chain(n, *signs)
-    if layout == (8, 8, 4, 2):
-        return (2,) * 7, tree_8842
+    if n >= 4 and layout == (2 ** (n - 1),) + tuple(2 ** k for k in range(n - 1, 0, -1)):
+        return (2,) * (2 ** (n - 1) - 1), lambda signs: _tree(n, 2, signs)
     if layout == (8, 8, 4, 4, 4):
         return (2,) * 9, tree_88444
     raise ValueError(
-        f"unsupported layout {layout}; supported: 2x...x2, 4x...x4x2, 8x8x4x2, 8x8x4x4x4"
+        f"unsupported layout {layout}; supported: 2x...x2, 4x...x4x2, "
+        "2^(N-1)x2^(N-1)x...x4x2, 8x8x4x4x4"
     )
 
 

@@ -12,10 +12,13 @@ Three condition values are computed, each compared against 1:
   party's contracted positive matrix) from random restarts, so the reported
   value is a certified lower bound on the true maximum.
 
-* multisetting_CN: the recursive condition behind the 4 x ... x 4 x 2
-  family.  Parties 1 and 2 get independent planes per trailing index tuple
-  (closed form: two largest eigenvalues of M_t M_t^T); each trailing party
-  gets one plane per branch of the indices behind it.  Exact for N=2,
+* multisetting_CN: the recursive condition behind the family on
+  2^(N-1) x 2^(N-1) x 2^(N-2) x ... x 4 x 2 settings, which
+  multiset.layout_tree builds for generate (8 x 8 x 4 x 2 at N=4; it is the
+  4 x ... x 4 x 2 chain only at N=3).  Parties 1 and 2 get independent
+  planes per trailing index tuple (closed form: two largest eigenvalues of
+  M_t M_t^T); each trailing party gets one plane per branch of the indices
+  behind it, which gives that family's setting counts.  Exact for N=2,
   otherwise an optimizer lower bound.  A sweep updates the trailing
   parties in turn, one orthonormal pair step per plane: three closed-form
   rotations about the pair's three axes, the best unit vector orthogonal

@@ -212,6 +212,10 @@ def test_generate_tightness_resource_cap():
     code, _, err = run_cli("generate", "--layout", "8,8,4,2", "--check-tight")
     assert code == 4
     assert "resource" in err
+    # 2^46 strategies, refused before any vertex is enumerated
+    code, out, err = run_cli("generate", "--layout", "16,16,8,4,2", "--check-tight")
+    assert (code, out) == (4, "")
+    assert err == "resource cap: layout has 70368744177664 strategies, cap is 1048576\n"
 
 
 # ---------------------------------------------------------------------------
@@ -774,11 +778,13 @@ def test_qubit_cap_exits_4(args, stdin):
 
 #: generate layouts past limits.MAX_COUNT (2^20) coefficients; each is refused
 #: before a default sign bitstring or a coefficient tensor is built
-OVER_LAYOUT_CAP = [(4,) * 15 + (2,), (2,) * 30, (4,) * 10 + (2,), (2,) * 21]
+OVER_LAYOUT_CAP = [(4,) * 15 + (2,), (2,) * 30, (4,) * 10 + (2,), (2,) * 21,
+                   (64, 64, 32, 16, 8, 4, 2)]
 
 
 @pytest.mark.parametrize("layout", OVER_LAYOUT_CAP,
-                         ids=["4,...,4,2 N=16", "2,...,2 N=30", "4,...,4,2 N=11", "2,...,2 N=21"])
+                         ids=["4,...,4,2 N=16", "2,...,2 N=30", "4,...,4,2 N=11", "2,...,2 N=21",
+                              "2^(N-1),...,4,2 N=7"])
 def test_layout_cap_exits_4(layout):
     code, out, err = run_cli("generate", "--layout", ",".join(map(str, layout)))
     assert (code, out) == (4, "")
@@ -923,6 +929,8 @@ PINNED_OUTPUTS = [
      0, "49dfe7fed8c20caf7c97723495f63c35a68149e4b093f2c102c2a54da4fc140e"),
     (("generate", "--layout", "8,8,4,4,4"), None,
      0, "7af991115163911c5f93aac04e0403de0783e732169dea3bdbc4fae45fceb9a0"),
+    (("generate", "--layout", "16,16,8,4,2"), None,
+     0, "7e1c4e46eee47496f99fb5ae4ecc0a655566d1466d998a1677f31b1d82980409"),
     # chosen sign functions: coefficients -64...64, a tight 4,4,4,2 facet
     # printed under "inequality", and a random-sign 8,8,4,2
     (("generate", "--layout", "8,8,4,4,4", "--sign-fn", "0110", "--sign-fn", "0111",

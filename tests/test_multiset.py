@@ -134,7 +134,7 @@ def sampled_strategy_values(ineq: bk.BellInequality, rng, samples: int = 4096) -
 
 
 REGISTRY_LAYOUTS = [(2, 2), (2, 2, 2), (2, 2, 2, 2), (4, 4, 2), (4, 4, 4, 2), (4, 4, 4, 4, 2),
-                    (8, 8, 4, 2), (8, 8, 4, 4, 4)]
+                    (8, 8, 4, 2), (8, 8, 4, 4, 4), (16, 16, 8, 4, 2)]
 
 
 @pytest.mark.parametrize("layout", REGISTRY_LAYOUTS,
@@ -151,6 +151,47 @@ def test_registry_trees_take_plus_minus_bound_for_random_signs(layout):
         else:
             values = sampled_strategy_values(ineq, rng)
         assert set(values.tolist()) <= {-ineq.bound, ineq.bound}
+
+
+def half_8842(top, left, right, half):
+    """Three-party block on settings 4h+1..4h+4 of parties 1, 2 and 2h+1,
+    2h+2 of party 3, written out."""
+    a, b = 4 * half, 2 * half
+    return bk.Node(top, (bk.Leaf((1, 2), ((a + 1, a + 2), (a + 1, a + 2)), left),
+                         bk.Leaf((1, 2), ((a + 3, a + 4), (a + 3, a + 4)), right)),
+                   (bk.Observable(3, b + 1), bk.Observable(3, b + 2)))
+
+
+def written_out_8842(signs):
+    return bk.Node(signs[0], (half_8842(*signs[1:4], 0), half_8842(*signs[4:7], 1)),
+                   (bk.Observable(4, 1), bk.Observable(4, 2)))
+
+
+def written_out_88444(signs):
+    return bk.Node(signs[0], (half_8842(*signs[1:4], 0), half_8842(*signs[4:7], 1)),
+                   (bk.Leaf((4, 5), ((1, 2), (1, 2)), signs[7]),
+                    bk.Leaf((4, 5), ((3, 4), (3, 4)), signs[8])))
+
+
+@pytest.mark.parametrize("layout, written_out", [((8, 8, 4, 2), written_out_8842),
+                                                 ((8, 8, 4, 4, 4), written_out_88444)],
+                         ids=["8,8,4,2", "8,8,4,4,4"])
+def test_registry_builds_the_written_out_trees(layout, written_out):
+    """The recursive builder gives, slot for slot, the trees written out by hand."""
+    rng = np.random.default_rng(len(layout))
+    arities, build = ms.layout_tree(layout)
+    for _ in range(50):
+        signs = [random_sign(rng, a) for a in arities]
+        assert build(signs) == written_out(signs)
+
+
+def test_six_party_c_n_shape_fills_the_coefficient_cap():
+    arities, build = ms.layout_tree((32, 32, 16, 8, 4, 2))
+    assert arities == (2,) * 31
+    ineq = bk.build_recursive(build([CHSH] * 31))
+    assert ineq.coefficients.size == limits.MAX_COUNT
+    assert ineq.bound == 1024
+    assert np.count_nonzero(ineq.coefficients) == 1024
 
 
 def test_leaf_party_order_permutes_the_sign_arguments():
@@ -622,6 +663,12 @@ def test_tree_validation_errors():
     wrong = bk.Leaf((1, 3), ((3, 4), (1, 2)), CHSH)
     with pytest.raises(ValueError):
         bk.build_recursive(bk.Node(CHSH, (left, wrong), (bk.Observable(4, 1), bk.Observable(4, 2))))
+    # a node pair of one or three blocks, or a bare block, is refused when made
+    for pair in [(OBS(1, 1),), (OBS(1, 1), OBS(1, 2), OBS(1, 3)), OBS(1, 1)]:
+        with pytest.raises(ValueError, match="first pair must hold two blocks"):
+            bk.build_recursive(bk.Node(CHSH, pair, (OBS(2, 1), OBS(2, 2))))
+        with pytest.raises(ValueError, match="second pair must hold two blocks"):
+            bk.Node(CHSH, (OBS(2, 1), OBS(2, 2)), pair)
 
 
 def test_build_requires_contiguous_parties():
