@@ -430,11 +430,17 @@ def polytope_membership(table: CorrelationTable) -> PolytopeResult:
     sum to 1 and become an LhvModel, after a check that they are nonnegative,
     sum to 1 within EXACT_TOL and reproduce the table within BOUND_TOL (plus
     EXACT_TOL of rounding, since the LP's own slack is BOUND_TOL); a failed
-    check raises RuntimeError.  Outside: the Farkas vector of the phase-1
-    simplex gives a hyperplane separating the table from every vertex; its
-    sweep-tightened form is returned as a violated BellInequality, after a
-    check that the table's value exceeds the vertex maximum, its bound; a
-    failed check raises RuntimeError.
+    check raises RuntimeError.  Outside: the phase-1 simplex's Farkas vector,
+    the duals at its exit, gives a hyperplane separating the table from every
+    vertex.  The last row of A is the convexity row, so phase 1 stops as soon
+    as those duals, shifted along that row, separate the table; at the first
+    basis they are the signs of the table (+1 at 0), and the certificate is
+    the table's own sign inequality with +-1 coefficients and an integral
+    bound.  Otherwise they are the duals at the phase-1 optimum, with float
+    coefficients.  The vector's table part, scaled to a largest coefficient of
+    1, is returned as a violated BellInequality whose bound is its maximum
+    over the vertices, after a check that the table's value exceeds that
+    bound; a failed check raises RuntimeError.
     """
     layout = table.layout
     codes, vertices = enumerate_vertices(layout)

@@ -31,7 +31,20 @@ the entering column's entry (0 on the pivot row).  A float64 A is used as
 given and only read, so a pivot reads A once and writes O(m^2 + n) entries,
 where a full tableau would rewrite all (m + 1) (n + m + 1) of its entries.
 
-On infeasibility the final duals give a Farkas certificate y with
+Early stop: when A's last row is all ones and b's last entry is 1, the
+convexity row of every membership LP, phase 1 may stop before its optimum.
+With w the phase-1 objective and M = max_j y . A_j the largest price of A's
+columns, the duals shifted along that row, y' = y - M e_last, price every
+column at y' . A_j <= 0 and give y' . b = w - M.  Once y' . b exceeds
+BOUND_TOL max(1, |y'|_inf), the loop returns infeasible with y' as its
+Farkas vector.  The verdict is the one a full run reaches: y' / max(1,
+|y'|_inf) is feasible for the phase-1 dual, so the phase-1 optimum exceeds
+BOUND_TOL.  The test runs only when the entering reduced cost plus w, a lower
+bound on w - M, exceeds BOUND_TOL; by weak duality it never does when
+A x = b has a solution x >= 0, so such systems pivot exactly as without it.
+At the first basis y = sign(b), and y' states b's own sign inequality.
+
+On infeasibility the duals at exit give a Farkas certificate y with
 
     y . A_j <= 0 for every column j   and   y . b > 0,
 
@@ -69,6 +82,8 @@ def solve_feasibility(a: np.ndarray, b: np.ndarray) -> FeasibilityResult:
     if b.shape != (m,):
         raise ValueError("b must have one entry per row of A")
     budget = limits.max_pivots(m, n)
+    # a last row of ones with b's entry 1, the convexity row, allows the early stop
+    convex = min(m, n) > 0 and b[-1] == 1.0 and bool((a[-1] == 1.0).all())
 
     sign = np.where(b < 0, -1.0, 1.0)  # D, the artificial columns' entries
     # rows 0..m-1 are [B^-1 | B^-1 b], row m is [D - y | -objective]
@@ -98,6 +113,12 @@ def solve_feasibility(a: np.ndarray, b: np.ndarray) -> FeasibilityResult:
         col[m] = reduced[enter]
         if col[m] >= -BOUND_TOL:
             break
+        # the early stop (module docstring): col[m] <= -M, so col[m] + w <= w - M
+        if convex and col[m] - block[m, m] > BOUND_TOL:
+            farkas = sign - block[m, :m]
+            farkas[-1] += cost.min()  # minus M, the largest price of A's columns
+            if farkas @ b > BOUND_TOL * max(1.0, np.abs(farkas).max()):
+                return FeasibilityResult(False, None, farkas, iterations, degenerate)
         if iterations >= budget:
             raise ResourceLimitError(f"simplex exceeded {budget} iterations")
         if enter < n:

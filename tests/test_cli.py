@@ -1041,13 +1041,29 @@ def test_pinned_state_file_bytes(stdin, digest):
 
 
 def test_pinned_lhv_certificate_bytes():
-    """A table outside the 3,3 polytope: the LP's separating hyperplane, float
-    coefficients with a 0.0 among them, printed from lists by json.dumps."""
+    """A table outside the 3,3 polytope by its own sign inequality: the LP stops
+    at its first basis, and the certificate is that inequality, +-1
+    coefficients and an integral bound, printed from lists by json.dumps."""
     table = '{"layout":[3,3],"values":[[1,1,1],[1,-1,0.5],[1,0.5,-1]]}'
     code, out, err = run_cli("lhv", "--table", "-", stdin=table)
-    assert (code, err) == (3, "violation: value 7.5 exceeds bound 4.0\n")
+    assert (code, err) == (3, "violation: value 8.0 exceeds bound 5.0\n")
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "8d8069eec01eb373684d0d889d8bf3ca9dbe2c73dc75473a7c7a166268851346")
+        "0bac405a8036658eeee12aa7904e63ad0e0b26cab91c53c85d9c951a5ea2ba6e")
+
+
+def test_pinned_lhv_late_certificate_bytes():
+    """0.501 times the table above, just past the CHSH facet of settings 1 and
+    2: phase 1 runs to its optimum, and the certificate, float coefficients
+    with 0.0 among them, comes from the duals there."""
+    table = ('{"layout":[3,3],"values":[[0.501,0.501,0.501],[0.501,-0.501,0.2505],'
+             '[0.501,0.2505,-0.501]]}')
+    code, out, err = run_cli("lhv", "--table", "-", stdin=table)
+    assert (code, err) == (3, "violation: value 2.004 exceeds bound 2.0\n")
+    assert json.loads(out)["coefficients"] == [[1, 1, 0], [1, -1, 0], [0, 0, 0]]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "11e8de41be6b4794cfc15454fcaa8a09336562939b66d1d6b8285281e3a0308c")
+    result = bk.polytope_membership(bk.CorrelationTable.from_json_dict(json.loads(table)))
+    assert result.lp_iterations == 13
 
 
 def seeded_table_json(layout: tuple[int, ...], seed: int, scale: float | None) -> str:
@@ -1074,15 +1090,15 @@ PINNED_LHV_TABLES = {
         "d101b3aced1800ea6719ddf6b049239c20b3fc0f8b1220c9dc9aa0469d3ea0cb", ""),
     "4,4,2 certificate": (
         ((4, 4, 2), 3, None), 3,
-        "bc15101be397859b7c285b37a57fa412c4c69150e90bc85d8ed9f48ce5d6706a",
-        "violation: value 13.770858703623244 exceeds bound 7.999999999999965\n"),
+        "00846197401784c816209443eb3f3f21e3120d19ba851233ec9aa00298726c87",
+        "violation: value 15.21882380410106 exceeds bound 12.0\n"),
     "3,3,3,3 LP model": (
         ((3, 3, 3, 3), 4, 0.9), 0,
         "21e4f45efc830c606f19da3aa0d2ea6545cf505c07e52c87b6da2bbc2ef5850f", ""),
     "3,3,3,3 certificate": (
         ((3, 3, 3, 3), 5, None), 3,
-        "80c30a61de9144cafd6bed507eeba06e3ff835b00d3a20451f6fe3900874892b",
-        "violation: value 38.58094158279283 exceeds bound 14.399999999999375\n"),
+        "31b2eedbe641342e822d8f340a6c44b4798e91d68ca4592d61c905f6d33cb135",
+        "violation: value 41.30789725602362 exceeds bound 25.0\n"),
 }
 
 

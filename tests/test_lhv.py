@@ -647,7 +647,8 @@ SIMPLEX_WORK = {
     "3,3,3,3 FOUND seed 2": (lambda: membership_lp(found_recipe_table(2)), True, 202, 148),
     "3,3,3,3 FOUND seed 6": (lambda: membership_lp(found_recipe_table(6)), True, 141, 14),
     "4,4,2 inside": (lambda: membership_lp(seeded_table((4, 4, 2), 2, 0.9)), True, 45, 0),
-    "4,4,2 outside": (lambda: membership_lp(seeded_table((4, 4, 2), 3, None)), False, 54, 0),
+    # its own sign inequality separates it, so phase 1 stops at the first basis
+    "4,4,2 outside": (lambda: membership_lp(seeded_table((4, 4, 2), 3, None)), False, 0, 0),
     "4,4,4,2 inside": (lambda: membership_lp(seeded_table((4, 4, 4, 2), 0, 0.9)), True, 269, 0),
     # the first pivot's two rows tie at ratio 1, and the lexicographic rule
     # picks between them; the second pivot is degenerate
@@ -673,20 +674,74 @@ def test_simplex_work_counts_are_pinned(lp, feasible, iterations, degenerate):
         assert result.farkas @ b > 0
 
 
+def has_convexity_row(a: np.ndarray, b: np.ndarray) -> bool:
+    """A's last row is all ones and b's last entry is 1, as in every membership LP."""
+    return bool(np.all(a[-1] == 1.0) and b[-1] == 1.0)
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (3, 3, 3), (4, 4, 2)])
+def test_verdicts_hold_a_hair_from_a_vertex(shape):
+    """(1 - 1e-7) v is a mixture of the vertices v and -v, and (1 + 1e-7) v lies
+    outside the cube.  The outside one is separated by v's own sign inequality
+    at the first basis, by a margin of 1e-7 dim; the inside one never stops early."""
+    from bellkit.simplex import solve_feasibility
+
+    rows = vertex_matrix(bk.ExperimentLayout(shape))
+    v = rows[len(rows) // 2]
+    a = np.vstack([rows.T, np.ones(len(rows))])
+    b = np.append((1 - 1e-7) * v, 1.0)
+    inside = solve_feasibility(a, b)
+    assert inside.feasible and np.all(inside.x >= 0)
+    assert np.max(np.abs(a @ inside.x - b)) <= BOUND_TOL
+    b = np.append((1 + 1e-7) * v, 1.0)
+    outside = solve_feasibility(a, b)
+    assert (outside.feasible, outside.iterations) == (False, 0)
+    assert np.max(outside.farkas @ a) <= 0 < outside.farkas @ b
+
+
+def test_table_above_its_own_sign_inequality_is_refused_at_the_first_basis():
+    """The first basis's duals are the signs of the table (+1 at 0), so its
+    certificate is the sign inequality: +-1 coefficients, an integral bound."""
+    tables = [bk.CorrelationTable(bk.ExperimentLayout((3, 3)),
+                                  [[1, 1, 1], [1, -1, 0.5], [1, 0.5, -1]]),
+              seeded_table((4, 4, 2), 3, None), seeded_table((3, 3, 3, 3), 5, None),
+              *small_lp_tables()[1::2]]
+    for table in tables:
+        signs = np.where(table.values < 0, -1.0, 1.0)
+        bound = np.max(vertex_matrix(table.layout) @ signs.ravel())
+        assert np.sum(np.abs(table.values)) > bound
+        result = bk.polytope_membership(table)
+        assert (result.inside, result.lp_iterations) == (False, 0)
+        assert np.array_equal(result.certificate.coefficients, signs)
+        assert result.certificate.bound == bound == round(bound)
+
+
 @st.composite
 def small_systems(draw) -> tuple[np.ndarray, np.ndarray, bool]:
     """A in {-1, 0, 1}^(m x n) with some columns repeated and some rows zeroed, and b:
-    A x0 for a sparse x0 >= 0 (the flag is then True) or drawn at random."""
+    A x0 for a sparse x0 >= 0 (the flag is then True) or drawn at random.  About
+    half carry a convexity row: A's last row set to ones, x0 scaled to sum to 1
+    and b's last entry set to 1."""
     m, n = draw(st.integers(1, 6)), draw(st.integers(1, 8))
     a = np.array(draw(st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=m * n,
                                max_size=m * n))).reshape(m, n)
     a = np.hstack([a, a[:, draw(st.lists(st.integers(0, n - 1), max_size=3))]])
     a[draw(st.lists(st.integers(0, m - 1), max_size=2))] = 0.0
-    if draw(st.booleans()):
-        x0 = draw(st.lists(st.one_of(st.just(0.0), st.floats(0, 2)), min_size=a.shape[1],
-                           max_size=a.shape[1]))
-        return a, a @ np.array(x0), True
-    return a, np.array(draw(st.lists(st.floats(-3, 3), min_size=m, max_size=m))), False
+    convex = draw(st.booleans())
+    if convex:
+        a[-1] = 1.0
+    built_feasible = draw(st.booleans())
+    if built_feasible:
+        x0 = np.array(draw(st.lists(st.one_of(st.just(0.0), st.floats(0, 2)),
+                                    min_size=a.shape[1], max_size=a.shape[1])))
+        if convex:
+            x0 = x0 / x0.sum() if x0.sum() > 0 else np.eye(a.shape[1])[0]
+        b = a @ x0
+    else:
+        b = np.array(draw(st.lists(st.floats(-3, 3), min_size=m, max_size=m)))
+    if convex:
+        b[-1] = 1.0
+    return a, b, built_feasible
 
 
 @settings(max_examples=300, deadline=None)
@@ -707,6 +762,15 @@ def test_simplex_answers_carry_their_proof(system):
     else:
         assert np.max(result.farkas @ a) <= BOUND_TOL
         assert result.farkas @ b > 0
+    if has_convexity_row(a, b):
+        # the first basis's duals sign(b), shifted along the convexity row so
+        # that no column prices above 0: where they separate b with room to
+        # spare, phase 1 must stop before its first pivot (a system built
+        # feasible never gets here, and never stops early: it is feasible)
+        y = np.where(b < 0, -1.0, 1.0)
+        y[-1] -= np.max(y @ a)
+        if y @ b > 2 * BOUND_TOL * max(1.0, np.max(np.abs(y))):
+            assert (result.feasible, result.iterations) == (False, 0)
 
 
 def small_lp_tables() -> list[bk.CorrelationTable]:
