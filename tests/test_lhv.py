@@ -674,11 +674,6 @@ def test_simplex_work_counts_are_pinned(lp, feasible, iterations, degenerate):
         assert result.farkas @ b > 0
 
 
-def has_convexity_row(a: np.ndarray, b: np.ndarray) -> bool:
-    """A's last row is all ones and b's last entry is 1, as in every membership LP."""
-    return bool(np.all(a[-1] == 1.0) and b[-1] == 1.0)
-
-
 @pytest.mark.parametrize("shape", [(3, 3), (3, 3, 3), (4, 4, 2)])
 def test_verdicts_hold_a_hair_from_a_vertex(shape):
     """(1 - 1e-7) v is a mixture of the vertices v and -v, and (1 + 1e-7) v lies
@@ -762,7 +757,7 @@ def test_simplex_answers_carry_their_proof(system):
     else:
         assert np.max(result.farkas @ a) <= BOUND_TOL
         assert result.farkas @ b > 0
-    if has_convexity_row(a, b):
+    if np.all(a[-1] == 1.0) and b[-1] == 1.0:  # a convexity row, as in membership LPs
         # the first basis's duals sign(b), shifted along the convexity row so
         # that no column prices above 0: where they separate b with room to
         # spare, phase 1 must stop before its first pivot (a system built
