@@ -390,6 +390,8 @@ def cmd_scan(args) -> int:
     if points > limits.MAX_COUNT:
         raise ResourceLimitError(f"scan grids are capped at {limits.MAX_COUNT} points, got {points}")
     kinds = args.kinds.split(",")
+    for alpha in (args.alpha_min, args.alpha_max):  # first: linspace warns on inf and nan
+        GhzFamily(n_list[0], alpha)
     alphas = np.linspace(args.alpha_min, args.alpha_max, args.alpha_steps)
     # every grid point is checked up front, by the rule --state ghz: applies
     families = [GhzFamily(n, float(alpha)) for n in n_list for alpha in alphas]

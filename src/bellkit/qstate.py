@@ -13,14 +13,16 @@ function E(a_1, ..., a_N).
 `correlation_tensor` gets all 4**N components in O(N 4**N) steps without
 forming any Pauli string: per qubit, sigma_k flips the bit (x, y) and/or
 signs it (y, z), so one table g[z, f] = rho[z, z XOR f] over flip masks f,
-one in-place fast Walsh-Hadamard transform over z and one cached gather give
-every T at once.  A `PureState` goes straight to that table,
+one in-place fast Walsh-Hadamard transform over z and one gather give every
+T at once.  A `PureState` goes straight to that table,
 g[z, f] = psi(z) psi*(z XOR f), and white noise is applied to g, so no
-2**N x 2**N matrix is built and nothing is diagonalized.  Of a pure state
-with a small support S (|S|**2 < 2**N, as for GHZ or W states) only the live
-flip columns f = z XOR z' (z, z' in S) are tabulated and transformed, and
-their labels are written into a zeroed tensor: every other column is a sum
-of products with an exact-zero factor, so its labels are exactly 0.
+2**N x 2**N matrix is built and nothing is diagonalized.  Only the live
+flip columns are tabulated and transformed, and their labels are written
+into a zeroed tensor.  For a pure state with a small support S
+(|S|**2 < 2**N, as for GHZ or W states) they are the columns f = z XOR z'
+(z, z' in S): every other column is a sum of products with an exact-zero
+factor, so its labels are exactly 0.  A `DensityMatrix`, or a pure state
+with a wider support, uses every column.  Nothing is cached between calls.
 `PureState` checks its norm, the kernel checks each visibility, and
 `CorrelationTensor` checks the identity component; `json_array` checks the
 [-1, 1] range with finiteness.
@@ -32,7 +34,6 @@ read-only, copied unless no one can write to them, so instances are thread-safe.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -257,21 +258,23 @@ def correlation_tensor(state: PureState | DensityMatrix, *,
     sums g for every phase mask at once, in place: N butterfly passes over
     4**N entries, each on contiguous rows of at least 2**N, so the cost is
     O(N 4**N).  T is +Re, -Im, -Re or +Im of the result h[p, f] as #y mod 4
-    is 0, 1, 2 or 3, so one gather and one masked negation, cached per N,
-    relabel h to k with no complex multiply.  States past the qubit cap and
-    visibilities outside [0, 1] are refused before that work starts.
+    is 0, 1, 2 or 3, so one gather and one masked negation relabel h with no
+    complex multiply, and one scatter puts each T at its label k.  States past
+    the qubit cap and visibilities outside [0, 1] are refused before that work
+    starts.
 
     A column f of a PureState's g can be nonzero only if f = z XOR z' for two
     nonzero amplitudes; in any other column every product has an exact-zero
     factor, so its h and its labels are zeros, +0.0 once the final += 0.0 has
-    run.  When the support S of psi has |S|**2 < 2**N, only those live
-    columns are tabulated, noised and transformed: a GHZ state has 2 of 2**N,
-    so the work falls to O(N 2**N) plus one zeroed 4**N output.  Each pass of
-    the transform works column by column, so the live columns come out with
-    the bits the full table gives them, and the relabel writes their
-    labels, picked from the bits of p and f, straight into the zeroed output
-    without the cached 4**N gather.  A DensityMatrix, or a pure state with a
-    wider support, keeps every column and the cached gather.
+    run.  So only those live columns are tabulated, noised and transformed
+    when the support S of psi has |S|**2 < 2**N: a GHZ state has 2 of 2**N,
+    and the work falls to O(N 2**N) plus one zeroed 4**N output.  A
+    DensityMatrix, or a pure state with a wider support, uses every column.
+    Each pass of the transform works column by column, so the live columns
+    come out with the bits the full table gives them, and their labels,
+    picked from the bits of p and f, are written into the zeroed output.  g
+    and the offsets are freed before the labels are built, so a state on
+    every column peaks near two complex 4**N tables.
     """
     n = state.n_qubits
     check_qubit_cap(n)
@@ -279,8 +282,8 @@ def correlation_tensor(state: PureState | DensityMatrix, *,
         check_visibility(visibility)
     masks = np.arange(2**n)
     live = _live_flips(state)
-    # g[z, f] = rho[z, z XOR f]; qubit 1 is the most significant bit of z and f
-    flipped = masks[:, None] ^ (masks if live is None else live)
+    # g[z, j] = rho[z, z XOR live[j]]; qubit 1 is the most significant bit of z and f
+    flipped = masks[:, None] ^ live
     if isinstance(state, PureState):
         psi = state.amplitudes
         g = psi.conj()[flipped]
@@ -291,36 +294,33 @@ def correlation_tensor(state: PureState | DensityMatrix, *,
     for visibility in visibilities:
         g *= visibility
         g[:, 0] += (1 - visibility) / 2**n  # f = 0 is also the first live column
-    _butterflies(g, n)  # now g[p, f]
-    if live is None:
-        offsets, negate = _relabel(n)
-    else:
-        offsets, negate, labels = _live_relabel(n, live)
+    _butterflies(g, n)  # now g[p, j]
+    offsets, negate = _live_offsets(n, live)
     values = g.view(np.float64).take(offsets)
+    del g, offsets  # freed before the labels are built, which keeps the peak near two tables
     np.negative(values, out=values, where=negate)
     values += 0.0  # turns the -0.0 that negation leaves on zero entries into 0.0
-    if live is not None:  # every other label comes from an all-zero column: +0.0
-        values, live_values = np.zeros((4,) * n), values
-        np.put(values, labels, live_values)
-    values.flags.writeable = False  # no one else holds values: the tensor keeps it uncopied
-    return CorrelationTensor(n, values)
+    labels = _live_labels(n, live)  # built before the zeroed output, which lowers the peak
+    tensor = np.zeros((4,) * n)  # labels off the live columns come from all-zero columns: +0.0
+    np.put(tensor, labels, values)
+    tensor.flags.writeable = False  # no one else holds it: CorrelationTensor keeps it uncopied
+    return CorrelationTensor(n, tensor)
 
 
-def _live_flips(state: PureState | DensityMatrix) -> np.ndarray | None:
-    """The flip masks f that can give a nonzero column of g, sorted; None for all of them.
+def _live_flips(state: PureState | DensityMatrix) -> np.ndarray:
+    """The flip masks f that can give a nonzero column of g, sorted.
 
     psi(z) psi*(z XOR f) is nonzero only if z and z XOR f are both in the
     support S of psi, so f is one of {z XOR z' : z, z' in S}, a set that
     holds f = 0 and at most |S|**2 masks.  That set is returned for a
-    PureState with |S|**2 < 2**n; a DensityMatrix, or a wider support,
-    keeps every column.
+    PureState with |S|**2 < 2**n; a DensityMatrix, or a wider support, gets
+    every column, all 2**n masks.
     """
-    if not isinstance(state, PureState):
-        return None
-    support = np.flatnonzero(state.amplitudes)
-    if support.size**2 >= 2**state.n_qubits:
-        return None
-    live = np.zeros(2**state.n_qubits, bool)  # a mask, not np.unique, which imports numpy.ma
+    masks = np.arange(2**state.n_qubits)
+    support = np.flatnonzero(state.amplitudes) if isinstance(state, PureState) else masks
+    if support.size**2 >= masks.size:  # a DensityMatrix counts as full support
+        return masks
+    live = np.zeros(masks.size, bool)  # a mask, not np.unique, which imports numpy.ma
     live[support[:, None] ^ support] = True
     return np.flatnonzero(live)
 
@@ -353,42 +353,30 @@ def _butterflies(a: np.ndarray, n: int) -> None:
         bottom[...] = diff
 
 
-@functools.cache
-def _relabel(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per label k, the float64 offset of T[k] in h[p, f] and whether to negate it.
+def _live_offsets(n: int, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per entry of h[p, j] = h[p, live[j]], shape (2**n, len(live)), the float64
+    offset that holds its T and whether to negate it.
 
-    Qubit by qubit, k's flip and phase bits place it at complex index
-    p * 2**n + f, float64 offset twice that, and each y adds 1 to #y; #y mod 4
-    then picks +Re, -Im, -Re or +Im.  Offset and #y share one int32, #y in
-    the low 4 bits (#y <= N, at most 10 at the default qubit cap), so one
-    outer sum per qubit builds both and no 4**N int64 array is made.
+    Qubit by qubit, each y (flip and phase bit both set) adds 1 to #y, and #y
+    mod 4 picks +Re, -Im, -Re or +Im of the complex entry at p * len(live) + j.
     """
-    f_bit, p_bit = np.array([0, 1, 1, 0]), np.array([0, 0, 1, 1])  # k = I, x, y, z
-    packed = np.zeros((), np.int32)
-    for q in range(n):
-        index = (f_bit + (p_bit << n)) << (n - 1 - q)
-        packed = np.add.outer(packed, ((2 * index) << 4 | f_bit & p_bit).astype(np.int32))
-    y_count = packed & 15
+    p = np.arange(2**n)[:, None]
+    y_count = np.bitwise_count(p & live)
+    offsets = 2 * (p * live.size + np.arange(live.size)) + (y_count & 1)
     negate = ((y_count + 1) & 2).astype(bool)
-    offsets = packed >> 4
-    offsets += y_count & 1
-    offsets.flags.writeable = negate.flags.writeable = False
     return offsets, negate
 
 
-def _live_relabel(n: int, live: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_relabel's offsets and negations for the live columns h[p, j] = h[p, live[j]],
-    and the flat label k of each, all of shape (2**n, len(live)).
+def _live_labels(n: int, live: np.ndarray) -> np.ndarray:
+    """The flat label k of each entry of h[p, j] = h[p, live[j]], shape (2**n, len(live)).
 
     Qubit by qubit the phase and flip bits (p, f) give k = 2 p + (f XOR p),
-    so k is 2 spread(p) + spread(p XOR f), where spread moves bit q to bit 2q.
+    so k is 2 spread(p) + (spread(p) XOR spread(f)), where spread moves bit q
+    to bit 2q.
     """
     masks = np.arange(2**n)
     spread = np.zeros(2**n, np.int64)
     for q in range(n):
         spread |= (masks >> q & 1) << 2 * q
-    p, f = masks[:, None], live
-    y_count = np.bitwise_count(p & f)
-    offsets = 2 * (p * live.size + np.arange(live.size)) + (y_count & 1)
-    negate = ((y_count + 1) & 2).astype(bool)
-    return offsets, negate, 2 * spread[p] + spread[p ^ f]
+    p = spread[:, None]
+    return 2 * p + (p ^ spread[live])

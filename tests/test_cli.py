@@ -499,6 +499,12 @@ EXIT_2_LINES = [
     pytest.param(("scan", "--family", "ghz", "--n", "3", "--kinds", "bogus"), None,
                  f"error: unknown condition kind 'bogus'; choose from {KINDS}",
                  id="scan --family ghz --n 3 --kinds bogus"),
+    pytest.param(("scan", "--family", "ghz", "--n", "3", "--alpha-max", "inf", "--alpha-steps", "2"),
+                 None, "error: alpha must lie in [0, pi/4]",
+                 id="scan --family ghz --n 3 --alpha-max inf --alpha-steps 2"),
+    pytest.param(("scan", "--family", "ghz", "--n", "3", "--alpha-min", "nan", "--alpha-steps", "2"),
+                 None, "error: alpha must lie in [0, pi/4]",
+                 id="scan --family ghz --n 3 --alpha-min nan --alpha-steps 2"),
     pytest.param(("condition", "--kind", "two_setting_NS_2qubit", "--state", "ghz:N=3,alpha=0.1"),
                  None, "error: two_setting_NS_2qubit applies to 2-qubit tensors only",
                  id="condition --kind two_setting_NS_2qubit --state ghz:N=3,alpha=0.1"),

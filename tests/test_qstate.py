@@ -387,13 +387,14 @@ def test_walsh_hadamard_matches_the_stacked_butterfly(n, dtype):
 @pytest.mark.parametrize("n", [9, 10])
 def test_kernel_bytes_past_the_hypothesis_range(n):
     """Pure GHZ, nested noise, W and Dicke states and a random dense state at 9
-    and 10 qubits: GHZ and W take the live-column branch, the n(n-1)/2-amplitude
-    Dicke state, whose support squared passes 2**n, every column."""
+    and 10 qubits: GHZ and W use a few live columns; the n(n-1)/2-amplitude
+    Dicke state, whose support squared passes 2**n, and the dense state use
+    every column."""
     ghz = bk.ghz_state(bk.GhzFamily(n, 0.3))
     dense = random_pure(np.random.default_rng(n), n)
     cases = ((ghz, ()), (ghz, (0.7, 0.3, 0.9)), (dicke(n, 1), ()), (dicke(n, 1), (0.4,)),
              (dicke(n, 2), (0.8,)), (dense, (0.55,)))
-    assert [qstate._live_flips(state) is None for state, _ in cases] == [
+    assert [len(qstate._live_flips(state)) == 2**n for state, _ in cases] == [
         False, False, False, False, True, True]
     for state, visibilities in cases:
         got = bk.correlation_tensor(state, visibilities=visibilities).components
@@ -411,15 +412,26 @@ def traced_peak(state, visibilities) -> int:
 
 @pytest.mark.parametrize("n", [8, 10])
 def test_kernel_peak_memory(n):
-    """At most three complex 4**N tables at once, the per-N relabel cache
-    included; a GHZ state, on live columns, at most 1.25 float 4**N tables:
-    the zeroed output, which CorrelationTensor keeps without a copy."""
+    """A dense state, on every column, at most 2.25 complex 4**N tables at once;
+    a GHZ state, on live columns, at most 1.25 float 4**N tables: the zeroed
+    output, which CorrelationTensor keeps without a copy."""
     state = random_pure(np.random.default_rng(n), n)
-    qstate._relabel.cache_clear()
-    assert traced_peak(state, (0.7,)) <= 3 * 16 * 4**n
-    qstate._relabel.cache_clear()
+    assert traced_peak(state, (0.7,)) <= 2.25 * 16 * 4**n
     assert traced_peak(bk.ghz_state(bk.GhzFamily(n, 0.3)), (0.7,)) <= 1.25 * 8 * 4**n
-    assert qstate._relabel.cache_info().currsize == 0
+
+
+def test_kernel_keeps_nothing_between_calls():
+    """Once the tensor of a dense 8-qubit state is dropped, the memory traced
+    since before the call is back within 64 KiB: no table outlives the call."""
+    state = random_pure(np.random.default_rng(8), 8)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tensor = bk.correlation_tensor(state, visibilities=(0.7,))
+        del tensor
+        assert tracemalloc.get_traced_memory()[0] - before <= 64 * 1024
+    finally:
+        tracemalloc.stop()
 
 
 def test_tensor_keeps_only_arrays_no_one_can_write():
@@ -454,14 +466,14 @@ def local_frame(u: np.ndarray) -> np.ndarray:
 @pytest.mark.parametrize("n", [9, 10])
 def test_local_unitaries_rotate_the_ghz_tensor(n):
     """(U_1 x ... x U_N)|GHZ> has the GHZ tensor with axis j mapped by Q_j, and
-    noise:v scales every component but the identity's by v.  GHZ takes the
-    live-column branch and the rotated state every column, so the two kernel
-    paths check each other at sizes no trace oracle reaches."""
+    noise:v scales every component but the identity's by v.  GHZ uses two
+    live columns and the rotated state every column, so the two column sets
+    check each other at sizes no trace oracle reaches."""
     rng = np.random.default_rng(900 + n)
     ghz = bk.ghz_state(bk.GhzFamily(n, 0.3))
     unitaries = [haar_unitary(rng) for _ in range(n)]
     rotated = bk.PureState(n, kron_chain(unitaries) @ ghz.amplitudes)
-    assert qstate._live_flips(ghz) is not None and qstate._live_flips(rotated) is None
+    assert len(qstate._live_flips(ghz)) == 2 and len(qstate._live_flips(rotated)) == 2**n
     ghz_tensor = want = bk.correlation_tensor(ghz).components
     for j, u in enumerate(unitaries):
         want = np.moveaxis(np.tensordot(local_frame(u), want, axes=([1], [j])), 0, j)
