@@ -357,15 +357,14 @@ def cmd_generate(args) -> int:
 
 
 def _run_condition(kind: str, tensor: CorrelationTensor, restarts: int, seed: int):
+    """kind is one of CONDITION_KINDS: --kind's choices or cmd_scan checks it."""
     # checked for every kind, also the closed form that draws no restarts
     check_restarts(restarts, seed)
     if kind == "two_setting_NS_2qubit":
         return condition_two_qubit(tensor)
     if kind == "two_setting_sufficient_N":
         return condition_two_setting_N(tensor, restarts=restarts, seed=seed)
-    if kind == "multisetting_CN":
-        return condition_multisetting_CN(tensor, restarts=restarts, seed=seed)
-    raise ValueError(f"unknown condition kind {kind!r}; choose from {', '.join(CONDITION_KINDS)}")
+    return condition_multisetting_CN(tensor, restarts=restarts, seed=seed)
 
 
 def cmd_condition(args) -> int:
@@ -395,6 +394,10 @@ def cmd_scan(args) -> int:
     alphas = np.linspace(args.alpha_min, args.alpha_max, args.alpha_steps)
     # every grid point is checked up front, by the rule --state ghz: applies
     families = [GhzFamily(n, float(alpha)) for n in n_list for alpha in alphas]
+    for kind in kinds:  # all of them, before any grid point runs
+        if kind not in CONDITION_KINDS:
+            raise ValueError(
+                f"unknown condition kind {kind!r}; choose from {', '.join(CONDITION_KINDS)}")
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["family", "N", "alpha", "kind", "value", "violated"])
@@ -441,8 +444,8 @@ def _add_rng(parser: argparse.ArgumentParser) -> None:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built once per process; every caller shares it."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The CLI's parser and each command's parser by name, built once per process."""
     parser = argparse.ArgumentParser(
         prog="bellkit",
         description="Correlation Bell inequalities: generation, LHV models, violation checks.",
@@ -498,11 +501,26 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out(p)
     p.set_defaults(func=cmd_maximize)
 
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; every caller shares it."""
+    return _parsers()[0]
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    commands = _parsers()[1]
+    argv = sys.argv[1:] if argv is None else argv
+    # parse_args reads every argument twice, at the top level and again in the
+    # command's parser; a known command first goes to its parser alone, and
+    # leftovers get the top-level error that parse_args prints for them
+    if argv and argv[0] in commands:
+        args, extras = commands[argv[0]].parse_known_args(argv[1:])
+        if extras:
+            build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
+    else:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ResourceLimitError as exc:

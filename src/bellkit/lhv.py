@@ -399,10 +399,15 @@ def enumerate_vertices(layout: ExperimentLayout) -> tuple[list[tuple[int, ...]],
     Returns representative strategy codes and an integer matrix with one
     flattened product tensor per row, in lexicographic code order: the
     Kronecker product of the per-party outcome matrices of _vertex_factors,
-    whose representative rule and strategy cap it shares.
+    whose representative rule and strategy cap it shares.  The product is
+    formed right to left, so each step's rows stay long; it is associative,
+    so the matrix is the one the left-to-right order gives.
     """
     ranges, factors = _vertex_factors(layout)
-    return list(itertools.product(*ranges)), reduce(_kron, factors)
+    vertices = factors[-1]
+    for factor in factors[-2::-1]:
+        vertices = _kron(factor, vertices)
+    return list(itertools.product(*ranges)), vertices
 
 
 @dataclass(frozen=True)
@@ -440,7 +445,8 @@ def polytope_membership(table: CorrelationTable) -> PolytopeResult:
     coefficients.  The vector's table part, scaled to a largest coefficient of
     1, is returned as a violated BellInequality whose bound is its maximum
     over the vertices, after a check that the table's value exceeds that
-    bound; a failed check raises RuntimeError.
+    bound; a failed check raises RuntimeError.  Both checks read the vertices
+    from A's float copy, not from the integer matrix.
     """
     layout = table.layout
     codes, vertices = enumerate_vertices(layout)
@@ -450,6 +456,7 @@ def polytope_membership(table: CorrelationTable) -> PolytopeResult:
     columns = np.empty((len(codes), dim + 1))
     columns[:, :dim] = vertices
     columns[:, dim] = 1.0
+    vertices = columns[:, :dim]
     b = np.concatenate([table.values.ravel(), [1.0]])
 
     result = solve_feasibility(columns.T, b)

@@ -106,29 +106,32 @@ def solve_feasibility(a: np.ndarray, b: np.ndarray) -> FeasibilityResult:
     ratios = np.empty(m)
     positive = np.empty(m, dtype=bool)
     basis = np.arange(n, n + m)
+    # loop-invariant views: D - y, the artificials' reduced costs, the cost
+    # row of scratch, and A's columns as rows (a_rows[j] is a[:, j])
+    duals, artificial, pivot_costs, a_rows = block[m, :m], reduced[n:], scratch[m, :m], a.T
     iterations = degenerate = 0
     while True:
-        np.multiply(block[m, :m], sign, out=reduced[n:])
+        np.multiply(duals, sign, out=artificial)
         enter = int(reduced.argmin())  # Dantzig's entering rule
-        col[m] = reduced[enter]
-        if col[m] >= -BOUND_TOL:
+        col[m] = entering_cost = reduced.item(enter)
+        if entering_cost >= -BOUND_TOL:
             break
         # the early stop (module docstring): col[m] <= -M, so col[m] + w <= w - M
-        if convex and col[m] - block[m, m] > BOUND_TOL:
-            farkas = sign - block[m, :m]
+        if convex and entering_cost - block[m, m] > BOUND_TOL:
+            farkas = sign - duals
             farkas[-1] += cost.min()  # minus M, the largest price of A's columns
             if farkas @ b > BOUND_TOL * max(1.0, np.abs(farkas).max()):
                 return FeasibilityResult(False, None, farkas, iterations, degenerate)
         if iterations >= budget:
             raise ResourceLimitError(f"simplex exceeded {budget} iterations")
         if enter < n:
-            np.matmul(binv, a[:, enter], out=entering)
+            np.matmul(binv, a_rows[enter], out=entering)
         else:
             np.multiply(binv[:, enter - n], sign[enter - n], out=entering)
         np.greater(entering, BOUND_TOL, out=positive)
         ratios.fill(np.inf)
         np.divide(rhs, entering, out=ratios, where=positive)
-        best = ratios[ratios.argmin()]
+        best = ratios.item(ratios.argmin())
         if best == np.inf:
             raise RuntimeError("phase-1 column with no positive entries")
         ties = (ratios <= best + EXACT_TOL).nonzero()[0]
@@ -149,7 +152,7 @@ def solve_feasibility(a: np.ndarray, b: np.ndarray) -> FeasibilityResult:
         block -= scratch
         # A's reduced costs fall by col[m] times the pivot row over A's
         # columns, row . A: scratch's last row already holds col[m] row
-        np.dot(scratch[m, :m], a, out=prices)
+        np.dot(pivot_costs, a, out=prices)
         cost -= prices
         if enter < n:
             cost[enter] = 0.0
@@ -158,7 +161,7 @@ def solve_feasibility(a: np.ndarray, b: np.ndarray) -> FeasibilityResult:
 
     structural = basis < n
     if rhs[~structural].sum() > BOUND_TOL:  # the phase-1 objective
-        return FeasibilityResult(False, None, sign - block[m, :m], iterations, degenerate)
+        return FeasibilityResult(False, None, sign - duals, iterations, degenerate)
 
     x = np.zeros(n)
     x[basis[structural]] = rhs[structural]

@@ -499,6 +499,12 @@ EXIT_2_LINES = [
     pytest.param(("scan", "--family", "ghz", "--n", "3", "--kinds", "bogus"), None,
                  f"error: unknown condition kind 'bogus'; choose from {KINDS}",
                  id="scan --family ghz --n 3 --kinds bogus"),
+    # every kind is checked before the first grid point runs
+    pytest.param(("scan", "--family", "ghz", "--n", "9", "--alpha-min", "0.6", "--alpha-steps",
+                  "2", "--kinds", "multisetting_CN,foo", "--restarts", "50"), None,
+                 f"error: unknown condition kind 'foo'; choose from {KINDS}",
+                 id="scan --family ghz --n 9 --alpha-min 0.6 --alpha-steps 2 "
+                    "--kinds multisetting_CN,foo --restarts 50"),
     pytest.param(("scan", "--family", "ghz", "--n", "3", "--alpha-max", "inf", "--alpha-steps", "2"),
                  None, "error: alpha must lie in [0, pi/4]",
                  id="scan --family ghz --n 3 --alpha-max inf --alpha-steps 2"),
@@ -1219,6 +1225,53 @@ def test_parser_built_once_keeps_no_state_between_calls(capsys):
     capsys.readouterr()
     assert cli.main(["generate", "--layout", "4,4,2"]) == 0
     assert capsys.readouterr().out == run_cli("generate", "--layout", "4,4,2")[1]
+
+
+#: argvs through main's direct branch (a known command first) and through parse_args
+PARSE_ARGVS = [
+    [], ["-h"], ["--help"], ["bogus"], ["--bogus", "lhv"], ["lhv"], ["lhv", "-h"],
+    ["lhv", "--he"], ["lhv", "--tab", "-"], ["lhv", "--table", "-", "extra"],
+    ["lhv", "--table", "-", "--bogus"], ["generate", "--layout=2,2"],
+    ["generate", "--lay", "2,2"], ["generate", "--layout", "2,2", "--", "x"],
+    ["tensor", "--state", "singlet", "--state", "singlet"],
+    ["condition", "--kind", "nope", "--state", "singlet"],
+    ["condition", "--kind", "multisetting_CN", "--state", "singlet", "--restarts", "x"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_ARGVS, ids=lambda argv: " ".join(argv) or "no argv")
+def test_main_parses_as_parse_args_does(monkeypatch, capsys, argv):
+    """main hands a known command's arguments to its parser alone; its exit
+    status, stdout and stderr are those of the top-level parser's parse_args."""
+    from bellkit import cli
+
+    def through_parse_args(argv):
+        args = cli.build_parser().parse_args(argv)
+        return args.func(args)
+
+    outcomes = []
+    for run in (cli.main, through_parse_args):
+        monkeypatch.setattr("sys.stdin", io.StringIO(TABLE_22))
+        try:
+            code = run(list(argv))
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        outcomes.append((code, *capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_scan_refuses_an_unknown_kind_before_any_condition_runs(monkeypatch, capsys):
+    from bellkit import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a condition ran")
+
+    for name in ("condition_two_qubit", "condition_two_setting_N", "condition_multisetting_CN"):
+        monkeypatch.setattr(cli, name, refuse)
+    assert cli.main(["scan", "--family", "ghz", "--n", "3", "--alpha-steps", "2",
+                     "--kinds", "multisetting_CN,two_setting_sufficient_N,foo"]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: unknown condition kind 'foo'; choose from {KINDS}\n")
 
 
 def test_benchmark_tracer_records_hooked_names(capsys, monkeypatch):

@@ -1,4 +1,5 @@
 """Strategies, the 2-setting inequality family, model reconstruction, LP oracle."""
+import functools
 import itertools
 import json
 
@@ -421,6 +422,24 @@ def test_vertex_enumeration_matches_product_oracle(shape):
     assert all(type(c) is int for code in codes for c in code)
     assert rows.dtype == np.int64
     assert np.array_equal(rows, np.array(want_rows, dtype=np.int64))
+
+
+@pytest.mark.parametrize("shape", [(2,), (3,), (2, 2), (3, 3), (2, 3, 4), (4, 4, 2), (3, 3, 3),
+                                   (3, 3, 3, 3)], ids=lambda shape: "x".join(map(str, shape)))
+def test_vertex_product_equals_the_left_to_right_kronecker_product(shape):
+    """The product is formed right to left; the matrix is np.kron's left to right.
+
+    Party 1's factor comes first, so a product with the parties' order
+    reversed fails at 2,3,4, where no two factors have the same shape.
+    """
+    layout = bk.ExperimentLayout(shape)
+    ranges, factors = lhv._vertex_factors(layout)
+    codes, rows = bk.enumerate_vertices(layout)
+    want = functools.reduce(np.kron, factors)
+    assert rows.dtype == want.dtype == np.int64
+    assert rows.shape == want.shape
+    assert np.array_equal(rows, want)
+    assert codes == list(itertools.product(*ranges))
 
 
 @pytest.mark.parametrize("eps, inside", [
