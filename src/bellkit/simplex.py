@@ -108,17 +108,17 @@ def solve_feasibility(a: np.ndarray, b: np.ndarray) -> FeasibilityResult:
     basis = np.arange(n, n + m)
     # loop-invariant views: D - y, the artificials' reduced costs, the cost
     # row of scratch, and A's columns as rows (a_rows[j] is a[:, j])
-    duals, artificial, pivot_costs, a_rows = block[m, :m], reduced[n:], scratch[m, :m], a.T
+    d_minus_y, artificial, pivot_costs, a_rows = block[m, :m], reduced[n:], scratch[m, :m], a.T
     iterations = degenerate = 0
     while True:
-        np.multiply(duals, sign, out=artificial)
+        np.multiply(d_minus_y, sign, out=artificial)
         enter = int(reduced.argmin())  # Dantzig's entering rule
         col[m] = entering_cost = reduced.item(enter)
         if entering_cost >= -BOUND_TOL:
             break
         # the early stop (module docstring): col[m] <= -M, so col[m] + w <= w - M
         if convex and entering_cost - block[m, m] > BOUND_TOL:
-            farkas = sign - duals
+            farkas = sign - d_minus_y
             farkas[-1] += cost.min()  # minus M, the largest price of A's columns
             if farkas @ b > BOUND_TOL * max(1.0, np.abs(farkas).max()):
                 return FeasibilityResult(False, None, farkas, iterations, degenerate)
@@ -161,7 +161,7 @@ def solve_feasibility(a: np.ndarray, b: np.ndarray) -> FeasibilityResult:
 
     structural = basis < n
     if rhs[~structural].sum() > BOUND_TOL:  # the phase-1 objective
-        return FeasibilityResult(False, None, sign - duals, iterations, degenerate)
+        return FeasibilityResult(False, None, sign - d_minus_y, iterations, degenerate)
 
     x = np.zeros(n)
     x[basis[structural]] = rhs[structural]
