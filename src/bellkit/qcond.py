@@ -10,7 +10,9 @@ Three condition values are computed, each compared against 1:
   sum of squared correlation components with every index in the plane.
   Computed by alternating per-party plane updates (top-2 eigenvectors of the
   party's contracted positive matrix) from random restarts, so the reported
-  value is a certified lower bound on the true maximum.
+  value is a certified lower bound on the true maximum.  two_setting_upper
+  bounds it from above, and the restarts stop once they reach that bound
+  less SWEEP_TOL, where the value is exact to within that tolerance.
 
 * multisetting_CN: the recursive condition behind the family on
   2^(N-1) x 2^(N-1) x 2^(N-2) x ... x 4 x 2 settings, which
@@ -39,7 +41,9 @@ optimum for that vector and never decreases the objective.
 All three optimizers check their arguments with check_restarts and share one
 multi-start driver, _multistart, that carries a block of restarts on a leading
 batch axis, so every update is one batched numpy call, and re-evaluates the
-winner.  The two-setting and see-saw sweeps share one contraction, _environments.
+winner.  Given a proven upper bound, as only the two-setting condition is,
+the driver starts no further block once the best value reaches it.  The
+two-setting and see-saw sweeps share one contraction, _environments.
 """
 
 from __future__ import annotations
@@ -70,18 +74,24 @@ _CANONICAL_PLANES = np.eye(3)[[[0, 1], [0, 2], [1, 2]]]
 class ConditionReport:
     """Outcome of one condition evaluation.
 
-    Each restart's final value and whether it converged within
-    limits.MAX_SWEEPS sweeps; a closed form counts as one converged restart.
-    On generic (non-GHZ) states some multisetting_CN restarts may still be
-    rising after that many sweeps, so their converged flags are False.
-    violated means the value exceeds 1 by more than BOUND_TOL: for two
-    qubits that decides a violation, for N >= 3 it shows only that the
-    condition, which every violation needs, holds.  restarts_at_best counts
-    the restarts within BOUND_TOL of the reported value.
+    Each restart that ran gives its final value and whether it converged
+    within limits.MAX_SWEEPS sweeps; a closed form counts as one converged
+    restart.  On generic (non-GHZ) states some multisetting_CN restarts may
+    still be rising after that many sweeps, so their converged flags are
+    False.  upper is a proven upper bound on the condition: the value itself
+    for the two-qubit closed form, two_setting_upper for
+    two_setting_sufficient_N, whose restarts stop once they reach it, and
+    None for multisetting_CN, which has no proven bound.  A value above upper
+    by more than BOUND_TOL is refused.  violated means the value exceeds 1 by
+    more than BOUND_TOL: for two qubits that decides a violation, for N >= 3
+    it shows only that the condition, which every violation needs, holds.
+    restarts_at_best counts the restarts within BOUND_TOL of the reported
+    value.
     """
 
     kind: str
     value: float
+    upper: float | None
     violated: bool = field(init=False)
     frames: Any
     certified: str
@@ -97,6 +107,8 @@ class ConditionReport:
             raise ValueError("certified must be 'exact' or 'lower_bound'")
         if self.value < 0:
             raise ValueError("condition values are nonnegative")
+        if self.upper is not None and self.value > self.upper + BOUND_TOL:
+            raise ValueError(f"condition value {self.value} is above its bound {self.upper}")
         if len(self.converged) != len(self.restart_values):
             raise ValueError("one converged flag per restart value")
         object.__setattr__(self, "violated", self.value > 1 + BOUND_TOL)
@@ -129,6 +141,7 @@ def condition_two_qubit(tensor: CorrelationTensor) -> ConditionReport:
     return ConditionReport(
         kind="two_setting_NS_2qubit",
         value=value,
+        upper=value,
         frames=_frames_json(frames),
         certified="exact",
         seed=None,
@@ -147,11 +160,12 @@ def check_restarts(restarts: int, seed: int) -> None:
         raise ResourceLimitError(f"restarts are capped at {limits.MAX_COUNT}, got {restarts}")
 
 
-def _lower_bound_report(kind: str, value: float, frames: list, seed: int,
+def _lower_bound_report(kind: str, value: float, upper: float | None, frames: list, seed: int,
                         values: np.ndarray, converged: np.ndarray) -> ConditionReport:
     return ConditionReport(
         kind=kind,
         value=value,
+        upper=upper,
         frames=frames,
         certified="lower_bound",
         seed=seed,
@@ -161,8 +175,8 @@ def _lower_bound_report(kind: str, value: float, frames: list, seed: int,
 
 
 def _multistart(name: str, draw: Callable, evaluate: Callable, sweep: Callable, restarts: int,
-                seed: int, entries: int):
-    """Run `restarts` ascents of the optimizer `name`, a block of them at a time on a
+                seed: int, entries: int, ceiling: float | None = None):
+    """Run up to `restarts` ascents of the optimizer `name`, a block of them at a time on a
     leading batch axis.
 
     The caller has passed restarts and seed through check_restarts.
@@ -172,18 +186,26 @@ def _multistart(name: str, draw: Callable, evaluate: Callable, sweep: Callable, 
     states and values after one full sweep.  Each restart stops on its own,
     once its value rises by at most SWEEP_TOL or after limits.MAX_SWEEPS
     sweeps, so its path never depends on the other restarts.  Blocks hold about
-    _BLOCK_ENTRIES / entries restarts.  Returns each restart's final value
-    and converged flag, and the winner (the first restart with the strict
-    maximum): its index, state, value and value history.  The value is
-    evaluate() of that state, the value its frames actually attain.  A
-    non-finite restart value is a fault of the optimizer, and raises
-    RuntimeError.
+    _BLOCK_ENTRIES / entries restarts.  A ceiling is a proven upper bound on
+    the objective: restart 0 then runs as a block of its own, and no later
+    block starts once the best value is at least ceiling - SWEEP_TOL, since no
+    restart can then raise it by more than a sweep's own slack.  The stop
+    reads only earlier restarts, so the first r restarts of a longer run are
+    still the run with r restarts.  Returns each restart's final value and
+    converged flag, for the restarts that ran, and the winner (the first
+    restart with the strict maximum): its index, state, value and value
+    history.  The value is evaluate() of that state, the value its frames
+    actually attain.  A non-finite restart value is a fault of the optimizer,
+    and raises RuntimeError.
     """
     rng = np.random.default_rng(seed)
     block = max(1, _BLOCK_ENTRIES // entries)
+    edges = [0, *range(block if ceiling is None else 1, restarts, block), restarts]
     values, converged, best_value = [], [], -np.inf
-    for first in range(0, restarts, block):
-        state = draw(rng, first, min(block, restarts - first))
+    for first, end in zip(edges, edges[1:]):
+        if ceiling is not None and best_value >= ceiling - SWEEP_TOL:
+            break
+        state = draw(rng, first, end - first)
         value = evaluate(state)
         done = np.zeros(len(value), dtype=bool)
         sweeps = np.zeros(len(value), dtype=np.int64)
@@ -265,9 +287,30 @@ def _environments(corr: np.ndarray, rows):
         yield x.reshape(len(x), x.shape[1], -1)
 
 
+def two_setting_upper(corr: np.ndarray) -> float:
+    """min over parties j of l1 + l2, the two largest eigenvalues of G_j = C_j C_j^T,
+    with C_j the 3 x 3^(N-1) unfolding of corr along party j's axis.
+
+    It bounds the two-setting condition from above: with planes P_i (2 x 3,
+    orthonormal rows), the value is |P_j C_j Q|_F^2, Q the Kronecker product
+    of the other parties' P_i^T, whose columns are orthonormal.  So
+    Q Q^T <= I, C_j Q Q^T C_j^T <= G_j in the PSD order, and the value is at
+    most tr(P_j G_j P_j^T) <= l1 + l2 (Ky Fan).  At N = 2 it is s1^2 + s2^2,
+    the exact two-qubit value.
+    """
+    n = corr.ndim
+    unfolded = np.stack([np.moveaxis(corr, j, 0).reshape(3, -1) for j in range(n)])
+    eigvals = np.linalg.eigvalsh(unfolded @ unfolded.swapaxes(1, 2))
+    return float(np.min(eigvals[:, 1] + eigvals[:, 2]))
+
+
 def condition_two_setting_N(tensor: CorrelationTensor, restarts: int = 50,
                             seed: int = 0) -> ConditionReport:
-    """Maximize the in-plane squared correlation sum over per-party planes."""
+    """Maximize the in-plane squared correlation sum over per-party planes.
+
+    At most `restarts` restarts run: they stop once the best value reaches
+    two_setting_upper less SWEEP_TOL.
+    """
     n = tensor.n_qubits
     if n < 2:
         raise ValueError("need at least 2 parties")
@@ -292,10 +335,11 @@ def condition_two_setting_N(tensor: CorrelationTensor, restarts: int = 50,
             plane[...] = np.swapaxes(eigvecs[..., [2, 1]], 1, 2)
         return planes, eigvals[:, -1] + eigvals[:, -2]
 
+    upper = two_setting_upper(corr)
     values, converged, _, best, value, _ = _multistart(
-        "two_setting_sufficient_N", draw, objective, sweep, restarts, seed, corr.size)
-    return _lower_bound_report("two_setting_sufficient_N", value, _frames_json(list(best)),
-                               seed, values, converged)
+        "two_setting_sufficient_N", draw, objective, sweep, restarts, seed, corr.size, upper)
+    return _lower_bound_report("two_setting_sufficient_N", value, upper,
+                               _frames_json(list(best)), seed, values, converged)
 
 
 #: The unit axes e_i, and _CROSS[i] @ f = f x e_i.
@@ -500,7 +544,7 @@ def condition_multisetting_CN(tensor: CorrelationTensor, restarts: int = 50,
     check_restarts(restarts, seed)  # the N=2 closed form's arguments too
     if n == 2:
         report = condition_two_qubit(tensor)
-        return replace(report, kind="multisetting_CN", seed=seed,
+        return replace(report, kind="multisetting_CN", upper=None, seed=seed,
                        frames=[{"term": [], "frames": report.frames}])
 
     corr = tensor.correlation_part()
@@ -529,7 +573,8 @@ def condition_multisetting_CN(tensor: CorrelationTensor, restarts: int = 50,
         "frames": _frames_json([u[t, :, :2].T, vt[t, :2]]
                                + [best[j - 3][t % 2 ** (n - j)] for j in range(3, n + 1)]),
     } for t, term in enumerate(np.ndindex(*(2,) * (n - 2)))]
-    return _lower_bound_report("multisetting_CN", value, report_terms, seed, values, converged)
+    return _lower_bound_report("multisetting_CN", value, None, report_terms, seed, values,
+                               converged)
 
 
 @dataclass(frozen=True)

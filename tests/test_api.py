@@ -2,6 +2,8 @@
 
 Submodules such as bellkit.lhv are importable but not part of __all__.
 """
+import dataclasses
+
 import bellkit as bk
 
 PUBLIC_API = [
@@ -55,3 +57,14 @@ PUBLIC_API = [
 def test_public_api_is_pinned():
     assert sorted(bk.__all__) == PUBLIC_API
 
+
+def test_condition_report_fields_and_json_keys_are_pinned():
+    """upper and the per-restart fields are Python-only: the JSON keys, and so
+    the stdout of `condition` and `scan`, do not include them."""
+    fields = [f.name for f in dataclasses.fields(bk.ConditionReport)]
+    assert fields == ["kind", "value", "upper", "violated", "frames", "certified", "seed",
+                      "restart_values", "converged", "restarts_at_best"]
+    report = bk.condition_two_setting_N(bk.correlation_tensor(bk.ghz_state(bk.GhzFamily(3, 0.3))),
+                                        restarts=3)
+    assert list(report.to_json_dict()) == ["kind", "value", "violated", "frames", "certified",
+                                           "seed"]
