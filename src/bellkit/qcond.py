@@ -21,7 +21,9 @@ Three condition values are computed, each compared against 1:
   planes per trailing index tuple (closed form: two largest eigenvalues of
   M_t M_t^T); each trailing party gets one plane per branch of the indices
   behind it, which gives that family's setting counts.  Exact for N=2,
-  otherwise an optimizer lower bound.  A sweep updates the trailing
+  otherwise an optimizer lower bound.  cn_upper bounds it from above by the
+  top two eigenvalues of the last party's Gram matrix, and the restarts stop
+  once one reaches that bound less SWEEP_TOL.  A sweep updates the trailing
   parties in turn, one orthonormal pair step per plane: three closed-form
   rotations about the pair's three axes, the best unit vector orthogonal
   to b for a, then the best one orthogonal to a for b (each the top
@@ -41,9 +43,10 @@ optimum for that vector and never decreases the objective.
 All three optimizers check their arguments with check_restarts and share one
 multi-start driver, _multistart, that carries a block of restarts on a leading
 batch axis, so every update is one batched numpy call, and re-evaluates the
-winner.  Given a proven upper bound, as only the two-setting condition is,
-the driver starts no further block once the best value reaches it.  The
-two-setting and see-saw sweeps share one contraction, _environments.
+winner.  Given a proven upper bound, as both N-party conditions are, the
+driver drops every restart after the first one that reaches it.  One
+batched eigvalsh, _top_two_sums, gives both bounds.  The two-setting and
+see-saw sweeps share one contraction, _environments.
 """
 
 from __future__ import annotations
@@ -79,14 +82,13 @@ class ConditionReport:
     restart.  On generic (non-GHZ) states some multisetting_CN restarts may
     still be rising after that many sweeps, so their converged flags are
     False.  upper is a proven upper bound on the condition: the value itself
-    for the two-qubit closed form, two_setting_upper for
-    two_setting_sufficient_N, whose restarts stop once they reach it, and
-    None for multisetting_CN, which has no proven bound.  A value above upper
-    by more than BOUND_TOL is refused.  violated means the value exceeds 1 by
-    more than BOUND_TOL: for two qubits that decides a violation, for N >= 3
-    it shows only that the condition, which every violation needs, holds.
-    restarts_at_best counts the restarts within BOUND_TOL of the reported
-    value.
+    for the two-qubit closed form and the N=2 multisetting_CN, else
+    two_setting_upper or cn_upper, and the restarts stop once one reaches it
+    (_multistart).  A value above upper by more than BOUND_TOL is refused.
+    violated means the value exceeds 1 by more than BOUND_TOL: for two
+    qubits that decides a violation, for N >= 3 it shows only that the
+    condition, which every violation needs, holds.  restarts_at_best counts
+    the restarts within BOUND_TOL of the reported value.
     """
 
     kind: str
@@ -186,32 +188,51 @@ def _multistart(name: str, draw: Callable, evaluate: Callable, sweep: Callable, 
     states and values after one full sweep.  Each restart stops on its own,
     once its value rises by at most SWEEP_TOL or after limits.MAX_SWEEPS
     sweeps, so its path never depends on the other restarts.  Blocks hold about
-    _BLOCK_ENTRIES / entries restarts.  A ceiling is a proven upper bound on
-    the objective: restart 0 then runs as a block of its own, and no later
-    block starts once the best value is at least ceiling - SWEEP_TOL, since no
-    restart can then raise it by more than a sweep's own slack.  The stop
-    reads only earlier restarts, so the first r restarts of a longer run are
-    still the run with r restarts.  Returns each restart's final value and
-    converged flag, for the restarts that ran, and the winner (the first
-    restart with the strict maximum): its index, state, value and value
-    history.  The value is evaluate() of that state, the value its frames
-    actually attain.  A non-finite restart value is a fault of the optimizer,
-    and raises RuntimeError.
+    _BLOCK_ENTRIES / entries restarts.
+
+    A ceiling is a proven upper bound on the objective; a restart at
+    ceiling - SWEEP_TOL or above is at the ceiling, since no restart can then
+    raise the best value by more than a sweep's own slack.  Restart 0's start
+    is evaluated first, and if it is at the ceiling, restart 0 runs alone and
+    nothing else is drawn.  Otherwise its block runs whole.  Once a restart of
+    a block is at the ceiling, every later restart of the block is dropped as
+    if it never ran; the earlier ones run to their own stop.  No further block
+    starts once the best value is at the ceiling, so if a lone restart 0 ends
+    below it, the rest of its block still runs.  Which restarts run thus
+    follows from the paths of earlier restarts alone, and the first r
+    restarts of a longer run are still the run with r restarts.
+
+    Returns each restart's final value and converged flag, for the restarts
+    that ran, and the winner (the first restart with the strict maximum): its
+    index, state, value and value history.  The value is evaluate() of that
+    state, the value its frames actually attain.  A non-finite restart value
+    is a fault of the optimizer, and raises RuntimeError.
     """
     rng = np.random.default_rng(seed)
     block = max(1, _BLOCK_ENTRIES // entries)
-    edges = [0, *range(block if ceiling is None else 1, restarts, block), restarts]
-    values, converged, best_value = [], [], -np.inf
-    for first, end in zip(edges, edges[1:]):
-        if ceiling is not None and best_value >= ceiling - SWEEP_TOL:
-            break
-        state = draw(rng, first, end - first)
+    floor = np.inf if ceiling is None else ceiling - SWEEP_TOL
+    values, converged, best_value, first = [], [], -np.inf, 0
+    while first < restarts and best_value < floor:
+        end = min(restarts, first - first % block + block)
+        state = draw(rng, first, 1 if first == 0 and ceiling is not None else end - first)
         value = evaluate(state)
+        if first + len(value) < end and value[0] < floor:
+            rest = draw(rng, first + 1, end - first - 1)
+            value = np.concatenate([value, evaluate(rest)])  # evaluate may write into rest
+            state = tuple(np.concatenate(pair) for pair in zip(state, rest))
+        end = first + len(value)
         done = np.zeros(len(value), dtype=bool)
         sweeps = np.zeros(len(value), dtype=np.int64)
         history = [value.copy()]
-        active = np.arange(len(value))
-        for _ in range(limits.MAX_SWEEPS):
+        keep = len(value)
+        active = np.arange(keep)
+        while True:
+            hit = np.flatnonzero(value[:keep] >= floor)
+            if hit.size:  # the restarts after the first one at the ceiling are dropped
+                keep = hit[0] + 1
+                active = active[active < keep]
+            if not active.size or len(history) > limits.MAX_SWEEPS:
+                break
             sub, new = sweep(tuple(x[active] for x in state))
             for x, y in zip(state, sub):
                 x[active] = y
@@ -221,17 +242,17 @@ def _multistart(name: str, draw: Callable, evaluate: Callable, sweep: Callable, 
             done[active[stop]] = True
             history.append(value.copy())
             active = active[~stop]
-            if not active.size:
-                break
+        value = value[:keep]
         if not np.isfinite(value).all():  # NaN loses every comparison, so no winner is kept
             raise RuntimeError(f"{name} reached the restart value {value[~np.isfinite(value)][0]}")
         values.append(value)
-        converged.append(done)
+        converged.append(done[:keep])
         k = int(np.argmax(value))
         if value[k] > best_value:
             best, best_value = first + k, value[k]
             best_state = tuple(x[k] for x in state)
             best_history = [float(h[k]) for h in history[:sweeps[k] + 1]]
+        first = end
     value = float(evaluate(tuple(x[None] for x in best_state))[0])
     return (np.concatenate(values), np.concatenate(converged), best, best_state, value,
             best_history)
@@ -287,9 +308,16 @@ def _environments(corr: np.ndarray, rows):
         yield x.reshape(len(x), x.shape[1], -1)
 
 
+def _top_two_sums(corr: np.ndarray) -> np.ndarray:
+    """l1 + l2, the two largest eigenvalues of G_j = C_j C_j^T, for each party j in order,
+    with C_j the 3 x 3^(N-1) unfolding of corr along party j's axis; one eigvalsh call."""
+    unfolded = np.stack([np.moveaxis(corr, j, 0).reshape(3, -1) for j in range(corr.ndim)])
+    eigvals = np.linalg.eigvalsh(unfolded @ unfolded.swapaxes(1, 2))
+    return eigvals[:, 1] + eigvals[:, 2]
+
+
 def two_setting_upper(corr: np.ndarray) -> float:
-    """min over parties j of l1 + l2, the two largest eigenvalues of G_j = C_j C_j^T,
-    with C_j the 3 x 3^(N-1) unfolding of corr along party j's axis.
+    """min over parties j of l1 + l2 of G_j (_top_two_sums).
 
     It bounds the two-setting condition from above: with planes P_i (2 x 3,
     orthonormal rows), the value is |P_j C_j Q|_F^2, Q the Kronecker product
@@ -298,18 +326,32 @@ def two_setting_upper(corr: np.ndarray) -> float:
     most tr(P_j G_j P_j^T) <= l1 + l2 (Ky Fan).  At N = 2 it is s1^2 + s2^2,
     the exact two-qubit value.
     """
-    n = corr.ndim
-    unfolded = np.stack([np.moveaxis(corr, j, 0).reshape(3, -1) for j in range(n)])
-    eigvals = np.linalg.eigvalsh(unfolded @ unfolded.swapaxes(1, 2))
-    return float(np.min(eigvals[:, 1] + eigvals[:, 2]))
+    return float(np.min(_top_two_sums(corr)))
+
+
+def cn_upper(corr: np.ndarray) -> float:
+    """l1 + l2 of G_N = C_N^T C_N, with C_N = corr.reshape(-1, 3), the unfolding along the
+    last party (_top_two_sums' last entry).
+
+    It bounds C_N from above.  Party N holds one plane, rows u_0 and u_1.
+    The terms with t_N = i contract T x_N u_i, the tensor of parties
+    1..N-1, with the lower parties' branch planes: at party j = N-1..3 each
+    tensor in hand is contracted along party j's axis with its branch's
+    plane, two orthonormal rows, which splits it into two whose squared
+    norms sum to at most its own.  So the terms' sum of |M_t|_F^2 is at most
+    |T x_N u_i|^2.  Each term's s1^2 + s2^2 is at most |M_t|_F^2, so
+    C_N <= sum_i |T x_N u_i|^2 = sum_i u_i^T G_N u_i <= l1 + l2 (Ky Fan,
+    PNAS 35, 652 (1949)).  At N = 2 it is s1^2 + s2^2, the exact value.
+    """
+    return float(_top_two_sums(corr)[-1])
 
 
 def condition_two_setting_N(tensor: CorrelationTensor, restarts: int = 50,
                             seed: int = 0) -> ConditionReport:
     """Maximize the in-plane squared correlation sum over per-party planes.
 
-    At most `restarts` restarts run: they stop once the best value reaches
-    two_setting_upper less SWEEP_TOL.
+    At most `restarts` restarts run: they stop once a restart reaches
+    two_setting_upper less SWEEP_TOL (see _multistart).
     """
     n = tensor.n_qubits
     if n < 2:
@@ -537,14 +579,18 @@ def _cn_sweep(corr: np.ndarray, state):
 
 def condition_multisetting_CN(tensor: CorrelationTensor, restarts: int = 50,
                               seed: int = 0) -> ConditionReport:
-    """Recursive multisetting condition with branch-dependent trailing planes."""
+    """Recursive multisetting condition with branch-dependent trailing planes.
+
+    At most `restarts` restarts run: they stop once a restart reaches cn_upper
+    less SWEEP_TOL (see _multistart).
+    """
     n = tensor.n_qubits
     if n < 2:
         raise ValueError("need at least 2 parties")
     check_restarts(restarts, seed)  # the N=2 closed form's arguments too
     if n == 2:
         report = condition_two_qubit(tensor)
-        return replace(report, kind="multisetting_CN", upper=None, seed=seed,
+        return replace(report, kind="multisetting_CN", seed=seed,
                        frames=[{"term": [], "frames": report.frames}])
 
     corr = tensor.correlation_part()
@@ -564,16 +610,17 @@ def condition_multisetting_CN(tensor: CorrelationTensor, restarts: int = 50,
         planes[random] = _random_planes(rng, int(np.sum(random)), len(shift))
         return (*np.split(planes, np.cumsum(branches)[:-1], axis=1), np.empty((k, terms, 3)))
 
+    upper = cn_upper(corr)
     values, converged, _, best, value, _ = _multistart(
         "multisetting_CN", draw, lambda state: _cn_evaluate(corr, state),
-        lambda state: _cn_sweep(corr, state), restarts, seed, corr.size)
+        lambda state: _cn_sweep(corr, state), restarts, seed, corr.size, upper)
     u, _, vt = np.linalg.svd(_suffixes(corr, [p[None] for p in best[:-1]])[0].reshape(-1, 3, 3))
     report_terms = [{
         "term": [i + 1 for i in term],
         "frames": _frames_json([u[t, :, :2].T, vt[t, :2]]
                                + [best[j - 3][t % 2 ** (n - j)] for j in range(3, n + 1)]),
     } for t, term in enumerate(np.ndindex(*(2,) * (n - 2)))]
-    return _lower_bound_report("multisetting_CN", value, None, report_terms, seed, values,
+    return _lower_bound_report("multisetting_CN", value, upper, report_terms, seed, values,
                                converged)
 
 

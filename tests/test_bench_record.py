@@ -185,3 +185,53 @@ def test_record_refuses_untraced_or_unmatched_traced_runs(tmp_path, capsys):
     assert "need at least 2 runs of each side" in capsys.readouterr().err
     with pytest.raises(FileNotFoundError):
         Path(out).read_text()
+
+
+def write_ab(directory: Path, name: str, workload: str | None, seed: int | None,
+             calls: str | None = None, median: float = 1.5) -> str:
+    """A tools/ab_timer.py result with one group."""
+    group = {"a_ms": 3.0 * median, "b_ms": 3.0, "ratios": [median] * 2, "median": median,
+             "min": median, "max": median, "b_wins": 2}
+    data = {"workload": workload, "seed": seed, "calls": calls, "rounds": 2, "jobs": 9,
+            "trees": {"a": "/somewhere/parent", "b": "/somewhere/change"},
+            "groups": {"total": group}, "sha256": {"a": "0" * 64, "b": "1" * 64},
+            "differ": [{"job": 3, "call": 0, "cost_class": "N=3",
+                        "argv": ["condition"], "fields": ["stdout"]}]}
+    path = directory / name
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_record_keeps_in_process_runs_in_order_without_the_tree_paths(tmp_path):
+    parent = [write_run(tmp_path, "parent", s, 10, 44.5) for s in (1, 2)]
+    change = [write_run(tmp_path, "change", s, 12, 44.5) for s in (1, 2)]
+    ab = [write_ab(tmp_path, "ghz.json", "ghz_scan", 5001, median=2.0),
+          write_ab(tmp_path, "generic.json", None, None, calls="/somewhere/calls.json")]
+    out = tmp_path / "BENCH.json"
+    common = ["--parent", *parent, "--change", *change, "--out", str(out)]
+    assert bench_record.main([*common, "--in-process", *ab]) == 0
+    section = json.loads(out.read_text())["in_process"]
+    assert (section["a"], section["b"]) == ("parent", "change")
+    first, second = section["runs"]
+    assert (first["workload"], first["seed"], first["calls"]) == ("ghz_scan", 5001, None)
+    assert first["groups"]["total"]["median"] == 2.0 and first["rounds"] == 2
+    assert first["differ"][0]["fields"] == ["stdout"]
+    assert (second["workload"], second["calls"]) == (None, "calls.json")
+    assert "trees" not in first and "somewhere" not in out.read_text()
+    # without in-process runs there is no in_process key
+    assert bench_record.main(common) == 0
+    assert "in_process" not in json.loads(out.read_text())
+
+
+def test_record_refuses_an_in_process_file_without_its_groups(tmp_path, capsys):
+    parent = [write_run(tmp_path, "parent", s, 10, 44.5) for s in (1, 2)]
+    change = [write_run(tmp_path, "change", s, 12, 44.5) for s in (1, 2)]
+    out = tmp_path / "BENCH.json"
+    ab = write_ab(tmp_path, "ghz.json", "ghz_scan", 5001)
+    data = json.loads(Path(ab).read_text())
+    del data["groups"]
+    Path(ab).write_text(json.dumps(data))
+    assert bench_record.main(["--parent", *parent, "--change", *change, "--out", str(out),
+                              "--in-process", ab]) == 2
+    assert "groups" in capsys.readouterr().err
+    assert not out.exists()

@@ -901,11 +901,22 @@ def test_tensor_state_file_norm_edge_exits_2():
     assert err == "error: identity component must be 1 within 1e-12\n"
 
 
-def seeded_state_json(seed: int, n: int) -> str:
-    """A random complex n-qubit pure state as `--state-file` JSON."""
+def seeded_state(seed: int, n: int) -> bk.PureState:
+    """A random complex n-qubit pure state."""
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-    return json.dumps(bk.PureState(n, amps / np.linalg.norm(amps)).to_json_dict())
+    return bk.PureState(n, amps / np.linalg.norm(amps))
+
+
+def seeded_state_json(seed: int, n: int) -> str:
+    """seeded_state as `--state-file` JSON."""
+    return json.dumps(seeded_state(seed, n).to_json_dict())
+
+
+def seeded_tensor_json(seed: int, n: int) -> str:
+    """seeded_state's correlation tensor as `--tensor-file` JSON."""
+    tensor = bk.correlation_tensor(bk.density_from_pure(seeded_state(seed, n)))
+    return json.dumps(tensor.to_json_dict())
 
 
 #: A fixed pseudo-random arity-10 sign function: 1024 bits from sha256.
@@ -997,15 +1008,19 @@ PINNED_OUTPUTS = [
     (("condition", "--kind", "two_setting_sufficient_N", "--state", "ghz:N=4,alpha=0.3"), None,
      3, "ba05aa893db300c0d37c66efab11ecd2f39e50fb6880d93f045c010308fcb9cb"),
     (("condition", "--kind", "multisetting_CN", "--state", "ghz:N=4,alpha=0.3"), None,
-     3, "9deaefb6cde2f8d08fe09cae2888bc812347b9a33d9d21edb4cd8ba17455e9c7"),
+     3, "f4f89f236c2f5d7b4506a3b8c2f3027772ae5dc13685befbf9826eaa2afd5c98"),
     # the largest N the benchmark's ghz_scan runs
     (("condition", "--kind", "multisetting_CN", "--state", "ghz:N=5,alpha=0.5"), None,
-     3, "c5f291f972f7d106cb9f9851eace65c50def4f6c96988a76eb9bc67f4493fafa"),
+     3, "19c546d58fabaec1685c23e9c3e773278f8e1385c03e4226b6cfe9923948ab4b"),
     (("condition", "--kind", "two_setting_sufficient_N",
       "--state", "noise:v=0.8(ghz:N=4,alpha=0.6)"), None,
      3, "6e89f33b044e58f48b9e02ac5a6775643967e6a3de2521da480b4bad3186d9b3"),
     (("condition", "--kind", "multisetting_CN", "--state", "noise:v=0.8(ghz:N=4,alpha=0.6)"),
-     None, 3, "8ab2ae4c5dc2df052c7625fb40fb4228846aed47dfecb7ce30c866f7043b21bf"),
+     None, 3, "ed13e5cc3c52684c563ffba78793acac3739847c36784a7b5072a00e9864656b"),
+    # a generic 4-qubit state (default_rng(1000 + 10 N + s), N=4, s=0), where the
+    # C_N bound is loose and all 50 restarts run
+    (("condition", "--kind", "multisetting_CN", "--tensor-file", "-"), seeded_tensor_json(1040, 4),
+     3, "454942e6ae50d165c38a9477700a7030625a7b376cee9ffb795193429a89b208"),
     (("maximize", "--inequality", "-", "--state", "ghz:N=3,alpha=0.3"),
      generated_json((4, 4, 2)),
      3, "18633662391c4c4ba2692d00844895e75f7008dec6eebf3b6b6a90bdc7457566"),

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import bellkit as bk
-from bellkit.tolerance import BOUND_TOL
+from bellkit.qcond import cn_upper
+from bellkit.tolerance import BOUND_TOL, SWEEP_TOL
 
 SQ2 = np.sqrt(2)
 
@@ -177,8 +178,10 @@ def test_report_upper_per_kind_and_a_value_above_it_refused():
     report = bk.condition_two_qubit(ghz_tensor(2, 0.3))
     with pytest.raises(ValueError, match="above its bound"):
         replace(report, upper=report.value - 1e-6)
-    assert bk.condition_multisetting_CN(ghz_tensor(2, 0.3)).upper is None
-    assert bk.condition_multisetting_CN(ghz_tensor(3, 0.3), restarts=3).upper is None
+    closed = bk.condition_multisetting_CN(ghz_tensor(2, 0.3))
+    assert closed.upper == closed.value == report.value
+    cn3 = bk.condition_multisetting_CN(ghz_tensor(3, 0.3), restarts=3)
+    assert cn3.upper == cn_upper(ghz_tensor(3, 0.3).correlation_part())
 
 
 def test_two_setting_report_frames_shape():
@@ -203,13 +206,17 @@ def test_cn_reduces_to_two_qubit():
         )
 
 
-def test_cn_ghz_lower_bound_formula():
+def test_cn_ghz_value_formula():
+    """C_N(GHZ) = 2^(N-2) s^2 + max(2^(N-2) s^2, z^2), s = sin 2a, z^2 = 1 at even N and
+    cos^2 2a at odd N, and cn_upper closes on it."""
     for n in (3, 4, 5):
         for alpha in (0.05, 0.2, np.pi / 8, np.pi / 4):
             report = bk.condition_multisetting_CN(ghz_tensor(n, alpha), restarts=10, seed=0)
             s2 = np.sin(2 * alpha) ** 2
-            want = 2 ** (n - 2) * s2 + (1 - s2)
-            assert report.value >= want - 1e-9
+            z2 = 1.0 if n % 2 == 0 else np.cos(2 * alpha) ** 2
+            want = 2 ** (n - 2) * s2 + max(2 ** (n - 2) * s2, z2)
+            assert abs(report.value - want) <= SWEEP_TOL
+            assert report.upper - report.value <= SWEEP_TOL
             assert report.violated  # > 1 for every alpha > 0
 
 
@@ -280,6 +287,66 @@ def test_cn_memory_stays_bounded_at_n8():
     assert report.value >= 2 ** 6 * np.sin(0.6) ** 2 + np.cos(0.6) ** 2 - 1e-9
 
 
+def generic_tensor(n: int, s: int) -> bk.CorrelationTensor:
+    """The generic pure state of GENERIC_CN_FLOOR's recipe: default_rng(1000 + 10 N + s)."""
+    return tensor_of(random_pure(np.random.default_rng(1000 + 10 * n + s), n))
+
+
+def random_real_tensor(rng, n) -> bk.CorrelationTensor:
+    """Components uniform in [-1, 1], the identity component 1: no state need have them."""
+    full = rng.uniform(-1, 1, size=(4,) * n)
+    full[(0,) * n] = 1.0
+    return bk.CorrelationTensor(n, full)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_cn_upper_bounds_the_best_of_200_restarts(n):
+    tensors = [generic_tensor(n, s) for s in (0, 1)]
+    if n < 5:  # 2.1 s at N=5
+        tensors.append(random_real_tensor(np.random.default_rng(300 + n), n))
+    for tensor in tensors:
+        report = bk.condition_multisetting_CN(tensor, restarts=200, seed=2)
+        assert len(report.restart_values) == 200
+        assert report.upper == cn_upper(tensor.correlation_part())
+        assert max(report.restart_values) <= report.upper + 1e-12
+
+
+def test_cn_upper_is_the_top_two_singular_values_of_the_last_unfolding():
+    rng = np.random.default_rng(47)
+    tensors = [ghz_tensor(n, alpha) for n in (2, 3, 4, 5) for alpha in (0.1, 0.5, np.pi / 4)]
+    tensors += [tensor_of(random_pure(rng, n)) for n in (2, 3, 4, 5, 6)]
+    tensors += [random_real_tensor(rng, n) for n in (3, 4)]
+    for tensor in tensors:
+        corr = tensor.correlation_part()
+        s = np.linalg.svd(corr.reshape(-1, 3), compute_uv=False)
+        assert abs(cn_upper(corr) - (s[0] ** 2 + s[1] ** 2)) <= 1e-12 * max(1.0, s[0] ** 2)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_cn_upper_scales_by_v_squared_under_noise(n):
+    state = random_pure(np.random.default_rng(5), n)
+    pure = tensor_of(state).correlation_part()
+    noisy = bk.correlation_tensor(state, visibilities=(0.7,)).correlation_part()
+    assert abs(cn_upper(noisy) - 0.49 * cn_upper(pure)) <= 1e-12 * cn_upper(pure)
+
+
+def test_cn_restarts_stop_once_they_reach_the_bound():
+    """SCAN_GRID (5, 1): restart 0 starts at the bound and runs alone.  (3, 0) and (4, 0):
+    restart 0 stays below it, restart 1, the xz planes, reaches it, and the later
+    restarts of the block are dropped."""
+    for (n, k), most in (((5, 1), 1), ((3, 0), 2), ((4, 0), 2)):
+        report = bk.condition_multisetting_CN(ghz_tensor(n, (k + 7 / 8) * np.pi / 12),
+                                              seed=10 * n + k)
+        assert 1 <= len(report.restart_values) == len(report.converged) <= most
+        assert report.value >= report.upper - SWEEP_TOL
+
+
+def test_cn_runs_every_restart_where_the_bound_is_loose():
+    report = bk.condition_multisetting_CN(generic_tensor(4, 0), restarts=50, seed=0)
+    assert len(report.restart_values) == len(report.converged) == 50
+    assert 0.65 <= report.value / report.upper <= 0.997
+
+
 #: C_N on seeded generic pure states, (N, s, value): amplitudes complex normal from
 #: default_rng(1000 + 10 N + s), normalised, then 50 restarts with seed s.  The
 #: values are those of the pair ascent of up to 30 iterations per plane and sweep;
@@ -298,7 +365,7 @@ GENERIC_CN_FLOOR = [
 @pytest.mark.parametrize("n, s, floor", GENERIC_CN_FLOOR,
                          ids=[f"N={row[0]} s={row[1]}" for row in GENERIC_CN_FLOOR])
 def test_cn_on_generic_states_holds_its_floor(n, s, floor):
-    tensor = tensor_of(random_pure(np.random.default_rng(1000 + 10 * n + s), n))
+    tensor = generic_tensor(n, s)
     report = bk.condition_multisetting_CN(tensor, restarts=50, seed=s)
     assert report.value >= floor - BOUND_TOL
     assert abs(cn_value_from_frames(tensor, report.frames) - report.value) <= BOUND_TOL
@@ -575,25 +642,72 @@ def test_multistart_refuses_a_non_finite_value(monkeypatch):
         bk.condition_multisetting_CN(ghz_tensor(3, 0.3), restarts=3, seed=0)
 
 
+def toy_multistart(starts, targets, restarts, ceiling=1.0):
+    """_multistart with blocks of 4 on a toy ascent: restart i starts at starts[i] and
+    each sweep moves it 0.25 towards targets[i].  Returns the restart values, the
+    converged flags, the winner and the (first, count) of every draw."""
+    from bellkit import qcond
+
+    draws = []
+
+    def draw(rng, first, k):
+        draws.append((first, k))
+        return (np.array(starts[first:first + k], float), np.array(targets[first:first + k], float))
+
+    def sweep(state):
+        value, target = state
+        value = value + np.clip(target - value, -0.25, 0.25)
+        return (value, target), value.copy()
+
+    values, converged, best, _, value, _ = qcond._multistart(
+        "toy", draw, lambda state: state[0].copy(), sweep, restarts, 0,
+        qcond._BLOCK_ENTRIES // 4, ceiling)
+    return values.tolist(), converged.tolist(), (best, value), draws
+
+
+def test_multistart_stop_rule_at_a_ceiling():
+    # restart 3 reaches the ceiling at sweep 2 and restart 1 at sweep 4, which drops
+    # restarts 2 and 3; restart 0 runs on to its own stop at sweep 5, and block 4..7
+    # never starts
+    starts, targets = [-0.5, 0, 0, 0.5] + [0] * 4, [0.5, 1.0, 0.9, 1.0] + [1.0] * 4
+    assert toy_multistart(starts, targets, 8) == (
+        [0.5, 1.0], [True, True], (1, 1.0), [(0, 1), (1, 3)])
+    # the first r restarts of the longer run are the run with r restarts
+    assert toy_multistart(starts, targets, 1)[:3] == ([0.5], [True], (0, 0.5))
+    assert toy_multistart(starts, targets, 3)[:3] == ([0.5, 1.0], [True, True], (1, 1.0))
+    # without a ceiling every restart runs, four to a block
+    values, _, _, draws = toy_multistart(starts, targets, 8, ceiling=None)
+    assert values == [0.5, 1.0, 0.9, 1.0, 1.0, 1.0, 1.0, 1.0]
+    assert draws == [(0, 4), (4, 4)]
+    # restart 0 starts at the ceiling: it runs alone and nothing else is drawn
+    assert toy_multistart([1.0, 0, 0], [1.0] * 3, 3) == ([1.0], [True], (0, 1.0), [(0, 1)])
+    # a lone restart 0 that falls below the ceiling, and so stops: the rest of its block runs
+    values, _, best, draws = toy_multistart([1.0, 0, 0.5], [0.5, 0.6, 0.9], 3)
+    assert (values, best, draws) == ([0.75, 0.6, 0.9], (2, 0.9), [(0, 1), (1, 2)])
+
+
 #: the scan grid, GHZ N=3..5 at alpha = (k + 7/8) pi / 12 with 50 restarts and
 #: seed 10 N + k, as one pair step (a-step, b-step, in-plane turn) per plane
 #: and sweep computes it: per point, (N, k), then C_N's and the two-setting
 #: condition's (value, violated, restarts_at_best).  The C_N values are those
 #: of the ascent of up to 30 iterations per plane and sweep to within 4e-15.
-#: The restarts within BOUND_TOL of the best sit within 1e-13 of it, the
-#: others at least 0.19 below.  The two-setting restarts stop once they reach
-#: their upper bound, so where restart 0 reaches it the count is 1; at N=3
-#: and 4, k=0, they stay 0.19 and 0.22 below it and all 50 run.
+#: Both conditions' restarts stop once one reaches its upper bound.  C_N
+#: reaches cn_upper at every point, so its count is 1: restart 0 runs alone,
+#: or at N=3 and 4, k=0, restarts 0 and 1 run, with 1 (the xz planes) at the
+#: bound.  The two-setting count is 1 where restart 0 reaches
+#: two_setting_upper; at N=3 and 4, k=0, its restarts stay 0.19 and 0.22
+#: below it and all 50 run, those within BOUND_TOL of the best sitting within
+#: 1e-13 of it.
 SCAN_GRID = [
-    (3, 0, (1.1956192854956398, True, 36), (1.0, False, 35)),
-    (3, 1, (2.765366864730181, True, 50), (2.7653668647301806, True, 1)),
-    (3, 2, (3.9828897227476228, True, 50), (3.9828897227476205, True, 1)),
-    (4, 0, (1.782477141982561, True, 43), (1.5649542839651172, True, 24)),
-    (4, 1, (5.530733729460364, True, 42), (5.530733729460358, True, 1)),
-    (4, 2, (7.965779445495246, True, 44), (7.965779445495241, True, 1)),
-    (5, 0, (3.1299085679302356, True, 25), (3.1299085679302343, True, 1)),
-    (5, 1, (11.061467458920724, True, 50), (11.061467458920715, True, 1)),
-    (5, 2, (15.931558890990493, True, 50), (15.931558890990482, True, 1)),
+    (3, 0, (1.1956192854956398, True, 1), (1.0, False, 35)),
+    (3, 1, (2.765366864730181, True, 1), (2.7653668647301806, True, 1)),
+    (3, 2, (3.9828897227476228, True, 1), (3.9828897227476205, True, 1)),
+    (4, 0, (1.782477141982561, True, 1), (1.5649542839651172, True, 24)),
+    (4, 1, (5.530733729460364, True, 1), (5.530733729460358, True, 1)),
+    (4, 2, (7.965779445495246, True, 1), (7.965779445495241, True, 1)),
+    (5, 0, (3.1299085679302356, True, 1), (3.1299085679302343, True, 1)),
+    (5, 1, (11.061467458920724, True, 1), (11.061467458920715, True, 1)),
+    (5, 2, (15.931558890990493, True, 1), (15.931558890990482, True, 1)),
 ]
 
 

@@ -15,13 +15,18 @@ none; under `cost_classes`, each side's median over its runs of every cost
 class's `median_ms`.  Traced runs (`--trace 1`), given after `--parent-trace`
 and `--change-trace`, add a `per_layer` key: each side's median and quartiles
 of every per-layer metric of BENCHMARK.json, with no pair wins, since those
-rows count work and split time rather than make a claim:
+rows count work and split time rather than make a claim.  Results of
+tools/ab_timer.py, run with the parent as tree A and the change as tree B and
+given after `--in-process`, go under a top-level `in_process` key, one entry
+per file in the order given, as the timer wrote them but without the trees'
+paths, and with only the file name of a --calls list:
 
     python3 tools/bench_record.py --out BENCH_N.json \\
         --parent ../parent/bench/out/facet_census-seed1-trace0.json ... \\
         --change bench/out/facet_census-seed1-trace0.json ... \\
         --parent-trace ../parent/bench/out/facet_census-seed1-trace1.json ... \\
-        --change-trace bench/out/facet_census-seed1-trace1.json ...
+        --change-trace bench/out/facet_census-seed1-trace1.json ... \\
+        --in-process ghz_scan-seed5001.json generic-calls.json
 """
 from __future__ import annotations
 
@@ -53,6 +58,18 @@ def load_runs(paths: list[str], traced: bool = False) -> dict[str, dict[int, dic
         if info["seed"] in by_seed:
             raise ValueError(f"{path}: seed {info['seed']} of {info['workload']} given twice")
         by_seed[info["seed"]] = data
+    return runs
+
+
+def load_in_process(paths: list[str]) -> list[dict]:
+    """The tools/ab_timer.py results, in the order given, without the trees' paths."""
+    runs = []
+    for path in paths:
+        data = json.loads(Path(path).read_text())
+        runs.append({"workload": data["workload"], "seed": data["seed"],
+                     "calls": data["calls"] and Path(data["calls"]).name,
+                     **{name: data[name] for name in ("rounds", "jobs", "groups", "sha256",
+                                                      "differ")}})
     return runs
 
 
@@ -157,6 +174,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--change", nargs="+", required=True, metavar="RUN")
     parser.add_argument("--parent-trace", nargs="+", default=[], metavar="RUN")
     parser.add_argument("--change-trace", nargs="+", default=[], metavar="RUN")
+    parser.add_argument("--in-process", nargs="+", default=[], metavar="AB_RESULT")
     parser.add_argument("--out", required=True, help="BENCH_*.json file to write")
     args = parser.parse_args(argv)
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -165,10 +183,13 @@ def main(argv: list[str] | None = None) -> int:
                   load_runs(args.change_trace, traced=True))
         workloads = record(load_runs(args.parent), load_runs(args.change),
                            benchmark["end_to_end"], traced, benchmark["per_layer"])
+        in_process = load_in_process(args.in_process)
     except (KeyError, ValueError) as exc:
         print(f"bench_record: {exc}", file=sys.stderr)
         return 2
     payload = {"command": benchmark["command"], "workloads": workloads}
+    if in_process:
+        payload["in_process"] = {"a": "parent", "b": "change", "runs": in_process}
     Path(args.out).write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
     return 0
 
