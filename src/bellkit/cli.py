@@ -43,6 +43,7 @@ from .multiset import build_recursive, check_tightness, layout_tree
 from .qcond import (
     CONDITION_KINDS,
     check_restarts,
+    check_two_qubit,
     condition_multisetting_CN,
     condition_two_qubit,
     condition_two_setting_N,
@@ -398,6 +399,9 @@ def cmd_scan(args) -> int:
         if kind not in CONDITION_KINDS:
             raise ValueError(
                 f"unknown condition kind {kind!r}; choose from {', '.join(CONDITION_KINDS)}")
+    if "two_setting_NS_2qubit" in kinds:
+        for n in n_list:
+            check_two_qubit(n)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["family", "N", "alpha", "kind", "value", "violated"])

@@ -43,8 +43,9 @@ optimum for that vector and never decreases the objective.
 All three optimizers check their arguments with check_restarts and share one
 multi-start driver, _multistart, that carries a block of restarts on a leading
 batch axis, so every update is one batched numpy call, and re-evaluates the
-winner.  Given a proven upper bound, as both N-party conditions are, the
-driver drops every restart after the first one that reaches it.  One
+winner if it swept.  Given a proven upper bound, as both N-party conditions
+are, a restart that reaches it sweeps no more, and the driver drops every
+restart after the first one that does.  One
 batched eigvalsh, _top_two_sums, gives both bounds.  The two-setting and
 see-saw sweeps share one contraction, _environments.
 """
@@ -132,10 +133,15 @@ def _frames_json(frames: list[np.ndarray]) -> list:
     return [f.tolist() for f in frames]
 
 
+def check_two_qubit(n_qubits: int) -> None:
+    """Refuse two_setting_NS_2qubit on any but 2 qubits."""
+    if n_qubits != 2:
+        raise ValueError("two_setting_NS_2qubit applies to 2-qubit tensors only")
+
+
 def condition_two_qubit(tensor: CorrelationTensor) -> ConditionReport:
     """Sum of the two largest eigenvalues of M^T M for a two-qubit tensor."""
-    if tensor.n_qubits != 2:
-        raise ValueError("two_setting_NS_2qubit applies to 2-qubit tensors only")
+    check_two_qubit(tensor.n_qubits)
     m = tensor.correlation_part()
     u, s, vt = np.linalg.svd(m)
     value = float(s[0] ** 2 + s[1] ** 2)
@@ -191,22 +197,25 @@ def _multistart(name: str, draw: Callable, evaluate: Callable, sweep: Callable, 
     _BLOCK_ENTRIES / entries restarts.
 
     A ceiling is a proven upper bound on the objective; a restart at
-    ceiling - SWEEP_TOL or above is at the ceiling, since no restart can then
-    raise the best value by more than a sweep's own slack.  Restart 0's start
-    is evaluated first, and if it is at the ceiling, restart 0 runs alone and
+    ceiling - SWEEP_TOL or above is at the ceiling, since no sweep of any
+    restart can then raise the best value by more than a sweep's own slack.
+    A restart at the ceiling, at its start or after a sweep, is finished: it
+    is marked converged and sweeps no more.  Restart 0's start is evaluated
+    first, and if it is at the ceiling, it is the answer, with no sweep, and
     nothing else is drawn.  Otherwise its block runs whole.  Once a restart of
     a block is at the ceiling, every later restart of the block is dropped as
     if it never ran; the earlier ones run to their own stop.  No further block
-    starts once the best value is at the ceiling, so if a lone restart 0 ends
-    below it, the rest of its block still runs.  Which restarts run thus
+    starts once the best value is at the ceiling.  Which restarts run thus
     follows from the paths of earlier restarts alone, and the first r
     restarts of a longer run are still the run with r restarts.
 
     Returns each restart's final value and converged flag, for the restarts
     that ran, and the winner (the first restart with the strict maximum): its
     index, state, value and value history.  The value is evaluate() of that
-    state, the value its frames actually attain.  A non-finite restart value
-    is a fault of the optimizer, and raises RuntimeError.
+    state, the value its frames actually attain: a winner that swept is
+    evaluated again, and one that never swept keeps the value evaluate() gave
+    at its start.  A non-finite restart value is a fault of the optimizer,
+    and raises RuntimeError.
     """
     rng = np.random.default_rng(seed)
     block = max(1, _BLOCK_ENTRIES // entries)
@@ -228,9 +237,10 @@ def _multistart(name: str, draw: Callable, evaluate: Callable, sweep: Callable, 
         active = np.arange(keep)
         while True:
             hit = np.flatnonzero(value[:keep] >= floor)
-            if hit.size:  # the restarts after the first one at the ceiling are dropped
+            if hit.size:  # a restart at the ceiling is done; the later ones are dropped
                 keep = hit[0] + 1
-                active = active[active < keep]
+                done[hit[0]] = True
+                active = active[active < hit[0]]
             if not active.size or len(history) > limits.MAX_SWEEPS:
                 break
             sub, new = sweep(tuple(x[active] for x in state))
@@ -253,9 +263,10 @@ def _multistart(name: str, draw: Callable, evaluate: Callable, sweep: Callable, 
             best_state = tuple(x[k] for x in state)
             best_history = [float(h[k]) for h in history[:sweeps[k] + 1]]
         first = end
-    value = float(evaluate(tuple(x[None] for x in best_state))[0])
-    return (np.concatenate(values), np.concatenate(converged), best, best_state, value,
-            best_history)
+    if len(best_history) > 1:  # it swept, and a sweep's value may differ in the last bits
+        best_value = evaluate(tuple(x[None] for x in best_state))[0]
+    return (np.concatenate(values), np.concatenate(converged), best, best_state,
+            float(best_value), best_history)
 
 
 def _random_planes(rng: np.random.Generator, count: int, per_start: int) -> np.ndarray:

@@ -98,3 +98,38 @@ def test_a_calls_file_runs_each_call_as_a_job(tmp_path):
     assert list(result["groups"]) == ["total", *(f"class {k}" for k in kinds),
                                       *(f"call {k}" for k in kinds)]
     assert all(len(group["ratios"]) == 2 for group in result["groups"].values())
+
+
+def run_calls(tmp_path, calls):
+    path = tmp_path / "calls.json"
+    path.write_text(json.dumps(calls))
+    out = tmp_path / "ab.json"
+    run = subprocess.run([sys.executable, str(TOOL), str(ROOT), str(ROOT), "--calls", str(path),
+                          "--rounds", "1", "--out", str(out)],
+                         capture_output=True, text=True, timeout=300)
+    return run, out
+
+
+def test_each_side_counts_its_exit_codes_per_group(tmp_path):
+    ghz = ["condition", "--kind", "multisetting_CN", "--state", "ghz:N=3,alpha=0.3",
+           "--restarts", "5"]
+    run, out = run_calls(tmp_path, [{"argv": ghz}, {"argv": ghz},
+                                    {"argv": ["condition", "--state-file", "-"]}])
+    assert run.returncode == 0, run.stderr
+    groups = json.loads(out.read_text())["groups"]
+    assert groups["total"]["exit_codes"] == {"a": {"2": 1, "3": 2}, "b": {"2": 1, "3": 2}}
+    assert groups["class condition"]["exit_codes"] == {"a": {"2": 1}, "b": {"2": 1}}
+    assert groups["call condition multisetting_CN"]["exit_codes"] == {"a": {"3": 2},
+                                                                      "b": {"3": 2}}
+
+
+def test_a_run_whose_every_call_fails_on_both_sides_is_refused(tmp_path):
+    """condition takes --tensor-file, not --state-file: every call is argparse's usage
+    error, and such a run compares nothing, so no result file is written."""
+    run, out = run_calls(tmp_path, [{"argv": ["condition", "--state-file", "-"], "stdin": "{}"}
+                                    for _ in range(3)])
+    assert run.returncode == 1
+    assert "every call ended in exit 2 or an exception on both sides" in run.stderr
+    assert json.loads(run.stdout)["groups"]["total"]["exit_codes"] == {"a": {"2": 3},
+                                                                       "b": {"2": 3}}
+    assert not out.exists()

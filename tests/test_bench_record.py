@@ -223,6 +223,24 @@ def test_record_keeps_in_process_runs_in_order_without_the_tree_paths(tmp_path):
     assert "in_process" not in json.loads(out.read_text())
 
 
+def test_record_keeps_a_runs_of_the_parent_against_itself_apart(tmp_path):
+    parent = [write_run(tmp_path, "parent", s, 10, 44.5) for s in (1, 2)]
+    change = [write_run(tmp_path, "change", s, 12, 44.5) for s in (1, 2)]
+    ab = write_ab(tmp_path, "ghz.json", "ghz_scan", 5001, median=2.0)
+    aa = [write_ab(tmp_path, f"aa-{w}.json", w, 5001, median=1.01)
+          for w in ("ghz_scan", "local_tables")]
+    out = tmp_path / "BENCH.json"
+    assert bench_record.main(["--parent", *parent, "--change", *change, "--out", str(out),
+                              "--in-process", ab, "--in-process-aa", *aa]) == 0
+    payload = json.loads(out.read_text())
+    assert [run["groups"]["total"]["median"] for run in payload["in_process"]["runs"]] == [2.0]
+    section = payload["in_process_aa"]
+    assert (section["a"], section["b"]) == ("parent", "parent")
+    assert [(run["workload"], run["groups"]["total"]["median"]) for run in section["runs"]] == [
+        ("ghz_scan", 1.01), ("local_tables", 1.01)]
+    assert "somewhere" not in out.read_text()
+
+
 def test_record_refuses_an_in_process_file_without_its_groups(tmp_path, capsys):
     parent = [write_run(tmp_path, "parent", s, 10, 44.5) for s in (1, 2)]
     change = [write_run(tmp_path, "change", s, 12, 44.5) for s in (1, 2)]

@@ -1008,15 +1008,15 @@ PINNED_OUTPUTS = [
     (("condition", "--kind", "two_setting_sufficient_N", "--state", "ghz:N=4,alpha=0.3"), None,
      3, "ba05aa893db300c0d37c66efab11ecd2f39e50fb6880d93f045c010308fcb9cb"),
     (("condition", "--kind", "multisetting_CN", "--state", "ghz:N=4,alpha=0.3"), None,
-     3, "f4f89f236c2f5d7b4506a3b8c2f3027772ae5dc13685befbf9826eaa2afd5c98"),
+     3, "5e11c245089e7b4c1a032b0baf6a8ec0d07adc66b5c7f5f3809531f224c30266"),
     # the largest N the benchmark's ghz_scan runs
     (("condition", "--kind", "multisetting_CN", "--state", "ghz:N=5,alpha=0.5"), None,
-     3, "19c546d58fabaec1685c23e9c3e773278f8e1385c03e4226b6cfe9923948ab4b"),
+     3, "c01432d1b9c7fe8b79720e79d0708b22d0b64e3f5bfff01b01d12b4001045cf3"),
     (("condition", "--kind", "two_setting_sufficient_N",
       "--state", "noise:v=0.8(ghz:N=4,alpha=0.6)"), None,
      3, "6e89f33b044e58f48b9e02ac5a6775643967e6a3de2521da480b4bad3186d9b3"),
     (("condition", "--kind", "multisetting_CN", "--state", "noise:v=0.8(ghz:N=4,alpha=0.6)"),
-     None, 3, "ed13e5cc3c52684c563ffba78793acac3739847c36784a7b5072a00e9864656b"),
+     None, 3, "0a4f99b9ca2e88d20034cbcd98d6e141b9c619b80fd19ee6be3cfcbbe4980194"),
     # a generic 4-qubit state (default_rng(1000 + 10 N + s), N=4, s=0), where the
     # C_N bound is loose and all 50 restarts run
     (("condition", "--kind", "multisetting_CN", "--tensor-file", "-"), seeded_tensor_json(1040, 4),
@@ -1287,6 +1287,26 @@ def test_scan_refuses_an_unknown_kind_before_any_condition_runs(monkeypatch, cap
                      "--kinds", "multisetting_CN,two_setting_sufficient_N,foo"]) == 2
     assert capsys.readouterr() == (
         "", f"error: unknown condition kind 'foo'; choose from {KINDS}\n")
+
+
+def test_scan_refuses_the_two_qubit_kind_off_n2_before_any_condition_runs(monkeypatch,
+                                                                          capsys):
+    from bellkit import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a condition ran")
+
+    for name in ("condition_two_qubit", "condition_two_setting_N", "condition_multisetting_CN"):
+        monkeypatch.setattr(cli, name, refuse)
+    assert cli.main(["scan", "--family", "ghz", "--n", "2,3", "--alpha-steps", "20000",
+                     "--kinds", "two_setting_NS_2qubit"]) == 2
+    refused = capsys.readouterr()
+    assert refused == ("", "error: two_setting_NS_2qubit applies to 2-qubit tensors only\n")
+    # the same line condition prints
+    monkeypatch.undo()
+    assert cli.main(["condition", "--kind", "two_setting_NS_2qubit",
+                     "--state", "ghz:N=3,alpha=0.3"]) == 2
+    assert capsys.readouterr() == refused
 
 
 def test_benchmark_tracer_records_hooked_names(capsys, monkeypatch):

@@ -341,6 +341,32 @@ def test_cn_restarts_stop_once_they_reach_the_bound():
         assert report.value >= report.upper - SWEEP_TOL
 
 
+@pytest.mark.parametrize("n, k", [(5, 1), (3, 1)])
+def test_cn_restart_0_at_the_bound_is_the_answer_with_no_sweep(n, k, monkeypatch):
+    """SCAN_GRID (5, 1) and (3, 1): restart 0's start is at cn_upper, so the head's one
+    evaluation is all that runs, with no sweep and no second evaluation of the winner."""
+    from bellkit import qcond
+
+    sweeps, evaluations = [], []
+
+    def sweep(corr, state):
+        sweeps.append(len(state[-1]))
+        return cn_sweep(corr, state)
+
+    def evaluate(corr, state):
+        evaluations.append(len(state[-1]))
+        return cn_evaluate(corr, state)
+
+    cn_sweep, cn_evaluate = qcond._cn_sweep, qcond._cn_evaluate
+    monkeypatch.setattr(qcond, "_cn_sweep", sweep)
+    monkeypatch.setattr(qcond, "_cn_evaluate", evaluate)
+    report = bk.condition_multisetting_CN(ghz_tensor(n, (k + 7 / 8) * np.pi / 12),
+                                          seed=10 * n + k)
+    assert (sweeps, evaluations) == ([], [1])
+    assert report.converged == (True,)
+    assert report.value >= report.upper - SWEEP_TOL
+
+
 def test_cn_runs_every_restart_where_the_bound_is_loose():
     report = bk.condition_multisetting_CN(generic_tensor(4, 0), restarts=50, seed=0)
     assert len(report.restart_values) == len(report.converged) == 50
@@ -642,22 +668,26 @@ def test_multistart_refuses_a_non_finite_value(monkeypatch):
         bk.condition_multisetting_CN(ghz_tensor(3, 0.3), restarts=3, seed=0)
 
 
-def toy_multistart(starts, targets, restarts, ceiling=1.0):
+def toy_multistart(starts, targets, restarts, ceiling=1.0, swept=None):
     """_multistart with blocks of 4 on a toy ascent: restart i starts at starts[i] and
     each sweep moves it 0.25 towards targets[i].  Returns the restart values, the
-    converged flags, the winner and the (first, count) of every draw."""
+    converged flags, the winner and the (first, count) of every draw; each sweep call
+    appends the restarts it swept to `swept`, when given."""
     from bellkit import qcond
 
     draws = []
 
     def draw(rng, first, k):
         draws.append((first, k))
-        return (np.array(starts[first:first + k], float), np.array(targets[first:first + k], float))
+        return (np.array(starts[first:first + k], float), np.array(targets[first:first + k], float),
+                np.arange(first, first + k))
 
     def sweep(state):
-        value, target = state
+        value, target, index = state
+        if swept is not None:
+            swept.append(index.tolist())
         value = value + np.clip(target - value, -0.25, 0.25)
-        return (value, target), value.copy()
+        return (value, target, index), value.copy()
 
     values, converged, best, _, value, _ = qcond._multistart(
         "toy", draw, lambda state: state[0].copy(), sweep, restarts, 0,
@@ -679,11 +709,73 @@ def test_multistart_stop_rule_at_a_ceiling():
     values, _, _, draws = toy_multistart(starts, targets, 8, ceiling=None)
     assert values == [0.5, 1.0, 0.9, 1.0, 1.0, 1.0, 1.0, 1.0]
     assert draws == [(0, 4), (4, 4)]
-    # restart 0 starts at the ceiling: it runs alone and nothing else is drawn
-    assert toy_multistart([1.0, 0, 0], [1.0] * 3, 3) == ([1.0], [True], (0, 1.0), [(0, 1)])
-    # a lone restart 0 that falls below the ceiling, and so stops: the rest of its block runs
-    values, _, best, draws = toy_multistart([1.0, 0, 0.5], [0.5, 0.6, 0.9], 3)
-    assert (values, best, draws) == ([0.75, 0.6, 0.9], (2, 0.9), [(0, 1), (1, 2)])
+    # restart 0 starts at the ceiling: it is the answer, with no sweep, and nothing else
+    # is drawn; so is a start at the ceiling whose target lies below it
+    for targets_0 in ([1.0] * 3, [0.5, 0.6, 0.9]):
+        swept = []
+        assert toy_multistart([1.0, 0, 0.5], targets_0, 3, swept=swept) == (
+            [1.0], [True], (0, 1.0), [(0, 1)])
+        assert swept == []
+    # a later restart that starts at the ceiling is converged with no sweep
+    swept = []
+    assert toy_multistart([0, 1.0, 0], [0.5, 1.0, 1.0], 3, swept=swept) == (
+        [0.5, 1.0], [True, True], (1, 1.0), [(0, 1), (1, 2)])
+    assert swept == [[0], [0], [0]]
+
+
+def test_multistart_restart_at_the_ceiling_sweeps_no_more():
+    # restart 3 reaches the ceiling at sweep 2 and is not swept again; restart 1 at
+    # sweep 4, which drops restart 2; restart 0 alone runs sweep 5 to its own stop
+    starts, targets = [-0.5, 0, 0, 0.5] + [0] * 4, [0.5, 1.0, 0.9, 1.0] + [1.0] * 4
+    swept = []
+    toy_multistart(starts, targets, 8, swept=swept)
+    assert swept == [[0, 1, 2, 3], [0, 1, 2, 3], [0, 1, 2], [0, 1, 2], [0]]
+
+
+def test_multistart_evaluates_the_winner_again_only_if_it_swept():
+    """This sweep reports 1e-13 more than its state attains: a winner that swept gets
+    evaluate()'s value of its state, and one that never swept keeps the value of its
+    start's evaluation, with no second one."""
+    from bellkit import qcond
+
+    evaluated = []
+
+    def evaluate(state):
+        evaluated.append(len(state[0]))
+        return state[0].copy()
+
+    def sweep(state):
+        value = np.minimum(state[0] + 0.25, 0.5)
+        return (value,), value + 1e-13
+
+    def run(starts, ceiling):
+        evaluated.clear()
+        draw = lambda rng, first, k: (np.array(starts[first:first + k], float),)  # noqa: E731
+        _, _, best, _, value, _ = qcond._multistart(
+            "toy", draw, evaluate, sweep, len(starts), 0, qcond._BLOCK_ENTRIES // 4, ceiling)
+        return best, value, list(evaluated)
+
+    # both sweep to 0.5, reported as 0.5 + 1e-13; restart 0 wins and is evaluated again
+    assert run([0.0, -1.0], None) == (0, 0.5, [2, 1])
+    # restart 1 starts at the ceiling and wins unswept; restart 0 sweeps to its stop
+    assert run([0.0, 1.0], 1.0) == (1, 1.0, [1, 1])
+
+
+@pytest.mark.parametrize("starts, targets", [
+    ([-0.5, 0, 0, 0.5] + [0] * 4, [0.5, 1.0, 0.9, 1.0] + [1.0] * 4),
+    ([0.2, 0.9999, 0.5, 1.0, 0, 0, 0.8, 0.1], [0.6, 0.9, 0.75, 1.0, 0.5, 1.0, 1.0, 0.2]),
+    ([0.0] * 4 + [0.5, 0.9, 1.0, 0.0], [0.5] * 4 + [0.6, 1.0, 1.0, 1.0]),
+    ([1.0] + [0.0] * 7, [0.5] * 8),
+])
+def test_multistart_prefix_rule_holds_with_a_ceiling(starts, targets):
+    """The first r restarts of a run with 8 are the run with r restarts, and a run that
+    stopped at the ceiling before r is the whole longer run."""
+    full, _, _, _ = toy_multistart(starts, targets, 8)
+    for r in range(1, 8):
+        values, converged, _, _ = toy_multistart(starts, targets, r)
+        assert values == full[:len(values)] and len(converged) == len(values)
+        if len(values) < r:
+            assert full == values
 
 
 #: the scan grid, GHZ N=3..5 at alpha = (k + 7/8) pi / 12 with 50 restarts and

@@ -19,11 +19,14 @@ runs a job first alternates from job to job and from round to round.  Per
 cost class, per call kind (the command and its --kind) and in total, a
 round's ratio is A's time over B's, so above 1 means B was faster.  For each
 group the output gives both sides' median round time, the ratios, their
-median and range, and the rounds B won.  Every call's exit code, stdout and
-stderr are compared between the sides in every round, and the calls where
-any of them differ are listed, with a sha256 of each side's first-round
-outputs.
-The result is one JSON object on stdout, and in --out when given.
+median and range, the rounds B won, and each side's count of every exit code
+in the first round (an exception counts as "raised" and its type).  Every
+call's exit code, stdout and stderr are compared between the sides in every
+round, and the calls where any of them differ are listed, with a sha256 of
+each side's first-round outputs.
+The result is one JSON object on stdout, and in --out when given.  When every
+call ends in exit 2 (a usage error included) or an exception on both sides,
+nothing was compared: the result goes to stdout only, and the exit code is 1.
 """
 from __future__ import annotations
 
@@ -34,6 +37,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse
+import collections
 import contextlib
 import hashlib
 import importlib
@@ -84,19 +88,34 @@ def call_kind(call) -> str:
     return argv[0]
 
 
-def summary(a_ms: list[float], b_ms: list[float]) -> dict:
+def exit_code(rc) -> str:
+    """The key an outcome's exit code is counted under: the code, or "raised" and the type."""
+    return rc.split(":")[0] if isinstance(rc, str) and rc.startswith("raised ") else str(rc)
+
+
+def failed(code: str) -> bool:
+    return code == "2" or code.startswith("raised ")
+
+
+def call_groups(job, call) -> tuple[str, str, str]:
+    return "total", f"class {job.cost_class}", f"call {call_kind(call)}"
+
+
+def summary(a_ms: list[float], b_ms: list[float], codes: tuple[dict, dict]) -> dict:
     ratios = [a / b for a, b in zip(a_ms, b_ms)]
     return {"a_ms": statistics.median(a_ms), "b_ms": statistics.median(b_ms),
             "ratios": ratios, "median": statistics.median(ratios),
-            "min": min(ratios), "max": max(ratios), "b_wins": sum(r > 1 for r in ratios)}
+            "min": min(ratios), "max": max(ratios), "b_wins": sum(r > 1 for r in ratios),
+            "exit_codes": {side: dict(sorted(c.items())) for side, c in zip(SIDES, codes)}}
 
 
 def timed_rounds(clis, warmup, jobs, rounds: int):
     """Run the warm-up jobs, then every job on both sides in each round.
 
-    Returns {group: (A's ms per round, B's ms per round)}, the sha256 of each
-    side's first-round outcomes, and {(job index, call index): the outcome
-    fields that differ}.
+    Returns {group: (A's ms per round, B's ms per round)}, {group: each side's
+    {exit code: calls} in the first round}, the sha256 of each side's
+    first-round outcomes, and {(job index, call index): the outcome fields
+    that differ}.
     """
     for job in warmup:
         for cli in clis:
@@ -105,6 +124,7 @@ def timed_rounds(clis, warmup, jobs, rounds: int):
     groups = ["total", *sorted({f"class {job.cost_class}" for job in jobs}),
               *sorted({f"call {call_kind(call)}" for job in jobs for call in job.calls})]
     ms = {group: ([0.0] * rounds, [0.0] * rounds) for group in groups}
+    codes = {group: (collections.Counter(), collections.Counter()) for group in groups}
     digests = [hashlib.sha256(), hashlib.sha256()]
     differ: dict[tuple[int, int], set[str]] = {}
     for r in range(rounds):
@@ -115,16 +135,19 @@ def timed_rounds(clis, warmup, jobs, rounds: int):
                     start = time.perf_counter()
                     outcomes[side].append(run_call(clis[side], call))
                     elapsed = 1e3 * (time.perf_counter() - start)
-                    for group in ("total", f"class {job.cost_class}", f"call {call_kind(call)}"):
+                    for group in call_groups(job, call):
                         ms[group][side][r] += elapsed
             if r == 0:
-                for digest, outcome in zip(digests, outcomes):
-                    digest.update(repr(outcome).encode())
+                for side, outcome in enumerate(outcomes):
+                    digests[side].update(repr(outcome).encode())
+                    for call, (rc, _, _) in zip(job.calls, outcome):
+                        for group in call_groups(job, call):
+                            codes[group][side][exit_code(rc)] += 1
             for c, (a, b) in enumerate(zip(*outcomes)):
                 for field, x, y in zip(("exit code", "stdout", "stderr"), a, b):
                     if x != y:
                         differ.setdefault((i, c), set()).add(field)
-    return ms, digests, differ
+    return ms, codes, digests, differ
 
 
 def listed_jobs(workloads, path: Path) -> tuple[list, list]:
@@ -148,12 +171,12 @@ def compare(trees: tuple[Path, Path], rounds: int, workload: str | None = None,
     with tempfile.TemporaryDirectory(prefix="ab_timer_") as scratch:
         sys.path.insert(0, scratch)
         clis = [load_side(tree, f"bk_{side}", Path(scratch)) for tree, side in zip(trees, SIDES)]
-        ms, digests, differ = timed_rounds(clis, warmup, jobs, rounds)
+        ms, codes, digests, differ = timed_rounds(clis, warmup, jobs, rounds)
     return {
         "workload": workload, "seed": seed, "calls": str(calls) if calls else None,
         "rounds": rounds, "jobs": len(jobs),
         "trees": {side: str(tree) for side, tree in zip(SIDES, trees)},
-        "groups": {group: summary(*times) for group, times in ms.items()},
+        "groups": {group: summary(*times, codes[group]) for group, times in ms.items()},
         "sha256": {side: d.hexdigest() for side, d in zip(SIDES, digests)},
         "differ": [{"job": i, "call": c, "cost_class": jobs[i].cost_class,
                     "argv": list(jobs[i].calls[c].argv), "fields": sorted(fields)}
@@ -184,9 +207,14 @@ def main(argv: list[str] | None = None) -> int:
         print(f"ab_timer: {exc}", file=sys.stderr)
         return 2
     text = json.dumps(result, indent=1)
+    print(text)
+    if all(failed(code) for counts in result["groups"]["total"]["exit_codes"].values()
+           for code in counts):
+        print("ab_timer: every call ended in exit 2 or an exception on both sides, so "
+              "nothing was compared", file=sys.stderr)
+        return 1
     if args.out:
         args.out.write_text(text + "\n")
-    print(text)
     return 0
 
 

@@ -19,14 +19,18 @@ rows count work and split time rather than make a claim.  Results of
 tools/ab_timer.py, run with the parent as tree A and the change as tree B and
 given after `--in-process`, go under a top-level `in_process` key, one entry
 per file in the order given, as the timer wrote them but without the trees'
-paths, and with only the file name of a --calls list:
+paths, and with only the file name of a --calls list.  Results of an A/A run,
+two copies of the parent as trees A and B, given after `--in-process-aa`, go
+under `in_process_aa` in the same form; their ratios are the timer's noise
+floor:
 
     python3 tools/bench_record.py --out BENCH_N.json \\
         --parent ../parent/bench/out/facet_census-seed1-trace0.json ... \\
         --change bench/out/facet_census-seed1-trace0.json ... \\
         --parent-trace ../parent/bench/out/facet_census-seed1-trace1.json ... \\
         --change-trace bench/out/facet_census-seed1-trace1.json ... \\
-        --in-process ghz_scan-seed5001.json generic-calls.json
+        --in-process ghz_scan-seed5001.json generic-calls.json \
+        --in-process-aa aa-ghz_scan-seed5001.json ...
 """
 from __future__ import annotations
 
@@ -175,6 +179,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--parent-trace", nargs="+", default=[], metavar="RUN")
     parser.add_argument("--change-trace", nargs="+", default=[], metavar="RUN")
     parser.add_argument("--in-process", nargs="+", default=[], metavar="AB_RESULT")
+    parser.add_argument("--in-process-aa", nargs="+", default=[], metavar="AA_RESULT")
     parser.add_argument("--out", required=True, help="BENCH_*.json file to write")
     args = parser.parse_args(argv)
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -184,12 +189,15 @@ def main(argv: list[str] | None = None) -> int:
         workloads = record(load_runs(args.parent), load_runs(args.change),
                            benchmark["end_to_end"], traced, benchmark["per_layer"])
         in_process = load_in_process(args.in_process)
+        in_process_aa = load_in_process(args.in_process_aa)
     except (KeyError, ValueError) as exc:
         print(f"bench_record: {exc}", file=sys.stderr)
         return 2
     payload = {"command": benchmark["command"], "workloads": workloads}
     if in_process:
         payload["in_process"] = {"a": "parent", "b": "change", "runs": in_process}
+    if in_process_aa:
+        payload["in_process_aa"] = {"a": "parent", "b": "parent", "runs": in_process_aa}
     Path(args.out).write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
     return 0
 
