@@ -44,8 +44,8 @@ All three optimizers check their arguments with check_restarts and share one
 multi-start driver, _multistart, that carries a block of restarts on a leading
 batch axis, so every update is one batched numpy call, and re-evaluates the
 winner if it swept.  Given a proven upper bound, as both N-party conditions
-are, a restart that reaches it sweeps no more, and the driver drops every
-restart after the first one that does.  One
+are, a restart that reaches it sweeps no more, and every restart after the
+first one that does is dropped.  One
 batched eigvalsh, _top_two_sums, gives both bounds.  The two-setting and
 see-saw sweeps share one contraction, _environments.
 """

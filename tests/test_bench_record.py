@@ -223,7 +223,7 @@ def test_record_keeps_in_process_runs_in_order_without_the_tree_paths(tmp_path):
     assert "in_process" not in json.loads(out.read_text())
 
 
-def test_record_keeps_a_runs_of_the_parent_against_itself_apart(tmp_path):
+def test_record_files_a_a_runs_under_their_own_key(tmp_path):
     parent = [write_run(tmp_path, "parent", s, 10, 44.5) for s in (1, 2)]
     change = [write_run(tmp_path, "change", s, 12, 44.5) for s in (1, 2)]
     ab = write_ab(tmp_path, "ghz.json", "ghz_scan", 5001, median=2.0)

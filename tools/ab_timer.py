@@ -93,10 +93,6 @@ def exit_code(rc) -> str:
     return rc.split(":")[0] if isinstance(rc, str) and rc.startswith("raised ") else str(rc)
 
 
-def failed(code: str) -> bool:
-    return code == "2" or code.startswith("raised ")
-
-
 def call_groups(job, call) -> tuple[str, str, str]:
     return "total", f"class {job.cost_class}", f"call {call_kind(call)}"
 
@@ -208,8 +204,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     text = json.dumps(result, indent=1)
     print(text)
-    if all(failed(code) for counts in result["groups"]["total"]["exit_codes"].values()
-           for code in counts):
+    codes = result["groups"]["total"]["exit_codes"]
+    if all(code == "2" or code.startswith("raised ") for side in codes.values() for code in side):
         print("ab_timer: every call ended in exit 2 or an exception on both sides, so "
               "nothing was compared", file=sys.stderr)
         return 1
