@@ -15,6 +15,7 @@ import io
 import json
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -143,39 +144,88 @@ def _read_json(path: str, loader, what: str):
 #: finite float) as ufuncs, so the reprs are written straight into an object array
 _REPRS = {"i": np.frompyfunc(int.__repr__, 1, 1), "f": np.frompyfunc(float.__repr__, 1, 1)}
 
+#: json's text of the non-finite floats, keyed by float.__repr__
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
-def _stub_arrays(obj, arrays: list):
-    """obj with each ndarray (obj itself or a nested dict's value) replaced by "\\0"
-    and appended to arrays."""
-    if isinstance(obj, np.ndarray):
-        arrays.append(obj)
-        return "\0"
-    if isinstance(obj, dict):
-        return {key: _stub_arrays(value, arrays) for key, value in obj.items()}
-    return obj
+#: The leaf types of a flat list whose items repr writes as json.dumps does.
+_NUMBERS = {int, float}
+
+
+def _json_parts(obj, parts: list, row: str) -> None:
+    """Append the parts of json.dumps(obj, indent=2, sort_keys=True) to parts.
+
+    row is a newline and the indent of the line obj starts on.  No type is
+    both a container and a leaf, so the containers are tested first; the
+    leaves go in json's order: str, None, True, False, int (int.__repr__),
+    float (float.__repr__, or NaN, Infinity, -Infinity).  An ndarray is
+    written by _array_parts.  A list of exact ints and finite floats is one
+    join.  Dict keys must be str; any other key or type raises TypeError.
+    """
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            parts.append("[]")
+            return
+        inner = row + "  "
+        if set(map(type, obj)) <= _NUMBERS:
+            text = ("," + inner).join(map(repr, obj))
+            if "n" not in text:  # no nan, inf or -inf
+                parts.append("[" + inner + text + row + "]")
+                return
+        sep = "[" + inner
+        for item in obj:
+            parts.append(sep)
+            _json_parts(item, parts, inner)
+            sep = "," + inner
+        parts.append(row + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            parts.append("{}")
+            return
+        inner = row + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            parts.append(sep + encode_basestring_ascii(key) + ": ")
+            _json_parts(obj[key], parts, inner)
+            sep = "," + inner
+        parts.append(row + "}")
+    elif isinstance(obj, str):
+        parts.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        parts.append("null")
+    elif obj is True:
+        parts.append("true")
+    elif obj is False:
+        parts.append("false")
+    elif isinstance(obj, int):
+        parts.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        text = float.__repr__(obj)
+        parts.append(_NONFINITE.get(text, text))
+    elif isinstance(obj, np.ndarray):
+        parts += _array_parts(obj, row)
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _dump_json(obj) -> str:
     """`json.dumps(obj, indent=2, sort_keys=True) + "\\n"`, with an ndarray written as a list.
 
-    json.dumps writes the skeleton, with a stub for the one ndarray (int64 or
-    float64, at least 1-D, non-empty) that obj may hold.  The array's text
-    takes the skeleton before and after it, so its join makes the whole
-    output.  It is joined once _array_parts has returned and freed its index
-    arrays.
+    An ndarray (int64 or float64, at least 1-D, non-empty) may sit anywhere
+    in obj.  The parts of the whole text are joined once, after _array_parts
+    has returned and freed its index arrays.
     """
-    arrays: list[np.ndarray] = []
-    text = json.dumps(_stub_arrays(obj, arrays), indent=2, sort_keys=True) + "\n"
-    if not arrays:
-        return text
-    head, tail = text.split('"\\u0000"')
-    return "".join(_array_parts(head, arrays[0], tail))
+    parts: list[str] = []
+    _json_parts(obj, parts, "\n")
+    parts.append("\n")
+    return "".join(parts)
 
 
-def _array_parts(head: str, array: np.ndarray, tail: str) -> list[str]:
-    """The parts of head + array + tail, as json.dumps(indent=2) writes the
-    array after head: head and the opening brackets, then each unit's text
-    and seps[t].
+def _array_parts(array: np.ndarray, row: str) -> list[str]:
+    """The parts of the array, as json.dumps(indent=2) writes it as a list
+    that starts on a line with row's indent: the opening brackets, then each
+    unit's text and seps[t].
 
     Units tile the leaves in order.  A unit is a nonzero leaf (0, or +0.0 by
     bit pattern, is zero, so -0.0 keeps its repr), a zero leaf in a row with
@@ -185,18 +235,17 @@ def _array_parts(head: str, array: np.ndarray, tail: str) -> list[str]:
     close after the unit's last leaf i: how many trailing-axis products
     (s[-1], s[-1] s[-2], ...) of the shape s divide i + 1.
     """
-    line = head[head.rfind("\n") + 1:]
     # rows[j]: a new line at the indent of nesting level j; leaves sit at level n
     n = array.ndim
-    rows = ["\n" + " " * (len(line) - len(line.lstrip(" ")) + 2 * j) for j in range(n + 1)]
+    rows = [row + "  " * j for j in range(n + 1)]
     # seps[t]: close t lists, then a comma, then open t lists; after the
-    # last leaf, seps[n] closes all n lists and adds the tail
+    # last leaf, seps[n] closes all n lists
     seps, close, reopen = [], "", ""
-    for row in rows[n - 1::-1]:
+    for line in rows[n - 1::-1]:
         seps.append(close + "," + reopen + rows[n])
-        close += row + "]"
-        reopen = row + "[" + reopen
-    seps.append(close + tail)
+        close += line + "]"
+        reopen = line + "[" + reopen
+    seps.append(close)
     values = array.ravel()
     nonzero = values.view(np.uint64) != 0
     ids = nonzero.nonzero()[0]
@@ -225,7 +274,7 @@ def _array_parts(head: str, array: np.ndarray, tail: str) -> list[str]:
         spans.append(spans[-1] * size)
     starts[0] = 1  # an array with no nonzero leaf is one unit
     at = (starts != 0).nonzero()[0]
-    # source: head and the opening brackets (the first on head's line), seps[t]
+    # source: the opening brackets (the first on row's line), seps[t]
     # at 1 + t, the text of a zero subtree of each span in use (spans that
     # repeat share one text), then the reprs of the distinct values.  index
     # picks the parts from it
@@ -235,7 +284,7 @@ def _array_parts(head: str, array: np.ndarray, tail: str) -> list[str]:
     zeros = [repr(values.dtype.type(0).item())]
     for size, sep in zip(array.shape[::-1], seps[:texts.max()]):
         zeros.append(sep.join([zeros[-1]] * size))
-    shared = [head + reopen[len(rows[0]):] + rows[n]] + seps + zeros
+    shared = [reopen[len(rows[0]):] + rows[n]] + seps + zeros
     source = np.empty(len(shared) + distinct.size, dtype=object)
     source[:len(shared)] = shared
     _REPRS[values.dtype.kind](distinct, out=source[len(shared):])

@@ -45,9 +45,10 @@ multi-start driver, _multistart, that carries a block of restarts on a leading
 batch axis, so every update is one batched numpy call, and re-evaluates the
 winner if it swept.  Given a proven upper bound, as both N-party conditions
 are, a restart that reaches it sweeps no more, and every restart after the
-first one that does is dropped.  One
-batched eigvalsh, _top_two_sums, gives both bounds.  The two-setting and
-see-saw sweeps share one contraction, _environments.
+first one that does is dropped.  two_setting_upper takes the bound of
+every party's unfolding in one batched eigvalsh; cn_upper needs only the
+last party's.  The two-setting and see-saw sweeps share one contraction,
+_environments.
 """
 
 from __future__ import annotations
@@ -270,7 +271,10 @@ def _multistart(name: str, draw: Callable, evaluate: Callable, sweep: Callable, 
 
 
 def _random_planes(rng: np.random.Generator, count: int, per_start: int) -> np.ndarray:
-    """count x per_start orthonormal 2x3 planes, drawn one plane at a time."""
+    """count x per_start orthonormal 2x3 planes, drawn one plane at a time.
+
+    The draws call it only for count >= 1: an empty draw leaves rng as it is,
+    but still costs a QR."""
     q, _ = np.linalg.qr(rng.normal(size=(count, per_start, 3, 2)))
     return np.swapaxes(q, -1, -2)
 
@@ -319,16 +323,9 @@ def _environments(corr: np.ndarray, rows):
         yield x.reshape(len(x), x.shape[1], -1)
 
 
-def _top_two_sums(corr: np.ndarray) -> np.ndarray:
-    """l1 + l2, the two largest eigenvalues of G_j = C_j C_j^T, for each party j in order,
-    with C_j the 3 x 3^(N-1) unfolding of corr along party j's axis; one eigvalsh call."""
-    unfolded = np.stack([np.moveaxis(corr, j, 0).reshape(3, -1) for j in range(corr.ndim)])
-    eigvals = np.linalg.eigvalsh(unfolded @ unfolded.swapaxes(1, 2))
-    return eigvals[:, 1] + eigvals[:, 2]
-
-
 def two_setting_upper(corr: np.ndarray) -> float:
-    """min over parties j of l1 + l2 of G_j (_top_two_sums).
+    """min over parties j of l1 + l2, the two largest eigenvalues of G_j = C_j C_j^T, with C_j
+    the 3 x 3^(N-1) unfolding of corr along party j's axis; one eigvalsh call.
 
     It bounds the two-setting condition from above: with planes P_i (2 x 3,
     orthonormal rows), the value is |P_j C_j Q|_F^2, Q the Kronecker product
@@ -337,12 +334,15 @@ def two_setting_upper(corr: np.ndarray) -> float:
     most tr(P_j G_j P_j^T) <= l1 + l2 (Ky Fan).  At N = 2 it is s1^2 + s2^2,
     the exact two-qubit value.
     """
-    return float(np.min(_top_two_sums(corr)))
+    unfolded = np.stack([corr.reshape(3**j, 3, -1).swapaxes(0, 1).reshape(3, -1)
+                         for j in range(corr.ndim)])
+    eigvals = np.linalg.eigvalsh(unfolded @ unfolded.swapaxes(1, 2))
+    return float(np.min(eigvals[:, 1] + eigvals[:, 2]))
 
 
 def cn_upper(corr: np.ndarray) -> float:
     """l1 + l2 of G_N = C_N^T C_N, with C_N = corr.reshape(-1, 3), the unfolding along the
-    last party (_top_two_sums' last entry).
+    last party.
 
     It bounds C_N from above.  Party N holds one plane, rows u_0 and u_1.
     The terms with t_N = i contract T x_N u_i, the tensor of parties
@@ -354,7 +354,9 @@ def cn_upper(corr: np.ndarray) -> float:
     C_N <= sum_i |T x_N u_i|^2 = sum_i u_i^T G_N u_i <= l1 + l2 (Ky Fan,
     PNAS 35, 652 (1949)).  At N = 2 it is s1^2 + s2^2, the exact value.
     """
-    return float(_top_two_sums(corr)[-1])
+    unfolded = corr.reshape(-1, 3)
+    eigvals = np.linalg.eigvalsh(unfolded.T @ unfolded)
+    return float(eigvals[1] + eigvals[2])
 
 
 def condition_two_setting_N(tensor: CorrelationTensor, restarts: int = 50,
@@ -375,7 +377,8 @@ def condition_two_setting_N(tensor: CorrelationTensor, restarts: int = 50,
         starts = np.arange(first, first + k)
         planes = np.repeat(_CANONICAL_PLANES[np.minimum(starts, 2), None], n, axis=1)
         random = starts >= len(_CANONICAL_PLANES)
-        planes[random] = _random_planes(rng, int(np.sum(random)), n)
+        if random.any():
+            planes[random] = _random_planes(rng, int(np.sum(random)), n)
         return tuple(planes[:, j] for j in range(n))
 
     def objective(planes):
@@ -618,7 +621,8 @@ def condition_multisetting_CN(tensor: CorrelationTensor, restarts: int = 50,
         starts = np.arange(first, first + k)[:, None]
         planes = _CANONICAL_PLANES[np.where(starts < cycle, starts, (starts + shift) % cycle)]
         random = starts[:, 0] >= 2 * cycle
-        planes[random] = _random_planes(rng, int(np.sum(random)), len(shift))
+        if random.any():
+            planes[random] = _random_planes(rng, int(np.sum(random)), len(shift))
         return (*np.split(planes, np.cumsum(branches)[:-1], axis=1), np.empty((k, terms, 3)))
 
     upper = cn_upper(corr)
@@ -626,11 +630,12 @@ def condition_multisetting_CN(tensor: CorrelationTensor, restarts: int = 50,
         "multisetting_CN", draw, lambda state: _cn_evaluate(corr, state),
         lambda state: _cn_sweep(corr, state), restarts, seed, corr.size, upper)
     u, _, vt = np.linalg.svd(_suffixes(corr, [p[None] for p in best[:-1]])[0].reshape(-1, 3, 3))
-    report_terms = [{
-        "term": [i + 1 for i in term],
-        "frames": _frames_json([u[t, :, :2].T, vt[t, :2]]
-                               + [best[j - 3][t % 2 ** (n - j)] for j in range(3, n + 1)]),
-    } for t, term in enumerate(np.ndindex(*(2,) * (n - 2)))]
+    # (T, N, 2, 3): each term's two planes, then each trailing party's plane on its branch
+    t = np.arange(terms)
+    frames = np.stack([u[:, :, :2].swapaxes(1, 2), vt[:, :2]]
+                      + [best[j - 3][t % 2 ** (n - j)] for j in range(3, n + 1)], axis=1)
+    report_terms = [{"term": [i + 1 for i in term], "frames": term_frames}
+                    for term, term_frames in zip(np.ndindex(*(2,) * (n - 2)), frames.tolist())]
     return _lower_bound_report("multisetting_CN", value, upper, report_terms, seed, values,
                                converged)
 

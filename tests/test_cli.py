@@ -1167,6 +1167,101 @@ def test_model_writer_matches_json_dumps(model):
                                                 sort_keys=True) + "\n"
 
 
+class ReprFloat(float):
+    """A float subclass whose repr json.dumps does not use: it writes float.__repr__."""
+
+    def __repr__(self):
+        return "ReprFloat()"
+
+
+class ReprInt(int):
+    """An int subclass whose repr json.dumps does not use: it writes int.__repr__."""
+
+    def __repr__(self):
+        return "ReprInt()"
+
+
+#: leaves of every type json.dumps writes: None, bools, ints past 2**63, floats
+#: with signed zeros, subnormals, NaN and infinities, np.float64 scalars, int
+#: and float subclasses, and strings with non-ASCII and control characters
+JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers() | st.integers(2**63 - 2, 2**80)
+    | st.integers(-(2**80), -(2**63) + 2) | st.floats()
+    | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, float("nan"), float("inf"),
+                       -float("inf"), 1e16, 1.5e300])
+    | st.floats().map(np.float64) | st.floats().map(ReprFloat) | st.integers().map(ReprInt)
+    | st.text()
+    | st.text(st.characters(max_codepoint=0x1f) | st.sampled_from("\\\"\x7f\u00e9\u2028\U0001f600")))
+
+#: nested lists, tuples and str-keyed dicts of those leaves, empty ones included
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda children: (st.lists(children, max_size=6) | st.tuples(children, children)
+                      | st.lists(st.floats() | st.integers(), max_size=6)
+                      | st.dictionaries(st.text(), children, max_size=6)),
+    max_leaves=40)
+
+
+@settings(max_examples=500, deadline=None)
+@given(JSON_VALUES)
+def test_json_writer_matches_json_dumps(obj):
+    from bellkit.cli import _dump_json
+
+    assert _dump_json(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("leaf", [object(), {1, 2}, b"bytes", 1j, np.int64(3), np.bool_(True),
+                                  np.float32(0.5)], ids=lambda leaf: type(leaf).__name__)
+def test_json_writer_refuses_what_json_dumps_refuses(leaf):
+    from bellkit.cli import _dump_json
+
+    for obj in (leaf, [1.0, leaf], {"a": [leaf]}):
+        with pytest.raises(TypeError):
+            json.dumps(obj, indent=2, sort_keys=True)
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            _dump_json(obj)
+
+
+def test_json_writer_refuses_keys_that_are_not_str():
+    """json.dumps would write {1: 2} with the key "1"; no output has such a key."""
+    from bellkit.cli import _dump_json
+
+    with pytest.raises(TypeError, match="keys must be str"):
+        _dump_json({"a": {1: 2}})
+
+
+CHSH_TABLE = json.dumps({"layout": [2, 2], "values": [[1, 1], [1, -1]]})
+OUTPUT_FORMAT_CALLS = {
+    "tensor": (["tensor", "--state", "noise:v=0.9(ghz:N=3,alpha=0.2)"], None, 0),
+    "lhv model": (["lhv", "--table", "-"], TABLE_22, 0),
+    "lhv certificate": (["lhv", "--table", "-"], CHSH_TABLE, 3),
+    "generate": (["generate", "--layout", "4,4,2"], None, 0),
+    "generate --check-tight": (["generate", "--layout", "4,4,2", "--check-tight"], None, 0),
+    "condition two_setting_NS_2qubit": (
+        ["condition", "--kind", "two_setting_NS_2qubit", "--state", "singlet"], None, 3),
+    "condition two_setting_sufficient_N": (
+        ["condition", "--kind", "two_setting_sufficient_N", "--state", "ghz:N=4,alpha=0.3",
+         "--restarts", "5"], None, 3),
+    "condition multisetting_CN": (
+        ["condition", "--kind", "multisetting_CN", "--state", "ghz:N=5,alpha=0.5"], None, 3),
+    "maximize": (["maximize", "--inequality", "-", "--state", "singlet", "--restarts", "5"],
+                 CHSH_JSON, 3),
+}
+
+
+@pytest.mark.parametrize("argv, stdin, code", OUTPUT_FORMAT_CALLS.values(),
+                         ids=OUTPUT_FORMAT_CALLS.keys())
+def test_stdout_is_its_json_dumped_again(monkeypatch, capsys, argv, stdin, code):
+    """Every command's stdout is json.dumps(indent=2, sort_keys=True) of what it holds,
+    apart from the sha256 pins of particular outputs."""
+    from bellkit import cli
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin or ""))
+    assert cli.main(argv) == code
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
 def test_lhv_certificate_keeps_signed_zeros(monkeypatch, capsys):
     """A float certificate with 0.0 and -0.0 among its coefficients prints
     what json.dumps prints for its to_json_dict()."""

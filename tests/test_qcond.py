@@ -367,6 +367,39 @@ def test_cn_restart_0_at_the_bound_is_the_answer_with_no_sweep(n, k, monkeypatch
     assert report.value >= report.upper - SWEEP_TOL
 
 
+@pytest.mark.parametrize("condition, canonical", [
+    (bk.condition_two_setting_N, 3), (bk.condition_multisetting_CN, 6)],
+    ids=["two_setting_sufficient_N", "multisetting_CN"])
+def test_a_draw_of_canonical_starts_leaves_the_generator_untouched(condition, canonical,
+                                                                    monkeypatch):
+    """The first 3 two-setting and 6 C_N starts are canonical planes: their draws,
+    restart 0's alone included, call no _random_planes and leave the generator as
+    it was.  The next start's draw moves it."""
+    from bellkit import qcond
+
+    draws, drawn = [], []
+
+    def multistart(name, draw, *args):
+        draws.append(draw)
+        return run(name, draw, *args)
+
+    run, random_planes = qcond._multistart, qcond._random_planes
+    monkeypatch.setattr(qcond, "_multistart", multistart)
+    monkeypatch.setattr(qcond, "_random_planes",
+                        lambda *args: drawn.append(args) or random_planes(*args))
+    condition(ghz_tensor(4, 0.3), restarts=1)
+    [draw] = draws
+    rng = np.random.default_rng(5)
+    before = rng.bit_generator.state
+    for first, k in ((0, 1), (0, canonical), (canonical - 1, 1)):
+        draw(rng, first, k)
+        assert rng.bit_generator.state == before
+    assert drawn == []
+    draw(rng, canonical, 1)
+    assert rng.bit_generator.state != before
+    assert len(drawn) == 1
+
+
 def test_cn_runs_every_restart_where_the_bound_is_loose():
     report = bk.condition_multisetting_CN(generic_tensor(4, 0), restarts=50, seed=0)
     assert len(report.restart_values) == len(report.converged) == 50
