@@ -1252,8 +1252,8 @@ OUTPUT_FORMAT_CALLS = {
 @pytest.mark.parametrize("argv, stdin, code", OUTPUT_FORMAT_CALLS.values(),
                          ids=OUTPUT_FORMAT_CALLS.keys())
 def test_stdout_is_its_json_dumped_again(monkeypatch, capsys, argv, stdin, code):
-    """Every command's stdout is json.dumps(indent=2, sort_keys=True) of what it holds,
-    apart from the sha256 pins of particular outputs."""
+    """Every command's stdout is json.dumps(indent=2, sort_keys=True) of what it holds:
+    the output format, checked independently of the sha256 pins of particular outputs."""
     from bellkit import cli
 
     monkeypatch.setattr("sys.stdin", io.StringIO(stdin or ""))
