@@ -27,9 +27,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import reduce
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -307,7 +306,8 @@ def construct_lhv_model(table: CorrelationTable) -> LhvModel:
     strategies.  Tables up to BOUND_TOL past the bound count as local, as in
     polytope_membership; their weights are renormalized.  As there, the
     model is checked to reproduce the table within BOUND_TOL + EXACT_TOL,
-    and a failed check raises RuntimeError.
+    and a failed check raises RuntimeError; the predicted table is the one
+    evaluate_model gives, its weights times its strategies' vertex rows.
     """
     f = transformed_table(table)
     n = table.layout.n_parties
@@ -329,7 +329,7 @@ def construct_lhv_model(table: CorrelationTable) -> LhvModel:
         for codes in ((0,) + rest, (3,) + rest):
             weights[codes] = weights.get(codes, 0.0) + (1.0 - total) / 2
     model = LhvModel(table.layout, weights)
-    _check_residual("closed-form", _two_setting_prediction(model), table.values)
+    _check_residual("closed-form", _predicted(model), table.values)
     return model
 
 
@@ -343,30 +343,28 @@ def _check_residual(oracle: str, predicted: np.ndarray, values: np.ndarray) -> f
     return residual
 
 
-def _two_setting_prediction(model: LhvModel) -> np.ndarray:
-    """The table a two-setting model predicts, from one Walsh-Hadamard transform.
+def _vertex_rows(rows: Sequence[np.ndarray]) -> np.ndarray:
+    """The flattened vertex tensors of R strategies, one per row: the row-wise
+    Kronecker product of each party's (R x m_j) outcome rows from _outcomes."""
+    product, *rest = rows
+    for factor in rest:
+        width = product.shape[1] * factor.shape[1]  # explicit: R may be 0
+        product = (product[:, :, None] * factor[:, None, :]).reshape(len(product), width)
+    return product
 
-    Party j of a strategy plays a_j at setting 1 and a_j t_j at setting 2, so
-    the strategy predicts prod_j a_j t_j^(k_j-1).  Summed over strategies with
-    their weights, that is the transform of the grid holding the weighted
-    prod_j a_j at each hidden sign pattern t (axis j indexes t_j, 0 meaning +1).
-    """
-    n = model.layout.n_parties
-    codes = np.array(list(model.weights), dtype=np.int64).reshape(-1, n)
+
+def _predicted(model: LhvModel) -> np.ndarray:
+    """The table values a model predicts: its weights times its strategies' vertex rows."""
+    outcomes = _outcomes(list(model.weights), max(model.layout.shape))
     weights = np.fromiter(model.weights.values(), float, len(model.weights))
-    signs = 1 - 2 * (np.bitwise_xor.reduce(codes, axis=1) & 1)  # prod_j a_j
-    cells = ((codes ^ codes >> 1) & 1) @ (1 << np.arange(n)[::-1])
-    grid = np.bincount(cells, weights=signs * weights, minlength=2**n)
-    return walsh_hadamard(grid.reshape((2,) * n))
+    rows = _vertex_rows([outcomes[:, j, :m] for j, m in enumerate(model.layout.shape)])
+    return (weights @ rows).reshape(model.layout.shape)
 
 
 def evaluate_model(model: LhvModel) -> CorrelationTable:
-    """Correlation table predicted by a mixture of deterministic strategies."""
-    values = np.zeros(model.layout.shape)
-    for codes, w in model.weights.items():
-        vectors = [_outcomes(c, m).astype(float) for c, m in zip(codes, model.layout.shape)]
-        values += w * reduce(np.multiply.outer, vectors)
-    return CorrelationTable(model.layout, values)
+    """Correlation table predicted by a mixture of deterministic strategies:
+    sum over strategies of weight times the product of the parties' outcomes."""
+    return CorrelationTable(model.layout, _predicted(model))
 
 
 def _vertex_factors(layout: ExperimentLayout) -> tuple[list[range], list[np.ndarray]]:

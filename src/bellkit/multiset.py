@@ -47,6 +47,7 @@ from .lhv import (
     ExperimentLayout,
     SignFunction,
     _vertex_factors,
+    _vertex_rows,
 )
 # enumerate_vertices is unused here, but bench/tracing.py wraps it in this namespace
 from .lhv import enumerate_vertices  # noqa: F401
@@ -334,10 +335,10 @@ def check_tightness(ineq: BellInequality) -> TightnessReport:
     Full rank is certified from G by _certified_nonsingular, exact strict
     diagonal dominance, which settled every facet measured so far.  When it
     does not (every non-tight inequality, and any facet whose G is not
-    dominant) only the saturating vertex rows are built, each the row-wise
-    Kronecker product of the outcome rows at its mask index, and their rank
-    comes from fraction-free elimination over the integers, so it is exact
-    either way.  Coefficients whose magnitudes sum to 2^63 or more raise
+    dominant) only the saturating vertex rows are built, by lhv._vertex_rows
+    from the outcome rows at their mask indices, and their rank comes from
+    fraction-free elimination over the integers, so it is exact either way.
+    Coefficients whose magnitudes sum to 2^63 or more raise
     ResourceLimitError, since a vertex value could then wrap in int64.
     """
     if not ineq.is_integral() or not isinstance(ineq.bound, int):
@@ -355,7 +356,8 @@ def check_tightness(ineq: BellInequality) -> TightnessReport:
     if saturating >= dim and _certified_nonsingular(_saturating_gram(mask, factors)):
         rank, exact_fallback = dim, False
     else:
-        rows = _saturating_rows(mask.reshape([len(o) for o in factors]), factors)
+        picked = np.nonzero(mask.reshape([len(o) for o in factors]))
+        rows = _vertex_rows([o[index] for o, index in zip(factors, picked)])
         rank, exact_fallback = _integer_rank(rows), True
     return TightnessReport(
         is_tight=rank == dim,
@@ -391,17 +393,6 @@ def _saturating_gram(mask: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndar
     gram = gram.reshape([m for m in settings for _ in "kl"])
     dim = math.prod(settings)
     return gram.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)]).reshape(dim, dim)
-
-
-def _saturating_rows(mask: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
-    """The vertex rows flagged in ``mask``, in C order of the mask: each is
-    the row-wise Kronecker product of one outcome row per party, picked by
-    the mask's indices, so no other vertex row is formed."""
-    rows, *rest = [o[index] for o, index in zip(factors, np.nonzero(mask))]
-    for picked in rest:
-        width = rows.shape[1] * picked.shape[1]  # explicit: there may be no rows
-        rows = (rows[:, :, None] * picked[:, None, :]).reshape(len(rows), width)
-    return rows
 
 
 def _certified_nonsingular(gram: np.ndarray) -> bool:

@@ -666,13 +666,15 @@ def maximize_bell_value(ineq: BellInequality, tensor: CorrelationTensor,
     """See-saw ascent of sum_k c[k] E(k) over unit measurement directions.
 
     Returns the best run: a certified lower bound on the quantum maximum of
-    the inequality expression for this tensor.
+    the inequality expression for this tensor.  A best value past the range
+    of float64 raises ValueError.
     """
     if ineq.layout.n_parties != tensor.n_qubits:
         raise ValueError("inequality and tensor party counts differ")
     check_restarts(restarts, seed)
     # divided by a power of two, which is exact, so that no squared norm of a sweep overflows
-    scale = 2.0 ** max(0, int(np.frexp(np.abs(ineq.coefficients).max())[1]) - 500)
+    shift = max(0, int(np.frexp(np.abs(ineq.coefficients).max())[1]) - 500)
+    scale = 2.0**shift
     coeff = ineq.coefficients.astype(np.float64) / scale
     corr = tensor.correlation_part()
     counts = ineq.layout.settings_per_party
@@ -703,6 +705,8 @@ def maximize_bell_value(ineq: BellInequality, tensor: CorrelationTensor,
     size = int(np.prod(np.maximum(counts, 3)))
     _, converged, best, state, value, history = _multistart(
         "maximize_bell_value", draw, evaluate, sweep, restarts, seed, size)
+    if not np.isfinite(value * scale):  # Python floats: the product overflows without a warning
+        raise ValueError(f"the best value {value!r} x 2^{shift} overflows float64")
     return MaximizationResult(
         value=value * scale,
         settings=tuple(s.copy() for s in state[:-1]),

@@ -188,13 +188,14 @@ def test_record_refuses_untraced_or_unmatched_traced_runs(tmp_path, capsys):
 
 
 def write_ab(directory: Path, name: str, workload: str | None, seed: int | None,
-             calls: str | None = None, median: float = 1.5) -> str:
-    """A tools/ab_timer.py result with one group."""
+             calls: str | None = None, median: float = 1.5, same_sources: bool = False) -> str:
+    """A tools/ab_timer.py result with one group; an A/A run's with same_sources."""
     group = {"a_ms": 3.0 * median, "b_ms": 3.0, "ratios": [median] * 2, "median": median,
              "min": median, "max": median, "b_wins": 2}
     data = {"workload": workload, "seed": seed, "calls": calls, "rounds": 2, "jobs": 9,
             "trees": {"a": "/somewhere/parent", "b": "/somewhere/change"},
             "groups": {"total": group}, "sha256": {"a": "0" * 64, "b": "1" * 64},
+            "source_sha256": {"a": "2" * 64, "b": ("2" if same_sources else "3") * 64},
             "differ": [{"job": 3, "call": 0, "cost_class": "N=3",
                         "argv": ["condition"], "fields": ["stdout"]}]}
     path = directory / name
@@ -227,11 +228,11 @@ def test_record_files_a_a_runs_under_their_own_key(tmp_path):
     parent = [write_run(tmp_path, "parent", s, 10, 44.5) for s in (1, 2)]
     change = [write_run(tmp_path, "change", s, 12, 44.5) for s in (1, 2)]
     ab = write_ab(tmp_path, "ghz.json", "ghz_scan", 5001, median=2.0)
-    aa = [write_ab(tmp_path, f"aa-{w}.json", w, 5001, median=1.01)
+    aa = [write_ab(tmp_path, f"aa-{w}.json", w, 5001, median=1.01, same_sources=True)
           for w in ("ghz_scan", "local_tables")]
     out = tmp_path / "BENCH.json"
     assert bench_record.main(["--parent", *parent, "--change", *change, "--out", str(out),
-                              "--in-process", ab, "--in-process-aa", *aa]) == 0
+                              "--in-process", aa[0], ab, aa[1]]) == 0
     payload = json.loads(out.read_text())
     assert [run["groups"]["total"]["median"] for run in payload["in_process"]["runs"]] == [2.0]
     section = payload["in_process_aa"]
@@ -252,4 +253,19 @@ def test_record_refuses_an_in_process_file_without_its_groups(tmp_path, capsys):
     assert bench_record.main(["--parent", *parent, "--change", *change, "--out", str(out),
                               "--in-process", ab]) == 2
     assert "groups" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_record_refuses_an_in_process_file_without_its_source_digests(tmp_path, capsys):
+    """Without the trees' source digests a run cannot be told A/A from A/B."""
+    parent = [write_run(tmp_path, "parent", s, 10, 44.5) for s in (1, 2)]
+    change = [write_run(tmp_path, "change", s, 12, 44.5) for s in (1, 2)]
+    out = tmp_path / "BENCH.json"
+    ab = write_ab(tmp_path, "ghz.json", "ghz_scan", 5001)
+    data = json.loads(Path(ab).read_text())
+    del data["source_sha256"]
+    Path(ab).write_text(json.dumps(data))
+    assert bench_record.main(["--parent", *parent, "--change", *change, "--out", str(out),
+                              "--in-process", ab]) == 2
+    assert "source_sha256" in capsys.readouterr().err
     assert not out.exists()

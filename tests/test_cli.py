@@ -345,6 +345,26 @@ def test_maximize_layout_tensor_mismatch():
     assert code == 2
 
 
+def test_maximize_refuses_a_value_past_float64_and_keeps_one_below(monkeypatch, capsys):
+    """The coefficients sum to 4e308; the singlet's value, 2 sqrt2 1e308, is past
+    float64, while 1% of it on a noisy singlet is not.  In process, so that a
+    numpy overflow warning would fail the test."""
+    from bellkit import cli
+
+    text = '{"layout":[2,2],"coefficients":[[1e308,1e308],[1e308,-1e308]],"bound":1e308}'
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert cli.main(["maximize", "--inequality", "-", "--state", "singlet"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: the best value ") and err.endswith(" overflows float64\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert cli.main(["maximize", "--inequality", "-", "--state", "noise:v=0.01(singlet)"]) == 0
+    out, err = capsys.readouterr()
+    value = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in stdout"))["value"]
+    assert value == pytest.approx(2 * np.sqrt(2) * 1e306, rel=1e-12)
+    assert err == ""
+
+
 def test_out_flag_writes_file(tmp_path):
     target = tmp_path / "tensor.json"
     code, out, _ = run_cli("tensor", "--state", "singlet", "--out", str(target))

@@ -1,4 +1,5 @@
 """Strategies, the 2-setting inequality family, model reconstruction, LP oracle."""
+import collections
 import functools
 import itertools
 import json
@@ -194,6 +195,41 @@ def test_evaluate_model_examples():
 
     opposite = bk.LhvModel(layout, {(0, 0): 0.5, (3, 0): 0.5})
     assert np.allclose(bk.evaluate_model(opposite).values, 0.0, atol=1e-15)
+
+
+def outer_product_prediction(model: bk.LhvModel) -> np.ndarray:
+    """The predicted table summed strategy by strategy: each weight times the
+    outer product of its parties' outcome vectors, read from the code bits."""
+    values = np.zeros(model.layout.shape)
+    for codes, w in model.weights.items():
+        vectors = [np.array([1.0 - 2 * ((code >> k) & 1) for k in range(m)])
+                   for code, m in zip(codes, model.layout.shape)]
+        values += w * functools.reduce(np.multiply.outer, vectors)
+    return values
+
+
+@pytest.mark.parametrize("shape", [(1,), (3,), (2, 2), (3, 1, 2), (2, 2, 2), (4, 2, 3),
+                                   (1, 3, 2, 2), (2, 2, 2, 2), (3, 3, 3, 3)],
+                         ids=lambda t: ",".join(map(str, t)))
+def test_evaluate_model_matches_a_per_strategy_outer_product(shape):
+    """Random mixtures, each with an odd code on every party after the first
+    (outside the representatives of enumerate_vertices), and single strategies."""
+    rng = np.random.default_rng(sum(shape) + 10 * len(shape))
+    layout = bk.ExperimentLayout(shape)
+    for count in (1, 2, 7, 60):
+        codes = [tuple(int(c) for c in rng.integers(0, [1 << m for m in shape]))
+                 for _ in range(count)]
+        codes[0] = (codes[0][0], *(c | 1 for c in codes[0][1:]))
+        weights = rng.random(count)
+        mixture = collections.Counter()
+        for code, w in zip(codes, (weights / weights.sum()).tolist()):
+            mixture[code] += w  # a code drawn twice
+        model = bk.LhvModel(layout, mixture)
+        predicted = bk.evaluate_model(model).values
+        assert predicted.shape == shape
+        assert np.allclose(predicted, outer_product_prediction(model), rtol=0, atol=1e-15)
+    single = bk.LhvModel(layout, {tuple((1 << m) - 1 for m in shape): 1.0})
+    assert np.array_equal(bk.evaluate_model(single).values, outer_product_prediction(single))
 
 
 @pytest.mark.parametrize("weights, match", [
@@ -578,8 +614,30 @@ def test_closed_form_model_check_rejects_a_wrong_weight(monkeypatch):
     table = bk.CorrelationTable(bk.ExperimentLayout((2, 2, 2)),
                                 0.3 * ghz_mermin_table().values)
     model = bk.construct_lhv_model(table)
-    assert np.allclose(lhv._two_setting_prediction(model), bk.evaluate_model(model).values,
-                       rtol=0, atol=1e-15)
+    assert np.allclose(bk.evaluate_model(model).values, table.values, rtol=0, atol=1e-15)
+    hidden_weights = lhv._hidden_weights
+
+    def halve_the_largest(f):
+        p = hidden_weights(f)
+        p.flat[np.argmax(p)] /= 2
+        return p
+
+    monkeypatch.setattr(lhv, "_hidden_weights", halve_the_largest)
+    with pytest.raises(RuntimeError, match="closed-form model check failed: residual"):
+        bk.construct_lhv_model(table)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 5])
+def test_closed_form_model_check_rejects_a_halved_weight_at_every_party_count(monkeypatch, n):
+    """A random table scaled inside the 2^N bound, at the party counts the
+    three-party test above leaves out."""
+    rng = np.random.default_rng(n)
+    layout = bk.ExperimentLayout((2,) * n)
+    values = rng.uniform(-1, 1, layout.shape)
+    values *= 0.9 * min(1.0, 2**n / bk.general_bell_lhs(bk.CorrelationTable(layout, values)))
+    table = bk.CorrelationTable(layout, values)
+    model = bk.construct_lhv_model(table)
+    assert np.allclose(bk.evaluate_model(model).values, table.values, rtol=0, atol=1e-15)
     hidden_weights = lhv._hidden_weights
 
     def halve_the_largest(f):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import bellkit as bk
-from bellkit import cli, limits
+from bellkit import cli, lhv, limits
 from bellkit import multiset as ms
 
 CHSH = bk.SignFunction.chsh()
@@ -545,7 +545,8 @@ def test_saturating_rows_from_the_factors_equal_the_vertex_rows(layout):
     _, vertices = bk.enumerate_vertices(layout)
     for density in (0.0, 0.1, 0.5, 1.0):
         mask = rng.random(vertices.shape[0]) < density
-        rows = ms._saturating_rows(mask.reshape([len(o) for o in factors]), factors)
+        picked = np.nonzero(mask.reshape([len(o) for o in factors]))
+        rows = lhv._vertex_rows([o[index] for o, index in zip(factors, picked)])
         assert rows.dtype == vertices.dtype
         assert np.array_equal(rows, vertices[mask])
 

@@ -23,7 +23,9 @@ median and range, the rounds B won, and each side's count of every exit code
 in the first round (an exception counts as "raised" and its type).  Every
 call's exit code, stdout and stderr are compared between the sides in every
 round, and the calls where any of them differ are listed, with a sha256 of
-each side's first-round outputs.
+each side's first-round outputs.  Under `source_sha256`, a sha256 of each
+tree's src/bellkit/*.py files, names and contents in name order, tells an
+A/A run, two copies of one commit, from an A/B run.
 The result is one JSON object on stdout, and in --out when given.  When every
 call ends in exit 2 (a usage error included) or an exception on both sides,
 nothing was compared: the result goes to stdout only, and the exit code is 1.
@@ -61,6 +63,15 @@ def load_side(tree: Path, name: str, into: Path):
         raise ValueError(f"no bellkit sources under {tree / 'src'}")
     shutil.copytree(source, into / name, ignore=shutil.ignore_patterns("__pycache__"))
     return importlib.import_module(f"{name}.cli")
+
+
+def source_digest(tree: Path) -> str:
+    """sha256 of the names and contents of tree's src/bellkit/*.py, in name order."""
+    digest = hashlib.sha256()
+    for path in sorted((tree / "src" / "bellkit").glob("*.py")):
+        data = path.read_bytes()
+        digest.update(f"{path.name}\0{len(data)}\0".encode() + data)
+    return digest.hexdigest()
 
 
 def run_call(cli, call) -> tuple:
@@ -164,6 +175,7 @@ def compare(trees: tuple[Path, Path], rounds: int, workload: str | None = None,
         warmup = workloads.warmup_jobs(workload, jobs)
     else:
         jobs, warmup = listed_jobs(workloads, calls)
+    sources = {side: source_digest(tree) for side, tree in zip(SIDES, trees)}
     with tempfile.TemporaryDirectory(prefix="ab_timer_") as scratch:
         sys.path.insert(0, scratch)
         clis = [load_side(tree, f"bk_{side}", Path(scratch)) for tree, side in zip(trees, SIDES)]
@@ -174,6 +186,7 @@ def compare(trees: tuple[Path, Path], rounds: int, workload: str | None = None,
         "trees": {side: str(tree) for side, tree in zip(SIDES, trees)},
         "groups": {group: summary(*times, codes[group]) for group, times in ms.items()},
         "sha256": {side: d.hexdigest() for side, d in zip(SIDES, digests)},
+        "source_sha256": sources,
         "differ": [{"job": i, "call": c, "cost_class": jobs[i].cost_class,
                     "argv": list(jobs[i].calls[c].argv), "fields": sorted(fields)}
                    for (i, c), fields in sorted(differ.items())],

@@ -16,21 +16,20 @@ class's `median_ms`.  Traced runs (`--trace 1`), given after `--parent-trace`
 and `--change-trace`, add a `per_layer` key: each side's median and quartiles
 of every per-layer metric of BENCHMARK.json, with no pair wins, since those
 rows count work and split time rather than make a claim.  Results of
-tools/ab_timer.py, run with the parent as tree A and the change as tree B and
-given after `--in-process`, go under a top-level `in_process` key, one entry
-per file in the order given, as the timer wrote them but without the trees'
-paths, and with only the file name of a --calls list.  Results of an A/A run,
-two copies of the parent as trees A and B, given after `--in-process-aa`, go
-under `in_process_aa` in the same form; their ratios are the timer's noise
-floor:
+tools/ab_timer.py, given after `--in-process`, go under a top-level key, one
+entry per file in the order given, as the timer wrote them but without the
+trees' paths, and with only the file name of a --calls list.  An A/B run, the
+parent as tree A and the change as tree B, goes under `in_process`.  An A/A
+run, two copies of the parent, goes under `in_process_aa`; its ratios are
+the timer's noise floor.  The timer's `source_sha256` of the two trees tells
+them apart: they are equal on an A/A run.
 
     python3 tools/bench_record.py --out BENCH_N.json \\
         --parent ../parent/bench/out/facet_census-seed1-trace0.json ... \\
         --change bench/out/facet_census-seed1-trace0.json ... \\
         --parent-trace ../parent/bench/out/facet_census-seed1-trace1.json ... \\
         --change-trace bench/out/facet_census-seed1-trace1.json ... \\
-        --in-process ghz_scan-seed5001.json generic-calls.json \
-        --in-process-aa aa-ghz_scan-seed5001.json ...
+        --in-process ghz_scan-seed5001.json aa-ghz_scan-seed5001.json ...
 """
 from __future__ import annotations
 
@@ -65,15 +64,18 @@ def load_runs(paths: list[str], traced: bool = False) -> dict[str, dict[int, dic
     return runs
 
 
-def load_in_process(paths: list[str]) -> list[dict]:
-    """The tools/ab_timer.py results, in the order given, without the trees' paths."""
-    runs = []
+def load_in_process(paths: list[str]) -> dict[str, list[dict]]:
+    """The tools/ab_timer.py results, in the order given, without the trees'
+    paths: {"in_process": A/B runs, "in_process_aa": A/A runs}."""
+    runs: dict[str, list[dict]] = {"in_process": [], "in_process_aa": []}
     for path in paths:
         data = json.loads(Path(path).read_text())
-        runs.append({"workload": data["workload"], "seed": data["seed"],
-                     "calls": data["calls"] and Path(data["calls"]).name,
-                     **{name: data[name] for name in ("rounds", "jobs", "groups", "sha256",
-                                                      "differ")}})
+        sources = data["source_sha256"]
+        runs["in_process_aa" if sources["a"] == sources["b"] else "in_process"].append(
+            {"workload": data["workload"], "seed": data["seed"],
+             "calls": data["calls"] and Path(data["calls"]).name,
+             **{name: data[name] for name in ("rounds", "jobs", "groups", "sha256",
+                                              "source_sha256", "differ")}})
     return runs
 
 
@@ -179,7 +181,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--parent-trace", nargs="+", default=[], metavar="RUN")
     parser.add_argument("--change-trace", nargs="+", default=[], metavar="RUN")
     parser.add_argument("--in-process", nargs="+", default=[], metavar="AB_RESULT")
-    parser.add_argument("--in-process-aa", nargs="+", default=[], metavar="AA_RESULT")
     parser.add_argument("--out", required=True, help="BENCH_*.json file to write")
     args = parser.parse_args(argv)
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -189,15 +190,13 @@ def main(argv: list[str] | None = None) -> int:
         workloads = record(load_runs(args.parent), load_runs(args.change),
                            benchmark["end_to_end"], traced, benchmark["per_layer"])
         in_process = load_in_process(args.in_process)
-        in_process_aa = load_in_process(args.in_process_aa)
     except (KeyError, ValueError) as exc:
         print(f"bench_record: {exc}", file=sys.stderr)
         return 2
     payload = {"command": benchmark["command"], "workloads": workloads}
-    if in_process:
-        payload["in_process"] = {"a": "parent", "b": "change", "runs": in_process}
-    if in_process_aa:
-        payload["in_process_aa"] = {"a": "parent", "b": "parent", "runs": in_process_aa}
+    for key, b in (("in_process", "change"), ("in_process_aa", "parent")):
+        if in_process[key]:
+            payload[key] = {"a": "parent", "b": b, "runs": in_process[key]}
     Path(args.out).write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
     return 0
 
