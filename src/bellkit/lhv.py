@@ -307,7 +307,7 @@ def construct_lhv_model(table: CorrelationTable) -> LhvModel:
     polytope_membership; their weights are renormalized.  As there, the
     model is checked to reproduce the table within BOUND_TOL + EXACT_TOL,
     and a failed check raises RuntimeError; the predicted table is the one
-    evaluate_model gives, its weights times its strategies' vertex rows.
+    evaluate_model gives, from one Walsh-Hadamard transform.
     """
     f = transformed_table(table)
     n = table.layout.n_parties
@@ -345,7 +345,7 @@ def _check_residual(oracle: str, predicted: np.ndarray, values: np.ndarray) -> f
 
 def _vertex_rows(rows: Sequence[np.ndarray]) -> np.ndarray:
     """The flattened vertex tensors of R strategies, one per row: the row-wise
-    Kronecker product of each party's (R x m_j) outcome rows from _outcomes."""
+    Kronecker product of each party's (R x m_j) +-1 outcome rows."""
     product, *rest = rows
     for factor in rest:
         width = product.shape[1] * factor.shape[1]  # explicit: R may be 0
@@ -353,12 +353,41 @@ def _vertex_rows(rows: Sequence[np.ndarray]) -> np.ndarray:
     return product
 
 
-def _predicted(model: LhvModel) -> np.ndarray:
-    """The table values a model predicts: its weights times its strategies' vertex rows."""
-    outcomes = _outcomes(list(model.weights), max(model.layout.shape))
+def _two_setting_prediction(model: LhvModel) -> np.ndarray:
+    """The table a two-setting model predicts, from one Walsh-Hadamard transform.
+
+    Party j of a strategy plays a_j at setting 1 and a_j t_j at setting 2, so
+    the strategy predicts prod_j a_j t_j^(k_j-1).  Summed over strategies with
+    their weights, that is the transform of the grid holding the weighted
+    prod_j a_j at each hidden sign pattern t (axis j indexes t_j, 0 meaning +1).
+    """
+    n = model.layout.n_parties
+    codes = np.array(list(model.weights), dtype=np.int64).reshape(-1, n)
     weights = np.fromiter(model.weights.values(), float, len(model.weights))
-    rows = _vertex_rows([outcomes[:, j, :m] for j, m in enumerate(model.layout.shape)])
-    return (weights @ rows).reshape(model.layout.shape)
+    signs = 1 - 2 * (np.bitwise_xor.reduce(codes, axis=1) & 1)  # prod_j a_j
+    cells = ((codes ^ codes >> 1) & 1) @ (1 << np.arange(n)[::-1])
+    grid = np.bincount(cells, weights=signs * weights, minlength=2**n)
+    return walsh_hadamard(grid.reshape((2,) * n))
+
+
+def _predicted(model: LhvModel) -> np.ndarray:
+    """The table values a model predicts: its weights times its strategies' vertex rows.
+
+    A two-setting model, such as a closed-form one of up to 2^N + 2
+    strategies, takes _two_setting_prediction instead, whose cost grows with
+    the table and not with table times strategies.  Otherwise the rows are
+    formed for blocks of strategies of at most limits.MAX_COUNT entries.
+    """
+    if model.layout.is_two_setting():
+        return _two_setting_prediction(model)
+    shape = model.layout.shape
+    outcomes = _outcomes(list(model.weights), max(shape)).astype(float)
+    weights = np.fromiter(model.weights.values(), float, len(model.weights))
+    step = max(1, limits.MAX_COUNT // math.prod(shape))
+    values = sum(weights[i:i + step] @ _vertex_rows([outcomes[i:i + step, j, :m]
+                                                     for j, m in enumerate(shape)])
+                 for i in range(0, len(weights), step))
+    return values.reshape(shape)
 
 
 def evaluate_model(model: LhvModel) -> CorrelationTable:

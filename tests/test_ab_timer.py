@@ -136,22 +136,33 @@ def test_a_run_whose_every_call_fails_on_both_sides_is_refused(tmp_path):
 
 
 def test_source_digests_tell_two_copies_of_one_tree_from_two_trees(tmp_path):
-    """Equal sources give equal digests, which mark an A/A run; one added
-    comment in one file changes that tree's digest but no output."""
+    """Equal sources give equal digests, which mark an A/A run.  Tree b then
+    gains, one at a time, a __pycache__ file, which the timer does not copy
+    and which leaves its digest alone, a comment in one module and a data file
+    in a new subdirectory, which each change its digest but no output."""
     for side in ("a", "b"):
         shutil.copytree(ROOT / "src" / "bellkit", tmp_path / side / "src" / "bellkit",
                         ignore=shutil.ignore_patterns("__pycache__"))
     path = tmp_path / "calls.json"
     path.write_text(json.dumps([{"argv": ["tensor", "--state", "singlet"]}]))
-    digests = []
-    for _ in range(2):
+
+    def digests():
         run = subprocess.run([sys.executable, str(TOOL), str(tmp_path / "a"),
                               str(tmp_path / "b"), "--calls", str(path), "--rounds", "1"],
                              capture_output=True, text=True, timeout=300)
         assert run.returncode == 0, run.stderr
         result = json.loads(run.stdout)
         assert result["differ"] == []
-        digests.append(result["source_sha256"])
-        with open(tmp_path / "b" / "src" / "bellkit" / "limits.py", "a") as limits:
-            limits.write("# a comment\n")
-    assert digests[0]["a"] == digests[0]["b"] == digests[1]["a"] != digests[1]["b"]
+        return result["source_sha256"]
+
+    seen = [digests()]
+    assert seen[0]["a"] == seen[0]["b"]
+    for name, moves in (("__pycache__/stale.pyc", False), ("limits.py", True),
+                        ("data/extra.json", True)):
+        target = tmp_path / "b" / "src" / "bellkit" / name
+        target.parent.mkdir(exist_ok=True)
+        with open(target, "a") as out:
+            out.write("# a comment\n")
+        seen.append(digests())
+        assert seen[-1]["a"] == seen[0]["a"]
+        assert (seen[-1]["b"] != seen[-2]["b"]) == moves, name

@@ -236,7 +236,7 @@ def test_record_files_a_a_runs_under_their_own_key(tmp_path):
     payload = json.loads(out.read_text())
     assert [run["groups"]["total"]["median"] for run in payload["in_process"]["runs"]] == [2.0]
     section = payload["in_process_aa"]
-    assert (section["a"], section["b"]) == ("parent", "parent")
+    assert (section["a"], section["b"]) == ("same", "same")
     assert [(run["workload"], run["groups"]["total"]["median"]) for run in section["runs"]] == [
         ("ghz_scan", 1.01), ("local_tables", 1.01)]
     assert "somewhere" not in out.read_text()

@@ -160,6 +160,26 @@ def test_lhv_rejects_non_finite_table():
         assert "finite" in err
 
 
+def test_lhv_closed_form_model_of_2_to_the_14_strategies_fits_in_2_gib():
+    """E = 1 at the first settings and 0 elsewhere has |f(s)| = 1 at every
+    hidden sign pattern, so its model mixes all 2^14 of them.  The run gets a
+    2 GiB address space: the model check's prediction must grow with the
+    table, as one Walsh-Hadamard transform does, not with table times
+    strategies, whose int64 vertex rows would take 2 GiB."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+
+    values = np.zeros((2,) * 14)
+    values.flat[0] = 1.0
+    table = json.dumps({"layout": [2] * 14, "values": values.tolist()})
+    proc = subprocess.run([sys.executable, "-m", "bellkit.cli", "lhv", "--table", "-"],
+                          input=table, capture_output=True, text=True, preexec_fn=limit,
+                          timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    model = json.loads(proc.stdout)
+    assert len(model) == 2**14 and {record["weight"] for record in model} == {2.0**-14}
+
+
 # ---------------------------------------------------------------------------
 # generate
 

@@ -3,6 +3,7 @@ import collections
 import functools
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -230,6 +231,42 @@ def test_evaluate_model_matches_a_per_strategy_outer_product(shape):
         assert np.allclose(predicted, outer_product_prediction(model), rtol=0, atol=1e-15)
     single = bk.LhvModel(layout, {tuple((1 << m) - 1 for m in shape): 1.0})
     assert np.array_equal(bk.evaluate_model(single).values, outer_product_prediction(single))
+
+
+@pytest.mark.parametrize("shape, cap", [((3, 1, 2), 30), ((4, 2, 3), 30), ((3, 3, 3, 3), 200)],
+                         ids=["3,1,2", "4,2,3", "3,3,3,3"])
+def test_evaluate_model_sums_blocks_of_strategies(monkeypatch, shape, cap):
+    """With the count cap lowered, the strategies of a 60-draw model are
+    summed in blocks of 5, 1 and 2, and still match the reference."""
+    from bellkit import limits
+
+    monkeypatch.setattr(limits, "MAX_COUNT", cap)
+    rng = np.random.default_rng(len(shape))
+    weights = collections.Counter()
+    for w in rng.random(60):
+        weights[tuple(int(c) for c in rng.integers(0, [1 << m for m in shape]))] += w
+    total = sum(weights.values())
+    model = bk.LhvModel(bk.ExperimentLayout(shape), {c: w / total for c, w in weights.items()})
+    assert len(model.weights) > 2 * cap // np.prod(shape)
+    assert np.allclose(bk.evaluate_model(model).values, outer_product_prediction(model),
+                       rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("shape", [(3,) * 8, (2,) * 13], ids=["3^8", "2^13"])
+def test_evaluate_model_memory_stays_near_the_table_size(shape):
+    """A model of 1000 strategies on a table of 6561 or 8192 entries: the
+    vertex rows of all of them at once would take 52 or 66 MB of int64."""
+    rng = np.random.default_rng(8)
+    layout = bk.ExperimentLayout(shape)
+    codes = {tuple(int(c) for c in rng.integers(0, [1 << m for m in shape])) for _ in range(1000)}
+    model = bk.LhvModel(layout, dict.fromkeys(codes, 1 / len(codes)))
+    tracemalloc.start()
+    try:
+        bk.evaluate_model(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 << 20
 
 
 @pytest.mark.parametrize("weights, match", [

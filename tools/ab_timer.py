@@ -24,8 +24,8 @@ in the first round (an exception counts as "raised" and its type).  Every
 call's exit code, stdout and stderr are compared between the sides in every
 round, and the calls where any of them differ are listed, with a sha256 of
 each side's first-round outputs.  Under `source_sha256`, a sha256 of each
-tree's src/bellkit/*.py files, names and contents in name order, tells an
-A/A run, two copies of one commit, from an A/B run.
+tree's files under src/bellkit, relative paths and contents in path order,
+tells an A/A run, two copies of one commit, from an A/B run.
 The result is one JSON object on stdout, and in --out when given.  When every
 call ends in exit 2 (a usage error included) or an exception on both sides,
 nothing was compared: the result goes to stdout only, and the exit code is 1.
@@ -66,11 +66,16 @@ def load_side(tree: Path, name: str, into: Path):
 
 
 def source_digest(tree: Path) -> str:
-    """sha256 of the names and contents of tree's src/bellkit/*.py, in name order."""
+    """sha256 of the relative paths and contents of every file under tree's
+    src/bellkit, subdirectories included, in path order; what load_side
+    leaves out, __pycache__, is left out here too."""
+    source = tree / "src" / "bellkit"
     digest = hashlib.sha256()
-    for path in sorted((tree / "src" / "bellkit").glob("*.py")):
-        data = path.read_bytes()
-        digest.update(f"{path.name}\0{len(data)}\0".encode() + data)
+    for path in sorted(source.rglob("*")):
+        name = path.relative_to(source)
+        if path.is_file() and "__pycache__" not in name.parts:
+            data = path.read_bytes()
+            digest.update(f"{name.as_posix()}\0{len(data)}\0".encode() + data)
     return digest.hexdigest()
 
 

@@ -20,9 +20,11 @@ tools/ab_timer.py, given after `--in-process`, go under a top-level key, one
 entry per file in the order given, as the timer wrote them but without the
 trees' paths, and with only the file name of a --calls list.  An A/B run, the
 parent as tree A and the change as tree B, goes under `in_process`.  An A/A
-run, two copies of the parent, goes under `in_process_aa`; its ratios are
-the timer's noise floor.  The timer's `source_sha256` of the two trees tells
-them apart: they are equal on an A/A run.
+run, two copies of one tree, goes under `in_process_aa`, with both sides
+labelled "same"; its ratios are the timer's noise floor.  The timer's
+`source_sha256` of the two trees tells them apart: they are equal on an A/A
+run, and each entry keeps them, so an A/A run's tree can be matched against
+the A/B runs' digests.
 
     python3 tools/bench_record.py --out BENCH_N.json \\
         --parent ../parent/bench/out/facet_census-seed1-trace0.json ... \\
@@ -194,9 +196,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"bench_record: {exc}", file=sys.stderr)
         return 2
     payload = {"command": benchmark["command"], "workloads": workloads}
-    for key, b in (("in_process", "change"), ("in_process_aa", "parent")):
+    for key, sides in (("in_process", ("parent", "change")), ("in_process_aa", ("same", "same"))):
         if in_process[key]:
-            payload[key] = {"a": "parent", "b": b, "runs": in_process[key]}
+            payload[key] = {"a": sides[0], "b": sides[1], "runs": in_process[key]}
     Path(args.out).write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
     return 0
 
