@@ -29,7 +29,8 @@ from .families import (  # noqa: F401
     mix_with_white_noise,
     singlet,
 )
-from .lhv import (
+# most_violated_sign_inequality is unused here, but bench/tracing.py wraps it in this namespace
+from .lhv import (  # noqa: F401
     BellInequality,
     CorrelationTable,
     LhvModel,
@@ -351,8 +352,7 @@ def cmd_lhv(args) -> int:
         try:
             model, certificate = construct_lhv_model(table), None
         except InequalityViolated as exc:
-            sign, _ = most_violated_sign_inequality(table)
-            model, certificate, value = None, sign_inequality(sign), exc.value
+            model, certificate, value = None, sign_inequality(exc.sign), exc.value
     else:
         result = polytope_membership(table)
         model, certificate = result.model, result.certificate

@@ -275,10 +275,14 @@ def transformed_table(table: CorrelationTable) -> np.ndarray:
 
     Axis j indexes s_j with 0 meaning +1.  This is the per-axis Hadamard
     transform of the table values; every two-setting function relies on its
-    layout check.
+    layout check, and on its cap: a table of more than limits.MAX_COUNT
+    entries raises ResourceLimitError before anything is transformed.
     """
     if not table.layout.is_two_setting():
         raise ValueError("operation requires exactly two settings per party")
+    if table.values.size > limits.MAX_COUNT:
+        raise ResourceLimitError(
+            f"table has {table.values.size} entries, cap is {limits.MAX_COUNT}")
     return walsh_hadamard(table.values)
 
 
@@ -307,15 +311,20 @@ def construct_lhv_model(table: CorrelationTable) -> LhvModel:
     polytope_membership; their weights are renormalized.  As there, the
     model is checked to reproduce the table within BOUND_TOL + EXACT_TOL,
     and a failed check raises RuntimeError; the predicted table is the one
-    evaluate_model gives, from one Walsh-Hadamard transform.
+    evaluate_model gives, from one Walsh-Hadamard transform.  A table past the
+    bound raises InequalityViolated whose value is sum_s |f(s)| and whose
+    sign is the family member attaining it, the pair that
+    most_violated_sign_inequality returns, read from the same transform.
     """
     f = transformed_table(table)
     n = table.layout.n_parties
     lhs = float(np.sum(np.abs(f)))
     if lhs > 2**n + BOUND_TOL:
-        raise InequalityViolated(
+        violated = InequalityViolated(
             f"general two-setting expression {lhs!r} exceeds {2**n}", lhs
         )
+        violated.sign = _matching_sign(f)
+        raise violated
     p = _hidden_weights(f)
     used = np.nonzero(p)
     neg = (f[used] < 0).astype(np.intp)
@@ -396,21 +405,46 @@ def evaluate_model(model: LhvModel) -> CorrelationTable:
     return CorrelationTable(model.layout, _predicted(model))
 
 
-def _vertex_factors(layout: ExperimentLayout) -> tuple[list[range], list[np.ndarray]]:
+#: What a layout alone determines, built once per process: (kind, shape) ->
+#: (value, its arrays), every array read-only.  The arrays of all entries hold
+#: at most limits.MAX_COUNT items (8 MiB of int64 or float64) in all; a value
+#: that would pass that is built again on every call.
+_LAYOUT_CACHE: dict[tuple, tuple] = {}
+
+
+def _kept(key: tuple, value, arrays: Sequence[np.ndarray]):
+    """value, cached under key with its arrays made read-only if they fit in
+    what the cache has left of limits.MAX_COUNT items, and returned either way."""
+    held = sum(a.size for _, kept in _LAYOUT_CACHE.values() for a in kept)
+    if held + sum(a.size for a in arrays) <= limits.MAX_COUNT:
+        for a in arrays:
+            a.flags.writeable = False
+        _LAYOUT_CACHE[key] = value, arrays
+    return value
+
+
+def _vertex_factors(layout: ExperimentLayout) -> tuple[tuple[range, ...], tuple[np.ndarray, ...]]:
     """Each party's representative codes and their (codes x settings) +-1 outcomes.
 
     Flipping all outcomes of an even number of parties leaves every product
     unchanged, so representatives fix the first-setting outcome of parties
     2..N to +1 (even codes) while party 1 ranges over everything.  Each
     distinct vertex is the Kronecker product of one outcome row per party.
-    Layouts with more than limits.MAX_COUNT strategies raise ResourceLimitError.
+    Layouts with more than limits.MAX_COUNT strategies raise ResourceLimitError
+    before the cache is read; otherwise the factors are built once per shape
+    (_kept), and the outcome matrices are read-only.
     """
     if layout.strategy_count() > limits.MAX_COUNT:
         raise ResourceLimitError(
             f"layout has {layout.strategy_count()} strategies, cap is {limits.MAX_COUNT}")
+    key = ("factors", layout.shape)
+    cached = _LAYOUT_CACHE.get(key)
+    if cached is not None:
+        return cached[0]
     first, *rest = layout.shape
-    ranges = [range(1 << first)] + [range(0, 1 << m, 2) for m in rest]
-    return ranges, [_outcomes(codes, m) for codes, m in zip(ranges, layout.shape)]
+    ranges = (range(1 << first), *(range(0, 1 << m, 2) for m in rest))
+    outcomes = tuple(_outcomes(codes, m) for codes, m in zip(ranges, layout.shape))
+    return _kept(key, (ranges, outcomes), outcomes)
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -428,13 +462,35 @@ def enumerate_vertices(layout: ExperimentLayout) -> tuple[list[tuple[int, ...]],
     Kronecker product of the per-party outcome matrices of _vertex_factors,
     whose representative rule and strategy cap it shares.  The product is
     formed right to left, so each step's rows stay long; it is associative,
-    so the matrix is the one the left-to-right order gives.
+    so the matrix is the one the left-to-right order gives.  Both are new
+    objects on every call, so the caller may write to them.
     """
     ranges, factors = _vertex_factors(layout)
     vertices = factors[-1]
     for factor in factors[-2::-1]:
         vertices = _kron(factor, vertices)
-    return list(itertools.product(*ranges)), vertices
+    # a one-party layout's matrix is its factor, which the cache keeps read-only
+    return list(itertools.product(*ranges)), vertices.copy() if len(factors) == 1 else vertices
+
+
+def _lp_columns(layout: ExperimentLayout) -> np.ndarray:
+    """The columns of polytope_membership's A as rows: each distinct vertex
+    in enumerate_vertices' order, in float64, then its convexity entry 1.
+
+    Built once per shape (_kept) through enumerate_vertices and read-only;
+    the simplex reads A through the transposed view and never copies it.
+    Callers check the strategy cap first, through _vertex_factors.
+    """
+    key = ("columns", layout.shape)
+    cached = _LAYOUT_CACHE.get(key)
+    if cached is not None:
+        return cached[0]
+    _, vertices = enumerate_vertices(layout)
+    dim = vertices.shape[1]
+    columns = np.empty((len(vertices), dim + 1))
+    columns[:, :dim] = vertices
+    columns[:, dim] = 1.0
+    return _kept(key, columns, (columns,))
 
 
 @dataclass(frozen=True)
@@ -473,16 +529,14 @@ def polytope_membership(table: CorrelationTable) -> PolytopeResult:
     1, is returned as a violated BellInequality whose bound is its maximum
     over the vertices, after a check that the table's value exceeds that
     bound; a failed check raises RuntimeError.  Both checks read the vertices
-    from A's float copy, not from the integer matrix.
+    from A's float copy, not from the integer matrix.  A is built once per
+    layout shape and process (_lp_columns), so only the first call on a
+    layout pays for it; the strategy cap is checked on every call.
     """
     layout = table.layout
-    codes, vertices = enumerate_vertices(layout)
-    dim = vertices.shape[1]
-    # A's columns, one float row per vertex and its normalization entry; the
-    # simplex reads A through the transposed view and never copies it
-    columns = np.empty((len(codes), dim + 1))
-    columns[:, :dim] = vertices
-    columns[:, dim] = 1.0
+    ranges, _ = _vertex_factors(layout)
+    columns = _lp_columns(layout)
+    dim = columns.shape[1] - 1
     vertices = columns[:, :dim]
     b = np.concatenate([table.values.ravel(), [1.0]])
 
@@ -496,8 +550,11 @@ def polytope_membership(table: CorrelationTable) -> PolytopeResult:
         if not abs(lam.sum() - 1.0) <= EXACT_TOL:
             raise RuntimeError("LP model check failed: weights do not sum to 1 within 1e-12")
         residual = _check_residual("LP", lam @ vertices, table.values.ravel())
+        # column i is the vertex of code tuple i of itertools.product(*ranges)
         used = np.flatnonzero(lam)
-        model = LhvModel(layout, {codes[i]: float(lam[i]) for i in used})
+        picked = np.unravel_index(used, [len(r) for r in ranges])
+        codes = zip(*([r[i] for i in index.tolist()] for r, index in zip(ranges, picked)))
+        model = LhvModel(layout, dict(zip(codes, lam[used].tolist())))
         return PolytopeResult(True, model, None, residual=residual, **work)
 
     y = result.farkas
@@ -521,6 +578,9 @@ def most_violated_sign_inequality(table: CorrelationTable) -> tuple[SignFunction
     Returns the maximizer and its expression value sum_s |f(s)|.
     """
     f = transformed_table(table)
-    bits = tuple(0 if v >= 0 else 1 for v in f.ravel())
-    sign = SignFunction(table.layout.n_parties, bits)
-    return sign, float(np.sum(np.abs(f)))
+    return _matching_sign(f), float(np.sum(np.abs(f)))
+
+
+def _matching_sign(f: np.ndarray) -> SignFunction:
+    """The sign function S(s) = sign(f(s)) of a transformed table f (+1 at 0)."""
+    return SignFunction(f.ndim, tuple(0 if v >= 0 else 1 for v in f.ravel()))

@@ -180,6 +180,44 @@ def test_lhv_closed_form_model_of_2_to_the_14_strategies_fits_in_2_gib():
     assert len(model) == 2**14 and {record["weight"] for record in model} == {2.0**-14}
 
 
+def test_lhv_refuses_a_table_of_2_to_the_21_entries_before_any_transform():
+    """The table of the test above at N = 21, 2^21 entries, twice
+    limits.MAX_COUNT, exits 4 with empty stdout in the same 2 GiB address
+    space; unrefused, its closed-form model of 2^21 strategies took 30 s and
+    539 MB of stdout."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+
+    # E = 1 at the first settings and 0 elsewhere, nested one party at a time
+    first, zeros = "1.0", "0.0"
+    for _ in range(21):
+        first, zeros = f"[{first}, {zeros}]", f"[{zeros}, {zeros}]"
+    table = '{"layout": [%s], "values": %s}' % (", ".join(["2"] * 21), first)
+    proc = subprocess.run([sys.executable, "-m", "bellkit.cli", "lhv", "--table", "-"],
+                          input=table, capture_output=True, text=True, preexec_fn=limit,
+                          timeout=120)
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr == "resource cap: table has 2097152 entries, cap is 1048576\n"
+
+
+@pytest.mark.parametrize("scale, code", [(0.5, 0), (1.0, 3)], ids=["inside", "outside"])
+def test_lhv_closed_form_transforms_the_table_once(monkeypatch, capsys, scale, code):
+    """An outside table's sign inequality comes from the transform the model
+    construction made; the other transforms are of the model's signed
+    weights (inside) and of the sign grid (outside), not of the table."""
+    from bellkit import cli, lhv
+
+    values = scale * np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
+    inputs, transform = [], lhv.walsh_hadamard
+    monkeypatch.setattr(lhv, "walsh_hadamard", lambda x: inputs.append(x) or transform(x))
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(
+        {"layout": [2, 2], "values": values.tolist()})))
+    assert cli.main(["lhv", "--table", "-"]) == code
+    capsys.readouterr()
+    assert len(inputs) == 2
+    assert [np.array_equal(x, values) for x in inputs] == [True, False]
+
+
 # ---------------------------------------------------------------------------
 # generate
 
@@ -1448,14 +1486,17 @@ def test_benchmark_tracer_records_hooked_names(capsys, monkeypatch):
     """bench/tracing.py wraps names in bellkit's namespaces; they must exist and be used.
 
     A facet check enumerates no vertices, so the vertex count comes from the
-    lhv call: the 3,3 table's polytope has 8 x 4 distinct vertices.
+    lhv call: the 3,3 table's polytope has 8 x 4 distinct vertices.  Vertices
+    are enumerated once per layout and process, so the layout cache is
+    cleared first; otherwise the count would depend on the tests run before.
     """
     path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("bench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    from bellkit import cli
+    from bellkit import cli, lhv
 
+    lhv._LAYOUT_CACHE.clear()
     tracer = tracing.Tracer()
     tracer.install()
     try:

@@ -1,9 +1,11 @@
 """Strategies, the 2-setting inequality family, model reconstruction, LP oracle."""
 import collections
 import functools
+import io
 import itertools
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -181,6 +183,33 @@ def test_construct_model_anticorrelated():
 def test_construct_model_rejects_violation():
     with pytest.raises(bk.InequalityViolated):
         bk.construct_lhv_model(chsh_optimal_table())
+
+
+def test_a_violation_carries_the_most_violated_sign_function():
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 3, 4):
+        layout = bk.ExperimentLayout((2,) * n)
+        for _ in range(5):
+            table = bk.CorrelationTable(layout, rng.uniform(-1, 1, size=layout.shape))
+            sign, value = bk.most_violated_sign_inequality(table)
+            if value <= 2**n + BOUND_TOL:
+                continue
+            with pytest.raises(bk.InequalityViolated) as raised:
+                bk.construct_lhv_model(table)
+            assert (raised.value.sign, raised.value.value) == (sign, value)
+
+
+def test_two_setting_functions_refuse_a_table_past_the_count_cap(monkeypatch):
+    from bellkit import limits
+
+    table = ghz_mermin_table()
+    monkeypatch.setattr(limits, "MAX_COUNT", 7)
+    for function in (bk.construct_lhv_model, bk.most_violated_sign_inequality,
+                     bk.general_bell_lhs):
+        with pytest.raises(bk.ResourceLimitError, match="^table has 8 entries, cap is 7$"):
+            function(table)
+    monkeypatch.setattr(limits, "MAX_COUNT", 8)
+    assert bk.general_bell_lhs(table) == 16.0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -786,6 +815,116 @@ def test_simplex_work_counts_are_pinned(lp, feasible, iterations, degenerate):
     else:
         assert np.max(result.farkas @ a) <= BOUND_TOL
         assert result.farkas @ b > 0
+
+
+def membership_outcome(table: bk.CorrelationTable) -> tuple:
+    """Everything polytope_membership reports, with the model's weights and
+    the certificate's coefficients as their exact bytes."""
+    result = bk.polytope_membership(table)
+    model = result.model and sorted(result.model.weights.items())
+    certificate = result.certificate and (result.certificate.coefficients.tobytes(),
+                                          result.certificate.bound)
+    return (result.inside, model, certificate, result.lp_iterations, result.lp_degenerate,
+            result.residual)
+
+
+def cold_and_warm(tables: list[bk.CorrelationTable]) -> tuple[list, list]:
+    """Each table's membership outcome with the layout cache cleared before its
+    call, then again in the same order with the cache kept across calls."""
+    cold = []
+    for table in tables:
+        lhv._LAYOUT_CACHE.clear()
+        cold.append(membership_outcome(table))
+    return cold, [membership_outcome(table) for table in tables]
+
+
+#: the tables behind SIMPLEX_WORK's membership LPs
+SIMPLEX_WORK_TABLES = {
+    "3,3,3,3 FOUND seed 0": lambda: found_recipe_table(0),
+    "3,3,3,3 FOUND seed 2": lambda: found_recipe_table(2),
+    "3,3,3,3 FOUND seed 6": lambda: found_recipe_table(6),
+    "4,4,2 inside": lambda: seeded_table((4, 4, 2), 2, 0.9),
+    "4,4,2 outside": lambda: seeded_table((4, 4, 2), 3, None),
+    "4,4,4,2 inside": lambda: seeded_table((4, 4, 4, 2), 0, 0.9),
+}
+
+
+def test_simplex_work_tables_pivot_alike_with_a_cold_and_a_warm_cache():
+    names = list(SIMPLEX_WORK_TABLES)
+    cold, warm = cold_and_warm([SIMPLEX_WORK_TABLES[name]() for name in names])
+    assert warm == cold
+    for name, outcome in zip(names, cold):
+        assert (outcome[0], *outcome[3:5]) == SIMPLEX_WORK[name][1:]
+
+
+def test_benchmark_tables_get_equal_answers_with_a_cold_and_a_warm_cache(monkeypatch):
+    """The LP tables of bench/workloads.py's local_tables, seeds 4001-4004:
+    928 tables over four layouts, in the workload's shuffled order, so a warm
+    call follows calls on other layouts."""
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    import workloads
+
+    tables = [bk.CorrelationTable(bk.ExperimentLayout(job.facts["layout"]), job.facts["values"])
+              for seed in (4001, 4002, 4003, 4004)
+              for job in workloads.make_jobs("local_tables", seed)
+              if not bk.ExperimentLayout(job.facts["layout"]).is_two_setting()]
+    assert len(tables) == 928
+    cold, warm = cold_and_warm(tables)
+    assert warm == cold
+    assert {shape for kind, shape in lhv._LAYOUT_CACHE if kind == "columns"} == {
+        (3, 3), (3, 3, 3), (4, 4, 2), (3, 3, 3, 3)}
+
+
+@pytest.mark.parametrize("shape", [(3,), (3, 3), (2, 3, 4)], ids=lambda s: ",".join(map(str, s)))
+def test_cached_layout_arrays_are_read_only_and_enumerated_ones_writable(shape):
+    layout = bk.ExperimentLayout(shape)
+    bk.polytope_membership(bk.CorrelationTable(layout, np.zeros(shape)))
+    _, factors = lhv._vertex_factors(layout)
+    for cached in (*factors, lhv._lp_columns(layout)):
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0, 0] = 0
+    codes, vertices = bk.enumerate_vertices(layout)
+    want = vertices.copy()
+    vertices[0, 0] = 7
+    codes.clear()
+    again = bk.enumerate_vertices(layout)
+    assert again[0] == list(itertools.product(*lhv._vertex_factors(layout)[0]))
+    assert np.array_equal(again[1], want)
+
+
+def test_a_layout_past_the_cache_bound_is_built_per_call_and_not_retained(monkeypatch):
+    """With the count cap at 4096, 4,4,2's 1024 strategies pass it and its
+    100 factor entries are cached, but A's 256 x 33 entries are not."""
+    from bellkit import limits
+
+    table = seeded_table((4, 4, 2), 2, 0.9)
+    lhv._LAYOUT_CACHE.clear()
+    want = membership_outcome(table)
+    lhv._LAYOUT_CACHE.clear()
+    monkeypatch.setattr(limits, "MAX_COUNT", 4096)
+    for _ in range(2):
+        assert membership_outcome(table) == want
+        assert list(lhv._LAYOUT_CACHE) == [("factors", (4, 4, 2))]
+    assert lhv._lp_columns(table.layout).flags.writeable
+
+
+def test_the_strategy_cap_holds_for_a_cached_layout(monkeypatch, capsys):
+    """The cap is read on every call, before the cache: a 3,3 layout cached
+    under the default cap is refused once the cap falls below its 64 strategies."""
+    from bellkit import cli, limits
+
+    table = json.dumps({"layout": [3, 3], "values": [[0.5, 0, 0], [0, 0.5, 0], [0, 0, 0]]})
+    monkeypatch.setattr("sys.stdin", io.StringIO(table))
+    assert cli.main(["lhv", "--table", "-"]) == 0
+    assert ("columns", (3, 3)) in lhv._LAYOUT_CACHE
+    capsys.readouterr()
+    monkeypatch.setattr(limits, "MAX_COUNT", 63)
+    monkeypatch.setattr("sys.stdin", io.StringIO(table))
+    assert cli.main(["lhv", "--table", "-"]) == 4
+    assert capsys.readouterr() == ("", "resource cap: layout has 64 strategies, cap is 63\n")
+    with pytest.raises(bk.ResourceLimitError):
+        lhv._vertex_factors(bk.ExperimentLayout((3, 3)))
 
 
 @pytest.mark.parametrize("shape", [(3, 3), (3, 3, 3), (4, 4, 2)])
