@@ -41,7 +41,8 @@ from .tolerance import BOUND_TOL, EXACT_TOL
 
 @dataclass(frozen=True)
 class ExperimentLayout:
-    """Number of measurement settings for each of N >= 1 parties."""
+    """Number of measurement settings for each of N >= 1 parties.  Unless
+    every entry is a Python int, the entries are read through json_int."""
 
     settings_per_party: tuple[int, ...]
 
@@ -49,7 +50,9 @@ class ExperimentLayout:
         m = self.settings_per_party
         if not isinstance(m, (list, tuple)):
             raise ValueError(f"a layout must be a list of integers, got {m!r}")
-        m = tuple(json_int(v, "a layout entry") for v in m)
+        m = tuple(m)
+        if set(map(type, m)) - {int}:
+            m = tuple(json_int(v, "a layout entry") for v in m)
         if len(m) < 1 or any(v < 1 for v in m):
             raise ValueError("layout needs at least one party, each with >= 1 settings")
         object.__setattr__(self, "settings_per_party", m)
@@ -98,17 +101,21 @@ class SignFunction:
 
     Bit p encodes the value on the argument tuple whose j-th entry is +1 when
     the j-th most significant bit of p is 0 (so p=0 is the all-plus tuple and
-    a set bit means the value -1).
+    a set bit means the value -1).  Unless the arity and every bit are Python
+    ints, they are read through json_int, so a bool is refused and numpy
+    integers become Python ints.
     """
 
     arity: int
     bits: tuple[int, ...]
 
     def __post_init__(self):
-        arity = json_int(self.arity, "arity")
+        arity = self.arity if type(self.arity) is int else json_int(self.arity, "arity")
         if arity < 1:
             raise ValueError("arity must be >= 1")
-        bits = tuple(json_int(b, "a sign bit") for b in self.bits)
+        bits = tuple(self.bits)
+        if set(map(type, bits)) - {int}:
+            bits = tuple(json_int(b, "a sign bit") for b in bits)
         if len(bits) != 2**arity or any(b not in (0, 1) for b in bits):
             raise ValueError(f"need {2**arity} bits, each 0 or 1")
         object.__setattr__(self, "arity", arity)
@@ -121,7 +128,7 @@ class SignFunction:
             raise ValueError("bitstring length must be a power of two, >= 2")
         if set(text) - {"0", "1"}:
             raise ValueError("bitstring may contain only 0 and 1")
-        return cls(n, tuple(int(c) for c in text))
+        return cls(n, tuple(map(int, text)))
 
     @classmethod
     def chsh(cls) -> "SignFunction":
@@ -270,19 +277,24 @@ def sign_inequality(sign: SignFunction) -> BellInequality:
     return BellInequality(layout, sign.walsh_coefficients(), 2**sign.arity)
 
 
+def check_table_cap(entries: int) -> None:
+    """Refuse a two-setting table of more than limits.MAX_COUNT entries."""
+    if entries > limits.MAX_COUNT:
+        raise ResourceLimitError(f"table has {entries} entries, cap is {limits.MAX_COUNT}")
+
+
 def transformed_table(table: CorrelationTable) -> np.ndarray:
     """f(s) = sum_k s_1^(k_1-1)...s_N^(k_N-1) E(k) over s in {-1,+1}^N.
 
     Axis j indexes s_j with 0 meaning +1.  This is the per-axis Hadamard
     transform of the table values; every two-setting function relies on its
-    layout check, and on its cap: a table of more than limits.MAX_COUNT
-    entries raises ResourceLimitError before anything is transformed.
+    layout check, and on its cap (check_table_cap): a table of more than
+    limits.MAX_COUNT entries raises ResourceLimitError before anything is
+    transformed.
     """
     if not table.layout.is_two_setting():
         raise ValueError("operation requires exactly two settings per party")
-    if table.values.size > limits.MAX_COUNT:
-        raise ResourceLimitError(
-            f"table has {table.values.size} entries, cap is {limits.MAX_COUNT}")
+    check_table_cap(table.values.size)
     return walsh_hadamard(table.values)
 
 
@@ -406,10 +418,17 @@ def evaluate_model(model: LhvModel) -> CorrelationTable:
 
 
 #: What a layout alone determines, built once per process: (kind, shape) ->
-#: (value, its arrays), every array read-only.  The arrays of all entries hold
-#: at most limits.MAX_COUNT items (8 MiB of int64 or float64) in all; a value
-#: that would pass that is built again on every call.
+#: (value, its arrays), every array read-only; multiset keeps its expansion
+#: plans here too, under ("plan", a tree's structure).  The arrays of all
+#: entries hold at most limits.MAX_COUNT items (8 MiB of int64 or float64) in
+#: all; a value that would pass that is built again on every call.
 _LAYOUT_CACHE: dict[tuple, tuple] = {}
+
+
+def _cached(key: tuple):
+    """The value kept under key, or None."""
+    entry = _LAYOUT_CACHE.get(key)
+    return None if entry is None else entry[0]
 
 
 def _kept(key: tuple, value, arrays: Sequence[np.ndarray]):
@@ -438,9 +457,9 @@ def _vertex_factors(layout: ExperimentLayout) -> tuple[tuple[range, ...], tuple[
         raise ResourceLimitError(
             f"layout has {layout.strategy_count()} strategies, cap is {limits.MAX_COUNT}")
     key = ("factors", layout.shape)
-    cached = _LAYOUT_CACHE.get(key)
+    cached = _cached(key)
     if cached is not None:
-        return cached[0]
+        return cached
     first, *rest = layout.shape
     ranges = (range(1 << first), *(range(0, 1 << m, 2) for m in rest))
     outcomes = tuple(_outcomes(codes, m) for codes, m in zip(ranges, layout.shape))
@@ -482,9 +501,9 @@ def _lp_columns(layout: ExperimentLayout) -> np.ndarray:
     Callers check the strategy cap first, through _vertex_factors.
     """
     key = ("columns", layout.shape)
-    cached = _LAYOUT_CACHE.get(key)
+    cached = _cached(key)
     if cached is not None:
-        return cached[0]
+        return cached
     _, vertices = enumerate_vertices(layout)
     dim = vertices.shape[1]
     columns = np.empty((len(vertices), dim + 1))

@@ -12,12 +12,33 @@ every deterministic outcome assignment, evaluates to exactly +-c:
 
 Node pairs must cover the same parties with disjoint settings, and the two
 pairs of a Node must involve disjoint party sets.  Averaging the identity
-over hidden variables turns each tree into a Bell inequality.  Its int64
-coefficients come from one recursion in which every block is a dense tensor
-over the whole layout, size 1 on the axes of parties outside the block: an
-Observable is one-hot, a Leaf scatters the Walsh coefficients w of its sign
-function onto its setting pairs, and a Node is, by broadcasting,
-X1 (w00 Y1 + w01 Y2) + X2 (w10 Y1 + w11 Y2).  Tightness is decided from
+over hidden variables turns each tree into a Bell inequality.  Expanded, a
+Leaf puts Walsh coefficient w[k] of its sign function (k in {0,1}^arity) at
+the settings p_i where k_i = 0 and q_i where k_i = 1, and a Node is
+X1 (w00 Y1 + w01 Y2) + X2 (w10 Y1 + w11 Y2).  So each int64 coefficient is a
+product of one Walsh coefficient per sign slot on its path (a slot is one
+sign function, taken in preorder), or a sum of such products where a node's
+paired blocks declare a setting in common.  build_recursive splits that in
+two:
+
+  the plan    from the tree's structure (its parties, settings and arities,
+              without the signs): the layout, the bound, the flat positions
+              that can hold a coefficient and, per position, the Walsh
+              coefficients that multiply into it (_Plan).  Every check of the
+              structure runs while it is made;
+  the values  from the signs: each arity's Walsh coefficients from one
+              product with the Hadamard matrix, then one gather and one
+              product over the slots and a scatter into a zeroed tensor.
+
+The plan is kept per process in lhv's layout cache (lhv._kept), under that
+cache's shared limits.MAX_COUNT budget, keyed by the structure; a plan past
+what the budget has left is built on every call.  Trees that differ only in
+their signs, such as one layout's registry members, share one plan.  In
+process on a 2-vCPU VM, a call on 8x8x4x4x4 takes about 200 us when it makes
+the plan and 40 us when the plan is kept, one on 2x2 about 47 and 20;
+README's `generate` section lists each registry layout.  Whether paired
+blocks that declare a setting in common use it in both depends on the
+signs, so that check runs with the values.  Tightness is decided from
 each party's +-1 outcome matrix, never from the vertex matrix: the vertex
 values are the coefficient tensor contracted party by party with those
 matrices, in int64, and the Gram matrix of the saturating vertices is the
@@ -36,7 +57,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Iterator, Sequence, Union
+from typing import Callable, Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -46,39 +67,49 @@ from .lhv import (
     BellInequality,
     ExperimentLayout,
     SignFunction,
+    _cached,
+    _kept,
     _vertex_factors,
     _vertex_rows,
 )
 # enumerate_vertices is unused here, but bench/tracing.py wraps it in this namespace
 from .lhv import enumerate_vertices  # noqa: F401
-from .qstate import json_int
+from .qstate import _butterflies, json_int
 
 
 @dataclass(frozen=True)
 class Observable:
-    """A_party(setting); parties and settings are 1-based."""
+    """A_party(setting); parties and settings are 1-based.  Unless both are
+    Python ints, they are read through json_int."""
 
     party: int
     setting: int
 
     def __post_init__(self):
-        object.__setattr__(self, "party", json_int(self.party, "a party"))
-        object.__setattr__(self, "setting", json_int(self.setting, "a setting"))
+        if type(self.party) is not int or type(self.setting) is not int:
+            object.__setattr__(self, "party", json_int(self.party, "a party"))
+            object.__setattr__(self, "setting", json_int(self.setting, "a setting"))
         if self.party < 1 or self.setting < 1:
             raise ValueError("party and setting indices are 1-based")
 
 
 @dataclass(frozen=True)
 class Leaf:
-    """sum over t of S(t) * prod_i [A_i(first_i) + t_i A_i(second_i)]."""
+    """sum over t of S(t) * prod_i [A_i(first_i) + t_i A_i(second_i)].
+
+    Parties, unless all are Python ints, and each setting pair, unless both
+    settings are, are read through json_int."""
 
     parties: tuple[int, ...]
     setting_pairs: tuple[tuple[int, int], ...]
     sign: SignFunction
 
     def __post_init__(self):
-        parties = tuple(json_int(p, "a party") for p in self.parties)
-        pairs = tuple((json_int(a, "a setting"), json_int(b, "a setting"))
+        parties = tuple(self.parties)
+        if set(map(type, parties)) - {int}:
+            parties = tuple(json_int(p, "a party") for p in parties)
+        pairs = tuple((a, b) if type(a) is int and type(b) is int else
+                      (json_int(a, "a setting"), json_int(b, "a setting"))
                       for a, b in self.setting_pairs)
         if len(parties) != len(pairs):
             raise ValueError("one setting pair per party required")
@@ -116,64 +147,214 @@ class Node:
 ConstructionTree = Union[Observable, Leaf, Node]
 
 
-#: What _expand returns for a block: its coefficient tensor, parties and magnitude.
-_Expansion = tuple[np.ndarray, frozenset[int], int]
+class _Terms(NamedTuple):
+    """A block of a tree being planned: one term per row, its flat position
+    in the layout and the pool indices of its factors; the settings it
+    declares, per party; and its magnitude."""
+
+    positions: np.ndarray
+    factors: np.ndarray
+    settings: dict[int, frozenset[int]]
+    magnitude: int
 
 
-def _spread(block: np.ndarray, parties: Sequence[int], shape: tuple[int, ...]) -> np.ndarray:
-    """A block whose axes belong to ``parties``, in that order, laid onto the
-    layout ``shape``: axes in party order, size 1 for every other party."""
-    dims = [1] * len(shape)
-    for party in parties:
-        dims[party - 1] = shape[party - 1]
-    party_order = sorted(range(len(parties)), key=parties.__getitem__)
-    return block.transpose(party_order).reshape(dims)
+class _Plan(NamedTuple):
+    """What a tree's structure fixes: its layout and bound, and how to make
+    its coefficients from the Walsh coefficients of its sign slots.
+
+    The values live in one int64 pool (_pool): the slots' Walsh
+    coefficients, 2^arity in a row for each slot, by arity and then in
+    preorder; then a 1 that pads short factor rows; then the entries of the
+    blocks whose terms share positions (_add_terms).  ``steps`` run in order
+    on the pool; the coefficient at ``positions[i]`` is the product of the
+    pool entries in row i of ``factors``.
+    """
+
+    layout: ExperimentLayout
+    bound: int
+    groups: tuple[tuple[int, tuple[int, ...]], ...]
+    size: int
+    steps: tuple[tuple[Callable, tuple], ...]
+    positions: np.ndarray
+    factors: np.ndarray
+
+    def arrays(self) -> list[np.ndarray]:
+        return [self.positions, self.factors,
+                *(a for _, args in self.steps for a in args if isinstance(a, np.ndarray))]
+
+    def coefficients(self, signs: Sequence[SignFunction]) -> np.ndarray:
+        """The read-only coefficient tensor for the slots' sign functions."""
+        pool = _pool(self.groups, self.size, self.steps, signs)
+        coeff = np.zeros(self.layout.shape, np.int64)
+        np.put(coeff, self.positions, pool[self.factors].prod(axis=1))
+        coeff.flags.writeable = False
+        return coeff
 
 
-def _expand(tree: ConstructionTree, shape: tuple[int, ...]) -> _Expansion:
-    """The coefficient tensor of a block over the layout ``shape`` (size 1 on
-    the axes of parties outside the block), its party set and its magnitude."""
-    if isinstance(tree, Observable):
-        one_hot = np.zeros(shape[tree.party - 1], dtype=np.int64)
-        one_hot[tree.setting - 1] = 1
-        return _spread(one_hot, (tree.party,), shape), frozenset([tree.party]), 1
-
-    if isinstance(tree, Leaf):
-        block = np.zeros([shape[p - 1] for p in tree.parties], dtype=np.int64)
-        block[np.ix_(*([a - 1, b - 1] for a, b in tree.setting_pairs))] = \
-            tree.sign.walsh_coefficients()
-        return (_spread(block, tree.parties, shape), frozenset(tree.parties),
-                2 ** len(tree.parties))
-
-    xs = [_expand(branch, shape) for branch in tree.first]
-    ys = [_expand(branch, shape) for branch in tree.second]
-    _check_pair(*xs)
-    _check_pair(*ys)
-    (x1, x_parties, x_magnitude), (x2, _, _) = xs
-    (y1, y_parties, y_magnitude), (y2, _, _) = ys
-    if x_parties & y_parties:
-        raise ValueError("node pairs must involve disjoint party sets")
-    magnitude = 4 * x_magnitude * y_magnitude
-    # |coefficient| <= magnitude, and each sum formed below stays within twice it
-    if magnitude >= 1 << 62:
-        raise ResourceLimitError(f"tree magnitude {magnitude} is past exact int64 coefficients")
-    (w00, w01), (w10, w11) = tree.sign.walsh_coefficients()
-    coeff = x1 * (w00 * y1 + w01 * y2) + x2 * (w10 * y1 + w11 * y2)
-    return coeff, x_parties | y_parties, magnitude
+#: The Hadamard matrix of arity 7, H[s, t] = (-1)^|s & t|: the transform of
+#: the identity.  Its leading 2^a x 2^a block is that of arity a, so up to
+#: arity 7 a group's Walsh coefficients are one integer product with that
+#: block.  Past it the in-place butterflies are faster (at arity 8, 35
+#: against 67 us for one slot), and the 2x...x2 layouts' arity-20 leaf would
+#: need a matrix of 2^40 entries.
+_HADAMARD = np.eye(1 << 7, dtype=np.int64)
+_butterflies(_HADAMARD, 7)
+_HADAMARD.flags.writeable = False
 
 
-def _check_pair(first: _Expansion, second: _Expansion) -> None:
-    (c1, parties, m1), (c2, parties2, m2) = first, second
-    if parties != parties2:
-        raise ValueError("paired blocks must cover the same parties")
-    if m1 != m2:
-        raise ValueError("paired blocks must have equal magnitudes")
-    used1, used2 = np.nonzero(c1), np.nonzero(c2)  # per axis, the settings of nonzero entries
-    for party in sorted(parties):
-        shared = set(used1[party - 1].tolist()) & set(used2[party - 1].tolist())
-        if shared:
-            settings = {s + 1 for s in shared}
+def _pool(groups: Sequence[tuple[int, tuple[int, ...]]], size: int,
+          steps: Sequence[tuple[Callable, tuple]], signs: Sequence[SignFunction]) -> np.ndarray:
+    """A plan's pool for the slots' sign functions, after its steps have run."""
+    pool = np.zeros(size, np.int64)
+    start = 0
+    for arity, slots in groups:
+        values = 1 - 2 * np.array([signs[k].bits for k in slots], np.int64)
+        walsh = pool[start:start + values.size].reshape(values.shape)
+        if 1 << arity <= len(_HADAMARD):
+            np.matmul(values, _HADAMARD[:1 << arity, :1 << arity], out=walsh)
+        else:
+            columns = values.T.copy()
+            _butterflies(columns, arity)
+            walsh[...] = columns.T
+        start += values.size
+    pool[start] = 1
+    for step, args in steps:
+        step(pool, *args)
+    return pool
+
+
+def _add_terms(pool: np.ndarray, factors: np.ndarray, targets: np.ndarray) -> None:
+    """Add each term's product of factors into its pool entry in ``targets``."""
+    np.add.at(pool, targets, pool[factors].prod(axis=1))
+
+
+def _check_reuse(pool: np.ndarray, parties: list[tuple[int, int, int]],
+                 positions1: np.ndarray, factors1: np.ndarray,
+                 positions2: np.ndarray, factors2: np.ndarray) -> None:
+    """Refuse a pair whose two blocks both have nonzero entries at one
+    setting of a party; ``parties`` holds the party, its stride and its
+    setting count for each party the blocks share a declared setting of."""
+    live = [positions[(pool[factors] != 0).all(axis=1)]
+            for positions, factors in ((positions1, factors1), (positions2, factors2))]
+    for party, stride, count in parties:
+        first, second = (set((positions // stride % count).tolist()) for positions in live)
+        if first & second:
+            settings = {s + 1 for s in first & second}
             raise ValueError(f"paired blocks reuse settings {settings} of party {party}")
+
+
+class _Planner:
+    """Builds a _Plan's terms block by block, the checks of each node after
+    those of its blocks.  A block with no repeated position has one term per
+    position; a node whose paired blocks share a declared setting of some
+    party may repeat positions, so its terms are summed into the pool and
+    it continues as one term per position."""
+
+    def __init__(self, shape: tuple[int, ...], signs: Sequence[SignFunction]):
+        self.shape = shape
+        self.strides = [1] * len(shape)
+        for j in range(len(shape) - 1, 0, -1):
+            self.strides[j - 1] = self.strides[j] * shape[j]
+        slots: dict[int, list[int]] = {}
+        for k, sign in enumerate(signs):
+            slots.setdefault(sign.arity, []).append(k)
+        self.groups = tuple((arity, tuple(slots[arity])) for arity in sorted(slots))
+        walsh = [0] * len(signs)  # per slot in preorder: the pool index of its coefficient 0
+        start = 0
+        for arity, group in self.groups:
+            for k in group:
+                walsh[k] = start
+                start += 1 << arity
+        self.slots = iter(walsh)
+        self.one = start
+        self.size = start + 1
+        self.steps: list[tuple[Callable, tuple]] = []
+
+    def block(self, tree: ConstructionTree) -> _Terms:
+        if isinstance(tree, Observable):
+            position = (tree.setting - 1) * self.strides[tree.party - 1]
+            return _Terms(np.array([position]), np.empty((1, 0), np.intp),
+                          {tree.party: frozenset([tree.setting])}, 1)
+        walsh = next(self.slots)
+        if isinstance(tree, Leaf):
+            # term t puts argument j's setting t_j (bit j of t, the first most
+            # significant) at party j and takes Walsh coefficient t
+            positions = 0
+            for party, pair in zip(tree.parties, tree.setting_pairs):
+                stride = self.strides[party - 1]
+                positions = np.add.outer(positions, [(s - 1) * stride for s in pair])
+            positions = positions.ravel()
+            factors = np.arange(walsh, walsh + len(positions))[:, None]
+            settings = {p: frozenset(pair) for p, pair in zip(tree.parties, tree.setting_pairs)}
+            return _Terms(positions, factors, settings, len(positions))
+        xs = [self.block(branch) for branch in tree.first]
+        ys = [self.block(branch) for branch in tree.second]
+        shared = self.pair(*xs)
+        shared = self.pair(*ys) or shared
+        if xs[0].settings.keys() & ys[0].settings.keys():
+            raise ValueError("node pairs must involve disjoint party sets")
+        magnitude = 4 * xs[0].magnitude * ys[0].magnitude
+        # |coefficient| <= magnitude, and so is every product of a term's factors
+        if magnitude >= 1 << 62:
+            raise ResourceLimitError(f"tree magnitude {magnitude} is past exact int64 coefficients")
+        # every term of X_a with every term of Y_b, times Walsh coefficient
+        # (a, b) of the node's sign function: x rows, y columns
+        (x1, x2), (y1, y2) = xs, ys
+        fx = max(x1.factors.shape[1], x2.factors.shape[1])
+        fy = max(y1.factors.shape[1], y2.factors.shape[1])
+        nx, ny = len(x1.positions), len(y1.positions)
+        x_positions = np.concatenate([x1.positions, x2.positions])
+        y_positions = np.concatenate([y1.positions, y2.positions])
+        rows = np.full((len(x_positions), len(y_positions), fx + fy + 1), self.one)
+        rows[:nx, :, :x1.factors.shape[1]] = x1.factors[:, None]
+        rows[nx:, :, :x2.factors.shape[1]] = x2.factors[:, None]
+        rows[:, :ny, fx:fx + y1.factors.shape[1]] = y1.factors
+        rows[:, ny:, fx:fx + y2.factors.shape[1]] = y2.factors
+        rows[:nx, :ny, -1], rows[:nx, ny:, -1] = walsh, walsh + 1
+        rows[nx:, :ny, -1], rows[nx:, ny:, -1] = walsh + 2, walsh + 3
+        settings = {p: s | pair[1].settings[p] for pair in (xs, ys)
+                    for p, s in pair[0].settings.items()}
+        terms = _Terms(np.add.outer(x_positions, y_positions).ravel(),
+                       rows.reshape(-1, rows.shape[2]), settings, magnitude)
+        return self.summed(terms) if shared else terms
+
+    def pair(self, first: _Terms, second: _Terms) -> bool:
+        """Check a node pair's structure; whether its blocks share a declared
+        setting of some party, in which case the values decide (_check_reuse)."""
+        if first.settings.keys() != second.settings.keys():
+            raise ValueError("paired blocks must cover the same parties")
+        if first.magnitude != second.magnitude:
+            raise ValueError("paired blocks must have equal magnitudes")
+        parties = [(p, self.strides[p - 1], self.shape[p - 1]) for p in sorted(first.settings)
+                   if first.settings[p] & second.settings[p]]
+        if parties:
+            self.steps.append((_check_reuse, (parties, first.positions, first.factors,
+                                              second.positions, second.factors)))
+        return bool(parties)
+
+    def summed(self, terms: _Terms) -> _Terms:
+        """The block as one term per position, each a pool entry its terms add to."""
+        positions, inverse = np.unique(terms.positions, return_inverse=True)
+        start, self.size = self.size, self.size + len(positions)
+        self.steps.append((_add_terms, (terms.factors, start + inverse.ravel())))
+        return _Terms(positions, (start + np.arange(len(positions)))[:, None], terms.settings,
+                      terms.magnitude)
+
+
+def _structure(tree: ConstructionTree, signs: list[SignFunction]) -> tuple:
+    """The tree without its sign functions, as nested tuples of its parties
+    and settings; the sign functions go to ``signs`` in preorder."""
+    if isinstance(tree, Node):
+        signs.append(tree.sign)
+        (x1, x2), (y1, y2) = tree.first, tree.second
+        return (_structure(x1, signs), _structure(x2, signs),
+                _structure(y1, signs), _structure(y2, signs))
+    if isinstance(tree, Leaf):
+        signs.append(tree.sign)
+        return tree.parties, tree.setting_pairs
+    if isinstance(tree, Observable):
+        return tree.party, tree.setting
+    raise TypeError(f"not a construction tree: {tree!r}")
 
 
 def _declared_settings(tree: ConstructionTree, out: dict[int, int]) -> None:
@@ -182,11 +363,27 @@ def _declared_settings(tree: ConstructionTree, out: dict[int, int]) -> None:
     elif isinstance(tree, Leaf):
         for party, pair in zip(tree.parties, tree.setting_pairs):
             out[party] = max(out.get(party, 0), *pair)
-    elif isinstance(tree, Node):
+    else:
         for branch in (*tree.first, *tree.second):
             _declared_settings(branch, out)
-    else:
-        raise TypeError(f"not a construction tree: {tree!r}")
+
+
+def _plan(tree: ConstructionTree, signs: Sequence[SignFunction]) -> _Plan:
+    declared: dict[int, int] = {}
+    _declared_settings(tree, declared)
+    parties = sorted(declared)
+    if parties != list(range(1, len(parties) + 1)):
+        raise ValueError(f"tree parties {parties} must be exactly 1..N")
+    layout = ExperimentLayout(tuple(declared[p] for p in parties))
+    planner = _Planner(layout.shape, signs)
+    try:
+        root = planner.block(tree)
+    except (ValueError, ResourceLimitError):
+        # a fault of the values in a block planned before this one comes first
+        _pool(planner.groups, planner.size, planner.steps, signs)
+        raise
+    return _Plan(layout, root.magnitude, planner.groups, planner.size, tuple(planner.steps),
+                 root.positions, root.factors)
 
 
 def build_recursive(tree: ConstructionTree) -> BellInequality:
@@ -194,16 +391,17 @@ def build_recursive(tree: ConstructionTree) -> BellInequality:
 
     The layout follows the tree's declared settings (degenerate sign choices
     may zero out whole slices but do not shrink the layout); the bound is the
-    guaranteed deterministic value of the tree.
+    guaranteed deterministic value of the tree.  The plan (_Plan) depends on
+    the tree's structure alone and is kept per process in lhv's layout cache
+    (_kept), so trees that differ only in their sign functions share it.
     """
-    declared: dict[int, int] = {}
-    _declared_settings(tree, declared)
-    parties = sorted(declared)
-    if parties != list(range(1, len(parties) + 1)):
-        raise ValueError(f"tree parties {parties} must be exactly 1..N")
-    layout = ExperimentLayout(tuple(declared[p] for p in parties))
-    coeff, _, magnitude = _expand(tree, layout.shape)
-    return BellInequality(layout, coeff, magnitude)
+    signs: list[SignFunction] = []
+    key = ("plan", _structure(tree, signs))
+    plan = _cached(key)
+    if plan is None:
+        plan = _plan(tree, signs)
+        plan = _kept(key, plan, plan.arrays())
+    return BellInequality(plan.layout, plan.coefficients(signs), plan.bound)
 
 
 def tree_chain(n_parties: int, top: SignFunction,

@@ -200,6 +200,26 @@ def test_lhv_refuses_a_table_of_2_to_the_21_entries_before_any_transform():
     assert proc.stderr == "resource cap: table has 2097152 entries, cap is 1048576\n"
 
 
+def test_lhv_refuses_an_oversized_two_setting_table_before_reading_its_values(
+        monkeypatch, capsys):
+    """The cap is read from the layout alone, so a table past it is refused
+    whatever its values hold; under the cap the values are read as before,
+    and a layout that is not two-setting goes on to the LP path's checks."""
+    from bellkit import cli, limits
+
+    monkeypatch.setattr(limits, "MAX_COUNT", 4)
+    for layout, code, err in [
+            ([2, 2, 2], 4, "resource cap: table has 8 entries, cap is 4\n"),
+            ([2, 2], 2, "error: not a valid correlation table: correlation values must be "
+                        "numbers, not a string\n"),
+            ([3, 2], 2, "error: not a valid correlation table: correlation values must be "
+                        "numbers, not a string\n")]:
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"layout": layout,
+                                                                  "values": "none"})))
+        assert cli.main(["lhv", "--table", "-"]) == code
+        assert capsys.readouterr() == ("", err)
+
+
 @pytest.mark.parametrize("scale, code", [(0.5, 0), (1.0, 3)], ids=["inside", "outside"])
 def test_lhv_closed_form_transforms_the_table_once(monkeypatch, capsys, scale, code):
     """An outside table's sign inequality comes from the transform the model

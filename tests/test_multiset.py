@@ -1,6 +1,10 @@
 """Recursive inequality generation: expansion oracle, identities, tightness."""
+import hashlib
 import itertools
+import json
 import math
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -702,3 +706,238 @@ def test_build_rejects_malformed_trees(build, error, match):
     the other faults show only when the tree is expanded."""
     with pytest.raises(error, match=match):
         bk.build_recursive(build())
+
+
+# ---------------------------------------------------------------------------
+# expansion plans
+
+
+def declared_layout(tree) -> tuple[int, ...]:
+    """The highest setting each party's observables use, for parties 1..N."""
+    top: dict[int, int] = {}
+    stack = [tree]
+    while stack:
+        block = stack.pop()
+        if isinstance(block, bk.Observable):
+            top[block.party] = max(top.get(block.party, 0), block.setting)
+        elif isinstance(block, bk.Leaf):
+            for party, pair in zip(block.parties, block.setting_pairs):
+                top[party] = max(top.get(party, 0), *pair)
+        else:
+            stack += [*block.first, *block.second]
+    return tuple(top[p] for p in range(1, len(top) + 1))
+
+
+def oracle_table(tree, layout) -> tuple[tuple[int, ...], dict]:
+    """A block's parties in order and its entries, {their 0-based settings: the
+    coefficient}, over every setting of those parties, in Python integers from
+    the module docstring's definitions: an Observable is one-hot, a Leaf is
+    sum_t S(t) prod_i [A(p_i) + t_i A(q_i)], a Node is
+    sum_{s1,s2} S(s1,s2) (X1 + s1 X2)(Y1 + s2 Y2).  S is read from its values,
+    never from its Walsh coefficients."""
+    if isinstance(tree, bk.Observable):
+        return (tree.party,), {(k,): int(k == tree.setting - 1)
+                               for k in range(layout[tree.party - 1])}
+    signs = itertools.product((1, -1), repeat=tree.sign.arity)
+    value = {s: tree.sign(s) for s in signs}
+    if isinstance(tree, bk.Leaf):
+        parties = tuple(sorted(tree.parties))
+        pairs = dict(zip(tree.parties, tree.setting_pairs))
+        table = {}
+        for k in itertools.product(*(range(layout[p - 1]) for p in parties)):
+            setting = dict(zip(parties, k))
+            table[k] = sum(value[t] * math.prod((setting[p] == pairs[p][0] - 1)
+                                                + t_p * (setting[p] == pairs[p][1] - 1)
+                                                for p, t_p in zip(tree.parties, t))
+                           for t in value)
+        return parties, table
+    (px, x1), (_, x2) = (oracle_table(block, layout) for block in tree.first)
+    (py, y1), (_, y2) = (oracle_table(block, layout) for block in tree.second)
+    parties = tuple(sorted(px + py))
+    order = [(px + py).index(p) for p in parties]
+    table = {}
+    for kx, ky in itertools.product(x1, y1):
+        k = kx + ky
+        table[tuple(k[i] for i in order)] = sum(
+            value[s1, s2] * (x1[kx] + s1 * x2[kx]) * (y1[ky] + s2 * y2[ky])
+            for s1, s2 in value)
+    return parties, table
+
+
+def oracle(tree) -> np.ndarray:
+    layout = declared_layout(tree)
+    coeff = np.zeros(layout, dtype=np.int64)
+    for k, v in oracle_table(tree, layout)[1].items():
+        coeff[k] = v
+    return coeff
+
+
+def assert_cold_and_warm_match_the_oracle(tree) -> None:
+    """build_recursive on an empty layout cache, then again on the plan it kept."""
+    want = oracle(tree)
+    lhv._LAYOUT_CACHE.clear()
+    for _ in range(2):
+        ineq = bk.build_recursive(tree)
+        assert ineq.coefficients.dtype == np.int64
+        assert np.array_equal(ineq.coefficients, want)
+    assert ("plan", ms._structure(tree, [])) in lhv._LAYOUT_CACHE
+
+
+ORACLE_LAYOUTS = [layout for layout in REGISTRY_LAYOUTS if math.prod(layout) <= 4096]
+
+
+@pytest.mark.parametrize("layout", ORACLE_LAYOUTS, ids=lambda t: ",".join(map(str, t)))
+def test_plans_match_the_oracle_on_random_signs(layout):
+    rng = np.random.default_rng(41 + sum(layout))
+    arities, build = ms.layout_tree(layout)
+    for _ in range(50):
+        assert_cold_and_warm_match_the_oracle(build([random_sign(rng, a) for a in arities]))
+
+
+def test_plans_sum_the_overlapping_pairs_of_degenerate_blocks():
+    """Pairs that declare the same settings, (1, 2) and (2, 1), may share
+    positions; those entries are sums.  With random signs, whether their
+    blocks reuse a setting is decided by the values."""
+    for n in range(1, 6):
+        for setting in (1, 2):
+            assert_cold_and_warm_match_the_oracle(degenerate_block(tuple(range(1, n + 1)), setting))
+    rng = np.random.default_rng(43)
+
+    def randomized(parties, setting):
+        if len(parties) == 1:
+            return bk.Leaf(parties, ((setting, 3 - setting),), random_sign(rng, 1))
+        half = len(parties) // 2
+        first, second = parties[:half], parties[half:]
+        return bk.Node(random_sign(rng, 2),
+                       (randomized(first, setting), randomized(first, 3 - setting)),
+                       (randomized(second, setting), randomized(second, 3 - setting)))
+
+    outcomes = {"built": 0, "refused": 0}
+    for _ in range(60):
+        tree = randomized(tuple(range(1, int(rng.integers(2, 4)) + 1)), int(rng.integers(1, 3)))
+        try:
+            assert_cold_and_warm_match_the_oracle(tree)
+            outcomes["built"] += 1
+        except ValueError as error:
+            assert "reuse settings" in str(error)
+            outcomes["refused"] += 1
+    assert outcomes["built"] and outcomes["refused"]
+
+
+def test_plans_match_the_oracle_in_every_leaf_party_order():
+    rng = np.random.default_rng(47)
+    pairs = [(1, 2), (3, 2), (2, 4)]
+    for order in itertools.permutations(range(3)):
+        leaf = bk.Leaf(tuple(j + 1 for j in order), tuple(pairs[j] for j in order),
+                       random_sign(rng, 3))
+        assert_cold_and_warm_match_the_oracle(leaf)
+        assert_cold_and_warm_match_the_oracle(
+            bk.Node(random_sign(rng, 2), (leaf, bk.Leaf((2, 3, 1), ((5, 6), (5, 6), (5, 6)),
+                                                        random_sign(rng, 3))),
+                    (OBS(4, 1), OBS(4, 2))))
+
+
+def test_trees_that_differ_in_one_setting_pair_keep_their_own_plans():
+    def tree(second_pairs):
+        return bk.Node(CHSH, (bk.Leaf((1, 2), ((1, 2), (1, 2)), HALF2),
+                              bk.Leaf((1, 2), second_pairs, CHSH)), (OBS(3, 1), OBS(3, 2)))
+
+    a, b = tree(((3, 4), (3, 4))), tree(((3, 4), (4, 3)))
+    want = {id(a): oracle(a), id(b): oracle(b)}
+    assert not np.array_equal(*want.values())
+    lhv._LAYOUT_CACHE.clear()
+    for t in (a, b, a, b):
+        assert np.array_equal(bk.build_recursive(t).coefficients, want[id(t)])
+    keys = [("plan", ms._structure(t, [])) for t in (a, b)]
+    assert keys[0] != keys[1] and hash(keys[0]) != hash(keys[1])
+    plans = [lhv._cached(key) for key in keys]
+    assert None not in plans and not np.array_equal(plans[0].positions, plans[1].positions)
+
+
+HALF2 = bk.SignFunction.from_bitstring("0110")
+
+
+def test_an_inner_fault_of_the_values_comes_before_an_outer_fault_of_the_structure():
+    """The faults are reported in the order the tree reads, block before node."""
+    const = bk.SignFunction(1, (0, 0))  # its leaf on the pair (p, q) uses setting p alone
+    reused = bk.Node(CHSH, (OBS(1, 1), OBS(1, 1)), (OBS(2, 1), OBS(2, 2)))
+    fine = bk.Node(CHSH, (bk.Leaf((1,), ((1, 2),), const), bk.Leaf((1,), ((2, 1),), const)),
+                   (OBS(2, 1), OBS(2, 2)))
+    cases = [(reused, bk.Leaf((1, 2), ((3, 4), (3, 4)), CHSH), "reuse settings"),
+             (fine, bk.Node(CHSH, (bk.Leaf((1,), ((3, 4),), const),
+                                   bk.Leaf((1,), ((5, 6),), const)), (OBS(2, 3), OBS(2, 4))),
+              "disjoint party sets")]
+    for first, second, match in cases:
+        with pytest.raises(ValueError, match=match):
+            bk.build_recursive(bk.Node(CHSH, (first, second), (OBS(1, 7), OBS(1, 8))))
+
+
+def test_a_plan_past_the_cache_budget_is_built_per_call(monkeypatch):
+    tree = bk.tree_88444([random_sign(np.random.default_rng(53), 2) for _ in range(9)])
+    lhv._LAYOUT_CACHE.clear()
+    want = bk.build_recursive(tree).coefficients.tobytes()
+    filler = np.zeros(limits.MAX_COUNT, dtype=bool)
+    filler.flags.writeable = False
+    monkeypatch.setattr(lhv, "_LAYOUT_CACHE", {("filler", ()): (None, (filler,))})
+    plans, plan = [], ms._plan
+    monkeypatch.setattr(ms, "_plan", lambda *args: plans.append(1) or plan(*args))
+    for _ in range(2):
+        assert bk.build_recursive(tree).coefficients.tobytes() == want
+    assert len(plans) == 2
+    assert list(lhv._LAYOUT_CACHE) == [("filler", ())]
+
+
+def test_cached_plan_arrays_are_read_only():
+    lhv._LAYOUT_CACHE.clear()
+    bk.build_recursive(bk.tree_88444([CHSH] * 9))
+    bk.build_recursive(degenerate_block((1, 2, 3), 1))  # its plan sums and checks pairs
+    entries = [entry for (kind, _), entry in lhv._LAYOUT_CACHE.items() if kind == "plan"]
+    assert len(entries) == 2 and any(plan.steps for plan, _ in entries)
+    for plan, arrays in entries:
+        assert plan.positions in [a for a in arrays if a is plan.positions]
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+
+
+FRESH_PROCESS_DIGESTS = """
+import contextlib, hashlib, io, json, sys
+from bellkit import cli
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    print(hashlib.sha256(out.getvalue().encode()).hexdigest())
+"""
+
+
+def test_generate_prints_the_same_bytes_warm_as_in_a_fresh_process(capsys):
+    rng = np.random.default_rng(59)
+    calls = []
+    for layout in REGISTRY_LAYOUTS:
+        arities, _ = ms.layout_tree(layout)
+        bitstrings = ["".join(map(str, rng.integers(0, 2, 2**a))) for a in arities]
+        calls.append(["generate", "--layout", ",".join(map(str, layout))]
+                     + [arg for text in bitstrings for arg in ("--sign-fn", text)])
+    fresh = subprocess.run([sys.executable, "-c", FRESH_PROCESS_DIGESTS, json.dumps(calls)],
+                           capture_output=True, text=True, check=True).stdout.split()
+    lhv._LAYOUT_CACHE.clear()
+    for argv, digest in zip(calls, fresh, strict=True):
+        for _ in range(2):  # on an empty cache, then on the kept plan
+            assert cli.main(argv) == 0
+            assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_exact_ints_skip_json_int(monkeypatch):
+    """The rule LhvModel follows: the layout, sign functions and tree blocks of
+    a generated member hold exact ints only, so none goes through json_int;
+    any other entry does, and with it every entry of its field."""
+    seen = []
+    for module in (lhv, ms):
+        monkeypatch.setattr(module, "json_int",
+                            lambda value, what, read=module.json_int: seen.append(value) or
+                            read(value, what))
+    cli._generate_inequality((8, 8, 4, 4, 4), None)
+    assert seen == []
+    bk.Leaf((1, 2.0), ((1, 2), (np.int64(1), 2)), bk.SignFunction(2, (0, 0, 0, np.int64(1))))
+    assert seen == [0, 0, 0, 1, 1, 2.0, 1, 2]
