@@ -13,7 +13,6 @@ import csv
 import functools
 import io
 import json
-import math
 import re
 import sys
 from json.encoder import encode_basestring_ascii
@@ -34,10 +33,8 @@ from .families import (  # noqa: F401
 from .lhv import (  # noqa: F401
     BellInequality,
     CorrelationTable,
-    ExperimentLayout,
     LhvModel,
     SignFunction,
-    check_table_cap,
     construct_lhv_model,
     evaluate_inequality,
     most_violated_sign_inequality,
@@ -54,7 +51,7 @@ from .qcond import (
     condition_two_setting_N,
     maximize_bell_value,
 )
-from .qstate import CorrelationTensor, PureState, correlation_tensor, json_fields
+from .qstate import CorrelationTensor, PureState, correlation_tensor
 from .tolerance import BOUND_TOL
 
 EXIT_OK = 0
@@ -349,18 +346,8 @@ def cmd_tensor(args) -> int:
     return EXIT_OK
 
 
-def _correlation_table(data) -> CorrelationTable:
-    """CorrelationTable.from_json_dict, with a two-setting table's entry cap
-    checked before its values are read."""
-    layout, values = json_fields(data, "layout", "values")
-    layout = ExperimentLayout(layout)
-    if layout.is_two_setting():
-        check_table_cap(math.prod(layout.shape))
-    return CorrelationTable(layout, values)
-
-
 def cmd_lhv(args) -> int:
-    table = _read_json(args.table, _correlation_table, "correlation table")
+    table = _read_json(args.table, CorrelationTable.from_json_dict, "correlation table")
     if table.layout.is_two_setting():
         try:
             model, certificate = construct_lhv_model(table), None

@@ -91,8 +91,13 @@ class CorrelationTable:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CorrelationTable":
+        """The table a JSON object holds; a two-setting one past the table cap
+        (_check_table_cap) is refused before its values are read."""
         layout, values = json_fields(data, "layout", "values")
-        return cls(ExperimentLayout(layout), values)
+        layout = ExperimentLayout(layout)
+        if layout.is_two_setting():
+            _check_table_cap(math.prod(layout.shape))
+        return cls(layout, values)
 
 
 @dataclass(frozen=True)
@@ -277,7 +282,7 @@ def sign_inequality(sign: SignFunction) -> BellInequality:
     return BellInequality(layout, sign.walsh_coefficients(), 2**sign.arity)
 
 
-def check_table_cap(entries: int) -> None:
+def _check_table_cap(entries: int) -> None:
     """Refuse a two-setting table of more than limits.MAX_COUNT entries."""
     if entries > limits.MAX_COUNT:
         raise ResourceLimitError(f"table has {entries} entries, cap is {limits.MAX_COUNT}")
@@ -288,13 +293,13 @@ def transformed_table(table: CorrelationTable) -> np.ndarray:
 
     Axis j indexes s_j with 0 meaning +1.  This is the per-axis Hadamard
     transform of the table values; every two-setting function relies on its
-    layout check, and on its cap (check_table_cap): a table of more than
+    layout check, and on its cap (_check_table_cap): a table of more than
     limits.MAX_COUNT entries raises ResourceLimitError before anything is
     transformed.
     """
     if not table.layout.is_two_setting():
         raise ValueError("operation requires exactly two settings per party")
-    check_table_cap(table.values.size)
+    _check_table_cap(table.values.size)
     return walsh_hadamard(table.values)
 
 

@@ -27,16 +27,20 @@ two:
               coefficients that multiply into it (_Plan).  Every check of the
               structure runs while it is made;
   the values  from the signs: each arity's Walsh coefficients from one
-              product with the Hadamard matrix, then one gather and one
-              product over the slots and a scatter into a zeroed tensor.
+              in-place fast Walsh-Hadamard transform of all its slots, then
+              one gather and one product over the slots and a scatter into
+              a zeroed tensor.
 
 The plan is kept per process in lhv's layout cache (lhv._kept), under that
 cache's shared limits.MAX_COUNT budget, keyed by the structure; a plan past
 what the budget has left is built on every call.  Trees that differ only in
 their signs, such as one layout's registry members, share one plan.  In
-process on a 2-vCPU VM, a call on 8x8x4x4x4 takes about 200 us when it makes
-the plan and 40 us when the plan is kept, one on 2x2 about 47 and 20;
-README's `generate` section lists each registry layout.  Whether paired
+process on a 2-vCPU VM, a call on 8x8x4x4x4 takes about 225 us when it makes
+the plan and 43 us when the plan is kept, against 307 us for the dense
+per-node expansion that the plan replaced.  A tree of one leaf has little to
+expand, so making its plan costs more than that expansion did: 56 against
+41 us on 2x2, so a process's first call on such a layout is slower than
+before.  README's `generate` section lists each registry layout.  Whether paired
 blocks that declare a setting in common use it in both depends on the
 signs, so that check runs with the values.  Tightness is decided from
 each party's +-1 outcome matrix, never from the vertex matrix: the vertex
@@ -163,9 +167,9 @@ class _Plan(NamedTuple):
     its coefficients from the Walsh coefficients of its sign slots.
 
     The values live in one int64 pool (_pool): the slots' Walsh
-    coefficients, 2^arity in a row for each slot, by arity and then in
-    preorder; then a 1 that pads short factor rows; then the entries of the
-    blocks whose terms share positions (_add_terms).  ``steps`` run in order
+    coefficients, by arity, each arity's as a 2^arity x slots matrix with
+    its slots in preorder; then a 1 that pads short factor rows; then the
+    entries of the blocks whose terms share positions (_add_terms).  ``steps`` run in order
     on the pool; the coefficient at ``positions[i]`` is the product of the
     pool entries in row i of ``factors``.
     """
@@ -191,32 +195,18 @@ class _Plan(NamedTuple):
         return coeff
 
 
-#: The Hadamard matrix of arity 7, H[s, t] = (-1)^|s & t|: the transform of
-#: the identity.  Its leading 2^a x 2^a block is that of arity a, so up to
-#: arity 7 a group's Walsh coefficients are one integer product with that
-#: block.  Past it the in-place butterflies are faster (at arity 8, 35
-#: against 67 us for one slot), and the 2x...x2 layouts' arity-20 leaf would
-#: need a matrix of 2^40 entries.
-_HADAMARD = np.eye(1 << 7, dtype=np.int64)
-_butterflies(_HADAMARD, 7)
-_HADAMARD.flags.writeable = False
-
-
 def _pool(groups: Sequence[tuple[int, tuple[int, ...]]], size: int,
           steps: Sequence[tuple[Callable, tuple]], signs: Sequence[SignFunction]) -> np.ndarray:
     """A plan's pool for the slots' sign functions, after its steps have run."""
     pool = np.zeros(size, np.int64)
     start = 0
     for arity, slots in groups:
-        values = 1 - 2 * np.array([signs[k].bits for k in slots], np.int64)
-        walsh = pool[start:start + values.size].reshape(values.shape)
-        if 1 << arity <= len(_HADAMARD):
-            np.matmul(values, _HADAMARD[:1 << arity, :1 << arity], out=walsh)
-        else:
-            columns = values.T.copy()
-            _butterflies(columns, arity)
-            walsh[...] = columns.T
-        start += values.size
+        # coefficient t of the group's slot j at start + t * len(slots) + j, so
+        # the butterflies transform every slot of the group at once, in place
+        walsh = pool[start:start + (len(slots) << arity)].reshape(1 << arity, len(slots))
+        walsh[...] = 1 - 2 * np.array([signs[k].bits for k in slots]).T
+        _butterflies(walsh, arity)
+        start += walsh.size
     pool[start] = 1
     for step, args in steps:
         step(pool, *args)
@@ -259,12 +249,14 @@ class _Planner:
         for k, sign in enumerate(signs):
             slots.setdefault(sign.arity, []).append(k)
         self.groups = tuple((arity, tuple(slots[arity])) for arity in sorted(slots))
-        walsh = [0] * len(signs)  # per slot in preorder: the pool index of its coefficient 0
+        # per slot in preorder: the pool index of its coefficient 0 and the
+        # step to each next coefficient (_pool)
+        walsh = [(0, 0)] * len(signs)
         start = 0
         for arity, group in self.groups:
-            for k in group:
-                walsh[k] = start
-                start += 1 << arity
+            for j, k in enumerate(group):
+                walsh[k] = start + j, len(group)
+            start += len(group) << arity
         self.slots = iter(walsh)
         self.one = start
         self.size = start + 1
@@ -275,7 +267,7 @@ class _Planner:
             position = (tree.setting - 1) * self.strides[tree.party - 1]
             return _Terms(np.array([position]), np.empty((1, 0), np.intp),
                           {tree.party: frozenset([tree.setting])}, 1)
-        walsh = next(self.slots)
+        walsh, step = next(self.slots)
         if isinstance(tree, Leaf):
             # term t puts argument j's setting t_j (bit j of t, the first most
             # significant) at party j and takes Walsh coefficient t
@@ -284,7 +276,7 @@ class _Planner:
                 stride = self.strides[party - 1]
                 positions = np.add.outer(positions, [(s - 1) * stride for s in pair])
             positions = positions.ravel()
-            factors = np.arange(walsh, walsh + len(positions))[:, None]
+            factors = (walsh + step * np.arange(len(positions)))[:, None]
             settings = {p: frozenset(pair) for p, pair in zip(tree.parties, tree.setting_pairs)}
             return _Terms(positions, factors, settings, len(positions))
         xs = [self.block(branch) for branch in tree.first]
@@ -310,8 +302,8 @@ class _Planner:
         rows[nx:, :, :x2.factors.shape[1]] = x2.factors[:, None]
         rows[:, :ny, fx:fx + y1.factors.shape[1]] = y1.factors
         rows[:, ny:, fx:fx + y2.factors.shape[1]] = y2.factors
-        rows[:nx, :ny, -1], rows[:nx, ny:, -1] = walsh, walsh + 1
-        rows[nx:, :ny, -1], rows[nx:, ny:, -1] = walsh + 2, walsh + 3
+        rows[:nx, :ny, -1], rows[:nx, ny:, -1] = walsh, walsh + step
+        rows[nx:, :ny, -1], rows[nx:, ny:, -1] = walsh + 2 * step, walsh + 3 * step
         settings = {p: s | pair[1].settings[p] for pair in (xs, ys)
                     for p, s in pair[0].settings.items()}
         terms = _Terms(np.add.outer(x_positions, y_positions).ravel(),
