@@ -40,9 +40,9 @@ the plan and 43 us when the plan is kept, against 307 us for the dense
 per-node expansion that the plan replaced.  A tree of one leaf has little to
 expand, so making its plan costs more than that expansion did: 56 against
 41 us on 2x2, so a process's first call on such a layout is slower than
-before.  README's `generate` section lists each registry layout.  Whether paired
-blocks that declare a setting in common use it in both depends on the
-signs, so that check runs with the values.  Tightness is decided from
+before.  README's `generate` section lists each registry layout.  Whether
+paired blocks that declare a setting in common use it in both depends on
+the signs, so that check runs with the values.  Tightness is decided from
 each party's +-1 outcome matrix, never from the vertex matrix: the vertex
 values are the coefficient tensor contracted party by party with those
 matrices, in int64, and the Gram matrix of the saturating vertices is the
@@ -169,9 +169,9 @@ class _Plan(NamedTuple):
     The values live in one int64 pool (_pool): the slots' Walsh
     coefficients, by arity, each arity's as a 2^arity x slots matrix with
     its slots in preorder; then a 1 that pads short factor rows; then the
-    entries of the blocks whose terms share positions (_add_terms).  ``steps`` run in order
-    on the pool; the coefficient at ``positions[i]`` is the product of the
-    pool entries in row i of ``factors``.
+    entries of the blocks whose terms share positions (_add_terms).
+    ``steps`` run in order on the pool; the coefficient at ``positions[i]``
+    is the product of the pool entries in row i of ``factors``.
     """
 
     layout: ExperimentLayout
