@@ -328,7 +328,9 @@ def construct_lhv_model(table: CorrelationTable) -> LhvModel:
     polytope_membership; their weights are renormalized.  As there, the
     model is checked to reproduce the table within BOUND_TOL + EXACT_TOL,
     and a failed check raises RuntimeError; the predicted table is the one
-    evaluate_model gives, from one Walsh-Hadamard transform.  A table past the
+    evaluate_model gives: the model's signed weights on the hidden sign
+    patterns, f / 2^N (the deficit's two strategies cancel there),
+    contracted party by party.  A table past the
     bound raises InequalityViolated whose value is sum_s |f(s)| and whose
     sign is the family member attaining it, the pair that
     most_violated_sign_inequality returns, read from the same transform.
@@ -379,46 +381,56 @@ def _vertex_rows(rows: Sequence[np.ndarray]) -> np.ndarray:
     return product
 
 
-def _two_setting_prediction(model: LhvModel) -> np.ndarray:
-    """The table a two-setting model predicts, from one Walsh-Hadamard transform.
+def _contract(tensor: np.ndarray, matrices: Sequence[np.ndarray]) -> np.ndarray:
+    """``tensor`` with its axis j mapped through ``matrices[j]``, whose rows
+    index that axis, for every j: one 2-D matmul per axis.
 
-    Party j of a strategy plays a_j at setting 1 and a_j t_j at setting 2, so
-    the strategy predicts prod_j a_j t_j^(k_j-1).  Summed over strategies with
-    their weights, that is the transform of the grid holding the weighted
-    prod_j a_j at each hidden sign pattern t (axis j indexes t_j, 0 meaning +1).
+    Each step contracts the leading axis and appends the new one last, so
+    after the last step the axes are back in order; the result comes as a
+    matrix whose C-order entries are those of the mapped tensor.
     """
-    n = model.layout.n_parties
-    codes = np.array(list(model.weights), dtype=np.int64).reshape(-1, n)
-    weights = np.fromiter(model.weights.values(), float, len(model.weights))
-    signs = 1 - 2 * (np.bitwise_xor.reduce(codes, axis=1) & 1)  # prod_j a_j
-    cells = ((codes ^ codes >> 1) & 1) @ (1 << np.arange(n)[::-1])
-    grid = np.bincount(cells, weights=signs * weights, minlength=2**n)
-    return walsh_hadamard(grid.reshape((2,) * n))
+    for matrix in matrices:
+        tensor = tensor.reshape(matrix.shape[0], -1).T @ matrix
+    return tensor
 
 
 def _predicted(model: LhvModel) -> np.ndarray:
-    """The table values a model predicts: its weights times its strategies' vertex rows.
+    """The table values a model predicts: its signed weights on a grid of
+    hidden sign patterns, contracted party by party with _patterns.
 
-    A two-setting model, such as a closed-form one of up to 2^N + 2
-    strategies, takes _two_setting_prediction instead, whose cost grows with
-    the table and not with table times strategies.  Otherwise the rows are
-    formed for blocks of strategies of at most limits.MAX_COUNT entries.
+    Party j of a strategy plays a_j T_j[p_j]: a_j is its first outcome and
+    p_j its code, every bit flipped when a_j = -1, shifted right by one.  So
+    the strategy predicts prod_j a_j T_j[p_j], and the weighted sum over
+    strategies is the grid holding the weighted prod_j a_j at each (p_1, ...,
+    p_N), mapped through T_j along axis j (_contract).  At two settings T_j
+    is [[1, 1], [1, -1]], and this is the Walsh-Hadamard transform of the
+    grid.  The cost grows with the grid, prod_j 2^(m_j - 1) cells, and not
+    with table times strategies; a grid of more than limits.MAX_COUNT cells
+    raises ResourceLimitError before anything is built.
     """
-    if model.layout.is_two_setting():
-        return _two_setting_prediction(model)
     shape = model.layout.shape
-    outcomes = _outcomes(list(model.weights), max(shape)).astype(float)
+    grid = [1 << (m - 1) for m in shape]
+    cells = math.prod(grid)
+    if cells > limits.MAX_COUNT:
+        raise ResourceLimitError(f"model grid has {cells} cells, cap is {limits.MAX_COUNT}")
+    codes = np.array(list(model.weights), dtype=np.int64).reshape(-1, len(shape))
     weights = np.fromiter(model.weights.values(), float, len(model.weights))
-    step = max(1, limits.MAX_COUNT // math.prod(shape))
-    values = sum(weights[i:i + step] @ _vertex_rows([outcomes[i:i + step, j, :m]
-                                                     for j, m in enumerate(shape)])
-                 for i in range(0, len(weights), step))
-    return values.reshape(shape)
+    first = codes & 1  # 1 where a_j = -1
+    p = (codes ^ first * ((1 << np.array(shape)) - 1)) >> 1
+    signed = np.bincount(np.ravel_multi_index(p.T, grid), minlength=cells,
+                         weights=(1 - 2 * np.bitwise_xor.reduce(first, axis=1)) * weights)
+    return _contract(signed, [_patterns(m) for m in shape]).reshape(shape)
 
 
 def evaluate_model(model: LhvModel) -> CorrelationTable:
     """Correlation table predicted by a mixture of deterministic strategies:
-    sum over strategies of weight times the product of the parties' outcomes."""
+    sum over strategies of weight times the product of the parties' outcomes.
+
+    Computed on the model's grid of hidden sign patterns (_predicted), so a
+    model whose layout has more than limits.MAX_COUNT * 2^N strategies (its
+    grid, prod_j 2^(m_j - 1) cells, past limits.MAX_COUNT) raises
+    ResourceLimitError before anything is built.
+    """
     return CorrelationTable(model.layout, _predicted(model))
 
 
@@ -445,6 +457,17 @@ def _kept(key: tuple, value, arrays: Sequence[np.ndarray]):
             a.flags.writeable = False
         _LAYOUT_CACHE[key] = value, arrays
     return value
+
+
+def _patterns(m: int) -> np.ndarray:
+    """T for m settings: the +-1 outcome rows of the even codes in float64,
+    row p that of code 2p; built once per m (_kept), read-only when cached."""
+    key = ("patterns", m)
+    cached = _cached(key)
+    if cached is not None:
+        return cached
+    patterns = _outcomes(range(0, 1 << m, 2), m).astype(float)
+    return _kept(key, patterns, (patterns,))
 
 
 def _vertex_factors(layout: ExperimentLayout) -> tuple[tuple[range, ...], tuple[np.ndarray, ...]]:
@@ -510,10 +533,7 @@ def _lp_columns(layout: ExperimentLayout) -> np.ndarray:
     if cached is not None:
         return cached
     _, vertices = enumerate_vertices(layout)
-    dim = vertices.shape[1]
-    columns = np.empty((len(vertices), dim + 1))
-    columns[:, :dim] = vertices
-    columns[:, dim] = 1.0
+    columns = np.hstack([vertices, np.ones((len(vertices), 1))])
     return _kept(key, columns, (columns,))
 
 

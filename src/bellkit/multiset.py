@@ -47,7 +47,8 @@ each party's +-1 outcome matrix, never from the vertex matrix: the vertex
 values are the coefficient tensor contracted party by party with those
 matrices, in int64, and the Gram matrix of the saturating vertices is the
 0/1 saturation mask contracted with the per-party outer products of outcome
-rows, in float64.  Both are exact, since every partial sum is bounded by
+rows, in float64.  Both go through lhv._contract, the per-axis product with
+which lhv.evaluate_model turns every model into its table.  Both are exact, since every partial sum is bounded by
 sum |c| below 2^63 and by the vertex count below 2^53 respectively.  Full
 rank is certified from that Gram matrix by exact strict diagonal dominance,
 which settled every facet measured so far.  Any other inequality goes to
@@ -72,6 +73,7 @@ from .lhv import (
     ExperimentLayout,
     SignFunction,
     _cached,
+    _contract,
     _kept,
     _vertex_factors,
     _vertex_rows,
@@ -557,19 +559,6 @@ def check_tightness(ineq: BellInequality) -> TightnessReport:
         dimension=dim,
         exact_fallback=exact_fallback,
     )
-
-
-def _contract(tensor: np.ndarray, matrices: Sequence[np.ndarray]) -> np.ndarray:
-    """``tensor`` with its axis j mapped through ``matrices[j]``, whose rows
-    index that axis, for every j: one 2-D matmul per axis.
-
-    Each step contracts the leading axis and appends the new one last, so
-    after the last step the axes are back in order; the result comes as a
-    matrix whose C-order entries are those of the mapped tensor.
-    """
-    for matrix in matrices:
-        tensor = tensor.reshape(matrix.shape[0], -1).T @ matrix
-    return tensor
 
 
 def _saturating_gram(mask: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:

@@ -13,7 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import bellkit as bk
-from bellkit import lhv
+from bellkit import lhv, qstate
 from bellkit.tolerance import BOUND_TOL, EXACT_TOL
 
 SQ2 = np.sqrt(2)
@@ -262,23 +262,56 @@ def test_evaluate_model_matches_a_per_strategy_outer_product(shape):
     assert np.array_equal(bk.evaluate_model(single).values, outer_product_prediction(single))
 
 
-@pytest.mark.parametrize("shape, cap", [((3, 1, 2), 30), ((4, 2, 3), 30), ((3, 3, 3, 3), 200)],
-                         ids=["3,1,2", "4,2,3", "3,3,3,3"])
-def test_evaluate_model_sums_blocks_of_strategies(monkeypatch, shape, cap):
-    """With the count cap lowered, the strategies of a 60-draw model are
-    summed in blocks of 5, 1 and 2, and still match the reference."""
-    from bellkit import limits
-
-    monkeypatch.setattr(limits, "MAX_COUNT", cap)
-    rng = np.random.default_rng(len(shape))
+def random_mixture(rng, shape: tuple[int, ...], count: int) -> bk.LhvModel:
+    """A mixture of ``count`` uniform draws of codes, any of them odd, with
+    random weights; a code drawn twice adds its weights."""
     weights = collections.Counter()
-    for w in rng.random(60):
+    for w in rng.random(count):
         weights[tuple(int(c) for c in rng.integers(0, [1 << m for m in shape]))] += w
     total = sum(weights.values())
-    model = bk.LhvModel(bk.ExperimentLayout(shape), {c: w / total for c, w in weights.items()})
-    assert len(model.weights) > 2 * cap // np.prod(shape)
+    return bk.LhvModel(bk.ExperimentLayout(shape), {c: w / total for c, w in weights.items()})
+
+
+def walsh_prediction(model: bk.LhvModel) -> np.ndarray:
+    """A two-setting model's table as one Walsh-Hadamard transform: a strategy
+    plays a_j at setting 1 and a_j t_j at setting 2, so the table is the
+    transform of the grid holding the weighted prod_j a_j at each hidden sign
+    pattern t (axis j indexes t_j, 0 meaning +1)."""
+    n = model.layout.n_parties
+    codes = np.array(list(model.weights), dtype=np.int64).reshape(-1, n)
+    weights = np.fromiter(model.weights.values(), float, len(model.weights))
+    signs = 1 - 2 * (np.bitwise_xor.reduce(codes, axis=1) & 1)
+    cells = ((codes ^ codes >> 1) & 1) @ (1 << np.arange(n)[::-1])
+    grid = np.bincount(cells, weights=signs * weights, minlength=2**n)
+    return qstate.walsh_hadamard(grid.reshape((2,) * n))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_evaluate_model_on_two_settings_is_bitwise_the_walsh_transform(n):
+    """Random mixtures, odd codes included, of 1 to 300 draws."""
+    rng = np.random.default_rng(100 + n)
+    for count in (1, 2, 7, 60, 300):
+        model = random_mixture(rng, (2,) * n, count)
+        assert np.array_equal(bk.evaluate_model(model).values, walsh_prediction(model))
+
+
+@pytest.mark.parametrize("shape", [(3, 1, 2), (4, 2, 3), (3, 3, 3, 3)],
+                         ids=lambda t: ",".join(map(str, t)))
+def test_evaluate_model_at_and_one_past_the_grid_cap(monkeypatch, shape):
+    """The grid has prod_j 2^(m_j - 1) cells: 8, 64 and 256 here.  With the
+    count cap lowered to that, a 60-draw model matches the reference; one
+    cell past the cap it is refused before anything is built."""
+    from bellkit import limits
+
+    cells = int(np.prod([1 << (m - 1) for m in shape]))
+    model = random_mixture(np.random.default_rng(len(shape)), shape, 60)
+    monkeypatch.setattr(limits, "MAX_COUNT", cells)
     assert np.allclose(bk.evaluate_model(model).values, outer_product_prediction(model),
                        rtol=0, atol=1e-15)
+    monkeypatch.setattr(limits, "MAX_COUNT", cells - 1)
+    with pytest.raises(bk.ResourceLimitError,
+                       match=f"^model grid has {cells} cells, cap is {cells - 1}$"):
+        bk.evaluate_model(model)
 
 
 @pytest.mark.parametrize("shape", [(3,) * 8, (2,) * 13], ids=["3^8", "2^13"])

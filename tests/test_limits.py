@@ -7,7 +7,8 @@ import pytest
 import bellkit
 from bellkit import limits
 from bellkit.errors import ResourceLimitError
-from bellkit.lhv import ExperimentLayout, _vertex_factors, enumerate_sign_functions
+from bellkit.lhv import (ExperimentLayout, LhvModel, _vertex_factors, enumerate_sign_functions,
+                         evaluate_model)
 from bellkit.multiset import layout_tree
 from bellkit.qcond import check_restarts
 from bellkit.qstate import check_qubit_cap
@@ -48,6 +49,10 @@ def test_caps_at_and_one_past_the_default_count():
     with pytest.raises(ResourceLimitError, match="capped at 1048576 coefficient entries, got 2097152"):
         layout_tree((2,) * 21)
     _vertex_factors(ExperimentLayout((10, 10)))
+    one = evaluate_model(LhvModel(ExperimentLayout((21,)), {(1,): 1.0}))
+    assert one.values.tolist() == [-1.0] + [1.0] * 20
+    with pytest.raises(ResourceLimitError, match="grid has 2097152 cells, cap is 1048576"):
+        evaluate_model(LhvModel(ExperimentLayout((22,)), {(1,): 1.0}))
     with pytest.raises(ResourceLimitError, match="2097152 strategies, cap is 1048576"):
         _vertex_factors(ExperimentLayout((10, 11)))
     check_restarts(2**20, 0)
