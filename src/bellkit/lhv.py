@@ -399,7 +399,7 @@ def _predicted(model: LhvModel) -> np.ndarray:
     hidden sign patterns, contracted party by party with _patterns.
 
     Party j of a strategy plays a_j T_j[p_j]: a_j is its first outcome and
-    p_j its code, every bit flipped when a_j = -1, shifted right by one.  So
+    p_j its code shifted right by one, every bit flipped when a_j = -1.  So
     the strategy predicts prod_j a_j T_j[p_j], and the weighted sum over
     strategies is the grid holding the weighted prod_j a_j at each (p_1, ...,
     p_N), mapped through T_j along axis j (_contract).  At two settings T_j
@@ -416,9 +416,9 @@ def _predicted(model: LhvModel) -> np.ndarray:
     codes = np.array(list(model.weights), dtype=np.int64).reshape(-1, len(shape))
     weights = np.fromiter(model.weights.values(), float, len(model.weights))
     first = codes & 1  # 1 where a_j = -1
-    p = (codes ^ first * ((1 << np.array(shape)) - 1)) >> 1
+    p = (codes >> 1) ^ first * (np.array(grid) - 1)
     signed = np.bincount(np.ravel_multi_index(p.T, grid), minlength=cells,
-                         weights=(1 - 2 * np.bitwise_xor.reduce(first, axis=1)) * weights)
+                         weights=np.where(np.bitwise_xor.reduce(first, axis=1), -weights, weights))
     return _contract(signed, [_patterns(m) for m in shape]).reshape(shape)
 
 
