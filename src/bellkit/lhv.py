@@ -92,11 +92,11 @@ class CorrelationTable:
     @classmethod
     def from_json_dict(cls, data: dict) -> "CorrelationTable":
         """The table a JSON object holds; a two-setting one past the table cap
-        (_check_table_cap) is refused before its values are read."""
+        (_check_count) is refused before its values are read."""
         layout, values = json_fields(data, "layout", "values")
         layout = ExperimentLayout(layout)
         if layout.is_two_setting():
-            _check_table_cap(math.prod(layout.shape))
+            _check_count(math.prod(layout.shape), "table has {} entries")
         return cls(layout, values)
 
 
@@ -282,10 +282,11 @@ def sign_inequality(sign: SignFunction) -> BellInequality:
     return BellInequality(layout, sign.walsh_coefficients(), 2**sign.arity)
 
 
-def _check_table_cap(entries: int) -> None:
-    """Refuse a two-setting table of more than limits.MAX_COUNT entries."""
-    if entries > limits.MAX_COUNT:
-        raise ResourceLimitError(f"table has {entries} entries, cap is {limits.MAX_COUNT}")
+def _check_count(count: int, what: str) -> None:
+    """Raise ResourceLimitError past limits.MAX_COUNT items; its message is
+    ``what`` with the count in its {} slot, then the cap."""
+    if count > limits.MAX_COUNT:
+        raise ResourceLimitError(f"{what.format(count)}, cap is {limits.MAX_COUNT}")
 
 
 def transformed_table(table: CorrelationTable) -> np.ndarray:
@@ -293,13 +294,13 @@ def transformed_table(table: CorrelationTable) -> np.ndarray:
 
     Axis j indexes s_j with 0 meaning +1.  This is the per-axis Hadamard
     transform of the table values; every two-setting function relies on its
-    layout check, and on its cap (_check_table_cap): a table of more than
+    layout check, and on its cap (_check_count): a table of more than
     limits.MAX_COUNT entries raises ResourceLimitError before anything is
     transformed.
     """
     if not table.layout.is_two_setting():
         raise ValueError("operation requires exactly two settings per party")
-    _check_table_cap(table.values.size)
+    _check_count(table.values.size, "table has {} entries")
     return walsh_hadamard(table.values)
 
 
@@ -411,8 +412,7 @@ def _predicted(model: LhvModel) -> np.ndarray:
     shape = model.layout.shape
     grid = [1 << (m - 1) for m in shape]
     cells = math.prod(grid)
-    if cells > limits.MAX_COUNT:
-        raise ResourceLimitError(f"model grid has {cells} cells, cap is {limits.MAX_COUNT}")
+    _check_count(cells, "model grid has {} cells")
     codes = np.array(list(model.weights), dtype=np.int64).reshape(-1, len(shape))
     weights = np.fromiter(model.weights.values(), float, len(model.weights))
     first = codes & 1  # 1 where a_j = -1
@@ -481,9 +481,7 @@ def _vertex_factors(layout: ExperimentLayout) -> tuple[tuple[range, ...], tuple[
     before the cache is read; otherwise the factors are built once per shape
     (_kept), and the outcome matrices are read-only.
     """
-    if layout.strategy_count() > limits.MAX_COUNT:
-        raise ResourceLimitError(
-            f"layout has {layout.strategy_count()} strategies, cap is {limits.MAX_COUNT}")
+    _check_count(layout.strategy_count(), "layout has {} strategies")
     key = ("factors", layout.shape)
     cached = _cached(key)
     if cached is not None:
@@ -533,7 +531,10 @@ def _lp_columns(layout: ExperimentLayout) -> np.ndarray:
     if cached is not None:
         return cached
     _, vertices = enumerate_vertices(layout)
-    columns = np.hstack([vertices, np.ones((len(vertices), 1))])
+    dim = vertices.shape[1]
+    columns = np.empty((len(vertices), dim + 1))
+    columns[:, :dim] = vertices
+    columns[:, dim] = 1.0
     return _kept(key, columns, (columns,))
 
 

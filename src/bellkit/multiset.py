@@ -48,10 +48,11 @@ values are the coefficient tensor contracted party by party with those
 matrices, in int64, and the Gram matrix of the saturating vertices is the
 0/1 saturation mask contracted with the per-party outer products of outcome
 rows, in float64.  Both go through lhv._contract, the per-axis product with
-which lhv.evaluate_model turns every model into its table.  Both are exact, since every partial sum is bounded by
-sum |c| below 2^63 and by the vertex count below 2^53 respectively.  Full
-rank is certified from that Gram matrix by exact strict diagonal dominance,
-which settled every facet measured so far.  Any other inequality goes to
+which lhv.evaluate_model turns every model into its table.  Both are exact,
+since every partial sum is bounded by sum |c| below 2^63 and by the vertex
+count below 2^53 respectively.  Full rank is certified from that Gram matrix
+by exact strict diagonal dominance, which settled every facet measured so
+far.  Any other inequality goes to
 fraction-free elimination over the integers, of its saturating vertex rows
 alone, built from the per-party outcome rows at the saturation mask's
 indices.

@@ -49,12 +49,12 @@ def test_caps_at_and_one_past_the_default_count():
     with pytest.raises(ResourceLimitError, match="capped at 1048576 coefficient entries, got 2097152"):
         layout_tree((2,) * 21)
     _vertex_factors(ExperimentLayout((10, 10)))
+    with pytest.raises(ResourceLimitError, match="2097152 strategies, cap is 1048576"):
+        _vertex_factors(ExperimentLayout((10, 11)))
     one = evaluate_model(LhvModel(ExperimentLayout((21,)), {(1,): 1.0}))
     assert one.values.tolist() == [-1.0] + [1.0] * 20
     with pytest.raises(ResourceLimitError, match="grid has 2097152 cells, cap is 1048576"):
         evaluate_model(LhvModel(ExperimentLayout((22,)), {(1,): 1.0}))
-    with pytest.raises(ResourceLimitError, match="2097152 strategies, cap is 1048576"):
-        _vertex_factors(ExperimentLayout((10, 11)))
     check_restarts(2**20, 0)
     with pytest.raises(ResourceLimitError, match="capped at 1048576, got 1048577"):
         check_restarts(2**20 + 1, 0)
