@@ -1,0 +1,37 @@
+"""One per-process cache for arrays that depend on structure alone, never on values.
+
+lhv keeps each layout's outcome matrices, LP columns and sign patterns here,
+multiset its expansion plans, and qstate its kernel index plans.  It imports
+nothing of bellkit but limits, so every module can reach it without a cycle.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+import numpy as np
+
+from . import limits
+
+#: What a structure alone determines, built once per process: (kind, shape) ->
+#: (value, its arrays), every array read-only.  The arrays of all entries hold
+#: at most limits.MAX_COUNT items (8 MiB of int64 or float64) in all; a value
+#: that would pass that is built again on every call.
+_LAYOUT_CACHE: dict[tuple, tuple] = {}
+
+
+def _cached(key: tuple):
+    """The value kept under key, or None."""
+    entry = _LAYOUT_CACHE.get(key)
+    return None if entry is None else entry[0]
+
+
+def _kept(key: tuple, value, arrays: Sequence[np.ndarray]):
+    """value, cached under key with its arrays made read-only if they fit in
+    what the cache has left of limits.MAX_COUNT items, and returned either way."""
+    held = sum(a.size for _, kept in _LAYOUT_CACHE.values() for a in kept)
+    if held + sum(a.size for a in arrays) <= limits.MAX_COUNT:
+        for a in arrays:
+            a.flags.writeable = False
+        _LAYOUT_CACHE[key] = value, arrays
+    return value

@@ -258,31 +258,40 @@ def _array_parts(array: np.ndarray, row: str) -> list[str]:
     new[:1] = True
     np.not_equal(distinct[1:], distinct[:-1], out=new[1:])
     which = np.empty_like(order)
-    which[order] = new.cumsum() - 1
+    which[order] = new.cumsum()  # 1 + the index of each leaf's value in distinct
     distinct = distinct[new]
     # A node over k trailing axes (of spans[k] leaves) is live if it holds a
     # nonzero leaf.  The units are the children of live nodes that are leaves
     # or not live, so each child of a live node begins one.  Leaf i > 0 begins
     # a child other than its parent's first at one level k only, where k is t
     # of the leaf before: starts[i] = 1 + k if that parent is live, else 0
-    starts = np.zeros(values.size, dtype=np.uint8)
+    starts = np.zeros(values.size + 1, dtype=np.uint8)  # and one past the last leaf
     spans = [1]
     for k, size in enumerate(array.shape[::-1]):
-        live = np.zeros(values.size // (spans[-1] * size), dtype=np.uint8)
-        live[ids // size] = k + 1
-        starts.reshape(live.size, -1)[:, spans[-1]::spans[-1]] = live[:, None]
-        ids = live.nonzero()[0]  # the live nodes, whose parents the next level marks
+        nodes = values.size // (spans[-1] * size)
+        later = starts[:-1].reshape(nodes, -1)[:, spans[-1]::spans[-1]]  # later children
+        if len(ids) < nodes * size:  # some child is not live: write the live nodes' rows only
+            live = np.zeros(nodes, dtype=bool)
+            live[ids // size] = True
+            ids = live.nonzero()[0]  # the live nodes, whose parents the next level marks
+            later[ids] = k + 1
+        else:  # every child is live, so every node is, and every node above
+            ids = range(nodes)
+            later[...] = k + 1
         spans.append(spans[-1] * size)
-    starts[0] = 1  # an array with no nonzero leaf is one unit
-    at = (starts != 0).nonzero()[0]
+    # an array with no nonzero leaf is still one unit, and past the last leaf
+    # comes seps[n], which closes all n lists
+    starts[0], starts[-1] = 1, 1 + n
+    bounds = (starts != 0).nonzero()[0]  # where each unit starts, then the end
+    at = bounds[:-1]
     # source: the opening brackets (the first on row's line), seps[t]
     # at 1 + t, the text of a zero subtree of each span in use (spans that
     # repeat share one text), then the reprs of the distinct values.  index
     # picks the parts from it
-    index = np.zeros(2 * at.size + 1, dtype=np.intp)
+    index = np.zeros(2 * bounds.size - 1, dtype=np.intp)
     texts = index[1::2]
-    texts[:] = np.array(spans).searchsorted(np.concatenate((at[1:], [values.size])) - at)
-    zeros = [repr(values.dtype.type(0).item())]
+    texts[:] = np.array(spans).searchsorted(bounds[1:] - at)
+    zeros = ["0.0" if values.dtype.kind == "f" else "0"]
     for size, sep in zip(array.shape[::-1], seps[:texts.max()]):
         zeros.append(sep.join([zeros[-1]] * size))
     shared = [reopen[len(rows[0]):] + rows[n]] + seps + zeros
@@ -290,9 +299,8 @@ def _array_parts(array: np.ndarray, row: str) -> list[str]:
     source[:len(shared)] = shared
     _REPRS[values.dtype.kind](distinct, out=source[len(shared):])
     texts += 1 + len(seps)
-    texts[nonzero[at]] = len(shared) + which
-    index[2:-1:2] = starts[at[1:]]
-    index[-1] = 1 + n
+    texts[nonzero[at]] = len(shared) - 1 + which
+    index[2::2] = starts[bounds[1:]]
     return source[index].tolist()
 
 

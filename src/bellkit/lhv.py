@@ -33,6 +33,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from . import limits
+from ._cache import _cached, _kept
 from .errors import InequalityViolated, ResourceLimitError
 from .qstate import json_array, json_fields, json_int, walsh_hadamard
 from .simplex import solve_feasibility
@@ -434,39 +435,25 @@ def evaluate_model(model: LhvModel) -> CorrelationTable:
     return CorrelationTable(model.layout, _predicted(model))
 
 
-#: What a layout alone determines, built once per process: (kind, shape) ->
-#: (value, its arrays), every array read-only; multiset keeps its expansion
-#: plans here too, under ("plan", a tree's structure).  The arrays of all
-#: entries hold at most limits.MAX_COUNT items (8 MiB of int64 or float64) in
-#: all; a value that would pass that is built again on every call.
-_LAYOUT_CACHE: dict[tuple, tuple] = {}
-
-
-def _cached(key: tuple):
-    """The value kept under key, or None."""
-    entry = _LAYOUT_CACHE.get(key)
-    return None if entry is None else entry[0]
-
-
-def _kept(key: tuple, value, arrays: Sequence[np.ndarray]):
-    """value, cached under key with its arrays made read-only if they fit in
-    what the cache has left of limits.MAX_COUNT items, and returned either way."""
-    held = sum(a.size for _, kept in _LAYOUT_CACHE.values() for a in kept)
-    if held + sum(a.size for a in arrays) <= limits.MAX_COUNT:
-        for a in arrays:
-            a.flags.writeable = False
-        _LAYOUT_CACHE[key] = value, arrays
-    return value
-
-
 def _patterns(m: int) -> np.ndarray:
     """T for m settings: the +-1 outcome rows of the even codes in float64,
-    row p that of code 2p; built once per m (_kept), read-only when cached."""
+    row p that of code 2p; built once per m (_kept), read-only when cached.
+
+    Setting k > 0 reads bit k - 1 of p, so rows 2^(k-1) to 2^k - 1 are the
+    rows above them with setting k flipped to -1.  T is filled in float64 by
+    that doubling, with no integer table and no temporary beside it.
+    """
     key = ("patterns", m)
     cached = _cached(key)
     if cached is not None:
         return cached
-    patterns = _outcomes(range(0, 1 << m, 2), m).astype(float)
+    patterns = np.empty((1 << (m - 1), m))
+    patterns[0] = 1.0
+    for k in range(1, m):
+        half = 1 << (k - 1)
+        block = patterns[half:2 * half]
+        block[...] = patterns[:half]
+        block[:, k] = -1.0
     return _kept(key, patterns, (patterns,))
 
 

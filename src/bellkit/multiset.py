@@ -31,7 +31,7 @@ two:
               one gather and one product over the slots and a scatter into
               a zeroed tensor.
 
-The plan is kept per process in lhv's layout cache (lhv._kept), under that
+The plan is kept per process in the layout cache (_cache._kept), under that
 cache's shared limits.MAX_COUNT budget, keyed by the structure; a plan past
 what the budget has left is built on every call.  Trees that differ only in
 their signs, such as one layout's registry members, share one plan.  In
@@ -68,14 +68,13 @@ from typing import Callable, Iterator, NamedTuple, Sequence, Union
 import numpy as np
 
 from . import limits
+from ._cache import _cached, _kept
 from .errors import ResourceLimitError
 from .lhv import (
     BellInequality,
     ExperimentLayout,
     SignFunction,
-    _cached,
     _contract,
-    _kept,
     _vertex_factors,
     _vertex_rows,
 )
@@ -387,7 +386,7 @@ def build_recursive(tree: ConstructionTree) -> BellInequality:
     The layout follows the tree's declared settings (degenerate sign choices
     may zero out whole slices but do not shrink the layout); the bound is the
     guaranteed deterministic value of the tree.  The plan (_Plan) depends on
-    the tree's structure alone and is kept per process in lhv's layout cache
+    the tree's structure alone and is kept per process in the layout cache
     (_kept), so trees that differ only in their sign functions share it.
     """
     signs: list[SignFunction] = []

@@ -22,7 +22,11 @@ into a zeroed tensor.  For a pure state with a small support S
 (|S|**2 < 2**N, as for GHZ or W states) they are the columns f = z XOR z'
 (z, z' in S): every other column is a sum of products with an exact-zero
 factor, so its labels are exactly 0.  A `DensityMatrix`, or a pure state
-with a wider support, uses every column.  Nothing is cached between calls.
+with a wider support, uses every column.  The index arrays of a narrower
+column set (the flip table, the gather offsets and negation mask, the labels)
+depend on N and the live flips alone, so they are kept per process in the
+layout cache (_cache), read-only, and every GHZ state of one N shares them;
+a state on every column keeps nothing.
 `PureState` checks its norm, the kernel checks each visibility, and
 `CorrelationTensor` checks the identity component; `json_array` checks the
 [-1, 1] range with finiteness.
@@ -41,6 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import limits
+from ._cache import _cached, _kept
 from .errors import ResourceLimitError
 from .tolerance import BOUND_TOL, EXACT_TOL, PSD_TOL
 
@@ -272,9 +277,11 @@ def correlation_tensor(state: PureState | DensityMatrix, *,
     DensityMatrix, or a pure state with a wider support, uses every column.
     Each pass of the transform works column by column, so the live columns
     come out with the bits the full table gives them, and their labels,
-    picked from the bits of p and f, are written into the zeroed output.  g
-    and the offsets are freed before the labels are built, so a state on
-    every column peaks near two complex 4**N tables.
+    picked from the bits of p and f, are written into the zeroed output.  The
+    index arrays of such a narrower column set are read from _kernel_plan's
+    kept plan.  On every column they are built in turn instead: g and the
+    offsets are freed before the labels are built, so such a state peaks near
+    two complex 4**N tables.
     """
     n = state.n_qubits
     check_qubit_cap(n)
@@ -282,8 +289,9 @@ def correlation_tensor(state: PureState | DensityMatrix, *,
         check_visibility(visibility)
     masks = np.arange(2**n)
     live = _live_flips(state)
+    plan = _kernel_plan(n, live)  # None on every column: its arrays are built in turn below
     # g[z, j] = rho[z, z XOR live[j]]; qubit 1 is the most significant bit of z and f
-    flipped = masks[:, None] ^ live
+    flipped = masks[:, None] ^ live if plan is None else plan[0]
     if isinstance(state, PureState):
         psi = state.amplitudes
         g = psi.conj()[flipped]
@@ -295,12 +303,13 @@ def correlation_tensor(state: PureState | DensityMatrix, *,
         g *= visibility
         g[:, 0] += (1 - visibility) / 2**n  # f = 0 is also the first live column
     _butterflies(g, n)  # now g[p, j]
-    offsets, negate = _live_offsets(n, live)
+    offsets, negate = _live_offsets(n, live) if plan is None else plan[1:3]
     values = g.view(np.float64).take(offsets)
     del g, offsets  # freed before the labels are built, which keeps the peak near two tables
     np.negative(values, out=values, where=negate)
     values += 0.0  # turns the -0.0 that negation leaves on zero entries into 0.0
-    labels = _live_labels(n, live)  # built before the zeroed output, which lowers the peak
+    # built before the zeroed output, which lowers the peak
+    labels = _live_labels(n, live) if plan is None else plan[3]
     tensor = np.zeros((4,) * n)  # labels off the live columns come from all-zero columns: +0.0
     np.put(tensor, labels, values)
     tensor.flags.writeable = False  # no one else holds it: CorrelationTensor keeps it uncopied
@@ -323,6 +332,27 @@ def _live_flips(state: PureState | DensityMatrix) -> np.ndarray:
     live = np.zeros(masks.size, bool)  # a mask, not np.unique, which imports numpy.ma
     live[support[:, None] ^ support] = True
     return np.flatnonzero(live)
+
+
+def _kernel_plan(n: int, live: np.ndarray) -> tuple[np.ndarray, ...] | None:
+    """The kernel's index arrays for live flips narrower than every column:
+    the flip table masks[:, None] ^ live, _live_offsets' offsets and negation
+    mask, and _live_labels' labels.
+
+    They depend on n and live alone, so they are kept per process under
+    ("kernel", (n, live's bytes)) in the layout cache (_kept), read-only; all
+    GHZ states of one n share one plan.  Every column gives None: such a
+    state keeps nothing, and the kernel builds each array when it needs it,
+    after freeing the ones before, to keep its peak low.
+    """
+    if live.size == 2**n:
+        return None
+    key = ("kernel", (n, live.tobytes()))
+    plan = _cached(key)
+    if plan is None:
+        plan = (np.arange(2**n)[:, None] ^ live, *_live_offsets(n, live), _live_labels(n, live))
+        plan = _kept(key, plan, plan)
+    return plan
 
 
 def walsh_hadamard(values: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """tools/ab_timer.py: two source trees timed in one process, and their outputs compared."""
 import ast
 import contextlib
+import importlib.util
 import io
 import json
 import shutil
@@ -8,10 +9,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from bellkit import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "ab_timer.py"
+SPEC = importlib.util.spec_from_file_location("ab_timer", TOOL)
+ab_timer = importlib.util.module_from_spec(SPEC)
+SPEC.loader.exec_module(ab_timer)
 
 #: appended to one copy's cli.py: the N=9 tensor jobs print one more line
 ALTER = '''
@@ -44,7 +50,7 @@ def test_bellkit_imports_itself_only_relatively():
     assert absolute == []
 
 
-def test_one_round_reports_the_jobs_whose_output_one_side_alters(tmp_path):
+def test_one_pair_of_rounds_reports_the_jobs_whose_output_one_side_alters(tmp_path):
     for side in ("a", "b"):
         shutil.copytree(ROOT / "src" / "bellkit", tmp_path / side / "src" / "bellkit",
                         ignore=shutil.ignore_patterns("__pycache__"))
@@ -52,12 +58,12 @@ def test_one_round_reports_the_jobs_whose_output_one_side_alters(tmp_path):
         cli.write(ALTER)
     out = tmp_path / "ab.json"
     run = subprocess.run([sys.executable, str(TOOL), str(tmp_path / "a"), str(tmp_path / "b"),
-                          "--workload", "state_tensors", "--seed", "1", "--rounds", "1",
+                          "--workload", "state_tensors", "--seed", "1", "--rounds", "2",
                           "--out", str(out)], capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
     result = json.loads(run.stdout)
     assert json.loads(out.read_text()) == result
-    assert result["rounds"] == 1 and result["jobs"] == 40
+    assert result["rounds"] == 2 and result["jobs"] == 40
     assert [(d["cost_class"], d["call"], d["fields"]) for d in result["differ"]] == [
         ("N=9", 0, ["stdout"]), ("N=9", 0, ["stdout"])]
     assert result["sha256"]["a"] != result["sha256"]["b"]
@@ -65,16 +71,44 @@ def test_one_round_reports_the_jobs_whose_output_one_side_alters(tmp_path):
     assert set(groups) == {"total", "class N=6", "class N=7", "class N=8", "class N=9",
                            "call tensor"}
     for group in groups.values():
-        assert len(group["ratios"]) == 1 and group["b_wins"] in (0, 1)
-        assert group["min"] == group["median"] == group["max"] == group["a_ms"] / group["b_ms"]
+        assert len(group["ratios"]) == 2 and group["b_wins"] in (0, 1, 2)
+        pairs = group["pairs"]
+        assert len(pairs["ratios"]) == 1 and pairs["b_wins"] in (0, 1)
+        # the median of two round times is their mean, so the pair's ratio is a_ms / b_ms
+        assert pairs["min"] == pairs["median"] == pairs["max"] == pytest.approx(
+            group["a_ms"] / group["b_ms"], rel=1e-12)
 
 
 def test_a_tree_without_bellkit_is_refused(tmp_path):
     run = subprocess.run([sys.executable, str(TOOL), str(tmp_path), str(ROOT),
-                          "--workload", "state_tensors", "--seed", "1", "--rounds", "1"],
+                          "--workload", "state_tensors", "--seed", "1", "--rounds", "2"],
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 2
     assert "no bellkit sources under" in run.stderr
+
+
+@pytest.mark.parametrize("rounds", ["0", "1", "3", "-2"])
+def test_an_odd_or_too_small_round_count_is_refused(rounds):
+    """A pair of rounds runs every job once with each side first; an odd count
+    would leave one round whose ratio leans on which side went first."""
+    run = subprocess.run([sys.executable, str(TOOL), str(ROOT), str(ROOT),
+                          "--workload", "state_tensors", "--seed", "1", "--rounds", rounds],
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 2
+    assert "--rounds must be even and at least 2" in run.stderr
+
+
+def test_pair_ratios_cancel_the_swing_of_which_side_runs_first():
+    """Round times in which the side that runs first is 2 ms slower: round
+    ratios swing with the round's parity, and each pair's ratio is 1."""
+    a_ms, b_ms = [12.0, 10.0, 12.0, 10.0], [10.0, 12.0, 10.0, 12.0]
+    group = ab_timer.summary(a_ms, b_ms, ({"0": 4}, {"0": 4}))
+    assert group["ratios"] == [1.2, 10 / 12, 1.2, 10 / 12]
+    assert (group["median"], group["b_wins"]) == (pytest.approx(1.0166666), 2)
+    assert group["pairs"] == {"ratios": [1.0, 1.0], "median": 1.0, "min": 1.0, "max": 1.0,
+                              "b_wins": 0}
+    assert (group["a_ms"], group["b_ms"], group["exit_codes"]) == (
+        11.0, 11.0, {"a": {"0": 4}, "b": {"0": 4}})
 
 
 def test_a_calls_file_runs_each_call_as_a_job(tmp_path):
@@ -105,7 +139,7 @@ def run_calls(tmp_path, calls):
     path.write_text(json.dumps(calls))
     out = tmp_path / "ab.json"
     run = subprocess.run([sys.executable, str(TOOL), str(ROOT), str(ROOT), "--calls", str(path),
-                          "--rounds", "1", "--out", str(out)],
+                          "--rounds", "2", "--out", str(out)],
                          capture_output=True, text=True, timeout=300)
     return run, out
 
@@ -148,7 +182,7 @@ def test_source_digests_tell_two_copies_of_one_tree_from_two_trees(tmp_path):
 
     def digests():
         run = subprocess.run([sys.executable, str(TOOL), str(tmp_path / "a"),
-                              str(tmp_path / "b"), "--calls", str(path), "--rounds", "1"],
+                              str(tmp_path / "b"), "--calls", str(path), "--rounds", "2"],
                              capture_output=True, text=True, timeout=300)
         assert run.returncode == 0, run.stderr
         result = json.loads(run.stdout)

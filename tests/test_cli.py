@@ -557,6 +557,48 @@ def test_array_writer_zero_subtrees_match_json_dumps(shape):
             assert _dump_json(payload) == want
 
 
+#: nonzero leaves for the random arrays: the awkward values, and small ones that repeat
+POOLS = {np.int64: [1, -1, 2, 7, 2**63 - 1, -(2**63)] + AWKWARD_INTS,
+         np.float64: [1.0, -1.0, 0.5, 1 / 3, -0.0] + AWKWARD_FLOATS[1:]}
+
+
+@st.composite
+def sparse_arrays(draw):
+    """An int64 or float64 array of 1-6 axes of 1-4 entries each, filled with
+    no nonzero leaf, one, every leaf, a lone -0.0 among zeros, or a random
+    share of nonzero leaves; the values repeat and sit anywhere."""
+    shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=6)))
+    dtype = draw(st.sampled_from([np.int64, np.float64]))
+    fill = draw(st.sampled_from(["zero", "one", "all", "-0.0", "some"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = int(np.prod(shape))
+    values = rng.choice(np.array(POOLS[dtype], dtype=dtype), size)
+    array = np.zeros(size, dtype=np.float64 if fill == "-0.0" else dtype)
+    if fill == "one":
+        array[rng.integers(size)] = values[0]
+    elif fill == "all":
+        array = values
+    elif fill == "-0.0":
+        array[rng.integers(size)] = -0.0
+    elif fill == "some":
+        picked = rng.random(size) < rng.random()
+        array[picked] = values[picked]
+    return array.reshape(shape)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_arrays(), st.integers(0, 2))
+def test_array_writer_matches_json_dumps_on_random_arrays(array, depth):
+    """Every fill of every shape, written at the top level or 1-2 objects deep."""
+    from bellkit.cli import _dump_json
+
+    payload = array
+    for _ in range(depth):
+        payload = {"a": payload}
+    assert _dump_json(payload) == json.dumps(arrays_to_lists(payload), indent=2,
+                                             sort_keys=True) + "\n"
+
+
 def test_array_writer_peak_memory():
     """Beyond its text, writing a 4**8 GHZ tensor holds two bytes a leaf (the
     nonzero mask and the unit starts), the texts of its zero subtrees and the
@@ -1515,9 +1557,9 @@ def test_benchmark_tracer_records_hooked_names(capsys, monkeypatch):
     spec = importlib.util.spec_from_file_location("bench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    from bellkit import cli, lhv
+    from bellkit import _cache, cli
 
-    lhv._LAYOUT_CACHE.clear()
+    _cache._LAYOUT_CACHE.clear()
     tracer = tracing.Tracer()
     tracer.install()
     try:

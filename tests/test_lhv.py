@@ -13,7 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import bellkit as bk
-from bellkit import lhv, qstate
+from bellkit import _cache, lhv, qstate
 from bellkit.tolerance import BOUND_TOL, EXACT_TOL
 
 SQ2 = np.sqrt(2)
@@ -329,6 +329,24 @@ def test_evaluate_model_memory_stays_near_the_table_size(shape):
     finally:
         tracemalloc.stop()
     assert peak <= 32 << 20
+
+
+@pytest.mark.parametrize("m", range(1, 17))
+def test_patterns_are_filled_in_float64_with_no_table_beside_them(m):
+    """T holds the bits of the even codes' int64 outcome rows cast to float64,
+    and building it holds T and less than 64 KiB more: the int64 rows alone
+    would be as large as T."""
+    _cache._LAYOUT_CACHE.clear()
+    want = lhv._outcomes(range(0, 1 << m, 2), m).astype(float)
+    tracemalloc.start()
+    try:
+        got = lhv._patterns(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (got.shape, got.dtype) == (want.shape, want.dtype)
+    assert got.tobytes() == want.tobytes()
+    assert peak <= got.nbytes + 64 * 1024
 
 
 @pytest.mark.parametrize("weights, match", [
@@ -866,7 +884,7 @@ def cold_and_warm(tables: list[bk.CorrelationTable]) -> tuple[list, list]:
     call, then again in the same order with the cache kept across calls."""
     cold = []
     for table in tables:
-        lhv._LAYOUT_CACHE.clear()
+        _cache._LAYOUT_CACHE.clear()
         cold.append(membership_outcome(table))
     return cold, [membership_outcome(table) for table in tables]
 
@@ -905,7 +923,7 @@ def test_benchmark_tables_get_equal_answers_with_a_cold_and_a_warm_cache(monkeyp
     assert len(tables) == 928
     cold, warm = cold_and_warm(tables)
     assert warm == cold
-    assert {shape for kind, shape in lhv._LAYOUT_CACHE if kind == "columns"} == {
+    assert {shape for kind, shape in _cache._LAYOUT_CACHE if kind == "columns"} == {
         (3, 3), (3, 3, 3), (4, 4, 2), (3, 3, 3, 3)}
 
 
@@ -932,13 +950,13 @@ def test_a_layout_past_the_cache_bound_is_built_per_call_and_not_retained(monkey
     from bellkit import limits
 
     table = seeded_table((4, 4, 2), 2, 0.9)
-    lhv._LAYOUT_CACHE.clear()
+    _cache._LAYOUT_CACHE.clear()
     want = membership_outcome(table)
-    lhv._LAYOUT_CACHE.clear()
+    _cache._LAYOUT_CACHE.clear()
     monkeypatch.setattr(limits, "MAX_COUNT", 4096)
     for _ in range(2):
         assert membership_outcome(table) == want
-        assert list(lhv._LAYOUT_CACHE) == [("factors", (4, 4, 2))]
+        assert list(_cache._LAYOUT_CACHE) == [("factors", (4, 4, 2))]
     assert lhv._lp_columns(table.layout).flags.writeable
 
 
@@ -950,7 +968,7 @@ def test_the_strategy_cap_holds_for_a_cached_layout(monkeypatch, capsys):
     table = json.dumps({"layout": [3, 3], "values": [[0.5, 0, 0], [0, 0.5, 0], [0, 0, 0]]})
     monkeypatch.setattr("sys.stdin", io.StringIO(table))
     assert cli.main(["lhv", "--table", "-"]) == 0
-    assert ("columns", (3, 3)) in lhv._LAYOUT_CACHE
+    assert ("columns", (3, 3)) in _cache._LAYOUT_CACHE
     capsys.readouterr()
     monkeypatch.setattr(limits, "MAX_COUNT", 63)
     monkeypatch.setattr("sys.stdin", io.StringIO(table))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import bellkit as bk
-from bellkit import cli, lhv, limits
+from bellkit import _cache, cli, lhv, limits
 from bellkit import multiset as ms
 
 CHSH = bk.SignFunction.chsh()
@@ -775,12 +775,12 @@ def oracle(tree) -> np.ndarray:
 def assert_cold_and_warm_match_the_oracle(tree) -> None:
     """build_recursive on an empty layout cache, then again on the plan it kept."""
     want = oracle(tree)
-    lhv._LAYOUT_CACHE.clear()
+    _cache._LAYOUT_CACHE.clear()
     for _ in range(2):
         ineq = bk.build_recursive(tree)
         assert ineq.coefficients.dtype == np.int64
         assert np.array_equal(ineq.coefficients, want)
-    assert ("plan", ms._structure(tree, [])) in lhv._LAYOUT_CACHE
+    assert ("plan", ms._structure(tree, [])) in _cache._LAYOUT_CACHE
 
 
 ORACLE_LAYOUTS = [layout for layout in REGISTRY_LAYOUTS if math.prod(layout) <= 4096]
@@ -845,12 +845,12 @@ def test_trees_that_differ_in_one_setting_pair_keep_their_own_plans():
     a, b = tree(((3, 4), (3, 4))), tree(((3, 4), (4, 3)))
     want = {id(a): oracle(a), id(b): oracle(b)}
     assert not np.array_equal(*want.values())
-    lhv._LAYOUT_CACHE.clear()
+    _cache._LAYOUT_CACHE.clear()
     for t in (a, b, a, b):
         assert np.array_equal(bk.build_recursive(t).coefficients, want[id(t)])
     keys = [("plan", ms._structure(t, [])) for t in (a, b)]
     assert keys[0] != keys[1] and hash(keys[0]) != hash(keys[1])
-    plans = [lhv._cached(key) for key in keys]
+    plans = [_cache._cached(key) for key in keys]
     assert None not in plans and not np.array_equal(plans[0].positions, plans[1].positions)
 
 
@@ -874,24 +874,24 @@ def test_an_inner_fault_of_the_values_comes_before_an_outer_fault_of_the_structu
 
 def test_a_plan_past_the_cache_budget_is_built_per_call(monkeypatch):
     tree = bk.tree_88444([random_sign(np.random.default_rng(53), 2) for _ in range(9)])
-    lhv._LAYOUT_CACHE.clear()
+    _cache._LAYOUT_CACHE.clear()
     want = bk.build_recursive(tree).coefficients.tobytes()
     filler = np.zeros(limits.MAX_COUNT, dtype=bool)
     filler.flags.writeable = False
-    monkeypatch.setattr(lhv, "_LAYOUT_CACHE", {("filler", ()): (None, (filler,))})
+    monkeypatch.setattr(_cache, "_LAYOUT_CACHE", {("filler", ()): (None, (filler,))})
     plans, plan = [], ms._plan
     monkeypatch.setattr(ms, "_plan", lambda *args: plans.append(1) or plan(*args))
     for _ in range(2):
         assert bk.build_recursive(tree).coefficients.tobytes() == want
     assert len(plans) == 2
-    assert list(lhv._LAYOUT_CACHE) == [("filler", ())]
+    assert list(_cache._LAYOUT_CACHE) == [("filler", ())]
 
 
 def test_cached_plan_arrays_are_read_only():
-    lhv._LAYOUT_CACHE.clear()
+    _cache._LAYOUT_CACHE.clear()
     bk.build_recursive(bk.tree_88444([CHSH] * 9))
     bk.build_recursive(degenerate_block((1, 2, 3), 1))  # its plan sums and checks pairs
-    entries = [entry for (kind, _), entry in lhv._LAYOUT_CACHE.items() if kind == "plan"]
+    entries = [entry for (kind, _), entry in _cache._LAYOUT_CACHE.items() if kind == "plan"]
     assert len(entries) == 2 and any(plan.steps for plan, _ in entries)
     for plan, arrays in entries:
         assert plan.positions in [a for a in arrays if a is plan.positions]
@@ -921,7 +921,7 @@ def test_generate_prints_the_same_bytes_warm_as_in_a_fresh_process(capsys):
                      + [arg for text in bitstrings for arg in ("--sign-fn", text)])
     fresh = subprocess.run([sys.executable, "-c", FRESH_PROCESS_DIGESTS, json.dumps(calls)],
                            capture_output=True, text=True, check=True).stdout.split()
-    lhv._LAYOUT_CACHE.clear()
+    _cache._LAYOUT_CACHE.clear()
     for argv, digest in zip(calls, fresh, strict=True):
         for _ in range(2):  # on an empty cache, then on the kept plan
             assert cli.main(argv) == 0

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bellkit as bk
-from bellkit import qstate
+from bellkit import _cache, qstate
 from bellkit.tolerance import EXACT_TOL
 
 SIGMA = [
@@ -432,6 +432,66 @@ def test_kernel_keeps_nothing_between_calls():
         assert tracemalloc.get_traced_memory()[0] - before <= 64 * 1024
     finally:
         tracemalloc.stop()
+
+
+def kernel_plans() -> dict:
+    return {key: value for key, (value, _) in _cache._LAYOUT_CACHE.items() if key[0] == "kernel"}
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_kernel_plan_is_built_once_per_support_and_kept_read_only(n, monkeypatch):
+    """A GHZ state's flip table, offsets, negation mask and labels depend on N
+    and its two live columns alone: the first call builds them, every later
+    call on that support, pure or noisy, reads the kept plan and gives the
+    same bytes."""
+    _cache._LAYOUT_CACHE.clear()
+    built = []
+    for name in ("_live_offsets", "_live_labels"):
+        monkeypatch.setattr(qstate, name, lambda *args, real=getattr(qstate, name), name=name:
+                            built.append(name) or real(*args))
+    states = [bk.ghz_state(bk.GhzFamily(n, alpha)) for alpha in (0.3, 0.6)]
+    for visibilities in ((), (0.7,), (0.4, 0.9)):
+        first = bk.correlation_tensor(states[0], visibilities=visibilities).components
+        plans = kernel_plans()
+        second = bk.correlation_tensor(states[0], visibilities=visibilities).components
+        assert first.tobytes() == second.tobytes()
+        bk.correlation_tensor(states[1], visibilities=visibilities)
+        again = kernel_plans()
+        assert again.keys() == plans.keys() and all(again[key] is plans[key] for key in plans)
+    assert built == ["_live_offsets", "_live_labels"]
+    [(key, plan)] = kernel_plans().items()
+    assert key == ("kernel", (n, np.array([0, 2**n - 1]).tobytes()))
+    assert [a.shape for a in plan] == [(2**n, 2)] * 4
+    for array in plan:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 0
+
+
+def test_a_state_on_every_column_keeps_no_plan():
+    """A dense pure state and a density matrix use every column: the cache
+    stays empty."""
+    _cache._LAYOUT_CACHE.clear()
+    state = random_pure(np.random.default_rng(5), 5)
+    bk.correlation_tensor(state, visibilities=(0.7,))
+    bk.correlation_tensor(bk.density_from_pure(bk.ghz_state(bk.GhzFamily(5, 0.3))))
+    assert _cache._LAYOUT_CACHE == {}
+
+
+def test_a_plan_past_the_cache_budget_is_built_per_call(monkeypatch):
+    """With the cache full, the plan is built on every call and not kept, and
+    the bytes are those of a kept plan."""
+    state = bk.ghz_state(bk.GhzFamily(6, 0.3))
+    _cache._LAYOUT_CACHE.clear()
+    want = bk.correlation_tensor(state, visibilities=(0.7,)).components.tobytes()
+    filler = np.zeros(qstate.limits.MAX_COUNT, dtype=bool)
+    monkeypatch.setattr(_cache, "_LAYOUT_CACHE", {("filler", ()): (None, (filler,))})
+    built = []
+    monkeypatch.setattr(qstate, "_live_labels", lambda *args, real=qstate._live_labels:
+                        built.append(1) or real(*args))
+    for _ in range(2):
+        assert bk.correlation_tensor(state, visibilities=(0.7,)).components.tobytes() == want
+    assert len(built) == 2
+    assert list(_cache._LAYOUT_CACHE) == [("filler", ())]
 
 
 def test_tensor_keeps_only_arrays_no_one_can_write():

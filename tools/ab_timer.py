@@ -15,12 +15,16 @@ null}, its cost class the call kind below.
 
 After one warm-up job per command path on each side, every job runs on both
 sides in each of the rounds, through each side's cli.main.  The side that
-runs a job first alternates from job to job and from round to round.  Per
-cost class, per call kind (the command and its --kind) and in total, a
-round's ratio is A's time over B's, so above 1 means B was faster.  For each
-group the output gives both sides' median round time, the ratios, their
-median and range, the rounds B won, and each side's count of every exit code
-in the first round (an exception counts as "raised" and its type).  Every
+runs a job first alternates from job to job and from round to round, so in
+rounds 2k and 2k + 1 every job runs once with each side first; the number of
+rounds must be even.  Per cost class, per call kind (the command and its
+--kind) and in total, a round's ratio is A's time over B's, so above 1 means
+B was faster.  For each group the output gives both sides' median round
+time, the ratios, their median and range, the rounds B won, the same for
+each pair of rounds (2k, 2k + 1) under `pairs`, whose ratio is A's time
+over B's in the two rounds together and so does not swing with which side
+ran first, and each side's count of every exit code in the first round (an
+exception counts as "raised" and its type).  Every
 call's exit code, stdout and stderr are compared between the sides in every
 round, and the calls where any of them differ are listed, with a sha256 of
 each side's first-round outputs.  Under `source_sha256`, a sha256 of each
@@ -113,11 +117,17 @@ def call_groups(job, call) -> tuple[str, str, str]:
     return "total", f"class {job.cost_class}", f"call {call_kind(call)}"
 
 
+def ratio_summary(ratios: list[float]) -> dict:
+    return {"ratios": ratios, "median": statistics.median(ratios),
+            "min": min(ratios), "max": max(ratios), "b_wins": sum(r > 1 for r in ratios)}
+
+
 def summary(a_ms: list[float], b_ms: list[float], codes: tuple[dict, dict]) -> dict:
-    ratios = [a / b for a, b in zip(a_ms, b_ms)]
+    """A group's round times, per round and per pair of rounds (2k, 2k + 1)."""
+    pairs = [(a_ms[r] + a_ms[r + 1]) / (b_ms[r] + b_ms[r + 1]) for r in range(0, len(a_ms), 2)]
     return {"a_ms": statistics.median(a_ms), "b_ms": statistics.median(b_ms),
-            "ratios": ratios, "median": statistics.median(ratios),
-            "min": min(ratios), "max": max(ratios), "b_wins": sum(r > 1 for r in ratios),
+            **ratio_summary([a / b for a, b in zip(a_ms, b_ms)]),
+            "pairs": ratio_summary(pairs),
             "exit_codes": {side: dict(sorted(c.items())) for side, c in zip(SIDES, codes)}}
 
 
@@ -210,8 +220,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--rounds", type=int, default=12)
     parser.add_argument("--out", type=Path, help="a file to write the result to as well")
     args = parser.parse_args(argv)
-    if args.rounds < 1:
-        parser.error("--rounds must be at least 1")
+    if args.rounds < 2 or args.rounds % 2:
+        parser.error("--rounds must be even and at least 2, so that every job runs as "
+                     "often with each side first")
     if (args.seed is None) != (args.workload is None):
         parser.error("--seed goes with --workload, and only with it")
     try:
