@@ -32,9 +32,10 @@ two:
               a zeroed tensor.
 
 The plan is kept per process in the layout cache (_cache._kept), under that
-cache's shared limits.MAX_COUNT budget, keyed by the structure; a plan past
-what the budget has left is built on every call.  Trees that differ only in
-their signs, such as one layout's registry members, share one plan.  In
+cache's shared limits.MAX_COUNT budget, keyed by the structure; the cache
+drops its oldest entries to make room, and a plan past the whole budget is
+built on every call.  Trees that differ only in their signs, such as one
+layout's registry members, share one plan.  In
 process on a 2-vCPU VM, a call on 8x8x4x4x4 takes about 225 us when it makes
 the plan and 43 us when the plan is kept, against 307 us for the dense
 per-node expansion that the plan replaced.  A tree of one leaf has little to
@@ -46,16 +47,17 @@ the signs, so that check runs with the values.  Tightness is decided from
 each party's +-1 outcome matrix, never from the vertex matrix: the vertex
 values are the coefficient tensor contracted party by party with those
 matrices, in int64, and the Gram matrix of the saturating vertices is the
-0/1 saturation mask contracted with the per-party outer products of outcome
-rows, in float64.  Both go through lhv._contract, the per-axis product with
-which lhv.evaluate_model turns every model into its table.  Both are exact,
-since every partial sum is bounded by sum |c| below 2^63 and by the vertex
-count below 2^53 respectively.  Full rank is certified from that Gram matrix
-by exact strict diagonal dominance, which settled every facet measured so
-far.  Any other inequality goes to
-fraction-free elimination over the integers, of its saturating vertex rows
-alone, built from the per-party outcome rows at the saturation mask's
-indices.
+0/1 saturation mask contracted with each party's products of outcome
+columns over its setting pairs k <= l, in float64, then gathered into
+place by one index per layout (_gram_plan), kept in the layout cache like
+the plans.  Both contractions go through lhv._contract, the per-axis product
+with which lhv.evaluate_model turns every model into its table.  Both are
+exact, since every partial sum is bounded by sum |c| below 2^63 and by the
+vertex count below 2^53 respectively.  Full rank is certified from that
+Gram matrix by exact strict diagonal dominance, which settled every facet
+measured so far.  Any other inequality goes to fraction-free elimination
+over the integers, of its saturating vertex rows alone, built from the
+per-party outcome rows at the saturation mask's indices.
 """
 
 from __future__ import annotations
@@ -519,10 +521,12 @@ def check_tightness(ineq: BellInequality) -> TightnessReport:
               at most sum |c| in magnitude;
       Gram    G = sum over saturating v of v v^T = the 0/1 saturation mask
               contracted over each party's codes with
-              Q_j[i, (k, l)] = O_j[i, k] O_j[i, l], then regrouped from
-              (k_1, l_1, ..., k_N, l_N) to (k..., l...), in float64: every
-              partial sum is a signed count of at most limits.MAX_COUNT
-              vertices, an integer well below 2^53.
+              Q_j[i, (k, l)] = O_j[i, k] O_j[i, l] for its setting pairs
+              k <= l only, since Q_j is symmetric in k and l, then gathered
+              from (pair_1, ..., pair_N) into (k..., l...) order by one
+              index per layout (_gram_plan), in float64: every partial sum
+              is a signed count of at most limits.MAX_COUNT vertices, an
+              integer well below 2^53, so G is exact in any order.
 
     Full rank is certified from G by _certified_nonsingular, exact strict
     diagonal dominance, which settled every facet measured so far.  When it
@@ -562,16 +566,49 @@ def check_tightness(ineq: BellInequality) -> TightnessReport:
 
 
 def _saturating_gram(mask: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
-    """G = sum over the vertices flagged in ``mask`` of v v^T, in float64, by
-    contracting the mask with each party's outer products of outcome rows."""
-    outers = [(o[:, :, None] * o[:, None, :]).reshape(len(o), -1).astype(np.float64)
-              for o in factors]
-    settings = [o.shape[1] for o in factors]
-    n = len(settings)
-    gram = _contract(mask.astype(np.float64), outers)
-    gram = gram.reshape([m for m in settings for _ in "kl"])
-    dim = math.prod(settings)
-    return gram.transpose([*range(0, 2 * n, 2), *range(1, 2 * n, 2)]).reshape(dim, dim)
+    """G = sum over the vertices flagged in ``mask`` of v v^T, in float64: the
+    mask contracted with each party's products of outcome columns k <= l, then
+    gathered into (k..., l...) order by the layout's index (_gram_plan)."""
+    products, index = _gram_plan(factors)
+    return _contract(mask.astype(np.float64), products).ravel()[index]
+
+
+def _gram_plan(factors: Sequence[np.ndarray]) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Each party's O[:, k] O[:, l] over its setting pairs k <= l, in float64,
+    and the flat position of G's entry (k..., l...) in the tensor of pair
+    cells that the mask contracts to; built once per layout (_kept).
+
+    A party's pair cells are numbered in np.triu_indices order, and its
+    (m x m) cell index holds that of (min(k, l), max(k, l)).  The layout's
+    index joins two half-layout indices with one broadcast add (_join), so
+    a layout whose index passes the cache's budget rebuilds it cheaply.
+    """
+    settings = tuple(o.shape[1] for o in factors)
+    key = ("gram", settings)
+    cached = _cached(key)
+    if cached is not None:
+        return cached
+    products, cells = [], []
+    for o, m in zip(factors, settings):
+        k, l = np.triu_indices(m)
+        products.append((o[:, k] * o[:, l]).astype(np.float64))
+        cell = np.empty((m, m), np.intp)
+        cell[k, l] = cell[l, k] = np.arange(len(k))
+        cells.append((cell, len(k)))
+    none = (np.zeros((1, 1), np.intp), 1)  # the cell index of no party
+    half = len(cells) // 2
+    index, _ = _join(reduce(_join, cells[:half], none), reduce(_join, cells[half:], none))
+    return _kept(key, (tuple(products), index), (*products, index))
+
+
+def _join(first: tuple[np.ndarray, int], second: tuple[np.ndarray, int]) -> tuple[np.ndarray, int]:
+    """The cell index of two party groups taken together, and its cell count:
+    entry ((k1, k2), (l1, l2)) is first's (k1, l1) times second's count plus
+    second's (k2, l2)."""
+    (a, a_cells), (b, b_cells) = first, second
+    dim = len(a) * len(b)
+    index = a[:, None, :, None] * b_cells + b[None, :, None, :]
+    return index.reshape(dim, dim), a_cells * b_cells
 
 
 def _certified_nonsingular(gram: np.ndarray) -> bool:

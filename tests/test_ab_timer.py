@@ -134,6 +134,28 @@ def test_a_calls_file_runs_each_call_as_a_job(tmp_path):
     assert all(len(group["ratios"]) == 2 for group in result["groups"].values())
 
 
+def test_calls_entries_may_name_their_cost_class(tmp_path):
+    """Each layout of one command gets a class of its own; an entry with no
+    cost_class falls in the class of its call kind."""
+    def generate(layout, *more):
+        return ["generate", "--layout", layout, *more]
+
+    calls = [{"argv": generate("2,2,2", "--check-tight"), "cost_class": "2,2,2"},
+             {"argv": generate("4,4,2", "--check-tight"), "cost_class": "4,4,2"},
+             {"argv": generate("2,2,2", "--check-tight"), "cost_class": "2,2,2"},
+             {"argv": generate("2,2")}]
+    run, out = run_calls(tmp_path, calls)
+    assert run.returncode == 0, run.stderr
+    result = json.loads(out.read_text())
+    assert (result["jobs"], result["differ"]) == (4, [])
+    groups = result["groups"]
+    assert list(groups) == ["total", "class 2,2,2", "class 4,4,2", "class generate",
+                            "call generate"]
+    assert [groups[f"class {label}"]["exit_codes"]["a"] for label in ("2,2,2", "4,4,2")] == [
+        {"0": 2}, {"0": 1}]
+    assert groups["call generate"]["exit_codes"] == {"a": {"0": 4}, "b": {"0": 4}}
+
+
 def run_calls(tmp_path, calls):
     path = tmp_path / "calls.json"
     path.write_text(json.dumps(calls))

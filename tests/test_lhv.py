@@ -13,7 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import bellkit as bk
-from bellkit import _cache, lhv, qstate
+from bellkit import _cache, lhv, limits, qstate
 from bellkit.tolerance import BOUND_TOL, EXACT_TOL
 
 SQ2 = np.sqrt(2)
@@ -925,6 +925,57 @@ def test_benchmark_tables_get_equal_answers_with_a_cold_and_a_warm_cache(monkeyp
     assert warm == cold
     assert {shape for kind, shape in _cache._LAYOUT_CACHE if kind == "columns"} == {
         (3, 3), (3, 3, 3), (4, 4, 2), (3, 3, 3, 3)}
+
+
+def held_by_the_cache() -> int:
+    return sum(a.size for _, arrays in _cache._LAYOUT_CACHE.values() for a in arrays)
+
+
+def test_layout_arrays_are_kept_after_kernel_plans_fill_the_cache():
+    """Kernel plans of sparse pure states fill the cache until the 3,3,3
+    layout's arrays no longer fit in what is left; its first membership call
+    then drops the oldest plans, keeps its LP columns, and later calls read
+    them, with the reports of a cold cache."""
+    tables = [seeded_table((3, 3, 3), seed, scale) for seed, scale in ((0, 0.9), (1, None))]
+    cold, _ = cold_and_warm(tables)
+    layout_items = held_by_the_cache()  # 3,3,3's factors and LP columns
+    _cache._LAYOUT_CACHE.clear()
+    rng = np.random.default_rng(67)
+    for _ in range(200):
+        if held_by_the_cache() + layout_items > limits.MAX_COUNT:
+            break
+        n = int(rng.integers(7, 11))
+        amplitudes = np.zeros(2**n, complex)
+        support = rng.choice(2**n, int(rng.integers(2, 2 ** (n // 2) + 1)), replace=False)
+        amplitudes[support] = rng.normal(size=len(support)) + 1j * rng.normal(size=len(support))
+        bk.correlation_tensor(bk.PureState(n, amplitudes / np.linalg.norm(amplitudes)))
+    assert held_by_the_cache() + layout_items > limits.MAX_COUNT
+    assert all(kind == "kernel" for kind, _ in _cache._LAYOUT_CACHE)
+    plans = len(_cache._LAYOUT_CACHE)
+    assert membership_outcome(tables[0]) == cold[0]
+    columns = _cache._cached(("columns", (3, 3, 3)))
+    assert columns is not None
+    assert sum(kind == "kernel" for kind, _ in _cache._LAYOUT_CACHE) < plans
+    assert held_by_the_cache() <= limits.MAX_COUNT
+    assert [membership_outcome(table) for table in tables] == cold
+    assert _cache._cached(("columns", (3, 3, 3))) is columns
+
+
+def test_a_new_entry_drops_the_oldest_entries_until_it_fits(monkeypatch):
+    """Entries are dropped in the order they were kept, and only as many as
+    the new one needs; an entry that alone passes the budget is not kept and
+    drops nothing."""
+    monkeypatch.setattr(_cache, "_LAYOUT_CACHE", {})
+    monkeypatch.setattr(limits, "MAX_COUNT", 10)
+    for name, size in (("a", 3), ("b", 3), ("c", 3)):
+        _cache._kept((name, ()), name, (np.zeros(size),))
+    assert _cache._kept(("whole", ()), "whole", (np.zeros(11),)) == "whole"
+    assert list(_cache._LAYOUT_CACHE) == [("a", ()), ("b", ()), ("c", ())]
+    _cache._kept(("d", ()), "d", (np.zeros(4),))
+    assert list(_cache._LAYOUT_CACHE) == [("b", ()), ("c", ()), ("d", ())]
+    _cache._kept(("e", ()), "e", (np.zeros(2), np.zeros(3)))
+    assert list(_cache._LAYOUT_CACHE) == [("d", ()), ("e", ())]
+    assert held_by_the_cache() == 9
 
 
 @pytest.mark.parametrize("shape", [(3,), (3, 3), (2, 3, 4)], ids=lambda s: ",".join(map(str, s)))

@@ -497,8 +497,8 @@ def test_contracted_tightness_matches_the_vertex_matrix_on_random_inequalities(l
     assert seen["fallback"] and seen["invalid"]
 
 
-@pytest.mark.parametrize("layout", [(2, 2), (3, 3, 3), (2, 3, 4), (4, 4, 2)],
-                         ids=lambda t: ",".join(map(str, t)))
+@pytest.mark.parametrize("layout", [(2, 2), (3, 3, 3), (2, 3, 4), (4, 4, 2), (4, 4, 4, 2),
+                                    (2,) * 6], ids=lambda t: ",".join(map(str, t)))
 def test_contracted_gram_equals_that_of_the_saturating_rows(layout):
     rng = np.random.default_rng(len(layout))
     layout = bk.ExperimentLayout(layout)
@@ -510,6 +510,36 @@ def test_contracted_gram_equals_that_of_the_saturating_rows(layout):
         rows = vertices[mask]
         assert gram.dtype == np.float64
         assert np.array_equal(gram, rows.T @ rows)
+
+
+#: the registry layouts whose vertices _vertex_factors enumerates, and 2^10,
+#: whose Gram index alone fills limits.MAX_COUNT and so is never kept
+GRAM_LAYOUTS = [(2, 2), (2, 2, 2), (2, 2, 2, 2), (4, 4, 2), (4, 4, 4, 2), (4, 4, 4, 4, 2),
+                (2,) * 10]
+
+
+def test_tightness_reports_are_alike_with_a_cold_and_a_warm_cache():
+    """check_tightness with the layout cache cleared before each call, then
+    again in the same order with the cache kept: equal reports.  Each layout
+    gets its default member, a facet that the Gram matrix settles, and up to
+    4,4,4,2 members of random signs."""
+    rng = np.random.default_rng(61)
+    ineqs, defaults = [], []
+    for layout in GRAM_LAYOUTS:
+        defaults.append(len(ineqs))
+        ineqs.append(cli._generate_inequality(layout, None))
+        if math.prod(layout) <= 128:
+            arities, build = ms.layout_tree(layout)
+            ineqs += [bk.build_recursive(build([random_sign(rng, a) for a in arities]))
+                      for _ in range(3)]
+    cold = []
+    for ineq in ineqs:
+        _cache._LAYOUT_CACHE.clear()
+        cold.append(bk.check_tightness(ineq))
+    assert [bk.check_tightness(ineq) for ineq in ineqs] == cold
+    assert all(cold[i].is_tight and not cold[i].exact_fallback for i in defaults)
+    kept = {settings for kind, settings in _cache._LAYOUT_CACHE if kind == "gram"}
+    assert kept == set(GRAM_LAYOUTS[:-1])
 
 
 def test_default_4_4_4_4_2_check_needs_no_vertex_matrix():
@@ -873,18 +903,20 @@ def test_an_inner_fault_of_the_values_comes_before_an_outer_fault_of_the_structu
 
 
 def test_a_plan_past_the_cache_budget_is_built_per_call(monkeypatch):
+    """A plan whose arrays alone pass the cache's budget is made on every
+    call and never kept, with the coefficients of a kept plan."""
     tree = bk.tree_88444([random_sign(np.random.default_rng(53), 2) for _ in range(9)])
     _cache._LAYOUT_CACHE.clear()
     want = bk.build_recursive(tree).coefficients.tobytes()
-    filler = np.zeros(limits.MAX_COUNT, dtype=bool)
-    filler.flags.writeable = False
-    monkeypatch.setattr(_cache, "_LAYOUT_CACHE", {("filler", ()): (None, (filler,))})
-    plans, plan = [], ms._plan
-    monkeypatch.setattr(ms, "_plan", lambda *args: plans.append(1) or plan(*args))
+    plan = _cache._cached(("plan", ms._structure(tree, [])))
+    monkeypatch.setattr(limits, "MAX_COUNT", sum(a.size for a in plan.arrays()) - 1)
+    _cache._LAYOUT_CACHE.clear()
+    plans, make = [], ms._plan
+    monkeypatch.setattr(ms, "_plan", lambda *args: plans.append(1) or make(*args))
     for _ in range(2):
         assert bk.build_recursive(tree).coefficients.tobytes() == want
     assert len(plans) == 2
-    assert list(_cache._LAYOUT_CACHE) == [("filler", ())]
+    assert _cache._LAYOUT_CACHE == {}
 
 
 def test_cached_plan_arrays_are_read_only():

@@ -2,6 +2,7 @@
 import json
 import tracemalloc
 from functools import reduce
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -478,20 +479,22 @@ def test_a_state_on_every_column_keeps_no_plan():
 
 
 def test_a_plan_past_the_cache_budget_is_built_per_call(monkeypatch):
-    """With the cache full, the plan is built on every call and not kept, and
-    the bytes are those of a kept plan."""
+    """A plan that alone passes the cache's budget is built on every call and
+    not kept, and the bytes are those of a kept plan.  Only the cache reads
+    the lowered budget, since N = 6 needs the qubit cap's 4^6."""
     state = bk.ghz_state(bk.GhzFamily(6, 0.3))
     _cache._LAYOUT_CACHE.clear()
     want = bk.correlation_tensor(state, visibilities=(0.7,)).components.tobytes()
-    filler = np.zeros(qstate.limits.MAX_COUNT, dtype=bool)
-    monkeypatch.setattr(_cache, "_LAYOUT_CACHE", {("filler", ()): (None, (filler,))})
+    (_, plan), = _cache._LAYOUT_CACHE.values()
+    monkeypatch.setattr(_cache, "limits", SimpleNamespace(MAX_COUNT=sum(a.size for a in plan) - 1))
+    _cache._LAYOUT_CACHE.clear()
     built = []
     monkeypatch.setattr(qstate, "_live_labels", lambda *args, real=qstate._live_labels:
                         built.append(1) or real(*args))
     for _ in range(2):
         assert bk.correlation_tensor(state, visibilities=(0.7,)).components.tobytes() == want
     assert len(built) == 2
-    assert list(_cache._LAYOUT_CACHE) == [("filler", ())]
+    assert _cache._LAYOUT_CACHE == {}
 
 
 def test_tensor_keeps_only_arrays_no_one_can_write():

@@ -11,9 +11,12 @@ that works because bellkit imports itself only relatively
 (tests/test_ab_timer.py keeps it so).  The job list is the one
 bench/workloads.py of this checkout makes for the workload and seed, or with
 --calls, one job per entry of a JSON list of {"argv": [...], "stdin": text or
-null}, its cost class the call kind below.
+null, "cost_class": label}, where "stdin" and "cost_class" may be left out; a
+job's cost class is its label, or else the call kind below, so one file can
+time each layout of one command as a class of its own.
 
-After one warm-up job per command path on each side, every job runs on both
+After one warm-up job per command path on each side (with --calls, the first
+job of each cost class), every job runs on both
 sides in each of the rounds, through each side's cli.main.  The side that
 runs a job first alternates from job to job and from round to round, so in
 rounds 2k and 2k + 1 every job runs once with each side first; the number of
@@ -173,10 +176,12 @@ def timed_rounds(clis, warmup, jobs, rounds: int):
 
 
 def listed_jobs(workloads, path: Path) -> tuple[list, list]:
-    """The jobs of a --calls file, and the first job of each call kind as the warm-up."""
-    jobs = [workloads.Job(call_kind(call), (call,)) for call in (
-        workloads.Call(tuple(entry["argv"]), entry.get("stdin"))
-        for entry in json.loads(path.read_text()))]
+    """The jobs of a --calls file, each in its entry's cost class or else its
+    call kind, and the first job of each cost class as the warm-up."""
+    jobs = []
+    for entry in json.loads(path.read_text()):
+        call = workloads.Call(tuple(entry["argv"]), entry.get("stdin"))
+        jobs.append(workloads.Job(entry.get("cost_class", call_kind(call)), (call,)))
     return jobs, list({job.cost_class: job for job in reversed(jobs)}.values())
 
 
